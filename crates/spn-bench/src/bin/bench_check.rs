@@ -41,7 +41,7 @@
 //!   to deliver is a checked property of the artifacts, not a hope,
 //! * `--expect-lanes N[,M...]` additionally requires every engine-bench file
 //!   to contain at least one record per listed lane width (CI sweeps
-//!   `--expect-lanes 1,8`: the scalar oracle and the lane-blocked path).
+//!   `--expect-lanes 1,8`: one query per pass and the lane-blocked width).
 //!
 //! Run with `cargo run --release -p spn-bench --bin bench_check
 //! [--expect-lanes N,M] FILE...`; exits non-zero on the first violation.

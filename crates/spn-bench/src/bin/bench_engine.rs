@@ -68,8 +68,8 @@ struct Measurement {
     mode: QueryMode,
     numeric: NumericMode,
     precision: Precision,
-    /// Lane-block width of the CPU execute-many path (1 = the scalar loop;
-    /// non-CPU platforms always report 1).
+    /// Lane-block width of the CPU execute-many path (1 = one query per
+    /// pass; non-CPU platforms always report 1).
     lanes: usize,
     /// Simulated core count of the processor backend (1 for every software
     /// platform and for the single-core simulator rows).
@@ -952,9 +952,9 @@ fn run(smoke: bool, out_path: &str) -> Result<(), BackendError> {
     // medium circuits are the dispatch-sensitive regime where batching
     // matters; the compute-dominated large circuits live in fig4.  Workload
     // names are deliberately distinct from every platform name.  Each
-    // workload runs twice — the scalar loop (lanes = 1, the baseline and
-    // bit-for-bit oracle) and the lane-blocked batch-major path — so the
-    // vectorization speed-up is a first-class row pair in the JSON.
+    // workload runs twice — one query per pass (lanes = 1, the baseline)
+    // and the default lane-blocked width, both through `run_lanes::<L>` —
+    // so the vectorization speed-up is a first-class row pair in the JSON.
     for (workload, benchmark) in [
         ("uci-banknote", Benchmark::Banknote),
         ("uci-cpu-perf", Benchmark::Cpu),

@@ -472,4 +472,40 @@ mod tests {
             );
         }
     }
+
+    /// The same arrangement for the log-domain sum: `spn_processor::tree`
+    /// carries its own `log_sum_exp`, and `PeOp::Lse` only agrees with
+    /// `OpKind::LogAdd` if the two round identically — on the `-inf`
+    /// identity, on equal operands, and where the smaller term underflows
+    /// (`exp` of a gap beyond 745 is zero).
+    #[test]
+    fn core_and_processor_log_sum_exp_agree_bit_for_bit() {
+        let mut probes: Vec<f64> = vec![
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -1e-308,
+            -0.25,
+            -3.0,
+            -744.0,
+            -745.2,
+            -746.0,
+            -1386.3,
+            -1e6,
+            1.5,
+            709.0,
+        ];
+        for i in 0..40 {
+            probes.push(-0.37 * f64::from(i) * f64::from(i));
+        }
+        for &a in &probes {
+            for &b in &probes {
+                assert_eq!(
+                    spn_core::numeric::log_sum_exp(a, b).to_bits(),
+                    spn_processor::tree::log_sum_exp(a, b).to_bits(),
+                    "a={a:e} b={b:e}"
+                );
+            }
+        }
+    }
 }

@@ -1,13 +1,9 @@
-//! Flattening of SPN DAGs into the scalar program forms used by the paper.
+//! Flattening of SPN DAGs into the scalar program form used by the paper.
 //!
-//! * [`OpList`] is Algorithm 1: a straight-line list of binary `+`/`×`
-//!   operations over an input vector (leaf indicators and parameters).  This
-//!   is the form handed to the C compiler for the CPU baseline and the form
-//!   our processor compiler consumes.
-//! * [`LoopProgram`] is Algorithm 2: the same computation expressed as index
-//!   vectors `O` (operation select), `B` and `C` (operand pointers) driving a
-//!   single for loop over a working array `A` — the layout the CUDA kernel
-//!   (Algorithm 3) distributes across threads.
+//! [`OpList`] is Algorithm 1: a straight-line list of binary `+`/`×`
+//! operations over an input vector (leaf indicators and parameters).  This
+//! is the form handed to the C compiler for the CPU baseline and the form
+//! our processor compiler consumes.
 //!
 //! Flattening binarises n-ary sums and products and turns sum weights into
 //! parameter inputs multiplied into their child, exactly like the arithmetic
@@ -22,16 +18,21 @@
 //! Every program also carries a [`Precision`] (default [`Precision::F64`],
 //! i.e. no quantization): [`OpList::with_precision`] stamps a program with an
 //! emulated PE arithmetic format, quantizing its baked-in parameters, and the
-//! execution kernels then round every intermediate result through
-//! [`round_to`] — the software model of the paper's reduced-precision PE
-//! datapath.
+//! execution kernels then round every intermediate result through that
+//! format's [`Quantizer`] — the software model of the paper's
+//! reduced-precision PE datapath.
+//!
+//! What an operation computes is defined once, in [`OpKind::apply_lanes`];
+//! [`crate::vectorized::run_lanes`] is the one executor that walks a whole
+//! program with it, and [`OpList::run_into`] is the independent reference
+//! the parity suites compare that executor against.
 
 use serde::{Deserialize, Serialize};
 
 use crate::evidence::Evidence;
 use crate::graph::{Node, Spn, VarId};
-use crate::numeric::{log_sum_exp, NumericMode};
-use crate::precision::{round_to, Precision};
+use crate::numeric::{log_sum_exp, log_sum_exp_lanes, NumericMode};
+use crate::precision::{Precision, Quantizer};
 use crate::{Result, SpnError};
 
 /// The source feeding one input slot of a flattened program.
@@ -86,6 +87,52 @@ pub enum OpKind {
     /// by [`OpList::sampler_kernel`], never by flattening; sampler kernels
     /// are diagnostic programs exercising the processor's sampler datapath.
     Sam,
+}
+
+impl OpKind {
+    /// Applies this operation to `L` independent lanes:
+    /// `dst[l] = a[l] op b[l]`.
+    ///
+    /// This is the definition of the five operations for every executor in
+    /// the workspace's software backends; callers round `dst` through the
+    /// program's [`Quantizer`] before storing it.  `L` is a compile-time
+    /// constant, so each arm is a fixed-trip loop the autovectorizer turns
+    /// into SIMD; log-domain sums go through [`log_sum_exp_lanes`].
+    // Always inlined: out of line, the call costs as much as a one-lane op.
+    #[inline(always)]
+    pub fn apply_lanes<const L: usize>(self, a: &[f64; L], b: &[f64; L], dst: &mut [f64; L]) {
+        match self {
+            OpKind::Add => {
+                for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+                    *d = x + y;
+                }
+            }
+            OpKind::Mul => {
+                for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+                    *d = x * y;
+                }
+            }
+            OpKind::Max => {
+                for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+                    *d = x.max(y);
+                }
+            }
+            OpKind::LogAdd => log_sum_exp_lanes(a, b, dst),
+            OpKind::Sam => {
+                for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+                    *d = f64::from(u8::from(x < y));
+                }
+            }
+        }
+    }
+
+    /// [`OpKind::apply_lanes`] for one lane: `a op b`.
+    #[inline]
+    pub fn apply(self, a: f64, b: f64) -> f64 {
+        let mut dst = [0.0];
+        self.apply_lanes::<1>(&[a], &[b], &mut dst);
+        dst[0]
+    }
 }
 
 /// One binary operation of an [`OpList`].
@@ -281,8 +328,8 @@ impl OpList {
     /// The structure is unchanged; every [`LeafSource::Param`] is quantized
     /// to `precision` (the data memory of a reduced-precision processor
     /// holds reduced-precision words), and the execution kernels —
-    /// [`OpList::run_into`], [`LoopProgram::run`], the GPU model and the
-    /// processor simulator's PE trees — quantize every intermediate result.
+    /// [`crate::vectorized::run_lanes`], the GPU model and the processor
+    /// simulator's PE trees — quantize every intermediate result.
     /// [`Precision::F64`] programs execute bit-for-bit like programs that
     /// were never stamped.
     ///
@@ -290,12 +337,13 @@ impl OpList {
     /// emulates a log-encoded reduced-precision datapath (absolute error on
     /// log values instead of relative error on probabilities).
     pub fn with_precision(&self, precision: Precision) -> OpList {
+        let quantizer = Quantizer::new(precision);
         OpList {
             inputs: self
                 .inputs
                 .iter()
                 .map(|leaf| match *leaf {
-                    LeafSource::Param(p) => LeafSource::Param(round_to(precision, p)),
+                    LeafSource::Param(p) => LeafSource::Param(quantizer.round(p)),
                     other => other,
                 })
                 .collect(),
@@ -322,6 +370,7 @@ impl OpList {
         if self.mode == NumericMode::Log {
             return self.clone();
         }
+        let quantizer = Quantizer::new(self.precision);
         OpList {
             inputs: self
                 .inputs
@@ -331,9 +380,7 @@ impl OpList {
                     // degenerate constants; ln(0) = -inf represents prob zero.
                     // The ln value is re-quantized: the log-domain data memory
                     // holds reduced-precision words too.
-                    LeafSource::Param(p) => {
-                        LeafSource::Param(round_to(self.precision, p.max(0.0).ln()))
-                    }
+                    LeafSource::Param(p) => LeafSource::Param(quantizer.round(p.max(0.0).ln())),
                     other => other,
                 })
                 .collect(),
@@ -427,39 +474,44 @@ impl OpList {
     /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
     /// different number of variables.
     pub fn input_values_into(&self, evidence: &Evidence, out: &mut Vec<f64>) -> Result<()> {
-        fill_input_values(&self.inputs, self.mode, self.num_vars, evidence, out)
+        if evidence.num_vars() != self.num_vars {
+            return Err(SpnError::EvidenceMismatch {
+                evidence_vars: evidence.num_vars(),
+                spn_vars: self.num_vars,
+            });
+        }
+        let log = self.mode == NumericMode::Log;
+        out.clear();
+        out.reserve(self.inputs.len());
+        out.extend(self.inputs.iter().map(|leaf| match leaf {
+            // ln(1.0) = 0.0 and ln(0.0) = -inf exactly, so the log-domain
+            // indicator fill is just the natural log of the linear one.
+            LeafSource::Indicator { var, value } => {
+                let v = evidence.indicator(var.index(), *value);
+                if log {
+                    v.ln()
+                } else {
+                    v
+                }
+            }
+            LeafSource::Param(p) => *p,
+            // Bound by the partitioned runtime, not by evidence; the NaN
+            // placeholder makes an unbound import loudly visible in results.
+            LeafSource::External => f64::NAN,
+        }));
+        Ok(())
     }
 
-    /// Executes the program on a pre-materialised input vector.
+    /// The reference interpreter: executes the program on a pre-materialised
+    /// input vector, one operation at a time, writing intermediate results
+    /// into `results`, and returns the output value.
     ///
-    /// Convenience wrapper over [`OpList::run_into`] that allocates a fresh
-    /// result buffer; hot loops should reuse a buffer via `run_into`,
-    /// [`OpList::run_with`] or a [`FlatEvaluator`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is shorter than [`OpList::num_inputs`].
-    pub fn run(&self, inputs: &[f64]) -> f64 {
-        let mut results = vec![0.0f64; self.ops.len()];
-        self.run_into(inputs, &mut results)
-    }
-
-    /// Executes the program on a pre-materialised input vector, sizing and
-    /// reusing the caller's `results` allocation — [`OpList::run`] without
-    /// the per-call buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is shorter than [`OpList::num_inputs`].
-    pub fn run_with(&self, inputs: &[f64], results: &mut Vec<f64>) -> f64 {
-        results.clear();
-        results.resize(self.ops.len(), 0.0);
-        self.run_into(inputs, results)
-    }
-
-    /// Executes the program on a pre-materialised input vector, writing
-    /// intermediate results into the caller-provided `results` buffer (no
-    /// allocation — this is the execute-many hot path).
+    /// This loop is deliberately independent of [`OpKind::apply_lanes`] and
+    /// [`crate::vectorized::run_lanes`]: it spells the five operations out
+    /// itself, so the parity suites (`tests/vectorized.rs`,
+    /// `tests/precision_parity.rs`) have an oracle that does not share the
+    /// executor's code.  Nothing outside tests calls it; to run a program,
+    /// use [`OpList::evaluate`] or [`crate::vectorized::run_lanes`].
     ///
     /// # Panics
     ///
@@ -474,37 +526,17 @@ impl OpList {
                 OperandRef::Op(i) => results[i as usize],
             }
         };
-        // The f64 path keeps the untouched loop so unstamped programs stay
-        // bit-for-bit (and branch-free in the hot loop); reduced-precision
-        // programs quantize every intermediate, emulating a PE datapath of
-        // that width.
-        if self.precision == Precision::F64 {
-            for (i, op) in self.ops.iter().enumerate() {
-                let a = value(op.lhs, results);
-                let b = value(op.rhs, results);
-                results[i] = match op.kind {
-                    OpKind::Add => a + b,
-                    OpKind::Mul => a * b,
-                    OpKind::Max => a.max(b),
-                    OpKind::LogAdd => log_sum_exp(a, b),
-                    OpKind::Sam => f64::from(u8::from(a < b)),
-                };
-            }
-        } else {
-            for (i, op) in self.ops.iter().enumerate() {
-                let a = value(op.lhs, results);
-                let b = value(op.rhs, results);
-                results[i] = round_to(
-                    self.precision,
-                    match op.kind {
-                        OpKind::Add => a + b,
-                        OpKind::Mul => a * b,
-                        OpKind::Max => a.max(b),
-                        OpKind::LogAdd => log_sum_exp(a, b),
-                        OpKind::Sam => f64::from(u8::from(a < b)),
-                    },
-                );
-            }
+        let quantizer = Quantizer::new(self.precision);
+        for (i, op) in self.ops.iter().enumerate() {
+            let a = value(op.lhs, results);
+            let b = value(op.rhs, results);
+            results[i] = quantizer.round(match op.kind {
+                OpKind::Add => a + b,
+                OpKind::Mul => a * b,
+                OpKind::Max => a.max(b),
+                OpKind::LogAdd => log_sum_exp(a, b),
+                OpKind::Sam => f64::from(u8::from(a < b)),
+            });
         }
         value(self.output, results)
     }
@@ -516,7 +548,11 @@ impl OpList {
     /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
     /// different number of variables.
     pub fn evaluate(&self, evidence: &Evidence) -> Result<f64> {
-        Ok(self.run(&self.input_values(evidence)?))
+        let inputs = self.input_values(evidence)?;
+        let mut results = vec![0.0; self.ops.len()];
+        let mut out = [0.0];
+        crate::vectorized::run_lanes::<1>(self, &inputs, &mut results, &mut out);
+        Ok(out[0])
     }
 
     /// The max-product variant of this program: every sum contribution
@@ -552,55 +588,6 @@ impl OpList {
                 })
                 .collect(),
             output: self.output,
-            num_vars: self.num_vars,
-            mode: self.mode,
-            precision: self.precision,
-        }
-    }
-
-    /// Converts to the Algorithm 2 loop form.
-    ///
-    /// Only defined for sum-product (or log-sum-product) programs: the loop
-    /// form encodes each operation as a single `is_sum` bit and cannot
-    /// represent [`OpKind::Max`].  The loop program inherits the numeric
-    /// mode: `is_sum` selects log-sum-exp (and the product bit plain
-    /// addition) for log-domain programs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the program contains a [`OpKind::Max`] operation (i.e. it
-    /// came from [`OpList::to_max_product`]).
-    pub fn to_loop_program(&self) -> LoopProgram {
-        assert!(
-            self.ops
-                .iter()
-                .all(|op| op.kind != OpKind::Max && op.kind != OpKind::Sam),
-            "loop programs cannot represent max-product or sampler operations"
-        );
-        let sum_kind = match self.mode {
-            NumericMode::Linear => OpKind::Add,
-            NumericMode::Log => OpKind::LogAdd,
-        };
-        let m = self.inputs.len();
-        let index = |r: OperandRef| -> usize {
-            match r {
-                OperandRef::Input(i) => i as usize,
-                OperandRef::Op(i) => m + i as usize,
-            }
-        };
-        let ops = self
-            .ops
-            .iter()
-            .map(|op| LoopOp {
-                is_sum: op.kind == sum_kind,
-                b: index(op.lhs),
-                c: index(op.rhs),
-            })
-            .collect();
-        LoopProgram {
-            inputs: self.inputs.clone(),
-            ops,
-            output: index(self.output),
             num_vars: self.num_vars,
             mode: self.mode,
             precision: self.precision,
@@ -753,281 +740,6 @@ pub struct OpListPart {
     pub exports: Vec<u32>,
 }
 
-/// One iteration of the Algorithm 2 loop: `A[m+i] = A[b] (+|×) A[c]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LoopOp {
-    /// `true` selects the sum-node operation, `false` the product-node one
-    /// (the `O` vector).  In linear mode those are `+` and `×`; in log mode,
-    /// log-sum-exp and `+`.
-    pub is_sum: bool,
-    /// Index of the first operand in the working array `A` (the `B` vector).
-    pub b: usize,
-    /// Index of the second operand in the working array `A` (the `C` vector).
-    pub c: usize,
-}
-
-/// Algorithm 2: the SPN as a for loop over operand-index vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LoopProgram {
-    inputs: Vec<LeafSource>,
-    ops: Vec<LoopOp>,
-    output: usize,
-    num_vars: usize,
-    mode: NumericMode,
-    precision: Precision,
-}
-
-impl LoopProgram {
-    /// Builds the loop program directly from an SPN (via [`OpList`]).
-    pub fn from_spn(spn: &Spn) -> LoopProgram {
-        OpList::from_spn(spn).to_loop_program()
-    }
-
-    /// The input slot descriptors (the first `m` entries of `A`).
-    pub fn inputs(&self) -> &[LeafSource] {
-        &self.inputs
-    }
-
-    /// The loop body descriptors (`O`, `B`, `C` fused per element).
-    pub fn ops(&self) -> &[LoopOp] {
-        &self.ops
-    }
-
-    /// Index (into `A`) of the program output.
-    pub fn output(&self) -> usize {
-        self.output
-    }
-
-    /// Number of input slots (`m`).
-    pub fn num_inputs(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// Number of loop iterations (`n`).
-    pub fn num_ops(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Number of SPN variables the program was flattened from.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// The numeric domain this program computes in.
-    pub fn mode(&self) -> NumericMode {
-        self.mode
-    }
-
-    /// The emulated arithmetic format this program computes in (inherited
-    /// from the [`OpList`] it was lowered from).
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Materialises the input portion of the working array for `evidence`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
-    /// different number of variables.
-    pub fn input_values(&self, evidence: &Evidence) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.input_values_into(evidence, &mut out)?;
-        Ok(out)
-    }
-
-    /// Materialises the input portion of the working array into `out`,
-    /// reusing its allocation — the non-allocating form of
-    /// [`LoopProgram::input_values`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
-    /// different number of variables.
-    pub fn input_values_into(&self, evidence: &Evidence, out: &mut Vec<f64>) -> Result<()> {
-        fill_input_values(&self.inputs, self.mode, self.num_vars, evidence, out)
-    }
-
-    /// Runs the loop on a pre-materialised input vector and returns the output.
-    ///
-    /// Convenience wrapper over [`LoopProgram::run_with`] that allocates a
-    /// fresh working array per call; hot loops should reuse one via
-    /// `run_with` or a [`FlatEvaluator`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is shorter than [`LoopProgram::num_inputs`].
-    pub fn run(&self, inputs: &[f64]) -> f64 {
-        self.run_with(inputs, &mut Vec::new())
-    }
-
-    /// Runs the loop on a pre-materialised input vector, sizing and reusing
-    /// the caller's working-array allocation (`A` in the paper's Algorithm
-    /// 2) — [`LoopProgram::run`] without the per-call buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is shorter than [`LoopProgram::num_inputs`].
-    pub fn run_with(&self, inputs: &[f64], work: &mut Vec<f64>) -> f64 {
-        assert!(inputs.len() >= self.inputs.len(), "input vector too short");
-        let m = self.inputs.len();
-        work.clear();
-        work.resize(m + self.ops.len(), 0.0);
-        let a = work.as_mut_slice();
-        a[..m].copy_from_slice(&inputs[..m]);
-        // As in `OpList::run_into`: the f64 loops are untouched, reduced
-        // precisions quantize every loop iteration's result.
-        match (self.mode, self.precision) {
-            (NumericMode::Linear, Precision::F64) => {
-                for (i, op) in self.ops.iter().enumerate() {
-                    a[m + i] = if op.is_sum {
-                        a[op.b] + a[op.c]
-                    } else {
-                        a[op.b] * a[op.c]
-                    };
-                }
-            }
-            (NumericMode::Log, Precision::F64) => {
-                for (i, op) in self.ops.iter().enumerate() {
-                    a[m + i] = if op.is_sum {
-                        log_sum_exp(a[op.b], a[op.c])
-                    } else {
-                        a[op.b] + a[op.c]
-                    };
-                }
-            }
-            (NumericMode::Linear, p) => {
-                for (i, op) in self.ops.iter().enumerate() {
-                    let v = if op.is_sum {
-                        a[op.b] + a[op.c]
-                    } else {
-                        a[op.b] * a[op.c]
-                    };
-                    a[m + i] = round_to(p, v);
-                }
-            }
-            (NumericMode::Log, p) => {
-                for (i, op) in self.ops.iter().enumerate() {
-                    let v = if op.is_sum {
-                        log_sum_exp(a[op.b], a[op.c])
-                    } else {
-                        a[op.b] + a[op.c]
-                    };
-                    a[m + i] = round_to(p, v);
-                }
-            }
-        }
-        a[self.output]
-    }
-
-    /// Evaluates the loop program under `evidence`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
-    /// different number of variables.
-    pub fn evaluate(&self, evidence: &Evidence) -> Result<f64> {
-        Ok(self.run(&self.input_values(evidence)?))
-    }
-}
-
-/// Fills `out` with the input-slot values of a flattened program under
-/// `evidence` — the shared body of [`OpList::input_values_into`] and
-/// [`LoopProgram::input_values_into`].
-fn fill_input_values(
-    inputs: &[LeafSource],
-    mode: NumericMode,
-    num_vars: usize,
-    evidence: &Evidence,
-    out: &mut Vec<f64>,
-) -> Result<()> {
-    if evidence.num_vars() != num_vars {
-        return Err(SpnError::EvidenceMismatch {
-            evidence_vars: evidence.num_vars(),
-            spn_vars: num_vars,
-        });
-    }
-    let log = mode == NumericMode::Log;
-    out.clear();
-    out.reserve(inputs.len());
-    out.extend(inputs.iter().map(|leaf| match leaf {
-        // ln(1.0) = 0.0 and ln(0.0) = -inf exactly, so the log-domain
-        // indicator fill is just the natural log of the linear one.
-        LeafSource::Indicator { var, value } => {
-            let v = evidence.indicator(var.index(), *value);
-            if log {
-                v.ln()
-            } else {
-                v
-            }
-        }
-        LeafSource::Param(p) => *p,
-        // Bound by the partitioned runtime, not by evidence; the NaN
-        // placeholder makes an unbound import loudly visible in results.
-        LeafSource::External => f64::NAN,
-    }));
-    Ok(())
-}
-
-/// Reusable scratch for repeated evaluation of flattened programs.
-///
-/// [`OpList::run`] and [`OpList::evaluate`] (and their [`LoopProgram`]
-/// twins) allocate a fresh working buffer per call, which is fine for a
-/// one-off check and wrong for an inner loop.  A `FlatEvaluator` owns the
-/// input vector and the intermediate-result buffer and reuses them across
-/// calls — the flattened-program counterpart of the graph-walking
-/// [`crate::Evaluator`], and the entry point reference loops (oracle
-/// comparisons sweeping many evidences over one program) should use.
-///
-/// The values produced are bit-for-bit those of the allocating paths.
-#[derive(Debug, Clone, Default)]
-pub struct FlatEvaluator {
-    inputs: Vec<f64>,
-    results: Vec<f64>,
-}
-
-impl FlatEvaluator {
-    /// Creates an evaluator with empty buffers (they grow on first use and
-    /// are then reused).
-    pub fn new() -> FlatEvaluator {
-        FlatEvaluator::default()
-    }
-
-    /// Runs `ops` on a pre-materialised input vector, reusing this
-    /// evaluator's result buffer (the non-allocating [`OpList::run`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is shorter than [`OpList::num_inputs`].
-    pub fn run(&mut self, ops: &OpList, inputs: &[f64]) -> f64 {
-        ops.run_with(inputs, &mut self.results)
-    }
-
-    /// Evaluates `ops` under `evidence` without any per-call allocation (the
-    /// non-allocating [`OpList::evaluate`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
-    /// different number of variables.
-    pub fn evaluate(&mut self, ops: &OpList, evidence: &Evidence) -> Result<f64> {
-        ops.input_values_into(evidence, &mut self.inputs)?;
-        Ok(ops.run_with(&self.inputs, &mut self.results))
-    }
-
-    /// Evaluates `program` under `evidence` without any per-call allocation
-    /// (the non-allocating [`LoopProgram::evaluate`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
-    /// different number of variables.
-    pub fn evaluate_loop(&mut self, program: &LoopProgram, evidence: &Evidence) -> Result<f64> {
-        program.input_values_into(evidence, &mut self.inputs)?;
-        Ok(program.run_with(&self.inputs, &mut self.results))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1063,26 +775,55 @@ mod tests {
     }
 
     #[test]
-    fn loop_program_matches_oplist() {
+    fn operand_indices_respect_dependency_order() {
         let spn = mixture();
         let ops = OpList::from_spn(&spn);
-        let lp = ops.to_loop_program();
-        assert_eq!(lp.num_ops(), ops.num_ops());
-        assert_eq!(lp.num_inputs(), ops.num_inputs());
-        for assignment in [[true, true], [false, false]] {
-            let e = Evidence::from_assignment(&assignment);
-            assert!((lp.evaluate(&e).unwrap() - ops.evaluate(&e).unwrap()).abs() < 1e-12);
+        for (i, op) in ops.ops().iter().enumerate() {
+            for operand in [op.lhs, op.rhs] {
+                if let OperandRef::Op(j) = operand {
+                    assert!((j as usize) < i, "op {i} reads the later result {j}");
+                }
+            }
         }
     }
 
     #[test]
-    fn operand_indices_respect_dependency_order() {
-        let spn = mixture();
-        let lp = LoopProgram::from_spn(&spn);
-        let m = lp.num_inputs();
-        for (i, op) in lp.ops().iter().enumerate() {
-            assert!(op.b < m + i, "operand B of op {i} reads a later value");
-            assert!(op.c < m + i, "operand C of op {i} reads a later value");
+    fn apply_agrees_with_the_reference_interpreter_on_every_op_kind() {
+        let operands = [0.0, -0.0, 0.3, 0.7, 1.0, -1.5, 1e-39, f64::NEG_INFINITY];
+        let kinds = [
+            OpKind::Add,
+            OpKind::Mul,
+            OpKind::Max,
+            OpKind::LogAdd,
+            OpKind::Sam,
+        ];
+        for precision in Precision::SWEEP {
+            let quantizer = Quantizer::new(precision);
+            for kind in kinds {
+                for &a in &operands {
+                    for &b in &operands {
+                        let program = OpList {
+                            inputs: vec![LeafSource::Param(a), LeafSource::Param(b)],
+                            ops: vec![Op {
+                                kind,
+                                lhs: OperandRef::Input(0),
+                                rhs: OperandRef::Input(1),
+                            }],
+                            output: OperandRef::Op(0),
+                            num_vars: 0,
+                            mode: NumericMode::Linear,
+                            precision,
+                        };
+                        let want = program.run_into(&[a, b], &mut [0.0]);
+                        let got = quantizer.round(kind.apply(a, b));
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{kind:?}({a}, {b}) at {precision}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -1137,15 +878,10 @@ mod tests {
             };
             let spn = random_spn(&cfg, &mut rng);
             let ops = OpList::from_spn(&spn);
-            let lp = ops.to_loop_program();
             let e = Evidence::marginal(6);
             let reference = spn.evaluate(&e).unwrap();
             assert!(
                 (ops.evaluate(&e).unwrap() - reference).abs() < 1e-9,
-                "seed {seed}"
-            );
-            assert!(
-                (lp.evaluate(&e).unwrap() - reference).abs() < 1e-9,
                 "seed {seed}"
             );
         }
@@ -1161,8 +897,6 @@ mod tests {
             assert_eq!(log_ops.mode(), NumericMode::Log);
             assert_eq!(log_ops.num_ops(), ops.num_ops());
             assert!(log_ops.ops().iter().all(|op| op.kind != OpKind::Mul));
-            let log_lp = log_ops.to_loop_program();
-            assert_eq!(log_lp.mode(), NumericMode::Log);
             for case in 0..3 {
                 let mut e = Evidence::marginal(7);
                 if case > 0 {
@@ -1174,7 +908,6 @@ mod tests {
                     (log.exp() - linear).abs() < 1e-9,
                     "seed {seed} case {case}: exp({log}) vs {linear}"
                 );
-                assert!((log_lp.evaluate(&e).unwrap() - log).abs() < 1e-12);
             }
         }
     }
@@ -1223,15 +956,12 @@ mod tests {
             identity.evaluate(&e).unwrap().to_bits(),
             ops.evaluate(&e).unwrap().to_bits()
         );
-        // The quantized result is itself representable (idempotent kernel),
-        // close to the exact value, and the loop form agrees bit for bit.
+        // The quantized result is itself representable (idempotent kernel)
+        // and close to the exact value.
         let exact = ops.evaluate(&e).unwrap();
         let q = quantized.evaluate(&e).unwrap();
         assert_eq!(round_to(p, q).to_bits(), q.to_bits());
         assert!((q - exact).abs() <= 0.01 * exact.abs(), "{q} vs {exact}");
-        let lp = quantized.to_loop_program();
-        assert_eq!(lp.precision(), p);
-        assert_eq!(lp.evaluate(&e).unwrap().to_bits(), q.to_bits());
 
         // Precision survives the mode and max-product rewrites; log-domain
         // parameters are quantized ln values.
@@ -1266,20 +996,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sampler operations")]
-    fn sampler_kernels_cannot_become_loop_programs() {
-        OpList::sampler_kernel(&[(0.3, 0.6)]).to_loop_program();
-    }
-
-    #[test]
     fn evidence_mismatch_is_rejected() {
         let spn = mixture();
         let ops = OpList::from_spn(&spn);
         assert!(ops.evaluate(&Evidence::marginal(5)).is_err());
-        assert!(ops
-            .to_loop_program()
-            .evaluate(&Evidence::marginal(5))
-            .is_err());
     }
 
     /// Evaluates partitioned stages in order, binding `Link` slots to the
@@ -1298,8 +1018,8 @@ mod tests {
                     PartInput::Link { part, export } => exported[part as usize][export as usize],
                 })
                 .collect();
-            let mut results = Vec::new();
-            value = stage.ops.run_with(&local, &mut results);
+            let mut results = vec![0.0; stage.ops.num_ops()];
+            value = stage.ops.run_into(&local, &mut results);
             exported.push(
                 stage
                     .exports

@@ -12,18 +12,18 @@
 //!   on.
 //! * [`IncrementalState`] — the retained state of one evaluation session:
 //!   the materialised input vector and the per-op result buffer of the
-//!   previous pass (the incremental twin of a
-//!   [`FlatEvaluator`](crate::flatten::FlatEvaluator)'s scratch).
+//!   previous pass.
 //!
-//! [`ConeAnalysis::prime`] runs one full pass to seed the state;
+//! [`ConeAnalysis::prime`] runs one full pass
+//! ([`run_lanes::<1>`](crate::vectorized::run_lanes)) to seed the state;
 //! [`ConeAnalysis::apply_flips`] then updates only the flipped indicators'
-//! input slots and re-executes the union of their cones **in op order**, with
-//! arithmetic identical to [`OpList::run_into`](crate::flatten::OpList::run_into)
-//! (including the per-intermediate [`round_to`] quantization of
-//! reduced-precision programs).  Every untouched operation keeps its previous
-//! value, and every recomputed operation sees operand values identical to
-//! those of a full pass — so the session value is **bit-for-bit** the value a
-//! full re-evaluation would produce, in every numeric mode and precision.
+//! input slots and re-executes the union of their cones **in op order**
+//! through the same [`OpKind::apply`](crate::flatten::OpKind::apply) and
+//! [`Quantizer`] the full pass applies.  Every untouched
+//! operation keeps its previous value, and every recomputed operation sees
+//! operand values identical to those of a full pass — so the session value
+//! is **bit-for-bit** the value a full re-evaluation would produce, in every
+//! numeric mode and precision.
 //!
 //! When the dirty cone exceeds [`ConeAnalysis::full_pass_fraction`] of the
 //! program (dense flips on a shallow circuit), a full pass is cheaper than
@@ -33,9 +33,10 @@
 use serde::{Deserialize, Serialize};
 
 use crate::evidence::Evidence;
-use crate::flatten::{LeafSource, OpKind, OpList, OperandRef};
-use crate::numeric::{log_sum_exp, NumericMode};
-use crate::precision::{round_to, Precision};
+use crate::flatten::{LeafSource, OpList, OperandRef};
+use crate::numeric::NumericMode;
+use crate::precision::Quantizer;
+use crate::vectorized::run_lanes;
 use crate::{Result, SpnError};
 
 /// Default dirty-cone fraction above which a delta falls back to a full pass.
@@ -194,9 +195,8 @@ impl ConeAnalysis {
         ops.input_values_into(evidence, &mut state.inputs)?;
         state.results.clear();
         state.results.resize(ops.num_ops(), 0.0);
-        state.value = ops.run_into(&state.inputs, &mut state.results);
         state.primed = true;
-        Ok(state.value)
+        Ok(state.full_pass(ops))
     }
 
     /// Applies evidence flips to a primed `state` and returns the new value,
@@ -254,13 +254,10 @@ impl ConeAnalysis {
         // full pass the moment the union crosses the threshold, so a dense
         // flip set never pays union bookkeeping beyond the fallback's cost.
         let limit = self.full_pass_fraction * self.num_ops as f64;
-        let full_pass = |state: &mut IncrementalState| {
-            state.value = ops.run_into(&state.inputs, &mut state.results);
-            DeltaOutcome {
-                value: state.value,
-                recomputed_ops: self.num_ops,
-                full_pass: true,
-            }
+        let full_pass = |state: &mut IncrementalState| DeltaOutcome {
+            value: state.full_pass(ops),
+            recomputed_ops: self.num_ops,
+            full_pass: true,
         };
         let dirty: &[u32] = match flips {
             [] => &[],
@@ -331,9 +328,8 @@ impl ConeAnalysis {
             return Ok(full_pass(state));
         }
 
-        // Recompute the dirty ops in execution order with arithmetic
-        // identical to `OpList::run_into`; untouched ops keep their previous
-        // (bit-identical) results.
+        // Recompute the dirty ops in execution order; untouched ops keep
+        // their previous (bit-identical) results.
         let inputs = &state.inputs;
         let results = &mut state.results;
         let value = |r: OperandRef, results: &[f64]| -> f64 {
@@ -342,36 +338,11 @@ impl ConeAnalysis {
                 OperandRef::Op(i) => results[i as usize],
             }
         };
-        let all_ops = ops.ops();
-        if ops.precision() == Precision::F64 {
-            for &i in dirty {
-                let op = &all_ops[i as usize];
-                let a = value(op.lhs, results);
-                let b = value(op.rhs, results);
-                results[i as usize] = match op.kind {
-                    OpKind::Add => a + b,
-                    OpKind::Mul => a * b,
-                    OpKind::Max => a.max(b),
-                    OpKind::LogAdd => log_sum_exp(a, b),
-                    OpKind::Sam => f64::from(u8::from(a < b)),
-                };
-            }
-        } else {
-            for &i in dirty {
-                let op = &all_ops[i as usize];
-                let a = value(op.lhs, results);
-                let b = value(op.rhs, results);
-                results[i as usize] = round_to(
-                    ops.precision(),
-                    match op.kind {
-                        OpKind::Add => a + b,
-                        OpKind::Mul => a * b,
-                        OpKind::Max => a.max(b),
-                        OpKind::LogAdd => log_sum_exp(a, b),
-                        OpKind::Sam => f64::from(u8::from(a < b)),
-                    },
-                );
-            }
+        let quantizer = Quantizer::new(ops.precision());
+        for &i in dirty {
+            let op = &ops.ops()[i as usize];
+            let (a, b) = (value(op.lhs, results), value(op.rhs, results));
+            results[i as usize] = quantizer.round(op.kind.apply(a, b));
         }
         state.value = value(ops.output(), results);
         Ok(DeltaOutcome {
@@ -421,6 +392,15 @@ impl IncrementalState {
         IncrementalState::default()
     }
 
+    /// Re-executes all of `ops` over the retained inputs and records the
+    /// value.
+    fn full_pass(&mut self, ops: &OpList) -> f64 {
+        let mut out = [0.0];
+        run_lanes::<1>(ops, &self.inputs, &mut self.results, &mut out);
+        self.value = out[0];
+        self.value
+    }
+
     /// The value of the most recent pass (0.0 before priming).
     pub fn value(&self) -> f64 {
         self.value
@@ -436,6 +416,7 @@ impl IncrementalState {
 mod tests {
     use super::*;
     use crate::random::{random_spn, RandomSpnConfig};
+    use crate::Precision;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

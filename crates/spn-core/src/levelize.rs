@@ -141,15 +141,7 @@ mod tests {
                     crate::flatten::OperandRef::Input(k) => inputs[k as usize],
                     crate::flatten::OperandRef::Op(k) => results[k as usize],
                 };
-                results[i] = match op.kind {
-                    crate::flatten::OpKind::Add => val(op.lhs) + val(op.rhs),
-                    crate::flatten::OpKind::Mul => val(op.lhs) * val(op.rhs),
-                    crate::flatten::OpKind::Max => val(op.lhs).max(val(op.rhs)),
-                    crate::flatten::OpKind::LogAdd => {
-                        crate::numeric::log_sum_exp(val(op.lhs), val(op.rhs))
-                    }
-                    crate::flatten::OpKind::Sam => f64::from(u8::from(val(op.lhs) < val(op.rhs))),
-                };
+                results[i] = op.kind.apply(val(op.lhs), val(op.rhs));
             }
         }
         let expected = spn.evaluate(&Evidence::marginal(8)).unwrap();

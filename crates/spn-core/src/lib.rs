@@ -18,17 +18,18 @@
 //!   allocation per query), the dense [`EvidenceBatch`] (struct-of-arrays
 //!   over queries) and the [`batch::InputRecipe`] that materialises program
 //!   input vectors from batches without per-query matching,
-//! * flattening to the two scalar program forms used by the paper:
-//!   [`flatten::OpList`] (Algorithm 1, a list of binary operations) and
-//!   [`flatten::LoopProgram`] (Algorithm 2, index vectors `O`/`B`/`C`),
+//! * flattening to the paper's scalar program form, [`flatten::OpList`]
+//!   (Algorithm 1, a list of binary operations), and the one executor that
+//!   runs it, [`vectorized::run_lanes`] (`L` queries per pass; `L = 1` is
+//!   the scalar pass),
 //! * incremental re-evaluation for session workloads ([`incremental`]):
 //!   per-variable reachability cones computed once per program and a
 //!   retained-state delta path that re-executes only the flipped evidence
 //!   variables' cones, bit-for-bit with a full pass,
 //! * the emulated PE-precision layer ([`precision`]): a [`Precision`] names
 //!   a (possibly custom reduced-precision) floating-point format and every
-//!   execution backend quantizes each intermediate through
-//!   [`precision::round_to`], reproducing the paper's accuracy-vs-bit-width
+//!   execution backend quantizes each intermediate through its
+//!   [`precision::Quantizer`], reproducing the paper's accuracy-vs-bit-width
 //!   trade-off in software,
 //! * static analysis ([`analysis`]): structural lints (completeness,
 //!   decomposability, normalization, dead nodes) and interval-propagation
@@ -109,7 +110,7 @@ pub use batch::{EvidenceBatch, InputRecipe, Obs};
 pub use error::SpnError;
 pub use eval::Evaluator;
 pub use evidence::Evidence;
-pub use flatten::{FlatEvaluator, OpListPart, PartInput};
+pub use flatten::{OpListPart, PartInput};
 pub use graph::{Node, NodeId, Spn, SpnBuilder, VarId};
 pub use incremental::{ConeAnalysis, DeltaOutcome, IncrementalState};
 pub use numeric::NumericMode;

@@ -5,10 +5,10 @@
 //! rather than IEEE doubles: a narrower mantissa shrinks the multiplier
 //! array and a narrower exponent the alignment shifters, at the cost of a
 //! bounded relative error per operation.  This module models that dimension
-//! in software: a [`Precision`] names a floating-point format and
-//! [`round_to`] is the quantizer every execution backend applies to each
-//! intermediate value, so an `f64` simulation reproduces exactly what a
-//! reduced-precision datapath would compute.
+//! in software: a [`Precision`] names a floating-point format and a
+//! [`Quantizer`] (for a single value: [`round_to`]) is what every execution
+//! backend applies to each intermediate value, so an `f64` simulation
+//! reproduces exactly what a reduced-precision datapath would compute.
 //!
 //! # Quantizer semantics
 //!
@@ -252,71 +252,97 @@ impl std::fmt::Display for Precision {
     }
 }
 
-/// Quantizes `x` to `precision` (see the module docs for the exact
-/// semantics).  Identity for [`Precision::F64`]; `±0`, `±inf` and NaN always
-/// pass through unchanged.
-#[inline]
-pub fn round_to(precision: Precision, x: f64) -> f64 {
-    match precision {
-        Precision::F64 => x,
-        Precision::F32 => {
-            // `as f32` rounds to nearest but overflows finite values beyond
-            // the f32 range to ±inf; saturate those to ±max like the custom
-            // formats, so finite inputs never produce infinities.
-            let y = x as f32 as f64;
-            if y.is_infinite() && x.is_finite() {
-                f64::from(f32::MAX).copysign(x)
-            } else {
-                y
-            }
+/// A [`Precision`] with its format constants worked out once, so a kernel
+/// quantizing every intermediate of a program pays for them per program
+/// rather than per value.  [`round_to`] is `Quantizer::new(p).round(x)`:
+/// there is one quantizer implementation.
+#[derive(Debug, Clone, Copy)]
+pub struct Quantizer {
+    precision: Precision,
+    /// Fraction bits the mantissa rounding drops.
+    shift: u32,
+    max_value: f64,
+    min_positive: f64,
+}
+
+impl Quantizer {
+    /// The quantizer of `precision`.
+    pub fn new(precision: Precision) -> Quantizer {
+        let (_, mant_bits) = clamped(precision.exp_bits(), precision.mant_bits());
+        Quantizer {
+            precision,
+            shift: u32::from(MAX_MANT_BITS - mant_bits),
+            max_value: precision.max_value(),
+            min_positive: precision.min_positive(),
         }
-        Precision::Custom {
-            exp_bits,
-            mant_bits,
-        } => quantize_custom(exp_bits, mant_bits, x),
+    }
+
+    /// Quantizes `x` (see the module docs for the exact semantics).
+    /// Identity for [`Precision::F64`]; `±0`, `±inf` and NaN always pass
+    /// through unchanged.
+    #[inline]
+    pub fn round(&self, x: f64) -> f64 {
+        match self.precision {
+            Precision::F64 => x,
+            Precision::F32 => {
+                // `as f32` rounds to nearest but overflows finite values
+                // beyond the f32 range to ±inf; saturate those to ±max like
+                // the custom formats, so finite inputs never produce
+                // infinities.
+                let y = x as f32 as f64;
+                if y.is_infinite() && x.is_finite() {
+                    f64::from(f32::MAX).copysign(x)
+                } else {
+                    y
+                }
+            }
+            Precision::Custom { .. } => self.round_custom(x),
+        }
+    }
+
+    /// The custom-format quantizer: mantissa round-to-nearest-even, exponent
+    /// saturation to `±max`, flush-to-zero below the smallest normal.
+    fn round_custom(&self, x: f64) -> f64 {
+        if x == 0.0 || !x.is_finite() {
+            return x;
+        }
+
+        // Mantissa rounding on the raw f64 bits: drop `52 - mant_bits`
+        // fraction bits with round-to-nearest, ties-to-even.  A carry out of
+        // the fraction correctly bumps the exponent (1.111.. rounds up to
+        // the next binade).
+        let shift = self.shift;
+        let rounded = if shift == 0 {
+            x
+        } else {
+            let bits = x.to_bits();
+            let remainder = bits & ((1u64 << shift) - 1);
+            let half = 1u64 << (shift - 1);
+            let mut kept = bits >> shift;
+            if remainder > half || (remainder == half && kept & 1 == 1) {
+                kept += 1;
+            }
+            f64::from_bits(kept << shift)
+        };
+
+        // Saturate (this also catches a mantissa round-up that carried past
+        // the f64 range into infinity) and flush: both clamp to exactly
+        // representable values, keeping the quantizer idempotent.
+        if rounded.abs() > self.max_value {
+            return self.max_value.copysign(rounded);
+        }
+        if rounded.abs() < self.min_positive {
+            return 0.0f64.copysign(rounded);
+        }
+        rounded
     }
 }
 
-/// The custom-format quantizer: mantissa round-to-nearest-even, exponent
-/// saturation to `±max`, flush-to-zero below the smallest normal.
-fn quantize_custom(exp_bits: u8, mant_bits: u8, x: f64) -> f64 {
-    if x == 0.0 || !x.is_finite() {
-        return x;
-    }
-    let (exp_bits, mant_bits) = clamped(exp_bits, mant_bits);
-
-    // Mantissa rounding on the raw f64 bits: drop `52 - mant_bits` fraction
-    // bits with round-to-nearest, ties-to-even.  A carry out of the fraction
-    // correctly bumps the exponent (1.111.. rounds up to the next binade).
-    let shift = u32::from(MAX_MANT_BITS - mant_bits);
-    let rounded = if shift == 0 {
-        x
-    } else {
-        let bits = x.to_bits();
-        let remainder = bits & ((1u64 << shift) - 1);
-        let half = 1u64 << (shift - 1);
-        let mut kept = bits >> shift;
-        if remainder > half || (remainder == half && kept & 1 == 1) {
-            kept += 1;
-        }
-        f64::from_bits(kept << shift)
-    };
-
-    let precision = Precision::Custom {
-        exp_bits,
-        mant_bits,
-    };
-    let max = precision.max_value();
-    // Saturate (this also catches a mantissa round-up that carried past the
-    // f64 range into infinity) and flush: both clamp to exactly
-    // representable values, keeping the quantizer idempotent.
-    if rounded.abs() > max {
-        return max.copysign(rounded);
-    }
-    if rounded.abs() < precision.min_positive() {
-        return 0.0f64.copysign(rounded);
-    }
-    rounded
+/// Quantizes `x` to `precision`: [`Quantizer::round`] for a single value.
+/// Loops over many values build the [`Quantizer`] once instead.
+#[inline]
+pub fn round_to(precision: Precision, x: f64) -> f64 {
+    Quantizer::new(precision).round(x)
 }
 
 #[cfg(test)]

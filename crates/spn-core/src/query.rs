@@ -44,6 +44,7 @@ use crate::flatten::{LeafSource, OpKind, OpList, OperandRef};
 use crate::graph::Spn;
 use crate::numeric::NumericMode;
 use crate::sample::SampleBatch;
+use crate::vectorized::run_lanes;
 use crate::{Result, SpnError};
 
 /// The inference workload a batch of queries asks for.
@@ -400,7 +401,9 @@ impl MaxProductProgram {
         inputs.resize(self.recipe.num_inputs(), 0.0);
         results.resize(self.ops.num_ops(), 0.0);
         self.recipe.fill_query(batch, q, inputs);
-        self.ops.run_into(inputs, results)
+        let mut out = [0.0];
+        run_lanes::<1>(&self.ops, inputs, results, &mut out);
+        out[0]
     }
 
     /// Backtracks the argmax branches of one executed query and returns the

@@ -1,43 +1,45 @@
-//! Lane-blocked (batch-major) execution of flattened programs.
+//! The flat-program executor: lane-blocked (batch-major) execution of an
+//! [`OpList`].
 //!
-//! The scalar [`OpList::run_into`] hot loop walks the operation list once
-//! per query: every operation is a load-load-compute-store chain whose
-//! operands depend on earlier results, so the core spends most of its time
-//! waiting on that dependency chain.  The paper's observation is that SPN
-//! inference over a *batch* of evidence is embarrassingly data-parallel —
-//! the same straight-line program runs on every query — which is exactly the
-//! shape a wide arithmetic datapath (or a CPU's SIMD units) wants.
+//! [`run_lanes`] is the one function in the workspace's software backends
+//! that walks a whole operation list: every full pass — a single query, a
+//! session's priming pass, a MAP traceback pass, a batch of thousands — is
+//! `run_lanes::<L>` for some supported width `L`, and a scalar pass is
+//! simply `L = 1`.  What each operation computes lives in
+//! [`OpKind::apply_lanes`](crate::flatten::OpKind::apply_lanes) and how a
+//! reduced-precision program rounds it in [`Quantizer`]; the two walkers
+//! that visit operations in another order (the incremental dirty-cone replay
+//! and the GPU model's level-order loop) share both.
 //!
-//! This module supplies that batch-major layout on the host:
+//! Walking the list once per query makes every operation a
+//! load-load-compute-store chain whose operands depend on earlier results,
+//! so the core spends most of its time waiting on that dependency chain.
+//! The paper's observation is that SPN inference over a *batch* of evidence
+//! is embarrassingly data-parallel — the same straight-line program runs on
+//! every query — which is exactly the shape a wide arithmetic datapath (or a
+//! CPU's SIMD units) wants:
 //!
-//! * the batch is cut into **lane blocks** of [`MAX_LANES`] (or a smaller
-//!   supported width) queries,
+//! * the batch is cut into **lane blocks** of [`MAX_LANES`] queries, and
+//!   what is left over into blocks of the next supported widths down to one,
 //! * [`crate::batch::InputRecipe::fill_lane_block`] materialises one block's
 //!   evidence as a `[inputs × lanes]` tile — slot-major, so every input
 //!   slot's `L` per-query values sit contiguously,
 //! * [`run_lane_block`] then executes the program once *per block* instead
-//!   of once per query: each operation applies its [`OpKind`] across the
-//!   whole lane block with a fixed-trip inner loop (`L` is a const generic,
-//!   so the trip count is a compile-time constant the autovectorizer turns
-//!   into SIMD), reading both operands as contiguous `[f64; L]` lane
-//!   groups from the input tile or the `[ops × lanes]` results tile,
-//! * log-domain sums go through the lane-blocked
-//!   [`crate::numeric::log_sum_exp_lanes`] kernel,
-//! * reduced-precision programs **quantize on store**: [`round_to`] is fused
-//!   into the same lane loop that produced the values, so the emulated-PE
-//!   path pays no second pass over the tile.
+//!   of once per query: each operation is applied across the whole lane
+//!   block with a fixed-trip inner loop (`L` is a const generic, so the
+//!   trip count is a compile-time constant the autovectorizer turns into
+//!   SIMD), reading both operands as contiguous `[f64; L]` lane groups from
+//!   the input tile or the `[ops × lanes]` results tile.
 //!
-//! Because every query still runs the identical per-op arithmetic in the
-//! identical order — lane blocking only regroups *independent* queries — the
-//! results are bit-for-bit those of the scalar loop.  The scalar
-//! [`OpList::run_into`] stays the oracle: backends run ragged batch tails
-//! (`len % lanes ≠ 0`) through it, and the parity suite in
-//! `tests/vectorized.rs` pins the two paths against each other across every
-//! lane width × numeric mode × precision.
+//! Because every query runs the identical per-op arithmetic in the identical
+//! order — lane blocking only regroups *independent* queries — the results
+//! do not depend on `L`.  [`OpList::run_into`] is the independent reference
+//! interpreter, and the parity suite in `tests/vectorized.rs` pins this
+//! executor against it across every lane width × numeric mode × precision ×
+//! batch length.
 
-use crate::flatten::{OpKind, OpList, OperandRef};
-use crate::numeric::log_sum_exp_lanes;
-use crate::precision::{round_to, Precision};
+use crate::flatten::{OpList, OperandRef};
+use crate::precision::{Precision, Quantizer};
 
 /// Widest supported lane block (8 × f64 = 64 bytes, one cache line — two
 /// 256-bit AVX registers or one 512-bit register per operand group).
@@ -51,8 +53,8 @@ pub const LANE_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 /// The widest supported lane width that is at most `requested` (at least 1).
 ///
 /// Backends use this to clamp a caller-chosen lane count onto the
-/// monomorphized kernel widths: `0` and `1` normalise to `1` (the scalar
-/// path), anything above [`MAX_LANES`] to [`MAX_LANES`], and in-between
+/// monomorphized kernel widths: `0` and `1` normalise to `1` (one query per
+/// pass), anything above [`MAX_LANES`] to [`MAX_LANES`], and in-between
 /// values round down to the nearest power of two.
 pub fn normalize_lanes(requested: usize) -> usize {
     LANE_WIDTHS
@@ -95,7 +97,8 @@ pub fn run_lane_block(
 }
 
 /// The fixed-width form of [`run_lane_block`]: `L` is a compile-time
-/// constant, so every inner loop has a fixed trip count.
+/// constant, so every inner loop has a fixed trip count.  With `L = 1` the
+/// tiles are plain input and result vectors and this is the scalar pass.
 ///
 /// # Panics
 ///
@@ -116,13 +119,13 @@ pub fn run_lanes<const L: usize>(
         "result tile too short for {L} lanes"
     );
     assert!(out.len() >= L, "output slice too short for {L} lanes");
-    // Mirrors `OpList::run_into`: the f64 kernel is a separate monomorphized
-    // body with no quantization code at all, so the full-precision hot loop
-    // stays branch-free.
+    // Full-precision programs run a separate monomorphized body with no
+    // quantization code at all, so their hot loop stays branch-free.
+    let quantizer = Quantizer::new(ops.precision());
     if ops.precision() == Precision::F64 {
-        run_lanes_body::<L, false>(ops, inputs, results);
+        run_lanes_body::<L, false>(ops, inputs, results, &quantizer);
     } else {
-        run_lanes_body::<L, true>(ops, inputs, results);
+        run_lanes_body::<L, true>(ops, inputs, results, &quantizer);
     }
     let root: &[f64; L] = match ops.output() {
         OperandRef::Input(i) => lane_group::<L>(inputs, i as usize),
@@ -131,23 +134,17 @@ pub fn run_lanes<const L: usize>(
     out[..L].copy_from_slice(root);
 }
 
-/// The `idx`-th lane group of a slot-major tile, as a fixed-size array.
-#[inline]
-fn lane_group<const L: usize>(tile: &[f64], idx: usize) -> &[f64; L] {
-    tile[idx * L..idx * L + L]
-        .try_into()
-        .expect("lane group in range")
-}
-
-/// One pass over the operation list, `L` lanes at a time.  `QUANTIZE` fuses
-/// [`round_to`] into the store of every operation (quantize-on-store) for
-/// reduced-precision programs.
+/// One pass over the operation list, `L` lanes at a time.  `QUANTIZE`
+/// rounds every operation's lane group through `quantizer` before the next
+/// operation reads it (quantize-on-store), in the same loop that produced
+/// the values, so reduced-precision programs pay no second pass over the
+/// tile.
 fn run_lanes_body<const L: usize, const QUANTIZE: bool>(
     ops: &OpList,
     inputs: &[f64],
     results: &mut [f64],
+    quantizer: &Quantizer,
 ) {
-    let precision = ops.precision();
     for (i, op) in ops.ops().iter().enumerate() {
         // Operations only reference strictly earlier results, so splitting
         // at the current op's lane group separates the read side from the
@@ -162,35 +159,21 @@ fn run_lanes_body<const L: usize, const QUANTIZE: bool>(
             OperandRef::Input(k) => lane_group::<L>(inputs, k as usize),
             OperandRef::Op(j) => lane_group::<L>(done, j as usize),
         };
-        match op.kind {
-            OpKind::Add => {
-                for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                    *d = x + y;
-                }
-            }
-            OpKind::Mul => {
-                for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                    *d = x * y;
-                }
-            }
-            OpKind::Max => {
-                for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                    *d = x.max(y);
-                }
-            }
-            OpKind::LogAdd => log_sum_exp_lanes(a, b, dst),
-            OpKind::Sam => {
-                for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                    *d = f64::from(u8::from(x < y));
-                }
-            }
-        }
+        op.kind.apply_lanes(a, b, dst);
         if QUANTIZE {
             for d in dst.iter_mut() {
-                *d = round_to(precision, *d);
+                *d = quantizer.round(*d);
             }
         }
     }
+}
+
+/// The `idx`-th lane group of a slot-major tile, as a fixed-size array.
+#[inline]
+fn lane_group<const L: usize>(tile: &[f64], idx: usize) -> &[f64; L] {
+    tile[idx * L..idx * L + L]
+        .try_into()
+        .expect("lane group in range")
 }
 
 #[cfg(test)]

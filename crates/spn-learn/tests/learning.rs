@@ -162,7 +162,6 @@ fn learned_spns_flatten_and_serve_queries() {
     // survive flattening and answer marginal queries consistently.
     let mut rng = StdRng::seed_from_u64(11);
     let data = synthetic(5, 300, Structure::Chain, &mut rng);
-    let mut evaluator = spn_core::FlatEvaluator::new();
     for spn in [
         ChowLiuTree::learn(&data).to_spn(),
         learn_spn(&data, &LearnSpnOptions::default()),
@@ -170,7 +169,7 @@ fn learned_spns_flatten_and_serve_queries() {
         let ops = spn_core::flatten::OpList::from_spn(&spn);
         let mut evidence = Evidence::marginal(5);
         evidence.observe(2, true);
-        let flat = evaluator.evaluate(&ops, &evidence).unwrap();
+        let flat = ops.evaluate(&evidence).unwrap();
         let reference = spn.evaluate(&evidence).unwrap();
         assert!(
             (flat - reference).abs() < 1e-9 * reference.abs().max(1e-12),

@@ -25,7 +25,7 @@
 
 use std::sync::Arc;
 
-use spn_core::batch::{EvidenceBatch, InputRecipe};
+use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
 use spn_core::incremental::ConeAnalysis;
 use spn_processor::PerfReport;
@@ -131,10 +131,11 @@ impl<B: Backend + ?Sized> Default for WorkerState<B> {
 #[derive(Debug, Clone, Default)]
 pub struct ExecBuffers {
     /// Input-vector arena: one input vector per query for platforms that
-    /// materialise the whole batch (query-major), or a single vector reused
-    /// across queries.
+    /// materialise the whole batch (query-major), or one input tile reused
+    /// across lane blocks.
     pub inputs: Vec<f64>,
-    /// Intermediate-result arena (one slot per flattened operation).
+    /// Intermediate-result arena (one slot per flattened operation and
+    /// lane).
     pub scratch: Vec<f64>,
 }
 
@@ -143,38 +144,6 @@ impl ExecBuffers {
     pub fn new() -> Self {
         ExecBuffers::default()
     }
-}
-
-/// Shared execute-many skeleton for backends whose per-query work is a pure
-/// kernel over (input vector, scratch buffer): validates the batch, sizes the
-/// buffers once, fills inputs per query through the recipe, runs `kernel`,
-/// and accumulates the evidence-independent per-query cost model.
-pub(crate) fn execute_recipe_batch(
-    recipe: &InputRecipe,
-    num_ops: usize,
-    perf_per_query: &PerfReport,
-    fallback_name: &str,
-    batch: &EvidenceBatch,
-    buffers: &mut ExecBuffers,
-    mut kernel: impl FnMut(&[f64], &mut [f64]) -> f64,
-) -> Result<BatchResult, BackendError> {
-    recipe.check(batch)?;
-    buffers.inputs.clear();
-    buffers.inputs.resize(recipe.num_inputs(), 0.0);
-    buffers.scratch.clear();
-    buffers.scratch.resize(num_ops, 0.0);
-
-    let mut values = Vec::with_capacity(batch.len());
-    let mut perf = PerfReport::default();
-    for q in 0..batch.len() {
-        recipe.fill_query(batch, q, &mut buffers.inputs);
-        values.push(kernel(&buffers.inputs, &mut buffers.scratch));
-        perf.merge(perf_per_query);
-    }
-    if perf.platform.is_empty() {
-        fallback_name.clone_into(&mut perf.platform);
-    }
-    Ok(BatchResult { values, perf })
 }
 
 /// Root values and accumulated counters of one batch execution.
@@ -229,9 +198,9 @@ pub trait Backend {
     ///
     /// Backends that return `Some` must execute single-query batches with
     /// arithmetic bit-for-bit identical to
-    /// [`OpList::run_into`](spn_core::flatten::OpList::run_into), because
-    /// session deltas interleave incremental cone re-execution with full
-    /// passes and the two must agree exactly.
+    /// [`OpKind::apply`](spn_core::flatten::OpKind::apply) in op order,
+    /// because session deltas interleave incremental cone re-execution with
+    /// full passes and the two must agree exactly.
     fn cone_analysis(&self, _compiled: &Self::Compiled) -> Option<Arc<ConeAnalysis>> {
         None
     }

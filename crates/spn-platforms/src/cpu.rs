@@ -85,14 +85,14 @@ impl Default for CpuConfig {
 
 /// The CPU execution model.
 ///
-/// By default the execute-many path runs **lane-blocked**: full blocks of
-/// [`spn_core::vectorized::MAX_LANES`] queries go through the batch-major
-/// kernels of [`spn_core::vectorized`] (fixed-trip inner loops the
-/// autovectorizer turns into SIMD), and the ragged tail falls back to the
-/// scalar [`OpList::run_into`] oracle.  Lane blocking only regroups
-/// independent queries, so results are bit-for-bit those of the scalar
-/// path at every lane width; [`CpuModel::scalar`] selects the pure scalar
-/// loop (the oracle and benchmark baseline).
+/// Every batch runs through the one flat-program executor,
+/// [`spn_core::vectorized::run_lanes`]: the batch is cut into lane blocks of
+/// the configured width ([`spn_core::vectorized::MAX_LANES`] by default —
+/// fixed-trip inner loops the autovectorizer turns into SIMD), and what is
+/// left over into blocks of the next supported widths down to one.  Lane
+/// blocking only regroups independent queries, so results do not depend on
+/// the width; [`CpuModel::scalar`] runs one query per pass (the benchmark
+/// baseline).
 #[derive(Debug, Clone)]
 pub struct CpuModel {
     config: CpuConfig,
@@ -124,9 +124,8 @@ impl CpuModel {
         }
     }
 
-    /// A model that executes every query through the scalar
-    /// [`OpList::run_into`] loop — the bit-for-bit oracle the lane-blocked
-    /// path is checked against, and the baseline the benchmarks compare to.
+    /// A model that executes one query per pass (`lanes = 1`) — the baseline
+    /// the benchmarks compare the wider lane blocks to.
     pub fn scalar() -> Self {
         CpuModel::new().with_lanes(1)
     }
@@ -134,14 +133,14 @@ impl CpuModel {
     /// Sets the lane-block width of the execute-many path.
     ///
     /// `lanes` is normalised onto the supported widths
-    /// ([`spn_core::vectorized::normalize_lanes`]): `0`/`1` select the
-    /// scalar loop, larger values round down to `2`, `4` or `8`.
+    /// ([`spn_core::vectorized::normalize_lanes`]): `0`/`1` select one
+    /// query per pass, larger values round down to `2`, `4` or `8`.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = vectorized::normalize_lanes(lanes);
         self
     }
 
-    /// The lane-block width of the execute-many path (`1` = scalar).
+    /// The widest lane block the execute-many path cuts a batch into.
     pub fn lanes(&self) -> usize {
         self.lanes
     }
@@ -313,9 +312,10 @@ impl Backend for CpuModel {
         })
     }
 
-    /// The CPU model supports incremental sessions: its scalar single-query
-    /// path is exactly [`OpList::run_into`], so cone re-execution and full
-    /// passes agree bit-for-bit.
+    /// The CPU model supports incremental sessions: its batches and the
+    /// session's cone replay apply the same
+    /// [`OpKind::apply_lanes`](spn_core::flatten::OpKind::apply_lanes), so
+    /// cone re-execution and full passes agree bit-for-bit.
     fn cone_analysis(&self, compiled: &CpuCompiled) -> Option<Arc<ConeAnalysis>> {
         Some(Arc::clone(&compiled.cones))
     }
@@ -327,36 +327,31 @@ impl Backend for CpuModel {
         buffers: &mut ExecBuffers,
         _scratch: &mut (),
     ) -> Result<BatchResult, BackendError> {
-        let lanes = self.lanes;
-        if lanes <= 1 || batch.len() < lanes {
-            return crate::backend::execute_recipe_batch(
-                &compiled.recipe,
-                compiled.ops.num_ops(),
-                &compiled.perf_per_query,
-                &self.config.name,
-                batch,
-                buffers,
-                |inputs, scratch| compiled.ops.run_into(inputs, scratch),
-            );
-        }
-
-        // Lane-blocked path: the buffers hold one `[slots × lanes]` tile
-        // each; full blocks run the batch-major kernels, the ragged tail
-        // reuses the tiles' leading slots through the scalar oracle.
         let recipe = &compiled.recipe;
         recipe.check(batch)?;
         let num_inputs = recipe.num_inputs();
         let num_ops = compiled.ops.num_ops();
+        // One `[slots × lanes]` tile each, sized by the widest block this
+        // batch uses: a one-row request must not pay for an 8-lane tile.
+        let widest = vectorized::normalize_lanes(self.lanes.min(batch.len()));
         buffers.inputs.clear();
-        buffers.inputs.resize(num_inputs * lanes, 0.0);
+        buffers.inputs.resize(num_inputs * widest, 0.0);
         buffers.scratch.clear();
-        buffers.scratch.resize(num_ops * lanes, 0.0);
+        buffers.scratch.resize(num_ops * widest, 0.0);
 
         let mut values = vec![0.0; batch.len()];
         let mut perf = PerfReport::default();
-        let blocked = batch.len() - batch.len() % lanes;
-        for start in (0..blocked).step_by(lanes) {
-            recipe.fill_lane_block(batch, start, lanes, &mut buffers.inputs);
+        let mut start = 0;
+        while start < batch.len() {
+            // The widest supported block that fits what is left: full-width
+            // blocks first, then the remainder in descending widths.
+            let lanes = vectorized::normalize_lanes(widest.min(batch.len() - start));
+            recipe.fill_lane_block(
+                batch,
+                start,
+                lanes,
+                &mut buffers.inputs[..num_inputs * lanes],
+            );
             vectorized::run_lane_block(
                 &compiled.ops,
                 lanes,
@@ -367,14 +362,7 @@ impl Backend for CpuModel {
             for _ in 0..lanes {
                 perf.merge(&compiled.perf_per_query);
             }
-        }
-        for (q, value) in values.iter_mut().enumerate().skip(blocked) {
-            recipe.fill_query(batch, q, &mut buffers.inputs[..num_inputs]);
-            *value = compiled.ops.run_into(
-                &buffers.inputs[..num_inputs],
-                &mut buffers.scratch[..num_ops],
-            );
-            perf.merge(&compiled.perf_per_query);
+            start += lanes;
         }
         if perf.platform.is_empty() {
             self.config.name.clone_into(&mut perf.platform);

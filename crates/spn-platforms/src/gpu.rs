@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 use spn_core::batch::{EvidenceBatch, InputRecipe};
 use spn_core::flatten::{OpKind, OpList, OperandRef};
 use spn_core::levelize::Levelization;
+use spn_core::precision::Quantizer;
 use spn_processor::PerfReport;
 
 use crate::backend::{Backend, BackendError, BatchResult, ExecBuffers};
@@ -304,47 +305,41 @@ impl Backend for GpuModel {
         _scratch: &mut (),
     ) -> Result<BatchResult, BackendError> {
         let ops = &compiled.ops;
-        crate::backend::execute_recipe_batch(
-            &compiled.recipe,
-            ops.num_ops(),
-            &compiled.perf_per_query,
-            &self.config.name,
-            batch,
-            buffers,
-            |inputs, results| {
-                // Execute group by group exactly like the kernel would.  Every
-                // arithmetic result is rounded to the program's emulated
-                // precision (`round_to` is the identity for F64, keeping the
-                // full-precision path bit-for-bit).
-                let precision = ops.precision();
-                for group in compiled.levels.iter() {
-                    for &i in group {
-                        let op = ops.ops()[i];
-                        let value = |r: OperandRef, results: &[f64]| match r {
-                            OperandRef::Input(k) => inputs[k as usize],
-                            OperandRef::Op(k) => results[k as usize],
-                        };
-                        let raw = match op.kind {
-                            OpKind::Add => value(op.lhs, results) + value(op.rhs, results),
-                            OpKind::Mul => value(op.lhs, results) * value(op.rhs, results),
-                            OpKind::Max => value(op.lhs, results).max(value(op.rhs, results)),
-                            OpKind::LogAdd => spn_core::numeric::log_sum_exp(
-                                value(op.lhs, results),
-                                value(op.rhs, results),
-                            ),
-                            OpKind::Sam => {
-                                f64::from(u8::from(value(op.lhs, results) < value(op.rhs, results)))
-                            }
-                        };
-                        results[i] = spn_core::precision::round_to(precision, raw);
-                    }
+        let recipe = &compiled.recipe;
+        recipe.check(batch)?;
+        buffers.inputs.clear();
+        buffers.inputs.resize(recipe.num_inputs(), 0.0);
+        buffers.scratch.clear();
+        buffers.scratch.resize(ops.num_ops(), 0.0);
+        let (inputs, results) = (&mut buffers.inputs, &mut buffers.scratch);
+        let quantizer = Quantizer::new(ops.precision());
+        let value = |r: OperandRef, inputs: &[f64], results: &[f64]| match r {
+            OperandRef::Input(k) => inputs[k as usize],
+            OperandRef::Op(k) => results[k as usize],
+        };
+
+        let mut values = Vec::with_capacity(batch.len());
+        let mut perf = PerfReport::default();
+        for q in 0..batch.len() {
+            recipe.fill_query(batch, q, inputs);
+            // Execute group by group exactly like the kernel would.
+            for group in compiled.levels.iter() {
+                for &i in group {
+                    let op = ops.ops()[i];
+                    let (a, b) = (
+                        value(op.lhs, inputs, results),
+                        value(op.rhs, inputs, results),
+                    );
+                    results[i] = quantizer.round(op.kind.apply(a, b));
                 }
-                match ops.output() {
-                    OperandRef::Input(k) => inputs[k as usize],
-                    OperandRef::Op(k) => results[k as usize],
-                }
-            },
-        )
+            }
+            values.push(value(ops.output(), inputs, results));
+            perf.merge(&compiled.perf_per_query);
+        }
+        if perf.platform.is_empty() {
+            self.config.name.clone_into(&mut perf.platform);
+        }
+        Ok(BatchResult { values, perf })
     }
 }
 

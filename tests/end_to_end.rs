@@ -21,9 +21,6 @@ fn run_on(config: &ProcessorConfig, spn: &Spn, evidence: &Evidence) -> (f64, u64
 #[test]
 fn random_spns_agree_across_every_execution_path() {
     let mut rng = StdRng::seed_from_u64(101);
-    // One reusable scratch evaluator for every interpreted `OpList` check —
-    // the non-allocating counterpart of `ops.evaluate`.
-    let mut flat = spn_accel::core::FlatEvaluator::new();
     for vars in [3usize, 9, 17, 33] {
         let spn = random_spn(&RandomSpnConfig::with_vars(vars), &mut rng);
         assert!(validate::check(&spn).is_valid());
@@ -47,7 +44,7 @@ fn random_spns_agree_across_every_execution_path() {
             let reference = spn.evaluate(&evidence).unwrap();
             let tolerance = 1e-9 * reference.abs().max(1e-12);
 
-            assert!((flat.evaluate(&ops, &evidence).unwrap() - reference).abs() <= tolerance);
+            assert!((ops.evaluate(&evidence).unwrap() - reference).abs() <= tolerance);
             let (cpu_value, _) = cpu.execute(&evidence).unwrap();
             assert!((cpu_value - reference).abs() <= tolerance);
             let (gpu_value, _) = gpu.execute(&evidence).unwrap();

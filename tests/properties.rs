@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spn_accel::core::eval::Evaluator;
-use spn_accel::core::flatten::{LoopProgram, OpList};
+use spn_accel::core::flatten::OpList;
 use spn_accel::core::random::{random_spn, RandomSpnConfig};
 use spn_accel::core::{io, validate, Evidence, EvidenceBatch, Spn};
 use spn_accel::platforms::{Engine, EngineOptions, ProcessorBackend};
@@ -51,21 +51,16 @@ fn generated_spns_are_valid() {
     }
 }
 
-/// Algorithm 1, Algorithm 2 and the graph evaluator agree under any
-/// evidence, and probabilities are monotone under observation.
+/// Algorithm 1 (the flattened program) and the graph evaluator agree under
+/// any evidence, and probabilities are monotone under observation.
 #[test]
 fn program_forms_agree() {
     let mut rng = StdRng::seed_from_u64(0xB0B);
-    // Buffers hoisted out of the 48-case loop: `FlatEvaluator` reuses its
-    // input/result arenas across programs of different sizes.
-    let mut flat = spn_accel::core::FlatEvaluator::new();
     for _ in 0..48 {
         let (spn, evidence) = case(&mut rng);
         let reference = spn.evaluate(&evidence).unwrap();
         let ops = OpList::from_spn(&spn);
-        let loop_program = LoopProgram::from_spn(&spn);
-        assert!((flat.evaluate(&ops, &evidence).unwrap() - reference).abs() < 1e-9);
-        assert!((flat.evaluate_loop(&loop_program, &evidence).unwrap() - reference).abs() < 1e-9);
+        assert!((ops.evaluate(&evidence).unwrap() - reference).abs() < 1e-9);
         // Observing variables can only lower (or keep) the probability mass.
         let marginal = spn.evaluate(&Evidence::marginal(spn.num_vars())).unwrap();
         assert!(reference <= marginal + 1e-9);

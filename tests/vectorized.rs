@@ -1,27 +1,32 @@
 //! Parity suite for the lane-blocked (batch-major) CPU hot path.
 //!
-//! The vectorized execute-many path must be an *invisible* optimisation:
-//! every value it produces — across every lane width × numeric mode ×
-//! precision × query mode, on ragged (`len % lanes ≠ 0`) and empty batches,
-//! serial or sharded — must equal the scalar `OpList::run_into` oracle
-//! bit for bit, and the modelled performance counters must be identical
-//! (lane blocking regroups independent queries; it does not change what
-//! any query computes or costs in the model).
+//! The lane width must be *invisible*: every value `run_lanes::<L>`
+//! produces — across every lane width × numeric mode × precision × query
+//! mode, on ragged (`len % lanes ≠ 0`) and empty batches, serial or sharded
+//! — must equal the reference interpreter `OpList::run_into` bit for bit,
+//! and the modelled performance counters must be identical (lane blocking
+//! regroups independent queries; it does not change what any query
+//! computes or costs in the model).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spn_accel::core::random::{random_spn, RandomSpnConfig};
-use spn_accel::core::vectorized::{LANE_WIDTHS, MAX_LANES};
+use spn_accel::core::vectorized::{normalize_lanes, LANE_WIDTHS, MAX_LANES};
 use spn_accel::core::{
     ConditionalBatch, Evidence, EvidenceBatch, NumericMode, Precision, QueryBatch, QueryMode, Spn,
 };
-use spn_accel::platforms::{CpuModel, Engine, EngineOptions, Parallelism};
+use spn_accel::platforms::{
+    Backend, BatchResult, CpuModel, Engine, EngineOptions, ExecBuffers, Parallelism, PerfReport,
+};
 
 const NUM_VARS: usize = 10;
 
-/// Batch lengths covering empty, sub-block, exact-block and ragged shapes
-/// for every supported lane width.
-const BATCH_LENS: [usize; 10] = [0, 1, 2, 5, 7, 8, 9, 16, 17, 33];
+/// Batch lengths covering empty, sub-block, exact-block and every ragged
+/// tail (`len % lanes` from 1 to 7, each decomposed into 4 + 2 + 1 blocks)
+/// of every supported lane width, plus a multi-block ragged one.
+fn batch_lens() -> impl Iterator<Item = usize> {
+    (0..=17).chain([33])
+}
 
 fn test_spn() -> Spn {
     let mut rng = StdRng::seed_from_u64(2020);
@@ -51,11 +56,7 @@ fn build_batch(len: usize) -> EvidenceBatch {
 }
 
 /// Asserts two batch results are equal to the bit: values and counters.
-fn assert_bitwise(
-    got: &spn_accel::platforms::BatchResult,
-    want: &spn_accel::platforms::BatchResult,
-    context: &str,
-) {
+fn assert_bitwise(got: &BatchResult, want: &BatchResult, context: &str) {
     assert_eq!(got.values.len(), want.values.len(), "{context}");
     for (q, (g, w)) in got.values.iter().zip(&want.values).enumerate() {
         assert_eq!(g.to_bits(), w.to_bits(), "{context} query {q}: {g} vs {w}");
@@ -64,36 +65,49 @@ fn assert_bitwise(
 }
 
 /// Every lane width × numeric mode × precision × batch shape (including
-/// empty and ragged) agrees with the scalar oracle bit for bit.
+/// empty and ragged) agrees with the reference interpreter bit for bit,
+/// costs `len` queries in the model, and sizes its tiles by the widest block
+/// the batch actually uses.
 #[test]
 fn lane_blocked_execute_matches_scalar_across_modes_precisions_and_shapes() {
     let spn = test_spn();
     for mode in NumericMode::ALL {
         for precision in Precision::SWEEP {
-            let mut oracle = Engine::new(
-                CpuModel::scalar(),
-                &spn,
-                EngineOptions::default().mode(mode).precision(precision),
-            )
-            .unwrap();
+            let options = EngineOptions::default().mode(mode).precision(precision);
+            let ops = options.lower(&spn);
+            let recipe = ops.input_recipe();
+            let mut inputs = vec![0.0; ops.num_inputs()];
+            let mut results = vec![0.0; ops.num_ops()];
             for &lanes in &LANE_WIDTHS {
                 let backend = CpuModel::new().with_lanes(lanes);
                 assert_eq!(backend.lanes(), lanes);
-                let mut engine = Engine::new(
-                    backend,
-                    &spn,
-                    EngineOptions::default().mode(mode).precision(precision),
-                )
-                .unwrap();
-                for len in BATCH_LENS {
+                let compiled = backend.compile(&ops).unwrap();
+                let mut buffers = ExecBuffers::new();
+                for len in batch_lens() {
+                    let context = format!("{mode}/{precision} lanes={lanes} len={len}");
                     let batch = build_batch(len);
-                    let want = oracle.execute_batch(&batch).unwrap();
-                    let got = engine.execute_batch(&batch).unwrap();
-                    assert_bitwise(
-                        &got,
-                        &want,
-                        &format!("{mode}/{precision} lanes={lanes} len={len}"),
-                    );
+                    let mut want = BatchResult {
+                        values: Vec::with_capacity(len),
+                        perf: PerfReport::default(),
+                    };
+                    for q in 0..len {
+                        recipe.fill_query(&batch, q, &mut inputs);
+                        want.values.push(ops.run_into(&inputs, &mut results));
+                        want.perf.merge(compiled.perf_per_query());
+                    }
+                    let got = backend
+                        .execute_batch(&compiled, &batch, &mut buffers, &mut ())
+                        .unwrap();
+                    assert_eq!(got.perf.queries, len as u64, "{context}");
+                    if len == 0 {
+                        want.perf.platform = backend.name();
+                    }
+                    assert_bitwise(&got, &want, &context);
+                    // Tiles hold the widest block of *this* batch: a one-row
+                    // request on an 8-lane engine allocates one lane.
+                    let widest = normalize_lanes(lanes.min(len));
+                    assert_eq!(buffers.inputs.len(), ops.num_inputs() * widest, "{context}");
+                    assert_eq!(buffers.scratch.len(), ops.num_ops() * widest, "{context}");
                 }
             }
         }
