@@ -201,15 +201,12 @@ fn run_batched<B: Backend>(
 
 /// Runs `chunks` sharded batches through the worker pool and returns
 /// (seconds, checksum).
-fn run_parallel<B: Backend + Sync>(
+fn run_parallel<B: Backend>(
     engine: &mut Engine<B>,
     batch: &EvidenceBatch,
     chunks: usize,
     parallelism: &Parallelism,
-) -> (f64, f64)
-where
-    B::Compiled: Sync,
-{
+) -> (f64, f64) {
     let mut checksum = 0.0;
     let start = Instant::now();
     for _ in 0..chunks {
@@ -223,15 +220,12 @@ where
 
 /// Runs `chunks` query batches through the mode-aware path and returns
 /// (seconds, checksum).
-fn run_query<B: Backend + Sync>(
+fn run_query<B: Backend>(
     engine: &mut Engine<B>,
     query: &QueryBatch,
     chunks: usize,
     parallelism: Option<&Parallelism>,
-) -> (f64, f64)
-where
-    B::Compiled: Sync,
-{
+) -> (f64, f64) {
     let mut checksum = 0.0;
     let start = Instant::now();
     for _ in 0..chunks {
@@ -357,17 +351,14 @@ fn record_precision(
     });
 }
 
-fn measure<B: Backend + Sync>(
+fn measure<B: Backend>(
     workload: &str,
     backend: B,
     lanes: usize,
     spn: &Spn,
     total_queries: usize,
     results: &mut Vec<Measurement>,
-) -> Result<(), BackendError>
-where
-    B::Compiled: Sync,
-{
+) -> Result<(), BackendError> {
     let numeric = NumericMode::Linear;
     let platform = backend.name();
     let mut engine = Engine::new(backend, spn, EngineOptions::default())

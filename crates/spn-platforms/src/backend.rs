@@ -28,7 +28,7 @@ use std::sync::Arc;
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
 use spn_core::incremental::ConeAnalysis;
-use spn_processor::PerfReport;
+use spn_processor::{MultiCoreProcessor, PerfReport};
 
 use crate::options::EngineOptions;
 
@@ -160,10 +160,15 @@ pub struct BatchResult {
 /// Implementations both *execute* the program (so results can be checked
 /// against the reference evaluator) and *model* its cost in cycles; the
 /// modelled counters land in [`BatchResult::perf`].
-pub trait Backend {
+///
+/// Backends and their artifacts are shared across threads — by the sharded
+/// execution path within one batch and by serving fleets across engines —
+/// so the trait requires `Send + Sync` of both once, here, rather than of
+/// every caller.
+pub trait Backend: Send + Sync {
     /// The platform-specific compiled artifact (cacheable, reusable across
     /// any number of batches).
-    type Compiled;
+    type Compiled: Send + Sync;
 
     /// Platform-specific reusable execution state (e.g. the simulator's
     /// register file and data memory); `()` for stateless backends.  Created
@@ -259,11 +264,7 @@ pub trait Backend {
         batch: &EvidenceBatch,
         parallelism: &Parallelism,
         workers: &mut Vec<WorkerState<Self>>,
-    ) -> Result<BatchResult, BackendError>
-    where
-        Self: Sync,
-        Self::Compiled: Sync,
-    {
+    ) -> Result<BatchResult, BackendError> {
         let shards = parallelism.shards_for(batch.len());
         while workers.len() < shards.max(1) {
             workers.push(WorkerState::default());
@@ -273,19 +274,13 @@ pub trait Backend {
             return self.execute_batch(compiled, batch, &mut worker.buffers, &mut worker.scratch);
         }
 
-        // Evenly-sized contiguous shards: the first `remainder` shards take
-        // one extra query, so shard boundaries are a pure function of
-        // (batch length, shard count) and the stitched order is the batch
-        // order.
-        let base = batch.len() / shards;
-        let remainder = batch.len() % shards;
-        let mut sub_batches = Vec::with_capacity(shards);
-        let mut start = 0usize;
-        for shard in 0..shards {
-            let len = base + usize::from(shard < remainder);
-            sub_batches.push(batch.sub_batch(start, len));
-            start += len;
-        }
+        // Evenly-sized contiguous shards — the simulator's own split, so
+        // shard boundaries are a pure function of (batch length, shard
+        // count) and the stitched order is the batch order.
+        let sub_batches: Vec<EvidenceBatch> = MultiCoreProcessor::shard_ranges(shards, batch.len())
+            .into_iter()
+            .map(|range| batch.sub_batch(range.start, range.len()))
+            .collect();
 
         let mut outcomes: Vec<Option<Result<BatchResult, BackendError>>> =
             (0..shards).map(|_| None).collect();

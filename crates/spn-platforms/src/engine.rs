@@ -1,8 +1,8 @@
 //! The compile-once / execute-many inference engine.
 //!
 //! [`Engine`] binds a [`Backend`] to one compiled circuit and owns every
-//! piece of reusable execution state — the serial [`ExecBuffers`], the
-//! per-worker pool of the parallel path, and the lazily compiled max-product
+//! piece of reusable execution state — the per-worker pool (whose first
+//! slot is the serial path's state) and the lazily compiled max-product
 //! artifact of MAP queries — so callers get the two-phase execution model
 //! through one handle:
 //!
@@ -18,7 +18,8 @@
 //!   batched passes.
 //!
 //! Single-query [`Engine::execute`] is a thin convenience wrapper over a
-//! one-element batch.
+//! one-element batch.  All five entry points are one private `run`: a serial
+//! call is the sharded call with one shard.
 
 use std::sync::Arc;
 
@@ -29,9 +30,9 @@ use spn_core::precision::round_to;
 use spn_core::query::{conditional_values, MaxProductProgram, QueryBatch};
 use spn_core::sample::{SampleBatch, SampleRun, SamplerProgram};
 use spn_core::{Evidence, NumericMode, Precision, Spn, SpnError};
-use spn_processor::PerfReport;
+use spn_processor::{MultiCoreProcessor, PerfReport};
 
-use crate::backend::{Backend, BackendError, BatchResult, ExecBuffers, Parallelism, WorkerState};
+use crate::backend::{Backend, BackendError, BatchResult, Parallelism, WorkerState};
 use crate::options::{EngineOptions, VerifyLevel};
 
 /// The MAP half of an engine, cheaply shareable between engines: the
@@ -159,10 +160,9 @@ pub struct Engine<B: Backend> {
     /// The sum-product program the engine was compiled from; kept so the
     /// max-product (MAP) variant can be derived lazily.
     ops: OpList,
-    buffers: ExecBuffers,
-    scratch: B::Scratch,
-    /// Per-worker states of the parallel path (grown on first use, then
-    /// reused across batches).
+    /// Per-worker execution states (grown on first use, then reused across
+    /// batches); the serial path is the one-shard case and runs on the
+    /// first.
     workers: Vec<WorkerState<B>>,
     /// Max-product artifact for MAP queries; compiled on first use (or
     /// installed pre-compiled via [`Engine::install_map`]).
@@ -247,8 +247,6 @@ impl<B: Backend> Engine<B> {
             backend,
             compiled,
             ops: ops.clone(),
-            buffers: ExecBuffers::new(),
-            scratch: B::Scratch::default(),
             workers: Vec::new(),
             map: None,
             sampler: None,
@@ -341,8 +339,7 @@ impl<B: Backend> Engine<B> {
     /// Returns an error when the batch does not match the compiled program
     /// or the platform fails structurally.
     pub fn execute_batch(&mut self, batch: &EvidenceBatch) -> Result<BatchResult, BackendError> {
-        self.backend
-            .execute_batch(&self.compiled, batch, &mut self.buffers, &mut self.scratch)
+        self.run(false, batch, &Parallelism::serial())
     }
 
     /// Executes one query: a convenience wrapper over a one-element batch.
@@ -352,14 +349,16 @@ impl<B: Backend> Engine<B> {
     /// Returns an error when the evidence does not match the compiled
     /// program or the platform fails structurally.
     pub fn execute(&mut self, evidence: &Evidence) -> Result<(f64, PerfReport), BackendError> {
-        self.single.clear();
-        self.single.push(evidence)?;
-        let mut result = self.backend.execute_batch(
-            &self.compiled,
-            &self.single,
-            &mut self.buffers,
-            &mut self.scratch,
-        )?;
+        // The scratch batch moves out for the call so `run` can borrow the
+        // engine whole, and back in before any error returns.
+        let mut single = std::mem::take(&mut self.single);
+        single.clear();
+        let result = single
+            .push(evidence)
+            .map_err(BackendError::from)
+            .and_then(|()| self.run(false, &single, &Parallelism::serial()));
+        self.single = single;
+        let mut result = result?;
         let value = result
             .values
             .pop()
@@ -505,23 +504,40 @@ impl<B: Backend> Engine<B> {
         Ok(assignments)
     }
 
+    /// The one execution path behind every `execute*` entry point: `batch`
+    /// against the main artifact, or against the (already ensured)
+    /// max-product one when `map` is set, cut into
+    /// [`Parallelism::shards_for`] shards — one shard is the serial call on
+    /// the first worker state (see [`Backend::execute_batch_parallel`]).
+    fn run(
+        &mut self,
+        map: bool,
+        batch: &EvidenceBatch,
+        parallelism: &Parallelism,
+    ) -> Result<BatchResult, BackendError> {
+        let compiled = if map {
+            &self.map.as_ref().expect("map plan ensured").compiled
+        } else {
+            &self.compiled
+        };
+        self.backend
+            .execute_batch_parallel(compiled, batch, parallelism, &mut self.workers)
+    }
+
     /// The per-mode lowering shared by [`Engine::execute_query`] and
-    /// [`Engine::execute_query_parallel`]: `exec` runs a batch against the
-    /// engine's main artifact, `exec_map` against the (already ensured)
-    /// max-product artifact; the approximate modes run the installed
-    /// sampler, sharded per `parallelism`.  A single lowering guarantees
-    /// the serial and parallel query paths can never diverge in policy.
+    /// [`Engine::execute_query_parallel`] onto [`Engine::run`] passes; the
+    /// approximate modes run the installed sampler, sharded per
+    /// `parallelism`.  A single lowering guarantees the serial and parallel
+    /// query paths can never diverge in policy.
     fn lower_query(
         &mut self,
         query: &QueryBatch,
-        parallelism: Option<&Parallelism>,
-        exec: impl Fn(&mut Self, &EvidenceBatch) -> Result<BatchResult, BackendError>,
-        exec_map: impl Fn(&mut Self, &EvidenceBatch) -> Result<BatchResult, BackendError>,
+        parallelism: &Parallelism,
     ) -> Result<QueryOutput, BackendError> {
         query.validate()?;
         match query {
             QueryBatch::Joint(batch) | QueryBatch::Marginal(batch) => {
-                let result = exec(self, batch)?;
+                let result = self.run(false, batch, parallelism)?;
                 Ok(QueryOutput {
                     values: result.values,
                     assignments: None,
@@ -532,7 +548,7 @@ impl<B: Backend> Engine<B> {
             }
             QueryBatch::Map(batch) => {
                 self.map_plan()?;
-                let result = exec_map(self, batch)?;
+                let result = self.run(true, batch, parallelism)?;
                 let plan = self.map.as_ref().expect("map plan ensured");
                 let assignments = Self::trace_map_assignments(plan, batch)?;
                 Ok(QueryOutput {
@@ -544,8 +560,8 @@ impl<B: Backend> Engine<B> {
                 })
             }
             QueryBatch::Conditional(cond) => {
-                let numerator = exec(self, cond.numerator())?;
-                let denominator = exec(self, cond.denominator())?;
+                let numerator = self.run(false, cond.numerator(), parallelism)?;
+                let denominator = self.run(false, cond.denominator(), parallelism)?;
                 let values =
                     conditional_values(self.ops.mode(), numerator.values, &denominator.values)?;
                 let mut perf = numerator.perf;
@@ -574,7 +590,7 @@ impl<B: Backend> Engine<B> {
         &self,
         batch: &SampleBatch,
         sample_mode: bool,
-        parallelism: Option<&Parallelism>,
+        parallelism: &Parallelism,
     ) -> Result<QueryOutput, BackendError> {
         let sampler = self.sampler.as_deref().ok_or_else(|| {
             Box::new(SpnError::invalid(
@@ -590,23 +606,15 @@ impl<B: Backend> Engine<B> {
                 sampler.run_expectation_range(batch, start, count)
             }
         };
-        let shards = parallelism.map_or(1, |p| p.shards_for(batch.len()));
+        let shards = parallelism.shards_for(batch.len());
         let run = if shards <= 1 {
             run_range(0, batch.len())?
         } else {
-            let base = batch.len() / shards;
-            let extra = batch.len() % shards;
-            let mut ranges = Vec::with_capacity(shards);
-            let mut start = 0;
-            for s in 0..shards {
-                let count = base + usize::from(s < extra);
-                ranges.push((start, count));
-                start += count;
-            }
+            let ranges = MultiCoreProcessor::shard_ranges(shards, batch.len());
             let parts: Vec<Result<SampleRun, SpnError>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|&(start, count)| scope.spawn(move || run_range(start, count)))
+                    .into_iter()
+                    .map(|range| scope.spawn(move || run_range(range.start, range.len())))
                     .collect();
                 handles
                     .into_iter()
@@ -706,27 +714,9 @@ impl<B: Backend> Engine<B> {
     /// conditions on zero-probability evidence, or the platform fails
     /// structurally.
     pub fn execute_query(&mut self, query: &QueryBatch) -> Result<QueryOutput, BackendError> {
-        self.lower_query(
-            query,
-            None,
-            |engine, batch| engine.execute_batch(batch),
-            |engine, batch| {
-                let plan = engine.map.as_ref().expect("map plan ensured");
-                engine.backend.execute_batch(
-                    &plan.compiled,
-                    batch,
-                    &mut engine.buffers,
-                    &mut engine.scratch,
-                )
-            },
-        )
+        self.lower_query(query, &Parallelism::serial())
     }
-}
 
-impl<B: Backend + Sync> Engine<B>
-where
-    B::Compiled: Sync,
-{
     /// Executes every query of `batch` sharded across a fixed pool of scoped
     /// worker threads (see [`Backend::execute_batch_parallel`]).
     ///
@@ -759,8 +749,7 @@ where
         batch: &EvidenceBatch,
         parallelism: &Parallelism,
     ) -> Result<BatchResult, BackendError> {
-        self.backend
-            .execute_batch_parallel(&self.compiled, batch, parallelism, &mut self.workers)
+        self.run(false, batch, parallelism)
     }
 
     /// Answers a [`QueryBatch`] with every circuit pass sharded across the
@@ -779,19 +768,6 @@ where
         query: &QueryBatch,
         parallelism: &Parallelism,
     ) -> Result<QueryOutput, BackendError> {
-        self.lower_query(
-            query,
-            Some(parallelism),
-            |engine, batch| engine.execute_batch_parallel(batch, parallelism),
-            |engine, batch| {
-                let plan = engine.map.as_ref().expect("map plan ensured");
-                engine.backend.execute_batch_parallel(
-                    &plan.compiled,
-                    batch,
-                    parallelism,
-                    &mut engine.workers,
-                )
-            },
-        )
+        self.lower_query(query, parallelism)
     }
 }

@@ -196,9 +196,9 @@ impl MultiCoreProcessor {
 
     /// The contiguous shard ranges batch-sharded execution assigns to each
     /// core: `queries / cores` queries per core, the first `queries % cores`
-    /// cores taking one extra.  This is the same split as host-thread
-    /// parallelism in `spn-platforms`, so shard outputs concatenate to the
-    /// exact serial batch order.
+    /// cores taking one extra.  Host-thread parallelism in `spn-platforms`
+    /// calls this for its shards too, so there is one split and shard
+    /// outputs concatenate to the exact serial batch order.
     pub fn shard_ranges(cores: usize, queries: usize) -> Vec<std::ops::Range<usize>> {
         let cores = cores.max(1);
         let base = queries / cores;

@@ -6,7 +6,7 @@ use spn_platforms::BackendError;
 
 /// Everything that can go wrong between a request arriving and its response
 /// being sent.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ServeError {
     /// The request named a model the registry does not hold.
     UnknownModel(String),

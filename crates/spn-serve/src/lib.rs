@@ -15,20 +15,27 @@
 //!   workers, and a **dynamic micro-batcher** that coalesces concurrent
 //!   same-`(model, mode)` requests into dense batches under a
 //!   [`BatchPolicy`] (max batch size / max wait), dispatching through the
-//!   serial or sharded engine paths; all four query modes (joint, marginal,
-//!   MAP, conditional) are served, and coalescing is bit-for-bit invisible
-//!   in the answers,
+//!   engine's sharded query path (one shard is the serial call); every
+//!   query mode is served, and coalescing is bit-for-bit invisible in the
+//!   answers,
 //! * [`session`] — per-connection evaluation sessions: open once under full
 //!   evidence, then send only *deltas* (flipped variables), answered through
 //!   the backend's incremental cone path where available (bit-for-bit with
 //!   a full pass) and never coalesced across sessions,
 //! * [`TcpServer`] — a line-delimited JSON front-end over `std::net` with
-//!   graceful shutdown and versioned wire protocol (v1 one-shot lines, v2
-//!   envelopes adding session semantics; see [`tcp`]),
+//!   graceful shutdown and versioned wire protocol (v2 envelopes adding
+//!   session semantics; a v1 one-shot line is the `"query"` envelope with
+//!   the type left implicit; see [`tcp`]),
 //! * [`Metrics`] — per-model / per-mode throughput, batching and latency
 //!   counters plus global session counters,
 //! * [`json`] — the dependency-free JSON parser/writer backing the wire
 //!   protocol.
+//!
+//! One-shot queries and session operations are one request path, not two:
+//! one wire decoder, one [`Handle`] type (named [`ResponseHandle`] and
+//! [`SessionHandle`] per response), one enqueue onto the worker queue, and
+//! one crate-private LRU map behind the artifact cache, the per-worker
+//! engine caches and the session table.
 //!
 //! # Quick example
 //!
@@ -60,6 +67,7 @@
 
 pub mod error;
 pub mod json;
+mod lru;
 pub mod metrics;
 pub mod poll;
 pub mod registry;
@@ -70,6 +78,6 @@ pub mod tcp;
 pub use error::ServeError;
 pub use metrics::{Metrics, MetricsRecord, ModeStats, SessionStats};
 pub use registry::{ModelPlan, ModelRegistry, ModelVariant};
-pub use service::{BatchPolicy, ResponseHandle, Service, ServiceConfig};
+pub use service::{BatchPolicy, Handle, ResponseHandle, Service, ServiceConfig};
 pub use session::{SessionHandle, SessionKey, SessionOpen, SessionResponse};
 pub use tcp::TcpServer;

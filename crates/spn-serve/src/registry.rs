@@ -35,6 +35,7 @@ use spn_core::{NumericMode, Precision, SamplerProgram, Spn};
 use spn_platforms::{Backend, Engine, MapArtifact};
 
 use crate::error::ServeError;
+use crate::lru::Lru;
 
 /// The execution variant of one model: the numeric domain its program is
 /// lowered into and the emulated PE precision its arithmetic is stamped
@@ -107,31 +108,21 @@ pub struct ModelPlan<B: Backend> {
     pub variant: ModelVariant,
 }
 
-/// The cache key of one compiled variant of a model.
-type VariantKey = ModelVariant;
+/// The cache key of one compiled variant: model name plus variant.
+type ArtifactKey = (String, ModelVariant);
 
 /// Compiled state of one `(numeric mode, precision)` variant of a model.
+/// The cache evicts at *slot* granularity — map plan included — so one
+/// model serving many variants competes for cache space per variant, not
+/// all-or-nothing: a model with more variants than the whole capacity keeps
+/// its hottest ones cached instead of thrashing, and a client sweeping
+/// precision names cannot grow the variant table without bound.
 struct VariantSlot<B: Backend> {
-    /// `None` when evicted by the LRU policy; recompiled on next use.
-    artifact: Option<Arc<B::Compiled>>,
+    artifact: Arc<B::Compiled>,
     map: Option<MapArtifact<B>>,
-    /// Logical-clock timestamp of the slot's last use; the LRU evicts at
-    /// *slot* granularity, so one model serving many variants competes for
-    /// cache space per variant, not all-or-nothing.
-    last_used: u64,
 }
 
-impl<B: Backend> Default for VariantSlot<B> {
-    fn default() -> Self {
-        VariantSlot {
-            artifact: None,
-            map: None,
-            last_used: 0,
-        }
-    }
-}
-
-struct ModelEntry<B: Backend> {
+struct ModelEntry {
     /// The registered (linear-domain, full-precision) program; every variant
     /// is derived from it on demand.
     ops: OpList,
@@ -139,25 +130,15 @@ struct ModelEntry<B: Backend> {
     /// log-mode plans pay a clone, not a re-derivation (the derivation runs
     /// under the registry lock; it is immutable per registration).
     log_ops: Option<OpList>,
-    /// One artifact slot per requested `(mode, precision)` variant.
-    slots: HashMap<VariantKey, VariantSlot<B>>,
     /// The sampler shared by every variant: sampling runs over the graph's
     /// own alias tables in its private log domain, so one program serves
     /// linear and log traffic at every precision (numeric / precision
     /// transforms are applied by the engine to the *reported* values only).
     sampler: Option<Arc<SamplerProgram>>,
     version: u64,
-    last_used: u64,
 }
 
-impl<B: Backend> ModelEntry<B> {
-    fn cached_artifacts(&self) -> usize {
-        self.slots
-            .values()
-            .filter(|slot| slot.artifact.is_some())
-            .count()
-    }
-
+impl ModelEntry {
     /// The entry's program lowered into the variant's numeric mode
     /// (memoising the log-domain derivation) and stamped with its precision
     /// — the same lowering order as `EngineOptions::lower`, so programs (and
@@ -177,9 +158,12 @@ impl<B: Backend> ModelEntry<B> {
 }
 
 struct Inner<B: Backend> {
-    models: HashMap<String, ModelEntry<B>>,
-    /// Logical clock driving the LRU ordering.
-    clock: u64,
+    models: HashMap<String, ModelEntry>,
+    /// The compiled variants of every model, least-recently-used evicted
+    /// beyond the registry's capacity (the models stay registered and an
+    /// evicted variant recompiles on demand).  Holds slots of current
+    /// registrations only: replacing or removing a name drops its slots.
+    artifacts: Lru<ArtifactKey, VariantSlot<B>>,
     /// Monotonic version source across registrations.
     next_version: u64,
 }
@@ -187,9 +171,6 @@ struct Inner<B: Backend> {
 /// Named circuits compiled for one backend, with an LRU artifact cache.
 pub struct ModelRegistry<B: Backend> {
     backend: B,
-    /// Maximum number of compiled artifacts held; the oldest-used artifact
-    /// (not the model) is evicted beyond this.
-    capacity: usize,
     inner: Mutex<Inner<B>>,
 }
 
@@ -199,10 +180,9 @@ impl<B: Backend + Clone> ModelRegistry<B> {
     pub fn new(backend: B, capacity: usize) -> ModelRegistry<B> {
         ModelRegistry {
             backend,
-            capacity: capacity.max(1),
             inner: Mutex::new(Inner {
                 models: HashMap::new(),
-                clock: 0,
+                artifacts: Lru::new(capacity),
                 next_version: 0,
             }),
         }
@@ -277,22 +257,21 @@ impl<B: Backend + Clone> ModelRegistry<B> {
              are derived per variant"
         );
         let mut inner = self.inner.lock().expect("registry lock");
-        inner.clock += 1;
         inner.next_version += 1;
         let entry = ModelEntry {
             ops,
             log_ops: None,
-            slots: HashMap::new(),
             sampler,
             version: inner.next_version,
-            last_used: inner.clock,
         };
+        inner.artifacts.remove_where(|(model, _)| *model == name);
         inner.models.insert(name, entry);
     }
 
     /// Removes `name`; in-flight engines keep their shared artifacts alive.
     pub fn unregister(&self, name: &str) -> bool {
         let mut inner = self.inner.lock().expect("registry lock");
+        inner.artifacts.remove_where(|(model, _)| model == name);
         inner.models.remove(name).is_some()
     }
 
@@ -336,12 +315,7 @@ impl<B: Backend + Clone> ModelRegistry<B> {
     /// Number of compiled artifacts currently cached, across all numeric
     /// modes (for tests and observability; bounded by the LRU capacity).
     pub fn cached_artifacts(&self) -> usize {
-        let inner = self.inner.lock().expect("registry lock");
-        inner
-            .models
-            .values()
-            .map(ModelEntry::cached_artifacts)
-            .sum()
+        self.inner.lock().expect("registry lock").artifacts.len()
     }
 
     /// Returns the shared execution plan for `name` in `variant`, compiling
@@ -358,35 +332,27 @@ impl<B: Backend + Clone> ModelRegistry<B> {
     /// Returns [`ServeError::UnknownModel`] when `name` is not registered and
     /// [`ServeError::Backend`] when compilation fails.
     pub fn plan(&self, name: &str, variant: ModelVariant) -> Result<ModelPlan<B>, ServeError> {
-        let key: VariantKey = variant;
+        let key: ArtifactKey = (name.to_string(), variant);
         let (ops, version, sampler) = {
             let mut inner = self.inner.lock().expect("registry lock");
-            inner.clock += 1;
-            let clock = inner.clock;
+            let inner = &mut *inner;
             let entry = inner
                 .models
                 .get_mut(name)
                 .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
-            entry.last_used = clock;
-            let cached = entry.slots.get_mut(&key).and_then(|slot| {
-                slot.last_used = clock;
-                slot.artifact
-                    .clone()
-                    .map(|artifact| (artifact, slot.map.clone()))
-            });
-            if let Some((artifact, map)) = cached {
-                let version = entry.version;
-                let sampler = entry.sampler.clone();
+            let (ops, version, sampler) =
+                (entry.ops_for(variant), entry.version, entry.sampler.clone());
+            if let Some(slot) = inner.artifacts.get(&key) {
                 return Ok(ModelPlan {
-                    ops: entry.ops_for(variant),
-                    artifact,
-                    map,
+                    ops,
+                    artifact: Arc::clone(&slot.artifact),
+                    map: slot.map.clone(),
                     sampler,
                     version,
                     variant,
                 });
             }
-            (entry.ops_for(variant), entry.version, entry.sampler.clone())
+            (ops, version, sampler)
         };
 
         let artifact = Arc::new(
@@ -396,23 +362,21 @@ impl<B: Backend + Clone> ModelRegistry<B> {
         );
 
         let mut inner = self.inner.lock().expect("registry lock");
-        let inner = &mut *inner;
         // The model may have been replaced or dropped while compiling; only
         // cache the artifact if it still matches what we compiled.  A
-        // sibling worker may have published the max-product plan meanwhile —
-        // hand it out rather than letting the caller recompile it.
-        inner.clock += 1;
-        let clock = inner.clock;
+        // sibling worker may have cached the variant (and published its
+        // max-product plan) meanwhile — hand that plan out rather than
+        // letting the caller recompile it.
         let mut map = None;
-        if let Some(entry) = inner.models.get_mut(name) {
-            if entry.version == version {
-                let slot = entry.slots.entry(key).or_default();
-                slot.last_used = clock;
+        if inner.models.get(name).map(|entry| entry.version) == Some(version) {
+            if let Some(slot) = inner.artifacts.get(&key) {
                 map = slot.map.clone();
-                if slot.artifact.is_none() {
-                    slot.artifact = Some(Arc::clone(&artifact));
-                    evict_beyond_capacity(&mut inner.models, self.capacity);
-                }
+            } else {
+                let slot = VariantSlot {
+                    artifact: Arc::clone(&artifact),
+                    map: None,
+                };
+                inner.artifacts.insert(key, slot);
             }
         }
         Ok(ModelPlan {
@@ -432,12 +396,10 @@ impl<B: Backend + Clone> ModelRegistry<B> {
     /// accumulate past the LRU capacity).
     pub fn store_map(&self, name: &str, version: u64, variant: ModelVariant, map: MapArtifact<B>) {
         let mut inner = self.inner.lock().expect("registry lock");
-        if let Some(entry) = inner.models.get_mut(name) {
-            if entry.version == version {
-                if let Some(slot) = entry.slots.get_mut(&variant) {
-                    if slot.artifact.is_some() && slot.map.is_none() {
-                        slot.map = Some(map);
-                    }
+        if inner.models.get(name).map(|entry| entry.version) == Some(version) {
+            if let Some(slot) = inner.artifacts.peek(&(name.to_string(), variant)) {
+                if slot.map.is_none() {
+                    slot.map = Some(map);
                 }
             }
         }
@@ -463,93 +425,6 @@ impl<B: Backend + Clone> ModelRegistry<B> {
             engine.install_sampler(sampler);
         }
         Ok((engine, plan.version))
-    }
-
-    /// Deprecated spelling of [`ModelRegistry::plan`] with a loose
-    /// mode/precision pair.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ModelRegistry::plan`].
-    #[deprecated(note = "use `plan(name, ModelVariant::new(mode, precision))`")]
-    pub fn plan_with(
-        &self,
-        name: &str,
-        mode: NumericMode,
-        precision: Precision,
-    ) -> Result<ModelPlan<B>, ServeError> {
-        self.plan(name, ModelVariant::new(mode, precision))
-    }
-
-    /// Deprecated spelling of [`ModelRegistry::plan`] at full precision.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ModelRegistry::plan`].
-    #[deprecated(note = "use `plan(name, ModelVariant::new(mode, Precision::F64))`")]
-    pub fn plan_mode(&self, name: &str, mode: NumericMode) -> Result<ModelPlan<B>, ServeError> {
-        self.plan(name, ModelVariant::new(mode, Precision::F64))
-    }
-
-    /// Deprecated spelling of [`ModelRegistry::engine`] with a loose
-    /// mode/precision pair.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ModelRegistry::plan`].
-    #[deprecated(note = "use `engine(name, ModelVariant::new(mode, precision))`")]
-    pub fn engine_with(
-        &self,
-        name: &str,
-        mode: NumericMode,
-        precision: Precision,
-    ) -> Result<(Engine<B>, u64), ServeError> {
-        self.engine(name, ModelVariant::new(mode, precision))
-    }
-
-    /// Deprecated spelling of [`ModelRegistry::engine`] at full precision.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ModelRegistry::plan`].
-    #[deprecated(note = "use `engine(name, ModelVariant::new(mode, Precision::F64))`")]
-    pub fn engine_mode(
-        &self,
-        name: &str,
-        mode: NumericMode,
-    ) -> Result<(Engine<B>, u64), ServeError> {
-        self.engine(name, ModelVariant::new(mode, Precision::F64))
-    }
-}
-
-/// Drops least-recently-used variant artifacts — one `(model, mode,
-/// precision)` slot at a time, map plan included — until at most `capacity`
-/// artifacts remain (the models stay registered and evicted variants
-/// recompile on demand).  Slot granularity matters twice over: a single
-/// model serving more variants than the whole capacity still keeps its
-/// `capacity` hottest variants cached instead of thrashing on every
-/// request, and removing the slot outright keeps the variant table itself
-/// from growing without bound under a client sweeping precision names.
-fn evict_beyond_capacity<B: Backend>(models: &mut HashMap<String, ModelEntry<B>>, capacity: usize) {
-    loop {
-        let cached: usize = models.values().map(ModelEntry::cached_artifacts).sum();
-        if cached <= capacity {
-            return;
-        }
-        let victim = models
-            .iter()
-            .flat_map(|(name, entry)| {
-                entry
-                    .slots
-                    .iter()
-                    .filter(|(_, slot)| slot.artifact.is_some())
-                    .map(move |(key, slot)| (slot.last_used, name.clone(), *key))
-            })
-            .min_by_key(|(last_used, _, _)| *last_used);
-        let Some((_, name, key)) = victim else { return };
-        if let Some(entry) = models.get_mut(&name) {
-            entry.slots.remove(&key);
-        }
     }
 }
 

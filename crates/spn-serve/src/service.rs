@@ -9,7 +9,7 @@
 //!                 │   Condvar)       │  requests, up to max_batch
 //!            validation              │  queries or max_wait
 //!                                    ▼
-//!                              Engine::execute_query[_parallel]
+//!                              Engine::execute_query_parallel
 //!                                    │
 //!                    slice values per request ──► response channels
 //! ```
@@ -38,8 +38,15 @@
 //! operations ride the same worker queue as tokens but are dispatched one
 //! at a time under the session's own mutex — the micro-batcher never
 //! coalesces them with query batches or with deltas of other sessions.
+//!
+//! One-shot requests and session operations share the submission path:
+//! every caller gets the same [`Handle`] (under the names
+//! [`ResponseHandle`] and [`SessionHandle`]), and all work enters the queue
+//! through one `enqueue`, which re-checks the shutdown flag under the queue
+//! lock — the lock the exiting workers read it under — so nothing can be
+//! queued after the last worker left and then never be answered.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -51,6 +58,7 @@ use spn_core::{QueryBatch, QueryMode, SampleSpec, Spn};
 use spn_platforms::{Backend, Engine, Parallelism, QueryOutput};
 
 use crate::error::ServeError;
+use crate::lru::Lru;
 use crate::metrics::{Metrics, MetricsRecord, SessionStats};
 use crate::registry::{ModelRegistry, ModelVariant};
 use crate::session::{
@@ -123,7 +131,7 @@ impl Default for ServiceConfig {
 /// One queued request plus its response channel and submit timestamp.
 struct Pending {
     request: QueryRequest,
-    tx: mpsc::Sender<Result<QueryResponse, ServeError>>,
+    tx: Responder<QueryResponse>,
     submitted: Instant,
 }
 
@@ -145,24 +153,37 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
-/// A waiting slot for one submitted request.
-pub struct ResponseHandle {
-    rx: mpsc::Receiver<Result<QueryResponse, ServeError>>,
+/// A waiting slot for one submitted request or session operation whose
+/// response is a `T`.
+pub struct Handle<T> {
+    rx: mpsc::Receiver<Result<T, ServeError>>,
 }
 
-impl ResponseHandle {
+/// A waiting slot for one submitted request.
+pub type ResponseHandle = Handle<QueryResponse>;
+
+/// The sending half a worker answers a [`Handle`] through.
+pub(crate) type Responder<T> = mpsc::Sender<Result<T, ServeError>>;
+
+impl<T> Handle<T> {
+    /// A connected responder / handle pair.
+    fn channel() -> (Responder<T>, Handle<T>) {
+        let (tx, rx) = mpsc::channel();
+        (tx, Handle { rx })
+    }
+
     /// Blocks until the response arrives.
     ///
     /// # Errors
     ///
     /// Returns the request's error, or [`ServeError::ShuttingDown`] when the
     /// service stopped before answering.
-    pub fn wait(self) -> Result<QueryResponse, ServeError> {
+    pub fn wait(self) -> Result<T, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
     }
 
     /// Non-blocking poll; `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<QueryResponse, ServeError>> {
+    pub fn try_wait(&self) -> Option<Result<T, ServeError>> {
         match self.rx.try_recv() {
             Ok(result) => Some(result),
             Err(mpsc::TryRecvError::Empty) => None,
@@ -187,11 +208,7 @@ pub struct Service<B: Backend> {
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl<B> Service<B>
-where
-    B: Backend + Clone + Send + Sync + 'static,
-    B::Compiled: Send + Sync + 'static,
-{
+impl<B: Backend + Clone + 'static> Service<B> {
     /// Starts the worker pool (no models registered yet).
     pub fn new(backend: B, config: ServiceConfig) -> Service<B> {
         let registry = Arc::new(ModelRegistry::new(backend, config.artifact_capacity));
@@ -264,9 +281,7 @@ where
     /// Returns [`ServeError::UnknownModel`], [`ServeError::Invalid`] or
     /// [`ServeError::ShuttingDown`] without enqueuing.
     pub fn submit(&self, request: QueryRequest) -> Result<ResponseHandle, ServeError> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
+        self.check_running()?;
         if request.query.is_empty() {
             return Err(ServeError::Invalid(
                 "a request needs at least one query row".to_string(),
@@ -283,20 +298,13 @@ where
             )));
         }
 
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut queue = self.shared.queue.lock().expect("service queue lock");
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                return Err(ServeError::ShuttingDown);
-            }
-            queue.push_back(Item::Query(Pending {
-                request,
-                tx,
-                submitted: Instant::now(),
-            }));
-        }
-        self.shared.available.notify_all();
-        Ok(ResponseHandle { rx })
+        let (tx, handle) = Handle::channel();
+        self.enqueue(Item::Query(Pending {
+            request,
+            tx,
+            submitted: Instant::now(),
+        }))?;
+        Ok(handle)
     }
 
     /// Submits `request` and blocks until its response arrives.
@@ -342,9 +350,7 @@ where
         conn: u64,
         request: SessionOpen,
     ) -> Result<SessionHandle, ServeError> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
+        self.check_running()?;
         let num_vars = self.registry.num_vars(&request.model)?;
         if request.evidence.num_vars() != num_vars {
             return Err(ServeError::Invalid(format!(
@@ -358,7 +364,7 @@ where
             conn,
             session: request.session,
         };
-        let (tx, rx) = mpsc::channel();
+        let (tx, handle) = Handle::channel();
         let pending = SessionPending {
             id: request.id,
             op: SessionOp::Open(request.evidence),
@@ -371,8 +377,8 @@ where
             self.metrics.record_session_eviction();
             evict_entry(&victim);
         }
-        self.enqueue_session(entry);
-        Ok(SessionHandle { rx })
+        self.enqueue(Item::Session(entry))?;
+        Ok(handle)
     }
 
     /// Applies evidence flips to an open session and re-evaluates — through
@@ -391,33 +397,7 @@ where
         id: u64,
         flips: Vec<(usize, Option<bool>)>,
     ) -> Result<SessionHandle, ServeError> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let key = SessionKey { conn, session };
-        let entry = self.sessions.lookup(key)?;
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut inner = entry.inner.lock().expect("session lock");
-            if inner.closed {
-                return Err(ServeError::Invalid(format!("unknown session {session}")));
-            }
-            let num_vars = self.registry.num_vars(&inner.model)?;
-            for &(var, _) in &flips {
-                if var >= num_vars {
-                    return Err(ServeError::Invalid(format!(
-                        "variable {var} is out of range for the session's {num_vars}-variable model"
-                    )));
-                }
-            }
-            inner.queue.push_back(SessionPending {
-                id,
-                op: SessionOp::Delta(flips),
-                tx,
-            });
-        }
-        self.enqueue_session(entry);
-        Ok(SessionHandle { rx })
+        self.session_op(conn, session, id, SessionOp::Delta(flips))
     }
 
     /// Closes a session after its already queued operations have been
@@ -433,29 +413,49 @@ where
         session: u64,
         id: u64,
     ) -> Result<SessionHandle, ServeError> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
+        self.session_op(conn, session, id, SessionOp::Close)
+    }
+
+    /// Appends `op` to an open session's private FIFO and queues a worker
+    /// token for it — the shared body of [`Service::session_delta`] and
+    /// [`Service::session_close`].
+    fn session_op(
+        &self,
+        conn: u64,
+        session: u64,
+        id: u64,
+        op: SessionOp,
+    ) -> Result<SessionHandle, ServeError> {
+        self.check_running()?;
         let key = SessionKey { conn, session };
         let entry = self.sessions.lookup(key)?;
-        let (tx, rx) = mpsc::channel();
+        let (tx, handle) = Handle::channel();
+        let closing = matches!(op, SessionOp::Close);
         {
             let mut inner = entry.inner.lock().expect("session lock");
             if inner.closed {
                 return Err(ServeError::Invalid(format!("unknown session {session}")));
             }
-            inner.queue.push_back(SessionPending {
-                id,
-                op: SessionOp::Close,
-                tx,
-            });
+            if let SessionOp::Delta(flips) = &op {
+                let num_vars = self.registry.num_vars(&inner.model)?;
+                for &(var, _) in flips {
+                    if var >= num_vars {
+                        return Err(ServeError::Invalid(format!(
+                            "variable {var} is out of range for the session's {num_vars}-variable model"
+                        )));
+                    }
+                }
+            }
+            inner.queue.push_back(SessionPending { id, op, tx });
         }
-        // Free the key immediately: ordering is preserved by the session's
-        // private FIFO, and a same-id re-open after close must not race the
-        // worker that will drain it.
-        self.sessions.remove(key, &entry);
-        self.enqueue_session(entry);
-        Ok(SessionHandle { rx })
+        if closing {
+            // Free the key immediately: ordering is preserved by the
+            // session's private FIFO, and a same-id re-open after close
+            // must not race the worker that will drain it.
+            self.sessions.remove(key, &entry);
+        }
+        self.enqueue(Item::Session(entry))?;
+        Ok(handle)
     }
 
     /// Number of live evaluation sessions across all connections.
@@ -468,20 +468,44 @@ where
         self.metrics.session_stats()
     }
 
-    /// Pushes a worker token for `entry` onto the main queue.
-    fn enqueue_session(&self, entry: Arc<SessionEntry>) {
-        let mut queue = self.shared.queue.lock().expect("service queue lock");
-        queue.push_back(Item::Session(entry));
-        drop(queue);
-        self.shared.available.notify_all();
+    /// Fails fast once [`Service::shutdown`] has begun.
+    fn check_running(&self) -> Result<(), ServeError> {
+        if self.shared.shutdown.load(Ordering::Acquire) {
+            return Err(ServeError::ShuttingDown);
+        }
+        Ok(())
     }
 
+    /// The one place work enters the queue.  The shutdown flag is checked
+    /// again under the queue lock: a worker only exits after seeing, under
+    /// that lock, the flag set and the queue empty, so an item pushed here
+    /// is always seen by a live worker.
+    fn enqueue(&self, item: Item) -> Result<(), ServeError> {
+        let mut queue = self.shared.queue.lock().expect("service queue lock");
+        self.check_running()?;
+        queue.push_back(item);
+        drop(queue);
+        self.shared.available.notify_all();
+        Ok(())
+    }
+}
+
+impl<B: Backend> Service<B> {
     /// Stops accepting requests, lets the workers drain what is queued, and
     /// joins them.  Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // Passing through the queue lock orders the store against a worker
+        // that read the flag clear and has not begun to wait yet: by the
+        // time the lock is free it is waiting (and woken below).
+        drop(self.shared.queue.lock());
         self.shared.available.notify_all();
-        let mut workers = self.workers.lock().expect("service workers lock");
+        // `Drop` runs this too and must not panic, so a poisoned lock is
+        // recovered: the handle list is valid at every step.
+        let mut workers = match self.workers.lock() {
+            Ok(workers) => workers,
+            Err(poisoned) => poisoned.into_inner(),
+        };
         for worker in workers.drain(..) {
             let _ = worker.join();
         }
@@ -490,13 +514,7 @@ where
 
 impl<B: Backend> Drop for Service<B> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.available.notify_all();
-        if let Ok(mut workers) = self.workers.lock() {
-            for worker in workers.drain(..) {
-                let _ = worker.join();
-            }
-        }
+        self.shutdown();
     }
 }
 
@@ -569,14 +587,6 @@ fn take_matching(
     }
 }
 
-/// The work a worker claimed from the queue in one pop.
-enum Claimed {
-    /// A coalesced group of one-shot requests plus its total query count.
-    Group(Vec<Pending>, usize),
-    /// A session token: drain the session's private FIFO.
-    Session(Arc<SessionEntry>),
-}
-
 /// One batcher worker: pop → coalesce → execute → respond, until shutdown
 /// and the queue is drained.
 fn worker_loop<B>(
@@ -587,81 +597,70 @@ fn worker_loop<B>(
     policy: BatchPolicy,
     parallelism: Parallelism,
 ) where
-    B: Backend + Clone + Send + Sync,
-    B::Compiled: Send + Sync,
+    B: Backend + Clone,
 {
     // Engines this worker has built, keyed by (model name, variant), tagged
     // with the registry version they were built from (stale ones are
     // rebuilt).  Every variant of one model lives side by side, LRU-bounded
     // (the precision key is client-controlled).
-    let mut engines: WorkerEngines<B> = WorkerEngines::new();
+    let mut engines: WorkerEngines<B> = Lru::new(MAX_WORKER_ENGINES);
 
     loop {
-        let claimed = {
-            let mut queue = shared.queue.lock().expect("service queue lock");
-            let first = loop {
-                if let Some(first) = queue.pop_front() {
-                    break first;
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                queue = shared
-                    .available
-                    .wait(queue)
-                    .expect("service queue lock poisoned");
-            };
-            match first {
-                Item::Session(entry) => Claimed::Session(entry),
-                Item::Query(first) => {
-                    let mut group: Vec<Pending> = Vec::new();
-                    let key = GroupKey::of(&first.request);
-                    let mut total = first.request.query.len();
-                    group.push(first);
-
-                    take_matching(
-                        &mut queue,
-                        &key,
-                        policy.max_batch_queries,
-                        &mut total,
-                        &mut group,
-                    );
-                    let deadline = Instant::now() + policy.max_wait;
-                    while total < policy.max_batch_queries
-                        && !shared.shutdown.load(Ordering::Acquire)
-                    {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (q, timeout) = shared
-                            .available
-                            .wait_timeout(queue, deadline - now)
-                            .expect("service queue lock poisoned");
-                        queue = q;
-                        take_matching(
-                            &mut queue,
-                            &key,
-                            policy.max_batch_queries,
-                            &mut total,
-                            &mut group,
-                        );
-                        if timeout.timed_out() {
-                            break;
-                        }
-                    }
-                    Claimed::Group(group, total)
-                }
+        let mut queue = shared.queue.lock().expect("service queue lock");
+        let first = loop {
+            if let Some(first) = queue.pop_front() {
+                break first;
+            }
+            if shared.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            queue = shared
+                .available
+                .wait(queue)
+                .expect("service queue lock poisoned");
+        };
+        let first = match first {
+            Item::Query(first) => first,
+            Item::Session(entry) => {
+                drop(queue);
+                handle_session(registry, sessions, metrics, &mut engines, &entry);
+                continue;
             }
         };
-        match claimed {
-            Claimed::Group(group, total) => {
-                dispatch(registry, metrics, &mut engines, parallelism, group, total);
+        let key = GroupKey::of(&first.request);
+        let mut total = first.request.query.len();
+        let mut group = vec![first];
+        take_matching(
+            &mut queue,
+            &key,
+            policy.max_batch_queries,
+            &mut total,
+            &mut group,
+        );
+        let deadline = Instant::now() + policy.max_wait;
+        while total < policy.max_batch_queries && !shared.shutdown.load(Ordering::Acquire) {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
             }
-            Claimed::Session(entry) => {
-                handle_session(registry, sessions, metrics, &mut engines, &entry);
+            let (q, timeout) = shared
+                .available
+                .wait_timeout(queue, deadline - now)
+                .expect("service queue lock poisoned");
+            queue = q;
+            take_matching(
+                &mut queue,
+                &key,
+                policy.max_batch_queries,
+                &mut total,
+                &mut group,
+            );
+            if timeout.timed_out() {
+                break;
             }
         }
+        drop(queue);
+        dispatch(registry, metrics, &mut engines, parallelism, group, total);
     }
 }
 
@@ -797,8 +796,7 @@ fn dispatch<B>(
     group: Vec<Pending>,
     total: usize,
 ) where
-    B: Backend + Clone + Send + Sync,
-    B::Compiled: Send + Sync,
+    B: Backend + Clone,
 {
     let model = group[0].request.model.clone();
     let mode = group[0].request.query.mode();
@@ -815,25 +813,30 @@ fn dispatch<B>(
     let engine = match worker_engine(registry, engines, &model, variant) {
         Ok((engine, _)) => engine,
         Err(err) => {
-            let message = err.message();
             for pending in group {
-                respond(metrics, pending, Err(clone_error(&err, &message)));
+                respond(metrics, pending, Err(err.clone()));
             }
             return;
         }
+    };
+    // One shard (the default, serial `parallelism`) is the serial call.
+    let mut run_query = |query: &QueryBatch| {
+        engine
+            .execute_query_parallel(query, &parallelism)
+            .map_err(ServeError::from_backend)
     };
 
     // A lone request executes its own batch directly (no copy of the
     // evidence); a coalesced group is merged into one dense batch first.
     let output = if group.len() == 1 {
-        run_query(&mut *engine, &group[0].request.query, parallelism)
+        run_query(&group[0].request.query)
     } else {
         let mut merged = group[0].request.query.clone();
         group[1..]
             .iter()
             .try_for_each(|p| merged.try_extend(&p.request.query))
             .map_err(ServeError::from)
-            .and_then(|()| run_query(&mut *engine, &merged, parallelism))
+            .and_then(|()| run_query(&merged))
     };
 
     match output {
@@ -852,7 +855,7 @@ fn dispatch<B>(
             // conditioning evidence).  Re-run each request alone so the error
             // lands only on its owner.
             for pending in group {
-                let result = run_query(engine, &pending.request.query, parallelism).map(|out| {
+                let result = run_query(&pending.request.query).map(|out| {
                     slice_output(&out, &pending.request, 0, pending.request.query.len())
                 });
                 respond(metrics, pending, result);
@@ -878,24 +881,9 @@ const MAX_WORKER_ENGINES: usize = 32;
 /// The key of one cached worker engine: model name plus execution variant.
 type EngineKey = (String, ModelVariant);
 
-/// One cached worker engine: registry version, LRU timestamp, the engine.
-type EngineEntry<B> = (u64, u64, Engine<B>);
-
-/// One batcher worker's LRU-bounded engine cache.
-struct WorkerEngines<B: Backend> {
-    map: HashMap<EngineKey, EngineEntry<B>>,
-    /// Logical clock driving the per-worker LRU.
-    clock: u64,
-}
-
-impl<B: Backend> WorkerEngines<B> {
-    fn new() -> Self {
-        WorkerEngines {
-            map: HashMap::new(),
-            clock: 0,
-        }
-    }
-}
+/// One batcher worker's LRU-bounded engine cache: each engine beside the
+/// registry version it was built from.
+type WorkerEngines<B> = Lru<EngineKey, (u64, Engine<B>)>;
 
 /// Looks up (or builds) this worker's engine for `(model, variant)`,
 /// rebuilding when the registry holds a newer version and evicting the
@@ -911,55 +899,23 @@ where
     B: Backend + Clone,
 {
     let current = registry.version(model)?;
-    engines.clock += 1;
-    let clock = engines.clock;
     let key = (model.to_string(), variant);
-    let needs_build = match engines.map.get(&key) {
-        Some((version, _, _)) => *version != current,
-        None => true,
-    };
-    if needs_build {
+    if engines
+        .peek(&key)
+        .is_none_or(|(version, _)| *version != current)
+    {
         let (engine, version) = registry.engine(model, variant)?;
-        if !engines.map.contains_key(&key) && engines.map.len() >= MAX_WORKER_ENGINES {
-            let victim = engines
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used, _))| *used)
-                .map(|(k, _)| k.clone());
-            if let Some(victim) = victim {
-                engines.map.remove(&victim);
-            }
-        }
-        engines.map.insert(key.clone(), (version, clock, engine));
+        engines.insert(key.clone(), (version, engine));
     }
-    let entry = engines.map.get_mut(&key).expect("engine just ensured");
-    entry.1 = clock;
-    Ok((&mut entry.2, entry.0))
-}
-
-/// Runs one merged batch through the serial or sharded query path.
-fn run_query<B>(
-    engine: &mut Engine<B>,
-    query: &QueryBatch,
-    parallelism: Parallelism,
-) -> Result<QueryOutput, ServeError>
-where
-    B: Backend + Clone + Send + Sync,
-    B::Compiled: Send + Sync,
-{
-    let result = if parallelism.workers > 1 {
-        engine.execute_query_parallel(query, &parallelism)
-    } else {
-        engine.execute_query(query)
-    };
-    result.map_err(ServeError::from_backend)
+    let (version, engine) = engines.get(&key).expect("engine just ensured");
+    Ok((engine, *version))
 }
 
 /// After a MAP dispatch, publishes the engine's (possibly just compiled)
 /// max-product artifact so sibling workers skip the compile.
 fn publish_map<B>(
     registry: &ModelRegistry<B>,
-    engines: &WorkerEngines<B>,
+    engines: &mut WorkerEngines<B>,
     model: &str,
     mode: QueryMode,
     variant: ModelVariant,
@@ -969,7 +925,7 @@ fn publish_map<B>(
     if mode != QueryMode::Map {
         return;
     }
-    if let Some((version, _, engine)) = engines.map.get(&(model.to_string(), variant)) {
+    if let Some((version, engine)) = engines.peek(&(model.to_string(), variant)) {
         if let Some(map) = engine.shared_map() {
             registry.store_map(model, *version, variant, map);
         }
@@ -1031,18 +987,4 @@ fn respond(metrics: &Metrics, pending: Pending, result: Result<QueryResponse, Se
     );
     // A dropped receiver just means the caller stopped waiting.
     let _ = pending.tx.send(result);
-}
-
-/// The error type is not `Clone` (it can wrap arbitrary messages), so fan
-/// one error out to a whole group by rebuilding it from its message.
-fn clone_error(err: &ServeError, message: &str) -> ServeError {
-    match err {
-        ServeError::UnknownModel(name) => ServeError::UnknownModel(name.clone()),
-        ServeError::ShuttingDown => ServeError::ShuttingDown,
-        ServeError::Invalid(_) => ServeError::Invalid(message.to_string()),
-        ServeError::Protocol(_) => ServeError::Protocol(message.to_string()),
-        ServeError::Remote(_) => ServeError::Remote(message.to_string()),
-        ServeError::Backend(_) => ServeError::Backend(message.to_string()),
-        ServeError::Verification(diagnostics) => ServeError::Verification(diagnostics.clone()),
-    }
 }

@@ -14,29 +14,33 @@
 //! without colliding, and a dropped connection takes all of its sessions
 //! with it (a reconnecting client re-opens and re-primes — there is
 //! deliberately no cross-connection session resumption).  The table is
-//! LRU-bounded; opening a session beyond the capacity evicts the
-//! least-recently-used one, whose owner sees an "evicted" error on its next
-//! delta.
+//! LRU-bounded (the crate's one `Lru` map, shared with the registry and
+//! the worker engine caches); opening a session beyond the capacity evicts
+//! the least-recently-used one, whose owner sees an "evicted" error on its
+//! next delta.
 //!
 //! # Ordering
 //!
 //! Each session owns a private FIFO of its pending operations plus a
 //! mutex serialising their execution.  Submitting an operation appends to
 //! that FIFO and pushes a *token* for the session onto the service's main
-//! queue; a worker popping the token locks the session and drains its FIFO
-//! in order.  Session operations therefore execute strictly in per-session
-//! submission order and are **never coalesced** — not with one-shot query
-//! batches and not with deltas of any other session, whose state they must
-//! not touch.
+//! queue — through the same `enqueue` one-shot requests take, and answered
+//! through the same [`Handle`] — and a worker popping the token locks the
+//! session and drains its FIFO in order.  Session operations therefore
+//! execute strictly in per-session submission order and are **never
+//! coalesced** — not with one-shot query batches and not with deltas of any
+//! other session, whose state they must not touch.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{mpsc, Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 use spn_core::Evidence;
 use spn_platforms::EvalSession;
 
 use crate::error::ServeError;
+use crate::lru::Lru;
 use crate::registry::ModelVariant;
+use crate::service::{Handle, Responder};
 
 /// The table key of one session: the serving connection it belongs to and
 /// the client-chosen session id (scoped per connection).
@@ -91,30 +95,7 @@ pub struct SessionResponse {
 }
 
 /// A waiting slot for one submitted session operation.
-pub struct SessionHandle {
-    pub(crate) rx: mpsc::Receiver<Result<SessionResponse, ServeError>>,
-}
-
-impl SessionHandle {
-    /// Blocks until the response arrives.
-    ///
-    /// # Errors
-    ///
-    /// Returns the operation's error, or [`ServeError::ShuttingDown`] when
-    /// the service stopped before answering.
-    pub fn wait(self) -> Result<SessionResponse, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
-    }
-
-    /// Non-blocking poll; `None` while the operation is still in flight.
-    pub fn try_wait(&self) -> Option<Result<SessionResponse, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
-        }
-    }
-}
+pub type SessionHandle = Handle<SessionResponse>;
 
 /// One queued session operation.
 pub(crate) enum SessionOp {
@@ -130,7 +111,7 @@ pub(crate) enum SessionOp {
 pub(crate) struct SessionPending {
     pub id: u64,
     pub op: SessionOp,
-    pub tx: mpsc::Sender<Result<SessionResponse, ServeError>>,
+    pub tx: Responder<SessionResponse>,
 }
 
 /// The mutable state of one session, serialised by the entry's mutex.
@@ -155,37 +136,21 @@ pub(crate) struct SessionEntry {
     pub inner: Mutex<SessionInner>,
 }
 
-struct Slot {
-    entry: Arc<SessionEntry>,
-    last_used: u64,
-}
-
-struct TableInner {
-    map: HashMap<SessionKey, Slot>,
-    /// Logical clock driving the LRU ordering.
-    clock: u64,
-}
-
 /// The LRU-bounded session table shared by submitters and workers.
 pub(crate) struct SessionTable {
-    inner: Mutex<TableInner>,
-    capacity: usize,
+    inner: Mutex<Lru<SessionKey, Arc<SessionEntry>>>,
 }
 
 impl SessionTable {
     pub fn new(capacity: usize) -> SessionTable {
         SessionTable {
-            inner: Mutex::new(TableInner {
-                map: HashMap::new(),
-                clock: 0,
-            }),
-            capacity: capacity.max(1),
+            inner: Mutex::new(Lru::new(capacity)),
         }
     }
 
     /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("session table lock").map.len()
+        self.inner.lock().expect("session table lock").len()
     }
 
     /// Creates a session for `key` holding `pending` (the `Open` operation)
@@ -204,16 +169,12 @@ impl SessionTable {
         pending: SessionPending,
     ) -> Result<(Arc<SessionEntry>, Vec<Arc<SessionEntry>>), ServeError> {
         let mut inner = self.inner.lock().expect("session table lock");
-        if inner.map.contains_key(&key) {
+        if inner.peek(&key).is_some() {
             return Err(ServeError::Invalid(format!(
                 "session {} is already open on this connection",
                 key.session
             )));
         }
-        inner.clock += 1;
-        let clock = inner.clock;
-        let mut queue = VecDeque::new();
-        queue.push_back(pending);
         let entry = Arc::new(SessionEntry {
             inner: Mutex::new(SessionInner {
                 key,
@@ -221,31 +182,15 @@ impl SessionTable {
                 variant,
                 version: 0,
                 eval: None,
-                queue,
+                queue: VecDeque::from([pending]),
                 closed: false,
             }),
         });
-        inner.map.insert(
-            key,
-            Slot {
-                entry: Arc::clone(&entry),
-                last_used: clock,
-            },
-        );
-        let mut evicted = Vec::new();
-        while inner.map.len() > self.capacity {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { break };
-            if let Some(slot) = inner.map.remove(&victim) {
-                evicted.push(slot.entry);
-            }
-        }
-        Ok((entry, evicted))
+        let evicted = inner.insert(key, Arc::clone(&entry));
+        Ok((
+            entry,
+            evicted.into_iter().map(|(_, victim)| victim).collect(),
+        ))
     }
 
     /// Looks up `key`, refreshing its LRU timestamp.
@@ -256,24 +201,21 @@ impl SessionTable {
     /// (never opened, closed, evicted, or owned by another connection).
     pub fn lookup(&self, key: SessionKey) -> Result<Arc<SessionEntry>, ServeError> {
         let mut inner = self.inner.lock().expect("session table lock");
-        inner.clock += 1;
-        let clock = inner.clock;
-        let slot = inner
-            .map
-            .get_mut(&key)
-            .ok_or_else(|| ServeError::Invalid(format!("unknown session {}", key.session)))?;
-        slot.last_used = clock;
-        Ok(Arc::clone(&slot.entry))
+        inner
+            .get(&key)
+            .map(|entry| Arc::clone(entry))
+            .ok_or_else(|| ServeError::Invalid(format!("unknown session {}", key.session)))
     }
 
     /// Removes `key` if it still maps to `entry` (a closed session frees
     /// its key without racing a same-key successor).
     pub fn remove(&self, key: SessionKey, entry: &Arc<SessionEntry>) {
         let mut inner = self.inner.lock().expect("session table lock");
-        if let Some(slot) = inner.map.get(&key) {
-            if Arc::ptr_eq(&slot.entry, entry) {
-                inner.map.remove(&key);
-            }
+        if inner
+            .peek(&key)
+            .is_some_and(|held| Arc::ptr_eq(held, entry))
+        {
+            inner.remove(&key);
         }
     }
 
@@ -281,15 +223,7 @@ impl SessionTable {
     /// caller to error-drain outside the table lock.
     pub fn take_connection(&self, conn: u64) -> Vec<Arc<SessionEntry>> {
         let mut inner = self.inner.lock().expect("session table lock");
-        let keys: Vec<SessionKey> = inner
-            .map
-            .keys()
-            .filter(|key| key.conn == conn)
-            .copied()
-            .collect();
-        keys.into_iter()
-            .filter_map(|key| inner.map.remove(&key).map(|slot| slot.entry))
-            .collect()
+        inner.remove_where(|key| key.conn == conn)
     }
 }
 

@@ -92,9 +92,12 @@
 //! full-evidence query under the session's current evidence would return —
 //! the incremental path is a latency optimisation, never an approximation.
 //!
-//! Lines without a `"v"` field remain protocol v1 and behave exactly as
-//! before; v1 clients need no changes.  A `"v"` other than 2 is a protocol
-//! error.
+//! A line without a `"v"` field is protocol v1, and *is* the
+//! `"type": "query"` envelope with the type left implicit: one `decode`
+//! maps every parsed line to one request enum, so a v1 line and the same
+//! line under the v2 envelope are the same request from there on and get
+//! byte-identical replies; v1 clients need no changes.  A `"v"` other than
+//! 2 is a protocol error.
 //!
 //! # Connection handling
 //!
@@ -103,9 +106,10 @@
 //! through [`crate::poll`] (`poll(2)` on Unix).  Each connection owns a
 //! read buffer with line-framing state (a partial line survives across
 //! reads), a write buffer flushed as the socket drains, and a FIFO of
-//! in-flight requests submitted to the shared [`Service`] — responses are
-//! collected non-blockingly ([`ResponseHandle::try_wait`]) and written back
-//! in request order.  No thread is spawned per connection, so one process
+//! in-flight requests submitted to the shared [`Service`] — responses of
+//! queries and session operations alike are collected non-blockingly
+//! ([`Handle::try_wait`](crate::service::Handle::try_wait)) and written
+//! back in request order.  No thread is spawned per connection, so one process
 //! holds thousands of mostly-idle connections; the [`Service`]'s fixed
 //! worker fleet drains the micro-batcher, and concurrency across
 //! connections is what feeds it.
@@ -164,8 +168,7 @@ impl TcpServer {
     /// Returns the bind error.
     pub fn spawn<B>(service: Arc<Service<B>>, addr: &str) -> std::io::Result<TcpServer>
     where
-        B: Backend + Clone + Send + Sync + 'static,
-        B::Compiled: Send + Sync + 'static,
+        B: Backend + Clone + 'static,
     {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -224,11 +227,30 @@ fn fd_of<T>(_socket: &T) -> i32 {
 enum InFlight {
     /// The response line is already known (commands, protocol errors).
     Ready(String),
-    /// Submitted to the service; polled via [`ResponseHandle::try_wait`].
-    Pending { id: u64, handle: ResponseHandle },
-    /// A submitted session operation; polled via
-    /// [`SessionHandle::try_wait`].
-    PendingSession { id: u64, handle: SessionHandle },
+    /// Submitted to the service under request id `id`.
+    Pending { id: u64, reply: Reply },
+}
+
+/// What a submitted request is waiting on: the two handle types differ only
+/// in the encoder their response goes through.
+enum Reply {
+    Query(ResponseHandle),
+    Session(SessionHandle),
+}
+
+impl Reply {
+    /// The encoded response line (or the request's error), once it is in;
+    /// `None` while the request is still in flight.
+    fn poll(&self) -> Option<Result<String, ServeError>> {
+        match self {
+            Reply::Query(handle) => handle
+                .try_wait()
+                .map(|result| result.map(|response| encode_response(&response))),
+            Reply::Session(handle) => handle
+                .try_wait()
+                .map(|result| result.map(|response| encode_session_response(&response))),
+        }
+    }
 }
 
 /// Per-connection state of the event loop.
@@ -268,12 +290,9 @@ impl Connection {
 
     /// Whether any submitted request is still waiting on the service.
     fn has_pending(&self) -> bool {
-        self.inflight.iter().any(|f| {
-            matches!(
-                f,
-                InFlight::Pending { .. } | InFlight::PendingSession { .. }
-            )
-        })
+        self.inflight
+            .iter()
+            .any(|f| matches!(f, InFlight::Pending { .. }))
     }
 
     /// Everything owed has been handed to the socket.
@@ -289,8 +308,7 @@ impl Connection {
     /// Drains the socket's receive buffer and frames complete lines.
     fn read_ready<B>(&mut self, service: &Service<B>, scratch: &mut [u8])
     where
-        B: Backend + Clone + Send + Sync + 'static,
-        B::Compiled: Send + Sync + 'static,
+        B: Backend + Clone + 'static,
     {
         loop {
             match self.stream.read(scratch) {
@@ -325,8 +343,7 @@ impl Connection {
     /// at most one partial line remains buffered.
     fn frame_lines<B>(&mut self, service: &Service<B>)
     where
-        B: Backend + Clone + Send + Sync + 'static,
-        B::Compiled: Send + Sync + 'static,
+        B: Backend + Clone + 'static,
     {
         let mut start = 0usize;
         while let Some(nl) = self.read_buf[start..].iter().position(|&b| b == b'\n') {
@@ -369,28 +386,12 @@ impl Connection {
                     };
                     reply
                 }
-                Some(InFlight::Pending { id, handle }) => match handle.try_wait() {
+                Some(InFlight::Pending { id, reply }) => match reply.poll() {
                     None => return,
-                    Some(Ok(response)) => {
+                    Some(result) => {
+                        let line = result.unwrap_or_else(|err| encode_error(*id, &err));
                         self.inflight.pop_front();
-                        encode_response(&response)
-                    }
-                    Some(Err(err)) => {
-                        let reply = encode_error(*id, &err);
-                        self.inflight.pop_front();
-                        reply
-                    }
-                },
-                Some(InFlight::PendingSession { id, handle }) => match handle.try_wait() {
-                    None => return,
-                    Some(Ok(response)) => {
-                        self.inflight.pop_front();
-                        encode_session_response(&response)
-                    }
-                    Some(Err(err)) => {
-                        let reply = encode_error(*id, &err);
-                        self.inflight.pop_front();
-                        reply
+                        line
                     }
                 },
             };
@@ -426,8 +427,7 @@ impl Connection {
 /// back in request order.
 fn event_loop<B>(service: &Arc<Service<B>>, listener: &TcpListener, shutdown: &AtomicBool)
 where
-    B: Backend + Clone + Send + Sync + 'static,
-    B::Compiled: Send + Sync + 'static,
+    B: Backend + Clone + 'static,
 {
     let mut connections: Vec<Connection> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
@@ -527,116 +527,131 @@ where
     }
 }
 
+/// One decoded request line.  A line without `"v"` *is* the v2
+/// `"type": "query"` envelope, so both dialects decode into the same
+/// variants and share everything downstream.
+enum Request {
+    /// `{"cmd": "models"}`.
+    Models,
+    /// `{"cmd": "metrics"}`.
+    Metrics,
+    /// A one-shot query (a v1 line, or `"type": "query"`).
+    Query(QueryRequest),
+    /// `"type": "session_open"`.
+    SessionOpen(SessionOpen),
+    /// `"type": "delta"`: the session id and its evidence flips.
+    Delta(u64, Vec<(usize, Option<bool>)>),
+    /// `"type": "session_close"`: the session id.
+    SessionClose(u64),
+}
+
 /// Parses one request line and either answers it immediately (commands,
-/// malformed requests) or submits it to the service.  Lines carrying
-/// `"v": 2` dispatch on their `"type"` envelope; lines without `"v"` are
-/// protocol v1 and take exactly the pre-session paths.
+/// malformed requests) or submits it to the service.
 fn process_line<B>(service: &Service<B>, line: &str, conn: u64) -> InFlight
 where
-    B: Backend + Clone + Send + Sync + 'static,
-    B::Compiled: Send + Sync + 'static,
+    B: Backend + Clone + 'static,
 {
     let doc = match json::parse(line) {
         Ok(doc) => doc,
         Err(err) => return InFlight::Ready(encode_error(0, &ServeError::Protocol(err))),
     };
-    let id = doc
-        .get("id")
-        .and_then(Value::as_f64)
-        .map(|n| n as u64)
-        .unwrap_or(0);
-    if doc.get("cmd").is_some() {
-        return InFlight::Ready(match handle_command(service, &doc) {
-            Ok(reply) => reply,
-            Err(err) => encode_error(id, &err),
-        });
-    }
-    match doc.get("v") {
-        None => match decode_request(&doc).and_then(|request| service.submit(request)) {
-            Ok(handle) => InFlight::Pending { id, handle },
-            Err(err) => InFlight::Ready(encode_error(id, &err)),
-        },
-        Some(Value::Num(v)) if *v == 2.0 => process_v2(service, &doc, id, conn),
-        Some(_) => InFlight::Ready(encode_error(
-            id,
-            &ServeError::Protocol("field \"v\" must be the number 2".to_string()),
-        )),
-    }
+    let id = lenient_id(&doc);
+    let dispatch = |request| {
+        let reply = match request {
+            Request::Models => return Ok(InFlight::Ready(models_reply(service))),
+            Request::Metrics => return Ok(InFlight::Ready(metrics_reply(service))),
+            Request::Query(request) => Reply::Query(service.submit(request)?),
+            Request::SessionOpen(open) => Reply::Session(service.session_open(conn, open)?),
+            Request::Delta(session, flips) => {
+                Reply::Session(service.session_delta(conn, session, id, flips)?)
+            }
+            Request::SessionClose(session) => {
+                Reply::Session(service.session_close(conn, session, id)?)
+            }
+        };
+        Ok(InFlight::Pending { id, reply })
+    };
+    decode(&doc)
+        .and_then(dispatch)
+        .unwrap_or_else(|err| InFlight::Ready(encode_error(id, &err)))
 }
 
-/// Dispatches one protocol-v2 envelope on its `"type"` field.
-fn process_v2<B>(service: &Service<B>, doc: &Value, id: u64, conn: u64) -> InFlight
-where
-    B: Backend + Clone + Send + Sync + 'static,
-    B::Compiled: Send + Sync + 'static,
-{
-    let submitted = match string_field(doc, "type").and_then(|kind| match kind.as_str() {
-        "query" => decode_request(doc)
-            .and_then(|request| service.submit(request))
-            .map(|handle| InFlight::Pending { id, handle }),
-        "session_open" => decode_session_open(doc)
-            .and_then(|request| service.session_open(conn, request))
-            .map(|handle| InFlight::PendingSession { id, handle }),
-        "delta" => decode_delta(doc).and_then(|(session, flips)| {
-            service
-                .session_delta(conn, session, id, flips)
-                .map(|handle| InFlight::PendingSession { id, handle })
-        }),
-        "session_close" => u64_field(doc, "session").and_then(|session| {
-            service
-                .session_close(conn, session, id)
-                .map(|handle| InFlight::PendingSession { id, handle })
-        }),
+/// Decodes one parsed line into the request it carries: a `{"cmd": ...}`
+/// introspection line, or an envelope dispatched on `"type"` — which a
+/// line without `"v"` (protocol v1) leaves implicit as `"query"`.
+fn decode(doc: &Value) -> Result<Request, ServeError> {
+    if let Some(cmd) = doc.get("cmd") {
+        return match as_str(cmd, "cmd")? {
+            "models" => Ok(Request::Models),
+            "metrics" => Ok(Request::Metrics),
+            other => Err(ServeError::Protocol(format!("unknown command {other:?}"))),
+        };
+    }
+    let kind = match doc.get("v") {
+        None => "query",
+        Some(Value::Num(v)) if *v == 2.0 => str_field(doc, "type")?,
+        Some(_) => {
+            return Err(ServeError::Protocol(
+                "field \"v\" must be the number 2".to_string(),
+            ))
+        }
+    };
+    match kind {
+        "query" => decode_request(doc).map(Request::Query),
+        "session_open" => decode_session_open(doc).map(Request::SessionOpen),
+        "delta" => Ok(Request::Delta(
+            u64_field(doc, "session")?,
+            decode_flips(doc)?,
+        )),
+        "session_close" => u64_field(doc, "session").map(Request::SessionClose),
         other => Err(ServeError::Protocol(format!(
             "unknown message type {other:?}"
         ))),
-    }) {
-        Ok(inflight) => inflight,
-        Err(err) => InFlight::Ready(encode_error(id, &err)),
-    };
-    submitted
+    }
 }
 
-/// Answers a `{"cmd": ...}` introspection line.
-fn handle_command<B>(service: &Service<B>, doc: &Value) -> Result<String, ServeError>
-where
-    B: Backend + Clone + Send + Sync + 'static,
-    B::Compiled: Send + Sync + 'static,
-{
-    let cmd = doc
-        .get("cmd")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ServeError::Protocol("field \"cmd\" must be a string".to_string()))?;
-    match cmd {
-        "models" => Ok(Value::Obj(vec![
-            ("ok".to_string(), Value::Bool(true)),
-            (
-                "models".to_string(),
-                Value::Arr(
-                    service
-                        .registry()
-                        .models()
-                        .into_iter()
-                        .map(Value::Str)
-                        .collect(),
-                ),
+/// The reply to `{"cmd": "models"}`.
+fn models_reply<B: Backend + Clone + 'static>(service: &Service<B>) -> String {
+    Value::Obj(vec![
+        ("ok".to_string(), Value::Bool(true)),
+        (
+            "models".to_string(),
+            Value::Arr(
+                service
+                    .registry()
+                    .models()
+                    .into_iter()
+                    .map(Value::Str)
+                    .collect(),
             ),
-        ])
-        .to_json()),
-        "metrics" => Ok(Value::Obj(vec![
-            ("ok".to_string(), Value::Bool(true)),
-            (
-                "metrics".to_string(),
-                Value::Arr(service.metrics().iter().map(metrics_value).collect()),
-            ),
-            (
-                "sessions".to_string(),
-                session_stats_value(&service.session_stats()),
-            ),
-        ])
-        .to_json()),
-        other => Err(ServeError::Protocol(format!("unknown command {other:?}"))),
-    }
+        ),
+    ])
+    .to_json()
+}
+
+/// The reply to `{"cmd": "metrics"}`.
+fn metrics_reply<B: Backend + Clone + 'static>(service: &Service<B>) -> String {
+    Value::Obj(vec![
+        ("ok".to_string(), Value::Bool(true)),
+        (
+            "metrics".to_string(),
+            Value::Arr(service.metrics().iter().map(metrics_value).collect()),
+        ),
+        (
+            "sessions".to_string(),
+            session_stats_value(&service.session_stats()),
+        ),
+    ])
+    .to_json()
+}
+
+/// The request id echoed in replies, read leniently: a missing or
+/// non-numeric `"id"` is 0, so even a malformed line gets an answer.
+fn lenient_id(doc: &Value) -> u64 {
+    doc.get("id")
+        .and_then(Value::as_f64)
+        .map(|n| n as u64)
+        .unwrap_or(0)
 }
 
 fn field<'a>(doc: &'a Value, key: &str) -> Result<&'a Value, ServeError> {
@@ -644,11 +659,20 @@ fn field<'a>(doc: &'a Value, key: &str) -> Result<&'a Value, ServeError> {
         .ok_or_else(|| ServeError::Protocol(format!("missing field {key:?}")))
 }
 
-fn string_field(doc: &Value, key: &str) -> Result<String, ServeError> {
-    field(doc, key)?
+fn as_str<'a>(value: &'a Value, key: &str) -> Result<&'a str, ServeError> {
+    value
         .as_str()
-        .map(str::to_string)
         .ok_or_else(|| ServeError::Protocol(format!("field {key:?} must be a string")))
+}
+
+fn str_field<'a>(doc: &'a Value, key: &str) -> Result<&'a str, ServeError> {
+    as_str(field(doc, key)?, key)
+}
+
+/// An optional string field: `None` when absent, a protocol error when
+/// present with any other type.
+fn opt_str_field<'a>(doc: &'a Value, key: &str) -> Result<Option<&'a str>, ServeError> {
+    doc.get(key).map(|value| as_str(value, key)).transpose()
 }
 
 fn u64_field(doc: &Value, key: &str) -> Result<u64, ServeError> {
@@ -666,23 +690,13 @@ fn u64_field(doc: &Value, key: &str) -> Result<u64, ServeError> {
 /// Decodes the optional `"numeric"` / `"precision"` fields into the model
 /// variant they select (defaults: linear, f64).
 fn variant_fields(doc: &Value) -> Result<ModelVariant, ServeError> {
-    let numeric = match doc.get("numeric") {
+    let numeric = match opt_str_field(doc, "numeric")? {
         None => NumericMode::Linear,
-        Some(value) => {
-            let name = value.as_str().ok_or_else(|| {
-                ServeError::Protocol("field \"numeric\" must be a string".to_string())
-            })?;
-            NumericMode::from_name(name)?
-        }
+        Some(name) => NumericMode::from_name(name)?,
     };
-    let precision = match doc.get("precision") {
+    let precision = match opt_str_field(doc, "precision")? {
         None => Precision::F64,
-        Some(value) => {
-            let name = value.as_str().ok_or_else(|| {
-                ServeError::Protocol("field \"precision\" must be a string".to_string())
-            })?;
-            Precision::from_name(name)?
-        }
+        Some(name) => Precision::from_name(name)?,
     };
     Ok(ModelVariant::new(numeric, precision))
 }
@@ -691,9 +705,9 @@ fn variant_fields(doc: &Value) -> Result<ModelVariant, ServeError> {
 fn decode_session_open(doc: &Value) -> Result<SessionOpen, ServeError> {
     let id = u64_field(doc, "id")?;
     let session = u64_field(doc, "session")?;
-    let model = string_field(doc, "model")?;
+    let model = str_field(doc, "model")?.to_string();
     let variant = variant_fields(doc)?;
-    let evidence = wire::parse_row(&string_field(doc, "row")?)?;
+    let evidence = wire::parse_row(str_field(doc, "row")?)?;
     Ok(SessionOpen {
         id,
         session,
@@ -703,11 +717,9 @@ fn decode_session_open(doc: &Value) -> Result<SessionOpen, ServeError> {
     })
 }
 
-/// Decodes a v2 `delta` envelope: the session id plus `[variable,
-/// observation]` flip pairs in the `'0'`/`'1'`/`'?'` row alphabet.
-#[allow(clippy::type_complexity)]
-fn decode_delta(doc: &Value) -> Result<(u64, Vec<(usize, Option<bool>)>), ServeError> {
-    let session = u64_field(doc, "session")?;
+/// Decodes the `"flips"` of a v2 `delta` envelope: `[variable,
+/// observation]` pairs in the `'0'`/`'1'`/`'?'` row alphabet.
+fn decode_flips(doc: &Value) -> Result<Vec<(usize, Option<bool>)>, ServeError> {
     let items = field(doc, "flips")?
         .as_arr()
         .ok_or_else(|| ServeError::Protocol("field \"flips\" must be an array".to_string()))?;
@@ -737,7 +749,7 @@ fn decode_delta(doc: &Value) -> Result<(u64, Vec<(usize, Option<bool>)>), ServeE
         };
         flips.push((var, obs));
     }
-    Ok((session, flips))
+    Ok(flips)
 }
 
 fn rows_field(doc: &Value, key: &str) -> Result<Vec<Evidence>, ServeError> {
@@ -762,13 +774,9 @@ fn rows_field(doc: &Value, key: &str) -> Result<Vec<Evidence>, ServeError> {
 /// Returns [`ServeError::Protocol`] for structural problems and
 /// [`ServeError::Invalid`] for semantic ones (bad rows, bad mode).
 pub fn decode_request(doc: &Value) -> Result<QueryRequest, ServeError> {
-    let id = doc
-        .get("id")
-        .and_then(Value::as_f64)
-        .map(|n| n as u64)
-        .unwrap_or(0);
-    let model = string_field(doc, "model")?;
-    let mode = QueryMode::from_name(&string_field(doc, "mode")?)?;
+    let id = lenient_id(doc);
+    let model = str_field(doc, "model")?.to_string();
+    let mode = QueryMode::from_name(str_field(doc, "mode")?)?;
     let (rows, givens) = if mode == QueryMode::Conditional {
         (
             rows_field(doc, "targets")?,
@@ -777,24 +785,7 @@ pub fn decode_request(doc: &Value) -> Result<QueryRequest, ServeError> {
     } else {
         (rows_field(doc, "rows")?, None)
     };
-    let numeric = match doc.get("numeric") {
-        None => NumericMode::Linear,
-        Some(value) => {
-            let name = value.as_str().ok_or_else(|| {
-                ServeError::Protocol("field \"numeric\" must be a string".to_string())
-            })?;
-            NumericMode::from_name(name)?
-        }
-    };
-    let precision = match doc.get("precision") {
-        None => Precision::F64,
-        Some(value) => {
-            let name = value.as_str().ok_or_else(|| {
-                ServeError::Protocol("field \"precision\" must be a string".to_string())
-            })?;
-            Precision::from_name(name)?
-        }
-    };
+    let variant = variant_fields(doc)?;
     let mut spec = SampleSpec::default();
     if doc.get("seed").is_some() {
         spec.seed = u64_field(doc, "seed")?;
@@ -805,16 +796,16 @@ pub fn decode_request(doc: &Value) -> Result<QueryRequest, ServeError> {
             ServeError::Protocol("field \"n_samples\" must fit in 32 bits".to_string())
         })?;
     }
-    if doc.get("method").is_some() {
-        spec.method = SampleMethod::from_name(&string_field(doc, "method")?)?;
+    if let Some(method) = opt_str_field(doc, "method")? {
+        spec.method = SampleMethod::from_name(method)?;
     }
     let query = wire::build_query_with_spec(mode, &rows, givens.as_deref(), spec)?;
     Ok(QueryRequest {
         id,
         model,
         query,
-        numeric,
-        precision,
+        numeric: variant.numeric,
+        precision: variant.precision,
     })
 }
 
@@ -994,11 +985,7 @@ fn session_stats_value(stats: &SessionStats) -> Value {
 /// [`ServeError::Protocol`] when the line is not a valid response.
 pub fn decode_response(line: &str) -> Result<QueryResponse, ServeError> {
     let doc = json::parse(line).map_err(ServeError::Protocol)?;
-    let id = doc
-        .get("id")
-        .and_then(Value::as_f64)
-        .map(|n| n as u64)
-        .unwrap_or(0);
+    let id = lenient_id(&doc);
     let ok = matches!(doc.get("ok"), Some(Value::Bool(true)));
     if !ok {
         let message = doc
@@ -1008,20 +995,9 @@ pub fn decode_response(line: &str) -> Result<QueryResponse, ServeError> {
             .to_string();
         return Err(ServeError::Remote(message));
     }
-    let model = string_field(&doc, "model")?;
-    let mode = QueryMode::from_name(&string_field(&doc, "mode")?)?;
-    let numeric = match doc.get("numeric") {
-        None => NumericMode::Linear,
-        Some(value) => NumericMode::from_name(value.as_str().ok_or_else(|| {
-            ServeError::Protocol("field \"numeric\" must be a string".to_string())
-        })?)?,
-    };
-    let precision = match doc.get("precision") {
-        None => Precision::F64,
-        Some(value) => Precision::from_name(value.as_str().ok_or_else(|| {
-            ServeError::Protocol("field \"precision\" must be a string".to_string())
-        })?)?,
-    };
+    let model = str_field(&doc, "model")?.to_string();
+    let mode = QueryMode::from_name(str_field(&doc, "mode")?)?;
+    let ModelVariant { numeric, precision } = variant_fields(&doc)?;
     let values = field(&doc, "values")?
         .as_arr()
         .ok_or_else(|| ServeError::Protocol("field \"values\" must be an array".to_string()))?

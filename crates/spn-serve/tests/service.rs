@@ -10,7 +10,7 @@ use spn_core::{
     ConditionalBatch, Evidence, EvidenceBatch, NumericMode, QueryBatch, QueryMode, Spn, SpnBuilder,
     VarId,
 };
-use spn_platforms::{CpuModel, Parallelism};
+use spn_platforms::{Backend, BackendError, BatchResult, CpuModel, ExecBuffers, Parallelism};
 use spn_serve::{BatchPolicy, Service, ServiceConfig};
 
 /// P(X0, X1) = P(X0) P(X1) with P(X0=1) = 0.2, P(X1=1) = 0.9.
@@ -398,5 +398,61 @@ fn conditional_requests_can_merge_after_map_requests_ran() {
         })
         .unwrap();
     assert!((response.values[0] - 0.2).abs() < 1e-9);
+    service.shutdown();
+}
+
+/// A backend with no code generator: every compile fails.
+#[derive(Clone)]
+struct NoCompile;
+
+impl Backend for NoCompile {
+    type Compiled = ();
+    type Scratch = ();
+
+    fn name(&self) -> String {
+        "no-compile".to_string()
+    }
+
+    fn compile(&self, _ops: &spn_core::flatten::OpList) -> Result<(), BackendError> {
+        Err("no code generator".into())
+    }
+
+    fn execute_batch(
+        &self,
+        _compiled: &(),
+        _batch: &EvidenceBatch,
+        _buffers: &mut ExecBuffers,
+        _scratch: &mut (),
+    ) -> Result<BatchResult, BackendError> {
+        unreachable!("nothing ever compiles")
+    }
+}
+
+#[test]
+fn a_compile_error_reaches_every_request_of_the_group_with_one_prefix() {
+    // One patient worker, so the two same-key requests are answered from
+    // one fan-out of the same engine-build failure.
+    let service = Service::new(
+        NoCompile,
+        ServiceConfig {
+            workers: 1,
+            policy: BatchPolicy {
+                max_batch_queries: 64,
+                max_wait: Duration::from_millis(100),
+            },
+            ..ServiceConfig::default()
+        },
+    );
+    service.register("pair", &independent_pair());
+    let handles: Vec<_> = (0..2)
+        .map(|id| {
+            let request = QueryRequest::from_rows(id, "pair", QueryMode::Marginal, &["1?"], None);
+            service.submit(request.unwrap()).unwrap()
+        })
+        .collect();
+    for handle in handles {
+        let message = handle.wait().unwrap_err().message();
+        assert_eq!(message, "backend error: no code generator");
+    }
     service.shutdown();
 }

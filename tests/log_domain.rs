@@ -74,8 +74,7 @@ fn assert_close(got: f64, want: f64, what: &str) {
 /// exactly 0.0, log mode matches the interpreted oracle, serial and sharded.
 fn check_backend<B>(name: &str, make: impl Fn() -> B)
 where
-    B: Backend + Sync,
-    B::Compiled: Sync,
+    B: Backend,
 {
     let spn = chain();
     let batch = chain_batch(96);

@@ -50,10 +50,7 @@ fn assert_bits_equal(serial: &[f64], parallel: &[f64], context: &str) {
 }
 
 /// One backend's parity check across worker counts and shard sizes.
-fn check_backend<B: Backend + Sync>(name: &str, backend: B, ops: &OpList, batch: &EvidenceBatch)
-where
-    B::Compiled: Sync,
-{
+fn check_backend<B: Backend>(name: &str, backend: B, ops: &OpList, batch: &EvidenceBatch) {
     let mut engine = Engine::from_ops(backend, ops).unwrap();
     let serial = engine.execute_batch(batch).unwrap();
     for workers in [1usize, 2, 3, 4, 8] {

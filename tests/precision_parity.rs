@@ -212,8 +212,7 @@ fn error_bound(
 /// slack.
 fn check_backend<B, F>(label: &str, make: F, spn: &Spn, modes: &[QueryMode], backend_exact: bool)
 where
-    B: Backend + Sync,
-    B::Compiled: Sync,
+    B: Backend,
     F: Fn() -> B,
 {
     for numeric in NumericMode::ALL {

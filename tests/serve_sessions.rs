@@ -60,14 +60,19 @@ impl Client {
         }
     }
 
-    fn ask(&mut self, line: &str) -> Value {
+    /// Sends one line and returns the reply line exactly as received.
+    fn ask_raw(&mut self, line: &str) -> String {
         self.writer.write_all(line.as_bytes()).unwrap();
         self.writer.write_all(b"\n").unwrap();
         self.writer.flush().unwrap();
         let mut reply = String::new();
         self.reader.read_line(&mut reply).unwrap();
         assert!(!reply.is_empty(), "connection dropped on {line:?}");
-        json::parse(reply.trim()).unwrap()
+        reply
+    }
+
+    fn ask(&mut self, line: &str) -> Value {
+        json::parse(self.ask_raw(line).trim()).unwrap()
     }
 }
 
@@ -177,6 +182,53 @@ fn v2_envelope_serves_one_shot_queries_and_rejects_unknown_versions() {
     assert!(is_ok(&reply), "{reply:?}");
     let values = reply.get("values").and_then(Value::as_arr).unwrap();
     assert!((values[0].as_f64().unwrap() - 1.0).abs() < 1e-9);
+
+    // ...in every mode, numeric domain and precision, and for a malformed
+    // request too: a v1 line and the same line under the v2 envelope get
+    // byte-identical replies.
+    for (body, ok) in [
+        (
+            r#""id": 10, "model": "banknote", "mode": "joint", "rows": ["1010"]"#,
+            true,
+        ),
+        (
+            r#""id": 11, "model": "banknote", "mode": "marginal", "rows": ["1???", "????"]"#,
+            true,
+        ),
+        (
+            r#""id": 12, "model": "banknote", "mode": "map", "rows": ["?1??"]"#,
+            true,
+        ),
+        (
+            r#""id": 13, "model": "banknote", "mode": "conditional", "targets": ["1???"], "givens": ["???0"]"#,
+            true,
+        ),
+        (
+            r#""id": 14, "model": "banknote", "mode": "sample", "rows": ["?1??"], "seed": 7, "n_samples": 3"#,
+            true,
+        ),
+        (
+            r#""id": 15, "model": "banknote", "mode": "expectation", "rows": ["1???"], "seed": 11, "n_samples": 64, "method": "likelihood""#,
+            true,
+        ),
+        (
+            r#""id": 16, "model": "banknote", "mode": "marginal", "numeric": "log", "rows": ["1???"]"#,
+            true,
+        ),
+        (
+            r#""id": 17, "model": "banknote", "mode": "map", "precision": "e8m10", "rows": ["??1?"]"#,
+            true,
+        ),
+        (
+            r#""id": 18, "model": "banknote", "mode": "marginal", "rows": [5]"#,
+            false,
+        ),
+    ] {
+        let v1 = client.ask_raw(&format!("{{{body}}}"));
+        let v2 = client.ask_raw(&format!(r#"{{"v": 2, "type": "query", {body}}}"#));
+        assert_eq!(v1, v2, "{body}");
+        assert_eq!(is_ok(&json::parse(v1.trim()).unwrap()), ok, "{body}: {v1}");
+    }
 
     // Unknown version numbers and unknown v2 types are protocol errors that
     // keep the connection open.
