@@ -50,7 +50,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spn_bench::{json_escape, json_number};
+use spn_bench::{flip_schedule, json_escape, json_number};
 use spn_core::batch::EvidenceBatch;
 use spn_core::query::{reference_query_with, ConditionalBatch, QueryBatch, QueryMode};
 use spn_core::random::{deep_chain_spn, random_spn, RandomSpnConfig};
@@ -725,31 +725,6 @@ fn measure_sampling_sweep(
         });
     }
     Ok(())
-}
-
-/// The flip-count walk: delta `q` flips `flips` rotating variables through
-/// observed-true / observed-false / marginalised states, so consecutive
-/// deltas touch different cones and the walk revisits every variable.
-fn flip_schedule(
-    num_vars: usize,
-    flips: usize,
-    total_deltas: usize,
-) -> Vec<Vec<(usize, Option<bool>)>> {
-    (0..total_deltas)
-        .map(|q| {
-            (0..flips)
-                .map(|j| {
-                    let var = (q * flips + j) % num_vars;
-                    let observation = match (q + j) % 3 {
-                        0 => Some(true),
-                        1 => Some(false),
-                        _ => None,
-                    };
-                    (var, observation)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// Replays `deltas` through a fresh evaluation session (the incremental

@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spn_bench::flip_schedule;
 use spn_core::random::{random_spn, RandomSpnConfig};
 use spn_core::wire::QueryRequest;
 use spn_core::{QueryMode, SampleMethod, SampleSpec, Spn};
@@ -114,6 +115,18 @@ fn build_request(id: u64, model: &str, num_vars: usize) -> QueryRequest {
     result.expect("deterministic request stream is well-formed")
 }
 
+/// Compiles every model's default-variant plan, max-product program
+/// included, before any request is timed: through the registry rather than
+/// through `query()`, so compile time never lands in the recorded serving
+/// metrics.
+fn warm_plans(service: &Service<CpuModel>, models: &[(String, Spn)]) -> Result<(), ServeError> {
+    for (name, _) in models {
+        let (mut engine, _) = service.registry().engine(name, ModelVariant::default())?;
+        engine.prepare_map().map_err(ServeError::from_backend)?;
+    }
+    Ok(())
+}
+
 /// Runs one configuration and aggregates its metrics.
 fn run_config(
     models: &[(String, Spn)],
@@ -135,17 +148,7 @@ fn run_config(
     for (name, spn) in models {
         service.register(name.clone(), spn);
     }
-    // Warm the compile caches through the registry (not through query(), so
-    // compile time never lands in the recorded serving metrics): compile the
-    // sum-product artifact per model and publish the max-product plan the
-    // MAP share of the stream will need.
-    for (name, _) in models {
-        let variant = ModelVariant::default();
-        let (mut engine, version) = service.registry().engine(name, variant)?;
-        engine.prepare_map().map_err(ServeError::from_backend)?;
-        let map = engine.shared_map().expect("map plan just prepared");
-        service.registry().store_map(name, version, variant, map);
-    }
+    warm_plans(&service, models)?;
 
     let interval = Duration::from_secs_f64(1.0 / rate);
     let mut handles: Vec<ResponseHandle> = Vec::with_capacity(requests as usize);
@@ -254,14 +257,7 @@ fn run_tcp_config(
     for (name, spn) in models {
         service.register(name.clone(), spn);
     }
-    // Warm the compile caches (as in `run_config`, including the MAP plan).
-    for (name, _) in models {
-        let variant = ModelVariant::default();
-        let (mut engine, version) = service.registry().engine(name, variant)?;
-        engine.prepare_map().map_err(ServeError::from_backend)?;
-        let map = engine.shared_map().expect("map plan just prepared");
-        service.registry().store_map(name, version, variant, map);
-    }
+    warm_plans(&service, models)?;
     let mut server = TcpServer::spawn(Arc::clone(&service), "127.0.0.1:0")
         .map_err(|err| ServeError::Protocol(format!("spawning TCP server: {err}")))?;
     let addr = server.local_addr();
@@ -346,31 +342,6 @@ fn run_tcp_config(
         errors,
         seconds,
     ))
-}
-
-/// The session-replay walk: delta `q` flips `flips` rotating variables
-/// through observed-true / observed-false / marginalised states (the same
-/// walk `bench_engine`'s session sweep uses).
-fn flip_schedule(
-    num_vars: usize,
-    flips: usize,
-    total_deltas: usize,
-) -> Vec<Vec<(usize, Option<bool>)>> {
-    (0..total_deltas)
-        .map(|q| {
-            (0..flips)
-                .map(|j| {
-                    let var = (q * flips + j) % num_vars;
-                    let observation = match (q + j) % 3 {
-                        0 => Some(true),
-                        1 => Some(false),
-                        _ => None,
-                    };
-                    (var, observation)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 fn observation_char(observation: Option<bool>) -> char {

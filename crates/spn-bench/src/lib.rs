@@ -243,6 +243,32 @@ pub fn markdown_table(results: &[PlatformResult]) -> String {
     out
 }
 
+/// The session-replay flip walk of `bench_engine` and `bench_serve`: delta
+/// `q` flips `flips` rotating variables through observed-true /
+/// observed-false / marginalised states, so consecutive deltas touch
+/// different cones and the walk revisits every variable.
+pub fn flip_schedule(
+    num_vars: usize,
+    flips: usize,
+    total_deltas: usize,
+) -> Vec<Vec<(usize, Option<bool>)>> {
+    (0..total_deltas)
+        .map(|q| {
+            (0..flips)
+                .map(|j| {
+                    let var = (q * flips + j) % num_vars;
+                    let observation = match (q + j) % 3 {
+                        0 => Some(true),
+                        1 => Some(false),
+                        _ => None,
+                    };
+                    (var, observation)
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Escapes a string for inclusion in a JSON document.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());

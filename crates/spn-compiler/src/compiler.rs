@@ -81,8 +81,8 @@ impl CompiledArtifact {
     }
 
     /// Fills `out` with the concatenated input vectors of every query in
-    /// `batch` (query-major, ready for `Processor::run_batch`), reusing the
-    /// allocation.
+    /// `batch` (query-major, ready for
+    /// `MultiCoreProcessor::run_batch_sharded`), reusing the allocation.
     ///
     /// # Errors
     ///

@@ -25,7 +25,7 @@
 //! is **bit-for-bit** the value a full re-evaluation would produce, in every
 //! numeric mode and precision.
 //!
-//! When the dirty cone exceeds [`ConeAnalysis::full_pass_fraction`] of the
+//! When the dirty cone exceeds [`DEFAULT_FULL_PASS_FRACTION`] of the
 //! program (dense flips on a shallow circuit), a full pass is cheaper than
 //! the bookkeeping and the delta path falls back to one automatically — the
 //! outcome reports which path ran via [`DeltaOutcome::full_pass`].
@@ -39,7 +39,7 @@ use crate::precision::Quantizer;
 use crate::vectorized::run_lanes;
 use crate::{Result, SpnError};
 
-/// Default dirty-cone fraction above which a delta falls back to a full pass.
+/// Dirty-cone fraction above which a delta falls back to a full pass.
 ///
 /// Recomputing a dirty op costs the same arithmetic as a full-pass op plus
 /// the indirection through the sorted cone list, so the crossover sits below
@@ -62,9 +62,6 @@ pub struct ConeAnalysis {
     cones: Vec<Vec<u32>>,
     num_inputs: usize,
     num_ops: usize,
-    /// Dirty-cone fraction above which [`ConeAnalysis::apply_flips`] runs a
-    /// full pass instead (see [`DEFAULT_FULL_PASS_FRACTION`]).
-    full_pass_fraction: f64,
 }
 
 impl ConeAnalysis {
@@ -109,20 +106,7 @@ impl ConeAnalysis {
             cones,
             num_inputs: ops.num_inputs(),
             num_ops: ops.num_ops(),
-            full_pass_fraction: DEFAULT_FULL_PASS_FRACTION,
         }
-    }
-
-    /// This analysis with a different full-pass fallback threshold
-    /// (clamped to `[0.0, 1.0]`; `0.0` forces every delta to a full pass).
-    pub fn with_full_pass_fraction(mut self, fraction: f64) -> ConeAnalysis {
-        self.full_pass_fraction = fraction.clamp(0.0, 1.0);
-        self
-    }
-
-    /// The dirty-cone fraction above which deltas fall back to a full pass.
-    pub fn full_pass_fraction(&self) -> f64 {
-        self.full_pass_fraction
     }
 
     /// Number of variables analysed.
@@ -201,7 +185,7 @@ impl ConeAnalysis {
 
     /// Applies evidence flips to a primed `state` and returns the new value,
     /// recomputing only the flipped variables' cones (or one full pass when
-    /// the dirty cone exceeds [`ConeAnalysis::full_pass_fraction`]).
+    /// the dirty cone exceeds [`DEFAULT_FULL_PASS_FRACTION`] of the program).
     ///
     /// Each flip is `(variable index, new observation)` — `None` marginalises
     /// the variable.  Flipping a variable to its current observation is
@@ -253,7 +237,7 @@ impl ConeAnalysis {
         // sizes)` with no sort over duplicate entries — and bails out to the
         // full pass the moment the union crosses the threshold, so a dense
         // flip set never pays union bookkeeping beyond the fallback's cost.
-        let limit = self.full_pass_fraction * self.num_ops as f64;
+        let limit = DEFAULT_FULL_PASS_FRACTION * self.num_ops as f64;
         let full_pass = |state: &mut IncrementalState| DeltaOutcome {
             value: state.full_pass(ops),
             recomputed_ops: self.num_ops,
@@ -504,19 +488,18 @@ mod tests {
     #[test]
     fn dense_flips_fall_back_to_a_full_pass() {
         let ops = program(7);
-        let cones = ConeAnalysis::from_op_list(&ops).with_full_pass_fraction(0.0);
-        assert_eq!(cones.full_pass_fraction(), 0.0);
+        let cones = ConeAnalysis::from_op_list(&ops);
         let mut state = IncrementalState::new();
         cones
             .prime(&ops, &Evidence::marginal(6), &mut state)
             .unwrap();
-        let outcome = cones
-            .apply_flips(&ops, &[(0, Some(true))], &mut state)
-            .unwrap();
+        // Every variable flips: the union of the cones is the whole program.
+        let flips: Vec<(usize, Option<bool>)> = (0..6).map(|var| (var, Some(true))).collect();
+        let outcome = cones.apply_flips(&ops, &flips, &mut state).unwrap();
         assert!(outcome.full_pass);
         assert_eq!(outcome.recomputed_ops, ops.num_ops());
         let mut evidence = Evidence::marginal(6);
-        evidence.observe(0, true);
+        (0..6).for_each(|var| evidence.observe(var, true));
         assert_eq!(
             outcome.value.to_bits(),
             ops.evaluate(&evidence).unwrap().to_bits()

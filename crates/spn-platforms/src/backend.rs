@@ -20,8 +20,8 @@
 //! query runs the identical kernel, so parallel output is bit-for-bit equal
 //! to serial output.
 //!
-//! The [`crate::Engine`] wrapper owns a backend, its compiled artifact and
-//! the buffers, which is the API the benchmark harness and examples use.
+//! The [`crate::Engine`] wrapper pairs a shared [`crate::Plan`] with the
+//! buffers, which is the API the benchmark harness and examples use.
 
 use std::sync::Arc;
 

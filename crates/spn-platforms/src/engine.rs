@@ -1,14 +1,17 @@
 //! The compile-once / execute-many inference engine.
 //!
-//! [`Engine`] binds a [`Backend`] to one compiled circuit and owns every
-//! piece of reusable execution state — the per-worker pool (whose first
-//! slot is the serial path's state) and the lazily compiled max-product
-//! artifact of MAP queries — so callers get the two-phase execution model
-//! through one handle:
+//! A [`Plan`] is the compile-once half as a type — one static program per
+//! circuit, immutable and [`Arc`]-shared — and an [`Engine`] is a plan plus
+//! the execution state private to the engine: the per-worker pool (whose
+//! first slot is the serial path's state) and a one-query scratch batch.
+//! What one engine compiles into the plan (the max-product program, on the
+//! first MAP query) every engine over it sees at once.  Callers get the
+//! two-phase execution model through one handle:
 //!
 //! * construct once ([`Engine::new`] with an [`EngineOptions`], or
 //!   [`Engine::from_ops`] for an already-lowered program; compilation
-//!   happens here),
+//!   happens here), or share an existing plan ([`Engine::from_plan`]: no
+//!   compilation, no copy of the program),
 //! * stream [`EvidenceBatch`]es through [`Engine::execute_batch`] (serial)
 //!   or [`Engine::execute_batch_parallel`] (sharded across a worker pool)
 //!   with zero per-query allocation,
@@ -21,7 +24,7 @@
 //! one-element batch.  All five entry points are one private `run`: a serial
 //! call is the sharded call with one shard.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
@@ -35,14 +38,9 @@ use spn_processor::{MultiCoreProcessor, PerfReport};
 use crate::backend::{Backend, BackendError, BatchResult, Parallelism, WorkerState};
 use crate::options::{EngineOptions, VerifyLevel};
 
-/// The MAP half of an engine, cheaply shareable between engines: the
-/// max-product program plus the backend's compiled artifact for it.
-///
-/// Compiled lazily on the first MAP query (or eagerly via
-/// [`Engine::prepare_map`]); a model registry can lift it out of one engine
-/// with [`Engine::shared_map`] and install it into sibling engines with
-/// [`Engine::install_map`], so a fleet of serving workers compiles the
-/// max-product variant once per circuit.
+/// The MAP half of a [`Plan`]: the max-product program plus the backend's
+/// compiled artifact for it.  Compiled at most once per plan, by the first
+/// MAP query of any engine over it (or eagerly via [`Engine::prepare_map`]).
 pub struct MapArtifact<B: Backend> {
     program: Arc<MaxProductProgram>,
     compiled: Arc<B::Compiled>,
@@ -54,6 +52,88 @@ impl<B: Backend> Clone for MapArtifact<B> {
             program: Arc::clone(&self.program),
             compiled: Arc::clone(&self.compiled),
         }
+    }
+}
+
+/// Everything about one circuit that is compiled once and then only read.
+/// Dropping the last `Arc` of a plan drops every artifact with it.
+pub struct Plan<B: Backend> {
+    backend: B,
+    ops: OpList,
+    compiled: B::Compiled,
+    map: OnceLock<MapArtifact<B>>,
+    /// Held while the max-product program compiles, so engines racing to
+    /// the first MAP query compile it once (`OnceLock::get_or_try_init`,
+    /// which would do this alone, is not stable).
+    map_compiling: Mutex<()>,
+    sampler: Option<Arc<SamplerProgram>>,
+}
+
+impl<B: Backend> Plan<B> {
+    /// Compiles the already-lowered `ops` with `backend`.  `sampler` serves
+    /// the approximate (sample / expectation) query modes and must come from
+    /// the graph `ops` was lowered from; without one they are rejected.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the backend cannot compile the program.
+    pub fn compile(
+        backend: B,
+        ops: OpList,
+        sampler: Option<Arc<SamplerProgram>>,
+    ) -> Result<Plan<B>, BackendError> {
+        let compiled = backend.compile(&ops)?;
+        Ok(Plan {
+            backend,
+            ops,
+            compiled,
+            map: OnceLock::new(),
+            map_compiling: Mutex::new(()),
+            sampler,
+        })
+    }
+
+    /// The lowered sum-product program.
+    pub fn ops(&self) -> &OpList {
+        &self.ops
+    }
+
+    /// The sampler, when the plan was built from a graph.
+    pub fn sampler(&self) -> Option<&Arc<SamplerProgram>> {
+        self.sampler.as_ref()
+    }
+
+    /// The max-product artifact, if some engine has compiled it already.
+    pub fn map(&self) -> Option<&MapArtifact<B>> {
+        self.map.get()
+    }
+
+    /// The max-product artifact, compiling it on the first call (a failed
+    /// compile is tried again by the next).
+    fn ensure_map(&self) -> Result<&MapArtifact<B>, BackendError> {
+        if let Some(map) = self.map.get() {
+            return Ok(map);
+        }
+        let _compiling = self
+            .map_compiling
+            .lock()
+            .expect("a max-product compile panicked");
+        if let Some(map) = self.map.get() {
+            return Ok(map);
+        }
+        let program = MaxProductProgram::from_op_list(&self.ops);
+        let compiled = Arc::new(self.backend.compile(program.ops())?);
+        Ok(self.map.get_or_init(|| MapArtifact {
+            program: Arc::new(program),
+            compiled,
+        }))
+    }
+
+    /// Fills the max-product slot with `map` when it is still empty, and
+    /// does nothing otherwise.  `map` must be the artifact of a plan over the
+    /// same program and backend configuration.
+    pub fn offer_map(&self, map: MapArtifact<B>) {
+        let _ = self.map.set(map);
     }
 }
 
@@ -153,26 +233,13 @@ impl EvalSession {
 /// # }
 /// ```
 pub struct Engine<B: Backend> {
-    backend: B,
-    /// Reference-counted so model registries and sibling worker engines can
-    /// share one compiled artifact ([`Engine::shared_compiled`]).
-    compiled: Arc<B::Compiled>,
-    /// The sum-product program the engine was compiled from; kept so the
-    /// max-product (MAP) variant can be derived lazily.
-    ops: OpList,
+    /// Everything compiled once per circuit, shared with every other engine
+    /// over it.
+    plan: Arc<Plan<B>>,
     /// Per-worker execution states (grown on first use, then reused across
     /// batches); the serial path is the one-shard case and runs on the
     /// first.
     workers: Vec<WorkerState<B>>,
-    /// Max-product artifact for MAP queries; compiled on first use (or
-    /// installed pre-compiled via [`Engine::install_map`]).
-    map: Option<MapArtifact<B>>,
-    /// Compiled sampler for the approximate (sample / expectation) query
-    /// modes.  Built by [`Engine::new`] (it needs the graph, which
-    /// [`Engine::from_ops`] does not have) or installed via
-    /// [`Engine::install_sampler`]; shared across sibling engines like the
-    /// compiled artifact.
-    sampler: Option<Arc<SamplerProgram>>,
     /// Scratch one-query batch backing [`Engine::execute`].
     single: EvidenceBatch,
 }
@@ -220,9 +287,9 @@ impl<B: Backend> Engine<B> {
                 }
             }
         }
-        let mut engine = Engine::from_ops(backend, &ops)?;
-        engine.sampler = Some(Arc::new(SamplerProgram::new(spn)));
-        Ok(engine)
+        let sampler = Arc::new(SamplerProgram::new(spn));
+        let plan = Plan::compile(backend, ops, Some(sampler))?;
+        Ok(Engine::from_plan(Arc::new(plan)))
     }
 
     /// Compiles an already-lowered `ops` program for `backend`.
@@ -231,105 +298,75 @@ impl<B: Backend> Engine<B> {
     ///
     /// Returns an error when the backend cannot compile the program.
     pub fn from_ops(backend: B, ops: &OpList) -> Result<Self, BackendError> {
-        let compiled = Arc::new(backend.compile(ops)?);
-        Ok(Engine::from_artifact(backend, ops, compiled))
+        let plan = Plan::compile(backend, ops.clone(), None)?;
+        Ok(Engine::from_plan(Arc::new(plan)))
     }
 
-    /// Wraps an already compiled artifact without recompiling.
-    ///
-    /// This is the cheap construction path of a serving fleet: a model
-    /// registry compiles (or caches) the artifact once, and every worker
-    /// engine is built from an [`Arc`] clone of it — only the per-engine
-    /// execution state (buffers, scratch, worker pool) is fresh.  `compiled`
-    /// must be `backend`'s compilation of `ops`.
-    pub fn from_artifact(backend: B, ops: &OpList, compiled: Arc<B::Compiled>) -> Self {
+    /// A fresh engine over an already compiled plan — the cheap construction
+    /// path of a serving fleet: a model registry compiles the plan once, and
+    /// every worker engine is an [`Arc`] clone of it plus fresh execution
+    /// state (buffers, scratch, worker pool).
+    pub fn from_plan(plan: Arc<Plan<B>>) -> Self {
         Engine {
-            backend,
-            compiled,
-            ops: ops.clone(),
+            single: EvidenceBatch::new(plan.ops.num_vars()),
+            plan,
             workers: Vec::new(),
-            map: None,
-            sampler: None,
-            single: EvidenceBatch::new(ops.num_vars()),
         }
+    }
+
+    /// The shared plan this engine executes.
+    pub fn plan(&self) -> &Arc<Plan<B>> {
+        &self.plan
     }
 
     /// The platform name of the underlying backend.
     pub fn name(&self) -> String {
-        self.backend.name()
+        self.plan.backend.name()
     }
 
     /// The underlying backend.
     pub fn backend(&self) -> &B {
-        &self.backend
+        &self.plan.backend
     }
 
     /// The compiled artifact this engine serves queries against.
     pub fn compiled(&self) -> &B::Compiled {
-        &self.compiled
+        &self.plan.compiled
     }
 
-    /// A shared handle to the compiled artifact (for caching it in a model
-    /// registry or constructing sibling engines via
-    /// [`Engine::from_artifact`]).
-    pub fn shared_compiled(&self) -> Arc<B::Compiled> {
-        Arc::clone(&self.compiled)
-    }
-
-    /// The max-product artifact, if it has been compiled or installed
-    /// (see [`Engine::prepare_map`] / [`Engine::install_map`]).
+    /// The plan's max-product artifact, if any engine over the plan has
+    /// compiled it (see [`Engine::prepare_map`]).
     pub fn shared_map(&self) -> Option<MapArtifact<B>> {
-        self.map.clone()
+        self.plan.map().cloned()
     }
 
-    /// Installs a pre-compiled max-product artifact (e.g. one lifted from a
-    /// sibling engine via [`Engine::shared_map`]), replacing any existing
-    /// one.  The artifact must come from an engine over the same program and
-    /// backend configuration.
-    pub fn install_map(&mut self, map: MapArtifact<B>) {
-        self.map = Some(map);
-    }
-
-    /// The compiled sampler, if the engine has one ([`Engine::new`] builds
-    /// it from the graph; [`Engine::from_ops`] cannot).
-    pub fn shared_sampler(&self) -> Option<Arc<SamplerProgram>> {
-        self.sampler.clone()
-    }
-
-    /// Installs a compiled sampler (e.g. one lifted from a sibling engine
-    /// via [`Engine::shared_sampler`], or built directly with
-    /// [`SamplerProgram::new`]), replacing any existing one.  The sampler
-    /// must come from the same graph the engine's program was lowered from.
-    pub fn install_sampler(&mut self, sampler: Arc<SamplerProgram>) {
-        self.sampler = Some(sampler);
-    }
-
-    /// Ensures the max-product artifact exists, compiling it if needed — the
-    /// eager form of what the first MAP query does lazily.
+    /// Ensures the plan's max-product artifact exists, compiling it if
+    /// needed — the eager form of what the first MAP query of any engine
+    /// over the plan does lazily.
     ///
     /// # Errors
     ///
     /// Returns an error when the backend cannot compile the max-product
     /// program.
     pub fn prepare_map(&mut self) -> Result<(), BackendError> {
-        self.map_plan().map(|_| ())
+        self.plan.ensure_map().map(|_| ())
     }
 
     /// The flattened sum-product program the engine was compiled from.
     pub fn ops(&self) -> &OpList {
-        &self.ops
+        &self.plan.ops
     }
 
     /// The numeric domain this engine computes in (inherited from the
     /// program it was compiled from).
     pub fn mode(&self) -> NumericMode {
-        self.ops.mode()
+        self.plan.ops.mode()
     }
 
     /// The emulated PE arithmetic format this engine computes in (inherited
     /// from the program it was compiled from).
     pub fn precision(&self) -> Precision {
-        self.ops.precision()
+        self.plan.ops.precision()
     }
 
     /// Executes every query of `batch` against the compiled circuit.
@@ -403,10 +440,10 @@ impl<B: Backend> Engine<B> {
     /// Returns an error when the evidence does not match the compiled
     /// program or the seeding pass fails.
     pub fn open_session(&mut self, evidence: &Evidence) -> Result<EvalSession, BackendError> {
-        let cones = self.backend.cone_analysis(&self.compiled);
+        let cones = self.plan.backend.cone_analysis(&self.plan.compiled);
         let mut state = IncrementalState::new();
         let value = match &cones {
-            Some(cones) => cones.prime(&self.ops, evidence, &mut state)?,
+            Some(cones) => cones.prime(&self.plan.ops, evidence, &mut state)?,
             None => self.execute(evidence)?.0,
         };
         Ok(EvalSession {
@@ -421,8 +458,8 @@ impl<B: Backend> Engine<B> {
     /// value, re-executing only the flipped variables' reachable cones when
     /// the backend supports it (with automatic fallback to a full pass when
     /// the dirty cone exceeds the
-    /// [`full-pass fraction`](ConeAnalysis::full_pass_fraction) of the
-    /// program, or always on backends without cone support).
+    /// [`full-pass fraction`](spn_core::incremental::DEFAULT_FULL_PASS_FRACTION)
+    /// of the program, or always on backends without cone support).
     ///
     /// Each flip is `(variable index, new observation)`; `None`
     /// marginalises the variable.  The value is **bit-for-bit** the value a
@@ -440,7 +477,8 @@ impl<B: Backend> Engine<B> {
         session: &mut EvalSession,
         flips: &[(usize, Option<bool>)],
     ) -> Result<DeltaOutcome, BackendError> {
-        let num_vars = self.ops.num_vars();
+        let ops = &self.plan.ops;
+        let num_vars = ops.num_vars();
         for &(var, _) in flips {
             if var >= num_vars {
                 return Err(Box::new(SpnError::UnknownVariable {
@@ -451,7 +489,7 @@ impl<B: Backend> Engine<B> {
         }
         let outcome = match &session.cones {
             Some(cones) => {
-                let outcome = cones.apply_flips(&self.ops, flips, &mut session.state)?;
+                let outcome = cones.apply_flips(ops, flips, &mut session.state)?;
                 session.apply_to_evidence(flips);
                 outcome
             }
@@ -460,7 +498,7 @@ impl<B: Backend> Engine<B> {
                 let (value, _) = self.execute(&session.evidence)?;
                 DeltaOutcome {
                     value,
-                    recomputed_ops: self.ops.num_ops(),
+                    recomputed_ops: self.plan.ops.num_ops(),
                     full_pass: true,
                 }
             }
@@ -469,35 +507,21 @@ impl<B: Backend> Engine<B> {
         Ok(outcome)
     }
 
-    /// Ensures the max-product artifact exists (compiling it on first use)
-    /// and returns it.
-    fn map_plan(&mut self) -> Result<&MapArtifact<B>, BackendError> {
-        if self.map.is_none() {
-            let program = MaxProductProgram::from_op_list(&self.ops);
-            let compiled = Arc::new(self.backend.compile(program.ops())?);
-            self.map = Some(MapArtifact {
-                program: Arc::new(program),
-                compiled,
-            });
-        }
-        Ok(self.map.as_ref().expect("map plan just ensured"))
-    }
-
     /// Recovers the maximising assignment of every query of a MAP batch by
     /// re-running the max-product program per query on the host and
     /// backtracking the argmax branches.
     fn trace_map_assignments(
-        plan: &MapArtifact<B>,
+        map: &MapArtifact<B>,
         batch: &EvidenceBatch,
     ) -> Result<Vec<Vec<bool>>, BackendError> {
-        plan.program.recipe().check(batch)?;
+        map.program.recipe().check(batch)?;
         let mut inputs = Vec::new();
         let mut results = Vec::new();
         let mut assignments = Vec::with_capacity(batch.len());
         for q in 0..batch.len() {
-            plan.program.run_query(batch, q, &mut inputs, &mut results);
+            map.program.run_query(batch, q, &mut inputs, &mut results);
             assignments.push(
-                plan.program
+                map.program
                     .trace_assignment(&inputs, &results, batch.query(q)),
             );
         }
@@ -505,8 +529,8 @@ impl<B: Backend> Engine<B> {
     }
 
     /// The one execution path behind every `execute*` entry point: `batch`
-    /// against the main artifact, or against the (already ensured)
-    /// max-product one when `map` is set, cut into
+    /// against the main artifact, or against the plan's max-product one
+    /// (compiled here if no engine has yet) when `map` is set, cut into
     /// [`Parallelism::shards_for`] shards — one shard is the serial call on
     /// the first worker state (see [`Backend::execute_batch_parallel`]).
     fn run(
@@ -516,17 +540,18 @@ impl<B: Backend> Engine<B> {
         parallelism: &Parallelism,
     ) -> Result<BatchResult, BackendError> {
         let compiled = if map {
-            &self.map.as_ref().expect("map plan ensured").compiled
+            &*self.plan.ensure_map()?.compiled
         } else {
-            &self.compiled
+            &self.plan.compiled
         };
-        self.backend
+        self.plan
+            .backend
             .execute_batch_parallel(compiled, batch, parallelism, &mut self.workers)
     }
 
     /// The per-mode lowering shared by [`Engine::execute_query`] and
     /// [`Engine::execute_query_parallel`] onto [`Engine::run`] passes; the
-    /// approximate modes run the installed sampler, sharded per
+    /// approximate modes run the plan's sampler, sharded per
     /// `parallelism`.  A single lowering guarantees the serial and parallel
     /// query paths can never diverge in policy.
     fn lower_query(
@@ -547,10 +572,8 @@ impl<B: Backend> Engine<B> {
                 })
             }
             QueryBatch::Map(batch) => {
-                self.map_plan()?;
                 let result = self.run(true, batch, parallelism)?;
-                let plan = self.map.as_ref().expect("map plan ensured");
-                let assignments = Self::trace_map_assignments(plan, batch)?;
+                let assignments = Self::trace_map_assignments(self.plan.ensure_map()?, batch)?;
                 Ok(QueryOutput {
                     values: result.values,
                     assignments: Some(assignments),
@@ -563,7 +586,7 @@ impl<B: Backend> Engine<B> {
                 let numerator = self.run(false, cond.numerator(), parallelism)?;
                 let denominator = self.run(false, cond.denominator(), parallelism)?;
                 let values =
-                    conditional_values(self.ops.mode(), numerator.values, &denominator.values)?;
+                    conditional_values(self.mode(), numerator.values, &denominator.values)?;
                 let mut perf = numerator.perf;
                 perf.merge(&denominator.perf);
                 Ok(QueryOutput {
@@ -579,7 +602,7 @@ impl<B: Backend> Engine<B> {
         }
     }
 
-    /// Runs the approximate modes over the installed sampler: rows are
+    /// Runs the approximate modes over the plan's sampler: rows are
     /// sharded across scoped threads per `parallelism` (per-row results are
     /// a pure function of `(row, spec, stream)`, so any sharding
     /// concatenates to the serial result bit for bit), then reported in the
@@ -592,10 +615,10 @@ impl<B: Backend> Engine<B> {
         sample_mode: bool,
         parallelism: &Parallelism,
     ) -> Result<QueryOutput, BackendError> {
-        let sampler = self.sampler.as_deref().ok_or_else(|| {
+        let sampler = self.plan.sampler.as_deref().ok_or_else(|| {
             Box::new(SpnError::invalid(
-                "engine has no sampler: approximate queries need an engine built from the \
-                 graph (Engine::new) or an installed sampler (Engine::install_sampler)"
+                "engine has no sampler: approximate queries need a plan built from the \
+                 graph (Engine::new), not from a flattened program"
                     .to_string(),
             ))
         })?;
@@ -636,8 +659,8 @@ impl<B: Backend> Engine<B> {
             }
             merged
         };
-        let mode = self.ops.mode();
-        let precision = self.ops.precision();
+        let mode = self.mode();
+        let precision = self.precision();
         let values = run
             .values
             .into_iter()
@@ -655,7 +678,7 @@ impl<B: Backend> Engine<B> {
             std_err: Some(run.std_err),
             samples: run.samples_drawn,
             perf: PerfReport {
-                platform: format!("{} sampler", self.backend.name()),
+                platform: format!("{} sampler", self.name()),
                 queries: batch.len() as u64,
                 ..PerfReport::default()
             },

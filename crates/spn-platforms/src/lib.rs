@@ -17,11 +17,11 @@
 //!   caller-owned [`ExecBuffers`] so the hot path allocates nothing per
 //!   query and reports batch-aware counters in [`BatchResult`].
 //!
-//! The [`Engine`] handle owns a backend, its compiled artifact and the
-//! buffers — construct it once with [`Engine::new`] and an
-//! [`EngineOptions`] (numeric domain, emulated PE precision, backend tuning
-//! knobs), then call [`Engine::execute_batch`] for each batch (or
-//! [`Engine::execute`] for the occasional single query).
+//! The [`Engine`] handle is a shared compiled [`Plan`] plus its own buffers
+//! — construct it once with [`Engine::new`] and an [`EngineOptions`]
+//! (numeric domain, emulated PE precision, backend tuning knobs), then call
+//! [`Engine::execute_batch`] for each batch (or [`Engine::execute`] for the
+//! occasional single query).
 //!
 //! Session-shaped workloads — one client flipping a few evidence variables
 //! between consecutive queries — use [`Engine::open_session`] /
@@ -73,7 +73,7 @@ pub mod processor;
 
 pub use backend::{Backend, BackendError, BatchResult, ExecBuffers, Parallelism, WorkerState};
 pub use cpu::{CpuCompiled, CpuConfig, CpuModel};
-pub use engine::{Engine, EvalSession, MapArtifact, QueryOutput};
+pub use engine::{Engine, EvalSession, MapArtifact, Plan, QueryOutput};
 pub use gpu::{GpuCompiled, GpuConfig, GpuModel};
 pub use options::{EngineOptions, VerifyLevel};
 pub use processor::{ProcessorBackend, ProcessorScratch};

@@ -21,10 +21,11 @@
 //! cycle ([`perf::PerfReport`]).
 //!
 //! Execution follows the compile-once / execute-many split: a program is
-//! compiled once and then streamed over evidence.  [`Processor::run_batch`]
-//! runs a whole batch of input vectors through one simulator instance
-//! (reusable [`SimState`], no per-query allocation) and accumulates the
-//! per-query counters into one batch-aware [`PerfReport`].
+//! compiled once and then streamed over evidence.
+//! [`MultiCoreProcessor::run_batch_sharded`] runs a whole batch of input
+//! vectors through one simulator instance per core (reusable [`SimState`]s,
+//! no per-query allocation) and accumulates the per-query counters into one
+//! batch-aware [`PerfReport`]; one core is the single-processor case.
 //!
 //! The two configurations evaluated in the paper are available as presets:
 //! [`ProcessorConfig::ptree`] (2 trees × 4 levels = 30 PEs) and
@@ -56,7 +57,7 @@ pub use multicore::{
 };
 pub use perf::{CorePerf, MultiCorePerf, PerfReport};
 pub use precision::Precision;
-pub use processor::{BatchExecution, ExecutionResult, Processor, SimState};
+pub use processor::{ExecutionResult, Processor, SimState};
 pub use trace::{diff_traces, NoTrace, TraceDivergence, TraceEvent, TraceHook, TraceRecorder};
 
 /// Convenience alias for results returned by this crate.

@@ -225,14 +225,17 @@ impl MultiCoreProcessor {
 
     /// Executes `program` over a batch, sharding the queries across cores.
     ///
-    /// `flat_inputs` holds `queries` consecutive input vectors, exactly as
-    /// for [`Processor::run_batch_with`]; `states` is resized to one
-    /// [`SimState`] per core when it does not fit.  Outputs are in batch
+    /// `flat_inputs` holds `queries` consecutive input vectors (query-major,
+    /// each one input-layout entry long) — the layout produced by
+    /// `spn_core::batch::InputRecipe::fill_batch`; `states` is resized to
+    /// one [`SimState`] per core when it does not fit.  Outputs are in batch
     /// order, bit-for-bit equal to a single-core run.
     ///
     /// # Errors
     ///
-    /// As for [`Processor::run_batch_with`].
+    /// Returns [`ProcessorError::InputMismatch`] when `flat_inputs` is not
+    /// exactly `queries` input vectors long, and any [`ProcessorError`] a
+    /// single [`Processor::run_with`] can produce.
     pub fn run_batch_sharded(
         &self,
         program: &Program,
@@ -640,22 +643,34 @@ mod tests {
         let program = sum_of_products_program();
         let flat: Vec<f64> = (0..20).map(|i| i as f64 + 0.5).collect(); // 5 queries
         let single = Processor::new(cfg()).unwrap();
-        let serial = single.run_batch(&program, &flat, 5).unwrap();
+        let mut state = single.state_for(&program);
+        let mut serial_outputs = Vec::new();
+        let mut serial_perf = PerfReport::default();
+        for inputs in flat.chunks(4) {
+            let run = single.run_with(&program, inputs, &mut state).unwrap();
+            serial_outputs.push(run.output);
+            serial_perf.merge(&run.perf);
+        }
         for cores in [1usize, 2, 3, 4] {
             let mc = MultiCoreProcessor::new(MultiCoreConfig::new(cores, cfg())).unwrap();
             let mut states = Vec::new();
             let batch = mc
                 .run_batch_sharded(&program, &flat, 5, &mut states)
                 .unwrap();
-            assert_eq!(batch.outputs, serial.outputs, "{cores} cores");
-            assert_eq!(batch.perf.source_ops, serial.perf.source_ops);
-            assert_eq!(batch.perf.memory_loads, serial.perf.memory_loads);
+            assert_eq!(batch.outputs, serial_outputs, "{cores} cores");
+            assert_eq!(batch.perf.source_ops, serial_perf.source_ops);
+            assert_eq!(batch.perf.memory_loads, serial_perf.memory_loads);
             assert_eq!(batch.perf.queries, 5);
             batch.cores.check_accounting().unwrap();
-            assert!(batch.perf.cycles <= serial.perf.cycles);
+            assert!(batch.perf.cycles <= serial_perf.cycles);
             if cores == 1 {
-                assert_eq!(batch.perf, serial.perf);
+                assert_eq!(batch.perf, serial_perf);
             }
+            // Mis-sized flat input is rejected.
+            assert!(matches!(
+                mc.run_batch_sharded(&program, &flat[..10], 5, &mut states),
+                Err(ProcessorError::InputMismatch { .. })
+            ));
         }
     }
 

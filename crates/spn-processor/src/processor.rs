@@ -21,7 +21,7 @@ use crate::error::ProcessorError;
 use crate::isa::{Instruction, MemOp, PeOp, Program, ReadSel, ValueLocation};
 use crate::perf::PerfReport;
 use crate::regfile::RegisterFile;
-use crate::trace::{NoTrace, TraceHook, TraceRecorder};
+use crate::trace::{NoTrace, TraceHook};
 use crate::tree::evaluate_tree;
 use crate::Result;
 
@@ -34,15 +34,6 @@ pub struct ExecutionResult {
     /// in declaration order; empty for ordinary single-output programs.
     pub exports: Vec<f64>,
     /// Performance counters of the run.
-    pub perf: PerfReport,
-}
-
-/// The outcome of executing a program over a batch of input vectors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchExecution {
-    /// One SPN root value per query, in batch order.
-    pub outputs: Vec<f64>,
-    /// Accumulated performance counters ([`PerfReport::queries`] passes).
     pub perf: PerfReport,
 }
 
@@ -120,7 +111,7 @@ impl Processor {
     ///
     /// Convenience wrapper that allocates fresh simulator storage; repeated
     /// runs should reuse a [`SimState`] via [`Processor::run_with`] or go
-    /// through [`Processor::run_batch`].
+    /// through [`crate::MultiCoreProcessor::run_batch_sharded`].
     ///
     /// # Errors
     ///
@@ -151,30 +142,17 @@ impl Processor {
         self.run_with_hook(program, inputs, state, &mut NoTrace)
     }
 
-    /// [`Processor::run_with`] with a cycle-accurate trace recorder attached:
-    /// every PE operation (opcode, operands, result, instruction occupancy)
-    /// and memory row operation is appended to `recorder`.
+    /// The generic run loop behind [`Processor::run_with`]: executes
+    /// `program` on one input vector, reporting every cycle's PE and memory
+    /// activity (opcode, operands, result, instruction occupancy, memory row
+    /// operations) to `hook`.
     ///
-    /// The untraced path is not affected by the existence of this method —
-    /// the run loop is generic over [`TraceHook`] and monomorphizes to the
-    /// hook-free code for [`NoTrace`].
+    /// The untraced path pays nothing for the hook — the loop monomorphizes
+    /// to hook-free code for [`NoTrace`].
     ///
     /// # Errors
     ///
     /// As for [`Processor::run_with`].
-    pub fn run_traced(
-        &self,
-        program: &Program,
-        inputs: &[f64],
-        state: &mut SimState,
-        recorder: &mut TraceRecorder,
-    ) -> Result<ExecutionResult> {
-        self.run_with_hook(program, inputs, state, recorder)
-    }
-
-    /// The generic run loop behind [`Processor::run_with`] and
-    /// [`Processor::run_traced`]: executes `program` on one input vector,
-    /// reporting every cycle's PE and memory activity to `hook`.
     pub fn run_with_hook<H: TraceHook>(
         &self,
         program: &Program,
@@ -266,68 +244,6 @@ impl Processor {
             exports,
             perf,
         })
-    }
-
-    /// Executes `program` over a dense batch of input vectors through one
-    /// simulator instance, accumulating the performance counters.
-    ///
-    /// `flat_inputs` holds `queries` consecutive input vectors (query-major,
-    /// each one input-layout entry long) — the layout produced by
-    /// `spn_core::batch::InputRecipe::fill_batch`.  The compiled program is
-    /// loaded once; only the data-memory image is rebuilt per query, which is
-    /// the paper's deployment model (compile at build time, stream evidence
-    /// at run time).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProcessorError::InputMismatch`] when `flat_inputs` is not
-    /// exactly `queries` input vectors long, and any [`ProcessorError`] a
-    /// single run can produce.
-    pub fn run_batch(
-        &self,
-        program: &Program,
-        flat_inputs: &[f64],
-        queries: usize,
-    ) -> Result<BatchExecution> {
-        let mut state = self.state_for(program);
-        self.run_batch_with(program, flat_inputs, queries, &mut state)
-    }
-
-    /// [`Processor::run_batch`] with caller-owned simulator storage, so
-    /// repeated batches through one compiled program allocate nothing.
-    ///
-    /// `state` is replaced by a freshly sized one when it does not fit
-    /// `program` (smaller data memory or a different bank geometry).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Processor::run_batch`].
-    pub fn run_batch_with(
-        &self,
-        program: &Program,
-        flat_inputs: &[f64],
-        queries: usize,
-        state: &mut SimState,
-    ) -> Result<BatchExecution> {
-        let per_query = program.input_layout.len();
-        if flat_inputs.len() != queries * per_query {
-            return Err(ProcessorError::InputMismatch {
-                expected: queries * per_query,
-                got: flat_inputs.len(),
-            });
-        }
-        let mut outputs = Vec::with_capacity(queries);
-        let mut perf = PerfReport::default();
-        for q in 0..queries {
-            let inputs = &flat_inputs[q * per_query..(q + 1) * per_query];
-            let run = self.run_with(program, inputs, state)?;
-            outputs.push(run.output);
-            perf.merge(&run.perf);
-        }
-        if perf.platform.is_empty() {
-            perf.platform.clone_from(&self.config.name);
-        }
-        Ok(BatchExecution { outputs, perf })
     }
 
     /// Applies all pending writes whose commit cycle is strictly before
@@ -643,25 +559,26 @@ mod tests {
     fn batched_run_reuses_state_and_accumulates_perf() {
         let program = sum_of_products_program();
         let proc = Processor::new(cfg()).unwrap();
-        // Three queries, flattened query-major.
-        let flat: Vec<f64> = [
+        // Three queries through one reused state.
+        let queries = [
             [2.0, 3.0, 4.0, 5.0],
             [1.0, 1.0, 1.0, 1.0],
             [0.5, 0.5, 2.0, 2.0],
-        ]
-        .concat();
-        let batch = proc.run_batch(&program, &flat, 3).unwrap();
-        assert_eq!(batch.outputs, vec![45.0, 4.0, 4.0]);
-        assert_eq!(batch.perf.queries, 3);
-        let single = proc.run(&program, &flat[..4]).unwrap();
-        assert_eq!(batch.perf.cycles, 3 * single.perf.cycles);
-        assert_eq!(batch.perf.source_ops, 3 * single.perf.source_ops);
-        assert_eq!(batch.perf.memory_loads, 3 * single.perf.memory_loads);
-        // Mis-sized flat input is rejected.
-        assert!(matches!(
-            proc.run_batch(&program, &flat[..10], 3),
-            Err(ProcessorError::InputMismatch { .. })
-        ));
+        ];
+        let mut state = proc.state_for(&program);
+        let mut outputs = Vec::new();
+        let mut perf = PerfReport::default();
+        for inputs in &queries {
+            let run = proc.run_with(&program, inputs, &mut state).unwrap();
+            outputs.push(run.output);
+            perf.merge(&run.perf);
+        }
+        assert_eq!(outputs, vec![45.0, 4.0, 4.0]);
+        assert_eq!(perf.queries, 3);
+        let single = proc.run(&program, &queries[0]).unwrap();
+        assert_eq!(perf.cycles, 3 * single.perf.cycles);
+        assert_eq!(perf.source_ops, 3 * single.perf.source_ops);
+        assert_eq!(perf.memory_loads, 3 * single.perf.memory_loads);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! * [`ModelRegistry`] — named circuits compiled for one backend, keyed by
 //!   [`ModelVariant`] (numeric mode × precision), with an LRU cache of
-//!   [`Arc`](std::sync::Arc)-shared compiled artifacts (worker engines are
-//!   built from reference-count bumps, not recompiles; evicted models
-//!   recompile transparently on next use),
+//!   [`Arc`](std::sync::Arc)-shared compiled
+//!   [`Plan`](spn_platforms::Plan)s (a worker engine is a reference-count
+//!   bump plus its own buffers, not a recompile; evicted variants recompile
+//!   transparently on next use),
 //! * [`Service`] — the in-process API: a submit queue, a pool of batcher
 //!   workers, and a **dynamic micro-batcher** that coalesces concurrent
 //!   same-`(model, mode)` requests into dense batches under a
@@ -34,7 +35,7 @@
 //! One-shot queries and session operations are one request path, not two:
 //! one wire decoder, one [`Handle`] type (named [`ResponseHandle`] and
 //! [`SessionHandle`] per response), one enqueue onto the worker queue, and
-//! one crate-private LRU map behind the artifact cache, the per-worker
+//! one crate-private LRU map behind the plan cache, the per-worker
 //! engine caches and the session table.
 //!
 //! # Quick example
@@ -77,7 +78,7 @@ pub mod tcp;
 
 pub use error::ServeError;
 pub use metrics::{Metrics, MetricsRecord, ModeStats, SessionStats};
-pub use registry::{ModelPlan, ModelRegistry, ModelVariant};
+pub use registry::{ModelRegistry, ModelVariant};
 pub use service::{BatchPolicy, Handle, ResponseHandle, Service, ServiceConfig};
 pub use session::{SessionHandle, SessionKey, SessionOpen, SessionResponse};
 pub use tcp::TcpServer;

@@ -1,6 +1,6 @@
 //! The one least-recently-used map of the serving layer.
 //!
-//! The registry's compiled-artifact cache, each batcher worker's engine
+//! The registry's compiled-plan cache, each batcher worker's engine
 //! cache and the session table are the same structure — a hash map whose
 //! entries carry a logical-clock timestamp, bounded by evicting the smallest
 //! timestamp — so they share this one definition.  Capacities here are tens

@@ -1,26 +1,23 @@
-//! The model registry: named circuits with an LRU cache of compiled
-//! artifacts.
+//! The model registry: named circuits with an LRU cache of compiled plans.
 //!
 //! A serving process multiplexes many models over one backend.  Compilation
 //! is the expensive once-per-circuit phase, so the registry keeps every
 //! registered model's flattened [`OpList`] (small) and an LRU-bounded cache
-//! of compiled artifacts (potentially large: VLIW programs, schedules,
-//! modelled cycle tables).  Artifacts are [`Arc`]-shared — handing one to a
-//! worker engine is a reference-count bump, and an artifact evicted from the
-//! cache stays alive exactly as long as some engine still executes against
-//! it.
+//! of compiled [`Plan`]s (potentially large: VLIW programs, schedules,
+//! modelled cycle tables).  Plans are [`Arc`]-shared — a worker engine is a
+//! reference-count bump plus its own buffers, and a plan evicted from the
+//! cache stays alive exactly as long as some engine still executes it.
 //!
-//! The max-product (MAP) artifact of a model rides along with its
-//! sum-product artifact: the first worker to answer a MAP query publishes
-//! the compiled max-product plan back via [`ModelRegistry::store_map`], and
-//! every later engine picks it up pre-compiled.
+//! The max-product (MAP) artifact of a model lives *inside* its plan: the
+//! first engine to answer a MAP query compiles it there, every engine over
+//! the plan — already built or not — sees it from then on, and evicting the
+//! plan evicts it too.
 //!
-//! Artifacts are held **per [`ModelVariant`]** (numeric mode × emulated PE
+//! Plans are held **per [`ModelVariant`]** (numeric mode × emulated PE
 //! precision): one model can serve linear- and log-domain traffic at
-//! several precisions side by side, each `(model, variant)` pair compiled
-//! once and cached independently.  The mode-lowered program is derived from
-//! the registered linear program on first use, then stamped with the
-//! requested precision — the same order as `EngineOptions::lower`, so a
+//! several precisions side by side, each `(model, variant)` pair lowered and
+//! compiled once, on its first cache miss.  The lowering order — numeric
+//! mode, then precision stamp — is that of `EngineOptions::lower`, so a
 //! registry-built engine and a directly-built one execute identical
 //! programs.  Cache keys carry the full variant, so variants can never
 //! alias; a re-registration of a name replaces the whole entry, which
@@ -32,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use spn_core::analysis;
 use spn_core::flatten::OpList;
 use spn_core::{NumericMode, Precision, SamplerProgram, Spn};
-use spn_platforms::{Backend, Engine, MapArtifact};
+use spn_platforms::{Backend, Engine, MapArtifact, Plan};
 
 use crate::error::ServeError;
 use crate::lru::Lru;
@@ -43,8 +40,8 @@ use crate::lru::Lru;
 ///
 /// Every layer of the serving stack that used to thread a loose
 /// `(NumericMode, Precision)` pair — registry cache keys, worker engine
-/// caches, map publication — keys on this one struct instead, so a variant
-/// can never be half-specified or accidentally transposed.
+/// caches, sessions — keys on this one struct instead, so a variant can
+/// never be half-specified or accidentally transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModelVariant {
     /// The numeric execution domain.
@@ -84,91 +81,49 @@ impl std::fmt::Display for ModelVariant {
     }
 }
 
-/// Everything a worker needs to build an [`Engine`] for one model in one
-/// [`ModelVariant`], shared cheaply out of the registry.
-pub struct ModelPlan<B: Backend> {
-    /// The flattened program in the plan's numeric mode and precision
-    /// (cloned per plan; engines keep their own copy).
-    pub ops: OpList,
-    /// The shared compiled artifact.
-    pub artifact: Arc<B::Compiled>,
-    /// The shared max-product artifact, once some engine has compiled it.
-    pub map: Option<MapArtifact<B>>,
-    /// The shared sampler for approximate (`sample` / `expectation`)
-    /// queries, built once at registration from the graph.  `None` when the
-    /// model was registered from a flattened program
-    /// ([`ModelRegistry::register_ops`]) — the graph structure a sampler
-    /// needs is gone by then — in which case approximate queries against the
-    /// model are rejected by the engine.
-    pub sampler: Option<Arc<SamplerProgram>>,
-    /// Bumped on every (re-)registration of the name, so workers can detect
-    /// stale cached engines.
-    pub version: u64,
-    /// The variant the plan was compiled for.
-    pub variant: ModelVariant,
-}
-
-/// The cache key of one compiled variant: model name plus variant.
-type ArtifactKey = (String, ModelVariant);
-
-/// Compiled state of one `(numeric mode, precision)` variant of a model.
-/// The cache evicts at *slot* granularity — map plan included — so one
-/// model serving many variants competes for cache space per variant, not
-/// all-or-nothing: a model with more variants than the whole capacity keeps
-/// its hottest ones cached instead of thrashing, and a client sweeping
-/// precision names cannot grow the variant table without bound.
-struct VariantSlot<B: Backend> {
-    artifact: Arc<B::Compiled>,
-    map: Option<MapArtifact<B>>,
-}
+/// The cache key of one compiled variant — and of a worker's engine over
+/// it: model name plus variant.
+pub(crate) type PlanKey = (String, ModelVariant);
 
 struct ModelEntry {
     /// The registered (linear-domain, full-precision) program; every variant
-    /// is derived from it on demand.
+    /// is lowered from it on a cache miss.
     ops: OpList,
-    /// The derived log-domain program, memoised on first use so repeated
-    /// log-mode plans pay a clone, not a re-derivation (the derivation runs
-    /// under the registry lock; it is immutable per registration).
-    log_ops: Option<OpList>,
     /// The sampler shared by every variant: sampling runs over the graph's
     /// own alias tables in its private log domain, so one program serves
     /// linear and log traffic at every precision (numeric / precision
     /// transforms are applied by the engine to the *reported* values only).
+    /// `None` when the model was registered from a flattened program
+    /// ([`ModelRegistry::register_ops`]).
     sampler: Option<Arc<SamplerProgram>>,
+    /// Bumped on every (re-)registration of the name, so workers can detect
+    /// stale cached engines.
     version: u64,
-}
-
-impl ModelEntry {
-    /// The entry's program lowered into the variant's numeric mode
-    /// (memoising the log-domain derivation) and stamped with its precision
-    /// — the same lowering order as `EngineOptions::lower`, so programs (and
-    /// therefore cached artifacts) agree bit for bit with directly-built
-    /// engines.
-    fn ops_for(&mut self, variant: ModelVariant) -> OpList {
-        let lowered = match variant.numeric {
-            NumericMode::Linear => &self.ops,
-            NumericMode::Log => self.log_ops.get_or_insert_with(|| self.ops.to_log_domain()),
-        };
-        if variant.precision == Precision::F64 {
-            lowered.clone()
-        } else {
-            lowered.with_precision(variant.precision)
-        }
-    }
 }
 
 struct Inner<B: Backend> {
     models: HashMap<String, ModelEntry>,
-    /// The compiled variants of every model, least-recently-used evicted
-    /// beyond the registry's capacity (the models stay registered and an
-    /// evicted variant recompiles on demand).  Holds slots of current
-    /// registrations only: replacing or removing a name drops its slots.
-    artifacts: Lru<ArtifactKey, VariantSlot<B>>,
+    /// Each compiled variant beside the registration version it was
+    /// compiled from, least-recently-used evicted beyond the registry's
+    /// capacity (the models stay registered and an evicted variant recompiles
+    /// on demand).  Eviction is per variant, so a model with more variants
+    /// than the capacity keeps its hottest ones and a client sweeping
+    /// precision names cannot grow the cache without bound.  Holds plans of
+    /// current registrations only: replacing or removing a name drops them.
+    plans: Lru<PlanKey, (u64, Arc<Plan<B>>)>,
     /// Monotonic version source across registrations.
     next_version: u64,
 }
 
-/// Named circuits compiled for one backend, with an LRU artifact cache.
+impl<B: Backend> Inner<B> {
+    fn entry(&self, name: &str) -> Result<&ModelEntry, ServeError> {
+        self.models
+            .get(name)
+            .ok_or_else(|| ServeError::UnknownModel(name.to_string()))
+    }
+}
+
+/// Named circuits compiled for one backend, with an LRU plan cache.
 pub struct ModelRegistry<B: Backend> {
     backend: B,
     inner: Mutex<Inner<B>>,
@@ -176,13 +131,13 @@ pub struct ModelRegistry<B: Backend> {
 
 impl<B: Backend + Clone> ModelRegistry<B> {
     /// Creates a registry compiling with `backend`, holding at most
-    /// `capacity` compiled artifacts (clamped to at least one).
+    /// `capacity` compiled plans (clamped to at least one).
     pub fn new(backend: B, capacity: usize) -> ModelRegistry<B> {
         ModelRegistry {
             backend,
             inner: Mutex::new(Inner {
                 models: HashMap::new(),
-                artifacts: Lru::new(capacity),
+                plans: Lru::new(capacity),
                 next_version: 0,
             }),
         }
@@ -260,18 +215,17 @@ impl<B: Backend + Clone> ModelRegistry<B> {
         inner.next_version += 1;
         let entry = ModelEntry {
             ops,
-            log_ops: None,
             sampler,
             version: inner.next_version,
         };
-        inner.artifacts.remove_where(|(model, _)| *model == name);
+        inner.plans.remove_where(|(model, _)| *model == name);
         inner.models.insert(name, entry);
     }
 
-    /// Removes `name`; in-flight engines keep their shared artifacts alive.
+    /// Removes `name`; in-flight engines keep their shared plans alive.
     pub fn unregister(&self, name: &str) -> bool {
         let mut inner = self.inner.lock().expect("registry lock");
-        inner.artifacts.remove_where(|(model, _)| model == name);
+        inner.plans.remove_where(|(model, _)| model == name);
         inner.models.remove(name).is_some()
     }
 
@@ -290,11 +244,7 @@ impl<B: Backend + Clone> ModelRegistry<B> {
     /// Returns [`ServeError::UnknownModel`] when `name` is not registered.
     pub fn num_vars(&self, name: &str) -> Result<usize, ServeError> {
         let inner = self.inner.lock().expect("registry lock");
-        inner
-            .models
-            .get(name)
-            .map(|entry| entry.ops.num_vars())
-            .ok_or_else(|| ServeError::UnknownModel(name.to_string()))
+        Ok(inner.entry(name)?.ops.num_vars())
     }
 
     /// The current registration version of `name` (bumped on every
@@ -305,107 +255,79 @@ impl<B: Backend + Clone> ModelRegistry<B> {
     /// Returns [`ServeError::UnknownModel`] when `name` is not registered.
     pub fn version(&self, name: &str) -> Result<u64, ServeError> {
         let inner = self.inner.lock().expect("registry lock");
-        inner
-            .models
-            .get(name)
-            .map(|entry| entry.version)
-            .ok_or_else(|| ServeError::UnknownModel(name.to_string()))
+        Ok(inner.entry(name)?.version)
     }
 
-    /// Number of compiled artifacts currently cached, across all numeric
-    /// modes (for tests and observability; bounded by the LRU capacity).
+    /// Number of compiled plans currently cached, across all variants (for
+    /// tests and observability; bounded by the LRU capacity).
     pub fn cached_artifacts(&self) -> usize {
-        self.inner.lock().expect("registry lock").artifacts.len()
+        self.inner.lock().expect("registry lock").plans.len()
     }
 
-    /// Returns the shared execution plan for `name` in `variant`, compiling
-    /// (and caching) the artifact on a cache miss and evicting the
-    /// least-recently-used model's artifacts beyond the cache capacity.
-    /// Every variant of one model lives side by side under its own cache
-    /// key.
-    ///
-    /// Compilation happens outside the registry lock, so a slow compile
-    /// stalls only the models that need it, not every worker.
+    /// Returns the shared plan for `name` in `variant` beside the
+    /// registration version it was compiled from.  A cache hit is a lookup
+    /// and a reference-count bump; a miss lowers the registered program into
+    /// the variant, compiles it — outside the registry lock, so a slow
+    /// compile stalls only the models that need it, not every worker —
+    /// caches the plan and evicts the least-recently-used ones beyond the
+    /// cache capacity.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownModel`] when `name` is not registered and
     /// [`ServeError::Backend`] when compilation fails.
-    pub fn plan(&self, name: &str, variant: ModelVariant) -> Result<ModelPlan<B>, ServeError> {
-        let key: ArtifactKey = (name.to_string(), variant);
-        let (ops, version, sampler) = {
+    pub fn plan(
+        &self,
+        name: &str,
+        variant: ModelVariant,
+    ) -> Result<(u64, Arc<Plan<B>>), ServeError> {
+        let key: PlanKey = (name.to_string(), variant);
+        let (ops, sampler, version) = {
             let mut inner = self.inner.lock().expect("registry lock");
-            let inner = &mut *inner;
-            let entry = inner
-                .models
-                .get_mut(name)
-                .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
-            let (ops, version, sampler) =
-                (entry.ops_for(variant), entry.version, entry.sampler.clone());
-            if let Some(slot) = inner.artifacts.get(&key) {
-                return Ok(ModelPlan {
-                    ops,
-                    artifact: Arc::clone(&slot.artifact),
-                    map: slot.map.clone(),
-                    sampler,
-                    version,
-                    variant,
-                });
+            if let Some((version, plan)) = inner.plans.get(&key) {
+                return Ok((*version, Arc::clone(plan)));
             }
-            (ops, version, sampler)
+            let entry = inner.entry(name)?;
+            let ops = entry
+                .ops
+                .with_mode(variant.numeric)
+                .with_precision(variant.precision);
+            (ops, entry.sampler.clone(), entry.version)
         };
 
-        let artifact = Arc::new(
-            self.backend
-                .compile(&ops)
-                .map_err(ServeError::from_backend)?,
-        );
+        let plan = Plan::compile(self.backend.clone(), ops, sampler)
+            .map(Arc::new)
+            .map_err(ServeError::from_backend)?;
 
         let mut inner = self.inner.lock().expect("registry lock");
-        // The model may have been replaced or dropped while compiling; only
-        // cache the artifact if it still matches what we compiled.  A
-        // sibling worker may have cached the variant (and published its
-        // max-product plan) meanwhile — hand that plan out rather than
-        // letting the caller recompile it.
-        let mut map = None;
+        // The model may have been replaced or dropped while compiling: a
+        // plan of a past registration goes to its caller only.  When a
+        // sibling worker cached the variant meanwhile, its plan wins, so
+        // every engine shares one.
         if inner.models.get(name).map(|entry| entry.version) == Some(version) {
-            if let Some(slot) = inner.artifacts.get(&key) {
-                map = slot.map.clone();
-            } else {
-                let slot = VariantSlot {
-                    artifact: Arc::clone(&artifact),
-                    map: None,
-                };
-                inner.artifacts.insert(key, slot);
+            if let Some((_, cached)) = inner.plans.get(&key) {
+                return Ok((version, Arc::clone(cached)));
             }
+            inner.plans.insert(key, (version, Arc::clone(&plan)));
         }
-        Ok(ModelPlan {
-            ops,
-            artifact,
-            map,
-            sampler,
-            version,
-            variant,
-        })
+        Ok((version, plan))
     }
 
-    /// Publishes a compiled max-product artifact for `name`'s `variant`
-    /// (ignored when the model was re-registered since `version`, the slot
-    /// already has one, or the variant's main artifact is no longer cached —
-    /// a map rides along with its artifact, so map plans can never
-    /// accumulate past the LRU capacity).
+    /// Offers a compiled max-product artifact to the cached plan of `name`'s
+    /// `variant` (ignored when the model was re-registered since `version`,
+    /// the plan already has one, or the variant is not cached).  An engine
+    /// compiles the artifact straight into the plan it shares, so this only
+    /// matters for an artifact from another plan of the same registration.
     pub fn store_map(&self, name: &str, version: u64, variant: ModelVariant, map: MapArtifact<B>) {
         let mut inner = self.inner.lock().expect("registry lock");
-        if inner.models.get(name).map(|entry| entry.version) == Some(version) {
-            if let Some(slot) = inner.artifacts.peek(&(name.to_string(), variant)) {
-                if slot.map.is_none() {
-                    slot.map = Some(map);
-                }
+        if let Some((cached, plan)) = inner.plans.peek(&(name.to_string(), variant)) {
+            if *cached == version {
+                plan.offer_map(map);
             }
         }
     }
 
-    /// Builds a fresh engine for `name` in `variant` from the shared plan:
+    /// Builds a fresh engine for `name` in `variant` over the shared plan:
     /// compilation is reused, only per-engine execution state is allocated.
     ///
     /// # Errors
@@ -416,15 +338,8 @@ impl<B: Backend + Clone> ModelRegistry<B> {
         name: &str,
         variant: ModelVariant,
     ) -> Result<(Engine<B>, u64), ServeError> {
-        let plan = self.plan(name, variant)?;
-        let mut engine = Engine::from_artifact(self.backend.clone(), &plan.ops, plan.artifact);
-        if let Some(map) = plan.map {
-            engine.install_map(map);
-        }
-        if let Some(sampler) = plan.sampler {
-            engine.install_sampler(sampler);
-        }
-        Ok((engine, plan.version))
+        let (version, plan) = self.plan(name, variant)?;
+        Ok((Engine::from_plan(plan), version))
     }
 }
 
@@ -448,14 +363,40 @@ mod tests {
         registry
     }
 
+    /// The cached plan of `name` in `variant` (compiling on a miss).
+    fn plan_of(
+        registry: &ModelRegistry<CpuModel>,
+        name: &str,
+        variant: ModelVariant,
+    ) -> Arc<Plan<CpuModel>> {
+        registry.plan(name, variant).unwrap().1
+    }
+
     #[test]
     fn plans_share_one_artifact_per_model() {
         let registry = registry_with(&["a"], 4);
-        let first = registry.plan("a", ModelVariant::default()).unwrap();
-        let second = registry.plan("a", ModelVariant::default()).unwrap();
-        assert!(Arc::ptr_eq(&first.artifact, &second.artifact));
+        let first = plan_of(&registry, "a", ModelVariant::default());
+        let second = plan_of(&registry, "a", ModelVariant::default());
+        assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(registry.cached_artifacts(), 1);
         assert!(registry.plan("missing", ModelVariant::default()).is_err());
+    }
+
+    #[test]
+    fn engines_built_before_the_first_map_query_share_its_artifact() {
+        // Both engines exist before either needs the max-product program:
+        // whichever compiles it first compiles it for both.
+        let registry = registry_with(&["a"], 4);
+        let (mut a, _) = registry.engine("a", ModelVariant::default()).unwrap();
+        let (b, _) = registry.engine("a", ModelVariant::default()).unwrap();
+        assert!(b.shared_map().is_none());
+        a.prepare_map().unwrap();
+        assert!(b.shared_map().is_some(), "a sibling engine missed the map");
+        assert!(Arc::ptr_eq(a.plan(), b.plan()));
+        let (map_a, map_b) = (a.plan().map().unwrap(), b.plan().map().unwrap());
+        assert!(std::ptr::eq(map_a, map_b));
+        // One program per plan: engines hold no copy of their own.
+        assert!(std::ptr::eq(a.ops(), b.ops()));
     }
 
     #[test]
@@ -464,12 +405,12 @@ mod tests {
         registry.plan("a", ModelVariant::default()).unwrap();
         registry.plan("b", ModelVariant::default()).unwrap();
         registry.plan("a", ModelVariant::default()).unwrap(); // refresh a; b is now coldest
-        registry.plan("c", ModelVariant::default()).unwrap(); // evicts b's artifact
+        registry.plan("c", ModelVariant::default()).unwrap(); // evicts b's plan
         assert_eq!(registry.cached_artifacts(), 2);
         assert_eq!(registry.models().len(), 3); // models stay registered
                                                 // The evicted model recompiles transparently.
-        let plan = registry.plan("b", ModelVariant::default()).unwrap();
-        assert_eq!(plan.ops.num_vars(), registry.num_vars("b").unwrap());
+        let plan = plan_of(&registry, "b", ModelVariant::default());
+        assert_eq!(plan.ops().num_vars(), registry.num_vars("b").unwrap());
     }
 
     #[test]
@@ -483,17 +424,18 @@ mod tests {
         assert_eq!(out.values.len(), 3);
         assert!(out.values.iter().all(|v| (v - 1.0).abs() < 1e-9));
 
-        // Publishing a map artifact makes later engines pick it up.
+        // A prepared map artifact is what later engines execute too...
         engine.prepare_map().unwrap();
-        registry.store_map(
-            "a",
-            version,
-            ModelVariant::new(NumericMode::Linear, Precision::F64),
-            engine.shared_map().unwrap(),
-        );
+        let map = engine.shared_map().unwrap();
         let (second, _) = registry.engine("a", ModelVariant::default()).unwrap();
         assert!(second.shared_map().is_some());
-        // ...but only in the numeric mode it was published for.
+        // ...and offering it back to a plan that has it changes nothing.
+        registry.store_map("a", version, ModelVariant::default(), map);
+        assert!(std::ptr::eq(
+            engine.plan().map().unwrap(),
+            second.plan().map().unwrap()
+        ));
+        // It exists only in the variant it was compiled for.
         let (log_engine, _) = registry.engine("a", ModelVariant::log()).unwrap();
         assert!(log_engine.shared_map().is_none());
     }
@@ -501,42 +443,37 @@ mod tests {
     #[test]
     fn graph_registrations_carry_a_sampler_but_ops_registrations_do_not() {
         let registry = registry_with(&["a"], 4);
-        // Registered from the graph: every variant's engine shares one
+        // Registered from the graph: every variant's plan shares one
         // sampler program.
-        let linear = registry.engine("a", ModelVariant::default()).unwrap().0;
-        let log = registry.engine("a", ModelVariant::log()).unwrap().0;
-        let first = linear.shared_sampler().expect("sampler from graph");
-        let second = log.shared_sampler().expect("sampler shared per model");
-        assert!(Arc::ptr_eq(&first, &second));
+        let linear = plan_of(&registry, "a", ModelVariant::default());
+        let log = plan_of(&registry, "a", ModelVariant::log());
+        let first = linear.sampler().expect("sampler from graph");
+        let second = log.sampler().expect("sampler shared per model");
+        assert!(Arc::ptr_eq(first, second));
 
         // Registered from a flattened program: no graph, no sampler.
-        let plan = registry.plan("a", ModelVariant::default()).unwrap();
-        registry.register_ops("flat", plan.ops.clone());
-        let flat = registry.engine("flat", ModelVariant::default()).unwrap().0;
-        assert!(flat.shared_sampler().is_none());
+        registry.register_ops("flat", linear.ops().clone());
+        let flat = plan_of(&registry, "flat", ModelVariant::default());
+        assert!(flat.sampler().is_none());
     }
 
     #[test]
     fn linear_and_log_artifacts_live_side_by_side() {
         let registry = registry_with(&["a"], 4);
-        let linear = registry.plan("a", ModelVariant::default()).unwrap();
-        let log = registry.plan("a", ModelVariant::log()).unwrap();
-        assert_eq!(linear.variant.numeric, NumericMode::Linear);
-        assert_eq!(log.variant.numeric, NumericMode::Log);
-        assert_eq!(log.ops.mode(), NumericMode::Log);
-        assert!(!Arc::ptr_eq(&linear.artifact, &log.artifact));
+        let linear = plan_of(&registry, "a", ModelVariant::default());
+        let log = plan_of(&registry, "a", ModelVariant::log());
+        assert_eq!(linear.ops().mode(), NumericMode::Linear);
+        assert_eq!(log.ops().mode(), NumericMode::Log);
+        assert!(!Arc::ptr_eq(&linear, &log));
         assert_eq!(registry.cached_artifacts(), 2);
-        // Re-planning either mode reuses its cached artifact.
+        // Re-planning either mode reuses its cached plan.
         assert!(Arc::ptr_eq(
-            &registry.plan("a", ModelVariant::log()).unwrap().artifact,
-            &log.artifact
+            &plan_of(&registry, "a", ModelVariant::log()),
+            &log
         ));
         assert!(Arc::ptr_eq(
-            &registry
-                .plan("a", ModelVariant::default())
-                .unwrap()
-                .artifact,
-            &linear.artifact
+            &plan_of(&registry, "a", ModelVariant::default()),
+            &linear
         ));
 
         let vars = registry.num_vars("a").unwrap();
@@ -552,10 +489,10 @@ mod tests {
     fn lru_eviction_follows_use_order_under_capacity_pressure() {
         // Capacity 2, three models planned in a known access order: the
         // registry must always evict exactly the least-recently-used cached
-        // variant slot, never a warmer one (each model here holds a single
-        // variant, so slot order and model order coincide).
+        // plan, never a warmer one (each model here holds a single variant,
+        // so plan order and model order coincide).
         let registry = registry_with(&["a", "b", "c"], 2);
-        let a1 = registry.plan("a", ModelVariant::default()).unwrap();
+        let a1 = plan_of(&registry, "a", ModelVariant::default());
         registry.plan("b", ModelVariant::default()).unwrap();
         // Use order is now [a, b]; touching "a" makes it [b, a].
         registry.plan("a", ModelVariant::default()).unwrap();
@@ -563,49 +500,35 @@ mod tests {
         registry.plan("c", ModelVariant::default()).unwrap();
         assert_eq!(registry.cached_artifacts(), 2);
         assert!(
-            Arc::ptr_eq(
-                &registry
-                    .plan("a", ModelVariant::default())
-                    .unwrap()
-                    .artifact,
-                &a1.artifact
-            ),
+            Arc::ptr_eq(&plan_of(&registry, "a", ModelVariant::default()), &a1),
             "a must have survived the eviction of b"
         );
         // Re-planning "b" recompiles (fresh Arc) and evicts the now-coldest
         // "c"; "a" — refreshed by the ptr_eq check above — survives again.
-        let b2 = registry.plan("b", ModelVariant::default()).unwrap();
+        let b2 = plan_of(&registry, "b", ModelVariant::default());
         assert!(Arc::ptr_eq(
-            &registry
-                .plan("a", ModelVariant::default())
-                .unwrap()
-                .artifact,
-            &a1.artifact
+            &plan_of(&registry, "a", ModelVariant::default()),
+            &a1
         ));
         assert!(Arc::ptr_eq(
-            &registry
-                .plan("b", ModelVariant::default())
-                .unwrap()
-                .artifact,
-            &b2.artifact
+            &plan_of(&registry, "b", ModelVariant::default()),
+            &b2
         ));
         assert_eq!(registry.cached_artifacts(), 2);
     }
 
     #[test]
     fn one_model_with_more_variants_than_capacity_keeps_its_hottest_variants() {
-        // Eviction is per (mode, precision) slot, not per model: a single
+        // Eviction is per (mode, precision) plan, not per model: a single
         // model serving three precisions through a capacity-2 cache must
         // keep the two most recently used variants cached rather than
         // thrashing to zero.
         let registry = registry_with(&["a"], 2);
-        let f64_plan = registry
-            .plan("a", ModelVariant::new(NumericMode::Linear, Precision::F64))
-            .unwrap();
-        let f32_plan = registry
-            .plan("a", ModelVariant::new(NumericMode::Linear, Precision::F32))
-            .unwrap();
-        // Third variant evicts the coldest slot (f64), nothing else.
+        let f64_variant = ModelVariant::new(NumericMode::Linear, Precision::F64);
+        let f32_variant = ModelVariant::new(NumericMode::Linear, Precision::F32);
+        let f64_plan = plan_of(&registry, "a", f64_variant);
+        let f32_plan = plan_of(&registry, "a", f32_variant);
+        // Third variant evicts the coldest plan (f64), nothing else.
         registry
             .plan(
                 "a",
@@ -614,26 +537,18 @@ mod tests {
             .unwrap();
         assert_eq!(registry.cached_artifacts(), 2);
         assert!(
-            Arc::ptr_eq(
-                &registry
-                    .plan("a", ModelVariant::new(NumericMode::Linear, Precision::F32))
-                    .unwrap()
-                    .artifact,
-                &f32_plan.artifact
-            ),
+            Arc::ptr_eq(&plan_of(&registry, "a", f32_variant), &f32_plan),
             "the still-warm f32 variant was evicted"
         );
         // The f64 variant recompiles on demand (fresh Arc).
-        let f64_again = registry
-            .plan("a", ModelVariant::new(NumericMode::Linear, Precision::F64))
-            .unwrap();
-        assert!(!Arc::ptr_eq(&f64_again.artifact, &f64_plan.artifact));
+        let f64_again = plan_of(&registry, "a", f64_variant);
+        assert!(!Arc::ptr_eq(&f64_again, &f64_plan));
         assert_eq!(registry.cached_artifacts(), 2);
     }
 
     #[test]
     fn variant_cache_keys_never_alias() {
-        // Every (mode, precision) variant of one model gets its own artifact
+        // Every (mode, precision) variant of one model gets its own plan
         // under its own key: same-precision different-mode, same-mode
         // different-precision and the f64 default must all be distinct, and
         // re-planning any one of them must return exactly its own Arc.
@@ -647,47 +562,39 @@ mod tests {
         ];
         let plans: Vec<_> = variants
             .iter()
-            .map(|&(mode, precision)| {
-                registry
-                    .plan("a", ModelVariant::new(mode, precision))
-                    .unwrap()
-            })
+            .map(|&(mode, precision)| plan_of(&registry, "a", ModelVariant::new(mode, precision)))
             .collect();
         assert_eq!(registry.cached_artifacts(), variants.len());
         for (i, a) in plans.iter().enumerate() {
-            for b in plans.iter().skip(i + 1) {
+            for (b, other) in plans.iter().zip(&variants).skip(i + 1) {
                 assert!(
-                    !Arc::ptr_eq(&a.artifact, &b.artifact),
+                    !Arc::ptr_eq(a, b),
                     "({}, {}) aliases ({}, {})",
-                    a.variant.numeric,
-                    a.variant.precision,
-                    b.variant.numeric,
-                    b.variant.precision
+                    variants[i].0,
+                    variants[i].1,
+                    other.0,
+                    other.1
                 );
             }
             // The plan's program actually is the requested variant.
-            assert_eq!(a.ops.mode(), variants[i].0);
-            assert_eq!(a.ops.precision(), variants[i].1);
-            let again = registry
-                .plan("a", ModelVariant::new(variants[i].0, variants[i].1))
-                .unwrap();
-            assert!(Arc::ptr_eq(&again.artifact, &a.artifact));
+            assert_eq!(a.ops().mode(), variants[i].0);
+            assert_eq!(a.ops().precision(), variants[i].1);
+            let again = plan_of(
+                &registry,
+                "a",
+                ModelVariant::new(variants[i].0, variants[i].1),
+            );
+            assert!(Arc::ptr_eq(&again, a));
         }
 
-        // A map artifact published for one variant is invisible to siblings.
-        let (mut engine, version) = registry
+        // A map artifact compiled for one variant is invisible to siblings.
+        let (mut engine, _) = registry
             .engine(
                 "a",
                 ModelVariant::new(NumericMode::Linear, Precision::E8M10),
             )
             .unwrap();
         engine.prepare_map().unwrap();
-        registry.store_map(
-            "a",
-            version,
-            ModelVariant::new(NumericMode::Linear, Precision::E8M10),
-            engine.shared_map().unwrap(),
-        );
         assert!(registry
             .engine(
                 "a",
@@ -715,6 +622,20 @@ mod tests {
     }
 
     #[test]
+    fn an_evicted_plan_takes_its_map_artifact_with_it() {
+        let registry = registry_with(&["a", "b"], 1);
+        let (mut engine, _) = registry.engine("a", ModelVariant::default()).unwrap();
+        engine.prepare_map().unwrap();
+        registry.plan("b", ModelVariant::default()).unwrap(); // evicts a's plan
+        assert_eq!(registry.cached_artifacts(), 1);
+        // The recompiled plan starts without one; the old engine keeps its
+        // own plan, map included, alive.
+        let (fresh, _) = registry.engine("a", ModelVariant::default()).unwrap();
+        assert!(fresh.shared_map().is_none());
+        assert!(engine.shared_map().is_some());
+    }
+
+    #[test]
     fn hot_swap_invalidates_every_precision_variant() {
         let registry = registry_with(&["a"], 16);
         let old: Vec<_> = Precision::SWEEP
@@ -726,30 +647,31 @@ mod tests {
             })
             .collect();
         assert_eq!(registry.cached_artifacts(), Precision::SWEEP.len());
+        let (mut old_engine, old_version) = registry
+            .engine("a", ModelVariant::new(NumericMode::Linear, Precision::F64))
+            .unwrap();
 
         // Re-register under the same name: every cached variant must go.
         let mut rng = StdRng::seed_from_u64(99);
         let replacement = random_spn(&RandomSpnConfig::with_vars(9), &mut rng);
         registry.register("a", &replacement);
         assert_eq!(registry.cached_artifacts(), 0, "stale variants survived");
-        for (old_plan, &p) in old.iter().zip(&Precision::SWEEP) {
-            let fresh = registry
+        for ((old_version, old_plan), &p) in old.iter().zip(&Precision::SWEEP) {
+            let (version, fresh) = registry
                 .plan("a", ModelVariant::new(NumericMode::Linear, p))
                 .unwrap();
-            assert!(fresh.version > old_plan.version);
-            assert!(!Arc::ptr_eq(&fresh.artifact, &old_plan.artifact));
-            assert_eq!(fresh.ops.num_vars(), 9);
+            assert!(version > *old_version);
+            assert!(!Arc::ptr_eq(&fresh, old_plan));
+            assert_eq!(fresh.ops().num_vars(), 9);
         }
-        // A stale map publication (old version) is silently dropped.
-        let (mut engine, _) = registry
-            .engine("a", ModelVariant::new(NumericMode::Linear, Precision::F64))
-            .unwrap();
-        engine.prepare_map().unwrap();
+        // A stale map publication (an engine of the old registration, old
+        // version) is silently dropped.
+        old_engine.prepare_map().unwrap();
         registry.store_map(
             "a",
-            old[0].version,
+            old_version,
             ModelVariant::new(NumericMode::Linear, Precision::F64),
-            engine.shared_map().unwrap(),
+            old_engine.shared_map().unwrap(),
         );
         assert!(registry
             .engine("a", ModelVariant::new(NumericMode::Linear, Precision::F64))
@@ -762,13 +684,13 @@ mod tests {
     #[test]
     fn reregistration_bumps_the_version() {
         let registry = registry_with(&["a"], 2);
-        let before = registry.plan("a", ModelVariant::default()).unwrap();
+        let (before, _) = registry.plan("a", ModelVariant::default()).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let spn = random_spn(&RandomSpnConfig::with_vars(9), &mut rng);
         registry.register("a", &spn);
-        let after = registry.plan("a", ModelVariant::default()).unwrap();
-        assert!(after.version > before.version);
-        assert_eq!(after.ops.num_vars(), 9);
+        let (after, plan) = registry.plan("a", ModelVariant::default()).unwrap();
+        assert!(after > before);
+        assert_eq!(plan.ops().num_vars(), 9);
         assert!(registry.unregister("a"));
         assert!(!registry.unregister("a"));
     }

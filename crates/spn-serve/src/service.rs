@@ -21,6 +21,10 @@
 //! and the wait never triggers; when idle a single request pays at most
 //! `max_wait` extra latency (`max_wait = 0` disables waiting entirely).
 //!
+//! A worker's engines are only buffers over the registry's shared plans:
+//! whatever is compiled — the max-product program of the first MAP query
+//! included — is compiled once, into the plan, for every worker.
+//!
 //! Coalescing never changes answers: every backend applies an identical
 //! per-query kernel, so the values a request receives from a coalesced batch
 //! are bit-for-bit those of executing it alone.  If a merged batch fails
@@ -60,7 +64,7 @@ use spn_platforms::{Backend, Engine, Parallelism, QueryOutput};
 use crate::error::ServeError;
 use crate::lru::Lru;
 use crate::metrics::{Metrics, MetricsRecord, SessionStats};
-use crate::registry::{ModelRegistry, ModelVariant};
+use crate::registry::{ModelRegistry, ModelVariant, PlanKey};
 use crate::session::{
     evict_entry, SessionEntry, SessionHandle, SessionInner, SessionKey, SessionOp, SessionOpen,
     SessionPending, SessionResponse, SessionTable,
@@ -841,7 +845,6 @@ fn dispatch<B>(
 
     match output {
         Ok(output) => {
-            publish_map(registry, engines, &model, mode, variant);
             let mut offset = 0;
             for pending in group {
                 let n = pending.request.query.len();
@@ -860,7 +863,6 @@ fn dispatch<B>(
                 });
                 respond(metrics, pending, result);
             }
-            publish_map(registry, engines, &model, mode, variant);
         }
         Err(err) => {
             let pending = group.into_iter().next().expect("non-empty group");
@@ -872,18 +874,14 @@ fn dispatch<B>(
 /// Cap on cached engines per batcher worker.  The precision half of the
 /// key is client-controlled (hundreds of valid `e<exp>m<mant>` names), so
 /// an unbounded cache would let a client sweeping precisions bloat every
-/// worker and pin registry-evicted artifacts alive; beyond the cap the
+/// worker and pin registry-evicted plans alive; beyond the cap the
 /// least-recently-used engine is dropped and rebuilt on demand from the
-/// registry's shared plan (a cheap Arc bump when the artifact is still
-/// cached).
+/// registry's shared plan (a cheap Arc bump when the plan is still cached).
 const MAX_WORKER_ENGINES: usize = 32;
-
-/// The key of one cached worker engine: model name plus execution variant.
-type EngineKey = (String, ModelVariant);
 
 /// One batcher worker's LRU-bounded engine cache: each engine beside the
 /// registry version it was built from.
-type WorkerEngines<B> = Lru<EngineKey, (u64, Engine<B>)>;
+type WorkerEngines<B> = Lru<PlanKey, (u64, Engine<B>)>;
 
 /// Looks up (or builds) this worker's engine for `(model, variant)`,
 /// rebuilding when the registry holds a newer version and evicting the
@@ -909,27 +907,6 @@ where
     }
     let (version, engine) = engines.get(&key).expect("engine just ensured");
     Ok((engine, *version))
-}
-
-/// After a MAP dispatch, publishes the engine's (possibly just compiled)
-/// max-product artifact so sibling workers skip the compile.
-fn publish_map<B>(
-    registry: &ModelRegistry<B>,
-    engines: &mut WorkerEngines<B>,
-    model: &str,
-    mode: QueryMode,
-    variant: ModelVariant,
-) where
-    B: Backend + Clone,
-{
-    if mode != QueryMode::Map {
-        return;
-    }
-    if let Some((version, engine)) = engines.peek(&(model.to_string(), variant)) {
-        if let Some(map) = engine.shared_map() {
-            registry.store_map(model, *version, variant, map);
-        }
-    }
 }
 
 /// Cuts one request's window out of a batch output.  `offset` and `len`

@@ -1,7 +1,8 @@
 //! In-process service tests: correctness across modes, observable
 //! coalescing, per-request error isolation, and model hot-swap.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use spn_core::query::{reference_query, reference_query_with};
@@ -10,8 +11,10 @@ use spn_core::{
     ConditionalBatch, Evidence, EvidenceBatch, NumericMode, QueryBatch, QueryMode, Spn, SpnBuilder,
     VarId,
 };
-use spn_platforms::{Backend, BackendError, BatchResult, CpuModel, ExecBuffers, Parallelism};
-use spn_serve::{BatchPolicy, Service, ServiceConfig};
+use spn_platforms::{
+    Backend, BackendError, BatchResult, CpuCompiled, CpuModel, ExecBuffers, Parallelism,
+};
+use spn_serve::{BatchPolicy, ModelVariant, Service, ServiceConfig};
 
 /// P(X0, X1) = P(X0) P(X1) with P(X0=1) = 0.2, P(X1=1) = 0.9.
 fn independent_pair() -> Spn {
@@ -454,5 +457,91 @@ fn a_compile_error_reaches_every_request_of_the_group_with_one_prefix() {
         let message = handle.wait().unwrap_err().message();
         assert_eq!(message, "backend error: no code generator");
     }
+    service.shutdown();
+}
+
+/// The CPU model, counting `compile` calls and making executions meet in
+/// pairs: a call to `execute_batch` returns only once a second thread is
+/// inside it too, so two requests answered this way were answered by two
+/// different workers.
+#[derive(Clone)]
+struct CountingPairs {
+    cpu: CpuModel,
+    compiles: Arc<AtomicUsize>,
+    pair: Arc<Barrier>,
+}
+
+impl Backend for CountingPairs {
+    type Compiled = CpuCompiled;
+    type Scratch = ();
+
+    fn name(&self) -> String {
+        self.cpu.name()
+    }
+
+    fn compile(&self, ops: &spn_core::flatten::OpList) -> Result<CpuCompiled, BackendError> {
+        self.compiles.fetch_add(1, Ordering::SeqCst);
+        self.cpu.compile(ops)
+    }
+
+    fn execute_batch(
+        &self,
+        compiled: &CpuCompiled,
+        batch: &EvidenceBatch,
+        buffers: &mut ExecBuffers,
+        scratch: &mut (),
+    ) -> Result<BatchResult, BackendError> {
+        self.pair.wait();
+        self.cpu.execute_batch(compiled, batch, buffers, scratch)
+    }
+}
+
+#[test]
+fn two_workers_compile_a_models_max_product_program_once() {
+    let compiles = Arc::new(AtomicUsize::new(0));
+    let backend = CountingPairs {
+        cpu: CpuModel::new(),
+        compiles: Arc::clone(&compiles),
+        pair: Arc::new(Barrier::new(2)),
+    };
+    // No coalescing: every request is its own batch.
+    let service = Service::new(
+        backend,
+        ServiceConfig {
+            workers: 2,
+            policy: BatchPolicy {
+                max_batch_queries: 1,
+                max_wait: Duration::ZERO,
+            },
+            ..ServiceConfig::default()
+        },
+    );
+    service.register("pair", &independent_pair());
+    // Compile the sum-product program here, so the workers cannot race to it.
+    service
+        .registry()
+        .plan("pair", ModelVariant::default())
+        .unwrap();
+    assert_eq!(compiles.load(Ordering::SeqCst), 1);
+
+    let answer_in_pairs = |mode: QueryMode| {
+        let handles: Vec<_> = (0..2)
+            .map(|id| {
+                let request = QueryRequest::from_rows(id, "pair", mode, &["1?"], None);
+                service.submit(request.unwrap()).unwrap()
+            })
+            .collect();
+        for handle in handles {
+            handle.wait().unwrap();
+        }
+    };
+    // One marginal request per worker: both engines exist before either
+    // meets a MAP query.
+    answer_in_pairs(QueryMode::Marginal);
+    assert_eq!(compiles.load(Ordering::SeqCst), 1);
+    // One MAP request per worker: the max-product program compiles once,
+    // into the plan both engines share.
+    answer_in_pairs(QueryMode::Map);
+    assert_eq!(compiles.load(Ordering::SeqCst), 2);
     service.shutdown();
 }
