@@ -2,14 +2,13 @@
 
 use spn_core::batch::{EvidenceBatch, InputRecipe};
 use spn_core::flatten::{FlattenOptions, OpList, OperandRef, PartInput};
-use spn_core::incremental::ConeAnalysis;
 use spn_core::{Evidence, Spn};
 use spn_processor::config::ProcessorConfig;
 use spn_processor::isa::Program;
 use spn_processor::multicore::{CoreProgram, PartitionedProgram, TransferSource};
 
 use crate::report::CompileReport;
-use crate::schedule::{schedule, schedule_with_exports, ScheduleOptions};
+use crate::schedule::{schedule, schedule_with_exports};
 use crate::tile::{extract_tiles, extract_tiles_with_exports};
 use crate::Result;
 
@@ -18,8 +17,6 @@ use crate::Result;
 pub struct CompilerOptions {
     /// Options passed to the flattening step.
     pub flatten: FlattenOptions,
-    /// Options passed to the scheduler.
-    pub schedule: ScheduleOptions,
     /// Maximum tile depth; `None` uses the full tree depth of the target.
     pub max_tile_depth: Option<usize>,
 }
@@ -31,9 +28,7 @@ pub struct CompilerOptions {
 /// carries the pre-resolved [`InputRecipe`], so materialising input vectors
 /// for fresh evidence (single queries or whole [`EvidenceBatch`]es) costs a
 /// template copy plus one store per indicator slot — no per-query matching
-/// or allocation, and the per-variable [`ConeAnalysis`] (reachability of
-/// every indicator leaf), so session runtimes can re-evaluate evidence
-/// deltas incrementally without re-deriving reachability at query time.
+/// or allocation.
 #[derive(Debug, Clone)]
 pub struct CompiledArtifact {
     /// The executable VLIW program.
@@ -44,8 +39,6 @@ pub struct CompiledArtifact {
     pub op_list: OpList,
     /// Pre-resolved mapping from evidence to the program's input vector.
     recipe: InputRecipe,
-    /// Per-variable reachability cones, precomputed at compile time.
-    cones: ConeAnalysis,
 }
 
 impl CompiledArtifact {
@@ -64,13 +57,6 @@ impl CompiledArtifact {
     /// The pre-resolved evidence-to-input-vector mapping.
     pub fn input_recipe(&self) -> &InputRecipe {
         &self.recipe
-    }
-
-    /// The per-variable reachability cones of the compiled program (which
-    /// ops each evidence variable's indicator leaves can affect), computed
-    /// once at compile time for incremental session evaluation.
-    pub fn cone_analysis(&self) -> &ConeAnalysis {
-        &self.cones
     }
 
     /// The emulated PE arithmetic format the program computes in (recorded
@@ -192,15 +178,13 @@ impl Compiler {
     /// invalid or the program cannot be made to fit it.
     pub fn compile_op_list(&self, op_list: OpList) -> Result<CompiledArtifact> {
         let tiles = extract_tiles(&op_list, self.tile_depth());
-        let (program, report) = schedule(&self.config, &op_list, &tiles, &self.options.schedule)?;
+        let (program, report) = schedule(&self.config, &op_list, &tiles)?;
         let recipe = op_list.input_recipe();
-        let cones = ConeAnalysis::from_op_list(&op_list);
         Ok(CompiledArtifact {
             program,
             report,
             op_list,
             recipe,
-            cones,
         })
     }
 
@@ -229,13 +213,8 @@ impl Compiler {
             let exports: Vec<OperandRef> =
                 part.exports.iter().map(|&i| OperandRef::Op(i)).collect();
             let tiles = extract_tiles_with_exports(&part.ops, self.tile_depth(), &exports);
-            let (program, report) = schedule_with_exports(
-                &self.config,
-                &part.ops,
-                &tiles,
-                &self.options.schedule,
-                &exports,
-            )?;
+            let (program, report) =
+                schedule_with_exports(&self.config, &part.ops, &tiles, &exports)?;
             let inputs = part
                 .inputs
                 .iter()
@@ -343,23 +322,6 @@ mod tests {
                 mant_bits: 10
             }
         );
-    }
-
-    #[test]
-    fn artifact_carries_reachability_cones() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let spn = random_spn(&RandomSpnConfig::with_vars(8), &mut rng);
-        let compiled = Compiler::new(ProcessorConfig::ptree())
-            .compile(&spn)
-            .unwrap();
-        let cones = compiled.cone_analysis();
-        assert_eq!(cones.num_vars(), 8);
-        assert_eq!(cones.num_ops(), compiled.op_list.num_ops());
-        assert_eq!(cones, &ConeAnalysis::from_op_list(&compiled.op_list));
-        // Every variable of a complete SPN reaches at least one op.
-        for var in 0..8 {
-            assert!(cones.cone_size(var) > 0, "variable {var} reaches nothing");
-        }
     }
 
     #[test]

@@ -51,19 +51,9 @@ pub(crate) fn pe_precision(
     }
 }
 
-/// Tunable knobs of the scheduler.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduleOptions {
-    /// How many cycles past the operands' ready time to search for a dense
-    /// placement before simply appending a new cycle to the schedule.
-    pub search_window: u64,
-}
-
-impl Default for ScheduleOptions {
-    fn default() -> Self {
-        ScheduleOptions { search_window: 48 }
-    }
-}
+/// How many cycles past the operands' ready time the scheduler searches for
+/// a dense placement before simply appending a new cycle to the schedule.
+const SEARCH_WINDOW: u64 = 48;
 
 /// Per-cycle resource bookings.
 #[derive(Debug, Clone, Default)]
@@ -141,9 +131,8 @@ pub fn schedule(
     config: &ProcessorConfig,
     ops: &OpList,
     tiles: &[Tile],
-    options: &ScheduleOptions,
 ) -> Result<(Program, CompileReport)> {
-    schedule_with_exports(config, ops, tiles, options, &[])
+    schedule_with_exports(config, ops, tiles, &[])
 }
 
 /// [`schedule`] with additional export obligations: every operand in
@@ -160,11 +149,10 @@ pub fn schedule_with_exports(
     config: &ProcessorConfig,
     ops: &OpList,
     tiles: &[Tile],
-    options: &ScheduleOptions,
     exports: &[OperandRef],
 ) -> Result<(Program, CompileReport)> {
     config.validate()?;
-    let mut scheduler = Scheduler::new(config, ops, options, exports);
+    let mut scheduler = Scheduler::new(config, ops, exports);
     scheduler.init_values(tiles);
     for tile in tiles {
         scheduler.schedule_tile(tile)?;
@@ -175,7 +163,6 @@ pub fn schedule_with_exports(
 struct Scheduler<'a> {
     config: &'a ProcessorConfig,
     ops: &'a OpList,
-    options: &'a ScheduleOptions,
     /// Operands whose final locations the program must expose (see
     /// [`schedule_with_exports`]).
     exports: &'a [OperandRef],
@@ -203,16 +190,10 @@ struct Scheduler<'a> {
 }
 
 impl<'a> Scheduler<'a> {
-    fn new(
-        config: &'a ProcessorConfig,
-        ops: &'a OpList,
-        options: &'a ScheduleOptions,
-        exports: &'a [OperandRef],
-    ) -> Self {
+    fn new(config: &'a ProcessorConfig, ops: &'a OpList, exports: &'a [OperandRef]) -> Self {
         Scheduler {
             config,
             ops,
-            options,
             exports,
             values: ValueMap::new(ops.num_inputs(), ops.num_ops()),
             alloc: RegAllocator::new(config.regs_per_bank, config.total_banks()),
@@ -680,7 +661,7 @@ impl<'a> Scheduler<'a> {
         earliest: u64,
         protected: &[usize],
     ) -> Result<Placement> {
-        let window_end = earliest + self.options.search_window;
+        let window_end = earliest + SEARCH_WINDOW;
         let mut cycle = earliest;
         while cycle <= window_end {
             if let Some(p) = self.try_place_at(cycle, tile, slot_sources) {
@@ -962,8 +943,7 @@ mod tests {
     ) -> (f64, f64, CompileReport) {
         let ops = OpList::from_spn(spn);
         let tiles = extract_tiles(&ops, config.tree_levels);
-        let (program, report) =
-            schedule(config, &ops, &tiles, &ScheduleOptions::default()).expect("schedule");
+        let (program, report) = schedule(config, &ops, &tiles).expect("schedule");
         let inputs = ops.input_values(evidence).expect("inputs");
         let processor = Processor::new(config.clone()).expect("processor");
         let run = processor.run(&program, &inputs).expect("run");
@@ -1050,8 +1030,7 @@ mod tests {
         // register file; the working set still does not fit as a whole.
         let ops = OpList::from_spn(&spn);
         let tiles = extract_tiles(&ops, 2);
-        let (program, report) =
-            schedule(&config, &ops, &tiles, &ScheduleOptions::default()).expect("schedule");
+        let (program, report) = schedule(&config, &ops, &tiles).expect("schedule");
         let inputs = ops.input_values(&evidence).expect("inputs");
         let processor = Processor::new(config).expect("processor");
         let run = processor.run(&program, &inputs).expect("run");
@@ -1080,8 +1059,7 @@ mod tests {
         let tiles = extract_tiles(&ops, 4);
         assert!(tiles.is_empty());
         let config = ProcessorConfig::ptree();
-        let (program, report) =
-            schedule(&config, &ops, &tiles, &ScheduleOptions::default()).unwrap();
+        let (program, report) = schedule(&config, &ops, &tiles).unwrap();
         assert!(program.is_empty());
         assert_eq!(report.source_ops, 0);
         let processor = Processor::new(config).unwrap();
@@ -1102,8 +1080,7 @@ mod tests {
         let ops = OpList::from_spn(&spn);
         let config = ProcessorConfig::ptree();
         let tiles = extract_tiles(&ops, config.tree_levels);
-        let (program, report) =
-            schedule(&config, &ops, &tiles, &ScheduleOptions::default()).unwrap();
+        let (program, report) = schedule(&config, &ops, &tiles).unwrap();
         assert_eq!(report.tiles, tiles.len());
         assert_eq!(report.instructions, program.instructions.len());
         assert!(report.memory_loads >= ops.num_inputs().div_ceil(config.total_banks()) / 2);

@@ -27,8 +27,8 @@
 //!   [`PartitionedArtifact`]'s stages must agree with the partition
 //!   structure recomputed from the op list, with every link pointing
 //!   backwards at a live export,
-//! * **cone soundness**: the artifact's [`ConeAnalysis`](spn_core::incremental::ConeAnalysis) must equal an
-//!   independently recomputed forward reachability sweep.
+//! * **cone soundness**: the [`ConeAnalysis`] of the artifact's op list
+//!   must equal an independently recomputed forward reachability sweep.
 //!
 //! Findings report through [`spn_core::analysis::Diagnostic`] with the
 //! `SPN2xx` (single program) and `SPN3xx` (partitioned/cones) codes
@@ -38,6 +38,7 @@ use std::collections::HashMap;
 
 use spn_core::analysis::{Diagnostic, Location, Severity};
 use spn_core::flatten::{LeafSource, OpKind, OpList, OperandRef};
+use spn_core::incremental::ConeAnalysis;
 use spn_processor::isa::{CopyCmd, InputSlot, ValueLocation};
 use spn_processor::{MemOp, PeOp, PePosition, Program, ReadSel, TransferSource, TreeInstr};
 
@@ -629,9 +630,9 @@ pub fn verify_program_with_exports(
 }
 
 /// Verifies a compiled artifact: the schedule ([`verify_program`]) plus a
-/// soundness check of its precomputed
-/// [`ConeAnalysis`](spn_core::incremental::ConeAnalysis) against an
-/// independently recomputed forward reachability sweep (`SPN303`).
+/// soundness check of the [`ConeAnalysis`] of its op list — what a session
+/// over this program would replay from — against an independently
+/// recomputed forward reachability sweep (`SPN303`).
 pub fn verify_artifact(artifact: &CompiledArtifact) -> Vec<Diagnostic> {
     let mut diagnostics = verify_program(&artifact.program, &artifact.op_list);
     diagnostics.extend(verify_cones(artifact));
@@ -639,10 +640,10 @@ pub fn verify_artifact(artifact: &CompiledArtifact) -> Vec<Diagnostic> {
 }
 
 /// Recomputes per-variable reachability with a plain forward marking sweep
-/// and compares it to the artifact's cached [`ConeAnalysis`].
+/// and compares it to the [`ConeAnalysis`] of the artifact's op list.
 fn verify_cones(artifact: &CompiledArtifact) -> Vec<Diagnostic> {
     let ops = &artifact.op_list;
-    let cones = artifact.cone_analysis();
+    let cones = ConeAnalysis::from_op_list(ops);
     let mut diagnostics = Vec::new();
     for var in 0..ops.num_vars() {
         let mut input_dirty = vec![false; ops.num_inputs()];

@@ -24,13 +24,12 @@
 //!
 //! The full diagnostic-code table is documented in `docs/ARCHITECTURE.md`.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::flatten::{LeafSource, OpKind, OpList, OperandRef};
 use crate::graph::Node;
 use crate::numeric::NumericMode;
-use crate::validate::NORMALIZATION_TOLERANCE;
+use crate::validate::check_node;
 use crate::Spn;
 
 /// SPN006 fires when one sum edge holds more than this share of the weight
@@ -180,74 +179,57 @@ pub fn lint_spn(spn: &Spn) -> Vec<Diagnostic> {
 
     for (id, node) in spn.iter() {
         let idx = id.index();
-        match node {
-            Node::Sum { children, weights } => {
-                let first_scope: Option<&BTreeSet<_>> =
-                    children.first().map(|c| &scopes[c.index()]);
-                if let Some(first) = first_scope {
-                    if children.iter().any(|c| &scopes[c.index()] != first) {
-                        out.push(Diagnostic::new(
-                            "SPN001",
-                            Severity::Error,
-                            Location::Node(idx as u32),
-                            "incomplete sum: children have differing scopes",
-                        ));
-                    }
-                }
-                let sum: f64 = weights.iter().sum();
-                if (sum - 1.0).abs() > NORMALIZATION_TOLERANCE {
+        let found = check_node(node, &scopes);
+        if found.incomplete {
+            out.push(Diagnostic::new(
+                "SPN001",
+                Severity::Error,
+                Location::Node(idx as u32),
+                "incomplete sum: children have differing scopes",
+            ));
+        }
+        if let Some(sum) = found.unnormalized {
+            out.push(Diagnostic::new(
+                "SPN003",
+                Severity::Warn,
+                Location::Node(idx as u32),
+                format!("sum weights sum to {sum}, expected 1"),
+            ));
+        }
+        if let Node::Sum { children, weights } = node {
+            for (child, weight) in children.iter().zip(weights) {
+                if *weight == 0.0 {
                     out.push(Diagnostic::new(
-                        "SPN003",
-                        Severity::Warn,
+                        "SPN005",
+                        Severity::Info,
                         Location::Node(idx as u32),
-                        format!("sum weights sum to {sum}, expected 1"),
-                    ));
-                }
-                for (child, weight) in children.iter().zip(weights) {
-                    if *weight == 0.0 {
-                        out.push(Diagnostic::new(
-                            "SPN005",
-                            Severity::Info,
-                            Location::Node(idx as u32),
-                            format!("zero-weight edge to node {}", child.index()),
-                        ));
-                    }
-                }
-                let max_weight = weights.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                if children.len() >= 2 && sum > 0.0 && max_weight / sum > SKEW_THRESHOLD {
-                    out.push(Diagnostic::new(
-                        "SPN006",
-                        Severity::Warn,
-                        Location::Node(idx as u32),
-                        format!(
-                            "sum is degenerate for sampling: one edge holds {} of the \
-                             weight mass, the other branches are drawn with probability \
-                             below 2^-40",
-                            max_weight / sum
-                        ),
+                        format!("zero-weight edge to node {}", child.index()),
                     ));
                 }
             }
-            Node::Product { children } => {
-                let mut seen: BTreeSet<crate::VarId> = BTreeSet::new();
-                let mut overlap = false;
-                for c in children {
-                    if !scopes[c.index()].is_disjoint(&seen) {
-                        overlap = true;
-                        break;
-                    }
-                    seen.extend(scopes[c.index()].iter().copied());
-                }
-                if overlap {
-                    out.push(Diagnostic::new(
-                        "SPN002",
-                        Severity::Error,
-                        Location::Node(idx as u32),
-                        "non-decomposable product: children share scope variables",
-                    ));
-                }
+            let sum: f64 = weights.iter().sum();
+            let max_weight = weights.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            if children.len() >= 2 && sum > 0.0 && max_weight / sum > SKEW_THRESHOLD {
+                out.push(Diagnostic::new(
+                    "SPN006",
+                    Severity::Warn,
+                    Location::Node(idx as u32),
+                    format!(
+                        "sum is degenerate for sampling: one edge holds {} of the \
+                         weight mass, the other branches are drawn with probability \
+                         below 2^-40",
+                        max_weight / sum
+                    ),
+                ));
             }
-            Node::Indicator { .. } | Node::Constant(_) => {}
+        }
+        if found.non_decomposable {
+            out.push(Diagnostic::new(
+                "SPN002",
+                Severity::Error,
+                Location::Node(idx as u32),
+                "non-decomposable product: children share scope variables",
+            ));
         }
         if !reachable[idx] {
             out.push(Diagnostic::new(

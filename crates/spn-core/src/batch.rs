@@ -392,19 +392,15 @@ impl InputRecipe {
         self.num_vars
     }
 
-    /// Number of evidence-dependent input slots.
-    pub fn num_indicator_slots(&self) -> usize {
-        self.indicators.len()
-    }
-
-    fn check_batch(&self, batch: &EvidenceBatch) -> Result<()> {
-        if batch.num_vars() != self.num_vars {
-            return Err(SpnError::EvidenceMismatch {
-                evidence_vars: batch.num_vars(),
-                spn_vars: self.num_vars,
-            });
+    /// Fills the one-query input vector `out`: the template copied, then
+    /// one store per indicator slot of the mode-aware value of
+    /// `indicator(var, value)`.
+    #[inline]
+    fn fill_one(&self, indicator: impl Fn(usize, bool) -> f64, out: &mut [f64]) {
+        out.copy_from_slice(&self.template);
+        for &(slot, var, value) in &self.indicators {
+            out[slot as usize] = self.domain_value(indicator(var as usize, value));
         }
-        Ok(())
     }
 
     /// Fills `out` with the input vector of query `q` of `batch`: the
@@ -428,7 +424,13 @@ impl InputRecipe {
     ///
     /// Returns [`SpnError::EvidenceMismatch`] on a variable-count mismatch.
     pub fn check(&self, batch: &EvidenceBatch) -> Result<()> {
-        self.check_batch(batch)
+        if batch.num_vars() != self.num_vars {
+            return Err(SpnError::EvidenceMismatch {
+                evidence_vars: batch.num_vars(),
+                spn_vars: self.num_vars,
+            });
+        }
+        Ok(())
     }
 
     /// Fills `out` with the concatenated input vectors of every query in
@@ -440,16 +442,11 @@ impl InputRecipe {
     ///
     /// Returns [`SpnError::EvidenceMismatch`] on a variable-count mismatch.
     pub fn fill_batch(&self, batch: &EvidenceBatch, out: &mut Vec<f64>) -> Result<()> {
-        self.check_batch(batch)?;
-        out.clear();
-        out.reserve(batch.len() * self.num_inputs());
+        self.check(batch)?;
+        let n = self.num_inputs();
+        out.resize(batch.len() * n, 0.0);
         for q in 0..batch.len() {
-            let start = out.len();
-            out.extend_from_slice(&self.template);
-            let row = batch.query(q);
-            for &(slot, var, value) in &self.indicators {
-                out[start + slot as usize] = self.domain_value(row[var as usize].indicator(value));
-            }
+            self.fill_query(batch, q, &mut out[q * n..(q + 1) * n]);
         }
         Ok(())
     }
@@ -494,11 +491,8 @@ impl InputRecipe {
             // One copy and one row lookup instead of a one-element fill per
             // slot and a row lookup per indicator: on MSNBC (1684 slots, 798
             // indicators) 1.1 µs against 2.2 µs through the loops below.
-            out.copy_from_slice(&self.template);
             let row = batch.query(start);
-            for &(slot, var, value) in &self.indicators {
-                out[slot as usize] = self.domain_value(row[var as usize].indicator(value));
-            }
+            self.fill_one(|var, value| row[var].indicator(value), out);
             return;
         }
         for (slot, &param) in self.template.iter().enumerate() {
@@ -526,11 +520,8 @@ impl InputRecipe {
                 spn_vars: self.num_vars,
             });
         }
-        out.clear();
-        out.extend_from_slice(&self.template);
-        for &(slot, var, value) in &self.indicators {
-            out[slot as usize] = self.domain_value(evidence.indicator(var as usize, value));
-        }
+        out.resize(self.num_inputs(), 0.0);
+        self.fill_one(|var, value| evidence.indicator(var, value), out);
         Ok(())
     }
 }

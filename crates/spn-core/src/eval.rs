@@ -1,23 +1,191 @@
-//! Exact inference on sum-product networks.
+//! Exact inference on sum-product networks: the graph-walking reference.
 //!
-//! Evaluation is a single bottom-up pass in topological order: leaves take
-//! their value from the [`Evidence`], products multiply, sums take the
-//! weighted sum of their children.  The log-domain variant replaces those
-//! with log-sum-exp and addition, which avoids underflow on large circuits.
+//! Every value this crate computes *from the graph* comes from one function,
+//! `sweep`: a bottom-up pass in topological order where leaves take their
+//! value from the evidence, products fold their children with the algebra's
+//! `mul` and sums fold their weighted children with its `add`.  The
+//! `Algebra` picks the meaning: `Linear` is plain sum-product, `Log` is
+//! addition and log-sum-exp (no underflow on deep circuits), and `Max` of
+//! either turns sums into maximisations (MPE).  `argmax_assignment` is the
+//! top-down half of MPE: it re-derives each sum's winning child from the
+//! swept values.
 //!
-//! The workhorse is the reusable [`Evaluator`]: it computes the topological
-//! order once and keeps the per-node value buffer alive across queries, so
-//! streaming workloads pay zero allocation per query.  [`Spn::evaluate`] and
-//! friends are thin convenience wrappers that build a throwaway evaluator.
-//!
-//! The module also provides max-product (MPE) evaluation with backtracking of
-//! the maximising assignment.
+//! The reusable [`Evaluator`] keeps the topological order and the per-node
+//! value buffer across queries, so streaming workloads allocate nothing per
+//! query; [`Spn::evaluate`], [`Spn::mpe`] and friends build a throwaway
+//! one, and the sampling engine ([`crate::sample`]) runs the same sweep in
+//! `Log` over its own buffers.  The flattened-program executors
+//! ([`crate::vectorized::run_lanes`], [`crate::flatten::OpList::run_into`])
+//! share no code with this module: it is the oracle they are checked against.
+
+use std::marker::PhantomData;
 
 use crate::batch::EvidenceBatch;
 use crate::evidence::Evidence;
 use crate::graph::{Node, NodeId, Spn};
+use crate::numeric::log_sum_exp;
 use crate::value::LogProb;
 use crate::{Result, SpnError};
+
+/// The arithmetic a bottom-up pass evaluates in: how a linear-domain
+/// parameter enters (`lift`: indicator values, constants, sum weights), how
+/// a product combines its children (`mul`, identity `ONE`) and how a sum
+/// combines its weighted children (`add`, identity `ZERO`).
+pub(crate) trait Algebra {
+    /// Identity of [`Algebra::add`]: the value of an empty sum.
+    const ZERO: f64;
+    /// Identity of [`Algebra::mul`]: the value of an empty product.
+    const ONE: f64;
+    /// Maps a linear-domain parameter into the algebra's domain.
+    fn lift(p: f64) -> f64;
+    /// Combines two factors of a product (or a weight and its child).
+    fn mul(a: f64, b: f64) -> f64;
+    /// Combines two terms of a sum.
+    fn add(a: f64, b: f64) -> f64;
+}
+
+/// Sum-product over plain probabilities.
+pub(crate) struct Linear;
+
+/// Sum-product over natural logs: products add, sums are log-sum-exp and
+/// probability zero is `-inf`.  Degenerate negative parameters clamp to
+/// zero, mirroring the flattener.
+pub(crate) struct Log;
+
+/// `D` with sums replaced by maximisation — max-product in `D`'s domain.
+/// Earlier terms win ties and NaN terms never win.
+pub(crate) struct Max<D>(PhantomData<D>);
+
+impl Algebra for Linear {
+    const ZERO: f64 = 0.0;
+    const ONE: f64 = 1.0;
+    fn lift(p: f64) -> f64 {
+        p
+    }
+    fn mul(a: f64, b: f64) -> f64 {
+        a * b
+    }
+    fn add(a: f64, b: f64) -> f64 {
+        a + b
+    }
+}
+
+impl Algebra for Log {
+    const ZERO: f64 = f64::NEG_INFINITY;
+    const ONE: f64 = 0.0;
+    fn lift(p: f64) -> f64 {
+        // A branch, not `p.max(0.0).ln()` (equal for every `p`): `ln(0)`,
+        // libm's slow error path, stays off the sampler's per-draw sweeps
+        // and the 0/1 indicator values fold to constants.
+        if p > 0.0 {
+            p.ln()
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+    fn mul(a: f64, b: f64) -> f64 {
+        a + b
+    }
+    fn add(a: f64, b: f64) -> f64 {
+        log_sum_exp(a, b)
+    }
+}
+
+impl<D: Algebra> Algebra for Max<D> {
+    const ZERO: f64 = f64::NEG_INFINITY;
+    const ONE: f64 = D::ONE;
+    fn lift(p: f64) -> f64 {
+        D::lift(p)
+    }
+    fn mul(a: f64, b: f64) -> f64 {
+        D::mul(a, b)
+    }
+    fn add(a: f64, b: f64) -> f64 {
+        if b > a {
+            b
+        } else {
+            a
+        }
+    }
+}
+
+/// One bottom-up pass of `spn` in algebra `A`: writes the value of every
+/// node of `order` (a topological order of `spn`) into the arena-indexed
+/// `values` and returns the root's.  `indicator(var, value)` supplies the
+/// linear-domain value of the leaf `[var = value]`; nodes outside `order`
+/// keep whatever `values` held.
+pub(crate) fn sweep<A: Algebra>(
+    spn: &Spn,
+    order: &[NodeId],
+    indicator: impl Fn(usize, bool) -> f64,
+    values: &mut [f64],
+) -> f64 {
+    for &id in order {
+        values[id.index()] = match spn.node(id) {
+            // An indicator is exactly 0 or 1: lifting the two constants
+            // rather than the value lets `Log::lift` fold, so a leaf costs a
+            // select and not an `ln` call.
+            Node::Indicator { var, value } => {
+                if indicator(var.index(), *value) == 0.0 {
+                    A::lift(0.0)
+                } else {
+                    A::lift(1.0)
+                }
+            }
+            Node::Constant(c) => A::lift(*c),
+            Node::Product { children } => children
+                .iter()
+                .fold(A::ONE, |acc, c| A::mul(acc, values[c.index()])),
+            Node::Sum { children, weights } => {
+                children.iter().zip(weights).fold(A::ZERO, |acc, (c, w)| {
+                    A::add(acc, A::mul(A::lift(*w), values[c.index()]))
+                })
+            }
+        };
+    }
+    values[spn.root().index()]
+}
+
+/// The top-down half of an MPE query: given the `values` a
+/// [`sweep`]`::<Max<D>>` left behind, follows from the root every child of a
+/// product and, at a sum, the first child whose weighted value attains the
+/// maximum; each indicator reached sets its variable.  Hard evidence wins
+/// over an indicator's preference, and variables the selected sub-circuit
+/// never mentions keep their observed value or `false`.
+pub(crate) fn argmax_assignment<D: Algebra>(
+    spn: &Spn,
+    values: &[f64],
+    evidence: &Evidence,
+) -> Vec<bool> {
+    let mut assignment: Vec<bool> = (0..spn.num_vars())
+        .map(|var| evidence.value(var).unwrap_or(false))
+        .collect();
+    let mut stack = vec![spn.root()];
+    while let Some(id) = stack.pop() {
+        match spn.node(id) {
+            Node::Indicator { var, value } => {
+                if evidence.value(var.index()).is_none() {
+                    assignment[var.index()] = *value;
+                }
+            }
+            Node::Constant(_) => {}
+            Node::Product { children } => stack.extend(children.iter().copied()),
+            Node::Sum { children, weights } => {
+                let mut best = Max::<D>::ZERO;
+                let mut choice = 0;
+                for (i, (c, w)) in children.iter().zip(weights).enumerate() {
+                    let term = D::mul(D::lift(*w), values[c.index()]);
+                    if term > best {
+                        best = term;
+                        choice = i;
+                    }
+                }
+                stack.push(children[choice]);
+            }
+        }
+    }
+    assignment
+}
 
 /// Reusable exact-inference engine over one SPN.
 ///
@@ -50,8 +218,8 @@ use crate::{Result, SpnError};
 pub struct Evaluator<'a> {
     spn: &'a Spn,
     order: Vec<NodeId>,
+    /// Arena-indexed node values of the most recent pass, in its algebra.
     values: Vec<f64>,
-    log_values: Vec<LogProb>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -61,61 +229,45 @@ impl<'a> Evaluator<'a> {
             spn,
             order: spn.topological_order(),
             values: vec![0.0; spn.num_nodes()],
-            log_values: Vec::new(),
         }
     }
 
-    /// The SPN this evaluator runs.
-    pub fn spn(&self) -> &'a Spn {
-        self.spn
+    /// One [`sweep`] in algebra `A` over the retained order and buffer.
+    fn sweep<A: Algebra>(&mut self, indicator: impl Fn(usize, bool) -> f64) -> f64 {
+        sweep::<A>(self.spn, &self.order, indicator, &mut self.values)
     }
 
-    /// One linear-domain bottom-up sweep; `indicator(var, value)` supplies
-    /// leaf values.  Returns the root value; all node values stay readable
-    /// through [`Evaluator::values`].
-    fn sweep_linear(&mut self, indicator: impl Fn(usize, bool) -> f64) -> f64 {
-        let spn = self.spn;
-        let values = &mut self.values;
-        for &id in &self.order {
-            values[id.index()] = match spn.node(id) {
-                Node::Indicator { var, value } => indicator(var.index(), *value),
-                Node::Constant(c) => *c,
-                Node::Product { children } => children.iter().map(|c| values[c.index()]).product(),
-                Node::Sum { children, weights } => children
-                    .iter()
-                    .zip(weights)
-                    .map(|(c, w)| w * values[c.index()])
-                    .sum(),
-            };
-        }
-        values[spn.root().index()]
+    /// One pass in algebra `A` under `evidence`, after checking its arity.
+    fn pass<A: Algebra>(&mut self, evidence: &Evidence) -> Result<f64> {
+        self.spn.check_vars(evidence.num_vars())?;
+        Ok(self.sweep::<A>(|var, value| evidence.indicator(var, value)))
     }
 
-    /// One log-domain bottom-up sweep.
-    fn sweep_log(&mut self, indicator: impl Fn(usize, bool) -> f64) -> LogProb {
-        let spn = self.spn;
-        if self.log_values.len() != spn.num_nodes() {
-            self.log_values.resize(spn.num_nodes(), LogProb::ZERO);
+    /// One pass in algebra `A` per query of `batch`, pushing `wrap` of each
+    /// root value into `out` (cleared first, allocation reused).
+    fn pass_batch<A: Algebra, T>(
+        &mut self,
+        batch: &EvidenceBatch,
+        wrap: impl Fn(f64) -> T,
+        out: &mut Vec<T>,
+    ) -> Result<()> {
+        self.spn.check_vars(batch.num_vars())?;
+        out.clear();
+        out.reserve(batch.len());
+        for q in 0..batch.len() {
+            let root = self.sweep::<A>(|var, value| batch.indicator(q, var, value));
+            out.push(wrap(root));
         }
-        let values = &mut self.log_values;
-        for &id in &self.order {
-            values[id.index()] = match spn.node(id) {
-                Node::Indicator { var, value } => {
-                    LogProb::from_linear(indicator(var.index(), *value))
-                }
-                Node::Constant(c) => LogProb::from_linear(c.max(0.0)),
-                Node::Product { children } => children
-                    .iter()
-                    .fold(LogProb::ONE, |acc, c| acc * values[c.index()]),
-                Node::Sum { children, weights } => children
-                    .iter()
-                    .zip(weights)
-                    .fold(LogProb::ZERO, |acc, (c, w)| {
-                        acc + (LogProb::from_linear(*w) * values[c.index()])
-                    }),
-            };
-        }
-        values[spn.root().index()]
+        Ok(())
+    }
+
+    /// One max-product pass in `D`'s domain plus the argmax descent.
+    fn mpe_in<D: Algebra>(&mut self, evidence: &Evidence) -> Result<MpeResult> {
+        let value = self.pass::<Max<D>>(evidence)?;
+        Ok(MpeResult {
+            value,
+            assignment: argmax_assignment::<D>(self.spn, &self.values, evidence),
+        })
     }
 
     /// Evaluates one query in the linear domain.
@@ -125,20 +277,7 @@ impl<'a> Evaluator<'a> {
     /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
     /// different number of variables than the SPN.
     pub fn evaluate(&mut self, evidence: &Evidence) -> Result<f64> {
-        self.spn.check_evidence(evidence)?;
-        Ok(self.sweep_linear(|var, value| evidence.indicator(var, value)))
-    }
-
-    /// Evaluates one query and exposes the value of every node
-    /// (arena-indexed; unreachable nodes keep their previous value).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
-    /// different number of variables than the SPN.
-    pub fn evaluate_all(&mut self, evidence: &Evidence) -> Result<&[f64]> {
-        self.evaluate(evidence)?;
-        Ok(&self.values)
+        self.pass::<Linear>(evidence)
     }
 
     /// Evaluates one query in the log domain.
@@ -148,8 +287,7 @@ impl<'a> Evaluator<'a> {
     /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
     /// different number of variables than the SPN.
     pub fn evaluate_log(&mut self, evidence: &Evidence) -> Result<LogProb> {
-        self.spn.check_evidence(evidence)?;
-        Ok(self.sweep_log(|var, value| evidence.indicator(var, value)))
+        self.pass::<Log>(evidence).map(LogProb::from_ln)
     }
 
     /// Evaluates every query of `batch` in the linear domain, writing the
@@ -160,13 +298,7 @@ impl<'a> Evaluator<'a> {
     /// Returns [`SpnError::EvidenceMismatch`] when the batch covers a
     /// different number of variables than the SPN.
     pub fn evaluate_batch(&mut self, batch: &EvidenceBatch, out: &mut Vec<f64>) -> Result<()> {
-        self.check_batch(batch)?;
-        out.clear();
-        out.reserve(batch.len());
-        for q in 0..batch.len() {
-            out.push(self.sweep_linear(|var, value| batch.indicator(q, var, value)));
-        }
-        Ok(())
+        self.pass_batch::<Linear, _>(batch, |root| root, out)
     }
 
     /// Evaluates every query of `batch` in the log domain, writing the root
@@ -181,33 +313,27 @@ impl<'a> Evaluator<'a> {
         batch: &EvidenceBatch,
         out: &mut Vec<LogProb>,
     ) -> Result<()> {
-        self.check_batch(batch)?;
-        out.clear();
-        out.reserve(batch.len());
-        for q in 0..batch.len() {
-            out.push(self.sweep_log(|var, value| batch.indicator(q, var, value)));
-        }
-        Ok(())
+        self.pass_batch::<Log, _>(batch, LogProb::from_ln, out)
     }
 
-    /// The per-node values of the most recent linear-domain evaluation.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    /// Most probable explanation under `evidence`; see [`Spn::mpe`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
+    /// different number of variables than the SPN.
+    pub fn mpe(&mut self, evidence: &Evidence) -> Result<MpeResult> {
+        self.mpe_in::<Linear>(evidence)
     }
 
-    /// Consumes the evaluator, returning the per-node value buffer.
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
-    }
-
-    fn check_batch(&self, batch: &EvidenceBatch) -> Result<()> {
-        if batch.num_vars() != self.spn.num_vars() {
-            return Err(SpnError::EvidenceMismatch {
-                evidence_vars: batch.num_vars(),
-                spn_vars: self.spn.num_vars(),
-            });
-        }
-        Ok(())
+    /// Log-domain most probable explanation; see [`Spn::mpe_log`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
+    /// different number of variables than the SPN.
+    pub fn mpe_log(&mut self, evidence: &Evidence) -> Result<MpeResult> {
+        self.mpe_in::<Log>(evidence)
     }
 }
 
@@ -218,7 +344,7 @@ impl Spn {
     /// of the observed values with unobserved variables marginalised out.
     ///
     /// Convenience wrapper building a throwaway [`Evaluator`]; hot loops
-    /// should hold an [`Evaluator`] (or use [`Spn::evaluate_batch`]) instead.
+    /// should hold an [`Evaluator`] instead.
     ///
     /// # Errors
     ///
@@ -239,21 +365,7 @@ impl Spn {
     pub fn evaluate_all(&self, evidence: &Evidence) -> Result<Vec<f64>> {
         let mut evaluator = Evaluator::new(self);
         evaluator.evaluate(evidence)?;
-        Ok(evaluator.into_values())
-    }
-
-    /// Evaluates every query of `batch`, returning one root value per query.
-    ///
-    /// Convenience wrapper over [`Evaluator::evaluate_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpnError::EvidenceMismatch`] when the batch covers a
-    /// different number of variables than the SPN.
-    pub fn evaluate_batch(&self, batch: &EvidenceBatch) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        Evaluator::new(self).evaluate_batch(batch, &mut out)?;
-        Ok(out)
+        Ok(evaluator.values)
     }
 
     /// Evaluates the SPN in the log domain under `evidence`.
@@ -276,8 +388,8 @@ impl Spn {
     /// Returns an error when either evidence has the wrong variable count, or
     /// [`SpnError::Invalid`] when `P(evidence)` is zero.
     pub fn conditional(&self, query: &Evidence, evidence: &Evidence) -> Result<f64> {
-        self.check_evidence(query)?;
-        self.check_evidence(evidence)?;
+        self.check_vars(query.num_vars())?;
+        self.check_vars(evidence.num_vars())?;
         let mut joint = evidence.clone();
         for (var, value) in query.iter_observed() {
             joint.observe(var, value);
@@ -302,65 +414,7 @@ impl Spn {
     /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
     /// different number of variables than the SPN.
     pub fn mpe(&self, evidence: &Evidence) -> Result<MpeResult> {
-        self.check_evidence(evidence)?;
-        let order = self.topological_order();
-        let mut values = vec![0.0f64; self.num_nodes()];
-        // For each sum node, the index of the chosen (argmax) child.
-        let mut choices = vec![usize::MAX; self.num_nodes()];
-        for &id in &order {
-            values[id.index()] = match self.node(id) {
-                Node::Indicator { var, value } => evidence.indicator(var.index(), *value),
-                Node::Constant(c) => *c,
-                Node::Product { children } => children.iter().map(|c| values[c.index()]).product(),
-                Node::Sum { children, weights } => {
-                    let mut best = f64::NEG_INFINITY;
-                    let mut best_idx = 0;
-                    for (i, (c, w)) in children.iter().zip(weights).enumerate() {
-                        let v = w * values[c.index()];
-                        if v > best {
-                            best = v;
-                            best_idx = i;
-                        }
-                    }
-                    choices[id.index()] = best_idx;
-                    best
-                }
-            };
-        }
-
-        // Backtrack from the root following argmax branches; indicators pick
-        // their variable's value.
-        let mut assignment: Vec<Option<bool>> = vec![None; self.num_vars()];
-        let mut stack: Vec<NodeId> = vec![self.root()];
-        while let Some(id) = stack.pop() {
-            match self.node(id) {
-                Node::Indicator { var, value } => {
-                    // Respect hard evidence over the indicator's preference.
-                    let v = evidence.value(var.index()).unwrap_or(*value);
-                    assignment[var.index()] = Some(v);
-                }
-                Node::Constant(_) => {}
-                Node::Product { children } => stack.extend(children.iter().copied()),
-                Node::Sum { children, .. } => {
-                    let choice = choices[id.index()];
-                    if choice != usize::MAX {
-                        stack.push(children[choice]);
-                    }
-                }
-            }
-        }
-        // Variables not mentioned by the selected sub-circuit default to the
-        // evidence value or `false`.
-        let assignment: Vec<bool> = assignment
-            .iter()
-            .enumerate()
-            .map(|(var, v)| v.or(evidence.value(var)).unwrap_or(false))
-            .collect();
-
-        Ok(MpeResult {
-            value: values[self.root().index()],
-            assignment,
-        })
+        Evaluator::new(self).mpe(evidence)
     }
 
     /// Log-domain most probable explanation: identical argmax semantics to
@@ -378,69 +432,15 @@ impl Spn {
     /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
     /// different number of variables than the SPN.
     pub fn mpe_log(&self, evidence: &Evidence) -> Result<MpeResult> {
-        self.check_evidence(evidence)?;
-        let order = self.topological_order();
-        let mut values = vec![f64::NEG_INFINITY; self.num_nodes()];
-        let mut choices = vec![usize::MAX; self.num_nodes()];
-        for &id in &order {
-            values[id.index()] = match self.node(id) {
-                Node::Indicator { var, value } => evidence.indicator(var.index(), *value).ln(),
-                Node::Constant(c) => c.max(0.0).ln(),
-                Node::Product { children } => {
-                    children.iter().map(|c| values[c.index()]).sum::<f64>()
-                }
-                Node::Sum { children, weights } => {
-                    let mut best = f64::NEG_INFINITY;
-                    let mut best_idx = 0;
-                    for (i, (c, w)) in children.iter().zip(weights).enumerate() {
-                        let v = w.ln() + values[c.index()];
-                        if v > best {
-                            best = v;
-                            best_idx = i;
-                        }
-                    }
-                    choices[id.index()] = best_idx;
-                    best
-                }
-            };
-        }
-
-        // Same backtrack as the linear mpe: follow argmax branches from the
-        // root, hard evidence wins over indicator preferences.
-        let mut assignment: Vec<Option<bool>> = vec![None; self.num_vars()];
-        let mut stack: Vec<NodeId> = vec![self.root()];
-        while let Some(id) = stack.pop() {
-            match self.node(id) {
-                Node::Indicator { var, value } => {
-                    let v = evidence.value(var.index()).unwrap_or(*value);
-                    assignment[var.index()] = Some(v);
-                }
-                Node::Constant(_) => {}
-                Node::Product { children } => stack.extend(children.iter().copied()),
-                Node::Sum { children, .. } => {
-                    let choice = choices[id.index()];
-                    if choice != usize::MAX {
-                        stack.push(children[choice]);
-                    }
-                }
-            }
-        }
-        let assignment: Vec<bool> = assignment
-            .iter()
-            .enumerate()
-            .map(|(var, v)| v.or(evidence.value(var)).unwrap_or(false))
-            .collect();
-
-        Ok(MpeResult {
-            value: values[self.root().index()],
-            assignment,
-        })
+        Evaluator::new(self).mpe_log(evidence)
     }
 
-    fn check_evidence(&self, evidence: &Evidence) -> Result<()> {
-        if evidence.num_vars() != self.num_vars() {
+    /// Rejects evidence (a row or a batch) over `evidence_vars` variables
+    /// when the SPN has a different number.
+    fn check_vars(&self, evidence_vars: usize) -> Result<()> {
+        if evidence_vars != self.num_vars() {
             return Err(SpnError::EvidenceMismatch {
-                evidence_vars: evidence.num_vars(),
+                evidence_vars,
                 spn_vars: self.num_vars(),
             });
         }

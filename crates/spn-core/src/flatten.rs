@@ -33,7 +33,7 @@ use crate::evidence::Evidence;
 use crate::graph::{Node, Spn, VarId};
 use crate::numeric::{log_sum_exp, log_sum_exp_lanes, NumericMode};
 use crate::precision::{Precision, Quantizer};
-use crate::{Result, SpnError};
+use crate::Result;
 
 /// The source feeding one input slot of a flattened program.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -328,8 +328,8 @@ impl OpList {
     /// The structure is unchanged; every [`LeafSource::Param`] is quantized
     /// to `precision` (the data memory of a reduced-precision processor
     /// holds reduced-precision words), and the execution kernels —
-    /// [`crate::vectorized::run_lanes`], the GPU model and the processor
-    /// simulator's PE trees — quantize every intermediate result.
+    /// [`crate::vectorized::run_lanes`] (CPU and GPU models) and the
+    /// processor simulator's PE trees — quantize every intermediate result.
     /// [`Precision::F64`] programs execute bit-for-bit like programs that
     /// were never stamped.
     ///
@@ -453,53 +453,17 @@ impl OpList {
         self.num_vars
     }
 
-    /// Materialises the input vector for the given evidence.
+    /// Materialises the input vector for the given evidence: a one-off
+    /// [`InputRecipe`](crate::InputRecipe) fill.
     ///
     /// # Errors
     ///
-    /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
+    /// Returns [`crate::SpnError::EvidenceMismatch`] when the evidence covers a
     /// different number of variables.
     pub fn input_values(&self, evidence: &Evidence) -> Result<Vec<f64>> {
         let mut out = Vec::new();
-        self.input_values_into(evidence, &mut out)?;
+        self.input_recipe().fill_evidence(evidence, &mut out)?;
         Ok(out)
-    }
-
-    /// Materialises the input vector for the given evidence into `out`,
-    /// reusing its allocation — the non-allocating form of
-    /// [`OpList::input_values`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
-    /// different number of variables.
-    pub fn input_values_into(&self, evidence: &Evidence, out: &mut Vec<f64>) -> Result<()> {
-        if evidence.num_vars() != self.num_vars {
-            return Err(SpnError::EvidenceMismatch {
-                evidence_vars: evidence.num_vars(),
-                spn_vars: self.num_vars,
-            });
-        }
-        let log = self.mode == NumericMode::Log;
-        out.clear();
-        out.reserve(self.inputs.len());
-        out.extend(self.inputs.iter().map(|leaf| match leaf {
-            // ln(1.0) = 0.0 and ln(0.0) = -inf exactly, so the log-domain
-            // indicator fill is just the natural log of the linear one.
-            LeafSource::Indicator { var, value } => {
-                let v = evidence.indicator(var.index(), *value);
-                if log {
-                    v.ln()
-                } else {
-                    v
-                }
-            }
-            LeafSource::Param(p) => *p,
-            // Bound by the partitioned runtime, not by evidence; the NaN
-            // placeholder makes an unbound import loudly visible in results.
-            LeafSource::External => f64::NAN,
-        }));
-        Ok(())
     }
 
     /// The reference interpreter: executes the program on a pre-materialised
@@ -545,7 +509,7 @@ impl OpList {
     ///
     /// # Errors
     ///
-    /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
+    /// Returns [`crate::SpnError::EvidenceMismatch`] when the evidence covers a
     /// different number of variables.
     pub fn evaluate(&self, evidence: &Evidence) -> Result<f64> {
         let inputs = self.input_values(evidence)?;

@@ -65,21 +65,6 @@ impl Node {
             Node::Indicator { .. } | Node::Constant(_) => &[],
         }
     }
-
-    /// Returns `true` for indicator or constant leaves.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Indicator { .. } | Node::Constant(_))
-    }
-
-    /// Returns `true` for sum nodes.
-    pub fn is_sum(&self) -> bool {
-        matches!(self, Node::Sum { .. })
-    }
-
-    /// Returns `true` for product nodes.
-    pub fn is_product(&self) -> bool {
-        matches!(self, Node::Product { .. })
-    }
 }
 
 /// A sum-product network: a rooted DAG of [`Node`]s over binary variables.

@@ -176,7 +176,7 @@ impl ConeAnalysis {
         state: &mut IncrementalState,
     ) -> Result<f64> {
         self.check_shape(ops)?;
-        ops.input_values_into(evidence, &mut state.inputs)?;
+        state.inputs = ops.input_values(evidence)?;
         state.results.clear();
         state.results.resize(ops.num_ops(), 0.0);
         state.primed = true;
@@ -218,7 +218,7 @@ impl ConeAnalysis {
         }
 
         // Update the flipped indicators' input slots exactly as
-        // `input_values_into` would fill them (log mode takes the natural
+        // `OpList::input_values` would fill them (log mode takes the natural
         // log: ln(1.0) = 0.0 and ln(0.0) = -inf exactly).
         let log = ops.mode() == NumericMode::Log;
         for &(var, observation) in flips {

@@ -35,8 +35,8 @@
 //!
 //! [`crate::flatten::OpList::with_precision`] stamps a program with a
 //! precision (quantizing its baked-in parameters — the data memory holds
-//! reduced-precision words too); the interpreted kernels here, the GPU
-//! model's group-by-group kernel and the processor simulator's PE trees all
+//! reduced-precision words too); the interpreted kernels here (which the
+//! CPU and GPU models both run) and the processor simulator's PE trees
 //! quantize every intermediate, the compiler artifact records the
 //! precision, and the serving layer caches one compiled artifact per
 //! `(model, numeric mode, precision)`.

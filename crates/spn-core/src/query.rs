@@ -470,8 +470,8 @@ impl MaxProductProgram {
     }
 }
 
-/// Answers a query batch with the reference [`Evaluator`] (and [`Spn::mpe`]
-/// for MAP queries), in the linear domain.
+/// Answers a query batch with the reference [`Evaluator`] (its max-product
+/// pass for MAP queries), in the linear domain.
 ///
 /// This is the oracle every execution backend is checked against: tests and
 /// the benchmark harness compare engine outputs to it.  See
@@ -491,7 +491,7 @@ pub fn reference_query(spn: &Spn, query: &QueryBatch) -> Result<QueryResult> {
 /// numeric domain.
 ///
 /// In [`NumericMode::Log`] the oracle runs [`Evaluator::evaluate_log`] (and
-/// [`Spn::mpe_log`] for MAP queries) and every returned value is a natural
+/// [`Evaluator::mpe_log`] for MAP queries) and every returned value is a natural
 /// log — finite where the linear value would underflow to `0.0`; conditional
 /// queries become a log-space subtraction.
 ///
@@ -529,8 +529,8 @@ pub fn reference_query_with(
             let mut assignments = Vec::with_capacity(batch.len());
             for q in 0..batch.len() {
                 let result = match mode {
-                    NumericMode::Linear => spn.mpe(&batch.to_evidence(q))?,
-                    NumericMode::Log => spn.mpe_log(&batch.to_evidence(q))?,
+                    NumericMode::Linear => evaluator.mpe(&batch.to_evidence(q))?,
+                    NumericMode::Log => evaluator.mpe_log(&batch.to_evidence(q))?,
                 };
                 values.push(result.value);
                 assignments.push(result.assignment);
@@ -557,18 +557,6 @@ pub fn reference_query_with(
             assignments: None,
         }),
     }
-}
-
-/// Divides a conditional batch's numerator values by its denominator values
-/// in the linear domain — see [`conditional_values`] for the mode-aware
-/// form shared by the reference oracle and the engines.
-///
-/// # Errors
-///
-/// Returns [`SpnError::UndefinedConditional`] for the first query whose
-/// conditioning evidence has probability zero.
-pub fn conditional_ratio(numerator: Vec<f64>, denominator: &[f64]) -> Result<Vec<f64>> {
-    conditional_values(NumericMode::Linear, numerator, denominator)
 }
 
 /// Combines a conditional batch's two passes into `P(target | given)` —

@@ -10,9 +10,10 @@
 //!   distributions (the software stand-in for a Knuth-Yao sampler block),
 //! * [`SamplerProgram`] — a compiled sampler for one SPN: prior *ancestral*
 //!   sampling top-down through sum/product nodes, exact *conditional*
-//!   sampling under evidence (one bottom-up log-domain pass, then a
-//!   top-down descent re-weighted by child values), *likelihood-weighted*
-//!   importance sampling, and *Gibbs* conditional resampling,
+//!   sampling under evidence (one bottom-up pass of the reference sweep,
+//!   [`crate::eval`] in its `Log` algebra, then a top-down descent
+//!   re-weighted by child values), *likelihood-weighted* importance
+//!   sampling, and *Gibbs* conditional resampling,
 //! * [`SampleSpec`] / [`SampleBatch`] — the batched query forms behind the
 //!   `sample` and `expectation` query modes of
 //!   [`QueryBatch`](crate::QueryBatch).
@@ -24,8 +25,8 @@
 //! rows are sharded across workers or coalesced across requests.
 
 use crate::batch::{EvidenceBatch, Obs};
+use crate::eval::{sweep, Log};
 use crate::graph::{Node, NodeId, Spn};
-use crate::numeric::log_sum_exp;
 use crate::{Result, SpnError};
 use rand::rngs::Pcg64;
 use rand::{Rng, RngCore, StreamableRng};
@@ -327,7 +328,6 @@ pub struct SamplerProgram {
     spn: Spn,
     order: Vec<NodeId>,
     alias: Vec<Option<AliasTable>>,
-    num_vars: usize,
 }
 
 impl SamplerProgram {
@@ -337,8 +337,7 @@ impl SamplerProgram {
         // Prior (all-marginal) node values, log domain so deep circuits
         // don't underflow.
         let mut lz = vec![f64::NEG_INFINITY; spn.num_nodes()];
-        let marginal = vec![Obs::Marginal; spn.num_vars()];
-        log_values_into(spn, &order, &marginal, &mut lz);
+        sweep::<Log>(spn, &order, |_, _| 1.0, &mut lz);
         let mut alias: Vec<Option<AliasTable>> = vec![None; spn.num_nodes()];
         for &id in &order {
             if let Node::Sum { children, weights } = spn.node(id) {
@@ -361,20 +360,21 @@ impl SamplerProgram {
             spn: spn.clone(),
             order,
             alias,
-            num_vars: spn.num_vars(),
         }
     }
 
     /// Number of variables sampled assignments cover.
     pub fn num_vars(&self) -> usize {
-        self.num_vars
+        self.spn.num_vars()
     }
 
-    /// Bottom-up log-domain value of every node under `row`, arena-indexed.
-    fn log_values(&self, row: &[Obs], out: &mut Vec<f64>) {
-        out.clear();
+    /// Bottom-up log-domain value of every node under `row` into the
+    /// arena-indexed `out` (the reference sweep of [`crate::eval`] in its
+    /// [`Log`] algebra); returns the root's.
+    fn log_values(&self, row: &[Obs], out: &mut Vec<f64>) -> f64 {
         out.resize(self.spn.num_nodes(), f64::NEG_INFINITY);
-        log_values_into(&self.spn, &self.order, row, out);
+        let indicator = |var: usize, value| row[var].indicator(value);
+        sweep::<Log>(&self.spn, &self.order, indicator, out)
     }
 
     /// Fills `out[var]` with the observed value, or a fair coin for
@@ -396,7 +396,7 @@ impl SamplerProgram {
     /// Returns [`SpnError::Invalid`] when a sum node on the path has zero
     /// total mass (no alias table).
     pub fn draw_prior<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [bool]) -> Result<()> {
-        let marginal = vec![Obs::Marginal; self.num_vars];
+        let marginal = vec![Obs::Marginal; self.spn.num_vars()];
         self.prefill(&marginal, rng, out);
         let mut stack = vec![self.spn.root()];
         while let Some(id) = stack.pop() {
@@ -502,7 +502,7 @@ impl SamplerProgram {
     ) -> Result<RowEstimate> {
         let mut rng = Pcg64::with_stream(spec.seed, stream);
         let n = spec.n_samples as usize;
-        let mut x = vec![false; self.num_vars];
+        let mut x = vec![false; self.spn.num_vars()];
         match spec.method {
             SampleMethod::Ancestral => {
                 let mut hits = 0usize;
@@ -520,7 +520,7 @@ impl SamplerProgram {
             }
             SampleMethod::LikelihoodWeighted => {
                 let mut weights = Vec::with_capacity(n);
-                let mut scratch = LwScratch::new(self.num_vars);
+                let mut scratch = LwScratch::new(self.spn.num_vars());
                 for _ in 0..n {
                     self.draw_prior(&mut rng, &mut x)?;
                     weights.push(self.importance_weight(row, &x, &mut scratch));
@@ -547,7 +547,7 @@ impl SamplerProgram {
         let n = spec.n_samples as usize;
         let observed = row.iter().any(|&o| o != Obs::Marginal);
         let mut assignments = Vec::with_capacity(n);
-        let mut x = vec![false; self.num_vars];
+        let mut x = vec![false; self.spn.num_vars()];
         match spec.method {
             SampleMethod::Ancestral => {
                 if observed {
@@ -571,7 +571,7 @@ impl SamplerProgram {
             }
             SampleMethod::LikelihoodWeighted => {
                 let mut weights = Vec::with_capacity(n);
-                let mut scratch = LwScratch::new(self.num_vars);
+                let mut scratch = LwScratch::new(self.spn.num_vars());
                 for _ in 0..n {
                     self.draw_prior(&mut rng, &mut x)?;
                     weights.push(self.importance_weight(row, &x, &mut scratch));
@@ -598,7 +598,7 @@ impl SamplerProgram {
                 // Exact conditional initialisation keeps the chain inside
                 // the support from the first step.
                 self.draw_conditional(row, &lv, &mut rng, &mut x)?;
-                let mut scratch_row = vec![Obs::Marginal; self.num_vars];
+                let mut scratch_row = vec![Obs::Marginal; self.spn.num_vars()];
                 for sweep in 0..GIBBS_BURN_IN + n {
                     self.gibbs_sweep(row, &mut x, &mut rng, &mut lv, &mut scratch_row);
                     if sweep >= GIBBS_BURN_IN {
@@ -627,16 +627,14 @@ impl SamplerProgram {
         for (var, cell) in scratch_row.iter_mut().enumerate() {
             *cell = if x[var] { Obs::True } else { Obs::False };
         }
-        for var in 0..self.num_vars {
+        for var in 0..self.spn.num_vars() {
             if row[var] != Obs::Marginal {
                 continue;
             }
             scratch_row[var] = Obs::True;
-            self.log_values(scratch_row, lv);
-            let lp1 = lv[self.spn.root().index()];
+            let lp1 = self.log_values(scratch_row, lv);
             scratch_row[var] = Obs::False;
-            self.log_values(scratch_row, lv);
-            let lp0 = lv[self.spn.root().index()];
+            let lp0 = self.log_values(scratch_row, lv);
             // The current state has positive probability, so at least one
             // of the two is finite.
             let p1 = if lp1 == f64::NEG_INFINITY {
@@ -668,10 +666,8 @@ impl SamplerProgram {
                 }
             }
         }
-        self.log_values(&scratch.joint, &mut scratch.lv);
-        let num = scratch.lv[self.spn.root().index()];
-        self.log_values(&scratch.drawn, &mut scratch.lv);
-        let den = scratch.lv[self.spn.root().index()];
+        let num = self.log_values(&scratch.joint, &mut scratch.lv);
+        let den = self.log_values(&scratch.drawn, &mut scratch.lv);
         // A prior draw always has positive marginal mass, so `den` is
         // finite; a numerator of -inf is a genuine zero weight.
         (num - den).exp()
@@ -783,28 +779,6 @@ fn mean_and_std_err(values: &[f64]) -> RowEstimate {
     RowEstimate {
         value: mean,
         std_err,
-    }
-}
-
-/// Shared bottom-up log-domain evaluation under an [`Obs`] row, writing
-/// arena-indexed node values into `out` (which must be arena-sized and
-/// pre-filled; only nodes in `order` are written).
-fn log_values_into(spn: &Spn, order: &[NodeId], row: &[Obs], out: &mut [f64]) {
-    for &id in order {
-        out[id.index()] = match spn.node(id) {
-            Node::Indicator { var, value } => row[var.index()].indicator(*value).ln(),
-            // `max(0.0)` mirrors the flattener's clamping of degenerate
-            // constants.
-            Node::Constant(c) => c.max(0.0).ln(),
-            Node::Product { children } => children.iter().map(|c| out[c.index()]).sum(),
-            Node::Sum { children, weights } => {
-                let mut acc = f64::NEG_INFINITY;
-                for (c, &w) in children.iter().zip(weights) {
-                    acc = log_sum_exp(acc, w.max(0.0).ln() + out[c.index()]);
-                }
-                acc
-            }
-        };
     }
 }
 

@@ -24,7 +24,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::graph::{Node, Spn};
+use crate::graph::{Node, Spn, VarId};
 use crate::{Result, SpnError};
 
 /// Tolerance used when checking that sum weights add up to one.
@@ -75,41 +75,61 @@ impl ValidationReport {
     }
 }
 
+/// What the three structural tests find at one node, given every node's
+/// scope ([`Spn::scopes`]).  The one place the tests are written: [`check`]
+/// collects these over the reachable nodes, [`crate::analysis::lint_spn`]
+/// maps them to `SPN001`–`SPN003` over the whole arena.
+#[derive(Debug, Default)]
+pub(crate) struct NodeViolations {
+    /// A sum whose children do not all have the same scope.
+    pub incomplete: bool,
+    /// A product whose children's scopes overlap.
+    pub non_decomposable: bool,
+    /// The weight total of a sum that is not within
+    /// [`NORMALIZATION_TOLERANCE`] of one.
+    pub unnormalized: Option<f64>,
+}
+
+/// Runs the three tests on `node`.
+pub(crate) fn check_node(node: &Node, scopes: &[BTreeSet<VarId>]) -> NodeViolations {
+    let mut found = NodeViolations::default();
+    match node {
+        Node::Sum { children, weights } => {
+            let mut child_scopes = children.iter().map(|c| &scopes[c.index()]);
+            if let Some(first) = child_scopes.next() {
+                found.incomplete = child_scopes.any(|scope| scope != first);
+            }
+            let total: f64 = weights.iter().sum();
+            if (total - 1.0).abs() > NORMALIZATION_TOLERANCE {
+                found.unnormalized = Some(total);
+            }
+        }
+        Node::Product { children } => {
+            let mut seen: BTreeSet<VarId> = BTreeSet::new();
+            for c in children {
+                found.non_decomposable |= !scopes[c.index()].is_disjoint(&seen);
+                seen.extend(&scopes[c.index()]);
+            }
+        }
+        Node::Indicator { .. } | Node::Constant(_) => {}
+    }
+    found
+}
+
 /// Checks completeness, decomposability and weight normalisation of `spn`.
 pub fn check(spn: &Spn) -> ValidationReport {
     let scopes = spn.scopes();
     let mut report = ValidationReport::default();
-
     for id in spn.topological_order() {
-        match spn.node(id) {
-            Node::Sum { children, weights } => {
-                let first_scope: Option<&BTreeSet<_>> =
-                    children.first().map(|c| &scopes[c.index()]);
-                if let Some(first) = first_scope {
-                    if children.iter().any(|c| &scopes[c.index()] != first) {
-                        report.incomplete_sums.push(id.0);
-                    }
-                }
-                let total: f64 = weights.iter().sum();
-                if (total - 1.0).abs() > NORMALIZATION_TOLERANCE {
-                    report.unnormalized_sums.push((id.0, total));
-                }
-            }
-            Node::Product { children } => {
-                let mut seen: BTreeSet<crate::VarId> = BTreeSet::new();
-                let mut overlap = false;
-                for c in children {
-                    for &v in &scopes[c.index()] {
-                        if !seen.insert(v) {
-                            overlap = true;
-                        }
-                    }
-                }
-                if overlap {
-                    report.non_decomposable_products.push(id.0);
-                }
-            }
-            _ => {}
+        let found = check_node(spn.node(id), &scopes);
+        if found.incomplete {
+            report.incomplete_sums.push(id.0);
+        }
+        if found.non_decomposable {
+            report.non_decomposable_products.push(id.0);
+        }
+        if let Some(total) = found.unnormalized {
+            report.unnormalized_sums.push((id.0, total));
         }
     }
     report

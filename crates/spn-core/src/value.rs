@@ -1,6 +1,8 @@
 use std::fmt;
 use std::ops::{Add, Mul};
 
+use crate::numeric::log_sum_exp;
+
 /// A probability stored in the log domain.
 ///
 /// Sum-product networks over many variables produce probabilities far below
@@ -77,15 +79,7 @@ impl Add for LogProb {
 
     /// Log-sum-exp: `ln(e^a + e^b)` computed without overflow.
     fn add(self, rhs: LogProb) -> LogProb {
-        let (hi, lo) = if self.0 >= rhs.0 {
-            (self.0, rhs.0)
-        } else {
-            (rhs.0, self.0)
-        };
-        if hi == f64::NEG_INFINITY {
-            return LogProb::ZERO;
-        }
-        LogProb(hi + (lo - hi).exp().ln_1p())
+        LogProb(log_sum_exp(self.0, rhs.0))
     }
 }
 

@@ -7,9 +7,9 @@
 //! `run_lanes::<L>` for some supported width `L`, and a scalar pass is
 //! simply `L = 1`.  What each operation computes lives in
 //! [`OpKind::apply_lanes`](crate::flatten::OpKind::apply_lanes) and how a
-//! reduced-precision program rounds it in [`Quantizer`]; the two walkers
-//! that visit operations in another order (the incremental dirty-cone replay
-//! and the GPU model's level-order loop) share both.
+//! reduced-precision program rounds it in [`Quantizer`]; the one walker
+//! that visits operations in another order (the incremental dirty-cone
+//! replay) shares both.
 //!
 //! Walking the list once per query makes every operation a
 //! load-load-compute-store chain whose operands depend on earlier results,

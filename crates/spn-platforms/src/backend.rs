@@ -25,9 +25,10 @@
 
 use std::sync::Arc;
 
-use spn_core::batch::EvidenceBatch;
+use spn_core::batch::{EvidenceBatch, InputRecipe};
 use spn_core::flatten::OpList;
 use spn_core::incremental::ConeAnalysis;
+use spn_core::vectorized;
 use spn_processor::{MultiCoreProcessor, PerfReport};
 
 use crate::options::EngineOptions;
@@ -153,6 +154,61 @@ pub struct BatchResult {
     pub values: Vec<f64>,
     /// Accumulated performance counters ([`PerfReport::queries`] passes).
     pub perf: PerfReport,
+}
+
+/// The execute-many loop of the two software models (CPU and GPU): every
+/// value comes from the one flat-program executor,
+/// [`vectorized::run_lanes`], and the models differ only in the
+/// `perf_per_query` they charge.
+///
+/// `batch` is cut into lane blocks of at most `max_lanes` queries — full
+/// blocks first, what is left over in the next supported widths down to
+/// one — each filled by `recipe` and run by [`vectorized::run_lane_block`].
+/// The two tiles in `buffers` are sized by the widest block this batch
+/// uses: a one-row request must not pay for an 8-lane tile.
+pub(crate) fn execute_lane_blocks(
+    ops: &OpList,
+    recipe: &InputRecipe,
+    perf_per_query: &PerfReport,
+    max_lanes: usize,
+    batch: &EvidenceBatch,
+    buffers: &mut ExecBuffers,
+) -> Result<BatchResult, BackendError> {
+    recipe.check(batch)?;
+    let num_inputs = recipe.num_inputs();
+    let widest = vectorized::normalize_lanes(max_lanes.min(batch.len()));
+    buffers.inputs.clear();
+    buffers.inputs.resize(num_inputs * widest, 0.0);
+    buffers.scratch.clear();
+    buffers.scratch.resize(ops.num_ops() * widest, 0.0);
+
+    let mut values = vec![0.0; batch.len()];
+    let mut perf = PerfReport {
+        platform: perf_per_query.platform.clone(),
+        ..PerfReport::default()
+    };
+    let mut start = 0;
+    while start < batch.len() {
+        let lanes = vectorized::normalize_lanes(widest.min(batch.len() - start));
+        recipe.fill_lane_block(
+            batch,
+            start,
+            lanes,
+            &mut buffers.inputs[..num_inputs * lanes],
+        );
+        vectorized::run_lane_block(
+            ops,
+            lanes,
+            &buffers.inputs,
+            &mut buffers.scratch,
+            &mut values[start..start + lanes],
+        );
+        for _ in 0..lanes {
+            perf.merge(perf_per_query);
+        }
+        start += lanes;
+    }
+    Ok(BatchResult { values, perf })
 }
 
 /// A two-phase execution platform: compile once, execute many.

@@ -25,7 +25,7 @@ use spn_core::incremental::ConeAnalysis;
 use spn_core::vectorized;
 use spn_processor::PerfReport;
 
-use crate::backend::{Backend, BackendError, BatchResult, ExecBuffers};
+use crate::backend::{execute_lane_blocks, Backend, BackendError, BatchResult, ExecBuffers};
 use crate::options::EngineOptions;
 
 /// Microarchitectural parameters of the CPU model.
@@ -327,47 +327,14 @@ impl Backend for CpuModel {
         buffers: &mut ExecBuffers,
         _scratch: &mut (),
     ) -> Result<BatchResult, BackendError> {
-        let recipe = &compiled.recipe;
-        recipe.check(batch)?;
-        let num_inputs = recipe.num_inputs();
-        let num_ops = compiled.ops.num_ops();
-        // One `[slots × lanes]` tile each, sized by the widest block this
-        // batch uses: a one-row request must not pay for an 8-lane tile.
-        let widest = vectorized::normalize_lanes(self.lanes.min(batch.len()));
-        buffers.inputs.clear();
-        buffers.inputs.resize(num_inputs * widest, 0.0);
-        buffers.scratch.clear();
-        buffers.scratch.resize(num_ops * widest, 0.0);
-
-        let mut values = vec![0.0; batch.len()];
-        let mut perf = PerfReport::default();
-        let mut start = 0;
-        while start < batch.len() {
-            // The widest supported block that fits what is left: full-width
-            // blocks first, then the remainder in descending widths.
-            let lanes = vectorized::normalize_lanes(widest.min(batch.len() - start));
-            recipe.fill_lane_block(
-                batch,
-                start,
-                lanes,
-                &mut buffers.inputs[..num_inputs * lanes],
-            );
-            vectorized::run_lane_block(
-                &compiled.ops,
-                lanes,
-                &buffers.inputs,
-                &mut buffers.scratch,
-                &mut values[start..start + lanes],
-            );
-            for _ in 0..lanes {
-                perf.merge(&compiled.perf_per_query);
-            }
-            start += lanes;
-        }
-        if perf.platform.is_empty() {
-            self.config.name.clone_into(&mut perf.platform);
-        }
-        Ok(BatchResult { values, perf })
+        execute_lane_blocks(
+            &compiled.ops,
+            &compiled.recipe,
+            &compiled.perf_per_query,
+            self.lanes,
+            batch,
+            buffers,
+        )
     }
 }
 

@@ -10,20 +10,24 @@
 //!    in a warp that hit the same bank are serialised,
 //! 3. **Thread divergence** between the sum and product sides of the `if`.
 //!
-//! The model executes the real operation list group by group (so it also
-//! validates the computed value), assigns working-array elements to shared
-//! memory banks with the same greedy colouring idea used in the paper, and
-//! charges cycles for exactly those three mechanisms plus plain instruction
-//! issue.
+//! The model is analytic: at compile time it decomposes the operation list
+//! into dependency groups, assigns working-array elements to shared memory
+//! banks with the same greedy colouring idea used in the paper, and charges
+//! cycles for exactly those three mechanisms plus plain instruction issue.
+//! The *values* of a batch are by construction those of the CPU model — a
+//! kernel computes each operation once from the same operands in whatever
+//! order its groups run — so `execute_batch` takes them from the same
+//! lane-blocked pass over [`spn_core::vectorized::run_lanes`] the CPU model
+//! runs (`backend::execute_lane_blocks`).
 
 use serde::{Deserialize, Serialize};
 use spn_core::batch::{EvidenceBatch, InputRecipe};
 use spn_core::flatten::{OpKind, OpList, OperandRef};
 use spn_core::levelize::Levelization;
-use spn_core::precision::Quantizer;
+use spn_core::vectorized;
 use spn_processor::PerfReport;
 
-use crate::backend::{Backend, BackendError, BatchResult, ExecBuffers};
+use crate::backend::{execute_lane_blocks, Backend, BackendError, BatchResult, ExecBuffers};
 
 /// Parameters of the GPU model (defaults follow the Jetson TX2 block used in
 /// the paper: 128 CUDA cores, 32 shared-memory banks).
@@ -132,25 +136,12 @@ impl GpuModel {
         bank_of
     }
 
-    /// Counts cycles for one inference pass over `ops`.
-    ///
-    /// Convenience wrapper that re-derives the dependency groups and bank
-    /// assignment; the [`Backend::compile`] path computes those once and
-    /// reuses them for the whole lifetime of the compiled artifact.
+    /// Counts cycles for one inference pass over `ops`: derives the
+    /// dependency groups and the bank assignment, then charges barriers,
+    /// shared-memory serialisation, divergence and issue group by group.
+    /// The SIMT schedule is evidence-independent, so [`Backend::compile`]
+    /// runs this once and every query of every batch is charged the result.
     pub fn model_cycles(&self, ops: &OpList) -> PerfReport {
-        let levels = Levelization::from_op_list(ops);
-        let bank_of = self.assign_banks(ops);
-        self.model_cycles_with(ops, &levels, &bank_of)
-    }
-
-    /// Counts cycles for one inference pass using precomputed dependency
-    /// groups and bank assignment.
-    fn model_cycles_with(
-        &self,
-        ops: &OpList,
-        levels: &Levelization,
-        bank_of: &[usize],
-    ) -> PerfReport {
         let cfg = &self.config;
         let n = ops.num_ops();
         if n == 0 {
@@ -161,6 +152,8 @@ impl GpuModel {
                 ..Default::default()
             };
         }
+        let levels = Levelization::from_op_list(ops);
+        let bank_of = self.assign_banks(ops);
         let index_of = |r: OperandRef| match r {
             OperandRef::Input(i) => i as usize,
             OperandRef::Op(i) => ops.num_inputs() + i as usize,
@@ -247,15 +240,12 @@ impl GpuModel {
     }
 }
 
-/// The GPU model's compiled artifact: the kernel-launch preparation done
-/// once per circuit — dependency-group decomposition, shared-memory bank
-/// assignment, the input recipe, and the modelled per-query cost (the SIMT
-/// schedule is evidence-independent, so the whole cost model runs at compile
-/// time).
+/// The GPU model's compiled artifact: the program, its input recipe and
+/// the modelled per-query cost ([`GpuModel::model_cycles`], run once at
+/// compile time).
 #[derive(Debug, Clone)]
 pub struct GpuCompiled {
     ops: OpList,
-    levels: Levelization,
     recipe: InputRecipe,
     perf_per_query: PerfReport,
 }
@@ -264,11 +254,6 @@ impl GpuCompiled {
     /// The flattened program this artifact executes.
     pub fn ops(&self) -> &OpList {
         &self.ops
-    }
-
-    /// The dependency groups the kernel synchronises between.
-    pub fn levels(&self) -> &Levelization {
-        &self.levels
     }
 
     /// The modelled cost of one inference pass.
@@ -286,13 +271,9 @@ impl Backend for GpuModel {
     }
 
     fn compile(&self, ops: &OpList) -> Result<GpuCompiled, BackendError> {
-        let levels = Levelization::from_op_list(ops);
-        let bank_of = self.assign_banks(ops);
-        let perf_per_query = self.model_cycles_with(ops, &levels, &bank_of);
         Ok(GpuCompiled {
             recipe: ops.input_recipe(),
-            perf_per_query,
-            levels,
+            perf_per_query: self.model_cycles(ops),
             ops: ops.clone(),
         })
     }
@@ -304,42 +285,14 @@ impl Backend for GpuModel {
         buffers: &mut ExecBuffers,
         _scratch: &mut (),
     ) -> Result<BatchResult, BackendError> {
-        let ops = &compiled.ops;
-        let recipe = &compiled.recipe;
-        recipe.check(batch)?;
-        buffers.inputs.clear();
-        buffers.inputs.resize(recipe.num_inputs(), 0.0);
-        buffers.scratch.clear();
-        buffers.scratch.resize(ops.num_ops(), 0.0);
-        let (inputs, results) = (&mut buffers.inputs, &mut buffers.scratch);
-        let quantizer = Quantizer::new(ops.precision());
-        let value = |r: OperandRef, inputs: &[f64], results: &[f64]| match r {
-            OperandRef::Input(k) => inputs[k as usize],
-            OperandRef::Op(k) => results[k as usize],
-        };
-
-        let mut values = Vec::with_capacity(batch.len());
-        let mut perf = PerfReport::default();
-        for q in 0..batch.len() {
-            recipe.fill_query(batch, q, inputs);
-            // Execute group by group exactly like the kernel would.
-            for group in compiled.levels.iter() {
-                for &i in group {
-                    let op = ops.ops()[i];
-                    let (a, b) = (
-                        value(op.lhs, inputs, results),
-                        value(op.rhs, inputs, results),
-                    );
-                    results[i] = quantizer.round(op.kind.apply(a, b));
-                }
-            }
-            values.push(value(ops.output(), inputs, results));
-            perf.merge(&compiled.perf_per_query);
-        }
-        if perf.platform.is_empty() {
-            self.config.name.clone_into(&mut perf.platform);
-        }
-        Ok(BatchResult { values, perf })
+        execute_lane_blocks(
+            &compiled.ops,
+            &compiled.recipe,
+            &compiled.perf_per_query,
+            vectorized::MAX_LANES,
+            batch,
+            buffers,
+        )
     }
 }
 

@@ -71,21 +71,6 @@ impl ProcessorBackend {
         })
     }
 
-    /// Creates a single-core backend with an explicit compiler (custom
-    /// options).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the compiler's target configuration is invalid.
-    pub fn with_compiler(compiler: Compiler) -> Result<Self, BackendError> {
-        let processor =
-            MultiCoreProcessor::new(MultiCoreConfig::new(1, compiler.config().clone()))?;
-        Ok(ProcessorBackend {
-            compiler,
-            processor,
-        })
-    }
-
     /// The Ptree preset (2 trees × 4 levels, 30 PEs).
     ///
     /// # Panics
@@ -107,12 +92,6 @@ impl ProcessorBackend {
     /// The per-core processor configuration this backend targets.
     pub fn config(&self) -> &ProcessorConfig {
         self.compiler.config()
-    }
-
-    /// The full multi-core configuration (core count, shared memory,
-    /// interconnect).
-    pub fn multi_core_config(&self) -> &MultiCoreConfig {
-        self.processor.config()
     }
 
     /// Number of simulated cores batches are sharded over.

@@ -150,13 +150,6 @@ impl ProcessorConfig {
         self.data_memory_rows * self.total_banks()
     }
 
-    /// Global bank index range `[start, end)` of the private register file of
-    /// `tree`.
-    pub fn tree_bank_range(&self, tree: usize) -> std::ops::Range<usize> {
-        let start = tree * self.banks_per_tree;
-        start..start + self.banks_per_tree
-    }
-
     /// Global bank indices a PE may write to.
     ///
     /// A PE at level `l`, index `i` of tree `t` reaches `2^(l+1)` consecutive

@@ -81,16 +81,6 @@ pub struct BatchPolicy {
     pub max_wait: Duration,
 }
 
-impl BatchPolicy {
-    /// No coalescing wait: dispatch whatever is queued right now.
-    pub fn immediate() -> BatchPolicy {
-        BatchPolicy {
-            max_batch_queries: 256,
-            max_wait: Duration::ZERO,
-        }
-    }
-}
-
 impl Default for BatchPolicy {
     /// 256-query batches, waiting at most 1 ms to fill them.
     fn default() -> Self {

@@ -10,13 +10,15 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spn_accel::core::flatten::OpList;
 use spn_accel::core::random::{random_spn, RandomSpnConfig};
 use spn_accel::core::vectorized::{normalize_lanes, LANE_WIDTHS, MAX_LANES};
 use spn_accel::core::{
     ConditionalBatch, Evidence, EvidenceBatch, NumericMode, Precision, QueryBatch, QueryMode, Spn,
 };
 use spn_accel::platforms::{
-    Backend, BatchResult, CpuModel, Engine, EngineOptions, ExecBuffers, Parallelism, PerfReport,
+    Backend, BatchResult, CpuModel, Engine, EngineOptions, ExecBuffers, GpuModel, Parallelism,
+    PerfReport,
 };
 
 const NUM_VARS: usize = 10;
@@ -64,10 +66,54 @@ fn assert_bitwise(got: &BatchResult, want: &BatchResult, context: &str) {
     assert_eq!(got.perf, want.perf, "{context}");
 }
 
-/// Every lane width × numeric mode × precision × batch shape (including
-/// empty and ragged) agrees with the reference interpreter bit for bit,
-/// costs `len` queries in the model, and sizes its tiles by the widest block
-/// the batch actually uses.
+/// Runs every batch shape through one backend whose widest lane block is
+/// `lanes`: values equal the reference interpreter bit for bit, the model
+/// charges `len` merges of `perf_per_query`, and the tiles are sized by the
+/// widest block the batch actually uses.
+fn check_batch_shapes<B: Backend<Scratch = ()>>(
+    backend: &B,
+    ops: &OpList,
+    lanes: usize,
+    perf_per_query: impl Fn(&B::Compiled) -> &PerfReport,
+    context: &str,
+) {
+    let compiled = backend.compile(ops).unwrap();
+    let recipe = ops.input_recipe();
+    let mut inputs = vec![0.0; ops.num_inputs()];
+    let mut results = vec![0.0; ops.num_ops()];
+    let mut buffers = ExecBuffers::new();
+    for len in batch_lens() {
+        let context = format!("{context} lanes={lanes} len={len}");
+        let batch = build_batch(len);
+        let mut want = BatchResult {
+            values: Vec::with_capacity(len),
+            perf: PerfReport::default(),
+        };
+        for q in 0..len {
+            recipe.fill_query(&batch, q, &mut inputs);
+            want.values.push(ops.run_into(&inputs, &mut results));
+            want.perf.merge(perf_per_query(&compiled));
+        }
+        let got = backend
+            .execute_batch(&compiled, &batch, &mut buffers, &mut ())
+            .unwrap();
+        assert_eq!(got.perf.queries, len as u64, "{context}");
+        if len == 0 {
+            want.perf.platform = backend.name();
+        }
+        assert_bitwise(&got, &want, &context);
+        // Tiles hold the widest block of *this* batch: a one-row
+        // request on an 8-lane engine allocates one lane.
+        let widest = normalize_lanes(lanes.min(len));
+        assert_eq!(buffers.inputs.len(), ops.num_inputs() * widest, "{context}");
+        assert_eq!(buffers.scratch.len(), ops.num_ops() * widest, "{context}");
+    }
+}
+
+/// Every backend that takes its values from `run_lanes` — the CPU model at
+/// every lane width and the GPU model — × numeric mode × precision × batch
+/// shape (including empty and ragged) agrees with the reference interpreter
+/// bit for bit.
 #[test]
 fn lane_blocked_execute_matches_scalar_across_modes_precisions_and_shapes() {
     let spn = test_spn();
@@ -75,41 +121,19 @@ fn lane_blocked_execute_matches_scalar_across_modes_precisions_and_shapes() {
         for precision in Precision::SWEEP {
             let options = EngineOptions::default().mode(mode).precision(precision);
             let ops = options.lower(&spn);
-            let recipe = ops.input_recipe();
-            let mut inputs = vec![0.0; ops.num_inputs()];
-            let mut results = vec![0.0; ops.num_ops()];
+            let context = format!("{mode}/{precision}");
             for &lanes in &LANE_WIDTHS {
                 let backend = CpuModel::new().with_lanes(lanes);
                 assert_eq!(backend.lanes(), lanes);
-                let compiled = backend.compile(&ops).unwrap();
-                let mut buffers = ExecBuffers::new();
-                for len in batch_lens() {
-                    let context = format!("{mode}/{precision} lanes={lanes} len={len}");
-                    let batch = build_batch(len);
-                    let mut want = BatchResult {
-                        values: Vec::with_capacity(len),
-                        perf: PerfReport::default(),
-                    };
-                    for q in 0..len {
-                        recipe.fill_query(&batch, q, &mut inputs);
-                        want.values.push(ops.run_into(&inputs, &mut results));
-                        want.perf.merge(compiled.perf_per_query());
-                    }
-                    let got = backend
-                        .execute_batch(&compiled, &batch, &mut buffers, &mut ())
-                        .unwrap();
-                    assert_eq!(got.perf.queries, len as u64, "{context}");
-                    if len == 0 {
-                        want.perf.platform = backend.name();
-                    }
-                    assert_bitwise(&got, &want, &context);
-                    // Tiles hold the widest block of *this* batch: a one-row
-                    // request on an 8-lane engine allocates one lane.
-                    let widest = normalize_lanes(lanes.min(len));
-                    assert_eq!(buffers.inputs.len(), ops.num_inputs() * widest, "{context}");
-                    assert_eq!(buffers.scratch.len(), ops.num_ops() * widest, "{context}");
-                }
+                check_batch_shapes(&backend, &ops, lanes, |c| c.perf_per_query(), &context);
             }
+            check_batch_shapes(
+                &GpuModel::new(),
+                &ops,
+                MAX_LANES,
+                |c| c.perf_per_query(),
+                &format!("{context} gpu"),
+            );
         }
     }
 }
