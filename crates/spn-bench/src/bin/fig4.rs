@@ -2,14 +2,16 @@
 //! benchmark circuits, plus the paper's headline claims (Ptree >= 12x CPU/GPU
 //! and ~2x Pvect).
 //!
-//! Pass `--json <path>` to also dump the raw results for EXPERIMENTS.md.
+//! Pass `--json <path>` to also dump the raw results, one object per
+//! (benchmark, platform), as a JSON array.
 
 use std::env;
 use std::fs;
 
-use spn_bench::{markdown_table, run_all_platforms, to_json, PlatformResult};
+use spn_bench::{markdown_table, run_all_platforms, PlatformResult};
 use spn_core::batch::EvidenceBatch;
 use spn_learn::Benchmark;
+use spn_serve::json::Value;
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let args: Vec<String> = env::args().collect();
@@ -57,7 +59,24 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     println!("Ptree vs Pvect: {:.1}x (paper: ~2x)", ptree / pvect);
 
     if let Some(path) = json_path {
-        fs::write(&path, to_json(&all))?;
+        let text = |key: &str, v: &str| (key.to_string(), Value::Str(v.to_string()));
+        let num = |key: &str, v: f64| (key.to_string(), Value::Num(v));
+        let records = all
+            .iter()
+            .map(|r| {
+                Value::Obj(vec![
+                    text("platform", &r.platform),
+                    text("workload", &r.workload),
+                    num("ops", r.ops as f64),
+                    num("queries", r.queries as f64),
+                    num("cycles", r.cycles as f64),
+                    num("cycles_per_query", r.cycles_per_query),
+                    num("ops_per_cycle", r.ops_per_cycle),
+                    num("value", r.value),
+                ])
+            })
+            .collect();
+        fs::write(&path, Value::Arr(records).to_json() + "\n")?;
         eprintln!("raw results written to {path}");
     }
     Ok(())

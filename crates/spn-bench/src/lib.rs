@@ -8,13 +8,11 @@
 //!   benchmark circuits, plus the headline speed-up summary,
 //! * `ablation` — sweeps over the design choices (tree depth, register
 //!   banks, bank-allocation policy),
-//! * `bench_engine` — wall-clock throughput of the two-phase engine at
-//!   different evidence batch sizes (`BENCH_engine.json`),
-//! * `bench_serve` — open-loop load generator for the `spn-serve` inference
-//!   service, sweeping request rate × batching policy × worker count
-//!   (`BENCH_serve.json`, appended across runs),
-//! * `bench_check` — CI gate validating that the emitted `BENCH_*.json`
-//!   files are well-formed, non-empty and schema-consistent,
+//! * `scaling` — the two wall-clock sweeps the repo benchmark (`benchmark/`,
+//!   which measures everything else) does not carry: worker-thread scaling
+//!   of `Engine::execute_batch_parallel` and held-connection scaling of the
+//!   `poll(2)` TCP front-end; every output checked, markdown on stdout,
+//!   `--smoke` for CI,
 //! * `record_traces` — regenerates (`--bless`) or verifies (`--check`, the
 //!   CI gate) the committed golden per-cycle traces of the multi-core
 //!   simulator under `tests/golden_traces/` (cases in [`traces`]),
@@ -24,8 +22,6 @@
 //!   compiled artifacts) plus any SPN text files given as arguments;
 //!   `--deny warnings` (the CI mode) fails on any warn-level finding.
 //!
-//! `bench_engine` and `bench_serve` accept `--smoke` for the fast CI sweep.
-//!
 //! The library part holds the shared plumbing: running one evidence batch on
 //! every platform through the two-phase [`Engine`], checking that every
 //! platform computes the same root values, formatting result tables, and
@@ -34,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
 use spn_core::Spn;
@@ -47,7 +42,7 @@ pub mod stats;
 pub mod traces;
 
 /// Throughput of one platform on one batched workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformResult {
     /// Platform name (`CPU`, `GPU`, `Pvect`, `Ptree`, ...).
     pub platform: String,
@@ -243,91 +238,6 @@ pub fn markdown_table(results: &[PlatformResult]) -> String {
     out
 }
 
-/// The session-replay flip walk of `bench_engine` and `bench_serve`: delta
-/// `q` flips `flips` rotating variables through observed-true /
-/// observed-false / marginalised states, so consecutive deltas touch
-/// different cones and the walk revisits every variable.
-pub fn flip_schedule(
-    num_vars: usize,
-    flips: usize,
-    total_deltas: usize,
-) -> Vec<Vec<(usize, Option<bool>)>> {
-    (0..total_deltas)
-        .map(|q| {
-            (0..flips)
-                .map(|j| {
-                    let var = (q * flips + j) % num_vars;
-                    let observation = match (q + j) % 3 {
-                        0 => Some(true),
-                        1 => Some(false),
-                        _ => None,
-                    };
-                    (var, observation)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Escapes a string for inclusion in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serialises a finite `f64` for JSON (non-finite values become `null`).
-pub fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Serialises results to pretty JSON (hand-rolled: the offline build has no
-/// serde_json; consumed when updating EXPERIMENTS.md).
-pub fn to_json(results: &[PlatformResult]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "  {{\n",
-                "    \"platform\": \"{}\",\n",
-                "    \"workload\": \"{}\",\n",
-                "    \"ops\": {},\n",
-                "    \"queries\": {},\n",
-                "    \"cycles\": {},\n",
-                "    \"cycles_per_query\": {},\n",
-                "    \"ops_per_cycle\": {},\n",
-                "    \"value\": {}\n",
-                "  }}{}\n",
-            ),
-            json_escape(&r.platform),
-            json_escape(&r.workload),
-            r.ops,
-            r.queries,
-            r.cycles,
-            json_number(r.cycles_per_query),
-            json_number(r.ops_per_cycle),
-            json_number(r.value),
-            if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,15 +294,53 @@ mod tests {
         for p in ["CPU", "GPU", "Pvect", "Ptree", "Banknote"] {
             assert!(table.contains(p), "missing {p} in\n{table}");
         }
-        let json = to_json(&results);
-        assert!(json.contains("Ptree"));
-        assert!(json.contains("\"queries\": 3"));
     }
 
+    /// The trajectory file is read by people and scripts, not by a program
+    /// that would notice drift: every `BENCH_history.jsonl` line must carry
+    /// a median and a quartile distance for exactly the workload ×
+    /// end-to-end-metric pairs `BENCHMARK.json` declares, so a renamed
+    /// metric fails here rather than in a reader.
     #[test]
-    fn json_escaping_handles_special_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(2.5), "2.5");
+    fn bench_history_lines_cover_the_declared_end_to_end_pairs() {
+        use spn_serve::json::{parse, Value};
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |name: &str| std::fs::read_to_string(root.join(name)).expect(name);
+        let spec = parse(&read("BENCHMARK.json")).expect("BENCHMARK.json parses");
+        let names = |list: &str| -> Vec<&str> {
+            let items = spec.get(list).and_then(Value::as_arr).expect(list);
+            items
+                .iter()
+                .map(|item| item.get("name").and_then(Value::as_str).expect("name"))
+                .collect()
+        };
+        let mut declared: Vec<String> = Vec::new();
+        for workload in names("workloads") {
+            for metric in names("end_to_end") {
+                declared.push(format!("{workload}/{metric}"));
+            }
+        }
+        declared.sort();
+
+        let history = read("BENCH_history.jsonl");
+        assert!(history.lines().count() > 0, "no history lines");
+        for (n, line) in history.lines().enumerate() {
+            let record = parse(line).unwrap_or_else(|err| panic!("line {}: {err}", n + 1));
+            assert!(record.get("base").and_then(Value::as_str).is_some());
+            for field in ["pr", "host_cores", "runs", "run_seconds"] {
+                let value = record.get(field).and_then(Value::as_f64);
+                assert!(value.is_some_and(|v| v >= 1.0), "line {}: {field}", n + 1);
+            }
+            for field in ["median", "iqr"] {
+                let Some(Value::Obj(pairs)) = record.get(field) else {
+                    panic!("line {}: no {field} object", n + 1);
+                };
+                let finite = |v: &Value| v.as_f64().is_some_and(f64::is_finite);
+                assert!(pairs.iter().all(|(_, v)| finite(v)), "line {}", n + 1);
+                let mut keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+                keys.sort_unstable();
+                assert_eq!(keys, declared, "line {}: {field} keys", n + 1);
+            }
+        }
     }
 }

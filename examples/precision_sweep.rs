@@ -4,17 +4,21 @@
 //! floats chosen per application; this example reproduces that trade-off in
 //! software.  It sweeps a set of precisions — IEEE f64/f32 and a ladder of
 //! custom `e<exp>m<mant>` formats down to the paper's 8-bit-exponent /
-//! 10-bit-mantissa configuration — over two workloads:
+//! 10-bit-mantissa configuration — over three workloads:
 //!
 //! * a random benchmark circuit in the **linear** domain, where quantization
-//!   costs a bounded *relative* error per operation, and
-//! * a 900-level deep chain in the **log** domain, where the same formats
-//!   quantize log-probabilities (the paper's log-encoded alternative) and
-//!   the linear values would underflow any reduced exponent range.
+//!   costs a bounded *relative* error per operation,
+//! * a 900-level deep chain in the **linear** domain, where every answer
+//!   underflows to exactly `0.0` at every format (the oracle's does too, so
+//!   the error column reads 0: agreement on a useless answer), and
+//! * the same chain in the **log** domain, where the formats quantize
+//!   log-probabilities (the paper's log-encoded alternative) and every
+//!   answer is finite — at the throughput the log-sum-exp kernels cost.
 //!
-//! For each configuration it reports queries/sec on the CPU model and the
-//! max relative error against the exact f64 oracle — the curve that tells
-//! you how few mantissa bits a deployment can afford.
+//! For each configuration it reports queries/sec on the CPU model, the max
+//! relative error against the exact f64 oracle — the curve that tells you
+//! how few mantissa bits a deployment can afford — and how many of the
+//! batch's answers are probability zero (`0.0`, or `-inf` in the log domain).
 //!
 //! Run with `cargo run --release --example precision_sweep`.
 
@@ -62,9 +66,13 @@ fn sweep(label: &str, spn: &Spn, numeric: NumericMode) {
 
     println!("\n== {label} ({numeric} domain) ==");
     println!(
-        "{:>10} {:>14} {:>16}",
-        "precision", "queries/sec", "max rel error"
+        "{:>10} {:>14} {:>16} {:>14}",
+        "precision", "queries/sec", "max rel error", "zero answers"
     );
+    let zero = match numeric {
+        NumericMode::Linear => 0.0,
+        NumericMode::Log => f64::NEG_INFINITY,
+    };
     for precision in precisions {
         let mut engine = Engine::new(
             CpuModel::new(),
@@ -85,6 +93,7 @@ fn sweep(label: &str, spn: &Spn, numeric: NumericMode) {
                 }
             })
             .fold(0.0, f64::max);
+        let zero_answers = out.values.iter().filter(|v| **v == zero).count();
 
         let start = Instant::now();
         let rounds = 40;
@@ -93,10 +102,12 @@ fn sweep(label: &str, spn: &Spn, numeric: NumericMode) {
         }
         let qps = (rounds * batch.len()) as f64 / start.elapsed().as_secs_f64();
         println!(
-            "{:>10} {:>14.0} {:>16.3e}",
+            "{:>10} {:>14.0} {:>16.3e} {:>10}/{}",
             precision.name(),
             qps,
-            max_rel_error
+            max_rel_error,
+            zero_answers,
+            batch.len()
         );
     }
 }
@@ -110,11 +121,13 @@ fn main() {
     );
     sweep("random-12var", &spn, NumericMode::Linear);
 
-    // Log domain on a deep chain: the linear values underflow (f64 gives
+    // A deep chain in both domains: the linear values underflow (f64 gives
     // exactly 0.0 from level ~400 on; an 8-bit exponent flushes after ~20
     // levels), while log-domain quantization keeps every format finite and
-    // errors stay proportional to the format's unit roundoff.
+    // errors stay proportional to the format's unit roundoff.  The two
+    // queries/sec columns are the price of answers that exist.
     let chain = deep_chain_spn(900, 1e-3);
+    sweep("deep-chain-900", &chain, NumericMode::Linear);
     sweep("deep-chain-900", &chain, NumericMode::Log);
 
     println!(

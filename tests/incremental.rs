@@ -10,6 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use spn_accel::core::incremental::DEFAULT_FULL_PASS_FRACTION;
 use spn_accel::core::random::{random_spn, RandomSpnConfig};
 use spn_accel::core::{Evidence, NumericMode, Precision};
 use spn_accel::platforms::{Backend, CpuModel, Engine, EngineOptions, GpuModel, ProcessorBackend};
@@ -99,6 +100,14 @@ where
                     assert_eq!(session.evidence(), &evidence);
                     if !outcome.full_pass {
                         assert!(session.is_incremental());
+                        // The cone path's reason to exist: it never does
+                        // more than the fallback fraction of a full pass.
+                        let limit = DEFAULT_FULL_PASS_FRACTION * engine.ops().num_ops() as f64;
+                        assert!(
+                            outcome.recomputed_ops as f64 <= limit,
+                            "{} ops recomputed on the cone path, limit {limit}",
+                            outcome.recomputed_ops
+                        );
                         incremental_deltas += 1;
                     }
                 }
