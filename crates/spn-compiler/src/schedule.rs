@@ -352,7 +352,6 @@ impl<'a> Scheduler<'a> {
         self.mem_hint = cycle + 1;
         self.last_commit_booked = self.last_commit_booked.max(cycle);
         self.alloc.note_write_row(offset, cycle);
-        self.report.memory_loads += 1;
         self.resident.insert(row, offset);
         let row_values = self.mem_rows[row].clone();
         for (value, lane) in row_values {
@@ -428,7 +427,6 @@ impl<'a> Scheduler<'a> {
             row: spill_row as u32,
             reg: offset as u16,
         };
-        self.report.memory_stores += 1;
         for (value, bank) in stored {
             self.values.set_loc(
                 value,
@@ -892,17 +890,13 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    fn finish(mut self, _tiles: &[Tile]) -> Result<(Program, CompileReport)> {
+    fn finish(self, _tiles: &[Tile]) -> Result<(Program, CompileReport)> {
         let output = self.final_location(self.ops.output(), "program output")?;
         let exports = self
             .exports
             .iter()
             .map(|&e| self.final_location(e, "exported value"))
             .collect::<Result<Vec<_>>>()?;
-
-        self.report.instructions = self.instructions.len();
-        self.report.estimated_cycles = self.instructions.len() as u64;
-        self.report.nop_instructions = self.instructions.iter().filter(|i| i.is_nop()).count();
 
         let program = Program {
             config: self.config.clone(),
@@ -914,7 +908,16 @@ impl<'a> Scheduler<'a> {
             num_source_ops: self.ops.num_ops(),
             pe_precision: pe_precision(self.ops.precision()),
         };
-        Ok((program, self.report))
+        let perf = program.perf();
+        let report = CompileReport {
+            instructions: perf.instructions as usize,
+            nop_instructions: perf.stall_cycles as usize,
+            memory_loads: perf.memory_loads as usize,
+            memory_stores: perf.memory_stores as usize,
+            estimated_cycles: perf.cycles,
+            ..self.report
+        };
+        Ok((program, report))
     }
 }
 
@@ -1048,6 +1051,62 @@ mod tests {
             report.memory_loads > minimum_rows || report.memory_stores > 0,
             "expected eviction traffic: {report}"
         );
+    }
+
+    #[test]
+    fn report_is_the_programs_perf_drain_and_spill_traffic_included() {
+        // A shallow-tiled circuit on a tiny register file spills; a mixture
+        // whose root tile is three levels deep ends in its pipeline drain.
+        let mut tiny = ProcessorConfig::ptree();
+        tiny.regs_per_bank = 6;
+        let mut rng = StdRng::seed_from_u64(31);
+        let spilling = random_spn(&RandomSpnConfig::with_vars(48), &mut rng);
+        for (config, spn, tile_depth) in [
+            (ProcessorConfig::ptree(), small_mixture(), 4),
+            (tiny, spilling, 2),
+        ] {
+            let ops = OpList::from_spn(&spn);
+            let tiles = extract_tiles(&ops, tile_depth);
+            let (program, report) = schedule(&config, &ops, &tiles).expect("schedule");
+            let inputs = ops
+                .input_values(&Evidence::marginal(spn.num_vars()))
+                .expect("inputs");
+            let run = Processor::new(config.clone())
+                .expect("processor")
+                .run(&program, &inputs)
+                .expect("run");
+
+            // Counted here from the instruction stream, not through perf().
+            let last_issue = program.instructions.iter().rposition(|i| !i.is_nop());
+            let mut last_commit = 0;
+            for (cycle, instr) in program.instructions.iter().enumerate() {
+                for w in instr.trees.iter().flat_map(|t| &t.writes) {
+                    let commit = cycle as u64 + config.commit_latency(w.level as usize);
+                    last_commit = last_commit.max(commit);
+                }
+            }
+            let mem_ops = |want: fn(&MemOp) -> bool| {
+                program.instructions.iter().filter(|i| want(&i.mem)).count()
+            };
+            if tile_depth == 4 {
+                assert!(last_commit > last_issue.expect("an issue slot") as u64);
+            } else {
+                assert!(report.memory_stores > 0, "expected spills: {report}");
+            }
+            assert!(report.estimated_cycles > last_commit);
+            assert_eq!(report.estimated_cycles, run.perf.cycles);
+            assert_eq!(report.instructions, program.len());
+            assert_eq!(
+                report.memory_loads,
+                mem_ops(|m| matches!(m, MemOp::Load { .. }))
+            );
+            assert_eq!(
+                report.memory_stores,
+                mem_ops(|m| matches!(m, MemOp::Store { .. }))
+            );
+            assert_eq!(report.memory_loads as u64, run.perf.memory_loads);
+            assert_eq!(report.memory_stores as u64, run.perf.memory_stores);
+        }
     }
 
     #[test]

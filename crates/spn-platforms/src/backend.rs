@@ -183,10 +183,6 @@ pub(crate) fn execute_lane_blocks(
     buffers.scratch.resize(ops.num_ops() * widest, 0.0);
 
     let mut values = vec![0.0; batch.len()];
-    let mut perf = PerfReport {
-        platform: perf_per_query.platform.clone(),
-        ..PerfReport::default()
-    };
     let mut start = 0;
     while start < batch.len() {
         let lanes = vectorized::normalize_lanes(widest.min(batch.len() - start));
@@ -203,12 +199,12 @@ pub(crate) fn execute_lane_blocks(
             &mut buffers.scratch,
             &mut values[start..start + lanes],
         );
-        for _ in 0..lanes {
-            perf.merge(perf_per_query);
-        }
         start += lanes;
     }
-    Ok(BatchResult { values, perf })
+    Ok(BatchResult {
+        values,
+        perf: perf_per_query.times(batch.len() as u64),
+    })
 }
 
 /// A two-phase execution platform: compile once, execute many.

@@ -15,8 +15,6 @@ pub struct DataMemory {
     rows: usize,
     width: usize,
     data: Vec<f64>,
-    loads: u64,
-    stores: u64,
 }
 
 impl DataMemory {
@@ -35,8 +33,6 @@ impl DataMemory {
             rows,
             width,
             data: vec![0.0; rows * width],
-            loads: 0,
-            stores: 0,
         }
     }
 
@@ -48,35 +44,6 @@ impl DataMemory {
     /// Words per row (= number of register banks).
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Number of row loads performed so far.
-    pub fn load_count(&self) -> u64 {
-        self.loads
-    }
-
-    /// Number of row stores performed so far.
-    pub fn store_count(&self) -> u64 {
-        self.stores
-    }
-
-    /// Clears contents and transaction counters, keeping the allocation
-    /// (used between queries of a batched run).
-    pub fn reset(&mut self) {
-        self.data.fill(0.0);
-        self.reset_counters();
-    }
-
-    /// Clears only the transaction counters.
-    ///
-    /// Used by the batched execution path when a following
-    /// [`DataMemory::load_image`] overwrites the whole address range the
-    /// program can reach, making a data zero-fill redundant — this keeps the
-    /// per-query cost proportional to the program, not to the (possibly
-    /// larger, reused) backing memory.
-    pub fn reset_counters(&mut self) {
-        self.loads = 0;
-        self.stores = 0;
     }
 
     /// Initialises the memory contents from a flat image (row-major).
@@ -106,18 +73,17 @@ impl DataMemory {
         Ok(())
     }
 
-    /// Reads row `row` (counted as one load transaction).
+    /// Reads row `row` (one load transaction).
     ///
     /// # Errors
     ///
     /// Returns [`ProcessorError::MemoryOutOfRange`] for an invalid row.
-    pub fn load_row(&mut self, row: usize) -> Result<&[f64]> {
+    pub fn load_row(&self, row: usize) -> Result<&[f64]> {
         self.check_row(row)?;
-        self.loads += 1;
         Ok(&self.data[row * self.width..(row + 1) * self.width])
     }
 
-    /// Writes row `row` (counted as one store transaction).
+    /// Writes row `row` (one store transaction).
     ///
     /// # Errors
     ///
@@ -135,12 +101,11 @@ impl DataMemory {
                 ),
             });
         }
-        self.stores += 1;
         self.data[row * self.width..(row + 1) * self.width].copy_from_slice(values);
         Ok(())
     }
 
-    /// Reads a single word without counting a transaction (used to fetch the
+    /// Reads a single word outside any transaction (used to fetch the
     /// program output after execution).
     pub fn peek(&self, row: usize, lane: usize) -> f64 {
         self.data[row * self.width + lane]
@@ -160,7 +125,6 @@ mod tests {
         assert_eq!(mem.peek(0, 5), 5.0);
         assert_eq!(mem.peek(1, 0), 32.0);
         assert_eq!(mem.load_row(1).unwrap()[31], 63.0);
-        assert_eq!(mem.load_count(), 1);
     }
 
     #[test]
@@ -170,8 +134,6 @@ mod tests {
         let row: Vec<f64> = (0..32).map(|i| (i * 2) as f64).collect();
         mem.store_row(7, &row).unwrap();
         assert_eq!(mem.load_row(7).unwrap(), row.as_slice());
-        assert_eq!(mem.store_count(), 1);
-        assert_eq!(mem.load_count(), 1);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::ProcessorConfig;
+use crate::perf::PerfReport;
 use crate::precision::Precision;
 
 /// Source selection for one crossbar-fed input of a PE tree.
@@ -305,9 +306,51 @@ impl Program {
         self.instructions.is_empty()
     }
 
-    /// Number of stall (fully idle) instructions in the program.
-    pub fn stall_instructions(&self) -> usize {
-        self.instructions.iter().filter(|i| i.is_nop()).count()
+    /// The performance counters of one inference pass: the one place they
+    /// are counted.  The processor is statically scheduled — no latency, bank
+    /// or port depends on data — so they are fixed when the program is
+    /// emitted; the interpreter ([`crate::Processor`]) only computes values
+    /// and enforces the structural rules.
+    ///
+    /// A pass takes one cycle per instruction plus the pipeline drain: a PE
+    /// write issued in cycle `t` at level `l` commits in cycle
+    /// `t + commit_latency(l)` (loads and copies commit in their issue
+    /// cycle).  Operand reads are register reads by the crossbar, by copies
+    /// and by stores (every bank); write-backs are PE writes and copies.
+    pub fn perf(&self) -> PerfReport {
+        let mut perf = PerfReport {
+            platform: self.config.name.clone(),
+            queries: 1,
+            source_ops: self.num_source_ops as u64,
+            instructions: self.len() as u64,
+            cycles: self.len() as u64,
+            ..Default::default()
+        };
+        for (cycle, instr) in self.instructions.iter().enumerate() {
+            perf.stall_cycles += u64::from(instr.is_nop());
+            perf.issued_ops += instr.arithmetic_ops() as u64;
+            for tree in &instr.trees {
+                for sel in &tree.reads {
+                    perf.operand_reads += u64::from(matches!(sel, ReadSel::Reg { .. }));
+                }
+                perf.writebacks += tree.writes.len() as u64;
+                for w in &tree.writes {
+                    let commit = cycle as u64 + self.config.commit_latency(w.level as usize);
+                    perf.cycles = perf.cycles.max(commit + 1);
+                }
+            }
+            perf.operand_reads += instr.copies.len() as u64;
+            perf.writebacks += instr.copies.len() as u64;
+            match instr.mem {
+                MemOp::None => {}
+                MemOp::Load { .. } => perf.memory_loads += 1,
+                MemOp::Store { .. } => {
+                    perf.memory_stores += 1;
+                    perf.operand_reads += self.config.total_banks() as u64;
+                }
+            }
+        }
+        perf
     }
 }
 
@@ -371,7 +414,85 @@ mod tests {
         assert_eq!(image[2 * 32 + 5], 3.0);
         assert!(program.build_memory_image(&[1.0]).is_err());
         assert!(program.is_empty());
-        assert_eq!(program.stall_instructions(), 0);
+        assert_eq!(program.perf().stall_cycles, 0);
+    }
+
+    #[test]
+    fn perf_counts_issue_slots_drain_and_traffic() {
+        let config = ProcessorConfig::ptree();
+        let reg = |bank| ReadSel::Reg { bank, reg: 0 };
+        let mut load = Instruction::nop(&config);
+        load.mem = MemOp::Load { row: 0, reg: 0 };
+        // (a + b) × (c + d): four register reads, three ops, one write that
+        // commits one cycle after issue.
+        let mut compute = Instruction::nop(&config);
+        for bank in 0..4 {
+            compute.trees[0].reads[bank] = reg(bank as u16);
+        }
+        compute.trees[0].reads[4] = ReadSel::One;
+        compute.trees[0].pe_ops[0] = PeOp::Add;
+        compute.trees[0].pe_ops[1] = PeOp::Add;
+        compute.trees[0].pe_ops[8] = PeOp::Mul;
+        compute.trees[0].writes.push(WriteCmd {
+            level: 1,
+            pe: 0,
+            bank: 0,
+            reg: 1,
+        });
+        let mut copy = Instruction::nop(&config);
+        copy.copies.push(CopyCmd {
+            bank: 2,
+            src: 0,
+            dst: 7,
+        });
+        let mut store = Instruction::nop(&config);
+        store.mem = MemOp::Store { row: 1, reg: 1 };
+        // A forwarded value written from the tree root in the last issue
+        // slot: the pass drains three cycles past it.
+        let mut forward = Instruction::nop(&config);
+        forward.trees[1].reads[0] = reg(16);
+        for flat in [0, 8, 12, 14] {
+            forward.trees[1].pe_ops[flat] = PeOp::PassA;
+        }
+        forward.trees[1].writes.push(WriteCmd {
+            level: 3,
+            pe: 0,
+            bank: 16,
+            reg: 2,
+        });
+        let program = Program {
+            instructions: vec![
+                load,
+                compute,
+                Instruction::nop(&config),
+                copy,
+                store,
+                forward,
+            ],
+            input_layout: Vec::new(),
+            memory_rows_used: 2,
+            output: ValueLocation::Register { bank: 16, reg: 2 },
+            exports: Vec::new(),
+            num_source_ops: 3,
+            pe_precision: Precision::F64,
+            config,
+        };
+        assert_eq!(
+            program.perf(),
+            PerfReport {
+                platform: "Ptree".to_string(),
+                queries: 1,
+                cycles: 5 + 3 + 1,
+                source_ops: 3,
+                issued_ops: 3,
+                instructions: 6,
+                stall_cycles: 1,
+                memory_loads: 1,
+                memory_stores: 1,
+                writebacks: 3,
+                operand_reads: 4 + 1 + 32 + 1,
+            }
+        );
     }
 
     #[test]

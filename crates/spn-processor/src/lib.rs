@@ -24,8 +24,9 @@
 //! compiled once and then streamed over evidence.
 //! [`MultiCoreProcessor::run_batch_sharded`] runs a whole batch of input
 //! vectors through one simulator instance per core (reusable [`SimState`]s,
-//! no per-query allocation) and accumulates the per-query counters into one
-//! batch-aware [`PerfReport`]; one core is the single-processor case.
+//! no per-query allocation); one core is the single-processor case.  The
+//! schedule is static, so what a pass costs is [`Program::perf`], a pure
+//! function of the instruction stream; the interpreter counts nothing.
 //!
 //! The two configurations evaluated in the paper are available as presets:
 //! [`ProcessorConfig::ptree`] (2 trees × 4 levels = 30 PEs) and

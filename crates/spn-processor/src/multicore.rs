@@ -26,7 +26,9 @@
 //! Both modes return a [`MultiCoreBatch`] whose [`MultiCorePerf`] attributes
 //! every makespan cycle of every core to compute, memory stalls,
 //! interconnect stalls or idle time — an exact partition that
-//! [`MultiCorePerf::check_accounting`] verifies.  Both modes also exist in
+//! [`MultiCorePerf::check_accounting`] verifies.  It is a pure function of
+//! the programs ([`Program::perf`]), the machine and the query count; queries
+//! are simulated for values and structural checks only.  Both modes exist in
 //! `_traced` variants that record per-cycle golden traces on the global
 //! timeline (stage starts and steady-state offsets included), so a change
 //! to any latency model moves trace rows and is caught at the first
@@ -290,55 +292,26 @@ impl MultiCoreProcessor {
             *states = self.states_for(program);
         }
         let ranges = Self::shard_ranges(self.config.cores, queries);
+        let pass = program.perf();
         let mut outputs = Vec::with_capacity(queries);
-        let mut per_core = Vec::with_capacity(self.config.cores);
         for (c, range) in ranges.iter().enumerate() {
             let hook = &mut hooks[c];
-            let mut work = PerfReport::default();
+            // Traced queries sit on the core's cumulative timeline: compute
+            // plus the modeled wave-arbitration stalls of the earlier ones.
+            let busy = pass.cycles + self.memory_stall(c, &pass);
             for q in range.clone() {
                 if H::ENABLED {
                     hook.on_query(q as u64);
-                    // Place this query on the core's cumulative timeline:
-                    // compute cycles plus the modeled wave-arbitration
-                    // stalls of every earlier query in the shard, so a
-                    // contention-model change shifts recorded cycles.
-                    let transactions = work.memory_loads + work.memory_stores;
-                    hook.rebase(
-                        work.cycles + self.config.shared_memory.wave_penalty(c) * transactions,
-                    );
+                    hook.rebase((q - range.start) as u64 * busy);
                 }
                 let inputs = &flat_inputs[q * per_query..(q + 1) * per_query];
-                let run = self
+                let (output, _) = self
                     .core
-                    .run_with_hook(program, inputs, &mut states[c], hook)?;
-                outputs.push(run.output);
-                work.merge(&run.perf);
+                    .run_values(program, inputs, &mut states[c], hook)?;
+                outputs.push(output);
             }
-            if work.platform.is_empty() {
-                work.platform.clone_from(&self.config.core.name);
-            }
-            let transactions = work.memory_loads + work.memory_stores;
-            per_core.push(CorePerf {
-                core: c,
-                compute_cycles: work.cycles,
-                memory_stall_cycles: self.config.shared_memory.wave_penalty(c) * transactions,
-                interconnect_stall_cycles: 0,
-                idle_cycles: 0,
-                work,
-            });
         }
-        let makespan = per_core
-            .iter()
-            .map(CorePerf::busy_cycles)
-            .max()
-            .unwrap_or(0);
-        for core in &mut per_core {
-            core.idle_cycles = makespan - core.busy_cycles();
-        }
-        let cores = MultiCorePerf {
-            makespan_cycles: makespan,
-            per_core,
-        };
+        let cores = self.sharded_perf(&pass, queries);
         let perf = cores.merged(&self.config.name(), queries as u64);
         Ok(MultiCoreBatch {
             outputs,
@@ -418,41 +391,9 @@ impl MultiCoreProcessor {
                 .collect();
         }
 
-        // Calibration pass: one zero-input run per stage pins the
-        // data-independent per-query cycle count, from which the pipeline
-        // schedule (stage starts, initiation interval) is derived before
-        // any traced query executes.
-        let mut stage_cycles = vec![0u64; num_stages];
-        for (j, stage) in stages.iter().enumerate() {
-            let zeros = vec![0.0; stage.program.input_layout.len()];
-            let run = self.core.run_with(&stage.program, &zeros, &mut states[j])?;
-            let transactions = run.perf.memory_loads + run.perf.memory_stores;
-            stage_cycles[j] =
-                run.perf.cycles + self.config.shared_memory.wave_penalty(j) * transactions;
-        }
-        let mut starts = vec![0u64; num_stages];
-        let mut exposed_transfer = vec![0u64; num_stages];
-        for j in 0..num_stages {
-            let mut start = 0u64;
-            let mut producers_done = 0u64;
-            for src in &stages[j].inputs {
-                if let TransferSource::Core { core, .. } = *src {
-                    let k = core as usize;
-                    let finish = starts[k] + stage_cycles[k];
-                    start = start.max(finish + self.config.interconnect.latency(k, j));
-                    producers_done = producers_done.max(finish);
-                }
-            }
-            starts[j] = start;
-            // The wait beyond "all producers finished" is transfer latency
-            // exposed once at pipeline fill; steady-state transfers overlap
-            // with the previous query's compute.
-            exposed_transfer[j] = start - producers_done;
-        }
-        let ii = stage_cycles.iter().copied().max().unwrap_or(0);
+        let (cores, starts, ii) = self.pipelined_perf(parts, queries);
 
         let mut outputs = Vec::with_capacity(queries);
-        let mut work: Vec<PerfReport> = vec![PerfReport::default(); num_stages];
         let mut exports: Vec<Vec<f64>> = vec![Vec::new(); num_stages];
         let mut local_inputs: Vec<f64> = Vec::new();
         for q in 0..queries {
@@ -472,57 +413,111 @@ impl MultiCoreProcessor {
                     hook.on_query(q as u64);
                     hook.rebase(starts[j] + q as u64 * ii);
                 }
-                let run =
+                let (output, stage_exports) =
                     self.core
-                        .run_with_hook(&stage.program, &local_inputs, &mut states[j], hook)?;
-                exports[j] = run.exports;
-                work[j].merge(&run.perf);
+                        .run_values(&stage.program, &local_inputs, &mut states[j], hook)?;
+                exports[j] = stage_exports;
                 if j == num_stages - 1 {
-                    outputs.push(run.output);
+                    outputs.push(output);
                 }
             }
         }
-
-        let makespan = if queries == 0 {
-            0
-        } else {
-            starts[num_stages - 1] + stage_cycles[num_stages - 1] + (queries as u64 - 1) * ii
-        };
-        let mut per_core = Vec::with_capacity(self.config.cores);
-        for (j, mut work) in work.into_iter().enumerate() {
-            if work.platform.is_empty() {
-                work.platform.clone_from(&self.config.core.name);
-            }
-            let transactions = work.memory_loads + work.memory_stores;
-            let memory_stall = self.config.shared_memory.wave_penalty(j) * transactions;
-            let mut core = CorePerf {
-                core: j,
-                compute_cycles: work.cycles,
-                memory_stall_cycles: memory_stall,
-                interconnect_stall_cycles: if queries == 0 { 0 } else { exposed_transfer[j] },
-                idle_cycles: 0,
-                work,
-            };
-            core.idle_cycles = makespan.saturating_sub(core.busy_cycles());
-            per_core.push(core);
-        }
-        for j in num_stages..self.config.cores {
-            per_core.push(CorePerf {
-                core: j,
-                idle_cycles: makespan,
-                ..CorePerf::default()
-            });
-        }
-        let cores = MultiCorePerf {
-            makespan_cycles: makespan,
-            per_core,
-        };
         let perf = cores.merged(&self.config.name(), queries as u64);
         Ok(MultiCoreBatch {
             outputs,
             perf,
             cores,
         })
+    }
+
+    /// Cycles core `core` loses to wave arbitration over `work`'s transactions.
+    fn memory_stall(&self, core: usize, work: &PerfReport) -> u64 {
+        self.config.shared_memory.wave_penalty(core) * (work.memory_loads + work.memory_stores)
+    }
+
+    /// Closes an attribution: core `c` did `work[c].0` and waited `work[c].1`
+    /// cycles on the interconnect, the other cores ran nothing, and each idles
+    /// for the rest of `makespan` (the busiest core when `None`).
+    fn attribute(
+        &self,
+        work: impl IntoIterator<Item = (PerfReport, u64)>,
+        makespan: Option<u64>,
+    ) -> MultiCorePerf {
+        let mut per_core: Vec<CorePerf> = (0..self.config.cores)
+            .map(|core| CorePerf {
+                core,
+                ..CorePerf::default()
+            })
+            .collect();
+        for (core, (work, interconnect_stall)) in per_core.iter_mut().zip(work) {
+            core.compute_cycles = work.cycles;
+            core.memory_stall_cycles = self.memory_stall(core.core, &work);
+            core.interconnect_stall_cycles = interconnect_stall;
+            core.work = work;
+        }
+        let busiest = per_core.iter().map(CorePerf::busy_cycles).max();
+        let makespan_cycles = makespan.or(busiest).unwrap_or(0);
+        for core in &mut per_core {
+            core.idle_cycles = makespan_cycles - core.busy_cycles();
+        }
+        MultiCorePerf {
+            makespan_cycles,
+            per_core,
+        }
+    }
+
+    /// The attribution of `queries` passes costing `per_query` each, sharded
+    /// over the cores: core `c` is charged its shard length × the per-query
+    /// counters, and the busiest core sets the makespan.
+    fn sharded_perf(&self, per_query: &PerfReport, queries: usize) -> MultiCorePerf {
+        let shards = Self::shard_ranges(self.config.cores, queries);
+        let work = shards.iter().map(|s| (per_query.times(s.len() as u64), 0));
+        self.attribute(work, None)
+    }
+
+    /// The attribution of `queries` passes through the pipeline `parts`, the
+    /// start cycle of every stage and the initiation interval (stage `j`
+    /// begins query `q` at `starts[j] + q × II` on the global timeline).
+    fn pipelined_perf(
+        &self,
+        parts: &PartitionedProgram,
+        queries: usize,
+    ) -> (MultiCorePerf, Vec<u64>, u64) {
+        let stages = &parts.stages;
+        let per_query: Vec<PerfReport> = stages.iter().map(|s| s.program.perf()).collect();
+        let mut stage_cycles = vec![0u64; stages.len()];
+        let mut starts = vec![0u64; stages.len()];
+        let mut exposed_transfer = vec![0u64; stages.len()];
+        for j in 0..stages.len() {
+            stage_cycles[j] = per_query[j].cycles + self.memory_stall(j, &per_query[j]);
+            let mut start = 0u64;
+            let mut producers_done = 0u64;
+            for src in &stages[j].inputs {
+                if let TransferSource::Core { core, .. } = *src {
+                    let k = core as usize;
+                    let finish = starts[k] + stage_cycles[k];
+                    start = start.max(finish + self.config.interconnect.latency(k, j));
+                    producers_done = producers_done.max(finish);
+                }
+            }
+            starts[j] = start;
+            // The wait beyond "all producers finished" is transfer latency
+            // exposed once at pipeline fill; steady-state transfers overlap
+            // with the previous query's compute.
+            exposed_transfer[j] = start - producers_done;
+        }
+        let ii = stage_cycles.iter().copied().max().unwrap_or(0);
+        let last = stages.len() - 1;
+        let makespan = if queries == 0 {
+            // An empty batch never fills the pipeline.
+            exposed_transfer.fill(0);
+            0
+        } else {
+            starts[last] + stage_cycles[last] + (queries as u64 - 1) * ii
+        };
+        let work = per_query.iter().map(|perf| perf.times(queries as u64));
+        let cores = self.attribute(work.zip(exposed_transfer), Some(makespan));
+        (cores, starts, ii)
     }
 }
 
@@ -775,6 +770,54 @@ mod tests {
         assert!(mc
             .run_partitioned(&parts, &flat, 1, &mut Vec::new())
             .is_ok());
+    }
+
+    #[test]
+    fn attribution_accounts_for_every_shape_without_simulating() {
+        let program = sum_of_products_program();
+        let one_stage = PartitionedProgram {
+            stages: vec![CoreProgram {
+                inputs: (0..4).map(TransferSource::Input).collect(),
+                program: program.clone(),
+            }],
+            num_inputs: 4,
+        };
+        let two_stages = two_stage_pipeline();
+        for cores in 1..=4usize {
+            let mc = MultiCoreProcessor::new(MultiCoreConfig::new(cores, cfg())).unwrap();
+            let parts = if cores == 1 { &one_stage } else { &two_stages };
+            for queries in 0..=9usize {
+                let sharded = mc.sharded_perf(&program.perf(), queries);
+                let (pipelined, starts, _) = mc.pipelined_perf(parts, queries);
+                assert_eq!(starts[0], 0);
+                // Sharded runs charge each query once, pipelined runs once
+                // per stage.
+                let passes = [queries, queries * parts.stages.len()];
+                for (perf, passes) in [sharded, pipelined].iter().zip(passes) {
+                    let context = format!("{cores} cores, {queries} queries: {perf}");
+                    perf.check_accounting().expect(&context);
+                    assert_eq!(perf.per_core.len(), cores, "{context}");
+                    let mut work = PerfReport::default();
+                    let mut modeled_stalls = 0;
+                    for core in &perf.per_core {
+                        assert_eq!(core.work.cycles, core.compute_cycles, "{context}");
+                        work.merge(&core.work);
+                        modeled_stalls += core.memory_stall_cycles + core.interconnect_stall_cycles;
+                    }
+                    assert_eq!(work.queries as usize, passes, "{context}");
+                    if queries == 0 {
+                        assert_eq!(perf.makespan_cycles, 0, "{context}");
+                        assert_eq!(modeled_stalls, 0, "{context}");
+                    }
+                    let merged = perf.merged("mc", queries as u64);
+                    work.platform = "mc".to_string();
+                    work.queries = queries as u64;
+                    work.cycles = perf.makespan_cycles;
+                    work.stall_cycles += modeled_stalls;
+                    assert_eq!(merged, work, "{context}");
+                }
+            }
+        }
     }
 
     #[test]

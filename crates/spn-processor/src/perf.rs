@@ -6,9 +6,10 @@
 //! shared by the custom-processor simulator and the CPU/GPU baseline models
 //! so benchmark harnesses can tabulate them side by side.
 //!
-//! Reports are batch-aware: counters accumulate over the queries of an
-//! evidence batch via [`PerfReport::merge`], and the [`PerfReport::queries`]
-//! field turns the totals into amortised per-query metrics
+//! Reports are batch-aware: a batch is charged its per-query report ×
+//! queries ([`PerfReport::times`]), shard reports add up via
+//! [`PerfReport::merge`], and the [`PerfReport::queries`] field turns the
+//! totals into amortised per-query metrics
 //! ([`PerfReport::cycles_per_query`], [`PerfReport::queries_per_second`]).
 
 use serde::{Deserialize, Serialize};
@@ -91,24 +92,38 @@ impl PerfReport {
         }
     }
 
+    /// This report charged `n` times: every counter (queries included)
+    /// multiplied by `n`, the platform name kept.  A batch whose queries all
+    /// cost the same is charged `per_query.times(queries)`.
+    pub fn times(&self, n: u64) -> PerfReport {
+        let mut total = PerfReport::default();
+        total.add(self, n);
+        total
+    }
+
     /// Accumulates `other`'s counters into this report (batched execution).
     ///
     /// The platform name of `self` wins when already set; a report merged
     /// into a fresh `Default` adopts `other`'s name.
     pub fn merge(&mut self, other: &PerfReport) {
+        self.add(other, 1);
+    }
+
+    /// Adds `n` × `other`'s counters: the one list of what a report counts.
+    fn add(&mut self, other: &PerfReport, n: u64) {
         if self.platform.is_empty() {
             self.platform.clone_from(&other.platform);
         }
-        self.queries += other.queries;
-        self.cycles += other.cycles;
-        self.source_ops += other.source_ops;
-        self.issued_ops += other.issued_ops;
-        self.instructions += other.instructions;
-        self.stall_cycles += other.stall_cycles;
-        self.memory_loads += other.memory_loads;
-        self.memory_stores += other.memory_stores;
-        self.writebacks += other.writebacks;
-        self.operand_reads += other.operand_reads;
+        self.queries += n * other.queries;
+        self.cycles += n * other.cycles;
+        self.source_ops += n * other.source_ops;
+        self.issued_ops += n * other.issued_ops;
+        self.instructions += n * other.instructions;
+        self.stall_cycles += n * other.stall_cycles;
+        self.memory_loads += n * other.memory_loads;
+        self.memory_stores += n * other.memory_stores;
+        self.writebacks += n * other.writebacks;
+        self.operand_reads += n * other.operand_reads;
     }
 }
 
@@ -173,21 +188,14 @@ impl MultiCorePerf {
     pub fn merged(&self, platform: &str, queries: u64) -> PerfReport {
         let mut merged = PerfReport {
             platform: platform.to_string(),
-            queries,
-            cycles: self.makespan_cycles,
             ..Default::default()
         };
         for core in &self.per_core {
-            merged.source_ops += core.work.source_ops;
-            merged.issued_ops += core.work.issued_ops;
-            merged.instructions += core.work.instructions;
-            merged.stall_cycles +=
-                core.work.stall_cycles + core.memory_stall_cycles + core.interconnect_stall_cycles;
-            merged.memory_loads += core.work.memory_loads;
-            merged.memory_stores += core.work.memory_stores;
-            merged.writebacks += core.work.writebacks;
-            merged.operand_reads += core.work.operand_reads;
+            merged.merge(&core.work);
+            merged.stall_cycles += core.memory_stall_cycles + core.interconnect_stall_cycles;
         }
+        merged.queries = queries;
+        merged.cycles = self.makespan_cycles;
         merged
     }
 
@@ -288,6 +296,10 @@ mod tests {
         assert_eq!(total.cycles_per_query(), 20.0);
         assert_eq!(total.queries_per_second(40.0), 2.0);
         assert!(total.to_string().contains("2 queries"));
+        // Charging one report n times is merging it n times.
+        assert_eq!(report(100, 20).times(2), total);
+        assert_eq!(total.times(0).platform, "test");
+        assert_eq!(total.times(0).queries, 0);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct ExecutionResult {
     /// The values of the program's export locations ([`Program::exports`]),
     /// in declaration order; empty for ordinary single-output programs.
     pub exports: Vec<f64>,
-    /// Performance counters of the run.
+    /// Performance counters of the run ([`Program::perf`]).
     pub perf: PerfReport,
 }
 
@@ -160,6 +160,23 @@ impl Processor {
         state: &mut SimState,
         hook: &mut H,
     ) -> Result<ExecutionResult> {
+        let (output, exports) = self.run_values(program, inputs, state, hook)?;
+        Ok(ExecutionResult {
+            output,
+            exports,
+            perf: program.perf(),
+        })
+    }
+
+    /// One pass for its values (root, exports), every structural rule
+    /// enforced; nothing is counted — the cost is [`Program::perf`].
+    pub(crate) fn run_values<H: TraceHook>(
+        &self,
+        program: &Program,
+        inputs: &[f64],
+        state: &mut SimState,
+        hook: &mut H,
+    ) -> Result<(f64, Vec<f64>)> {
         if program.config != self.config {
             return Err(ProcessorError::InvalidConfig {
                 reason: format!(
@@ -183,21 +200,11 @@ impl Processor {
         // zeroing a possibly larger reused backing memory.  Memory
         // operations beyond `memory_rows_used` are rejected per instruction
         // below, so stale rows of a reused state are never observable.
-        state.datamem.reset_counters();
         state.datamem.load_image(&state.image)?;
         state.pending.clear();
         let regfile = &mut state.regfile;
         let datamem = &mut state.datamem;
         let pending = &mut state.pending;
-
-        let mut perf = PerfReport {
-            platform: self.config.name.clone(),
-            queries: 1,
-            source_ops: program.num_source_ops as u64,
-            instructions: program.len() as u64,
-            ..Default::default()
-        };
-        let mut last_commit: u64 = 0;
 
         let rows_used = program.memory_rows_used;
         for (cycle, instr) in program.instructions.iter().enumerate() {
@@ -211,18 +218,11 @@ impl Processor {
                 regfile,
                 datamem,
                 pending,
-                &mut perf,
-                &mut last_commit,
                 hook,
             )?;
         }
         // Drain the pipeline: commit everything that is still in flight.
         Self::commit_ready(pending, regfile, u64::MAX)?;
-
-        perf.cycles = (program.len() as u64).max(last_commit + 1);
-        perf.stall_cycles = program.stall_instructions() as u64;
-        perf.memory_loads = datamem.load_count();
-        perf.memory_stores = datamem.store_count();
 
         let peek = |loc: ValueLocation| -> Result<f64> {
             Ok(match loc {
@@ -239,11 +239,7 @@ impl Processor {
             .iter()
             .map(|&loc| peek(loc))
             .collect::<Result<Vec<f64>>>()?;
-        Ok(ExecutionResult {
-            output,
-            exports,
-            perf,
-        })
+        Ok((output, exports))
     }
 
     /// Applies all pending writes whose commit cycle is strictly before
@@ -308,8 +304,6 @@ impl Processor {
         regfile: &mut RegisterFile,
         datamem: &mut DataMemory,
         pending: &mut Vec<PendingWrite>,
-        perf: &mut PerfReport,
-        last_commit: &mut u64,
         hook: &mut H,
     ) -> Result<()> {
         if instr.trees.len() != self.config.num_trees {
@@ -331,7 +325,6 @@ impl Processor {
             }
             let values = datamem.load_row(row as usize)?.to_vec();
             for (bank, value) in values.into_iter().enumerate() {
-                *last_commit = (*last_commit).max(cycle);
                 pending.push(PendingWrite {
                     commit_cycle: cycle,
                     bank,
@@ -372,7 +365,6 @@ impl Processor {
                     ReadSel::Reg { bank, reg } => {
                         let (bank, reg) = (bank as usize, reg as usize);
                         Self::check_no_inflight(pending, bank, reg, cycle)?;
-                        perf.operand_reads += 1;
                         regfile.read(bank, reg, cycle)?
                     }
                 };
@@ -444,17 +436,13 @@ impl Processor {
                         reason: format!("write to register {} out of range", w.reg),
                     });
                 }
-                let commit_cycle = cycle + self.config.commit_latency(level);
-                *last_commit = (*last_commit).max(commit_cycle);
-                perf.writebacks += 1;
                 pending.push(PendingWrite {
-                    commit_cycle,
+                    commit_cycle: cycle + self.config.commit_latency(level),
                     bank,
                     reg: w.reg as usize,
                     value: tree_outputs[tree_idx].value(level, pe),
                 });
             }
-            perf.issued_ops += tree_instr.arithmetic_ops() as u64;
         }
 
         // 4. Intra-bank copies (read and write the same bank this cycle).
@@ -462,9 +450,6 @@ impl Processor {
             let bank = copy.bank as usize;
             Self::check_no_inflight(pending, bank, copy.src as usize, cycle)?;
             let value = regfile.read(bank, copy.src as usize, cycle)?;
-            perf.operand_reads += 1;
-            perf.writebacks += 1;
-            *last_commit = (*last_commit).max(cycle);
             pending.push(PendingWrite {
                 commit_cycle: cycle,
                 bank,
@@ -484,7 +469,6 @@ impl Processor {
                 Self::check_no_inflight(pending, bank, reg as usize, cycle)?;
             }
             let values = regfile.read_row(reg as usize, cycle)?;
-            perf.operand_reads += values.len() as u64;
             datamem.store_row(row as usize, &values)?;
         }
         Ok(())

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  program: {} instructions, {} data-memory rows, {} stalls\n",
             compiled.program.len(),
             compiled.program.memory_rows_used,
-            compiled.program.stall_instructions(),
+            report.nop_instructions,
         );
     }
 

@@ -5,11 +5,12 @@
 //! beats both baselines, the tree arrangement beats the flat PE vector, and
 //! GPU thread scaling is strongly sublinear.
 
+use spn_accel::compiler::Compiler;
 use spn_accel::core::flatten::OpList;
 use spn_accel::core::Evidence;
 use spn_accel::learn::Benchmark;
 use spn_accel::platforms::{CpuModel, Engine, GpuConfig, GpuModel, ProcessorBackend};
-use spn_accel::processor::ProcessorConfig;
+use spn_accel::processor::{PerfReport, Processor, ProcessorConfig};
 
 fn processor_throughput(config: &ProcessorConfig, ops: &OpList, evidence: &Evidence) -> f64 {
     let backend = ProcessorBackend::new(config.clone()).expect("backend");
@@ -91,5 +92,104 @@ fn table1_resources_stay_below_the_gpu_budget() {
         assert!(registers <= 64 * 1024, "{}", config.name);
         assert!(data_memory_bytes <= 64 * 1024, "{}", config.name);
         assert_eq!(config.total_banks(), 32, "{}", config.name);
+    }
+}
+
+/// Exact per-query counters of a program: instructions, cycles, stall
+/// cycles, issued ops, operand reads, write-backs, loads, stores.
+type Counters = [u64; 8];
+
+/// `(workload, Ptree, Pvect)`, recorded from the interpreter's own counting
+/// at the last commit where it still counted (PR 17); `Program::perf` has
+/// been the one definition since.  A schedule or timing-model change moves
+/// these on purpose and re-records them.
+const PINNED_COUNTERS: &[(&str, Counters, Counters)] = &[
+    (
+        "MSNBC",
+        [183, 183, 30, 1683, 2124, 441, 53, 0],
+        [403, 403, 0, 1683, 3372, 1689, 53, 0],
+    ),
+    (
+        "Banknote",
+        [7, 7, 4, 25, 32, 7, 1, 0],
+        [7, 7, 0, 25, 50, 25, 1, 0],
+    ),
+    (
+        "mixture_1core_sharded",
+        [6, 6, 3, 8, 11, 3, 1, 0],
+        [6, 6, 0, 8, 16, 8, 1, 0],
+    ),
+    (
+        "mixture_2core_sharded",
+        [6, 6, 3, 8, 11, 3, 1, 0],
+        [6, 6, 0, 8, 16, 8, 1, 0],
+    ),
+    (
+        "mixture_log_2core_sharded",
+        [6, 6, 3, 8, 11, 3, 1, 0],
+        [6, 6, 0, 8, 16, 8, 1, 0],
+    ),
+    (
+        "chain_2core_pipelined",
+        [21, 21, 7, 21, 34, 13, 1, 0],
+        [21, 21, 0, 21, 42, 21, 1, 0],
+    ),
+    (
+        "chain_log_3core_pipelined",
+        [21, 21, 7, 21, 34, 13, 1, 0],
+        [21, 21, 0, 21, 42, 21, 1, 0],
+    ),
+    (
+        "sampler_2core_sharded",
+        [5, 5, 3, 15, 16, 1, 1, 0],
+        [5, 5, 0, 15, 30, 15, 1, 0],
+    ),
+];
+
+#[test]
+fn exact_counters_of_pinned_programs() {
+    let mut workloads: Vec<(String, OpList)> = [Benchmark::Msnbc, Benchmark::Banknote]
+        .iter()
+        .map(|b| (b.name().to_string(), OpList::from_spn(&b.spn())))
+        .collect();
+    for case in spn_bench::traces::trace_cases() {
+        workloads.push((case.name.to_string(), case.op_list()));
+    }
+    assert_eq!(workloads.len(), PINNED_COUNTERS.len());
+    for ((name, ops), (pinned_name, ptree, pvect)) in workloads.iter().zip(PINNED_COUNTERS) {
+        assert_eq!(name, pinned_name);
+        let inputs = ops
+            .input_values(&Evidence::marginal(ops.num_vars()))
+            .expect("inputs");
+        for (config, pinned) in [
+            (ProcessorConfig::ptree(), ptree),
+            (ProcessorConfig::pvect(), pvect),
+        ] {
+            let context = format!("{name} on {}", config.name);
+            let program = Compiler::new(config.clone())
+                .compile_op_list(ops.clone())
+                .expect("compile")
+                .program;
+            let [instructions, cycles, stalls, issued, reads, writes, loads, stores] = *pinned;
+            let want = PerfReport {
+                platform: config.name.clone(),
+                queries: 1,
+                source_ops: ops.num_ops() as u64,
+                instructions,
+                cycles,
+                stall_cycles: stalls,
+                issued_ops: issued,
+                operand_reads: reads,
+                writebacks: writes,
+                memory_loads: loads,
+                memory_stores: stores,
+            };
+            assert_eq!(program.perf(), want, "{context}: Program::perf");
+            let run = Processor::new(config)
+                .expect("processor")
+                .run(&program, &inputs)
+                .expect("run");
+            assert_eq!(run.perf, want, "{context}: ExecutionResult.perf");
+        }
     }
 }

@@ -248,6 +248,31 @@ fn per_core_cycles_partition_the_makespan_for_sharded_runs() {
             assert_eq!(run.perf.queries as usize, batch.len());
             assert_merged_is_sum(&run, &format!("seed {seed}, {cores} cores, sharded"));
         }
+        // Timing is a property of the program: a real run's attribution
+        // depends on the shape alone — core `c` is charged its shard length
+        // × `Program::perf()` whatever the evidence, empty shards included.
+        for (queries, cores) in [(0usize, 2usize), (1, 4), (4, 3), (9, 1), (9, 4)] {
+            let context = format!("seed {seed}, {queries} queries on {cores} cores, sharded");
+            let processor =
+                MultiCoreProcessor::new(MultiCoreConfig::new(cores, ProcessorConfig::ptree()))
+                    .expect("processor");
+            let mut states = Vec::new();
+            let mut run_on = |rows: &EvidenceBatch| {
+                compiled.fill_batch_inputs(rows, &mut flat).expect("fill");
+                processor
+                    .run_batch_sharded(&compiled.program, &flat, queries, &mut states)
+                    .expect("sharded run")
+            };
+            let run = run_on(&batch.sub_batch(0, queries));
+            let marginals = run_on(&EvidenceBatch::marginals(spn.num_vars(), queries));
+            assert_eq!(run.cores, marginals.cores, "{context}");
+            assert_merged_is_sum(&run, &context);
+            let shards = MultiCoreProcessor::shard_ranges(cores, queries);
+            for (core, shard) in run.cores.per_core.iter().zip(shards) {
+                let charged = compiled.program.perf().times(shard.len() as u64);
+                assert_eq!(core.work, charged, "{context}: core {}", core.core);
+            }
+        }
     }
 }
 
@@ -273,6 +298,30 @@ fn per_core_cycles_partition_the_makespan_for_pipelined_runs() {
                 .run_partitioned(&parted.parts, &flat, batch.len(), &mut states)
                 .expect("pipelined run");
             assert_merged_is_sum(&run, &format!("seed {seed}, {cores} cores, pipelined"));
+            // The same for a pipeline: every stage is charged the batch
+            // length × its own program's `perf()`, and an empty batch costs
+            // nothing.
+            for queries in [0usize, 1, 4] {
+                let context = format!("seed {seed}, {queries} queries on {cores} cores, pipelined");
+                let mut run_on = |rows: &EvidenceBatch| {
+                    parted.fill_batch_inputs(rows, &mut flat).expect("fill");
+                    processor
+                        .run_partitioned(&parted.parts, &flat, queries, &mut states)
+                        .expect("pipelined run")
+                };
+                let run = run_on(&batch.sub_batch(0, queries));
+                let marginals = run_on(&EvidenceBatch::marginals(spn.num_vars(), queries));
+                assert_eq!(run.cores, marginals.cores, "{context}");
+                assert_merged_is_sum(&run, &context);
+                for (core, stage) in run.cores.per_core.iter().zip(&parted.parts.stages) {
+                    let charged = stage.program.perf().times(queries as u64);
+                    assert_eq!(core.work, charged, "{context}: core {}", core.core);
+                }
+                if queries == 0 {
+                    assert_eq!(run.perf.cycles, 0, "{context}");
+                    assert_eq!(run.perf.stall_cycles, 0, "{context}");
+                }
+            }
         }
     }
 }
