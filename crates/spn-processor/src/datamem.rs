@@ -6,8 +6,6 @@
 //! banked register file.
 
 use crate::config::ProcessorConfig;
-use crate::error::ProcessorError;
-use crate::Result;
 
 /// The processor's data memory, organised as rows of one word per bank.
 #[derive(Debug, Clone)]
@@ -46,69 +44,34 @@ impl DataMemory {
         self.width
     }
 
-    /// Initialises the memory contents from a flat image (row-major).
+    /// Zeroes the first `rows` rows — the address space of a program that
+    /// declares `rows` of them — leaving the rest of a larger reused backing
+    /// memory alone.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`ProcessorError::MemoryOutOfRange`] when the image is larger
-    /// than the memory.
-    pub fn load_image(&mut self, image: &[f64]) -> Result<()> {
-        if image.len() > self.data.len() {
-            return Err(ProcessorError::MemoryOutOfRange {
-                row: image.len() / self.width,
-                rows: self.rows,
-            });
-        }
-        self.data[..image.len()].copy_from_slice(image);
-        Ok(())
+    /// Panics when the memory has fewer rows.
+    pub fn clear_rows(&mut self, rows: usize) {
+        self.data[..rows * self.width].fill(0.0);
     }
 
-    fn check_row(&self, row: usize) -> Result<()> {
-        if row >= self.rows {
-            return Err(ProcessorError::MemoryOutOfRange {
-                row,
-                rows: self.rows,
-            });
-        }
-        Ok(())
+    /// Row `row`: the words one load transaction moves.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the row is out of range; whether a program stays inside
+    /// its rows is [`crate::Processor::check`]'s question.
+    pub fn row(&self, row: usize) -> &[f64] {
+        &self.data[row * self.width..(row + 1) * self.width]
     }
 
-    /// Reads row `row` (one load transaction).
+    /// Row `row`, writable: the words one store transaction replaces.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`ProcessorError::MemoryOutOfRange`] for an invalid row.
-    pub fn load_row(&self, row: usize) -> Result<&[f64]> {
-        self.check_row(row)?;
-        Ok(&self.data[row * self.width..(row + 1) * self.width])
-    }
-
-    /// Writes row `row` (one store transaction).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProcessorError::MemoryOutOfRange`] for an invalid row and a
-    /// malformed-instruction error when `values` is not exactly one row wide.
-    pub fn store_row(&mut self, row: usize, values: &[f64]) -> Result<()> {
-        self.check_row(row)?;
-        if values.len() != self.width {
-            return Err(ProcessorError::MalformedInstruction {
-                cycle: 0,
-                reason: format!(
-                    "store of {} words into a row of width {}",
-                    values.len(),
-                    self.width
-                ),
-            });
-        }
-        self.data[row * self.width..(row + 1) * self.width].copy_from_slice(values);
-        Ok(())
-    }
-
-    /// Reads a single word outside any transaction (used to fetch the
-    /// program output after execution).
-    pub fn peek(&self, row: usize, lane: usize) -> f64 {
-        self.data[row * self.width + lane]
+    /// As for [`DataMemory::row`].
+    pub fn row_mut(&mut self, row: usize) -> &mut [f64] {
+        &mut self.data[row * self.width..(row + 1) * self.width]
     }
 }
 
@@ -117,39 +80,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn image_round_trip() {
-        let cfg = ProcessorConfig::ptree();
-        let mut mem = DataMemory::new(&cfg);
-        let image: Vec<f64> = (0..64).map(|i| i as f64).collect();
-        mem.load_image(&image).unwrap();
-        assert_eq!(mem.peek(0, 5), 5.0);
-        assert_eq!(mem.peek(1, 0), 32.0);
-        assert_eq!(mem.load_row(1).unwrap()[31], 63.0);
-    }
-
-    #[test]
     fn store_and_reload_row() {
         let cfg = ProcessorConfig::ptree();
         let mut mem = DataMemory::new(&cfg);
         let row: Vec<f64> = (0..32).map(|i| (i * 2) as f64).collect();
-        mem.store_row(7, &row).unwrap();
-        assert_eq!(mem.load_row(7).unwrap(), row.as_slice());
+        mem.row_mut(7).copy_from_slice(&row);
+        assert_eq!(mem.row(7), row.as_slice());
+        assert_eq!(mem.row(6), [0.0; 32]);
+        assert_eq!(mem.row(8), [0.0; 32]);
     }
 
     #[test]
-    fn out_of_range_rows_are_rejected() {
-        let cfg = ProcessorConfig::ptree();
-        let mut mem = DataMemory::new(&cfg);
-        assert!(mem.load_row(512).is_err());
-        assert!(mem.store_row(9999, &vec![0.0; 32]).is_err());
-        assert!(mem.load_image(&vec![0.0; 32 * 513]).is_err());
+    fn clearing_a_programs_rows_leaves_the_rest() {
+        let mut mem = DataMemory::with_rows(3, 4);
+        for row in 0..3 {
+            mem.row_mut(row).fill(row as f64 + 1.0);
+        }
+        mem.clear_rows(2);
+        assert_eq!(mem.row(0), [0.0; 4]);
+        assert_eq!(mem.row(1), [0.0; 4]);
+        assert_eq!(mem.row(2), [3.0; 4]);
     }
 
     #[test]
-    fn misshapen_store_is_rejected() {
-        let cfg = ProcessorConfig::ptree();
-        let mut mem = DataMemory::new(&cfg);
-        assert!(mem.store_row(0, &[1.0, 2.0]).is_err());
+    #[should_panic]
+    fn a_lane_beyond_the_row_does_not_alias_the_next_row() {
+        let mem = DataMemory::new(&ProcessorConfig::ptree());
+        let _ = mem.row(0)[32];
     }
 
     #[test]

@@ -46,13 +46,6 @@ pub enum ProcessorError {
         /// Register index within the bank.
         reg: usize,
     },
-    /// A data-memory operation was combined with conflicting register traffic.
-    MemoryPortConflict {
-        /// Cycle of the offending instruction.
-        cycle: u64,
-        /// Human readable description of the conflict.
-        reason: String,
-    },
     /// An instruction field was out of range for the configuration.
     MalformedInstruction {
         /// Cycle (instruction index) of the offending instruction.
@@ -104,9 +97,6 @@ impl fmt::Display for ProcessorError {
                 f,
                 "cycle {cycle}: read of bank {bank} reg {reg} while its write is still in flight"
             ),
-            ProcessorError::MemoryPortConflict { cycle, reason } => {
-                write!(f, "cycle {cycle}: memory port conflict: {reason}")
-            }
             ProcessorError::MalformedInstruction { cycle, reason } => {
                 write!(f, "cycle {cycle}: malformed instruction: {reason}")
             }
@@ -145,10 +135,6 @@ mod tests {
                 cycle: 3,
                 bank: 0,
                 reg: 1,
-            },
-            ProcessorError::MemoryPortConflict {
-                cycle: 2,
-                reason: "load with writeback".into(),
             },
             ProcessorError::MalformedInstruction {
                 cycle: 2,

@@ -256,45 +256,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Builds the initial data-memory image for the given input values.
-    ///
-    /// The returned vector has one `f64` per data-memory word
-    /// (`memory_rows_used × total banks`), with uninitialised words set to
-    /// zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::ProcessorError::InputMismatch`] when `inputs` does not
-    /// have exactly one value per program input.
-    pub fn build_memory_image(&self, inputs: &[f64]) -> crate::Result<Vec<f64>> {
-        let mut image = Vec::new();
-        self.write_memory_image(inputs, &mut image)?;
-        Ok(image)
-    }
-
-    /// Builds the initial data-memory image into `image`, reusing its
-    /// allocation (the batched execution path calls this once per query).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::ProcessorError::InputMismatch`] when `inputs` does not
-    /// have exactly one value per program input.
-    pub fn write_memory_image(&self, inputs: &[f64], image: &mut Vec<f64>) -> crate::Result<()> {
-        if inputs.len() != self.input_layout.len() {
-            return Err(crate::ProcessorError::InputMismatch {
-                expected: self.input_layout.len(),
-                got: inputs.len(),
-            });
-        }
-        let width = self.config.total_banks();
-        image.clear();
-        image.resize(self.memory_rows_used * width, 0.0);
-        for (value, slot) in inputs.iter().zip(&self.input_layout) {
-            image[slot.row as usize * width + slot.lane as usize] = *value;
-        }
-        Ok(())
-    }
-
     /// Number of instructions (= cycles of issue; the pipeline drain adds a
     /// few more cycles at run time).
     pub fn len(&self) -> usize {
@@ -309,8 +270,8 @@ impl Program {
     /// The performance counters of one inference pass: the one place they
     /// are counted.  The processor is statically scheduled — no latency, bank
     /// or port depends on data — so they are fixed when the program is
-    /// emitted; the interpreter ([`crate::Processor`]) only computes values
-    /// and enforces the structural rules.
+    /// emitted, as its legality is ([`crate::Processor::check`]); the
+    /// interpreter only computes values.
     ///
     /// A pass takes one cycle per instruction plus the pipeline drain: a PE
     /// write issued in cycle `t` at level `l` commits in cycle
@@ -389,32 +350,6 @@ mod tests {
         instr.trees[1].pe_ops[0] = PeOp::Mul;
         assert_eq!(instr.arithmetic_ops(), 3);
         assert!(!instr.is_nop());
-    }
-
-    #[test]
-    fn memory_image_places_inputs() {
-        let program = Program {
-            config: ProcessorConfig::ptree(),
-            instructions: vec![],
-            input_layout: vec![
-                InputSlot { row: 0, lane: 0 },
-                InputSlot { row: 0, lane: 31 },
-                InputSlot { row: 2, lane: 5 },
-            ],
-            memory_rows_used: 3,
-            output: ValueLocation::Register { bank: 0, reg: 0 },
-            exports: Vec::new(),
-            num_source_ops: 0,
-            pe_precision: Precision::F64,
-        };
-        let image = program.build_memory_image(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(image.len(), 3 * 32);
-        assert_eq!(image[0], 1.0);
-        assert_eq!(image[31], 2.0);
-        assert_eq!(image[2 * 32 + 5], 3.0);
-        assert!(program.build_memory_image(&[1.0]).is_err());
-        assert!(program.is_empty());
-        assert_eq!(program.perf().stall_cycles, 0);
     }
 
     #[test]

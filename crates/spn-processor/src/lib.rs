@@ -16,17 +16,20 @@
 //!
 //! The simulator executes the VLIW [`isa::Program`] produced by
 //! `spn-compiler`, enforcing every structural rule (read/write port limits,
-//! write connectivity, pipeline latencies, memory exclusivity) as hard
-//! errors, and reports throughput in the paper's metric: SPN operations per
-//! cycle ([`perf::PerfReport`]).
+//! write connectivity, pipeline latencies, address ranges) as hard errors,
+//! and reports throughput in the paper's metric: SPN operations per cycle
+//! ([`perf::PerfReport`]).
 //!
 //! Execution follows the compile-once / execute-many split: a program is
 //! compiled once and then streamed over evidence.
 //! [`MultiCoreProcessor::run_batch_sharded`] runs a whole batch of input
 //! vectors through one simulator instance per core (reusable [`SimState`]s,
 //! no per-query allocation); one core is the single-processor case.  The
-//! schedule is static, so what a pass costs is [`Program::perf`], a pure
-//! function of the instruction stream; the interpreter counts nothing.
+//! schedule is static and the hardware has no interlocks, so the simulator
+//! answers three questions from one function each: what a pass costs is
+//! [`Program::perf`] and whether a program is legal is [`Processor::check`],
+//! both pure functions of the instruction stream taken once per batch; the
+//! interpreter then computes values, counting nothing and testing no rule.
 //!
 //! The two configurations evaluated in the paper are available as presets:
 //! [`ProcessorConfig::ptree`] (2 trees × 4 levels = 30 PEs) and

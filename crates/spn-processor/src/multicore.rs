@@ -27,8 +27,9 @@
 //! every makespan cycle of every core to compute, memory stalls,
 //! interconnect stalls or idle time — an exact partition that
 //! [`MultiCorePerf::check_accounting`] verifies.  It is a pure function of
-//! the programs ([`Program::perf`]), the machine and the query count; queries
-//! are simulated for values and structural checks only.  Both modes exist in
+//! the programs ([`Program::perf`]), the machine and the query count, and every
+//! program is checked once per batch ([`Processor::check`]), before query 0;
+//! queries are simulated for values only.  Both modes exist in
 //! `_traced` variants that record per-cycle golden traces on the global
 //! timeline (stage starts and steady-state offsets included), so a change
 //! to any latency model moves trace rows and is caught at the first
@@ -237,7 +238,8 @@ impl MultiCoreProcessor {
     ///
     /// Returns [`ProcessorError::InputMismatch`] when `flat_inputs` is not
     /// exactly `queries` input vectors long, and any [`ProcessorError`] a
-    /// single [`Processor::run_with`] can produce.
+    /// single [`Processor::run_with`] can produce — for an illegal program
+    /// whatever the batch, an empty one included.
     pub fn run_batch_sharded(
         &self,
         program: &Program,
@@ -292,6 +294,9 @@ impl MultiCoreProcessor {
             *states = self.states_for(program);
         }
         let ranges = Self::shard_ranges(self.config.cores, queries);
+        // Legality and cost are properties of the program: both are taken
+        // once per batch, before query 0; the queries run for values alone.
+        self.core.check(program)?;
         let pass = program.perf();
         let mut outputs = Vec::with_capacity(queries);
         for (c, range) in ranges.iter().enumerate() {
@@ -391,6 +396,9 @@ impl MultiCoreProcessor {
                 .collect();
         }
 
+        for stage in stages {
+            self.core.check(&stage.program)?;
+        }
         let (cores, starts, ii) = self.pipelined_perf(parts, queries);
 
         let mut outputs = Vec::with_capacity(queries);

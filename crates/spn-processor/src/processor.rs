@@ -1,7 +1,9 @@
 //! The cycle-accurate processor model.
 //!
-//! [`Processor::run`] executes a compiled [`Program`] instruction by
-//! instruction.  Every structural rule of the architecture is enforced:
+//! The paper's processor has no interlocks: the compiler resolves every
+//! hazard, bank and port, so whether a [`Program`] is legal is fixed when it
+//! is emitted, like what it costs ([`Program::perf`]).  [`Processor::check`]
+//! is the one place the structural rules of the architecture live:
 //!
 //! * at most one read and one write per register bank per cycle,
 //! * PE write-backs restricted to the banks reachable from the PE's position,
@@ -9,20 +11,22 @@
 //!   instruction issued in cycle `t` commits at the end of cycle `t + l` and
 //!   is readable from cycle `t + l + 1`,
 //! * a single vectorised data-memory operation per cycle, sharing the
-//!   register-file ports with everything else.
+//!   register-file ports with everything else (one per cycle holds by
+//!   construction: [`crate::Instruction::mem`] is a single field).
 //!
 //! Violations are reported as [`ProcessorError`]s rather than silently
 //! producing wrong values, which turns the simulator into a verification
-//! oracle for `spn-compiler`.
+//! oracle for `spn-compiler`.  [`Processor::run`] checks the program, then
+//! streams the inputs through it for their values alone.
 
 use crate::config::{PePosition, ProcessorConfig};
 use crate::datamem::DataMemory;
 use crate::error::ProcessorError;
-use crate::isa::{Instruction, MemOp, PeOp, Program, ReadSel, ValueLocation};
+use crate::isa::{MemOp, PeOp, Program, ReadSel, TreeInstr, ValueLocation};
 use crate::perf::PerfReport;
 use crate::regfile::RegisterFile;
 use crate::trace::{NoTrace, TraceHook};
-use crate::tree::evaluate_tree;
+use crate::tree::{evaluate_tree, pe_operands};
 use crate::Result;
 
 /// The outcome of executing a program on one input vector.
@@ -40,25 +44,90 @@ pub struct ExecutionResult {
 /// Reusable simulator storage for the execute-many half of the
 /// compile-once / execute-many split.
 ///
-/// Holds the register file, data memory, pipeline bookkeeping and the
-/// data-memory image buffer, so repeated runs of one compiled [`Program`]
+/// Holds the register file, the data memory and the crossbar / PE-output
+/// scratch of one instruction, so repeated runs of one compiled [`Program`]
 /// (e.g. over an evidence batch) allocate nothing per query.  Build one with
 /// [`Processor::state_for`] and pass it to [`Processor::run_with`].
 #[derive(Debug, Clone)]
 pub struct SimState {
     regfile: RegisterFile,
     datamem: DataMemory,
-    pending: Vec<PendingWrite>,
-    image: Vec<f64>,
+    /// One tree's crossbar values, then every PE's output (tree-major).
+    scratch: Vec<f64>,
 }
 
-/// A write travelling through the PE pipeline, not yet visible to reads.
-#[derive(Debug, Clone, Copy)]
-struct PendingWrite {
-    commit_cycle: u64,
-    bank: usize,
-    reg: usize,
-    value: f64,
+/// The bookkeeping of [`Processor::check`]: three flat arrays, no queue.
+/// Cycles are stored one-based so that zero means "never".
+struct Hazards<'a> {
+    config: &'a ProcessorConfig,
+    /// Per register: the first cycle it is readable, one past the latest
+    /// commit cycle of any write issued to it.
+    readable_from: Vec<u64>,
+    /// Per bank: one past the cycle of its latest read.
+    read_port: Vec<u64>,
+    /// Per bank, a ring of `slots` entries indexed by commit cycle: one past
+    /// the commit cycle of the write booked there.
+    write_port: Vec<u64>,
+    /// Commit cycles a write issued now can land in: max commit latency + 1.
+    slots: usize,
+}
+
+impl<'a> Hazards<'a> {
+    fn new(config: &'a ProcessorConfig) -> Self {
+        let slots = config.commit_latency(config.tree_levels - 1) as usize + 1;
+        Hazards {
+            config,
+            readable_from: vec![0; config.total_registers()],
+            read_port: vec![0; config.total_banks()],
+            write_port: vec![0; config.total_banks() * slots],
+            slots,
+        }
+    }
+
+    fn address(&self, bank: usize, reg: usize, cycle: u64) -> Result<usize> {
+        if bank >= self.config.total_banks() || reg >= self.config.regs_per_bank {
+            return Err(ProcessorError::MalformedInstruction {
+                cycle,
+                reason: format!("register address bank {bank} reg {reg} out of range"),
+            });
+        }
+        Ok(bank * self.config.regs_per_bank + reg)
+    }
+
+    /// `(bank, reg)` exists and has no write still in flight at `cycle`.
+    fn readable(&self, bank: usize, reg: usize, cycle: u64) -> Result<()> {
+        if self.readable_from[self.address(bank, reg, cycle)?] > cycle {
+            return Err(ProcessorError::ReadBeforeWrite { cycle, bank, reg });
+        }
+        Ok(())
+    }
+
+    /// A read of `(bank, reg)` in `cycle`, taking the bank's read port.
+    fn read(&mut self, bank: usize, reg: usize, cycle: u64) -> Result<()> {
+        self.readable(bank, reg, cycle)?;
+        if self.read_port[bank] == cycle + 1 {
+            return Err(ProcessorError::ReadPortConflict { cycle, bank });
+        }
+        self.read_port[bank] = cycle + 1;
+        Ok(())
+    }
+
+    /// A write to `(bank, reg)` committing in cycle `commit` (at most the
+    /// ring length past its issue), taking the bank's write port of that
+    /// cycle.
+    fn write(&mut self, bank: usize, reg: usize, commit: u64) -> Result<()> {
+        let register = self.address(bank, reg, commit)?;
+        let slot = bank * self.slots + commit as usize % self.slots;
+        if self.write_port[slot] == commit + 1 {
+            return Err(ProcessorError::WritePortConflict {
+                cycle: commit,
+                bank,
+            });
+        }
+        self.write_port[slot] = commit + 1;
+        self.readable_from[register] = self.readable_from[register].max(commit + 1);
+        Ok(())
+    }
 }
 
 /// The SPN processor simulator.
@@ -84,6 +153,11 @@ impl Processor {
         &self.config
     }
 
+    /// PEs of one tree (= the length of [`TreeInstr::pe_ops`]).
+    fn pes_per_tree(&self) -> usize {
+        self.config.num_pes() / self.config.num_trees
+    }
+
     /// Builds reusable simulator storage sized for `program`.
     ///
     /// The data memory is sized to the rows the program actually uses (the
@@ -98,9 +172,167 @@ impl Processor {
         SimState {
             regfile: RegisterFile::new(&self.config),
             datamem: DataMemory::with_rows(rows, self.config.total_banks()),
-            pending: Vec::new(),
-            image: Vec::new(),
+            scratch: vec![0.0; self.config.tree_inputs_per_tree() + self.config.num_pes()],
         }
+    }
+
+    /// Whether `program` is legal on this processor: one walk over the
+    /// instruction stream that enforces every structural rule of the
+    /// architecture and reads no value, so the verdict holds for every
+    /// input vector.  It is the only place a hazard, port or reach rule is
+    /// raised; [`Processor::run`] and the multi-core runners call it before
+    /// they compute anything.
+    ///
+    /// Checked, in issue order and within a cycle in datapath order: the
+    /// configuration match; per instruction the tree count, the load (row
+    /// inside `memory_rows_used`; its row write commits in the issue cycle,
+    /// so a read of the destination in the same cycle is a hazard), per
+    /// tree the read-selection count, every register read (address, no
+    /// write in flight, one read per bank per cycle) and the PE-opcode
+    /// count, every PE write-back (PE exists, bank reachable, register in
+    /// range, one committing write per bank per cycle), the copies, and the
+    /// store (row; every bank free of in-flight writes before it takes
+    /// their read ports); finally the input slots and the output and export
+    /// locations.
+    ///
+    /// Against the interpreter this replaces, which enforced the rules while
+    /// it ran a query, the verdict on a program is the same and three things
+    /// differ: when a program breaks two rules, a write-port conflict is
+    /// named when the second write issues rather than after the cycle it
+    /// commits in, so it can be named ahead of the error the old order met
+    /// first (typically a [`ProcessorError::ReadBeforeWrite`] of the same
+    /// cycle); a malformed program is rejected by a multi-core run of an
+    /// empty batch too; and input or result locations out of range are an
+    /// error instead of an aliased word or a panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ProcessorError`] of the walk.
+    pub fn check(&self, program: &Program) -> Result<()> {
+        let config = &self.config;
+        if program.config != *config {
+            return Err(ProcessorError::InvalidConfig {
+                reason: format!(
+                    "program compiled for `{}` run on `{}`",
+                    program.config.name, config.name
+                ),
+            });
+        }
+        let malformed = |cycle: u64, reason: String| {
+            Err(ProcessorError::MalformedInstruction { cycle, reason })
+        };
+        let geometry = |cycle: u64, what: &str, got: usize, want: usize| {
+            if got != want {
+                return malformed(cycle, format!("{got} {what}, expected {want}"));
+            }
+            Ok(())
+        };
+        // A memory row inside the program's declared address space, so
+        // reused simulator storage can never leak a previous program's rows.
+        let row_in_program = |row: u32| {
+            if row as usize >= program.memory_rows_used {
+                return Err(ProcessorError::MemoryOutOfRange {
+                    row: row as usize,
+                    rows: program.memory_rows_used,
+                });
+            }
+            Ok(())
+        };
+        let word = |row: u32, lane: u16, cycle: u64| {
+            row_in_program(row)?;
+            if lane as usize >= config.total_banks() {
+                return malformed(cycle, format!("memory lane {lane} out of range"));
+            }
+            Ok(())
+        };
+        let banks = config.total_banks();
+        let mut hazards = Hazards::new(config);
+
+        for (cycle, instr) in program.instructions.iter().enumerate() {
+            let cycle = cycle as u64;
+            geometry(cycle, "trees", instr.trees.len(), config.num_trees)?;
+            if let MemOp::Load { row, reg } = instr.mem {
+                row_in_program(row)?;
+                for bank in 0..banks {
+                    hazards.write(bank, reg as usize, cycle)?;
+                }
+            }
+            for tree in &instr.trees {
+                let inputs = config.tree_inputs_per_tree();
+                geometry(cycle, "read selections of a tree", tree.reads.len(), inputs)?;
+                for sel in &tree.reads {
+                    if let ReadSel::Reg { bank, reg } = *sel {
+                        hazards.read(bank as usize, reg as usize, cycle)?;
+                    }
+                }
+                let pes = self.pes_per_tree();
+                geometry(cycle, "PE opcodes of a tree", tree.pe_ops.len(), pes)?;
+            }
+            for (tree_idx, tree) in instr.trees.iter().enumerate() {
+                for w in &tree.writes {
+                    let (level, pe, bank) = (w.level as usize, w.pe as usize, w.bank as usize);
+                    if level >= config.tree_levels || pe >= config.pes_at_level(level) {
+                        return malformed(
+                            cycle,
+                            format!("write from non-existent PE level {level} index {pe}"),
+                        );
+                    }
+                    let position = PePosition {
+                        tree: tree_idx,
+                        level,
+                        index: pe,
+                    };
+                    if !config.can_write(position, bank) {
+                        return Err(ProcessorError::IllegalWriteBank {
+                            cycle,
+                            tree: tree_idx,
+                            level,
+                            pe,
+                            bank,
+                        });
+                    }
+                    if w.reg as usize >= config.regs_per_bank {
+                        return malformed(
+                            cycle,
+                            format!("write to register {} out of range", w.reg),
+                        );
+                    }
+                    hazards.write(bank, w.reg as usize, cycle + config.commit_latency(level))?;
+                }
+            }
+            // Intra-bank copies read and write the same bank this cycle.
+            for copy in &instr.copies {
+                hazards.read(copy.bank as usize, copy.src as usize, cycle)?;
+                hazards.write(copy.bank as usize, copy.dst as usize, cycle)?;
+            }
+            // A store reads the register file after all other reads of the
+            // cycle have been accounted for.
+            if let MemOp::Store { row, reg } = instr.mem {
+                row_in_program(row)?;
+                for bank in 0..banks {
+                    hazards.readable(bank, reg as usize, cycle)?;
+                }
+                for bank in 0..banks {
+                    hazards.read(bank, reg as usize, cycle)?;
+                }
+            }
+        }
+
+        // Inputs are placed before the first cycle, results read after the
+        // last.
+        for slot in &program.input_layout {
+            word(slot.row, slot.lane, 0)?;
+        }
+        let end = program.len() as u64;
+        for loc in std::iter::once(&program.output).chain(&program.exports) {
+            match *loc {
+                ValueLocation::Register { bank, reg } => {
+                    hazards.address(bank as usize, reg as usize, end)?;
+                }
+                ValueLocation::Memory { row, lane } => word(row, lane, end)?,
+            }
+        }
+        Ok(())
     }
 
     /// Executes `program` on the input values of one inference pass.
@@ -117,7 +349,8 @@ impl Processor {
     ///
     /// Returns a [`ProcessorError`] when the program violates a structural
     /// rule of the architecture, reads a value still in flight, or does not
-    /// match this processor's configuration.
+    /// match this processor's configuration ([`Processor::check`]), and
+    /// [`ProcessorError::InputMismatch`] for a wrong input count.
     pub fn run(&self, program: &Program, inputs: &[f64]) -> Result<ExecutionResult> {
         let mut state = self.state_for(program);
         self.run_with(program, inputs, &mut state)
@@ -142,10 +375,10 @@ impl Processor {
         self.run_with_hook(program, inputs, state, &mut NoTrace)
     }
 
-    /// The generic run loop behind [`Processor::run_with`]: executes
-    /// `program` on one input vector, reporting every cycle's PE and memory
-    /// activity (opcode, operands, result, instruction occupancy, memory row
-    /// operations) to `hook`.
+    /// The generic run behind [`Processor::run_with`]: checks `program`,
+    /// then executes it on one input vector, reporting every cycle's PE and
+    /// memory activity (opcode, operands, result, instruction occupancy,
+    /// memory row operations) to `hook`.
     ///
     /// The untraced path pays nothing for the hook — the loop monomorphizes
     /// to hook-free code for [`NoTrace`].
@@ -160,6 +393,7 @@ impl Processor {
         state: &mut SimState,
         hook: &mut H,
     ) -> Result<ExecutionResult> {
+        self.check(program)?;
         let (output, exports) = self.run_values(program, inputs, state, hook)?;
         Ok(ExecutionResult {
             output,
@@ -168,8 +402,15 @@ impl Processor {
         })
     }
 
-    /// One pass for its values (root, exports), every structural rule
-    /// enforced; nothing is counted — the cost is [`Program::perf`].
+    /// One pass of a program that passed [`Processor::check`] (the caller's
+    /// duty: an unchecked program may panic or compute garbage here) for its
+    /// values (root, exports).  No rule is tested and nothing is counted:
+    /// legality is `check`, the cost is [`Program::perf`].
+    ///
+    /// A write lands in the register file when it issues
+    /// ([`RegisterFile::write`]): `check` has established that nobody reads
+    /// a register while a write to it is in flight, so no queue is needed to
+    /// delay it.
     pub(crate) fn run_values<H: TraceHook>(
         &self,
         program: &Program,
@@ -177,308 +418,144 @@ impl Processor {
         state: &mut SimState,
         hook: &mut H,
     ) -> Result<(f64, Vec<f64>)> {
-        if program.config != self.config {
-            return Err(ProcessorError::InvalidConfig {
-                reason: format!(
-                    "program compiled for `{}` run on `{}`",
-                    program.config.name, self.config.name
-                ),
+        if inputs.len() != program.input_layout.len() {
+            return Err(ProcessorError::InputMismatch {
+                expected: program.input_layout.len(),
+                got: inputs.len(),
             });
         }
+        let config = &self.config;
         if state.datamem.rows() < program.memory_rows_used.max(1)
-            || state.datamem.width() != self.config.total_banks()
-            || state.regfile.banks() != self.config.total_banks()
-            || state.regfile.regs_per_bank() != self.config.regs_per_bank
+            || state.datamem.width() != config.total_banks()
+            || state.regfile.banks() != config.total_banks()
+            || state.regfile.regs_per_bank() != config.regs_per_bank
+            || state.scratch.len() != config.tree_inputs_per_tree() + config.num_pes()
         {
             *state = self.state_for(program);
         }
-        program.write_memory_image(inputs, &mut state.image)?;
-        state.regfile.reset();
-        // The image covers every row the program may address
-        // (`memory_rows_used` rows, zero-filled where unspecified), so
-        // loading it re-initialises the reachable address space without
-        // zeroing a possibly larger reused backing memory.  Memory
-        // operations beyond `memory_rows_used` are rejected per instruction
-        // below, so stale rows of a reused state are never observable.
-        state.datamem.load_image(&state.image)?;
-        state.pending.clear();
-        let regfile = &mut state.regfile;
-        let datamem = &mut state.datamem;
-        let pending = &mut state.pending;
+        let SimState {
+            regfile,
+            datamem,
+            scratch,
+        } = state;
+        regfile.reset();
+        // Zeroing the rows the program may address re-initialises the
+        // reachable address space without touching a possibly larger reused
+        // backing memory, whose stale rows `check` keeps unobservable.
+        datamem.clear_rows(program.memory_rows_used);
+        for (value, slot) in inputs.iter().zip(&program.input_layout) {
+            datamem.row_mut(slot.row as usize)[slot.lane as usize] = *value;
+        }
+        let (crossbar, pe_outputs) = scratch.split_at_mut(config.tree_inputs_per_tree());
 
-        let rows_used = program.memory_rows_used;
         for (cycle, instr) in program.instructions.iter().enumerate() {
             let cycle = cycle as u64;
-            Self::commit_ready(pending, regfile, cycle)?;
-            self.execute_instruction(
-                instr,
-                cycle,
-                rows_used,
-                program.pe_precision,
-                regfile,
-                datamem,
-                pending,
-                hook,
-            )?;
-        }
-        // Drain the pipeline: commit everything that is still in flight.
-        Self::commit_ready(pending, regfile, u64::MAX)?;
-
-        let peek = |loc: ValueLocation| -> Result<f64> {
-            Ok(match loc {
-                ValueLocation::Register { bank, reg } => regfile.peek(bank as usize, reg as usize),
-                ValueLocation::Memory { row, lane } => {
-                    Self::check_program_row(row as usize, rows_used)?;
-                    datamem.peek(row as usize, lane as usize)
+            if let MemOp::Load { row, reg } = instr.mem {
+                if H::ENABLED {
+                    hook.on_mem(cycle, false, row, reg);
                 }
-            })
-        };
-        let output = peek(program.output)?;
-        let exports = program
-            .exports
-            .iter()
-            .map(|&loc| peek(loc))
-            .collect::<Result<Vec<f64>>>()?;
-        Ok((output, exports))
-    }
+                for (bank, &value) in datamem.row(row as usize).iter().enumerate() {
+                    regfile.write(bank, reg as usize, value, cycle);
+                }
+            }
 
-    /// Applies all pending writes whose commit cycle is strictly before
-    /// `cycle` (they become visible to reads of `cycle`).
-    fn commit_ready(
-        pending: &mut Vec<PendingWrite>,
-        regfile: &mut RegisterFile,
-        cycle: u64,
-    ) -> Result<()> {
-        let mut ready: Vec<PendingWrite> = Vec::new();
-        pending.retain(|w| {
-            if w.commit_cycle < cycle {
-                ready.push(*w);
-                false
+            // Resolve crossbar reads and evaluate every tree; all reads of
+            // the cycle come before its write-backs.
+            let occupancy = if H::ENABLED {
+                instr
+                    .trees
+                    .iter()
+                    .flat_map(|t| t.pe_ops.iter())
+                    .filter(|&&op| op != PeOp::Nop)
+                    .count() as u32
             } else {
-                true
-            }
-        });
-        ready.sort_by_key(|w| w.commit_cycle);
-        for w in ready {
-            regfile.write(w.bank, w.reg, w.value, w.commit_cycle)?;
-        }
-        Ok(())
-    }
-
-    /// Checks that a memory operation stays inside the program's declared
-    /// address space (`memory_rows_used`), so reused simulator storage can
-    /// never leak a previous program's rows.
-    fn check_program_row(row: usize, rows_used: usize) -> Result<()> {
-        if row >= rows_used {
-            return Err(ProcessorError::MemoryOutOfRange {
-                row,
-                rows: rows_used,
-            });
-        }
-        Ok(())
-    }
-
-    /// Checks that `(bank, reg)` has no write still in flight at `cycle`.
-    fn check_no_inflight(
-        pending: &[PendingWrite],
-        bank: usize,
-        reg: usize,
-        cycle: u64,
-    ) -> Result<()> {
-        if pending
-            .iter()
-            .any(|w| w.bank == bank && w.reg == reg && w.commit_cycle >= cycle)
-        {
-            return Err(ProcessorError::ReadBeforeWrite { cycle, bank, reg });
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute_instruction<H: TraceHook>(
-        &self,
-        instr: &Instruction,
-        cycle: u64,
-        rows_used: usize,
-        pe_precision: crate::precision::Precision,
-        regfile: &mut RegisterFile,
-        datamem: &mut DataMemory,
-        pending: &mut Vec<PendingWrite>,
-        hook: &mut H,
-    ) -> Result<()> {
-        if instr.trees.len() != self.config.num_trees {
-            return Err(ProcessorError::MalformedInstruction {
-                cycle,
-                reason: format!(
-                    "instruction configures {} trees, processor has {}",
-                    instr.trees.len(),
-                    self.config.num_trees
-                ),
-            });
-        }
-        // 1. A memory load enqueues its row write first so that reads of the
-        //    destination register in the same cycle are flagged as hazards.
-        if let MemOp::Load { row, reg } = instr.mem {
-            Self::check_program_row(row as usize, rows_used)?;
-            if H::ENABLED {
-                hook.on_mem(cycle, false, row, reg);
-            }
-            let values = datamem.load_row(row as usize)?.to_vec();
-            for (bank, value) in values.into_iter().enumerate() {
-                pending.push(PendingWrite {
-                    commit_cycle: cycle,
-                    bank,
-                    reg: reg as usize,
-                    value,
-                });
-            }
-        }
-
-        // 2. Resolve crossbar reads and evaluate every tree.
-        let occupancy = if H::ENABLED {
-            instr
+                0
+            };
+            let trees = instr
                 .trees
                 .iter()
-                .flat_map(|t| t.pe_ops.iter())
-                .filter(|&&op| op != PeOp::Nop)
-                .count() as u32
-        } else {
-            0
-        };
-        let mut tree_outputs = Vec::with_capacity(instr.trees.len());
-        for (tree_idx, tree_instr) in instr.trees.iter().enumerate() {
-            let mut values = Vec::with_capacity(tree_instr.reads.len());
-            if tree_instr.reads.len() != self.config.tree_inputs_per_tree() {
-                return Err(ProcessorError::MalformedInstruction {
-                    cycle,
-                    reason: format!(
-                        "tree has {} read selections, expected {}",
-                        tree_instr.reads.len(),
-                        self.config.tree_inputs_per_tree()
-                    ),
-                });
-            }
-            for sel in &tree_instr.reads {
-                let v = match *sel {
-                    ReadSel::None | ReadSel::Zero => 0.0,
-                    ReadSel::One => 1.0,
-                    ReadSel::Reg { bank, reg } => {
-                        let (bank, reg) = (bank as usize, reg as usize);
-                        Self::check_no_inflight(pending, bank, reg, cycle)?;
-                        regfile.read(bank, reg, cycle)?
-                    }
-                };
-                values.push(v);
-            }
-            let outputs = evaluate_tree(&self.config, tree_instr, &values, cycle, pe_precision)?;
-            if H::ENABLED {
-                // Reconstruct each active PE's operands: level 0 reads the
-                // crossbar values, level l > 0 reads the level below.
-                for level in 0..self.config.tree_levels {
-                    for pe in 0..self.config.pes_at_level(level) {
-                        let flat = crate::isa::TreeInstr::pe_flat_index(&self.config, level, pe);
-                        let op = tree_instr.pe_ops[flat];
-                        if op == PeOp::Nop {
-                            continue;
+                .zip(pe_outputs.chunks_exact_mut(self.pes_per_tree()));
+            for (tree_idx, (tree, outputs)) in trees.enumerate() {
+                for (value, sel) in crossbar.iter_mut().zip(&tree.reads) {
+                    *value = match *sel {
+                        ReadSel::None | ReadSel::Zero => 0.0,
+                        ReadSel::One => 1.0,
+                        ReadSel::Reg { bank, reg } => regfile.get(bank as usize, reg as usize),
+                    };
+                }
+                evaluate_tree(
+                    config,
+                    &tree.pe_ops,
+                    crossbar,
+                    outputs,
+                    program.pe_precision,
+                );
+                if H::ENABLED {
+                    for level in 0..config.tree_levels {
+                        for pe in 0..config.pes_at_level(level) {
+                            let flat = TreeInstr::pe_flat_index(config, level, pe);
+                            let op = tree.pe_ops[flat];
+                            if op == PeOp::Nop {
+                                continue;
+                            }
+                            let (a, b) = pe_operands(config, crossbar, outputs, level, pe);
+                            hook.on_pe(
+                                cycle,
+                                tree_idx,
+                                level,
+                                pe,
+                                op,
+                                a,
+                                b,
+                                outputs[flat],
+                                occupancy,
+                            );
                         }
-                        let (a, b) = if level == 0 {
-                            (values[2 * pe], values[2 * pe + 1])
-                        } else {
-                            let below = &outputs.levels[level - 1];
-                            (below[2 * pe], below[2 * pe + 1])
-                        };
-                        hook.on_pe(
-                            cycle,
-                            tree_idx,
-                            level,
-                            pe,
-                            op,
-                            a,
-                            b,
-                            outputs.value(level, pe),
-                            occupancy,
-                        );
                     }
                 }
             }
-            tree_outputs.push(outputs);
-        }
 
-        // 3. Queue PE write-backs with their pipeline latency.
-        for (tree_idx, tree_instr) in instr.trees.iter().enumerate() {
-            for w in &tree_instr.writes {
-                let level = w.level as usize;
-                let pe = w.pe as usize;
-                if level >= self.config.tree_levels || pe >= self.config.pes_at_level(level) {
-                    return Err(ProcessorError::MalformedInstruction {
-                        cycle,
-                        reason: format!("write from non-existent PE level {level} index {pe}"),
-                    });
+            // PE write-backs, tagged with their pipeline latency.
+            let trees = instr
+                .trees
+                .iter()
+                .zip(pe_outputs.chunks_exact(self.pes_per_tree()));
+            for (tree, outputs) in trees {
+                for w in &tree.writes {
+                    let level = w.level as usize;
+                    let flat = TreeInstr::pe_flat_index(config, level, w.pe as usize);
+                    let commit = cycle + config.commit_latency(level);
+                    regfile.write(w.bank as usize, w.reg as usize, outputs[flat], commit);
                 }
-                let position = PePosition {
-                    tree: tree_idx,
-                    level,
-                    index: pe,
-                };
-                let bank = w.bank as usize;
-                if !self.config.can_write(position, bank) {
-                    return Err(ProcessorError::IllegalWriteBank {
-                        cycle,
-                        tree: tree_idx,
-                        level,
-                        pe,
-                        bank,
-                    });
+            }
+            for copy in &instr.copies {
+                let bank = copy.bank as usize;
+                let value = regfile.get(bank, copy.src as usize);
+                regfile.write(bank, copy.dst as usize, value, cycle);
+            }
+            if let MemOp::Store { row, reg } = instr.mem {
+                if H::ENABLED {
+                    hook.on_mem(cycle, true, row, reg);
                 }
-                if w.reg as usize >= self.config.regs_per_bank {
-                    return Err(ProcessorError::MalformedInstruction {
-                        cycle,
-                        reason: format!("write to register {} out of range", w.reg),
-                    });
+                for (bank, word) in datamem.row_mut(row as usize).iter_mut().enumerate() {
+                    *word = regfile.get(bank, reg as usize);
                 }
-                pending.push(PendingWrite {
-                    commit_cycle: cycle + self.config.commit_latency(level),
-                    bank,
-                    reg: w.reg as usize,
-                    value: tree_outputs[tree_idx].value(level, pe),
-                });
             }
         }
 
-        // 4. Intra-bank copies (read and write the same bank this cycle).
-        for copy in &instr.copies {
-            let bank = copy.bank as usize;
-            Self::check_no_inflight(pending, bank, copy.src as usize, cycle)?;
-            let value = regfile.read(bank, copy.src as usize, cycle)?;
-            pending.push(PendingWrite {
-                commit_cycle: cycle,
-                bank,
-                reg: copy.dst as usize,
-                value,
-            });
-        }
-
-        // 5. A store reads the register file after all other reads of the
-        //    cycle have been accounted for.
-        if let MemOp::Store { row, reg } = instr.mem {
-            Self::check_program_row(row as usize, rows_used)?;
-            if H::ENABLED {
-                hook.on_mem(cycle, true, row, reg);
-            }
-            for bank in 0..self.config.total_banks() {
-                Self::check_no_inflight(pending, bank, reg as usize, cycle)?;
-            }
-            let values = regfile.read_row(reg as usize, cycle)?;
-            datamem.store_row(row as usize, &values)?;
-        }
-        Ok(())
+        let value_at = |loc: &ValueLocation| match *loc {
+            ValueLocation::Register { bank, reg } => regfile.get(bank as usize, reg as usize),
+            ValueLocation::Memory { row, lane } => datamem.row(row as usize)[lane as usize],
+        };
+        let exports = program.exports.iter().map(value_at).collect();
+        Ok((value_at(&program.output), exports))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{CopyCmd, InputSlot, PeOp, TreeInstr, WriteCmd};
+    use crate::isa::{CopyCmd, InputSlot, Instruction, WriteCmd};
 
     fn cfg() -> ProcessorConfig {
         ProcessorConfig::ptree()
@@ -671,6 +748,339 @@ mod tests {
             proc.run(&program, &[1.0; 4]),
             Err(ProcessorError::WritePortConflict { .. })
         ));
+    }
+
+    /// `instructions` after a load of row 0 into register 0, on Ptree.
+    fn after_load(instructions: Vec<Instruction>, output: ValueLocation) -> Program {
+        let config = cfg();
+        let mut load = Instruction::nop(&config);
+        load.mem = MemOp::Load { row: 0, reg: 0 };
+        Program {
+            instructions: std::iter::once(load).chain(instructions).collect(),
+            input_layout: (0..32).map(|lane| InputSlot { row: 0, lane }).collect(),
+            memory_rows_used: 2,
+            output,
+            exports: Vec::new(),
+            num_source_ops: 0,
+            pe_precision: crate::precision::Precision::F64,
+            config,
+        }
+    }
+
+    /// An instruction whose tree-0 PE at `(level, 0)` writes `1 + 1`
+    /// (forwarded up from leaf 0) to `(bank, reg)`.
+    fn write_two(level: u8, bank: u16, reg: u16) -> Instruction {
+        let config = cfg();
+        let mut instr = Instruction::nop(&config);
+        let tree = &mut instr.trees[0];
+        tree.reads[0] = ReadSel::One;
+        tree.reads[1] = ReadSel::One;
+        tree.pe_ops[0] = PeOp::Add;
+        for l in 1..=level as usize {
+            tree.pe_ops[TreeInstr::pe_flat_index(&config, l, 0)] = PeOp::PassA;
+        }
+        tree.writes.push(WriteCmd {
+            level,
+            pe: 0,
+            bank,
+            reg,
+        });
+        instr
+    }
+
+    fn read_of(bank: u16, reg: u16) -> Instruction {
+        let mut instr = Instruction::nop(&cfg());
+        instr.trees[0].reads[0] = ReadSel::Reg { bank, reg };
+        instr
+    }
+
+    const R0: ValueLocation = ValueLocation::Register { bank: 0, reg: 0 };
+
+    fn check(program: &Program) -> Result<()> {
+        let verdict = Processor::new(cfg()).unwrap().check(program);
+        // `run` is `check` and then values: one verdict, whatever the data.
+        let inputs = vec![0.5; program.input_layout.len()];
+        let run = Processor::new(cfg()).unwrap().run(program, &inputs);
+        assert_eq!(verdict.clone().err(), run.err());
+        verdict
+    }
+
+    #[test]
+    fn a_bank_serves_one_read_per_cycle() {
+        // A second read of the same bank conflicts even at another register.
+        let mut twice = read_of(5, 0);
+        twice.trees[1].reads[3] = ReadSel::Reg { bank: 5, reg: 1 };
+        assert_eq!(
+            check(&after_load(vec![twice], R0)),
+            Err(ProcessorError::ReadPortConflict { cycle: 1, bank: 5 })
+        );
+        // The next cycle is fine again, and so are different banks at once.
+        let mut two_banks = read_of(5, 1);
+        two_banks.trees[1].reads[3] = ReadSel::Reg { bank: 6, reg: 1 };
+        assert_eq!(
+            check(&after_load(vec![read_of(5, 0), two_banks], R0)),
+            Ok(())
+        );
+        // A copy takes its bank's read port too.
+        let mut copy = read_of(5, 0);
+        copy.copies.push(CopyCmd {
+            bank: 5,
+            src: 0,
+            dst: 9,
+        });
+        assert_eq!(
+            check(&after_load(vec![copy], R0)),
+            Err(ProcessorError::ReadPortConflict { cycle: 1, bank: 5 })
+        );
+    }
+
+    #[test]
+    fn a_bank_commits_one_write_per_cycle() {
+        // A level-1 write issued in cycle 1 and a leaf write issued in cycle
+        // 2 both commit to bank 1 in cycle 2, at different registers.
+        let colliding = vec![write_two(1, 1, 1), write_two(0, 1, 9)];
+        assert_eq!(
+            check(&after_load(colliding, R0)),
+            Err(ProcessorError::WritePortConflict { cycle: 2, bank: 1 })
+        );
+        // One cycle apart, or to different banks in one cycle, is fine.
+        let nop = Instruction::nop(&cfg());
+        let apart = vec![write_two(1, 1, 1), nop, write_two(0, 1, 9)];
+        assert_eq!(check(&after_load(apart, R0)), Ok(()));
+        let mut two_banks = write_two(0, 0, 1);
+        two_banks.trees[0].pe_ops[1] = PeOp::Add;
+        two_banks.trees[0].writes.push(WriteCmd {
+            level: 0,
+            pe: 1,
+            bank: 2,
+            reg: 1,
+        });
+        assert_eq!(check(&after_load(vec![two_banks], R0)), Ok(()));
+    }
+
+    #[test]
+    fn row_operations_use_every_port() {
+        // A load writes every bank in its issue cycle: a PE write committing
+        // to any of them in that cycle conflicts.  The PE write issues first
+        // and the load finds the port taken, at the first bank it tries.
+        let mut second_load = Instruction::nop(&cfg());
+        second_load.mem = MemOp::Load { row: 1, reg: 4 };
+        let colliding = vec![write_two(1, 3, 1), second_load.clone()];
+        assert_eq!(
+            check(&after_load(colliding, R0)),
+            Err(ProcessorError::WritePortConflict { cycle: 2, bank: 3 })
+        );
+        assert_eq!(
+            check(&after_load(vec![write_two(0, 1, 1), second_load], R0)),
+            Ok(())
+        );
+        // A store reads every bank: no crossbar read beside it.
+        let mut store = read_of(31, 0);
+        store.mem = MemOp::Store { row: 1, reg: 0 };
+        assert_eq!(
+            check(&after_load(vec![store], R0)),
+            Err(ProcessorError::ReadPortConflict { cycle: 1, bank: 31 })
+        );
+        // And it tests every bank for a write in flight before it takes a
+        // port: the hazard at bank 3 is named, not the port of bank 0.
+        let mut store = read_of(0, 0);
+        store.mem = MemOp::Store { row: 1, reg: 1 };
+        assert_eq!(
+            check(&after_load(vec![write_two(2, 3, 1), store], R0)),
+            Err(ProcessorError::ReadBeforeWrite {
+                cycle: 2,
+                bank: 3,
+                reg: 1
+            })
+        );
+    }
+
+    #[test]
+    fn out_of_range_fields_are_malformed() {
+        let malformed = |instr: Instruction| {
+            let verdict = check(&after_load(vec![instr], R0));
+            assert!(
+                matches!(
+                    verdict,
+                    Err(ProcessorError::MalformedInstruction { cycle: 1, .. })
+                ),
+                "{verdict:?}"
+            );
+        };
+        let nop = Instruction::nop(&cfg());
+        malformed(read_of(99, 0));
+        malformed(read_of(0, 64));
+        malformed(write_two(0, 0, 1000));
+        for (level, pe) in [(4, 0), (0, 8)] {
+            let mut no_such_pe = write_two(0, 0, 1);
+            no_such_pe.trees[0].writes[0].level = level;
+            no_such_pe.trees[0].writes[0].pe = pe;
+            malformed(no_such_pe);
+        }
+        for (bank, src, dst) in [(32, 0, 1), (0, 64, 1), (0, 0, 64)] {
+            let mut copy = nop.clone();
+            copy.copies.push(CopyCmd { bank, src, dst });
+            malformed(copy);
+        }
+        let mut load = nop.clone();
+        load.mem = MemOp::Load { row: 1, reg: 64 };
+        malformed(load);
+        let mut store = nop.clone();
+        store.mem = MemOp::Store { row: 1, reg: 64 };
+        malformed(store);
+        // Geometry: every tree, read selection and PE opcode accounted for.
+        let mut trees = nop.clone();
+        trees.trees.pop();
+        malformed(trees);
+        let mut reads = nop.clone();
+        reads.trees[1].reads.truncate(4);
+        malformed(reads);
+        let mut pe_ops = nop.clone();
+        pe_ops.trees[0].pe_ops.pop();
+        malformed(pe_ops);
+    }
+
+    #[test]
+    fn memory_rows_outside_the_program_are_rejected() {
+        // `after_load` declares two rows; the machine has 512.
+        for mem in [
+            MemOp::Load { row: 2, reg: 1 },
+            MemOp::Store { row: 2, reg: 0 },
+            MemOp::Load { row: 9999, reg: 1 },
+        ] {
+            let mut instr = Instruction::nop(&cfg());
+            instr.mem = mem;
+            let verdict = check(&after_load(vec![instr], R0));
+            assert!(
+                matches!(
+                    verdict,
+                    Err(ProcessorError::MemoryOutOfRange { rows: 2, .. })
+                ),
+                "{verdict:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn input_and_result_locations_are_validated() {
+        // On the interpreter this replaces the first two returned bank 1
+        // register 0 and row 1 lane 0, and the third panicked inside
+        // `regfile.rs`.
+        let bad = [
+            ValueLocation::Register { bank: 0, reg: 64 },
+            ValueLocation::Memory { row: 0, lane: 32 },
+            ValueLocation::Register { bank: 40, reg: 0 },
+        ];
+        for loc in bad {
+            let verdict = check(&after_load(Vec::new(), loc));
+            assert!(
+                matches!(
+                    verdict,
+                    Err(ProcessorError::MalformedInstruction { cycle: 1, .. })
+                ),
+                "{loc:?}: {verdict:?}"
+            );
+            let mut exported = after_load(Vec::new(), R0);
+            exported.exports = vec![R0, loc];
+            assert!(check(&exported).is_err(), "export {loc:?}");
+        }
+        let row = ValueLocation::Memory { row: 2, lane: 0 };
+        assert_eq!(
+            check(&after_load(Vec::new(), row)),
+            Err(ProcessorError::MemoryOutOfRange { row: 2, rows: 2 })
+        );
+        let mut program = after_load(Vec::new(), R0);
+        program.input_layout[3] = InputSlot { row: 0, lane: 32 };
+        assert!(check(&program).is_err());
+        program.input_layout[3] = InputSlot { row: 2, lane: 0 };
+        assert!(check(&program).is_err());
+    }
+
+    #[test]
+    fn of_two_writes_in_flight_the_later_commit_is_the_value_read() {
+        // Cycle 1: the tree root sends 1 + 1 to bank 0 register 5, committing
+        // in cycle 4.  Cycle 2: leaf 0 sends lane 0 + lane 1 to the same
+        // register, committing in cycle 2 — issued later, committed first.
+        let mut leaf = write_two(0, 0, 5);
+        leaf.trees[0].reads[0] = ReadSel::Reg { bank: 0, reg: 0 };
+        leaf.trees[0].reads[1] = ReadSel::Reg { bank: 1, reg: 0 };
+        let nop = Instruction::nop(&cfg());
+        let mut copy = nop.clone();
+        copy.copies.push(CopyCmd {
+            bank: 0,
+            src: 5,
+            dst: 6,
+        });
+        let out = ValueLocation::Register { bank: 0, reg: 6 };
+        let body = |wait: usize| {
+            let mut body = vec![write_two(3, 0, 5), leaf.clone()];
+            body.extend(vec![nop.clone(); wait]);
+            body.push(copy.clone());
+            after_load(body, out)
+        };
+        let proc = Processor::new(cfg()).unwrap();
+        let mut inputs = vec![0.0; 32];
+        inputs[0] = 3.0;
+        inputs[1] = 4.0;
+        // Read in cycle 5, one past the later commit: the root's 2, not 7.
+        let run = proc.run(&body(2), &inputs).unwrap();
+        assert_eq!(run.output, 2.0);
+        // Until then the register is unreadable, although the leaf's write
+        // has long committed.
+        for wait in [0, 1] {
+            assert_eq!(
+                check(&body(wait)),
+                Err(ProcessorError::ReadBeforeWrite {
+                    cycle: 3 + wait as u64,
+                    bank: 0,
+                    reg: 5
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn inputs_land_in_their_slots_and_a_short_vector_writes_nothing() {
+        let config = cfg();
+        let program = Program {
+            instructions: Vec::new(),
+            input_layout: vec![
+                InputSlot { row: 0, lane: 0 },
+                InputSlot { row: 0, lane: 31 },
+                InputSlot { row: 2, lane: 5 },
+            ],
+            memory_rows_used: 3,
+            output: ValueLocation::Memory { row: 2, lane: 5 },
+            exports: vec![
+                ValueLocation::Memory { row: 0, lane: 0 },
+                ValueLocation::Memory { row: 0, lane: 31 },
+                ValueLocation::Memory { row: 1, lane: 5 },
+            ],
+            num_source_ops: 0,
+            pe_precision: crate::precision::Precision::F64,
+            config,
+        };
+        assert!(program.is_empty());
+        assert_eq!(program.perf().stall_cycles, 0);
+        let proc = Processor::new(cfg()).unwrap();
+        let mut state = proc.state_for(&program);
+        let run = proc
+            .run_with(&program, &[1.0, 2.0, 3.0], &mut state)
+            .unwrap();
+        assert_eq!((run.output, run.exports), (3.0, vec![1.0, 2.0, 0.0]));
+        assert!(matches!(
+            proc.run_with(&program, &[9.0], &mut state),
+            Err(ProcessorError::InputMismatch {
+                expected: 3,
+                got: 1
+            })
+        ));
+        assert_eq!(state.datamem.row(0)[0], 1.0);
+        // The next query zeroes what it does not set.
+        let run = proc
+            .run_with(&program, &[0.0, 5.0, 6.0], &mut state)
+            .unwrap();
+        assert_eq!((run.output, run.exports), (6.0, vec![0.0, 5.0, 0.0]));
     }
 
     #[test]

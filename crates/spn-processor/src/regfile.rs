@@ -1,14 +1,13 @@
-//! Banked register file with per-cycle port accounting.
+//! Banked register file.
 //!
 //! Each PE tree owns a private register file of `banks_per_tree` banks; the
 //! simulator stores all of them in one [`RegisterFile`] addressed by global
-//! bank index.  Reads and writes are tracked per cycle so the processor can
-//! flag port conflicts (more than one access of a bank in a cycle), which the
-//! paper's crossbar and bank design forbid.
+//! bank index.  The file holds values only: the port limits of the paper's
+//! crossbar and bank design (one read and one committing write per bank per
+//! cycle) and the address ranges are rules of the program, enforced once by
+//! [`crate::Processor::check`].
 
 use crate::config::ProcessorConfig;
-use crate::error::ProcessorError;
-use crate::Result;
 
 /// The processor's register storage: `total_banks × regs_per_bank` words.
 #[derive(Debug, Clone)]
@@ -16,10 +15,8 @@ pub struct RegisterFile {
     banks: usize,
     regs_per_bank: usize,
     data: Vec<f64>,
-    /// Cycle of the last read of each bank (for port conflict checks).
-    read_cycle: Vec<Option<u64>>,
-    /// Cycle of the last committed write of each bank.
-    write_cycle: Vec<Option<u64>>,
+    /// Commit cycle of the write each register holds.
+    commit: Vec<u64>,
 }
 
 impl RegisterFile {
@@ -30,8 +27,7 @@ impl RegisterFile {
             banks,
             regs_per_bank: config.regs_per_bank,
             data: vec![0.0; banks * config.regs_per_bank],
-            read_cycle: vec![None; banks],
-            write_cycle: vec![None; banks],
+            commit: vec![0; banks * config.regs_per_bank],
         }
     }
 
@@ -45,85 +41,45 @@ impl RegisterFile {
         self.regs_per_bank
     }
 
-    /// Clears all contents and per-cycle port bookkeeping, keeping the
-    /// allocation (used between queries of a batched run).
+    /// Clears all contents, keeping the allocation (used between queries of
+    /// a batched run).
     pub fn reset(&mut self) {
         self.data.fill(0.0);
-        self.read_cycle.fill(None);
-        self.write_cycle.fill(None);
+        self.commit.fill(0);
     }
 
-    fn check_address(&self, bank: usize, reg: usize, cycle: u64) -> Result<()> {
-        if bank >= self.banks || reg >= self.regs_per_bank {
-            return Err(ProcessorError::MalformedInstruction {
-                cycle,
-                reason: format!("register address bank {bank} reg {reg} out of range"),
-            });
+    fn index(&self, bank: usize, reg: usize) -> usize {
+        assert!(
+            bank < self.banks && reg < self.regs_per_bank,
+            "register address bank {bank} reg {reg} out of range"
+        );
+        bank * self.regs_per_bank + reg
+    }
+
+    /// The value of `reg` of `bank`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the address is out of range.
+    pub fn get(&self, bank: usize, reg: usize) -> f64 {
+        self.data[self.index(bank, reg)]
+    }
+
+    /// Lands a write of `value` to `reg` of `bank` that commits in cycle
+    /// `commit`.  The write lands when it issues: of two writes in flight to
+    /// one register the later commit is the one that stays, whichever issued
+    /// first, and [`crate::Processor::check`] has established that nobody
+    /// reads the register before that commit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the address is out of range.
+    pub fn write(&mut self, bank: usize, reg: usize, value: f64, commit: u64) {
+        let i = self.index(bank, reg);
+        if commit >= self.commit[i] {
+            self.commit[i] = commit;
+            self.data[i] = value;
         }
-        Ok(())
-    }
-
-    /// Reads `reg` of `bank` at `cycle`, consuming the bank's read port.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProcessorError::ReadPortConflict`] when the bank was already
-    /// read this cycle, or a malformed-instruction error for bad addresses.
-    pub fn read(&mut self, bank: usize, reg: usize, cycle: u64) -> Result<f64> {
-        self.check_address(bank, reg, cycle)?;
-        if self.read_cycle[bank] == Some(cycle) {
-            return Err(ProcessorError::ReadPortConflict { cycle, bank });
-        }
-        self.read_cycle[bank] = Some(cycle);
-        Ok(self.data[bank * self.regs_per_bank + reg])
-    }
-
-    /// Reads without consuming a port (used by the simulator to fetch the
-    /// final output value after execution).
-    pub fn peek(&self, bank: usize, reg: usize) -> f64 {
-        self.data[bank * self.regs_per_bank + reg]
-    }
-
-    /// Commits a write of `value` to `reg` of `bank` at `cycle`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProcessorError::WritePortConflict`] when the bank already
-    /// committed a write this cycle, or a malformed-instruction error for bad
-    /// addresses.
-    pub fn write(&mut self, bank: usize, reg: usize, value: f64, cycle: u64) -> Result<()> {
-        self.check_address(bank, reg, cycle)?;
-        if self.write_cycle[bank] == Some(cycle) {
-            return Err(ProcessorError::WritePortConflict { cycle, bank });
-        }
-        self.write_cycle[bank] = Some(cycle);
-        self.data[bank * self.regs_per_bank + reg] = value;
-        Ok(())
-    }
-
-    /// Writes a full row (register `reg` of every bank), e.g. for a memory
-    /// load.  Consumes the write port of every bank.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProcessorError::WritePortConflict`] if any bank already
-    /// committed a write this cycle.
-    pub fn write_row(&mut self, reg: usize, values: &[f64], cycle: u64) -> Result<()> {
-        for (bank, &value) in values.iter().enumerate().take(self.banks) {
-            self.write(bank, reg, value, cycle)?;
-        }
-        Ok(())
-    }
-
-    /// Reads a full row (register `reg` of every bank), e.g. for a memory
-    /// store.  Consumes the read port of every bank.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProcessorError::ReadPortConflict`] if any bank was already
-    /// read this cycle.
-    pub fn read_row(&mut self, reg: usize, cycle: u64) -> Result<Vec<f64>> {
-        (0..self.banks).map(|b| self.read(b, reg, cycle)).collect()
     }
 }
 
@@ -138,68 +94,31 @@ mod tests {
     #[test]
     fn read_back_written_value() {
         let mut rf = regfile();
-        rf.write(3, 10, 2.5, 0).unwrap();
-        assert_eq!(rf.read(3, 10, 1).unwrap(), 2.5);
-        assert_eq!(rf.peek(3, 10), 2.5);
+        rf.write(3, 10, 2.5, 0);
+        assert_eq!(rf.get(3, 10), 2.5);
+        assert_eq!(rf.get(3, 11), 0.0);
+        assert_eq!(rf.get(4, 10), 0.0);
     }
 
     #[test]
-    fn double_read_of_bank_in_one_cycle_is_a_conflict() {
+    fn the_later_commit_stays_whichever_write_issued_first() {
         let mut rf = regfile();
-        rf.read(5, 0, 7).unwrap();
-        // A second read of the *same bank* conflicts even at another register.
-        assert!(matches!(
-            rf.read(5, 1, 7),
-            Err(ProcessorError::ReadPortConflict { cycle: 7, bank: 5 })
-        ));
-        // The next cycle is fine again.
-        assert!(rf.read(5, 1, 8).is_ok());
+        // Issued first, commits in cycle 3; issued second, commits in cycle 1.
+        rf.write(2, 0, 1.0, 3);
+        rf.write(2, 0, 2.0, 1);
+        assert_eq!(rf.get(2, 0), 1.0);
+        // A later write overwrites, and a reset forgets the commit tags.
+        rf.write(2, 0, 3.0, 4);
+        assert_eq!(rf.get(2, 0), 3.0);
+        rf.reset();
+        assert_eq!(rf.get(2, 0), 0.0);
+        rf.write(2, 0, 4.0, 0);
+        assert_eq!(rf.get(2, 0), 4.0);
     }
 
     #[test]
-    fn double_write_of_bank_in_one_cycle_is_a_conflict() {
-        let mut rf = regfile();
-        rf.write(2, 0, 1.0, 4).unwrap();
-        assert!(matches!(
-            rf.write(2, 9, 2.0, 4),
-            Err(ProcessorError::WritePortConflict { cycle: 4, bank: 2 })
-        ));
-        assert!(rf.write(2, 9, 2.0, 5).is_ok());
-    }
-
-    #[test]
-    fn different_banks_do_not_conflict() {
-        let mut rf = regfile();
-        rf.read(0, 0, 1).unwrap();
-        rf.read(1, 0, 1).unwrap();
-        rf.write(0, 0, 1.0, 1).unwrap();
-        rf.write(1, 0, 1.0, 1).unwrap();
-    }
-
-    #[test]
-    fn row_access_uses_every_port() {
-        let mut rf = regfile();
-        let values: Vec<f64> = (0..32).map(|i| i as f64).collect();
-        rf.write_row(4, &values, 0).unwrap();
-        assert_eq!(rf.peek(31, 4), 31.0);
-        let row = rf.read_row(4, 1).unwrap();
-        assert_eq!(row, values);
-        // After a row write, a scalar write the same cycle conflicts.
-        let mut rf = regfile();
-        rf.write_row(0, &values, 0).unwrap();
-        assert!(rf.write(7, 1, 9.0, 0).is_err());
-    }
-
-    #[test]
-    fn out_of_range_addresses_are_malformed() {
-        let mut rf = regfile();
-        assert!(matches!(
-            rf.read(99, 0, 0),
-            Err(ProcessorError::MalformedInstruction { .. })
-        ));
-        assert!(matches!(
-            rf.write(0, 1000, 1.0, 0),
-            Err(ProcessorError::MalformedInstruction { .. })
-        ));
+    #[should_panic(expected = "out of range")]
+    fn a_register_beyond_its_bank_does_not_alias_the_next_bank() {
+        regfile().get(0, 64);
     }
 }

@@ -8,29 +8,8 @@
 //! latency when committing write-backs.
 
 use crate::config::ProcessorConfig;
-use crate::error::ProcessorError;
 use crate::isa::{PeOp, TreeInstr};
 use crate::precision::{round_to, Precision};
-use crate::Result;
-
-/// Outputs of every PE of a tree for one instruction, level-major
-/// (`outputs[level][index]`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TreeOutputs {
-    /// PE outputs per level; `outputs[0]` has one entry per leaf PE.
-    pub levels: Vec<Vec<f64>>,
-}
-
-impl TreeOutputs {
-    /// Returns the output of the PE at `(level, index)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the position does not exist.
-    pub fn value(&self, level: usize, index: usize) -> f64 {
-        self.levels[level][index]
-    }
-}
 
 /// Log-sum-exp of two natural-log values: `ln(e^a + e^b)` without overflow,
 /// with `-inf` as the additive identity.
@@ -72,61 +51,47 @@ pub fn apply_pe(op: PeOp, a: f64, b: f64, precision: Precision) -> f64 {
     }
 }
 
-/// Evaluates the PE tree described by `instr` on the resolved crossbar input
-/// values `inputs` (one per tree input, `2 × leaf PEs` entries), with every
-/// PE computing in the emulated `precision`.
+/// The two operands of the PE at `(level, index)`: a pair of crossbar
+/// `inputs` at level 0, the outputs of the two PEs directly below otherwise
+/// (`outputs` is level-major, as [`TreeInstr::pe_ops`]).
+pub fn pe_operands(
+    config: &ProcessorConfig,
+    inputs: &[f64],
+    outputs: &[f64],
+    level: usize,
+    index: usize,
+) -> (f64, f64) {
+    if level == 0 {
+        (inputs[2 * index], inputs[2 * index + 1])
+    } else {
+        let below = TreeInstr::pe_flat_index(config, level - 1, 2 * index);
+        (outputs[below], outputs[below + 1])
+    }
+}
+
+/// Evaluates one tree: `pe_ops` on the resolved crossbar values `inputs`
+/// (`2 × leaf PEs` entries) into `outputs`, one word per PE, level-major,
+/// with every PE computing in the emulated `precision`.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns a malformed-instruction error when the instruction's vectors do
-/// not match the configuration geometry.
+/// Panics when a slice does not match the geometry of `config`;
+/// [`crate::Processor::check`] establishes that it does.
 pub fn evaluate_tree(
     config: &ProcessorConfig,
-    instr: &TreeInstr,
+    pe_ops: &[PeOp],
     inputs: &[f64],
-    cycle: u64,
+    outputs: &mut [f64],
     precision: Precision,
-) -> Result<TreeOutputs> {
-    let expected_inputs = config.tree_inputs_per_tree();
-    if inputs.len() != expected_inputs {
-        return Err(ProcessorError::MalformedInstruction {
-            cycle,
-            reason: format!(
-                "tree received {} inputs, expected {expected_inputs}",
-                inputs.len()
-            ),
-        });
-    }
-    let expected_pes: usize = (0..config.tree_levels)
-        .map(|l| config.pes_at_level(l))
-        .sum();
-    if instr.pe_ops.len() != expected_pes {
-        return Err(ProcessorError::MalformedInstruction {
-            cycle,
-            reason: format!(
-                "tree instruction has {} PE opcodes, expected {expected_pes}",
-                instr.pe_ops.len()
-            ),
-        });
-    }
-
-    let mut levels: Vec<Vec<f64>> = Vec::with_capacity(config.tree_levels);
+) {
+    let mut flat = 0;
     for level in 0..config.tree_levels {
-        let count = config.pes_at_level(level);
-        let mut outputs = Vec::with_capacity(count);
-        for index in 0..count {
-            let (a, b) = if level == 0 {
-                (inputs[2 * index], inputs[2 * index + 1])
-            } else {
-                let below = &levels[level - 1];
-                (below[2 * index], below[2 * index + 1])
-            };
-            let flat = TreeInstr::pe_flat_index(config, level, index);
-            outputs.push(apply_pe(instr.pe_ops[flat], a, b, precision));
+        for index in 0..config.pes_at_level(level) {
+            let (a, b) = pe_operands(config, inputs, outputs, level, index);
+            outputs[flat] = apply_pe(pe_ops[flat], a, b, precision);
+            flat += 1;
         }
-        levels.push(outputs);
     }
-    Ok(TreeOutputs { levels })
 }
 
 #[cfg(test)]
@@ -208,6 +173,13 @@ mod tests {
         assert_eq!(round_to(p, lse).to_bits(), lse.to_bits());
     }
 
+    /// Evaluates `instr` on `inputs`, returning the level-major PE outputs.
+    fn evaluate(cfg: &ProcessorConfig, instr: &TreeInstr, inputs: &[f64]) -> Vec<f64> {
+        let mut outputs = vec![f64::NAN; instr.pe_ops.len()];
+        evaluate_tree(cfg, &instr.pe_ops, inputs, &mut outputs, Precision::F64);
+        outputs
+    }
+
     #[test]
     fn full_tree_reduction() {
         // Sum of 16 inputs through a 4-level adder tree.
@@ -217,10 +189,14 @@ mod tests {
             *op = PeOp::Add;
         }
         let inputs: Vec<f64> = (1..=16).map(f64::from).collect();
-        let out = evaluate_tree(&cfg, &instr, &inputs, 0, Precision::F64).unwrap();
-        assert_eq!(out.value(3, 0), 136.0);
-        assert_eq!(out.value(0, 0), 3.0);
-        assert_eq!(out.value(1, 0), 10.0);
+        let out = evaluate(&cfg, &instr, &inputs);
+        let at = |level, index| out[TreeInstr::pe_flat_index(&cfg, level, index)];
+        assert_eq!(at(3, 0), 136.0);
+        assert_eq!(at(0, 0), 3.0);
+        assert_eq!(at(1, 0), 10.0);
+        // The root adds the two level-2 sums; leaf 7 adds the last input pair.
+        assert_eq!(pe_operands(&cfg, &inputs, &out, 3, 0), (36.0, 100.0));
+        assert_eq!(pe_operands(&cfg, &inputs, &out, 0, 7), (15.0, 16.0));
     }
 
     #[test]
@@ -235,8 +211,8 @@ mod tests {
         let mut inputs = vec![0.0; 16];
         inputs[0] = 3.0;
         inputs[1] = 4.0;
-        let out = evaluate_tree(&cfg, &instr, &inputs, 0, Precision::F64).unwrap();
-        assert_eq!(out.value(3, 0), 12.0);
+        let out = evaluate(&cfg, &instr, &inputs);
+        assert_eq!(out[TreeInstr::pe_flat_index(&cfg, 3, 0)], 12.0);
     }
 
     #[test]
@@ -250,19 +226,11 @@ mod tests {
         inputs[1] = 5.0;
         inputs[14] = 1.0;
         inputs[15] = 7.0;
-        let out = evaluate_tree(&cfg, &instr, &inputs, 0, Precision::F64).unwrap();
-        assert_eq!(out.levels.len(), 1);
-        assert_eq!(out.value(0, 0), 10.0);
-        assert_eq!(out.value(0, 7), 8.0);
-    }
-
-    #[test]
-    fn geometry_mismatches_are_rejected() {
-        let cfg = ProcessorConfig::ptree();
-        let instr = tree_instr(&cfg);
-        assert!(evaluate_tree(&cfg, &instr, &[0.0; 4], 0, Precision::F64).is_err());
-        let mut bad = instr;
-        bad.pe_ops.pop();
-        assert!(evaluate_tree(&cfg, &bad, &[0.0; 16], 0, Precision::F64).is_err());
+        let out = evaluate(&cfg, &instr, &inputs);
+        assert_eq!(out.len(), 8);
+        assert_eq!(out[0], 10.0);
+        assert_eq!(out[7], 8.0);
+        // Idle PEs drive zero.
+        assert_eq!(out[1..7], [0.0; 6]);
     }
 }

@@ -9,6 +9,9 @@
 //!   interconnect-stall + idle cycles partition the makespan exactly, and
 //!   the merged batch report is the sum of the per-core reports, for both
 //!   batch-sharded and pipelined/partitioned execution.
+//! * **Legality once per batch** — a program that breaks a machine rule is
+//!   rejected before query 0 with the error a single-core run gives, an
+//!   empty batch included.
 //! * **Validation** — structurally impossible machines (zero cores, zero PE
 //!   trees/levels/leaves, zero shared-memory ports) are rejected with a
 //!   structured configuration error instead of panicking mid-simulation.
@@ -21,7 +24,8 @@ use spn_accel::core::random::{random_spn, RandomSpnConfig};
 use spn_accel::core::{Evidence, EvidenceBatch, NumericMode, Precision, Spn};
 use spn_accel::platforms::{Engine, EngineOptions, Parallelism, ProcessorBackend, QueryOutput};
 use spn_accel::processor::{
-    MultiCoreConfig, MultiCoreProcessor, PerfReport, ProcessorConfig, SharedMemoryConfig,
+    MultiCoreConfig, MultiCoreProcessor, PerfReport, Processor, ProcessorConfig, ProcessorError,
+    Program, SharedMemoryConfig,
 };
 
 /// A deterministic mixed evidence batch: marginal, all-true, all-false and
@@ -362,4 +366,65 @@ fn impossible_machine_shapes_are_rejected() {
     let mut config = MultiCoreConfig::new(2, ProcessorConfig::ptree());
     config.shared_memory = SharedMemoryConfig { ports: 0 };
     assert!(MultiCoreProcessor::new(config).is_err());
+}
+
+/// Retargets the first PE write-back of `program` to the same bank of the
+/// other tree's register file, which no PE of its tree can reach.
+fn retarget_first_write(program: &mut Program) {
+    let banks = program.config.total_banks() as u16;
+    let per_tree = program.config.banks_per_tree as u16;
+    let write = program
+        .instructions
+        .iter_mut()
+        .flat_map(|instr| &mut instr.trees)
+        .find_map(|tree| tree.writes.first_mut())
+        .expect("program writes a register");
+    write.bank = (write.bank + per_tree) % banks;
+}
+
+#[test]
+fn corrupted_programs_are_rejected_before_query_zero() {
+    let spn = test_spn();
+    let ops = spn_accel::core::flatten::OpList::from_spn(&spn);
+    let compiler = Compiler::new(ProcessorConfig::ptree());
+    let single = Processor::new(ProcessorConfig::ptree()).expect("single core");
+    let processor = MultiCoreProcessor::new(MultiCoreConfig::new(2, ProcessorConfig::ptree()))
+        .expect("processor");
+    let batch = mixed_batch(spn.num_vars());
+    let mut flat = Vec::new();
+
+    let mut compiled = compiler.compile_op_list(ops.clone()).expect("compile");
+    retarget_first_write(&mut compiled.program);
+    let mut parted = compiler.compile_partitioned(ops, 2).expect("partition");
+    retarget_first_write(&mut parted.parts.stages[1].program);
+    let stage = &parted.parts.stages[1].program;
+
+    // What a single-core run says, on any inputs of the right length.
+    let verdict = |program: &Program| {
+        single
+            .run(program, &vec![1.0; program.input_layout.len()])
+            .expect_err("the PE cannot reach the bank")
+    };
+    assert!(matches!(
+        verdict(&compiled.program),
+        ProcessorError::IllegalWriteBank { .. }
+    ));
+    for queries in [0usize, 1, 5] {
+        let rows = batch.sub_batch(0, queries);
+        compiled.fill_batch_inputs(&rows, &mut flat).expect("fill");
+        let sharded =
+            processor.run_batch_sharded(&compiled.program, &flat, queries, &mut Vec::new());
+        assert_eq!(
+            sharded.err(),
+            Some(verdict(&compiled.program)),
+            "{queries} queries, sharded"
+        );
+        parted.fill_batch_inputs(&rows, &mut flat).expect("fill");
+        let pipelined = processor.run_partitioned(&parted.parts, &flat, queries, &mut Vec::new());
+        assert_eq!(
+            pipelined.err(),
+            Some(verdict(stage)),
+            "{queries} queries, pipelined"
+        );
+    }
 }

@@ -8,7 +8,9 @@
 //! asserts the verifier rejects it with the documented diagnostic code.  A
 //! final randomized sweep checks the translation-validation contract
 //! directly against the simulator: any mutation that changes (or crashes)
-//! real execution must be flagged.
+//! real execution must be flagged.  The same sweep, widened, pins the
+//! simulator's own contract: whether it accepts a program
+//! (`Processor::check`) does not depend on the data streamed through it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,7 +19,11 @@ use spn_core::analysis::Diagnostic;
 use spn_core::flatten::OpList;
 use spn_core::random::{random_spn, RandomSpnConfig};
 use spn_core::Evidence;
-use spn_processor::{MemOp, PeOp, Processor, ProcessorConfig, Program, TransferSource};
+use spn_processor::isa::CopyCmd;
+use spn_processor::{
+    MemOp, MultiCoreConfig, MultiCoreProcessor, PeOp, Processor, ProcessorConfig, Program, ReadSel,
+    TransferSource,
+};
 
 fn artifact(vars: usize, seed: u64) -> spn_compiler::CompiledArtifact {
     let spn = random_spn(
@@ -274,5 +280,124 @@ fn randomized_mutations_never_slip_through() {
     assert!(
         caught >= 10,
         "mutation sweep exercised too few behaviour-changing mutations ({caught})"
+    );
+}
+
+/// Applies one random mutation of the kinds [`mutate`] does not make —
+/// traffic the schedule never had and broken geometry; returns a label.
+fn mutate_traffic(program: &mut Program, rng: &mut StdRng) -> &'static str {
+    let banks = program.config.total_banks() as u16;
+    let regs = program.config.regs_per_bank as u16;
+    let rows = program.memory_rows_used as u32;
+    let instr_idx = rng.gen_range(0usize..program.instructions.len());
+    let instr = &mut program.instructions[instr_idx];
+    let tree_idx = rng.gen_range(0usize..instr.trees.len());
+    match rng.gen_range(0usize..5) {
+        0 => {
+            instr.mem = MemOp::Load {
+                row: rng.gen_range(0u32..rows + 1),
+                reg: rng.gen_range(0u16..regs),
+            };
+            "inserted load"
+        }
+        1 => {
+            instr.mem = MemOp::Store {
+                row: rng.gen_range(0u32..rows + 1),
+                reg: rng.gen_range(0u16..regs),
+            };
+            "inserted store"
+        }
+        2 => {
+            instr.copies.push(CopyCmd {
+                bank: rng.gen_range(0u16..banks),
+                src: rng.gen_range(0u16..regs),
+                dst: rng.gen_range(0u16..regs + 1),
+            });
+            "inserted copy"
+        }
+        3 => {
+            let tree = &mut instr.trees[tree_idx];
+            let read = rng.gen_range(0usize..tree.reads.len());
+            tree.reads[read] = ReadSel::Reg {
+                bank: rng.gen_range(0u16..banks + 1),
+                reg: rng.gen_range(0u16..regs),
+            };
+            "redirected read"
+        }
+        _ => {
+            match rng.gen_range(0usize..3) {
+                0 => drop(instr.trees.pop()),
+                1 => drop(instr.trees[tree_idx].reads.pop()),
+                _ => drop(instr.trees[tree_idx].pe_ops.pop()),
+            }
+            "popped geometry"
+        }
+    }
+}
+
+/// The processor has no interlocks, so legality is a property of the
+/// program: `Processor::check` gives the verdict of every run, whatever the
+/// evidence, and a batch that is checked once returns what per-query runs
+/// return.
+#[test]
+fn legality_does_not_depend_on_data() {
+    let art = artifact(10, 9);
+    let num_vars = art.op_list.num_vars();
+    let mut all_true = Evidence::marginal(num_vars);
+    let mut mixed = Evidence::marginal(num_vars);
+    for var in 0..num_vars {
+        all_true.observe(var, true);
+        if var % 3 != 0 {
+            mixed.observe(var, var % 2 == 0);
+        }
+    }
+    let rows: Vec<Vec<f64>> = [Evidence::marginal(num_vars), all_true, mixed]
+        .iter()
+        .map(|evidence| art.input_values(evidence).expect("inputs"))
+        .collect();
+    let flat = rows.concat();
+    let config = art.program.config.clone();
+    let processor = Processor::new(config.clone()).expect("processor");
+    let multicore = MultiCoreProcessor::new(MultiCoreConfig::new(2, config)).expect("multicore");
+    let mut rng = StdRng::seed_from_u64(20261003);
+    let (mut accepted, mut rejected) = (0usize, 0usize);
+    for round in 0..120 {
+        let mut program = art.program.clone();
+        let label = if round % 3 == 0 {
+            mutate(&mut program, &mut rng)
+        } else {
+            mutate_traffic(&mut program, &mut rng)
+        };
+        let verdict = processor.check(&program);
+        let runs: Vec<_> = rows
+            .iter()
+            .map(|inputs| processor.run(&program, inputs))
+            .collect();
+        for run in &runs {
+            assert_eq!(
+                verdict.as_ref().err(),
+                run.as_ref().err(),
+                "{label}: the verdict of a run is not the program's"
+            );
+        }
+        let batch = multicore.run_batch_sharded(&program, &flat, rows.len(), &mut Vec::new());
+        match verdict {
+            Ok(()) => {
+                accepted += 1;
+                let batch = batch.expect("a legal program runs as a batch");
+                for (run, output) in runs.iter().zip(&batch.outputs) {
+                    let run = run.as_ref().expect("accepted");
+                    assert_eq!(run.output.to_bits(), output.to_bits(), "{label}");
+                }
+            }
+            Err(error) => {
+                rejected += 1;
+                assert_eq!(batch.err(), Some(error), "{label}");
+            }
+        }
+    }
+    assert!(
+        accepted >= 15 && rejected >= 15,
+        "sweep is one-sided: {accepted} accepted, {rejected} rejected"
     );
 }
