@@ -1,7 +1,7 @@
 //! Public compiler driver.
 
 use spn_core::batch::{EvidenceBatch, InputRecipe};
-use spn_core::flatten::{FlattenOptions, OpList, OperandRef, PartInput};
+use spn_core::flatten::{OpList, OperandRef, PartInput};
 use spn_core::{Evidence, Spn};
 use spn_processor::config::ProcessorConfig;
 use spn_processor::isa::Program;
@@ -15,8 +15,6 @@ use crate::Result;
 /// Options controlling the whole compilation pipeline.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CompilerOptions {
-    /// Options passed to the flattening step.
-    pub flatten: FlattenOptions,
     /// Maximum tile depth; `None` uses the full tree depth of the target.
     pub max_tile_depth: Option<usize>,
 }
@@ -166,8 +164,7 @@ impl Compiler {
     /// Returns a [`crate::CompileError`] when the target configuration is
     /// invalid or the program cannot be made to fit it.
     pub fn compile(&self, spn: &Spn) -> Result<CompiledArtifact> {
-        let op_list = OpList::from_spn_with(spn, self.options.flatten);
-        self.compile_op_list(op_list)
+        self.compile_op_list(OpList::from_spn(spn))
     }
 
     /// Compiles an already-flattened operation list.
@@ -280,7 +277,6 @@ mod tests {
             ProcessorConfig::ptree(),
             CompilerOptions {
                 max_tile_depth: Some(1),
-                ..Default::default()
             },
         )
         .compile(&spn)

@@ -146,14 +146,6 @@ pub struct Op {
     pub rhs: OperandRef,
 }
 
-/// Options controlling [`OpList::from_spn`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlattenOptions {
-    /// When `true`, sum children weighted exactly `1.0` skip the parameter
-    /// multiplication (smaller program, same value).
-    pub skip_unit_weights: bool,
-}
-
 /// Combines `terms` pairwise into a balanced reduction tree.
 ///
 /// A balanced tree keeps the dependency depth logarithmic in the arity, which
@@ -195,14 +187,9 @@ pub struct OpList {
 }
 
 impl OpList {
-    /// Flattens `spn` with default options.
-    pub fn from_spn(spn: &Spn) -> OpList {
-        OpList::from_spn_with(spn, FlattenOptions::default())
-    }
-
     /// Flattens `spn`, binarising n-ary nodes and materialising sum weights as
     /// parameter inputs.
-    pub fn from_spn_with(spn: &Spn, options: FlattenOptions) -> OpList {
+    pub fn from_spn(spn: &Spn) -> OpList {
         let mut inputs: Vec<LeafSource> = Vec::new();
         let mut ops: Vec<Op> = Vec::new();
         // Value reference for every SPN node (arena indexed).
@@ -241,13 +228,8 @@ impl OpList {
                     let mut terms: Vec<OperandRef> = Vec::with_capacity(children.len());
                     for (c, &w) in children.iter().zip(weights) {
                         let child_ref = refs[c.index()].expect("child flattened before parent");
-                        let term = if options.skip_unit_weights && w == 1.0 {
-                            child_ref
-                        } else {
-                            let param = push_input(&mut inputs, LeafSource::Param(w));
-                            push_op(&mut ops, OpKind::Mul, param, child_ref)
-                        };
-                        terms.push(term);
+                        let param = push_input(&mut inputs, LeafSource::Param(w));
+                        terms.push(push_op(&mut ops, OpKind::Mul, param, child_ref));
                     }
                     reduce_balanced(&mut ops, OpKind::Add, terms, &push_op)
                 }
@@ -789,25 +771,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn skip_unit_weights_shrinks_program() {
-        let mut b = SpnBuilder::new(1);
-        let x = b.indicator(VarId(0), true);
-        let nx = b.indicator(VarId(0), false);
-        let s = b.sum(vec![(x, 1.0), (nx, 0.0)]).unwrap();
-        let spn = b.finish(s).unwrap();
-        let full = OpList::from_spn(&spn);
-        let slim = OpList::from_spn_with(
-            &spn,
-            FlattenOptions {
-                skip_unit_weights: true,
-            },
-        );
-        assert!(slim.num_ops() < full.num_ops());
-        let e = Evidence::from_assignment(&[true]);
-        assert!((slim.evaluate(&e).unwrap() - full.evaluate(&e).unwrap()).abs() < 1e-12);
     }
 
     #[test]

@@ -246,24 +246,6 @@ impl ConeAnalysis {
         let dirty: &[u32] = match flips {
             [] => &[],
             [(var, _)] => &self.cones[*var],
-            [(a, _), (b, _)] if a == b => &self.cones[*a],
-            [(a, _), (b, _)] => {
-                // Two-flip deltas (the overwhelmingly common multi-flip
-                // case) union by merging the two sorted cone lists directly
-                // — no stamps, no sort.
-                state.dirty.clear();
-                let (xs, ys) = (&self.cones[*a][..], &self.cones[*b][..]);
-                let (mut i, mut j) = (0, 0);
-                while i < xs.len() && j < ys.len() {
-                    let (x, y) = (xs[i], ys[j]);
-                    state.dirty.push(x.min(y));
-                    i += usize::from(x <= y);
-                    j += usize::from(y <= x);
-                }
-                state.dirty.extend_from_slice(&xs[i..]);
-                state.dirty.extend_from_slice(&ys[j..]);
-                &state.dirty
-            }
             _ => {
                 state.dirty.clear();
                 if state.stamps.len() != self.num_ops {

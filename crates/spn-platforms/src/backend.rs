@@ -237,14 +237,13 @@ pub trait Backend: Send + Sync {
     /// ignores every knob.
     ///
     /// Each backend applies only the fields that concern it — the CPU model
-    /// takes [`EngineOptions::lanes`], the processor backend takes
-    /// [`EngineOptions::cores`] — and leaves its configuration untouched
-    /// when the field is `None`.
+    /// takes [`EngineOptions::lanes`] — and leaves its configuration
+    /// untouched when the field is `None`.
     ///
     /// # Errors
     ///
     /// Returns an error when an option value is structurally invalid for
-    /// this backend (e.g. a zero core count).
+    /// this backend.
     fn configure(&mut self, _options: &EngineOptions) -> Result<(), BackendError> {
         Ok(())
     }

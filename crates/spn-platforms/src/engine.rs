@@ -314,6 +314,19 @@ impl<B: Backend> Engine<B> {
         }
     }
 
+    /// Points the engine at `plan` and keeps its execution state — how a
+    /// serving worker runs every model through one set of buffers.  The same
+    /// plan again is a pointer compare; a different one is swapped in (the
+    /// engine's reference to the old plan is dropped) and the one-query
+    /// scratch batch takes the new plan's arity.  The worker states need no
+    /// reset: every backend re-sizes them to the program of each batch.
+    pub fn rebind(&mut self, plan: Arc<Plan<B>>) {
+        if !Arc::ptr_eq(&self.plan, &plan) {
+            self.single = EvidenceBatch::new(plan.ops.num_vars());
+            self.plan = plan;
+        }
+    }
+
     /// The shared plan this engine executes.
     pub fn plan(&self) -> &Arc<Plan<B>> {
         &self.plan

@@ -2,9 +2,10 @@
 //!
 //! [`EngineOptions`] is the single configuration surface of
 //! [`Engine::new`](crate::Engine::new): it names the numeric domain and the
-//! emulated PE precision the circuit is lowered into, plus the per-backend
-//! tuning knobs that used to require backend-specific constructors (CPU lane
-//! width, processor core count).  Backends receive the options through
+//! emulated PE precision the circuit is lowered into, plus the one
+//! per-backend tuning knob (the CPU model's lane width; a multi-core
+//! simulator is built with `ProcessorBackend::with_cores`).  Backends
+//! receive the options through
 //! [`Backend::configure`](crate::Backend::configure) before compilation and
 //! apply whichever fields concern them.
 
@@ -60,7 +61,7 @@ impl Default for VerifyLevel {
 ///     .precision(Precision::E8M10)
 ///     .lanes(4);
 /// assert_eq!(options.mode, NumericMode::Log);
-/// assert_eq!(options.cores, None);
+/// assert_eq!(options.lanes, Some(4));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineOptions {
@@ -80,11 +81,6 @@ pub struct EngineOptions {
     /// [`CpuModel::with_lanes`](crate::CpuModel::with_lanes) for the
     /// normalisation rules).  Ignored by other backends.
     pub lanes: Option<usize>,
-    /// Simulated core count of the processor backend (`None` keeps the
-    /// backend's own setting; see
-    /// [`ProcessorBackend::with_cores`](crate::ProcessorBackend::with_cores)).
-    /// Ignored by other backends.
-    pub cores: Option<usize>,
     /// Static-analysis level run by [`Engine::new`](crate::Engine::new)
     /// before compilation.  Defaults to [`VerifyLevel::Errors`] in debug
     /// builds and [`VerifyLevel::Off`] in release builds.
@@ -98,7 +94,6 @@ impl Default for EngineOptions {
             mode: NumericMode::Linear,
             precision: Precision::F64,
             lanes: None,
-            cores: None,
             verify: VerifyLevel::default(),
         }
     }
@@ -125,12 +120,6 @@ impl EngineOptions {
     /// Sets the CPU model's lane-block width.
     pub fn lanes(mut self, lanes: usize) -> EngineOptions {
         self.lanes = Some(lanes);
-        self
-    }
-
-    /// Sets the processor backend's simulated core count.
-    pub fn cores(mut self, cores: usize) -> EngineOptions {
-        self.cores = Some(cores);
         self
     }
 

@@ -20,7 +20,6 @@ use spn_core::flatten::OpList;
 use spn_processor::{MultiCoreConfig, MultiCoreProcessor, ProcessorConfig, SimState};
 
 use crate::backend::{Backend, BackendError, BatchResult, ExecBuffers};
-use crate::options::EngineOptions;
 
 /// Compiler plus cycle-accurate simulator for one processor configuration
 /// (optionally replicated across N cores).
@@ -55,15 +54,7 @@ impl ProcessorBackend {
     /// Returns an error when the configuration is structurally invalid or
     /// `cores` is zero.
     pub fn with_cores(config: ProcessorConfig, cores: usize) -> Result<Self, BackendError> {
-        ProcessorBackend::with_multi_core_config(MultiCoreConfig::new(cores, config))
-    }
-
-    /// Creates a backend from a fully explicit multi-core configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the configuration is structurally invalid.
-    pub fn with_multi_core_config(config: MultiCoreConfig) -> Result<Self, BackendError> {
+        let config = MultiCoreConfig::new(cores, config);
         let processor = MultiCoreProcessor::new(config.clone())?;
         Ok(ProcessorBackend {
             compiler: Compiler::new(config.core),
@@ -107,18 +98,6 @@ impl Backend for ProcessorBackend {
 
     fn name(&self) -> String {
         self.processor.config().name()
-    }
-
-    /// Takes [`EngineOptions::cores`] as the simulated core count,
-    /// rebuilding the multi-core simulator around the same per-core
-    /// configuration; other knobs are not the processor's.
-    fn configure(&mut self, options: &EngineOptions) -> Result<(), BackendError> {
-        if let Some(cores) = options.cores {
-            if cores != self.cores() {
-                *self = ProcessorBackend::with_cores(self.config().clone(), cores)?;
-            }
-        }
-        Ok(())
     }
 
     fn compile(&self, ops: &OpList) -> Result<CompiledArtifact, BackendError> {

@@ -9,9 +9,10 @@
 //! * [`ModelRegistry`] — named circuits compiled for one backend, keyed by
 //!   [`ModelVariant`] (numeric mode × precision), with an LRU cache of
 //!   [`Arc`](std::sync::Arc)-shared compiled
-//!   [`Plan`](spn_platforms::Plan)s (a worker engine is a reference-count
-//!   bump plus its own buffers, not a recompile; evicted variants recompile
-//!   transparently on next use),
+//!   [`Plan`](spn_platforms::Plan)s — the only model cache: each worker
+//!   rebinds its one engine to the cached plan per dispatch, so
+//!   [`ServiceConfig::artifact_capacity`] bounds the compiled plans kept
+//!   (evicted variants recompile transparently on next use),
 //! * [`Service`] — the in-process API: a submit queue, a pool of batcher
 //!   workers, and a **dynamic micro-batcher** that coalesces concurrent
 //!   same-`(model, mode)` requests into dense batches under a
@@ -35,8 +36,7 @@
 //! One-shot queries and session operations are one request path, not two:
 //! one wire decoder, one [`Handle`] type (named [`ResponseHandle`] and
 //! [`SessionHandle`] per response), one enqueue onto the worker queue, and
-//! one crate-private LRU map behind the plan cache, the per-worker
-//! engine caches and the session table.
+//! one crate-private LRU map behind the plan cache and the session table.
 //!
 //! # Quick example
 //!

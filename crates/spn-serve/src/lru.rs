@@ -1,8 +1,8 @@
 //! The one least-recently-used map of the serving layer.
 //!
-//! The registry's compiled-plan cache, each batcher worker's engine
-//! cache and the session table are the same structure — a hash map whose
-//! entries carry a logical-clock timestamp, bounded by evicting the smallest
+//! The registry's compiled-plan cache (the only model cache there is) and
+//! the session table are the same structure — a hash map whose entries
+//! carry a logical-clock timestamp, bounded by evicting the smallest
 //! timestamp — so they share this one definition.  Capacities here are tens
 //! to a thousand entries and eviction runs only on an insert past capacity,
 //! so the victim is found by a linear scan rather than an intrusive list.

@@ -4,9 +4,11 @@
 //! is the expensive once-per-circuit phase, so the registry keeps every
 //! registered model's flattened [`OpList`] (small) and an LRU-bounded cache
 //! of compiled [`Plan`]s (potentially large: VLIW programs, schedules,
-//! modelled cycle tables).  Plans are [`Arc`]-shared — a worker engine is a
-//! reference-count bump plus its own buffers, and a plan evicted from the
-//! cache stays alive exactly as long as some engine still executes it.
+//! modelled cycle tables).  This is the serving layer's only model cache:
+//! plans are [`Arc`]-shared, a batcher worker rebinds its one engine to the
+//! cached plan before every dispatch, and a plan evicted from the cache
+//! stays alive only while it is the plan a worker last ran or a caller
+//! still holds it.
 //!
 //! The max-product (MAP) artifact of a model lives *inside* its plan: the
 //! first engine to answer a MAP query compiles it there, every engine over
@@ -39,9 +41,9 @@ use crate::lru::Lru;
 /// with.
 ///
 /// Every layer of the serving stack that used to thread a loose
-/// `(NumericMode, Precision)` pair — registry cache keys, worker engine
-/// caches, sessions — keys on this one struct instead, so a variant can
-/// never be half-specified or accidentally transposed.
+/// `(NumericMode, Precision)` pair — registry cache keys, batch grouping,
+/// sessions — keys on this one struct instead, so a variant can never be
+/// half-specified or accidentally transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModelVariant {
     /// The numeric execution domain.
@@ -81,9 +83,8 @@ impl std::fmt::Display for ModelVariant {
     }
 }
 
-/// The cache key of one compiled variant — and of a worker's engine over
-/// it: model name plus variant.
-pub(crate) type PlanKey = (String, ModelVariant);
+/// The cache key of one compiled variant: model name plus variant.
+type PlanKey = (String, ModelVariant);
 
 struct ModelEntry {
     /// The registered (linear-domain, full-precision) program; every variant
@@ -96,8 +97,8 @@ struct ModelEntry {
     /// `None` when the model was registered from a flattened program
     /// ([`ModelRegistry::register_ops`]).
     sampler: Option<Arc<SamplerProgram>>,
-    /// Bumped on every (re-)registration of the name, so workers can detect
-    /// stale cached engines.
+    /// Bumped on every (re-)registration of the name, so a session can tell
+    /// that the program its state was primed on has been replaced.
     version: u64,
 }
 
@@ -222,7 +223,7 @@ impl<B: Backend + Clone> ModelRegistry<B> {
         inner.models.insert(name, entry);
     }
 
-    /// Removes `name`; in-flight engines keep their shared plans alive.
+    /// Removes `name`; a batch already dispatched finishes on its plan.
     pub fn unregister(&self, name: &str) -> bool {
         let mut inner = self.inner.lock().expect("registry lock");
         inner.plans.remove_where(|(model, _)| model == name);

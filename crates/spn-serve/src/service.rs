@@ -9,6 +9,8 @@
 //!                 │   Condvar)       │  requests, up to max_batch
 //!            validation              │  queries or max_wait
 //!                                    ▼
+//!                  ModelRegistry::plan ──► Engine::rebind   (the one cache)
+//!                                    ▼
 //!                              Engine::execute_query_parallel
 //!                                    │
 //!                    slice values per request ──► response channels
@@ -21,9 +23,14 @@
 //! and the wait never triggers; when idle a single request pays at most
 //! `max_wait` extra latency (`max_wait = 0` disables waiting entirely).
 //!
-//! A worker's engines are only buffers over the registry's shared plans:
-//! whatever is compiled — the max-product program of the first MAP query
-//! included — is compiled once, into the plan, for every worker.
+//! The registry is the only model cache.  A worker owns one engine — one
+//! set of execution buffers — and before every batch or session operation
+//! rebinds it to the plan the registry holds for that `(model, variant)`
+//! right now, so a hot swap or an eviction takes effect at the next
+//! dispatch and a compiled plan is alive only while the registry caches it,
+//! it is the plan a worker last ran, or a caller holds it.  Whatever is
+//! compiled — the max-product program of the first MAP query included — is
+//! compiled once, into the plan, for every worker.
 //!
 //! Coalescing never changes answers: every backend applies an identical
 //! per-query kernel, so the values a request receives from a coalesced batch
@@ -62,9 +69,8 @@ use spn_core::{QueryBatch, QueryMode, SampleSpec, Spn};
 use spn_platforms::{Backend, Engine, Parallelism, QueryOutput};
 
 use crate::error::ServeError;
-use crate::lru::Lru;
 use crate::metrics::{Metrics, MetricsRecord, SessionStats};
-use crate::registry::{ModelRegistry, ModelVariant, PlanKey};
+use crate::registry::{ModelRegistry, ModelVariant};
 use crate::session::{
     evict_entry, SessionEntry, SessionHandle, SessionInner, SessionKey, SessionOp, SessionOpen,
     SessionPending, SessionResponse, SessionTable,
@@ -94,14 +100,17 @@ impl Default for BatchPolicy {
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Batcher worker threads (each owns its engines; clamped to ≥ 1).
+    /// Batcher worker threads (each owns one engine; clamped to ≥ 1).
     pub workers: usize,
     /// The coalescing policy.
     pub policy: BatchPolicy,
     /// Intra-batch sharding: how each dispatched batch is spread over
     /// threads *inside* `Engine::execute_query_parallel`.
     pub parallelism: Parallelism,
-    /// LRU capacity of the registry's compiled-artifact cache.
+    /// How many compiled plans the service caches (clamped to ≥ 1): the
+    /// capacity of the registry's LRU, which is the only model cache.
+    /// Beyond it a plan stays alive only as the one a worker last ran (at
+    /// most `workers` of those) or while a caller holds it.
     pub artifact_capacity: usize,
     /// Maximum live evaluation sessions across all connections (clamped to
     /// ≥ 1); the least-recently-used session is evicted beyond it.
@@ -593,11 +602,8 @@ fn worker_loop<B>(
 ) where
     B: Backend + Clone,
 {
-    // Engines this worker has built, keyed by (model name, variant), tagged
-    // with the registry version they were built from (stale ones are
-    // rebuilt).  Every variant of one model lives side by side, LRU-bounded
-    // (the precision key is client-controlled).
-    let mut engines: WorkerEngines<B> = Lru::new(MAX_WORKER_ENGINES);
+    // The worker's one engine, created by its first dispatch.
+    let mut engine = None;
 
     loop {
         let mut queue = shared.queue.lock().expect("service queue lock");
@@ -617,7 +623,7 @@ fn worker_loop<B>(
             Item::Query(first) => first,
             Item::Session(entry) => {
                 drop(queue);
-                handle_session(registry, sessions, metrics, &mut engines, &entry);
+                handle_session(registry, sessions, metrics, &mut engine, &entry);
                 continue;
             }
         };
@@ -654,7 +660,7 @@ fn worker_loop<B>(
             }
         }
         drop(queue);
-        dispatch(registry, metrics, &mut engines, parallelism, group, total);
+        dispatch(registry, metrics, &mut engine, parallelism, group, total);
     }
 }
 
@@ -666,7 +672,7 @@ fn handle_session<B>(
     registry: &ModelRegistry<B>,
     sessions: &SessionTable,
     metrics: &Metrics,
-    engines: &mut WorkerEngines<B>,
+    engine: &mut Option<Engine<B>>,
     entry: &Arc<SessionEntry>,
 ) where
     B: Backend + Clone,
@@ -674,7 +680,7 @@ fn handle_session<B>(
     let mut inner = entry.inner.lock().expect("session lock");
     while let Some(pending) = inner.queue.pop_front() {
         let SessionPending { id, op, tx, .. } = pending;
-        let result = run_session_op(registry, engines, &mut inner, id, &op);
+        let result = run_session_op(registry, engine, &mut inner, id, &op);
         match &op {
             SessionOp::Open(_) => {
                 metrics.record_session_open();
@@ -704,12 +710,12 @@ fn handle_session<B>(
     }
 }
 
-/// Executes one session operation against this worker's engine for the
+/// Executes one session operation on the worker's engine, bound to the
 /// session's `(model, variant)`, transparently re-priming when the model
 /// was re-registered since the session last ran.
 fn run_session_op<B>(
     registry: &ModelRegistry<B>,
-    engines: &mut WorkerEngines<B>,
+    engine: &mut Option<Engine<B>>,
     inner: &mut SessionInner,
     id: u64,
     op: &SessionOp,
@@ -735,7 +741,7 @@ where
     };
     match op {
         SessionOp::Open(evidence) => {
-            let (engine, version) = worker_engine(registry, engines, &inner.model, inner.variant)?;
+            let (engine, version) = bind(registry, engine, &inner.model, inner.variant)?;
             let eval = engine
                 .open_session(evidence)
                 .map_err(ServeError::from_backend)?;
@@ -745,7 +751,7 @@ where
             Ok(respond(inner, value, ops, true))
         }
         SessionOp::Delta(flips) => {
-            let (engine, version) = worker_engine(registry, engines, &inner.model, inner.variant)?;
+            let (engine, version) = bind(registry, engine, &inner.model, inner.variant)?;
             let eval = inner.eval.as_mut().ok_or_else(|| {
                 ServeError::Invalid(format!("session {} was never opened", inner.key.session))
             })?;
@@ -785,7 +791,7 @@ where
 fn dispatch<B>(
     registry: &ModelRegistry<B>,
     metrics: &Metrics,
-    engines: &mut WorkerEngines<B>,
+    engine: &mut Option<Engine<B>>,
     parallelism: Parallelism,
     group: Vec<Pending>,
     total: usize,
@@ -804,7 +810,7 @@ fn dispatch<B>(
         total as u64,
     );
 
-    let engine = match worker_engine(registry, engines, &model, variant) {
+    let engine = match bind(registry, engine, &model, variant) {
         Ok((engine, _)) => engine,
         Err(err) => {
             for pending in group {
@@ -861,42 +867,24 @@ fn dispatch<B>(
     }
 }
 
-/// Cap on cached engines per batcher worker.  The precision half of the
-/// key is client-controlled (hundreds of valid `e<exp>m<mant>` names), so
-/// an unbounded cache would let a client sweeping precisions bloat every
-/// worker and pin registry-evicted plans alive; beyond the cap the
-/// least-recently-used engine is dropped and rebuilt on demand from the
-/// registry's shared plan (a cheap Arc bump when the plan is still cached).
-const MAX_WORKER_ENGINES: usize = 32;
-
-/// One batcher worker's LRU-bounded engine cache: each engine beside the
-/// registry version it was built from.
-type WorkerEngines<B> = Lru<PlanKey, (u64, Engine<B>)>;
-
-/// Looks up (or builds) this worker's engine for `(model, variant)`,
-/// rebuilding when the registry holds a newer version and evicting the
-/// worker's least-recently-used engine beyond [`MAX_WORKER_ENGINES`].
-/// Returns the engine together with the registry version it was built from.
-fn worker_engine<'a, B>(
+/// Binds the worker's engine to the plan the registry holds for `(model,
+/// variant)` right now — a lookup and a reference-count bump when the plan
+/// is cached, a compile when it is not — creating the engine on the
+/// worker's first call.  Returns it beside the registration version the
+/// plan was compiled from.
+fn bind<'a, B>(
     registry: &ModelRegistry<B>,
-    engines: &'a mut WorkerEngines<B>,
+    engine: &'a mut Option<Engine<B>>,
     model: &str,
     variant: ModelVariant,
 ) -> Result<(&'a mut Engine<B>, u64), ServeError>
 where
     B: Backend + Clone,
 {
-    let current = registry.version(model)?;
-    let key = (model.to_string(), variant);
-    if engines
-        .peek(&key)
-        .is_none_or(|(version, _)| *version != current)
-    {
-        let (engine, version) = registry.engine(model, variant)?;
-        engines.insert(key.clone(), (version, engine));
-    }
-    let (version, engine) = engines.get(&key).expect("engine just ensured");
-    Ok((engine, *version))
+    let (version, plan) = registry.plan(model, variant)?;
+    let engine = engine.get_or_insert_with(|| Engine::from_plan(Arc::clone(&plan)));
+    engine.rebind(plan);
+    Ok((engine, version))
 }
 
 /// Cuts one request's window out of a batch output.  `offset` and `len`

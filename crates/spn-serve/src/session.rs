@@ -14,10 +14,10 @@
 //! without colliding, and a dropped connection takes all of its sessions
 //! with it (a reconnecting client re-opens and re-primes — there is
 //! deliberately no cross-connection session resumption).  The table is
-//! LRU-bounded (the crate's one `Lru` map, shared with the registry and
-//! the worker engine caches); opening a session beyond the capacity evicts
-//! the least-recently-used one, whose owner sees an "evicted" error on its
-//! next delta.
+//! LRU-bounded (the crate's one `Lru` map, shared with the registry's plan
+//! cache); opening a session beyond the capacity evicts the
+//! least-recently-used one, whose owner sees an "evicted" error on its next
+//! delta.
 //!
 //! # Ordering
 //!
@@ -119,8 +119,10 @@ pub(crate) struct SessionInner {
     pub key: SessionKey,
     pub model: String,
     pub variant: ModelVariant,
-    /// The registry version the engine state was primed against; a newer
-    /// registry version triggers a transparent re-prime on the next delta.
+    /// The registration version `eval` was primed against.  The worker
+    /// takes the plan from the registry on every operation, so this is the
+    /// one hot-swap check left: a different version re-primes the session
+    /// on the new program before the next delta.
     pub version: u64,
     /// `None` until the `Open` operation has run (or after it failed).
     pub eval: Option<EvalSession>,

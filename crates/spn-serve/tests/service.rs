@@ -8,8 +8,8 @@ use std::time::Duration;
 use spn_core::query::{reference_query, reference_query_with};
 use spn_core::wire::QueryRequest;
 use spn_core::{
-    ConditionalBatch, Evidence, EvidenceBatch, NumericMode, QueryBatch, QueryMode, Spn, SpnBuilder,
-    VarId,
+    ConditionalBatch, Evidence, EvidenceBatch, NumericMode, Precision, QueryBatch, QueryMode, Spn,
+    SpnBuilder, VarId,
 };
 use spn_platforms::{
     Backend, BackendError, BatchResult, CpuCompiled, CpuModel, ExecBuffers, Parallelism,
@@ -543,5 +543,48 @@ fn two_workers_compile_a_models_max_product_program_once() {
     // into the plan both engines share.
     answer_in_pairs(QueryMode::Map);
     assert_eq!(compiles.load(Ordering::SeqCst), 2);
+    service.shutdown();
+}
+
+#[test]
+fn a_plan_the_registry_evicted_dies_once_the_worker_runs_another() {
+    // The registry is the only model cache: with room for one plan and one
+    // worker, a variant that was served and then displaced is kept alive
+    // by nothing — the worker's engine moved on to the plan it ran last.
+    let service = Service::new(
+        CpuModel::new(),
+        ServiceConfig {
+            workers: 1,
+            artifact_capacity: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    service.register("m", &independent_pair());
+    let variant = |mant_bits| {
+        ModelVariant::default().with_precision(Precision::custom(8, mant_bits).unwrap())
+    };
+    let serve = |variant: ModelVariant| {
+        let request = QueryRequest::from_rows(1, "m", QueryMode::Marginal, &["1?"], None)
+            .unwrap()
+            .with_precision(variant.precision);
+        let response = service.query(request).unwrap();
+        assert!((response.values[0] - 0.2).abs() < 1e-2);
+        // The cached plan is the one the worker just ran: a hit, no compile.
+        let (_, plan) = service.registry().plan("m", variant).unwrap();
+        Arc::downgrade(&plan)
+    };
+
+    let first = serve(variant(20));
+    assert!(first.upgrade().is_some(), "the registry caches the plan");
+    let mut served = vec![first.clone()];
+    for mant_bits in 21..=40 {
+        served.push(serve(variant(mant_bits)));
+        let alive = served.iter().filter(|plan| plan.strong_count() > 0).count();
+        assert!(
+            alive <= service.registry().cached_artifacts() + 1,
+            "{alive} plans alive behind a one-plan cache and one worker"
+        );
+    }
+    assert!(first.upgrade().is_none(), "an evicted plan is still pinned");
     service.shutdown();
 }

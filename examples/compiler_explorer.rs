@@ -44,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ProcessorConfig::ptree(),
             CompilerOptions {
                 max_tile_depth: Some(depth),
-                ..Default::default()
             },
         )
         .compile(&spn)?;

@@ -2,13 +2,17 @@
 //! parity over a shared [`EvidenceBatch`], and the compile-once semantics
 //! (one compiled artifact serving many batches).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spn_accel::core::eval::Evaluator;
 use spn_accel::core::flatten::OpList;
 use spn_accel::core::random::{random_spn, RandomSpnConfig};
 use spn_accel::core::{Evidence, EvidenceBatch};
-use spn_accel::platforms::{CpuModel, Engine, EngineOptions, GpuModel, ProcessorBackend};
+use spn_accel::platforms::{
+    Backend, CpuModel, Engine, EngineOptions, GpuModel, Parallelism, ProcessorBackend,
+};
 
 /// A deterministic batch mixing marginal, complete and partial queries.
 fn mixed_batch(num_vars: usize, queries: usize, seed: u64) -> EvidenceBatch {
@@ -154,4 +158,50 @@ fn engines_reject_mismatched_batches() {
     assert!(gpu.execute_batch(&wrong).is_err());
     assert!(hw.execute_batch(&wrong).is_err());
     assert!(cpu.execute(&Evidence::marginal(9)).is_err());
+}
+
+/// One engine rebound across plans of different sizes answers each exactly
+/// like an engine built for that plan alone — batch path, sharded path and
+/// the one-query scratch path — and keeps no reference to the plan it left.
+#[test]
+fn a_rebound_engine_answers_like_a_fresh_one_on_every_backend() {
+    fn check<B: Backend + Clone>(backend: B) {
+        let plans: Vec<_> = [(31u64, 5usize), (32, 19), (33, 9)]
+            .into_iter()
+            .map(|(seed, vars)| {
+                let spn = random_spn(
+                    &RandomSpnConfig::with_vars(vars),
+                    &mut StdRng::seed_from_u64(seed),
+                );
+                Arc::clone(
+                    Engine::new(backend.clone(), &spn, EngineOptions::default())
+                        .unwrap()
+                        .plan(),
+                )
+            })
+            .collect();
+        let mut engine = Engine::from_plan(Arc::clone(&plans[0]));
+        for plan in plans.iter().chain(plans.iter().rev()) {
+            engine.rebind(Arc::clone(plan));
+            assert!(Arc::ptr_eq(engine.plan(), plan));
+            let mut fresh = Engine::from_plan(Arc::clone(plan));
+            let vars = plan.ops().num_vars();
+            let batch = mixed_batch(vars, 70, vars as u64);
+            let want = fresh.execute_batch(&batch).unwrap();
+            assert_eq!(engine.execute_batch(&batch).unwrap(), want);
+            let sharded = engine
+                .execute_batch_parallel(&batch, &Parallelism::workers(2))
+                .unwrap();
+            assert_eq!(sharded, want);
+            let evidence = batch.to_evidence(1);
+            let (value, _) = engine.execute(&evidence).unwrap();
+            assert_eq!(value.to_bits(), want.values[1].to_bits());
+        }
+        // Rebinding dropped the engine's hold on the plans it left.
+        assert_eq!(Arc::strong_count(&plans[1]), 1);
+        assert_eq!(Arc::strong_count(&plans[0]), 2);
+    }
+    check(CpuModel::new());
+    check(GpuModel::new());
+    check(ProcessorBackend::ptree());
 }

@@ -193,3 +193,62 @@ fn out_of_range_flips_leave_the_session_untouched() {
     let (full, _) = engine2.execute(&expected).unwrap();
     assert_eq!(outcome.value.to_bits(), full.to_bits());
 }
+
+#[test]
+fn two_flip_deltas_recompute_exactly_the_union_of_the_two_cones() {
+    // Two flips go through the same stamped union as any other count:
+    // distinct variables, one variable twice (the last flip wins) and a
+    // `None` on either side must each be bit-equal to a from-scratch pass
+    // and re-execute exactly the ops of the two cones' union.
+    let mut rng = StdRng::seed_from_u64(2323);
+    let spn = random_spn(&RandomSpnConfig::with_vars(24), &mut rng);
+    let mut cone_path = 0;
+    for mode in NumericMode::ALL {
+        let options = EngineOptions::default().mode(mode);
+        let mut engine = Engine::new(CpuModel::new(), &spn, options).unwrap();
+        let mut oracle = Engine::new(CpuModel::new(), &spn, options).unwrap();
+        let num_ops = engine.ops().num_ops();
+        let mut evidence = random_evidence(24, &mut rng);
+        let mut session = engine.open_session(&evidence).unwrap();
+
+        for a in 0..24 {
+            let b = (a + 7) % 24;
+            for flips in [
+                [(a, Some(true)), (b, Some(false))],
+                [(a, Some(false)), (a, Some(true))],
+                [(a, None), (b, Some(true))],
+                [(a, Some(false)), (b, None)],
+                [(a, None), (a, None)],
+            ] {
+                let union = {
+                    let cones = session.cone_analysis().expect("CPU sessions have cones");
+                    let mut ops: Vec<u32> = flips
+                        .iter()
+                        .flat_map(|&(var, _)| cones.cone(var).iter().copied())
+                        .collect();
+                    ops.sort_unstable();
+                    ops.dedup();
+                    ops.len()
+                };
+                let outcome = engine.session_delta(&mut session, &flips).unwrap();
+                apply_flips(&mut evidence, &flips);
+                let (full, _) = oracle.execute(&evidence).unwrap();
+                assert_eq!(
+                    outcome.value.to_bits(),
+                    full.to_bits(),
+                    "{mode}, flips {flips:?}"
+                );
+                assert_eq!(session.evidence(), &evidence);
+                if union as f64 > DEFAULT_FULL_PASS_FRACTION * num_ops as f64 {
+                    assert!(outcome.full_pass, "{mode}, flips {flips:?}");
+                    assert_eq!(outcome.recomputed_ops, num_ops);
+                } else {
+                    assert!(!outcome.full_pass, "{mode}, flips {flips:?}");
+                    assert_eq!(outcome.recomputed_ops, union, "{mode}, flips {flips:?}");
+                    cone_path += 1;
+                }
+            }
+        }
+    }
+    assert!(cone_path > 0, "no two-flip delta took the cone path");
+}

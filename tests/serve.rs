@@ -15,8 +15,11 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use spn_accel::core::random::{random_spn, RandomSpnConfig};
 use spn_accel::core::wire::QueryRequest;
-use spn_accel::core::{QueryMode, SampleMethod, SampleSpec, Spn};
+use spn_accel::core::{NumericMode, Precision, QueryMode, SampleMethod, SampleSpec, Spn};
 use spn_accel::learn::Benchmark;
 use spn_accel::platforms::{CpuModel, Engine, EngineOptions, Parallelism};
 use spn_accel::serve::tcp::{decode_response, encode_request};
@@ -198,6 +201,72 @@ fn tcp_server_serves_concurrent_mixed_mode_load_bit_for_bit() {
     }
     for mode in QueryMode::ALL {
         assert!(metrics.iter().any(|r| r.mode == mode), "missing {mode}");
+    }
+
+    server.shutdown();
+    service.shutdown();
+}
+
+#[test]
+fn a_precision_sweep_across_a_hot_swap_matches_the_oracle_bit_for_bit() {
+    // One connection walks 40 precisions of one model — more variants than
+    // the registry caches, so plans are evicted and recompiled under the
+    // workers' feet — and the model is replaced halfway.  Every reply must
+    // be the answer of a fresh engine over the registration current when
+    // the request was sent: the workers hold no model state of their own.
+    let before = Benchmark::Banknote.spn();
+    let after = random_spn(
+        &RandomSpnConfig::with_vars(before.num_vars()),
+        &mut StdRng::seed_from_u64(23),
+    );
+    let service = Arc::new(Service::new(
+        CpuModel::new(),
+        ServiceConfig {
+            artifact_capacity: 4,
+            ..ServiceConfig::default()
+        },
+    ));
+    service.register("m", &before);
+    let mut server = TcpServer::spawn(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+
+    let mut current = &before;
+    // 1..=40, then 1 and 20 again: variants first compiled before the swap.
+    for (id, mant_bits) in (1..=40u8).chain([1, 20]).enumerate() {
+        if id == 20 {
+            service.register("m", &after);
+            current = &after;
+        }
+        let precision = Precision::custom(8, mant_bits).unwrap();
+        let numeric = NumericMode::ALL[id % 2];
+        let request = build_request(id as u64, "m", current.num_vars())
+            .with_precision(precision)
+            .with_numeric(numeric);
+        writer
+            .write_all(format!("{}\n", encode_request(&request)).as_bytes())
+            .unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let response = decode_response(reply.trim()).unwrap();
+
+        let options = EngineOptions::default().mode(numeric).precision(precision);
+        let expected = Engine::new(CpuModel::new(), current, options)
+            .unwrap()
+            .execute_query(&request.query)
+            .unwrap();
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&response.values),
+            bits(&expected.values),
+            "request {id} ({numeric}, {precision}, {})",
+            request.query.mode()
+        );
+        if matches!(request.query.mode(), QueryMode::Map | QueryMode::Sample) {
+            assert_eq!(response.assignments, expected.assignments, "request {id}");
+        }
+        assert!(service.registry().cached_artifacts() <= 4);
     }
 
     server.shutdown();
