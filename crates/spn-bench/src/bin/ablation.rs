@@ -41,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     println!("\n## Register banks per tree (crossbar width)\n");
     println!("| banks/tree | total banks | ops/cycle |");
     println!("|---|---|---|");
-    // 32 banks/tree is the widest representable sweep point: the compiler's
-    // occupancy masks cap the machine at 64 banks total (2 trees).
+    // 32 banks/tree is the widest sweep point: past 64 banks in total (2
+    // trees) the compiler answers `CompileError::InvalidTarget`.
     for banks in [8usize, 16, 32] {
         let mut config = ProcessorConfig::ptree();
         config.banks_per_tree = banks;

@@ -8,8 +8,8 @@
 //! * `--benchmarks` — the nine shipped benchmark circuits
 //!   ([`spn_learn::Benchmark`]): structural lints once per model, numeric
 //!   range analysis at every `NumericMode` × `Precision::SWEEP` combination,
-//!   and schedule verification of the Ptree compilation in both numeric
-//!   domains,
+//!   and schedule verification of the Ptree, Pvect and 4-stage partitioned
+//!   Ptree compilations in both numeric domains,
 //! * `--golden` — every committed golden-trace workload
 //!   ([`spn_bench::traces::trace_cases`]): range analysis of the lowered
 //!   program plus schedule verification of exactly the artifact the trace
@@ -66,24 +66,36 @@ fn lint_model(label: &str, spn: &Spn, reports: &mut Vec<Report>) {
 }
 
 fn verify_model_schedules(label: &str, spn: &Spn, reports: &mut Vec<Report>) {
-    let compiler = Compiler::new(ProcessorConfig::ptree());
+    let ptree = Compiler::new(ProcessorConfig::ptree());
+    let pvect = Compiler::new(ProcessorConfig::pvect());
     let linear = OpList::from_spn(spn);
     for mode in [NumericMode::Linear, NumericMode::Log] {
         let ops = match mode {
             NumericMode::Linear => linear.clone(),
             NumericMode::Log => linear.to_log_domain(),
         };
-        let diagnostics = match compiler.compile_op_list(ops) {
-            Ok(artifact) => verify_artifact(&artifact),
-            Err(err) => {
-                eprintln!("{label}: compilation failed: {err}");
-                std::process::exit(2);
-            }
+        // Every program shape the scheduler emits: deep tiles, single-level
+        // tiles, and pipeline stages with exports.
+        let single = |compiler: &Compiler| {
+            let artifact = compiler.compile_op_list(ops.clone())?;
+            Ok(verify_artifact(&artifact))
         };
-        reports.push(Report {
-            label: format!("{label} [schedule {mode}]"),
-            diagnostics,
-        });
+        let staged = ptree.compile_partitioned(ops.clone(), 4);
+        let shapes = [
+            ("Ptree", single(&ptree)),
+            ("Pvect", single(&pvect)),
+            ("Ptree 4-stage", staged.map(|p| verify_partitioned(&p))),
+        ];
+        for (shape, verified) in shapes {
+            let diagnostics = verified.unwrap_or_else(|err| {
+                eprintln!("{label}: {shape} compilation failed: {err}");
+                std::process::exit(2);
+            });
+            reports.push(Report {
+                label: format!("{label} [schedule {mode} {shape}]"),
+                diagnostics,
+            });
+        }
     }
 }
 

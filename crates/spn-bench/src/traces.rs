@@ -263,7 +263,7 @@ pub fn render_case_with_config(
         }
         TraceDispatch::Pipelined => {
             let parted = compiler.compile_partitioned(ops, config.cores)?;
-            parted.fill_batch_inputs(&batch, &mut flat)?;
+            parted.input_recipe().fill_batch(&batch, &mut flat)?;
             processor.run_partitioned_traced(
                 &parted.parts,
                 &flat,

@@ -15,42 +15,43 @@
 
 use spn_core::flatten::OperandRef;
 
-/// State of one register offset across all banks.
-#[derive(Debug, Clone, PartialEq)]
-enum OffsetState {
-    /// No live value uses this offset.
-    Free,
-    /// The offset holds a loaded data-memory row; `live` values are still
-    /// going to be read.
-    Row {
-        /// Number of live values in the row.
-        live: usize,
-        /// Data-memory row currently resident at this offset.
-        row: usize,
-    },
-    /// The offset holds scalar write-backs; one bit per occupied bank lane.
-    Scalar {
-        /// Occupancy bitmask (bit `b` = bank `b` holds a live value).
-        occupied: u64,
-    },
-}
-
-/// Allocation decision for a scalar write-back.
+/// What a register offset is used for, across all banks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScalarSlot {
-    /// Destination bank.
-    pub bank: usize,
-    /// Destination register offset.
-    pub reg: usize,
+pub enum Use {
+    /// No lane of the offset has a tenant.
+    Free,
+    /// The offset holds what is still live of this data-memory row.
+    Row(usize),
+    /// The offset holds scalar write-backs, one per bank lane.
+    Scalar,
 }
 
-/// Register-offset allocator with lane-granular reuse-safety tracking.
+/// What one `(offset, bank)` lane holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tenant {
+    /// Nothing that will be read again.
+    Empty,
+    /// A forwarding copy, dead after its single read.
+    Copy,
+    /// A program value with uses left.
+    Value(OperandRef),
+}
+
+/// The register file as the scheduler sees it: the use of every offset, the
+/// tenant of every lane and the cycle after which the lane may be rewritten.
+/// The live count of a row, the occupancy of a scalar offset, the offset a
+/// row is resident at and the value sitting in a register are all read from
+/// this one table.
 #[derive(Debug, Clone)]
 pub struct RegAllocator {
-    states: Vec<OffsetState>,
-    /// `lane_free_after[offset * banks + bank]`: the earliest commit cycle at
+    uses: Vec<Use>,
+    /// `tenants[bank * offsets + offset]` — bank-major, like `free_after`,
+    /// because the scheduler's hot loop (`alloc_scalar` under `make_copy`)
+    /// scans the registers of one bank.
+    tenants: Vec<Tenant>,
+    /// `free_after[bank * offsets + offset]`: the earliest commit cycle at
     /// which a new value may safely occupy this lane.
-    lane_free_after: Vec<u64>,
+    free_after: Vec<u64>,
     total_banks: usize,
 }
 
@@ -58,223 +59,173 @@ impl RegAllocator {
     /// Creates an allocator for `regs_per_bank` offsets over `total_banks`
     /// banks.
     pub fn new(regs_per_bank: usize, total_banks: usize) -> Self {
-        assert!(total_banks <= 64, "occupancy mask limited to 64 banks");
         RegAllocator {
-            states: vec![OffsetState::Free; regs_per_bank],
-            lane_free_after: vec![0; regs_per_bank * total_banks],
+            uses: vec![Use::Free; regs_per_bank],
+            tenants: vec![Tenant::Empty; regs_per_bank * total_banks],
+            free_after: vec![0; regs_per_bank * total_banks],
             total_banks,
         }
     }
 
     fn lane(&self, offset: usize, bank: usize) -> usize {
-        offset * self.total_banks + bank
+        bank * self.uses.len() + offset
     }
 
-    /// Number of offsets currently completely free.
-    pub fn free_offsets(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| matches!(s, OffsetState::Free))
+    fn lanes(&self, offset: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.total_banks).map(move |bank| self.lane(offset, bank))
+    }
+
+    /// Number of offsets that are not completely free.
+    pub fn offsets_in_use(&self) -> usize {
+        self.uses.iter().filter(|&&u| u != Use::Free).count()
+    }
+
+    /// What `offset` is currently used for.
+    pub fn kind(&self, offset: usize) -> Use {
+        self.uses[offset]
+    }
+
+    /// The offset data-memory row `row` is resident at, if any.
+    pub fn offset_of_row(&self, row: usize) -> Option<usize> {
+        self.uses.iter().position(|&u| u == Use::Row(row))
+    }
+
+    /// Number of lanes of `offset` that hold a tenant.
+    fn live(&self, offset: usize) -> usize {
+        self.lanes(offset)
+            .filter(|&lane| self.tenants[lane] != Tenant::Empty)
             .count()
     }
 
-    /// Number of offsets in the register file.
-    pub fn num_offsets(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Returns `true` when the offset holds no live values.
-    pub fn is_free(&self, offset: usize) -> bool {
-        matches!(self.states[offset], OffsetState::Free)
-    }
-
-    /// Records that a value at `(offset, bank)` is read at `cycle`, delaying
-    /// any reuse of that lane until after the read.
-    pub fn note_read(&mut self, offset: usize, bank: usize, cycle: u64) {
+    /// Records that `(offset, bank)` is read, or written by a write
+    /// committing, at `cycle`: the lane may only be re-occupied by values
+    /// whose writes are issued after that, so a new tenant can neither
+    /// clobber an operand that is still going to be read nor be clobbered by
+    /// a booked-but-future write.
+    pub fn touch(&mut self, offset: usize, bank: usize, cycle: u64) {
         let lane = self.lane(offset, bank);
-        self.lane_free_after[lane] = self.lane_free_after[lane].max(cycle + 1);
+        self.free_after[lane] = self.free_after[lane].max(cycle + 1);
     }
 
-    /// Records that a write committing at `cycle` has been booked to
-    /// `(offset, bank)`.  The lane may only be re-occupied by values whose
-    /// writes are issued after that commit, so a booked-but-future write can
-    /// never clobber a later tenant.
-    pub fn note_write(&mut self, offset: usize, bank: usize, cycle: u64) {
-        let lane = self.lane(offset, bank);
-        self.lane_free_after[lane] = self.lane_free_after[lane].max(cycle + 1);
-    }
-
-    /// Row-wide variant of [`RegAllocator::note_write`] for vector loads.
-    pub fn note_write_row(&mut self, offset: usize, cycle: u64) {
+    /// [`RegAllocator::touch`] for every bank: vector loads and stores.
+    pub fn touch_offset(&mut self, offset: usize, cycle: u64) {
         for bank in 0..self.total_banks {
-            self.note_write(offset, bank, cycle);
+            self.touch(offset, bank, cycle);
         }
     }
 
     fn offset_free_after(&self, offset: usize) -> u64 {
-        (0..self.total_banks)
-            .map(|b| self.lane_free_after[self.lane(offset, b)])
+        self.lanes(offset)
+            .map(|lane| self.free_after[lane])
             .max()
             .unwrap_or(0)
     }
 
-    /// Allocates an offset for a row load committing at `cycle`.
+    /// Allocates an offset for a load of `row` committing at `cycle`; the
+    /// caller [`install`](RegAllocator::install)s the row's live values.
     ///
     /// Returns `None` when no offset can safely be reused at that cycle.
-    pub fn alloc_row(&mut self, row: usize, live: usize, cycle: u64) -> Option<usize> {
-        let idx = (0..self.states.len()).find(|&i| {
-            matches!(self.states[i], OffsetState::Free) && self.offset_free_after(i) <= cycle
-        })?;
-        self.states[idx] = OffsetState::Row { live, row };
+    pub fn alloc_row(&mut self, row: usize, cycle: u64) -> Option<usize> {
+        let idx = (0..self.uses.len())
+            .find(|&i| self.uses[i] == Use::Free && self.offset_free_after(i) <= cycle)?;
+        self.uses[idx] = Use::Row(row);
         Some(idx)
     }
 
     /// Earliest cycle at which some completely free offset can be re-occupied
     /// (useful when every free offset still has reads booked in the future).
     pub fn earliest_row_reuse(&self) -> Option<u64> {
-        (0..self.states.len())
-            .filter(|&i| matches!(self.states[i], OffsetState::Free))
+        (0..self.uses.len())
+            .filter(|&i| self.uses[i] == Use::Free)
             .map(|i| self.offset_free_after(i))
             .min()
     }
 
-    /// Records that one value of the row at `offset` will never be read again;
-    /// frees the offset when the row becomes empty.
-    pub fn row_value_dead(&mut self, offset: usize) {
-        if let OffsetState::Row { live, .. } = &mut self.states[offset] {
-            *live = live.saturating_sub(1);
-            if *live == 0 {
-                self.states[offset] = OffsetState::Free;
+    /// Makes `value` the tenant of lane `bank` of a row offset.
+    pub fn install(&mut self, offset: usize, bank: usize, value: OperandRef) {
+        let lane = self.lane(offset, bank);
+        self.tenants[lane] = Tenant::Value(value);
+    }
+
+    /// Allocates a register of `bank` for a scalar write-back committing at
+    /// `cycle` and makes `tenant` its occupant.  Partially used scalar
+    /// offsets are preferred over opening fresh ones.
+    pub fn alloc_scalar(&mut self, bank: usize, cycle: u64, tenant: Tenant) -> Option<usize> {
+        debug_assert!(bank < self.total_banks);
+        // The lane is tested before the offset: in the scheduler's hottest
+        // loop (`make_copy`'s probes) nearly every lane is occupied.
+        let mut fresh = None;
+        let mut shared = None;
+        let bank_lanes = self.lane(0, bank)..self.lane(0, bank + 1);
+        let lanes = self.tenants[bank_lanes.clone()]
+            .iter()
+            .zip(&self.free_after[bank_lanes]);
+        for (idx, (held, &free_after)) in lanes.enumerate() {
+            if *held != Tenant::Empty || free_after > cycle {
+                continue;
             }
-        }
-    }
-
-    /// Drops a resident row regardless of its live count (used when the row is
-    /// still backed by memory and can simply be reloaded later).
-    ///
-    /// Returns the row that was resident, if the offset held one.
-    pub fn drop_row(&mut self, offset: usize) -> Option<usize> {
-        if let OffsetState::Row { row, .. } = self.states[offset] {
-            self.states[offset] = OffsetState::Free;
-            Some(row)
-        } else {
-            None
-        }
-    }
-
-    /// Data-memory row resident at `offset`, if any.
-    pub fn resident_row(&self, offset: usize) -> Option<usize> {
-        match self.states[offset] {
-            OffsetState::Row { row, .. } => Some(row),
-            _ => None,
-        }
-    }
-
-    /// Allocates a `(bank, offset)` slot for a scalar write-back committing at
-    /// `cycle`.  Banks are tried in the order given by `candidate_banks`;
-    /// partially used scalar offsets are preferred over opening fresh ones.
-    pub fn alloc_scalar(
-        &mut self,
-        candidate_banks: impl IntoIterator<Item = usize>,
-        cycle: u64,
-    ) -> Option<ScalarSlot> {
-        for bank in candidate_banks {
-            debug_assert!(bank < self.total_banks);
-            let lane_ok =
-                |this: &Self, idx: usize| this.lane_free_after[this.lane(idx, bank)] <= cycle;
-            let mut chosen: Option<usize> = None;
-            let mut fallback_free: Option<usize> = None;
-            for idx in 0..self.states.len() {
-                match self.states[idx] {
-                    OffsetState::Scalar { occupied }
-                        if occupied & (1 << bank) == 0 && lane_ok(self, idx) =>
-                    {
-                        chosen = Some(idx);
-                        break;
-                    }
-                    OffsetState::Free if fallback_free.is_none() && lane_ok(self, idx) => {
-                        fallback_free = Some(idx);
-                    }
-                    _ => {}
+            match self.uses[idx] {
+                Use::Scalar => {
+                    shared = Some(idx);
+                    break;
                 }
-            }
-            if let Some(idx) = chosen.or(fallback_free) {
-                if matches!(self.states[idx], OffsetState::Free) {
-                    self.states[idx] = OffsetState::Scalar { occupied: 0 };
-                }
-                if let OffsetState::Scalar { occupied } = &mut self.states[idx] {
-                    *occupied |= 1 << bank;
-                }
-                return Some(ScalarSlot { bank, reg: idx });
+                Use::Free if fresh.is_none() => fresh = Some(idx),
+                _ => {}
             }
         }
-        None
+        let idx = shared.or(fresh)?;
+        self.uses[idx] = Use::Scalar;
+        let lane = self.lane(idx, bank);
+        self.tenants[lane] = tenant;
+        Some(idx)
     }
 
-    /// Records that the scalar at `(offset, bank)` will never be read again.
-    pub fn scalar_dead(&mut self, offset: usize, bank: usize) {
-        if let OffsetState::Scalar { occupied } = &mut self.states[offset] {
-            *occupied &= !(1 << bank);
-            if *occupied == 0 {
-                self.states[offset] = OffsetState::Free;
-            }
-        }
-    }
-
-    /// Releases the value stored at `(offset, bank)` whichever kind of offset
-    /// it belongs to, after its final read at `cycle`.
+    /// Releases the tenant of `(offset, bank)` after its final read at
+    /// `cycle`; frees the offset when it was the last one.
     pub fn value_dead(&mut self, offset: usize, bank: usize, cycle: u64) {
-        self.note_read(offset, bank, cycle);
-        match self.states[offset] {
-            OffsetState::Row { .. } => self.row_value_dead(offset),
-            OffsetState::Scalar { .. } => self.scalar_dead(offset, bank),
-            OffsetState::Free => {}
+        self.touch(offset, bank, cycle);
+        let lane = self.lane(offset, bank);
+        self.tenants[lane] = Tenant::Empty;
+        if self.live(offset) == 0 {
+            self.uses[offset] = Use::Free;
         }
     }
 
-    /// Picks a spill victim that is not in `protected`: prefers resident rows
-    /// (free to drop because the backing memory still holds them), otherwise
-    /// the scalar offset with the most occupied lanes.  Returns
-    /// `(offset, is_row)`.
-    pub fn pick_victim(&self, protected: &[usize]) -> Option<(usize, bool)> {
-        let allowed = |i: &usize| !protected.contains(i);
-        if let Some((idx, _)) = (0..self.states.len())
-            .filter(allowed)
-            .filter_map(|i| match self.states[i] {
-                OffsetState::Row { live, .. } => Some((i, live)),
-                _ => None,
+    /// Picks a spill victim that is not in `protected`: prefers the resident
+    /// row with the fewest live values (free to drop because the backing
+    /// memory still holds them), otherwise the scalar offset with the most
+    /// occupied lanes.
+    pub fn pick_victim(&self, protected: &[usize]) -> Option<usize> {
+        let of_kind = |scalar: bool| {
+            (0..self.uses.len()).filter(move |i| {
+                !protected.contains(i)
+                    && match self.uses[*i] {
+                        Use::Free => false,
+                        Use::Row(_) => !scalar,
+                        Use::Scalar => scalar,
+                    }
             })
-            .min_by_key(|&(_, live)| live)
-        {
-            return Some((idx, true));
-        }
-        (0..self.states.len())
-            .filter(allowed)
-            .filter_map(|i| match self.states[i] {
-                OffsetState::Scalar { occupied } => Some((i, occupied.count_ones())),
-                _ => None,
-            })
-            .max_by_key(|&(_, n)| n)
-            .map(|(i, _)| (i, false))
+        };
+        of_kind(false)
+            .min_by_key(|&i| self.live(i))
+            .or_else(|| of_kind(true).max_by_key(|&i| self.live(i)))
     }
 
-    /// Returns the bank lanes currently occupied in a scalar offset.
-    pub fn scalar_lanes(&self, offset: usize) -> Vec<usize> {
-        match self.states[offset] {
-            OffsetState::Scalar { occupied } => (0..self.total_banks)
-                .filter(|b| occupied & (1 << b) != 0)
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Clears a scalar offset after it has been spilled to memory; its lanes
-    /// may be reused by writes committing after `cycle` (the store cycle).
-    pub fn clear_scalar(&mut self, offset: usize, cycle: u64) {
+    /// Empties `offset` and returns the values it held with their banks, in
+    /// bank order.  A dropped row may be overwritten as soon as its booked
+    /// reads are over; the caller of a spill store
+    /// [`touch_offset`](RegAllocator::touch_offset)es the store cycle first.
+    pub fn evict(&mut self, offset: usize) -> Vec<(OperandRef, usize)> {
+        self.uses[offset] = Use::Free;
+        let mut values = Vec::new();
         for bank in 0..self.total_banks {
-            self.note_read(offset, bank, cycle);
+            let lane = self.lane(offset, bank);
+            if let Tenant::Value(value) = std::mem::replace(&mut self.tenants[lane], Tenant::Empty)
+            {
+                values.push((value, bank));
+            }
         }
-        self.states[offset] = OffsetState::Free;
+        values
     }
 }
 
@@ -309,61 +260,53 @@ pub enum Loc {
 /// (inputs and operation results).
 #[derive(Debug, Clone)]
 pub struct ValueMap {
-    inputs: Vec<Loc>,
-    ops: Vec<Loc>,
-    input_uses: Vec<usize>,
-    op_uses: Vec<usize>,
+    /// `(location, not-yet-scheduled uses)`: inputs first, then op results.
+    slots: Vec<(Loc, usize)>,
+    num_inputs: usize,
 }
 
 impl ValueMap {
     /// Creates a map for `num_inputs` inputs and `num_ops` operation results.
     pub fn new(num_inputs: usize, num_ops: usize) -> Self {
         ValueMap {
-            inputs: vec![Loc::Unready; num_inputs],
-            ops: vec![Loc::Unready; num_ops],
-            input_uses: vec![0; num_inputs],
-            op_uses: vec![0; num_ops],
+            slots: vec![(Loc::Unready, 0); num_inputs + num_ops],
+            num_inputs,
+        }
+    }
+
+    fn index(&self, value: OperandRef) -> usize {
+        match value {
+            OperandRef::Input(i) => i as usize,
+            OperandRef::Op(i) => self.num_inputs + i as usize,
         }
     }
 
     /// Current location of `value`.
     pub fn loc(&self, value: OperandRef) -> Loc {
-        match value {
-            OperandRef::Input(i) => self.inputs[i as usize],
-            OperandRef::Op(i) => self.ops[i as usize],
-        }
+        self.slots[self.index(value)].0
     }
 
     /// Updates the location of `value`.
     pub fn set_loc(&mut self, value: OperandRef, loc: Loc) {
-        match value {
-            OperandRef::Input(i) => self.inputs[i as usize] = loc,
-            OperandRef::Op(i) => self.ops[i as usize] = loc,
-        }
+        let index = self.index(value);
+        self.slots[index].0 = loc;
     }
 
     /// Remaining number of not-yet-scheduled uses of `value`.
     pub fn uses(&self, value: OperandRef) -> usize {
-        match value {
-            OperandRef::Input(i) => self.input_uses[i as usize],
-            OperandRef::Op(i) => self.op_uses[i as usize],
-        }
+        self.slots[self.index(value)].1
     }
 
     /// Adds `n` expected uses of `value`.
     pub fn add_uses(&mut self, value: OperandRef, n: usize) {
-        match value {
-            OperandRef::Input(i) => self.input_uses[i as usize] += n,
-            OperandRef::Op(i) => self.op_uses[i as usize] += n,
-        }
+        let index = self.index(value);
+        self.slots[index].1 += n;
     }
 
     /// Consumes one use of `value`; returns `true` when it was the last one.
     pub fn consume_use(&mut self, value: OperandRef) -> bool {
-        let uses = match value {
-            OperandRef::Input(i) => &mut self.input_uses[i as usize],
-            OperandRef::Op(i) => &mut self.op_uses[i as usize],
-        };
+        let index = self.index(value);
+        let uses = &mut self.slots[index].1;
         debug_assert!(*uses > 0, "value consumed more often than counted");
         *uses -= 1;
         *uses == 0
@@ -377,83 +320,71 @@ mod tests {
     #[test]
     fn row_allocation_and_release() {
         let mut a = RegAllocator::new(4, 32);
-        let o = a.alloc_row(3, 2, 1).unwrap();
-        assert_eq!(a.free_offsets(), 3);
-        assert_eq!(a.resident_row(o), Some(3));
-        a.note_read(o, 0, 5);
-        a.row_value_dead(o);
-        assert_eq!(a.free_offsets(), 3);
-        a.note_read(o, 1, 9);
-        a.row_value_dead(o);
-        assert_eq!(a.free_offsets(), 4);
+        let o = a.alloc_row(3, 1).unwrap();
+        a.install(o, 0, OperandRef::Input(96));
+        a.install(o, 1, OperandRef::Input(97));
+        assert_eq!(a.offsets_in_use(), 1);
+        assert_eq!(a.offset_of_row(3), Some(o));
+        a.value_dead(o, 0, 5);
+        assert_eq!(a.offsets_in_use(), 1);
+        a.value_dead(o, 1, 9);
+        assert_eq!(a.offsets_in_use(), 0);
+        assert_eq!(a.offset_of_row(3), None);
         // Reuse of that offset is only allowed after the last read (cycle 9);
         // other offsets remain usable.
-        assert_ne!(a.alloc_row(7, 1, 8), Some(o));
-        assert!(a.alloc_row(8, 1, 10).is_some());
+        assert_ne!(a.alloc_row(7, 8), Some(o));
+        assert!(a.alloc_row(8, 10).is_some());
     }
 
     #[test]
     fn scalar_slots_share_offsets_across_banks() {
         let mut a = RegAllocator::new(2, 32);
-        let s0 = a.alloc_scalar([0], 1).unwrap();
-        let s1 = a.alloc_scalar([1], 1).unwrap();
+        let s0 = a.alloc_scalar(0, 1, Tenant::Copy).unwrap();
+        let s1 = a.alloc_scalar(1, 1, Tenant::Copy).unwrap();
         // Both scalars fit the same offset because they sit in different banks.
-        assert_eq!(s0.reg, s1.reg);
-        let s2 = a.alloc_scalar([0], 1).unwrap();
-        assert_ne!(s2.reg, s0.reg);
+        assert_eq!(s0, s1);
+        let s2 = a.alloc_scalar(0, 1, Tenant::Copy).unwrap();
+        assert_ne!(s2, s0);
         // Bank 0 now has no free offsets left.
-        assert!(a.alloc_scalar([0], 1).is_none());
+        assert!(a.alloc_scalar(0, 1, Tenant::Copy).is_none());
         // Freeing lane 0 of the first offset makes room again, but only for
         // writes that commit after the last read of the old value.
-        a.note_read(s0.reg, 0, 10);
-        a.scalar_dead(s0.reg, 0);
-        assert!(a.alloc_scalar([0], 5).is_none());
-        let s3 = a.alloc_scalar([0], 11).unwrap();
-        assert_eq!(s3.reg, s0.reg);
+        a.value_dead(s0, 0, 10);
+        assert!(a.alloc_scalar(0, 5, Tenant::Copy).is_none());
+        let s3 = a.alloc_scalar(0, 11, Tenant::Copy).unwrap();
+        assert_eq!(s3, s0);
     }
 
     #[test]
     fn lane_reuse_respects_pending_reads() {
         let mut a = RegAllocator::new(1, 4);
-        let s = a.alloc_scalar([2], 1).unwrap();
-        a.value_dead(s.reg, 2, 50);
+        let reg = a.alloc_scalar(2, 1, Tenant::Copy).unwrap();
+        a.value_dead(reg, 2, 50);
         // The lane is dead but was read at cycle 50: a write committing at 20
         // must not land there.
-        assert!(a.alloc_scalar([2], 20).is_none());
-        assert!(a.alloc_scalar([2], 51).is_some());
-    }
-
-    #[test]
-    fn candidate_bank_order_is_respected() {
-        let mut a = RegAllocator::new(1, 32);
-        let s = a.alloc_scalar([5, 6], 1).unwrap();
-        assert_eq!(s.bank, 5);
-        // Lane 5 of the single offset is now taken, so the second candidate
-        // bank gets used.
-        let s = a.alloc_scalar([5, 6], 1).unwrap();
-        assert_eq!(s.bank, 6);
-        assert_eq!(s.reg, 0);
-        // With both candidate lanes taken, allocation fails.
-        assert!(a.alloc_scalar([5, 6], 1).is_none());
+        assert!(a.alloc_scalar(2, 20, Tenant::Copy).is_none());
+        assert!(a.alloc_scalar(2, 51, Tenant::Copy).is_some());
     }
 
     #[test]
     fn victim_prefers_rows_and_respects_protection() {
         let mut a = RegAllocator::new(3, 32);
-        let s = a.alloc_scalar([0], 1).unwrap();
-        let row_offset = a.alloc_row(9, 4, 1).unwrap();
-        let (victim, is_row) = a.pick_victim(&[]).unwrap();
-        assert_eq!(victim, row_offset);
-        assert!(is_row);
+        let value = OperandRef::Op(4);
+        let reg = a.alloc_scalar(0, 1, Tenant::Value(value)).unwrap();
+        let row_offset = a.alloc_row(9, 1).unwrap();
+        a.install(row_offset, 5, OperandRef::Input(293));
+        assert_eq!(a.pick_victim(&[]), Some(row_offset));
         // Protecting the row forces the scalar to be chosen.
-        let (victim, is_row) = a.pick_victim(&[row_offset]).unwrap();
-        assert!(!is_row);
-        assert_eq!(victim, s.reg);
-        assert_eq!(a.drop_row(row_offset), Some(9));
-        assert_eq!(a.scalar_lanes(s.reg), vec![0]);
-        a.clear_scalar(s.reg, 5);
-        assert_eq!(a.free_offsets(), 3);
+        assert_eq!(a.pick_victim(&[row_offset]), Some(reg));
+        assert_eq!(a.kind(row_offset), Use::Row(9));
+        assert_eq!(a.evict(row_offset), vec![(OperandRef::Input(293), 5)]);
+        assert_eq!(a.kind(reg), Use::Scalar);
+        a.touch_offset(reg, 5);
+        assert_eq!(a.evict(reg), vec![(value, 0)]);
+        assert_eq!(a.offsets_in_use(), 0);
         assert!(a.pick_victim(&[]).is_none());
+        // The stored offset is busy until its store has read it.
+        assert!(a.alloc_scalar(7, 5, Tenant::Copy).is_some_and(|r| r != reg));
     }
 
     #[test]
@@ -487,9 +418,10 @@ mod tests {
     #[test]
     fn is_free_and_num_offsets() {
         let mut a = RegAllocator::new(2, 8);
-        assert_eq!(a.num_offsets(), 2);
-        assert!(a.is_free(0));
-        let s = a.alloc_scalar([1], 1).unwrap();
-        assert!(!a.is_free(s.reg));
+        assert_eq!(a.offsets_in_use(), 0);
+        assert_eq!(a.kind(0), Use::Free);
+        let reg = a.alloc_scalar(1, 1, Tenant::Copy).unwrap();
+        assert_eq!(a.kind(reg), Use::Scalar);
+        assert_eq!(a.offsets_in_use(), 1);
     }
 }

@@ -8,8 +8,8 @@ use spn_processor::isa::Program;
 use spn_processor::multicore::{CoreProgram, PartitionedProgram, TransferSource};
 
 use crate::report::CompileReport;
-use crate::schedule::{schedule, schedule_with_exports};
-use crate::tile::{extract_tiles, extract_tiles_with_exports};
+use crate::schedule::schedule;
+use crate::tile::extract_tiles;
 use crate::Result;
 
 /// Options controlling the whole compilation pipeline.
@@ -100,30 +100,8 @@ impl PartitionedArtifact {
         self.parts.stages.len()
     }
 
-    /// Materialises the global input vector for `evidence`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the evidence covers a different number of
-    /// variables than the SPN the program was compiled from.
-    pub fn input_values(&self, evidence: &Evidence) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.recipe.fill_evidence(evidence, &mut out)?;
-        Ok(out)
-    }
-
-    /// Fills `out` with the concatenated global input vectors of every
-    /// query in `batch` (query-major, ready for `run_partitioned`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the batch covers a different number of
-    /// variables than the SPN the program was compiled from.
-    pub fn fill_batch_inputs(&self, batch: &EvidenceBatch, out: &mut Vec<f64>) -> Result<()> {
-        Ok(self.recipe.fill_batch(batch, out)?)
-    }
-
-    /// The pre-resolved evidence-to-global-input-vector mapping.
+    /// The pre-resolved evidence-to-global-input-vector mapping; its
+    /// `fill_batch` output is query-major, ready for `run_partitioned`.
     pub fn input_recipe(&self) -> &InputRecipe {
         &self.recipe
     }
@@ -174,8 +152,7 @@ impl Compiler {
     /// Returns a [`crate::CompileError`] when the target configuration is
     /// invalid or the program cannot be made to fit it.
     pub fn compile_op_list(&self, op_list: OpList) -> Result<CompiledArtifact> {
-        let tiles = extract_tiles(&op_list, self.tile_depth());
-        let (program, report) = schedule(&self.config, &op_list, &tiles)?;
+        let (program, report) = self.compile_part(&op_list, &[])?;
         let recipe = op_list.input_recipe();
         Ok(CompiledArtifact {
             program,
@@ -209,9 +186,7 @@ impl Compiler {
         for part in &parts {
             let exports: Vec<OperandRef> =
                 part.exports.iter().map(|&i| OperandRef::Op(i)).collect();
-            let tiles = extract_tiles_with_exports(&part.ops, self.tile_depth(), &exports);
-            let (program, report) =
-                schedule_with_exports(&self.config, &part.ops, &tiles, &exports)?;
+            let (program, report) = self.compile_part(&part.ops, &exports)?;
             let inputs = part
                 .inputs
                 .iter()
@@ -233,12 +208,21 @@ impl Compiler {
         })
     }
 
-    fn tile_depth(&self) -> usize {
-        self.options
+    /// Tiles and schedules one op list — a whole program, or one pipeline
+    /// stage keeping `exports` live to its end.
+    fn compile_part(
+        &self,
+        ops: &OpList,
+        exports: &[OperandRef],
+    ) -> Result<(Program, CompileReport)> {
+        let tile_depth = self
+            .options
             .max_tile_depth
             .unwrap_or(self.config.tree_levels)
             .min(self.config.tree_levels)
-            .max(1)
+            .max(1);
+        let tiles = extract_tiles(ops, tile_depth, exports);
+        schedule(&self.config, ops, &tiles, exports)
     }
 }
 
@@ -347,10 +331,11 @@ mod tests {
                         .unwrap();
                 let mut states = Vec::new();
                 let mut flat = Vec::new();
+                let mut rows = EvidenceBatch::new(12);
                 let mut expected = Vec::new();
                 for assignment in [[false; 12], [true; 12]] {
+                    rows.push_assignment(&assignment).unwrap();
                     let e = Evidence::from_assignment(&assignment);
-                    flat.extend(parted.input_values(&e).unwrap());
                     let inputs = baseline.input_values(&e).unwrap();
                     let mut state = processor.state_for(&baseline.program);
                     expected.push(
@@ -360,6 +345,7 @@ mod tests {
                             .output,
                     );
                 }
+                parted.input_recipe().fill_batch(&rows, &mut flat).unwrap();
                 let batch = mc
                     .run_partitioned(&parted.parts, &flat, 2, &mut states)
                     .unwrap();

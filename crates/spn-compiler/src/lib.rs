@@ -6,15 +6,15 @@
 //!    ([`spn_core::flatten::OpList`]),
 //! 2. operations are packed into **tiles** — sub-trees of the DAG that fit one
 //!    pass through a PE tree, so intermediate values never leave the datapath
-//!    ([`tile`]),
+//!    (`tile`),
 //! 3. tiles are list-scheduled cycle by cycle onto the trees, while register
 //!    **banks are allocated in tandem with PE placement** (a PE can only write
 //!    a subset of banks), crossbar **read-port conflicts are avoided**, and
 //!    read-after-write hazards from the pipelined trees are respected
-//!    ([`schedule`]),
+//!    (`schedule`),
 //! 4. program inputs live in the vector data memory and are loaded row by
 //!    row; when register pressure demands it, intermediate values are
-//!    **spilled** back to memory ([`alloc`]),
+//!    **spilled** back to memory (`alloc`),
 //! 5. the result is a [`spn_processor::Program`] of VLIW instructions plus a
 //!    [`CompileReport`] describing what the compiler did.
 //!
@@ -41,21 +41,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod alloc;
 mod error;
+mod schedule;
+mod tile;
 
-pub mod alloc;
 pub mod compiler;
 pub mod report;
-pub mod schedule;
-pub mod tile;
 pub mod verify;
 
 pub use compiler::{CompiledArtifact, Compiler, CompilerOptions, PartitionedArtifact};
 pub use error::CompileError;
 pub use report::CompileReport;
-pub use verify::{
-    verify_artifact, verify_partitioned, verify_program, verify_program_with_exports,
-};
+pub use verify::{verify_artifact, verify_partitioned, verify_program};
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T, E = CompileError> = std::result::Result<T, E>;

@@ -18,15 +18,13 @@
 //! a different bank); when the register file runs out, resident rows are
 //! dropped or scalar offsets are spilled back to the data memory.
 
-use std::collections::HashMap;
-
 use spn_core::flatten::{LeafSource, OpList, OperandRef};
 use spn_processor::config::{PePosition, ProcessorConfig};
 use spn_processor::isa::{
     InputSlot, Instruction, MemOp, PeOp, Program, ReadSel, TreeInstr, ValueLocation, WriteCmd,
 };
 
-use crate::alloc::{Loc, RegAllocator, ValueMap};
+use crate::alloc::{Loc, RegAllocator, Tenant, Use, ValueMap};
 use crate::error::CompileError;
 use crate::report::CompileReport;
 use crate::tile::Tile;
@@ -54,6 +52,11 @@ pub(crate) fn pe_precision(
 /// How many cycles past the operands' ready time the scheduler searches for
 /// a dense placement before simply appending a new cycle to the schedule.
 const SEARCH_WINDOW: u64 = 48;
+
+/// Widest machine [`CycleInfo`]'s masks can book: one bit per register bank
+/// in `read_banks`/`write_banks`, one per leaf PE in `leaf_used`.
+const MAX_BANKS: usize = u64::BITS as usize;
+const MAX_LEAF_PES: usize = u16::BITS as usize;
 
 /// Per-cycle resource bookings.
 #[derive(Debug, Clone, Default)]
@@ -123,48 +126,46 @@ struct Placement {
 /// Schedules `tiles` (extracted from `ops`) onto `config`, producing the VLIW
 /// program and a compilation report.
 ///
+/// Every operand in `exports` is kept live to the end of the program and its
+/// final location is recorded in [`Program::exports`] (same order), so a
+/// runtime can peek the values after execution — the compiler-side half of
+/// pipelined multi-core execution, where a stage's exports feed later cores.
+/// A whole program has none.
+///
 /// # Errors
 ///
-/// Returns [`CompileError`] when the configuration is invalid or the working
-/// set cannot be made to fit the register file and data memory.
+/// Returns [`CompileError`] when the configuration is invalid or wider than
+/// the scheduler's per-cycle masks, when the working set cannot be made to
+/// fit the register file and data memory, or when an exported value cannot
+/// be materialised.
 pub fn schedule(
-    config: &ProcessorConfig,
-    ops: &OpList,
-    tiles: &[Tile],
-) -> Result<(Program, CompileReport)> {
-    schedule_with_exports(config, ops, tiles, &[])
-}
-
-/// [`schedule`] with additional export obligations: every operand in
-/// `exports` is kept live to the end of the program and its final location
-/// is recorded in [`Program::exports`] (same order), so a runtime can peek
-/// the values after execution — the compiler-side half of pipelined
-/// multi-core execution, where a stage's exports feed later cores.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] under the same conditions as [`schedule`], or
-/// when an exported value cannot be materialised.
-pub fn schedule_with_exports(
     config: &ProcessorConfig,
     ops: &OpList,
     tiles: &[Tile],
     exports: &[OperandRef],
 ) -> Result<(Program, CompileReport)> {
     config.validate()?;
-    let mut scheduler = Scheduler::new(config, ops, exports);
-    scheduler.init_values(tiles);
+    if config.total_banks() > MAX_BANKS || config.leaf_pes_per_tree > MAX_LEAF_PES {
+        return Err(CompileError::InvalidTarget {
+            reason: format!(
+                "{} register banks and {} leaf PEs per tree: the scheduler books at most \
+                 {MAX_BANKS} banks and {MAX_LEAF_PES} leaf PEs per tree",
+                config.total_banks(),
+                config.leaf_pes_per_tree
+            ),
+        });
+    }
+    let mut scheduler = Scheduler::new(config, ops, tiles, exports);
     for tile in tiles {
         scheduler.schedule_tile(tile)?;
     }
-    scheduler.finish(tiles)
+    scheduler.finish()
 }
 
 struct Scheduler<'a> {
     config: &'a ProcessorConfig,
     ops: &'a OpList,
-    /// Operands whose final locations the program must expose (see
-    /// [`schedule_with_exports`]).
+    /// Operands whose final locations the program must expose.
     exports: &'a [OperandRef],
     values: ValueMap,
     alloc: RegAllocator,
@@ -177,10 +178,6 @@ struct Scheduler<'a> {
     row_available_from: Vec<u64>,
     /// Latest commit cycle booked so far (pipeline drain horizon).
     last_commit_booked: u64,
-    /// Data-memory rows currently resident in the register file.
-    resident: HashMap<usize, usize>,
-    /// Reverse map of scalar allocations, for spilling.
-    scalar_values: HashMap<(usize, usize), OperandRef>,
     /// How many values have been written to each bank (allocation heuristic).
     bank_pressure: Vec<u64>,
     input_slots: Vec<InputSlot>,
@@ -190,8 +187,15 @@ struct Scheduler<'a> {
 }
 
 impl<'a> Scheduler<'a> {
-    fn new(config: &'a ProcessorConfig, ops: &'a OpList, exports: &'a [OperandRef]) -> Self {
-        Scheduler {
+    /// Counts the uses of every value and lays the program inputs out in the
+    /// data memory.
+    fn new(
+        config: &'a ProcessorConfig,
+        ops: &'a OpList,
+        tiles: &[Tile],
+        exports: &'a [OperandRef],
+    ) -> Self {
+        let mut this = Scheduler {
             config,
             ops,
             exports,
@@ -202,40 +206,35 @@ impl<'a> Scheduler<'a> {
             mem_rows: Vec::new(),
             row_available_from: Vec::new(),
             last_commit_booked: 0,
-            resident: HashMap::new(),
-            scalar_values: HashMap::new(),
             bank_pressure: vec![0; config.total_banks()],
             input_slots: Vec::new(),
             mem_hint: 0,
-            report: CompileReport::default(),
-        }
-    }
-
-    fn init_values(&mut self, tiles: &[Tile]) {
-        for tile in tiles {
-            for read in &tile.reads {
-                self.values.add_uses(read.operand, 1);
-            }
-        }
-        self.values.add_uses(self.ops.output(), 1);
-        // Exported values get a phantom use each so the scheduler never
-        // frees their storage; `finish` resolves where they ended up.
-        for &export in self.exports {
-            self.values.add_uses(export, 1);
+            report: CompileReport {
+                source_ops: ops.num_ops(),
+                tiles: tiles.len(),
+                ..CompileReport::default()
+            },
+        };
+        // The output and every exported value get a phantom use each so the
+        // scheduler never frees their storage; `finish` resolves where they
+        // ended up.
+        let reads = tiles.iter().flat_map(|t| &t.reads).map(|r| r.operand);
+        for value in reads.chain([ops.output()]).chain(exports.iter().copied()) {
+            this.values.add_uses(value, 1);
         }
 
         // Lay out every program input in the data memory, row major.
-        let banks = self.config.total_banks();
-        for (i, leaf) in self.ops.inputs().iter().enumerate() {
+        let banks = config.total_banks();
+        for (i, leaf) in ops.inputs().iter().enumerate() {
             let row = i / banks;
             let lane = i % banks;
             if lane == 0 {
-                self.mem_rows.push(Vec::new());
-                self.row_available_from.push(0);
+                this.mem_rows.push(Vec::new());
+                this.row_available_from.push(0);
             }
             let operand = OperandRef::Input(i as u32);
-            self.mem_rows[row].push((operand, lane));
-            self.input_slots.push(InputSlot {
+            this.mem_rows[row].push((operand, lane));
+            this.input_slots.push(InputSlot {
                 row: row as u32,
                 lane: lane as u16,
             });
@@ -244,10 +243,9 @@ impl<'a> Scheduler<'a> {
                 LeafSource::Param(p) if *p == 1.0 => Loc::ConstOne,
                 _ => Loc::Mem { row, lane },
             };
-            self.values.set_loc(operand, loc);
+            this.values.set_loc(operand, loc);
         }
-        self.report.source_ops = self.ops.num_ops();
-        self.report.tiles = tiles.len();
+        this
     }
 
     fn ensure_cycle(&mut self, cycle: u64) {
@@ -272,8 +270,6 @@ impl<'a> Scheduler<'a> {
                 protected.push(reg);
             }
         }
-        protected.sort_unstable();
-        protected.dedup();
         protected
     }
 
@@ -281,52 +277,23 @@ impl<'a> Scheduler<'a> {
     // Memory traffic
     // ------------------------------------------------------------------
 
-    /// Finds a cycle no earlier than `not_before` with a free memory port and
-    /// no committing writes, where a row load can be placed.  Starts scanning
-    /// at `self.mem_hint`.
-    fn find_load_cycle(&mut self, not_before: u64) -> u64 {
-        let mut c = self.mem_hint.max(not_before);
-        loop {
-            if (c as usize) >= self.cycles.len() {
-                return c;
-            }
-            let info = &self.cycles[c as usize];
-            if !info.mem_used && info.write_banks == 0 {
-                return c;
-            }
-            c += 1;
-        }
-    }
-
     /// Loads data-memory row `row` into the register file, spilling other
-    /// offsets when necessary.  Updates the locations of the row's live
-    /// values.
-    fn ensure_loaded(&mut self, row: usize, protected: &[usize]) -> Result<()> {
-        if self.resident.contains_key(&row) {
-            return Ok(());
+    /// offsets when necessary, and returns the offset it is resident at.
+    fn ensure_loaded(&mut self, row: usize, protected: &[usize]) -> Result<usize> {
+        if let Some(offset) = self.alloc.offset_of_row(row) {
+            return Ok(offset);
         }
-        let live = self.mem_rows[row]
-            .iter()
-            .filter(|(v, _)| {
-                self.values.uses(*v) > 0
-                    && matches!(self.values.loc(*v), Loc::Mem { row: r, .. } if r == row)
-            })
-            .count();
+        let available = self.row_available_from[row];
         loop {
-            let cycle = self.find_load_cycle(self.row_available_from[row]);
-            if let Some(offset) = self.alloc.alloc_row(row, live, cycle) {
-                self.book_load(row, offset, cycle);
-                return Ok(());
-            }
             // Every free offset may still have reads booked in the future;
             // loading later (once such an offset becomes reusable) avoids an
             // unnecessary spill.
-            if let Some(reuse_at) = self.alloc.earliest_row_reuse() {
-                let later = self.find_load_cycle(reuse_at.max(self.row_available_from[row]));
-                if let Some(offset) = self.alloc.alloc_row(row, live, later) {
-                    self.book_load(row, offset, later);
-                    return Ok(());
-                }
+            let loaded = self.try_load(row, available).or_else(|| {
+                let reuse_at = self.alloc.earliest_row_reuse()?;
+                self.try_load(row, reuse_at.max(available))
+            });
+            if let Some(offset) = loaded {
+                return Ok(offset);
             }
             if !self.spill_something(protected) {
                 return Err(CompileError::ResourceExhausted {
@@ -338,9 +305,19 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Books a vector load of `row` into register offset `offset` at `cycle`
-    /// and updates the locations of the row's live values.
-    fn book_load(&mut self, row: usize, offset: usize, cycle: u64) {
+    /// Books a vector load of `row` at the first cycle from `not_before` (and
+    /// the scan hint) on with a free memory port and no committing writes,
+    /// if an offset is reusable then, and moves the row's live values into
+    /// the offset's lanes.
+    fn try_load(&mut self, row: usize, not_before: u64) -> Option<usize> {
+        let mut cycle = self.mem_hint.max(not_before);
+        while let Some(info) = self.cycles.get(cycle as usize) {
+            if !info.mem_used && info.write_banks == 0 {
+                break;
+            }
+            cycle += 1;
+        }
+        let offset = self.alloc.alloc_row(row, cycle)?;
         self.ensure_cycle(cycle);
         let info = &mut self.cycles[cycle as usize];
         info.mem_used = true;
@@ -351,93 +328,63 @@ impl<'a> Scheduler<'a> {
         };
         self.mem_hint = cycle + 1;
         self.last_commit_booked = self.last_commit_booked.max(cycle);
-        self.alloc.note_write_row(offset, cycle);
-        self.resident.insert(row, offset);
-        let row_values = self.mem_rows[row].clone();
-        for (value, lane) in row_values {
-            if self.values.uses(value) > 0 {
-                if let Loc::Mem { row: r, .. } = self.values.loc(value) {
-                    if r == row {
-                        self.values.set_loc(
-                            value,
-                            Loc::Reg {
-                                bank: lane,
-                                reg: offset,
-                                ready: cycle,
-                            },
-                        );
-                    }
-                }
+        self.alloc.touch_offset(offset, cycle);
+        for &(value, lane) in &self.mem_rows[row] {
+            let in_row = matches!(self.values.loc(value), Loc::Mem { row: r, .. } if r == row);
+            if in_row && self.values.uses(value) > 0 {
+                self.alloc.install(offset, lane, value);
+                self.values.set_loc(
+                    value,
+                    Loc::Reg {
+                        bank: lane,
+                        reg: offset,
+                        ready: cycle,
+                    },
+                );
             }
         }
+        Some(offset)
     }
 
     /// Frees one register offset, either by dropping a resident row (still
     /// backed by memory) or by storing a scalar offset to a fresh spill row.
     /// Returns `false` when nothing can be evicted.
     fn spill_something(&mut self, protected: &[usize]) -> bool {
-        let Some((offset, is_row)) = self.alloc.pick_victim(protected) else {
+        let Some(offset) = self.alloc.pick_victim(protected) else {
             return false;
         };
-        if is_row {
-            let row = self.alloc.drop_row(offset).expect("victim was a row");
-            self.resident.remove(&row);
-            let row_values = self.mem_rows[row].clone();
-            for (value, lane) in row_values {
-                if let Loc::Reg { reg, .. } = self.values.loc(value) {
-                    if reg == offset {
-                        self.values.set_loc(value, Loc::Mem { row, lane });
-                    }
-                }
+        let kind = self.alloc.kind(offset);
+        let row = match kind {
+            Use::Row(row) => row,
+            _ => {
+                // Store the whole offset past every booking: the memory port
+                // is free there, no bank is read (the store occupies every
+                // read port) and every write booked so far has committed, so
+                // no lane of the offset is in flight.
+                let cycle = self.fresh_cycle().max(self.last_commit_booked + 1);
+                self.ensure_cycle(cycle);
+                let spill_row = self.mem_rows.len();
+                let info = &mut self.cycles[cycle as usize];
+                info.mem_used = true;
+                info.read_banks = bank_mask(self.config.total_banks());
+                self.instructions[cycle as usize].mem = MemOp::Store {
+                    row: spill_row as u32,
+                    reg: offset as u16,
+                };
+                self.alloc.touch_offset(offset, cycle);
+                // The spilled data only exists in memory after the store has
+                // executed.
+                self.row_available_from.push(cycle + 1);
+                spill_row
             }
-            return true;
-        }
-
-        // Scalar spill: store the whole offset row to a new data-memory row.
-        let lanes = self.alloc.scalar_lanes(offset);
-        let mut stored: Vec<(OperandRef, usize)> = Vec::new();
-        for bank in &lanes {
-            if let Some(&value) = self.scalar_values.get(&(*bank, offset)) {
-                stored.push((value, *bank));
-            }
-        }
-        // Find a cycle with a free memory port and no register reads at all
-        // (the store occupies every bank's read port), after every write
-        // booked so far has committed so no lane of the offset is in flight.
-        let mut cycle = self.fresh_cycle().max(self.last_commit_booked + 1);
-        loop {
-            if (cycle as usize) >= self.cycles.len() {
-                break;
-            }
-            let info = &self.cycles[cycle as usize];
-            if !info.mem_used && info.read_banks == 0 {
-                break;
-            }
-            cycle += 1;
-        }
-        self.ensure_cycle(cycle);
-        let spill_row = self.mem_rows.len();
-        self.mem_rows.push(stored.clone());
-        // The spilled data only exists in memory after the store has executed.
-        self.row_available_from.push(cycle + 1);
-        let info = &mut self.cycles[cycle as usize];
-        info.mem_used = true;
-        info.read_banks = bank_mask(self.config.total_banks());
-        self.instructions[cycle as usize].mem = MemOp::Store {
-            row: spill_row as u32,
-            reg: offset as u16,
         };
-        for (value, bank) in stored {
-            self.values.set_loc(
-                value,
-                Loc::Mem {
-                    row: spill_row,
-                    lane: bank,
-                },
-            );
-            self.scalar_values.remove(&(bank, offset));
+        let evicted = self.alloc.evict(offset);
+        for &(value, lane) in &evicted {
+            self.values.set_loc(value, Loc::Mem { row, lane });
         }
-        self.alloc.clear_scalar(offset, cycle);
+        if kind == Use::Scalar {
+            self.mem_rows.push(evicted);
+        }
         true
     }
 
@@ -495,11 +442,12 @@ impl<'a> Scheduler<'a> {
                             if self.cycles[cycle as usize].write_banks & (1 << bank) != 0 {
                                 continue;
                             }
-                            let Some(slot) = self.alloc.alloc_scalar([bank], cycle) else {
+                            let Some(reg) = self.alloc.alloc_scalar(bank, cycle, Tenant::Copy)
+                            else {
                                 continue;
                             };
                             self.last_commit_booked = self.last_commit_booked.max(cycle);
-                            self.alloc.note_write(slot.reg, bank, cycle);
+                            self.alloc.touch(reg, bank, cycle);
                             // Book the move.
                             let info = &mut self.cycles[cycle as usize];
                             info.read_banks |= 1 << src_bank;
@@ -516,15 +464,12 @@ impl<'a> Scheduler<'a> {
                                 level: 0,
                                 pe: leaf as u8,
                                 bank: bank as u16,
-                                reg: slot.reg as u16,
+                                reg: reg as u16,
                             });
-                            self.alloc.note_read(src_reg, src_bank, cycle);
-                            if self.values.consume_use(operand) {
-                                self.release_storage(operand, src_bank, src_reg, cycle);
-                            }
+                            self.consume_read(operand, src_bank, src_reg, cycle);
                             self.report.copy_moves += 1;
                             self.bank_pressure[bank] += 1;
-                            return Ok((bank, slot.reg, cycle));
+                            return Ok((bank, reg, cycle));
                         }
                     }
                 }
@@ -545,19 +490,13 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Frees the storage behind `operand` after its last read at `cycle`.
-    fn release_storage(&mut self, _operand: OperandRef, bank: usize, reg: usize, cycle: u64) {
-        self.alloc.value_dead(reg, bank, cycle);
-        self.scalar_values.remove(&(bank, reg));
-        if self.alloc.is_free(reg) {
-            if let Some(row) = self
-                .resident
-                .iter()
-                .find(|(_, &offset)| offset == reg)
-                .map(|(&row, _)| row)
-            {
-                self.resident.remove(&row);
-            }
+    /// Books the read of `operand` from `(bank, reg)` at `cycle` and frees
+    /// the lane when that was the operand's last use.
+    fn consume_read(&mut self, operand: OperandRef, bank: usize, reg: usize, cycle: u64) {
+        if self.values.consume_use(operand) {
+            self.alloc.value_dead(reg, bank, cycle);
+        } else {
+            self.alloc.touch(reg, bank, cycle);
         }
     }
 
@@ -584,10 +523,8 @@ impl<'a> Scheduler<'a> {
                 break;
             }
             for row in needed_rows {
-                self.ensure_loaded(row, &protected)?;
-                if let Some(&offset) = self.resident.get(&row) {
-                    protected.push(offset);
-                }
+                let offset = self.ensure_loaded(row, &protected)?;
+                protected.push(offset);
             }
         }
 
@@ -736,13 +673,14 @@ impl<'a> Scheduler<'a> {
                     // Allocation is keyed on the issue cycle so the lane's
                     // previous value is not even in flight while it is still
                     // being read (keeps the processor's hazard oracle happy).
-                    if let Some(slot) = self.alloc.alloc_scalar([bank], cycle) {
+                    let result = Tenant::Value(OperandRef::Op(tile.root as u32));
+                    if let Some(dest_reg) = self.alloc.alloc_scalar(bank, cycle, result) {
                         return Some(Placement {
                             cycle,
                             tree,
                             block,
-                            dest_bank: slot.bank,
-                            dest_reg: slot.reg,
+                            dest_bank: bank,
+                            dest_reg,
                         });
                     }
                 }
@@ -779,7 +717,7 @@ impl<'a> Scheduler<'a> {
         self.cycles[commit as usize].write_banks |= 1 << dest_bank;
         self.bank_pressure[dest_bank] += 1;
         self.last_commit_booked = self.last_commit_booked.max(commit);
-        self.alloc.note_write(dest_reg, dest_bank, commit);
+        self.alloc.touch(dest_reg, dest_bank, commit);
 
         // Emit reads.
         for (slot, source) in slot_sources {
@@ -826,17 +764,15 @@ impl<'a> Scheduler<'a> {
                 reg: dest_reg as u16,
             });
 
-        // Record the result location.
-        let result = OperandRef::Op(tile.root as u32);
+        // Record the result location (`try_place_at` made it the tenant).
         self.values.set_loc(
-            result,
+            OperandRef::Op(tile.root as u32),
             Loc::Reg {
                 bank: dest_bank,
                 reg: dest_reg,
                 ready: commit,
             },
         );
-        self.scalar_values.insert((dest_bank, dest_reg), result);
 
         // Consume operand uses and free dead storage.
         for (_, source) in slot_sources {
@@ -845,10 +781,7 @@ impl<'a> Scheduler<'a> {
                     self.values.consume_use(*operand);
                 }
                 SlotSource::Original { operand, bank, reg } => {
-                    self.alloc.note_read(*reg, *bank, cycle);
-                    if self.values.consume_use(*operand) {
-                        self.release_storage(*operand, *bank, *reg, cycle);
-                    }
+                    self.consume_read(*operand, *bank, *reg, cycle);
                 }
                 SlotSource::Copy { bank, reg, .. } => {
                     // Temporary copies die immediately after their single read.
@@ -857,7 +790,7 @@ impl<'a> Scheduler<'a> {
             }
         }
 
-        let live = self.alloc.num_offsets() - self.alloc.free_offsets();
+        let live = self.alloc.offsets_in_use();
         self.report.peak_live_offsets = self.report.peak_live_offsets.max(live);
     }
 
@@ -890,7 +823,7 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    fn finish(self, _tiles: &[Tile]) -> Result<(Program, CompileReport)> {
+    fn finish(self) -> Result<(Program, CompileReport)> {
         let output = self.final_location(self.ops.output(), "program output")?;
         let exports = self
             .exports
@@ -945,8 +878,8 @@ mod tests {
         evidence: &Evidence,
     ) -> (f64, f64, CompileReport) {
         let ops = OpList::from_spn(spn);
-        let tiles = extract_tiles(&ops, config.tree_levels);
-        let (program, report) = schedule(config, &ops, &tiles).expect("schedule");
+        let tiles = extract_tiles(&ops, config.tree_levels, &[]);
+        let (program, report) = schedule(config, &ops, &tiles, &[]).expect("schedule");
         let inputs = ops.input_values(evidence).expect("inputs");
         let processor = Processor::new(config.clone()).expect("processor");
         let run = processor.run(&program, &inputs).expect("run");
@@ -1032,8 +965,8 @@ mod tests {
         // Shallow tiles keep the per-tile operand footprint within the tiny
         // register file; the working set still does not fit as a whole.
         let ops = OpList::from_spn(&spn);
-        let tiles = extract_tiles(&ops, 2);
-        let (program, report) = schedule(&config, &ops, &tiles).expect("schedule");
+        let tiles = extract_tiles(&ops, 2, &[]);
+        let (program, report) = schedule(&config, &ops, &tiles, &[]).expect("schedule");
         let inputs = ops.input_values(&evidence).expect("inputs");
         let processor = Processor::new(config).expect("processor");
         let run = processor.run(&program, &inputs).expect("run");
@@ -1066,8 +999,8 @@ mod tests {
             (tiny, spilling, 2),
         ] {
             let ops = OpList::from_spn(&spn);
-            let tiles = extract_tiles(&ops, tile_depth);
-            let (program, report) = schedule(&config, &ops, &tiles).expect("schedule");
+            let tiles = extract_tiles(&ops, tile_depth, &[]);
+            let (program, report) = schedule(&config, &ops, &tiles, &[]).expect("schedule");
             let inputs = ops
                 .input_values(&Evidence::marginal(spn.num_vars()))
                 .expect("inputs");
@@ -1115,10 +1048,10 @@ mod tests {
         let x = b.indicator(VarId(0), true);
         let spn = b.finish(x).unwrap();
         let ops = OpList::from_spn(&spn);
-        let tiles = extract_tiles(&ops, 4);
+        let tiles = extract_tiles(&ops, 4, &[]);
         assert!(tiles.is_empty());
         let config = ProcessorConfig::ptree();
-        let (program, report) = schedule(&config, &ops, &tiles).unwrap();
+        let (program, report) = schedule(&config, &ops, &tiles, &[]).unwrap();
         assert!(program.is_empty());
         assert_eq!(report.source_ops, 0);
         let processor = Processor::new(config).unwrap();
@@ -1132,14 +1065,49 @@ mod tests {
         assert_eq!(run.output, 1.0);
     }
 
+    fn invalid_target_reason(config: &ProcessorConfig) -> String {
+        config.validate().expect("the processor model accepts it");
+        let ops = OpList::from_spn(&small_mixture());
+        let tiles = extract_tiles(&ops, config.tree_levels, &[]);
+        match schedule(config, &ops, &tiles, &[]) {
+            Err(CompileError::InvalidTarget { reason }) => reason,
+            other => panic!("expected InvalidTarget, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn more_than_64_banks_is_an_invalid_target() {
+        let mut config = ProcessorConfig::ptree();
+        config.banks_per_tree = 64;
+        assert!(invalid_target_reason(&config).starts_with("128 register banks"));
+        // 64 banks in total is the widest machine the masks book.
+        config.banks_per_tree = 32;
+        let ops = OpList::from_spn(&small_mixture());
+        let tiles = extract_tiles(&ops, config.tree_levels, &[]);
+        assert!(schedule(&config, &ops, &tiles, &[]).is_ok());
+    }
+
+    #[test]
+    fn more_than_16_leaf_pes_per_tree_is_an_invalid_target() {
+        let mut config = ProcessorConfig::ptree();
+        config.banks_per_tree = 32;
+        config.leaf_pes_per_tree = 32;
+        assert!(invalid_target_reason(&config).contains("32 leaf PEs per tree"));
+        // Sixteen leaf PEs fill the leaf mask exactly.
+        config.leaf_pes_per_tree = 16;
+        config.tree_levels = 5;
+        let (got, expected, _) = compile_and_run(&config, &small_mixture(), &Evidence::marginal(2));
+        assert!((got - expected).abs() < 1e-12);
+    }
+
     #[test]
     fn schedule_report_counts_are_consistent() {
         let mut rng = StdRng::seed_from_u64(37);
         let spn = random_spn(&RandomSpnConfig::with_vars(16), &mut rng);
         let ops = OpList::from_spn(&spn);
         let config = ProcessorConfig::ptree();
-        let tiles = extract_tiles(&ops, config.tree_levels);
-        let (program, report) = schedule(&config, &ops, &tiles).unwrap();
+        let tiles = extract_tiles(&ops, config.tree_levels, &[]);
+        let (program, report) = schedule(&config, &ops, &tiles, &[]).unwrap();
         assert_eq!(report.tiles, tiles.len());
         assert_eq!(report.instructions, program.instructions.len());
         assert!(report.memory_loads >= ops.num_inputs().div_ceil(config.total_banks()) / 2);

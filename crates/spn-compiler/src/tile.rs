@@ -66,17 +66,6 @@ impl Tile {
     pub fn leaf_footprint(&self) -> usize {
         1 << (self.depth - 1)
     }
-
-    /// The external operands of the tile, in leaf-slot order (may contain
-    /// duplicates when the same value feeds several slots).
-    pub fn external_operands(&self) -> impl Iterator<Item = OperandRef> + '_ {
-        self.reads.iter().map(|r| r.operand)
-    }
-
-    /// Number of arithmetic operations in the tile.
-    pub fn num_ops(&self) -> usize {
-        self.ops.len()
-    }
 }
 
 /// Extracts tiles from `ops` with at most `max_depth` PE levels per tile.
@@ -85,27 +74,16 @@ impl Tile {
 /// ascending root-operation order, which is a valid topological order of the
 /// tile dependency graph.
 ///
-/// # Panics
-///
-/// Panics if `max_depth` is zero.
-pub fn extract_tiles(ops: &OpList, max_depth: usize) -> Vec<Tile> {
-    extract_tiles_with_exports(ops, max_depth, &[])
-}
-
-/// [`extract_tiles`] with export obligations: every operand in `exports`
-/// gets an extra phantom use, so an exported operation is never absorbed
-/// into its consumer's tile — it becomes a tile root, and its result is
-/// committed to the register file where a multi-core runtime can peek it
-/// (tile-internal values only ever exist inside the PE datapath).
+/// Every operand in `exports` (none for a whole program) gets an extra
+/// phantom use, so an exported operation is never absorbed into its
+/// consumer's tile — it becomes a tile root, and its result is committed to
+/// the register file where a multi-core runtime can peek it (tile-internal
+/// values only ever exist inside the PE datapath).
 ///
 /// # Panics
 ///
 /// Panics if `max_depth` is zero.
-pub fn extract_tiles_with_exports(
-    ops: &OpList,
-    max_depth: usize,
-    exports: &[OperandRef],
-) -> Vec<Tile> {
+pub fn extract_tiles(ops: &OpList, max_depth: usize, exports: &[OperandRef]) -> Vec<Tile> {
     assert!(max_depth >= 1, "tiles need at least one level");
     let n = ops.num_ops();
 
@@ -305,7 +283,7 @@ mod tests {
     #[test]
     fn depth_one_tiles_are_single_ops() {
         let ops = small_ops();
-        let tiles = extract_tiles(&ops, 1);
+        let tiles = extract_tiles(&ops, 1, &[]);
         assert_eq!(tiles.len(), ops.num_ops());
         check_partition(&ops, &tiles);
         for tile in &tiles {
@@ -320,11 +298,11 @@ mod tests {
     #[test]
     fn deep_tiles_absorb_single_use_chains() {
         let ops = small_ops();
-        let tiles = extract_tiles(&ops, 4);
+        let tiles = extract_tiles(&ops, 4, &[]);
         check_partition(&ops, &tiles);
         // The whole 5-op expression fits one tile of depth 3.
         assert!(tiles.len() < ops.num_ops());
-        let biggest = tiles.iter().map(Tile::num_ops).max().unwrap();
+        let biggest = tiles.iter().map(|t| t.ops.len()).max().unwrap();
         assert!(biggest >= 3);
         for tile in &tiles {
             assert!(tile.depth <= 4);
@@ -348,7 +326,7 @@ mod tests {
         // Root is not decomposable but flattening does not care; this is a
         // stress test for sharing.
         let ops = OpList::from_spn(&b.finish(root).unwrap());
-        let tiles = extract_tiles(&ops, 4);
+        let tiles = extract_tiles(&ops, 4, &[]);
         check_partition(&ops, &tiles);
         for tile in &tiles {
             check_tile_wiring(&ops, tile);
@@ -372,7 +350,7 @@ mod tests {
         let spn = random_spn(&RandomSpnConfig::with_vars(12), &mut rng);
         let ops = OpList::from_spn(&spn);
         for depth in [1, 2, 4] {
-            let tiles = extract_tiles(&ops, depth);
+            let tiles = extract_tiles(&ops, depth, &[]);
             check_partition(&ops, &tiles);
             for tile in &tiles {
                 assert!(tile.depth <= depth);
@@ -387,15 +365,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(18);
         let spn = random_spn(&RandomSpnConfig::with_vars(10), &mut rng);
         let ops = OpList::from_spn(&spn);
-        let tiles = extract_tiles(&ops, 4);
+        let tiles = extract_tiles(&ops, 4, &[]);
         use std::collections::HashMap;
         let root_of: HashMap<usize, usize> = tiles
             .iter()
             .flat_map(|t| t.ops.iter().map(move |p| (p.op, t.root)))
             .collect();
         for (i, tile) in tiles.iter().enumerate() {
-            for operand in tile.external_operands() {
-                if let OperandRef::Op(j) = operand {
+            for read in &tile.reads {
+                if let OperandRef::Op(j) = read.operand {
                     let producer_root = root_of[&(j as usize)];
                     let producer_idx = tiles.iter().position(|t| t.root == producer_root).unwrap();
                     assert!(producer_idx < i, "tile order violates dependencies");
@@ -408,6 +386,6 @@ mod tests {
     #[should_panic(expected = "at least one level")]
     fn zero_depth_panics() {
         let ops = small_ops();
-        let _ = extract_tiles(&ops, 0);
+        let _ = extract_tiles(&ops, 0, &[]);
     }
 }

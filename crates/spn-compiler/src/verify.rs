@@ -547,21 +547,12 @@ impl<'a> Machine<'a> {
 /// Translation-validates one emitted program against its source op list:
 /// symbolic re-execution under the processor's hazard, port and
 /// connectivity rules, then an end-state check that the output location
-/// holds the op list's output value.
+/// holds the op list's output value and every operand of `exports` is live
+/// at its recorded location (the partitioned-compilation contract; a whole
+/// program promises none).
 ///
 /// Returns every finding; an empty vector means the schedule is verified.
-pub fn verify_program(program: &Program, ops: &OpList) -> Vec<Diagnostic> {
-    verify_program_with_exports(program, ops, &[])
-}
-
-/// [`verify_program`] for programs that additionally promise `exports` to
-/// be live at their recorded locations at the end of the program (the
-/// partitioned-compilation contract).
-pub fn verify_program_with_exports(
-    program: &Program,
-    ops: &OpList,
-    exports: &[OperandRef],
-) -> Vec<Diagnostic> {
+pub fn verify_program(program: &Program, ops: &OpList, exports: &[OperandRef]) -> Vec<Diagnostic> {
     let index = OpIndex::build(ops);
     let mut machine = Machine::new(program, &index);
 
@@ -634,7 +625,7 @@ pub fn verify_program_with_exports(
 /// over this program would replay from — against an independently
 /// recomputed forward reachability sweep (`SPN303`).
 pub fn verify_artifact(artifact: &CompiledArtifact) -> Vec<Diagnostic> {
-    let mut diagnostics = verify_program(&artifact.program, &artifact.op_list);
+    let mut diagnostics = verify_program(&artifact.program, &artifact.op_list, &[]);
     diagnostics.extend(verify_cones(artifact));
     diagnostics
 }
@@ -766,7 +757,7 @@ pub fn verify_partitioned(artifact: &PartitionedArtifact) -> Vec<Diagnostic> {
         // Each stage must be a verified schedule for its op slice, with the
         // partition's exports live at the end.
         let exports: Vec<OperandRef> = part.exports.iter().map(|&i| OperandRef::Op(i)).collect();
-        for mut d in verify_program_with_exports(&stage.program, &part.ops, &exports) {
+        for mut d in verify_program(&stage.program, &part.ops, &exports) {
             d.message = format!("stage {stage_idx}: {}", d.message);
             if d.location == Location::Artifact {
                 d.location = Location::Stage(stage_idx as u32);

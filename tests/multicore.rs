@@ -293,7 +293,10 @@ fn per_core_cycles_partition_the_makespan_for_pipelined_runs() {
                 .compile_partitioned(ops.clone(), cores)
                 .expect("partition");
             let mut flat = Vec::new();
-            parted.fill_batch_inputs(&batch, &mut flat).expect("fill");
+            parted
+                .input_recipe()
+                .fill_batch(&batch, &mut flat)
+                .expect("fill");
             let processor =
                 MultiCoreProcessor::new(MultiCoreConfig::new(cores, ProcessorConfig::ptree()))
                     .expect("processor");
@@ -308,7 +311,10 @@ fn per_core_cycles_partition_the_makespan_for_pipelined_runs() {
             for queries in [0usize, 1, 4] {
                 let context = format!("seed {seed}, {queries} queries on {cores} cores, pipelined");
                 let mut run_on = |rows: &EvidenceBatch| {
-                    parted.fill_batch_inputs(rows, &mut flat).expect("fill");
+                    parted
+                        .input_recipe()
+                        .fill_batch(rows, &mut flat)
+                        .expect("fill");
                     processor
                         .run_partitioned(&parted.parts, &flat, queries, &mut states)
                         .expect("pipelined run")
@@ -419,7 +425,10 @@ fn corrupted_programs_are_rejected_before_query_zero() {
             Some(verdict(&compiled.program)),
             "{queries} queries, sharded"
         );
-        parted.fill_batch_inputs(&rows, &mut flat).expect("fill");
+        parted
+            .input_recipe()
+            .fill_batch(&rows, &mut flat)
+            .expect("fill");
         let pipelined = processor.run_partitioned(&parted.parts, &flat, queries, &mut Vec::new());
         assert_eq!(
             pipelined.err(),

@@ -61,7 +61,7 @@ fn assert_caught(diagnostics: &[Diagnostic], expected: &[&str], what: &str) {
 fn pristine_program_verifies_clean() {
     let art = artifact(10, 9);
     assert_eq!(
-        codes(&verify_program(&art.program, &art.op_list)),
+        codes(&verify_program(&art.program, &art.op_list, &[])),
         Vec::<&str>::new()
     );
 }
@@ -91,7 +91,7 @@ fn swapped_op_is_caught() {
         }
     }
     assert!(swapped, "program contains no arithmetic op to swap");
-    let diagnostics = verify_program(&program, &art.op_list);
+    let diagnostics = verify_program(&program, &art.op_list, &[]);
     assert_caught(&diagnostics, &DATA_CORRUPTION_CODES, "swapped op");
 }
 
@@ -109,7 +109,7 @@ fn dropped_write_is_caught() {
         }
     }
     assert!(dropped, "program contains no write to drop");
-    let diagnostics = verify_program(&program, &art.op_list);
+    let diagnostics = verify_program(&program, &art.op_list, &[]);
     assert_caught(&diagnostics, &DATA_CORRUPTION_CODES, "dropped write");
 }
 
@@ -129,7 +129,7 @@ fn clobbered_register_is_caught() {
         }
     }
     assert!(clobbered, "program contains no write to redirect");
-    let diagnostics = verify_program(&program, &art.op_list);
+    let diagnostics = verify_program(&program, &art.op_list, &[]);
     assert_caught(&diagnostics, &DATA_CORRUPTION_CODES, "clobbered register");
 }
 
@@ -147,7 +147,7 @@ fn out_of_range_load_is_caught() {
         }
     }
     assert!(skewed, "program contains no load to skew");
-    let diagnostics = verify_program(&program, &art.op_list);
+    let diagnostics = verify_program(&program, &art.op_list, &[]);
     assert_caught(&diagnostics, &["SPN206"], "out-of-range load");
 }
 
@@ -266,7 +266,7 @@ fn randomized_mutations_never_slip_through() {
     for _ in 0..40 {
         let mut program = art.program.clone();
         let label = mutate(&mut program, &mut rng);
-        let diagnostics = verify_program(&program, &art.op_list);
+        let diagnostics = verify_program(&program, &art.op_list, &[]);
         let execution = processor.run(&program, &inputs);
         let harmless = matches!(&execution, Ok(run) if run.output.to_bits() == baseline.to_bits());
         if !harmless {
