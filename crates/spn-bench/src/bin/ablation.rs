@@ -5,18 +5,56 @@
 //! file, and the conflict-aware compiler.  This binary sweeps the tree depth,
 //! the number of register banks and the register count to show where the
 //! benefit comes from.
+//!
+//! Every sweep point also answers a seeded nine-row batch (one block of
+//! eight queries the simulator replays side by side, plus a one-query tail),
+//! and its root values must match the CPU model's within 1e-9 — the check
+//! `run_all_platforms` makes for Fig. 4.  Any disagreement exits non-zero.
 
-use spn_bench::run_processor;
+use spn_bench::{check_agreement, run_cpu, run_processor};
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
+use spn_core::Evidence;
 use spn_learn::Benchmark;
 use spn_processor::ProcessorConfig;
+
+/// `rows` rows of evidence, each variable observed false, observed true or
+/// left unobserved, drawn from a fixed-seed splitmix64 stream.
+fn seeded_batch(num_vars: usize, rows: usize) -> EvidenceBatch {
+    let mut state: u64 = 0xab1a_7105;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut batch = EvidenceBatch::new(num_vars);
+    for _ in 0..rows {
+        let mut evidence = Evidence::marginal(num_vars);
+        for var in 0..num_vars {
+            match next() % 3 {
+                0 => evidence.observe(var, false),
+                1 => evidence.observe(var, true),
+                _ => {}
+            }
+        }
+        batch.push(&evidence).expect("arity");
+    }
+    batch
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let benchmark = Benchmark::KddCup2k;
     let spn = benchmark.spn();
     let ops = OpList::from_spn(&spn);
-    let batch = EvidenceBatch::marginals(spn.num_vars(), 1);
+    let batch = seeded_batch(spn.num_vars(), 9);
+    let cpu = run_cpu(benchmark.name(), &ops, &batch)?;
+    let ops_per_cycle = |config: &ProcessorConfig| {
+        let run = run_processor(benchmark.name(), &ops, &batch, config)?;
+        check_agreement(&cpu, &run)?;
+        Ok::<_, spn_platforms::BackendError>(run.result.ops_per_cycle)
+    };
     println!(
         "# Ablation sweeps on {} ({} ops)\n",
         benchmark.name(),
@@ -30,12 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         let mut config = ProcessorConfig::ptree();
         config.tree_levels = levels;
         config.name = format!("Ptree-L{levels}");
-        let result = run_processor(benchmark.name(), &ops, &batch, &config)?.result;
-        println!(
-            "| {levels} | {} | {:.2} |",
-            config.num_pes(),
-            result.ops_per_cycle
-        );
+        let opc = ops_per_cycle(&config)?;
+        println!("| {levels} | {} | {opc:.2} |", config.num_pes());
     }
 
     println!("\n## Register banks per tree (crossbar width)\n");
@@ -47,12 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         let mut config = ProcessorConfig::ptree();
         config.banks_per_tree = banks;
         config.name = format!("Ptree-B{banks}");
-        let result = run_processor(benchmark.name(), &ops, &batch, &config)?.result;
-        println!(
-            "| {banks} | {} | {:.2} |",
-            config.total_banks(),
-            result.ops_per_cycle
-        );
+        let opc = ops_per_cycle(&config)?;
+        println!("| {banks} | {} | {opc:.2} |", config.total_banks());
     }
 
     println!("\n## Registers per bank (spill pressure)\n");
@@ -62,8 +92,11 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         let mut config = ProcessorConfig::ptree();
         config.regs_per_bank = regs;
         config.name = format!("Ptree-R{regs}");
-        let result = run_processor(benchmark.name(), &ops, &batch, &config)?.result;
-        println!("| {regs} | {:.2} |", result.ops_per_cycle);
+        println!("| {regs} | {:.2} |", ops_per_cycle(&config)?);
     }
+    println!(
+        "\nEvery sweep point agrees with the CPU model on {} seeded rows (1e-9 relative).",
+        batch.len()
+    );
     Ok(())
 }

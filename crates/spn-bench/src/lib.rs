@@ -161,7 +161,7 @@ pub fn run_processor(
 
 /// Runs one batched workload on all four platforms of Fig. 4 (CPU, GPU,
 /// Pvect, Ptree) and cross-checks that every platform computes the same root
-/// value for every query.
+/// value for every query ([`check_agreement`] against the CPU model).
 ///
 /// # Errors
 ///
@@ -178,30 +178,41 @@ pub fn run_all_platforms(
         run_processor(workload, &ops, batch, &ProcessorConfig::pvect())?,
         run_processor(workload, &ops, batch, &ProcessorConfig::ptree())?,
     ];
-    let reference = &runs[0].values;
     for run in &runs[1..] {
-        if run.values.len() != reference.len() {
+        check_agreement(&runs[0], run)?;
+    }
+    Ok(runs.into_iter().map(|r| r.result).collect())
+}
+
+/// Checks that `run` computed the root values of `reference` (the same
+/// batch on another platform): one per query, each within 1e-9 relative.
+///
+/// # Errors
+///
+/// Returns an error naming the first query that disagrees.
+pub fn check_agreement(reference: &PlatformRun, run: &PlatformRun) -> Result<(), BackendError> {
+    let (workload, expected) = (&reference.result.workload, &reference.values);
+    if run.values.len() != expected.len() {
+        return Err(format!(
+            "platform {} returned {} values for a {}-query batch on {}",
+            run.result.platform,
+            run.values.len(),
+            expected.len(),
+            workload
+        )
+        .into());
+    }
+    for (q, (value, expected)) in run.values.iter().zip(expected).enumerate() {
+        let tolerance = 1e-9 * expected.abs().max(1e-30);
+        if (value - expected).abs() > tolerance {
             return Err(format!(
-                "platform {} returned {} values for a {}-query batch on {}",
-                run.result.platform,
-                run.values.len(),
-                reference.len(),
-                workload
+                "platform {} disagrees on {} query {}: {} vs {}",
+                run.result.platform, workload, q, value, expected
             )
             .into());
         }
-        for (q, (value, expected)) in run.values.iter().zip(reference).enumerate() {
-            let tolerance = 1e-9 * expected.abs().max(1e-30);
-            if (value - expected).abs() > tolerance {
-                return Err(format!(
-                    "platform {} disagrees on {} query {}: {} vs {}",
-                    run.result.platform, workload, q, value, expected
-                )
-                .into());
-            }
-        }
     }
-    Ok(runs.into_iter().map(|r| r.result).collect())
+    Ok(())
 }
 
 /// Formats results as a GitHub-flavoured markdown table with one row per

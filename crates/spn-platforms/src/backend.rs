@@ -127,8 +127,8 @@ impl<B: Backend + ?Sized> Default for WorkerState<B> {
 /// Owned by the caller (typically an [`crate::Engine`]) and handed to every
 /// [`Backend::execute_batch`] call; backends resize the vectors as needed and
 /// the allocations persist across batches.  Backend-specific reusable state
-/// (e.g. the processor simulator's register file and data memory) lives in
-/// the statically-typed [`Backend::Scratch`] instead.
+/// (e.g. the processor simulator's slot scratch) lives in the
+/// statically-typed [`Backend::Scratch`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct ExecBuffers {
     /// Input-vector arena: one input vector per query for platforms that
@@ -223,7 +223,7 @@ pub trait Backend: Send + Sync {
     type Compiled: Send + Sync;
 
     /// Platform-specific reusable execution state (e.g. the simulator's
-    /// register file and data memory); `()` for stateless backends.  Created
+    /// slot scratch); `()` for stateless backends.  Created
     /// via `Default` by the caller and threaded through every
     /// [`Backend::execute_batch`] call so its allocations survive across
     /// batches.

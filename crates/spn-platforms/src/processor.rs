@@ -30,7 +30,7 @@ pub struct ProcessorBackend {
 }
 
 /// Reusable simulator storage of a [`ProcessorBackend`]: one [`SimState`]
-/// per simulated core, grown on first use.
+/// (the replay's slot scratch) per simulated core, grown on first use.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessorScratch {
     states: Vec<SimState>,
@@ -112,9 +112,9 @@ impl Backend for ProcessorBackend {
         scratch: &mut ProcessorScratch,
     ) -> Result<BatchResult, BackendError> {
         compiled.fill_batch_inputs(batch, &mut buffers.inputs)?;
-        // Reuse the simulator storage (register file, data memory, image
-        // buffer) across batches; the runner transparently re-sizes it when
-        // this compiled program needs more than the cached states provide.
+        // Reuse the simulator storage (one slot scratch per core) across
+        // batches; the replay grows it when this compiled program needs more
+        // slots than the cached states hold.
         let run = self.processor.run_batch_sharded(
             &compiled.program,
             &buffers.inputs,

@@ -1,0 +1,775 @@
+//! The value half of the simulator: a checked program replayed as a
+//! dataflow list.
+//!
+//! The processor has no interlocks, so once [`crate::Processor::check`] has
+//! accepted a program, which value every register read sees is fixed by the
+//! instruction stream, whatever the inputs.  [`Dataflow::lower`] finds out
+//! once per batch by walking the instructions in the order the machine
+//! executes a cycle — the load, the crossbar reads and PE levels of each
+//! tree, the write-backs (of two writes in flight to one register the later
+//! commit stays), the copies, the store — while tracking which *slot* each
+//! register and memory word holds:
+//!
+//! * slot 0 holds `0.0`: `Nop` outputs, `None`/`Zero` reads, unwritten
+//!   registers and words;
+//! * slot 1 holds `1.0`;
+//! * input `i` has slot `2 + i`;
+//! * every arithmetic PE gets a fresh slot, and `PassA`/`PassB` alias their
+//!   operand's (forwarding is exact in every format).
+//!
+//! What is left is a list of steps `(op, a, b, dst)` — [`apply_pe`] on two
+//! slots into a third — plus the slots of the output and the exports.
+//! [`Dataflow::recycle`] then renames the slots so that the scratch holds
+//! the values live at once instead of one word per input and PE: an input
+//! is scattered just before the first step that reads it, and a slot whose
+//! value has been read for the last time takes the next value.
+//! [`Dataflow::run`] replays that list per query, `L` queries side by side,
+//! so a query costs the circuit's arithmetic rather than the machine's
+//! width.
+//!
+//! Traced and untraced runs replay the same list.  A traced run goes at
+//! `L = 1`, keeps each step's result as it is computed, and after the query
+//! emits the events the walk recorded from those values.
+
+use crate::config::ProcessorConfig;
+use crate::isa::{MemOp, PeOp, Program, ReadSel, TreeInstr, ValueLocation};
+use crate::precision::Precision;
+use crate::processor::SimState;
+use crate::trace::TraceHook;
+use crate::tree::apply_pe;
+
+/// Queries a batch replay runs side by side; shorter tails run one by one.
+const LANES: usize = 8;
+
+/// The slot holding `0.0`.
+const ZERO: u32 = 0;
+/// The slot holding `1.0`.
+const ONE: u32 = 1;
+/// The slot of input 0.
+const FIRST_INPUT: usize = 2;
+
+/// What a [`Step`] writes into its slot.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// The query's input `a`.
+    Input,
+    /// An arithmetic PE on the values of slots `a` and `b`.
+    Pe(PeOp),
+}
+
+/// One value of a query: `op` on `a` and `b` into slot `dst`.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    op: Op,
+    a: u32,
+    b: u32,
+    dst: u32,
+}
+
+/// An observation a traced run reports, with slots in place of values.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Pe {
+        cycle: u64,
+        tree: usize,
+        level: usize,
+        index: usize,
+        op: PeOp,
+        a: u32,
+        b: u32,
+        result: u32,
+        occupancy: u32,
+    },
+    Mem {
+        cycle: u64,
+        store: bool,
+        row: u32,
+        reg: u16,
+    },
+}
+
+/// A checked program as straight-line arithmetic over value slots.
+#[derive(Debug)]
+pub(crate) struct Dataflow {
+    steps: Vec<Step>,
+    inputs: usize,
+    output: u32,
+    exports: Vec<u32>,
+    /// Slots the replay writes: the walk's constants, inputs and step
+    /// results, then (after [`Dataflow::recycle`]) the constants and the
+    /// values live at once.
+    slots: usize,
+    /// One per non-`Nop` PE and per memory operation, in issue order, with
+    /// the slots of the walk (before [`Dataflow::recycle`]); empty unless
+    /// lowered for a trace.
+    events: Vec<Event>,
+    precision: Precision,
+}
+
+impl Dataflow {
+    /// The one symbolic walk over a program that passed
+    /// [`crate::Processor::check`] (the caller's duty: an unchecked program
+    /// may panic here).  `traced` also records the events a [`TraceHook`]
+    /// sees; the steps are the same either way.
+    pub(crate) fn lower(program: &Program, traced: bool) -> Dataflow {
+        let config = &program.config;
+        let banks = config.total_banks();
+        let regs_per_bank = config.regs_per_bank;
+        let inputs = program.input_layout.len();
+        let mut flow = Dataflow {
+            steps: Vec::with_capacity(program.num_source_ops),
+            inputs,
+            output: ZERO,
+            exports: Vec::new(),
+            slots: FIRST_INPUT + inputs,
+            events: Vec::new(),
+            precision: program.pe_precision,
+        };
+        // Per register: its slot and the commit cycle of the write that
+        // left it there.
+        let mut regs = vec![(ZERO, 0u64); config.total_registers()];
+        let mut memory = vec![ZERO; program.memory_rows_used * banks];
+        for (i, slot) in program.input_layout.iter().enumerate() {
+            memory[slot.row as usize * banks + slot.lane as usize] = (FIRST_INPUT + i) as u32;
+        }
+        let write = |regs: &mut [(u32, u64)], bank: usize, reg: u16, slot: u32, commit: u64| {
+            let held = &mut regs[bank * regs_per_bank + reg as usize];
+            if commit >= held.1 {
+                *held = (slot, commit);
+            }
+        };
+        let pes = config.num_pes() / config.num_trees;
+        let mut crossbar = vec![ZERO; config.tree_inputs_per_tree()];
+        let mut outputs = vec![ZERO; config.num_pes()];
+
+        for (cycle, instr) in program.instructions.iter().enumerate() {
+            let cycle = cycle as u64;
+            if let MemOp::Load { row, reg } = instr.mem {
+                if traced {
+                    flow.events.push(Event::Mem {
+                        cycle,
+                        store: false,
+                        row,
+                        reg,
+                    });
+                }
+                let words = &memory[row as usize * banks..][..banks];
+                for (bank, &slot) in words.iter().enumerate() {
+                    write(&mut regs, bank, reg, slot, cycle);
+                }
+            }
+
+            // All reads of the cycle come before its write-backs.  An idle
+            // tree writes nothing back, so its outputs are never looked at.
+            let occupancy = if traced {
+                let active = instr.trees.iter().flat_map(|t| &t.pe_ops);
+                active.filter(|&&op| op != PeOp::Nop).count() as u32
+            } else {
+                0
+            };
+            let trees = instr.trees.iter().zip(outputs.chunks_exact_mut(pes));
+            for (tree_idx, (tree, out)) in trees.enumerate() {
+                if tree.is_nop() {
+                    continue;
+                }
+                for (slot, sel) in crossbar.iter_mut().zip(&tree.reads) {
+                    *slot = match *sel {
+                        ReadSel::None | ReadSel::Zero => ZERO,
+                        ReadSel::One => ONE,
+                        ReadSel::Reg { bank, reg } => {
+                            regs[bank as usize * regs_per_bank + reg as usize].0
+                        }
+                    };
+                }
+                let at = (cycle, tree_idx, occupancy);
+                flow.tree(config, &tree.pe_ops, &crossbar, out, traced.then_some(at));
+            }
+
+            let trees = instr.trees.iter().zip(outputs.chunks_exact(pes));
+            for (tree, out) in trees {
+                for w in &tree.writes {
+                    let level = w.level as usize;
+                    let slot = out[TreeInstr::pe_flat_index(config, level, w.pe as usize)];
+                    let commit = cycle + config.commit_latency(level);
+                    write(&mut regs, w.bank as usize, w.reg, slot, commit);
+                }
+            }
+            for copy in &instr.copies {
+                let bank = copy.bank as usize;
+                let slot = regs[bank * regs_per_bank + copy.src as usize].0;
+                write(&mut regs, bank, copy.dst, slot, cycle);
+            }
+            if let MemOp::Store { row, reg } = instr.mem {
+                if traced {
+                    flow.events.push(Event::Mem {
+                        cycle,
+                        store: true,
+                        row,
+                        reg,
+                    });
+                }
+                let words = &mut memory[row as usize * banks..][..banks];
+                for (bank, word) in words.iter_mut().enumerate() {
+                    *word = regs[bank * regs_per_bank + reg as usize].0;
+                }
+            }
+        }
+
+        let slot_at = |loc: &ValueLocation| match *loc {
+            ValueLocation::Register { bank, reg } => {
+                regs[bank as usize * regs_per_bank + reg as usize].0
+            }
+            ValueLocation::Memory { row, lane } => memory[row as usize * banks + lane as usize],
+        };
+        flow.exports = program.exports.iter().map(&slot_at).collect();
+        flow.output = slot_at(&program.output);
+        flow.recycle();
+        flow
+    }
+
+    /// Lowers one tree: the slot of every PE output into `out`
+    /// (level-major, as [`TreeInstr::pe_ops`]), a step per
+    /// arithmetic PE.  A level-0 PE reads two crossbar inputs, a PE above
+    /// the outputs of the two PEs directly below it.  `trace` — the
+    /// cycle, the tree's index and the instruction's active PEs — records
+    /// an event per non-`Nop` PE.
+    fn tree(
+        &mut self,
+        config: &ProcessorConfig,
+        pe_ops: &[PeOp],
+        crossbar: &[u32],
+        out: &mut [u32],
+        trace: Option<(u64, usize, u32)>,
+    ) {
+        let (mut start, mut below) = (0, 0);
+        for level in 0..config.tree_levels {
+            let width = config.pes_at_level(level);
+            for index in 0..width {
+                let (a, b) = if level == 0 {
+                    (crossbar[2 * index], crossbar[2 * index + 1])
+                } else {
+                    (out[below + 2 * index], out[below + 2 * index + 1])
+                };
+                let op = pe_ops[start + index];
+                let result = match op {
+                    PeOp::Nop => ZERO,
+                    PeOp::PassA => a,
+                    PeOp::PassB => b,
+                    _ => {
+                        let dst = self.slots as u32;
+                        self.slots += 1;
+                        self.steps.push(Step {
+                            op: Op::Pe(op),
+                            a,
+                            b,
+                            dst,
+                        });
+                        dst
+                    }
+                };
+                out[start + index] = result;
+                if let Some((cycle, tree, occupancy)) = trace {
+                    if op != PeOp::Nop {
+                        self.events.push(Event::Pe {
+                            cycle,
+                            tree,
+                            level,
+                            index,
+                            op,
+                            a,
+                            b,
+                            result,
+                            occupancy,
+                        });
+                    }
+                }
+            }
+            below = start;
+            start += width;
+        }
+    }
+
+    /// Renames the walk's slots so that the scratch holds only the values
+    /// live at once: each input is scattered just before the first step
+    /// that reads it (not at all when nothing does), and a slot whose value
+    /// has been read for the last time takes the next value.  The
+    /// constants keep their slots; the output and the exports are read
+    /// after the last step.  The arithmetic steps keep their order, so the
+    /// `k`-th computes the walk's slot `2 + inputs + k`: that is how a
+    /// traced run finds the values of its events.
+    fn recycle(&mut self) {
+        const UNSET: u32 = u32::MAX;
+        /// Per slot of the walk, its slot in the replay once it has one;
+        /// the slots free for the next value; the slots handed out.
+        struct Renamed {
+            to: Vec<u32>,
+            free: Vec<u32>,
+            slots: u32,
+        }
+        impl Renamed {
+            fn take(&mut self) -> u32 {
+                self.free.pop().unwrap_or_else(|| {
+                    self.slots += 1;
+                    self.slots - 1
+                })
+            }
+
+            /// The replay's slot of `slot`; an input is scattered into one
+            /// at its first read.
+            fn read(&mut self, slot: u32, steps: &mut Vec<Step>) -> u32 {
+                let walk = slot as usize;
+                if self.to[walk] == UNSET {
+                    self.to[walk] = self.take();
+                    steps.push(Step {
+                        op: Op::Input,
+                        a: slot - FIRST_INPUT as u32,
+                        b: 0,
+                        dst: self.to[walk],
+                    });
+                }
+                self.to[walk]
+            }
+        }
+        // Per slot of the walk: one past the step that reads it last (0:
+        // never read; `UNSET`: read after the last step).
+        let mut last = vec![0u32; self.slots];
+        for (k, step) in (1..).zip(&self.steps) {
+            last[step.a as usize] = k;
+            last[step.b as usize] = k;
+        }
+        for &slot in std::iter::once(&self.output).chain(&self.exports) {
+            last[slot as usize] = UNSET;
+        }
+        let mut renamed = Renamed {
+            to: vec![UNSET; self.slots],
+            free: Vec::new(),
+            slots: FIRST_INPUT as u32,
+        };
+        renamed.to[ZERO as usize] = ZERO;
+        renamed.to[ONE as usize] = ONE;
+        let walk = std::mem::take(&mut self.steps);
+        let mut steps = Vec::with_capacity(walk.len() + self.inputs);
+        for (k, step) in (1..).zip(&walk) {
+            let a = renamed.read(step.a, &mut steps);
+            let b = renamed.read(step.b, &mut steps);
+            for (read, slot) in [(step.a as usize, a), (step.b as usize, b)] {
+                if read >= FIRST_INPUT && last[read] == k {
+                    // Once per slot, however many of the two reads it is.
+                    last[read] = 0;
+                    renamed.free.push(slot);
+                }
+            }
+            let dst = renamed.take();
+            renamed.to[step.dst as usize] = dst;
+            if last[step.dst as usize] == 0 {
+                renamed.free.push(dst);
+            }
+            steps.push(Step { a, b, dst, ..*step });
+        }
+        self.output = renamed.read(self.output, &mut steps);
+        for slot in &mut self.exports {
+            *slot = renamed.read(*slot, &mut steps);
+        }
+        self.steps = steps;
+        self.slots = renamed.slots as usize;
+    }
+
+    /// Replays the queries of `inputs` (query-major, one input vector
+    /// each): their root values into `outputs` (one per query) and their
+    /// exports into `exports` (query-major, one row of exports each).
+    /// Full blocks of [`LANES`] queries run side by side, the tail one by
+    /// one; a traced run goes one by one throughout, calling `start` before
+    /// each query and reporting its events to `hook` after it.
+    pub(crate) fn run<H: TraceHook>(
+        &self,
+        inputs: &[f64],
+        outputs: &mut [f64],
+        exports: &mut [f64],
+        state: &mut SimState,
+        hook: &mut H,
+        mut start: impl FnMut(&mut H, usize),
+    ) {
+        let (n, e) = (self.inputs, self.exports.len());
+        let queries = outputs.len();
+        // A traced query's values in the walk's slots: the constants, the
+        // inputs, then one per arithmetic step.
+        let mut values = Vec::new();
+        let mut q = 0;
+        if !H::ENABLED {
+            while q + LANES <= queries {
+                let inputs = &inputs[q * n..(q + LANES) * n];
+                let slots = self.replay::<LANES, H>(inputs, state, &mut values);
+                self.results(
+                    slots,
+                    &mut outputs[q..q + LANES],
+                    &mut exports[q * e..(q + LANES) * e],
+                );
+                q += LANES;
+            }
+        }
+        for q in q..queries {
+            start(hook, q);
+            let inputs = &inputs[q * n..(q + 1) * n];
+            if H::ENABLED {
+                values.clear();
+                values.extend([0.0, 1.0]);
+                values.extend_from_slice(inputs);
+            }
+            let slots = self.replay::<1, H>(inputs, state, &mut values);
+            self.results(slots, &mut outputs[q..=q], &mut exports[q * e..(q + 1) * e]);
+            if H::ENABLED {
+                self.emit(&values, hook);
+            }
+        }
+    }
+
+    /// The replay proper: one pass over the steps for `L` queries, whose
+    /// input vectors `inputs` holds back to back; a traced pass appends
+    /// each arithmetic step's result to `values`.
+    fn replay<'s, const L: usize, H: TraceHook>(
+        &self,
+        inputs: &[f64],
+        state: &'s mut SimState,
+        values: &mut Vec<f64>,
+    ) -> &'s [[f64; L]] {
+        let need = self.slots * L;
+        if state.slots.len() < need {
+            state.slots.resize(need, 0.0);
+        }
+        let (slots, _) = state.slots[..need].as_chunks_mut::<L>();
+        slots[ZERO as usize] = [0.0; L];
+        slots[ONE as usize] = [1.0; L];
+        if self.precision == Precision::F64 {
+            self.pass::<L, false, H>(inputs, slots, values);
+        } else {
+            self.pass::<L, true, H>(inputs, slots, values);
+        }
+        slots
+    }
+
+    /// One pass over the steps.  Each arm hands [`apply_pe`] a constant
+    /// opcode, and a full-precision program (`ROUND = false`) a constant
+    /// format, so every arm compiles to a fixed-trip lane loop with no
+    /// branch inside (a per-lane `match` on either runs several times
+    /// slower).
+    fn pass<const L: usize, const ROUND: bool, H: TraceHook>(
+        &self,
+        inputs: &[f64],
+        slots: &mut [[f64; L]],
+        values: &mut Vec<f64>,
+    ) {
+        let precision = if ROUND {
+            self.precision
+        } else {
+            Precision::F64
+        };
+        #[inline(always)]
+        fn lanes<const L: usize>(
+            op: PeOp,
+            slots: &mut [[f64; L]],
+            step: &Step,
+            precision: Precision,
+        ) {
+            let (a, b) = (slots[step.a as usize], slots[step.b as usize]);
+            for ((d, &x), &y) in slots[step.dst as usize].iter_mut().zip(&a).zip(&b) {
+                *d = apply_pe(op, x, y, precision);
+            }
+        }
+        let n = self.inputs;
+        for step in &self.steps {
+            match step.op {
+                Op::Input => {
+                    let input = step.a as usize;
+                    for (lane, value) in slots[step.dst as usize].iter_mut().enumerate() {
+                        *value = inputs[lane * n + input];
+                    }
+                    continue;
+                }
+                Op::Pe(PeOp::Add) => lanes(PeOp::Add, slots, step, precision),
+                Op::Pe(PeOp::Mul) => lanes(PeOp::Mul, slots, step, precision),
+                Op::Pe(PeOp::Max) => lanes(PeOp::Max, slots, step, precision),
+                Op::Pe(PeOp::Lse) => lanes(PeOp::Lse, slots, step, precision),
+                Op::Pe(op) => lanes(op, slots, step, precision),
+            }
+            if H::ENABLED {
+                values.push(slots[step.dst as usize][0]);
+            }
+        }
+    }
+
+    /// The root values and exports of the `L` queries just replayed.
+    fn results<const L: usize>(
+        &self,
+        slots: &[[f64; L]],
+        outputs: &mut [f64],
+        exports: &mut [f64],
+    ) {
+        outputs.copy_from_slice(&slots[self.output as usize]);
+        if self.exports.is_empty() {
+            return;
+        }
+        for (lane, row) in exports.chunks_exact_mut(self.exports.len()).enumerate() {
+            for (value, &slot) in row.iter_mut().zip(&self.exports) {
+                *value = slots[slot as usize][lane];
+            }
+        }
+    }
+
+    /// Reports one replayed query's events to `hook`, given its `values`
+    /// in the walk's slots.
+    fn emit<H: TraceHook>(&self, values: &[f64], hook: &mut H) {
+        let value = |slot: u32| values[slot as usize];
+        for event in &self.events {
+            match *event {
+                Event::Pe {
+                    cycle,
+                    tree,
+                    level,
+                    index,
+                    op,
+                    a,
+                    b,
+                    result,
+                    occupancy,
+                } => hook.on_pe(
+                    cycle,
+                    tree,
+                    level,
+                    index,
+                    op,
+                    value(a),
+                    value(b),
+                    value(result),
+                    occupancy,
+                ),
+                Event::Mem {
+                    cycle,
+                    store,
+                    row,
+                    reg,
+                } => hook.on_mem(cycle, store, row, reg),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ProcessorConfig;
+    use crate::isa::{InputSlot, Instruction, WriteCmd};
+    use crate::trace::{TraceEvent, TraceRecorder};
+    use crate::Processor;
+
+    /// `body` after a load of row 0 into register 0 of every bank, with
+    /// `inputs` in the first lanes of row 0.
+    fn after_load(
+        config: &ProcessorConfig,
+        inputs: usize,
+        body: Vec<Instruction>,
+        output: ValueLocation,
+    ) -> Program {
+        let mut load = Instruction::nop(config);
+        load.mem = MemOp::Load { row: 0, reg: 0 };
+        Program {
+            config: config.clone(),
+            instructions: std::iter::once(load).chain(body).collect(),
+            input_layout: (0..inputs as u16)
+                .map(|lane| InputSlot { row: 0, lane })
+                .collect(),
+            memory_rows_used: 2,
+            output,
+            exports: Vec::new(),
+            num_source_ops: 0,
+            pe_precision: Precision::F64,
+        }
+    }
+
+    /// A traced PE: its `(level, index)` and its `(a, b, result)`.
+    type TracedPe = ((usize, usize), (f64, f64, f64));
+
+    /// The traced result and operands of every active PE of tree 0 when
+    /// `pe_ops` runs on crossbar inputs `inputs` (input `k` reads bank `k`).
+    fn tree_run(
+        config: &ProcessorConfig,
+        pe_ops: &[(usize, usize, PeOp)],
+        inputs: &[f64],
+    ) -> Vec<TracedPe> {
+        let mut compute = Instruction::nop(config);
+        let tree = &mut compute.trees[0];
+        for (k, sel) in tree.reads.iter_mut().enumerate().take(inputs.len()) {
+            *sel = ReadSel::Reg {
+                bank: k as u16,
+                reg: 0,
+            };
+        }
+        for &(level, index, op) in pe_ops {
+            tree.pe_ops[TreeInstr::pe_flat_index(config, level, index)] = op;
+        }
+        let r0 = ValueLocation::Register { bank: 0, reg: 0 };
+        let program = after_load(config, inputs.len(), vec![compute], r0);
+        let processor = Processor::new(config.clone()).unwrap();
+        let mut recorder = TraceRecorder::new(0);
+        let mut state = processor.state_for(&program);
+        processor
+            .run_with_hook(&program, inputs, &mut state, &mut recorder)
+            .unwrap();
+        recorder
+            .events()
+            .iter()
+            .filter_map(|event| match *event {
+                TraceEvent::Pe {
+                    level,
+                    index,
+                    a,
+                    b,
+                    result,
+                    ..
+                } => Some(((level, index), (a, b, result))),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn full_tree_reduction() {
+        // Sum of 16 inputs through a 4-level adder tree.
+        let cfg = ProcessorConfig::ptree();
+        let all: Vec<(usize, usize, PeOp)> = (0..cfg.tree_levels)
+            .flat_map(|l| (0..cfg.pes_at_level(l)).map(move |i| (l, i, PeOp::Add)))
+            .collect();
+        let inputs: Vec<f64> = (1..=16).map(f64::from).collect();
+        let run = tree_run(&cfg, &all, &inputs);
+        assert_eq!(run.len(), 15);
+        let at = |pe| run.iter().find(|(at, _)| *at == pe).unwrap().1;
+        assert_eq!(at((3, 0)).2, 136.0);
+        assert_eq!(at((0, 0)).2, 3.0);
+        assert_eq!(at((1, 0)).2, 10.0);
+        // The root adds the two level-2 sums; leaf 7 adds the last input pair.
+        assert_eq!(at((3, 0)), (36.0, 100.0, 136.0));
+        assert_eq!(at((0, 7)), (15.0, 16.0, 31.0));
+    }
+
+    #[test]
+    fn mixed_tree_with_pass_through() {
+        // (a * b) forwarded up through passes: root = a * b.
+        let cfg = ProcessorConfig::ptree();
+        let mut ops = vec![(0, 0, PeOp::Mul)];
+        ops.extend((1..4).map(|level| (level, 0, PeOp::PassA)));
+        let mut inputs = vec![0.0; 16];
+        inputs[0] = 3.0;
+        inputs[1] = 4.0;
+        let run = tree_run(&cfg, &ops, &inputs);
+        assert_eq!(run.len(), 4);
+        assert_eq!(run[3], ((3, 0), (12.0, 0.0, 12.0)));
+    }
+
+    #[test]
+    fn pvect_tree_is_single_level() {
+        let cfg = ProcessorConfig::pvect();
+        let mut inputs = vec![0.0; 16];
+        inputs[0] = 2.0;
+        inputs[1] = 5.0;
+        inputs[14] = 1.0;
+        inputs[15] = 7.0;
+        let run = tree_run(&cfg, &[(0, 0, PeOp::Mul), (0, 7, PeOp::Add)], &inputs);
+        // Idle PEs compute nothing and report nothing.
+        assert_eq!(
+            run,
+            vec![((0, 0), (2.0, 5.0, 10.0)), ((0, 7), (1.0, 7.0, 8.0))]
+        );
+        // Idle PEs drive zero, whatever their inputs: a write-back from idle
+        // leaf 3 (it reads the loaded value and 1.0, and reaches banks 6
+        // and 7) clears the loaded value it lands on.
+        let mut idle = Instruction::nop(&cfg);
+        idle.trees[0].reads[6] = ReadSel::Reg { bank: 6, reg: 0 };
+        idle.trees[0].reads[7] = ReadSel::One;
+        idle.trees[0].writes.push(WriteCmd {
+            level: 0,
+            pe: 3,
+            bank: 6,
+            reg: 0,
+        });
+        let held = ValueLocation::Register { bank: 6, reg: 0 };
+        let processor = Processor::new(cfg.clone()).unwrap();
+        let inputs = vec![3.0; 16];
+        let loaded = after_load(&cfg, 16, Vec::new(), held);
+        assert_eq!(processor.run(&loaded, &inputs).unwrap().output, 3.0);
+        let cleared = after_load(&cfg, 16, vec![idle], held);
+        let run = processor.run(&cleared, &inputs).unwrap();
+        assert_eq!(run.output.to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn store_and_reload_row() {
+        // Row 0 → register 0 → row 1 → register 3: every lane round-trips.
+        let cfg = ProcessorConfig::ptree();
+        let mut store = Instruction::nop(&cfg);
+        store.mem = MemOp::Store { row: 1, reg: 0 };
+        let mut reload = Instruction::nop(&cfg);
+        reload.mem = MemOp::Load { row: 1, reg: 3 };
+        let processor = Processor::new(cfg.clone()).unwrap();
+        let inputs: Vec<f64> = (0..32).map(|i| f64::from(i) * 2.0).collect();
+        for bank in [0u16, 17, 31] {
+            let out = ValueLocation::Register { bank, reg: 3 };
+            let program = after_load(&cfg, 32, vec![store.clone(), reload.clone()], out);
+            let run = processor.run(&program, &inputs).unwrap();
+            assert_eq!(run.output, inputs[bank as usize]);
+            assert_eq!((run.perf.memory_loads, run.perf.memory_stores), (2, 1));
+        }
+    }
+
+    #[test]
+    fn recycling_bounds_the_scratch_by_the_live_values() {
+        // Ten products of lane 0 and lanes 1..=10 overwrite one register:
+        // only the last is ever read.
+        let cfg = ProcessorConfig::ptree();
+        let products: Vec<Instruction> = (1..=10)
+            .map(|lane| {
+                let mut product = Instruction::nop(&cfg);
+                product.trees[0].reads[0] = ReadSel::Reg { bank: 0, reg: 0 };
+                product.trees[0].reads[1] = ReadSel::Reg { bank: lane, reg: 0 };
+                product.trees[0].pe_ops[0] = PeOp::Mul;
+                product.trees[0].writes.push(WriteCmd {
+                    level: 0,
+                    pe: 0,
+                    bank: 0,
+                    reg: 1,
+                });
+                product
+            })
+            .collect();
+        let out = ValueLocation::Register { bank: 0, reg: 1 };
+        let program = after_load(&cfg, 32, products, out);
+        let traced = Dataflow::lower(&program, true);
+        let untraced = Dataflow::lower(&program, false);
+        // Beside the constants: lane 0, and one slot that the other lanes
+        // and the products take in turn.  The 21 unread lanes get none.
+        assert_eq!(untraced.slots, FIRST_INPUT + 2);
+        // A trace adds events, not steps.
+        let steps = |flow: &Dataflow| format!("{:?}", flow.steps);
+        assert_eq!(steps(&traced), steps(&untraced));
+        assert_eq!(traced.slots, untraced.slots);
+        assert_eq!(traced.events.len(), 1 + 10);
+        assert!(untraced.events.is_empty());
+        // Every product reports its own value, though all share one slot.
+        let processor = Processor::new(cfg).unwrap();
+        let inputs: Vec<f64> = (0..32).map(|i| f64::from(i) + 0.5).collect();
+        let mut recorder = TraceRecorder::new(0);
+        let mut state = processor.state_for(&program);
+        let run = processor
+            .run_with_hook(&program, &inputs, &mut state, &mut recorder)
+            .unwrap();
+        assert_eq!(run.output, 0.5 * 10.5);
+        let results: Vec<f64> = recorder
+            .events()
+            .iter()
+            .filter_map(|event| match *event {
+                TraceEvent::Pe { result, .. } => Some(result),
+                _ => None,
+            })
+            .collect();
+        let want: Vec<f64> = (1..=10).map(|lane| 0.5 * inputs[lane]).collect();
+        assert_eq!(results, want);
+    }
+}

@@ -270,8 +270,8 @@ impl Program {
     /// The performance counters of one inference pass: the one place they
     /// are counted.  The processor is statically scheduled — no latency, bank
     /// or port depends on data — so they are fixed when the program is
-    /// emitted, as its legality is ([`crate::Processor::check`]); the
-    /// interpreter only computes values.
+    /// emitted, as its legality is ([`crate::Processor::check`]); the value
+    /// replay only computes values.
     ///
     /// A pass takes one cycle per instruction plus the pipeline drain: a PE
     /// write issued in cycle `t` at level `l` commits in cycle

@@ -26,10 +26,12 @@
 //! vectors through one simulator instance per core (reusable [`SimState`]s,
 //! no per-query allocation); one core is the single-processor case.  The
 //! schedule is static and the hardware has no interlocks, so the simulator
-//! answers three questions from one function each: what a pass costs is
-//! [`Program::perf`] and whether a program is legal is [`Processor::check`],
-//! both pure functions of the instruction stream taken once per batch; the
-//! interpreter then computes values, counting nothing and testing no rule.
+//! answers three questions from one function each, all taken once per
+//! batch: what a pass costs is [`Program::perf`], whether a program is
+//! legal is [`Processor::check`], and what it computes is one symbolic walk
+//! that lowers the checked program to a dataflow list of PE operations over
+//! value slots, which each query then replays — eight queries side by
+//! side — counting nothing and testing no rule.
 //!
 //! The two configurations evaluated in the paper are available as presets:
 //! [`ProcessorConfig::ptree`] (2 trees × 4 levels = 30 PEs) and
@@ -38,17 +40,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod dataflow;
 mod error;
 
 pub mod config;
-pub mod datamem;
 pub mod interconnect;
 pub mod isa;
 pub mod multicore;
 pub mod perf;
 pub mod precision;
 pub mod processor;
-pub mod regfile;
 pub mod trace;
 pub mod tree;
 

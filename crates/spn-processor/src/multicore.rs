@@ -28,14 +28,16 @@
 //! interconnect stalls or idle time — an exact partition that
 //! [`MultiCorePerf::check_accounting`] verifies.  It is a pure function of
 //! the programs ([`Program::perf`]), the machine and the query count, and every
-//! program is checked once per batch ([`Processor::check`]), before query 0;
-//! queries are simulated for values only.  Both modes exist in
+//! program is checked ([`Processor::check`]) and lowered to a dataflow list
+//! once per batch, before query 0; queries replay that list for values
+//! only, eight side by side.  Both modes exist in
 //! `_traced` variants that record per-cycle golden traces on the global
 //! timeline (stage starts and steady-state offsets included), so a change
 //! to any latency model moves trace rows and is caught at the first
 //! divergent cycle by `crate::trace::diff_traces`.
 
 use crate::config::MultiCoreConfig;
+use crate::dataflow::Dataflow;
 use crate::error::ProcessorError;
 use crate::isa::Program;
 use crate::perf::{CorePerf, MultiCorePerf, PerfReport};
@@ -190,7 +192,8 @@ impl MultiCoreProcessor {
         &self.core
     }
 
-    /// One reusable [`SimState`] per core, sized for `program`.
+    /// One reusable [`SimState`] per core for runs of `program` (see
+    /// [`Processor::state_for`]).
     pub fn states_for(&self, program: &Program) -> Vec<SimState> {
         (0..self.config.cores)
             .map(|_| self.core.state_for(program))
@@ -294,27 +297,30 @@ impl MultiCoreProcessor {
             *states = self.states_for(program);
         }
         let ranges = Self::shard_ranges(self.config.cores, queries);
-        // Legality and cost are properties of the program: both are taken
-        // once per batch, before query 0; the queries run for values alone.
+        // Legality, cost and dataflow are properties of the program: all
+        // three are taken once per batch, before query 0; the queries are
+        // replayed for values alone.
         self.core.check(program)?;
         let pass = program.perf();
-        let mut outputs = Vec::with_capacity(queries);
+        let flow = Dataflow::lower(program, H::ENABLED);
+        let mut outputs = vec![0.0; queries];
+        let exported = program.exports.len();
+        let mut exports = vec![0.0; queries * exported];
         for (c, range) in ranges.iter().enumerate() {
-            let hook = &mut hooks[c];
             // Traced queries sit on the core's cumulative timeline: compute
             // plus the modeled wave-arbitration stalls of the earlier ones.
             let busy = pass.cycles + self.memory_stall(c, &pass);
-            for q in range.clone() {
-                if H::ENABLED {
-                    hook.on_query(q as u64);
-                    hook.rebase((q - range.start) as u64 * busy);
-                }
-                let inputs = &flat_inputs[q * per_query..(q + 1) * per_query];
-                let (output, _) = self
-                    .core
-                    .run_values(program, inputs, &mut states[c], hook)?;
-                outputs.push(output);
-            }
+            flow.run(
+                &flat_inputs[range.start * per_query..range.end * per_query],
+                &mut outputs[range.clone()],
+                &mut exports[range.start * exported..range.end * exported],
+                &mut states[c],
+                &mut hooks[c],
+                |hook, q| {
+                    hook.on_query((range.start + q) as u64);
+                    hook.rebase(q as u64 * busy);
+                },
+            );
         }
         let cores = self.sharded_perf(&pass, queries);
         let perf = cores.merged(&self.config.name(), queries as u64);
@@ -401,34 +407,39 @@ impl MultiCoreProcessor {
         }
         let (cores, starts, ii) = self.pipelined_perf(parts, queries);
 
-        let mut outputs = Vec::with_capacity(queries);
-        let mut exports: Vec<Vec<f64>> = vec![Vec::new(); num_stages];
+        // Queries are independent, so the stages run one after the other
+        // over the whole batch; each leaves its exports (query-major) for
+        // the later stages, and the last one's outputs are the batch's.
+        let mut outputs = vec![0.0; queries];
+        let mut exports: Vec<Vec<f64>> = Vec::with_capacity(num_stages);
         let mut local_inputs: Vec<f64> = Vec::new();
-        for q in 0..queries {
-            let global = &flat_inputs[q * parts.num_inputs..(q + 1) * parts.num_inputs];
-            for (j, stage) in stages.iter().enumerate() {
-                local_inputs.clear();
+        for (j, stage) in stages.iter().enumerate() {
+            local_inputs.clear();
+            for q in 0..queries {
+                let global = &flat_inputs[q * parts.num_inputs..(q + 1) * parts.num_inputs];
                 for src in &stage.inputs {
                     local_inputs.push(match *src {
                         TransferSource::Input(i) => global[i as usize],
                         TransferSource::Core { core, export } => {
-                            exports[core as usize][export as usize]
+                            let k = core as usize;
+                            exports[k][q * stages[k].program.exports.len() + export as usize]
                         }
                     });
                 }
-                let hook = &mut hooks[j];
-                if H::ENABLED {
+            }
+            let mut stage_exports = vec![0.0; queries * stage.program.exports.len()];
+            Dataflow::lower(&stage.program, H::ENABLED).run(
+                &local_inputs,
+                &mut outputs,
+                &mut stage_exports,
+                &mut states[j],
+                &mut hooks[j],
+                |hook, q| {
                     hook.on_query(q as u64);
                     hook.rebase(starts[j] + q as u64 * ii);
-                }
-                let (output, stage_exports) =
-                    self.core
-                        .run_values(&stage.program, &local_inputs, &mut states[j], hook)?;
-                exports[j] = stage_exports;
-                if j == num_stages - 1 {
-                    outputs.push(output);
-                }
-            }
+                },
+            );
+            exports.push(stage_exports);
         }
         let perf = cores.merged(&self.config.name(), queries as u64);
         Ok(MultiCoreBatch {
@@ -674,6 +685,121 @@ mod tests {
                 mc.run_batch_sharded(&program, &flat[..10], 5, &mut states),
                 Err(ProcessorError::InputMismatch { .. })
             ));
+        }
+    }
+
+    /// Loads row 0, computes `(a + b) × (c + d)` on tree 0 while tree 1
+    /// forwards lane 16 up four levels, stores and reloads the product row,
+    /// then multiplies the reloaded product by the forwarded lane.
+    fn load_store_program() -> Program {
+        let config = cfg();
+        let mut program = sum_of_products_program();
+        let forward = &mut program.instructions[1].trees[1];
+        forward.reads[0] = ReadSel::Reg { bank: 16, reg: 0 };
+        for level in 0..config.tree_levels {
+            forward.pe_ops[TreeInstr::pe_flat_index(&config, level, 0)] = PeOp::PassA;
+        }
+        forward.writes.push(WriteCmd {
+            level: 3,
+            pe: 0,
+            bank: 16,
+            reg: 2,
+        });
+        let nop = Instruction::nop(&config);
+        let mut store = nop.clone();
+        store.mem = MemOp::Store { row: 1, reg: 1 };
+        let mut reload = nop.clone();
+        reload.mem = MemOp::Load { row: 1, reg: 3 };
+        let mut product = nop.clone();
+        product.trees[0].reads[0] = ReadSel::Reg { bank: 0, reg: 3 };
+        product.trees[0].reads[1] = ReadSel::Reg { bank: 16, reg: 2 };
+        product.trees[0].pe_ops[0] = PeOp::Mul;
+        product.trees[0].writes.push(WriteCmd {
+            level: 0,
+            pe: 0,
+            bank: 0,
+            reg: 4,
+        });
+        program
+            .instructions
+            .extend([nop.clone(), nop, store, reload, product]);
+        program.input_layout = (0..32).map(|lane| InputSlot { row: 0, lane }).collect();
+        program.memory_rows_used = 2;
+        program.output = ValueLocation::Register { bank: 0, reg: 4 };
+        program
+    }
+
+    /// Counts the hook calls of each query.
+    #[derive(Clone, Default)]
+    struct Counter {
+        pe: Vec<usize>,
+        mem: Vec<usize>,
+    }
+
+    impl TraceHook for Counter {
+        const ENABLED: bool = true;
+
+        fn on_pe(
+            &mut self,
+            _cycle: u64,
+            _tree: usize,
+            _level: usize,
+            _index: usize,
+            _op: PeOp,
+            _a: f64,
+            _b: f64,
+            _result: f64,
+            _occupancy: u32,
+        ) {
+            *self.pe.last_mut().expect("a query started") += 1;
+        }
+
+        fn on_mem(&mut self, _cycle: u64, _store: bool, _row: u32, _reg: u16) {
+            *self.mem.last_mut().expect("a query started") += 1;
+        }
+
+        fn on_query(&mut self, _index: u64) {
+            self.pe.push(0);
+            self.mem.push(0);
+        }
+    }
+
+    #[test]
+    fn traces_come_from_the_replay() {
+        let program = load_store_program();
+        let active: usize = program
+            .instructions
+            .iter()
+            .flat_map(|i| &i.trees)
+            .map(|t| t.pe_ops.iter().filter(|&&op| op != PeOp::Nop).count())
+            .sum();
+        let perf = program.perf();
+        let traffic = (perf.memory_loads + perf.memory_stores) as usize;
+        assert_eq!((active, traffic), (3 + 4 + 1, 3));
+        // Eleven queries: one lane block plus a tail untraced, one by one
+        // traced.
+        let flat: Vec<f64> = (0..11 * 32).map(|i| f64::from(i % 97) * 0.25).collect();
+        for cores in [1usize, 3] {
+            let mc = MultiCoreProcessor::new(MultiCoreConfig::new(cores, cfg())).unwrap();
+            let plain = mc
+                .run_batch_sharded(&program, &flat, 11, &mut Vec::new())
+                .unwrap();
+            let mut counters = vec![Counter::default(); cores];
+            let traced = mc
+                .run_batch_sharded_with_hooks(&program, &flat, 11, &mut Vec::new(), &mut counters)
+                .unwrap();
+            assert_eq!(traced, plain, "{cores} cores");
+            for (q, inputs) in flat.chunks(32).enumerate() {
+                let (a, b, c, d) = (inputs[0], inputs[1], inputs[2], inputs[3]);
+                let want = (a + b) * (c + d) * inputs[16];
+                assert_eq!(plain.outputs[q].to_bits(), want.to_bits(), "query {q}");
+            }
+            let queries: usize = counters.iter().map(|c| c.pe.len()).sum();
+            assert_eq!(queries, 11);
+            for counter in &counters {
+                assert!(counter.pe.iter().all(|&n| n == active));
+                assert!(counter.mem.iter().all(|&n| n == traffic));
+            }
         }
     }
 

@@ -16,17 +16,16 @@
 //!
 //! Violations are reported as [`ProcessorError`]s rather than silently
 //! producing wrong values, which turns the simulator into a verification
-//! oracle for `spn-compiler`.  [`Processor::run`] checks the program, then
-//! streams the inputs through it for their values alone.
+//! oracle for `spn-compiler`.  [`Processor::run`] checks the program, lowers
+//! it once to a dataflow list (`crate::dataflow`) and replays that for the
+//! inputs' values alone.
 
 use crate::config::{PePosition, ProcessorConfig};
-use crate::datamem::DataMemory;
+use crate::dataflow::Dataflow;
 use crate::error::ProcessorError;
-use crate::isa::{MemOp, PeOp, Program, ReadSel, TreeInstr, ValueLocation};
+use crate::isa::{MemOp, Program, ReadSel, ValueLocation};
 use crate::perf::PerfReport;
-use crate::regfile::RegisterFile;
 use crate::trace::{NoTrace, TraceHook};
-use crate::tree::{evaluate_tree, pe_operands};
 use crate::Result;
 
 /// The outcome of executing a program on one input vector.
@@ -44,16 +43,22 @@ pub struct ExecutionResult {
 /// Reusable simulator storage for the execute-many half of the
 /// compile-once / execute-many split.
 ///
-/// Holds the register file, the data memory and the crossbar / PE-output
-/// scratch of one instruction, so repeated runs of one compiled [`Program`]
-/// (e.g. over an evidence batch) allocate nothing per query.  Build one with
-/// [`Processor::state_for`] and pass it to [`Processor::run_with`].
+/// Holds the slot scratch of the value replay: a checked program is lowered
+/// to a dataflow list over value slots — zero, one, each input, the
+/// arithmetic PE results, a slot taking the next value once its own has
+/// been read for the last time — and the replay fills them for up to eight
+/// queries side by side, one lane per query.  The scratch is reused across
+/// runs and grows when a bigger program comes along.  The lowering is not
+/// kept in it: the batch runners
+/// ([`crate::MultiCoreProcessor::run_batch_sharded`] and
+/// [`crate::MultiCoreProcessor::run_partitioned`]) lower once per batch, so
+/// their queries allocate nothing, while a single-query
+/// [`Processor::run_with`] lowers the program on every call.  Build one with
+/// [`Processor::state_for`].
 #[derive(Debug, Clone)]
 pub struct SimState {
-    regfile: RegisterFile,
-    datamem: DataMemory,
-    /// One tree's crossbar values, then every PE's output (tree-major).
-    scratch: Vec<f64>,
+    /// Slot-major, one lane per query of a replayed block.
+    pub(crate) slots: Vec<f64>,
 }
 
 /// The bookkeeping of [`Processor::check`]: three flat arrays, no queue.
@@ -153,27 +158,22 @@ impl Processor {
         &self.config
     }
 
-    /// PEs of one tree (= the length of [`TreeInstr::pe_ops`]).
+    /// PEs of one tree (= the length of [`crate::TreeInstr::pe_ops`]).
     fn pes_per_tree(&self) -> usize {
         self.config.num_pes() / self.config.num_trees
     }
 
-    /// Builds reusable simulator storage sized for `program`.
+    /// Builds reusable simulator storage.  It starts empty and takes its
+    /// size from the first replay: the constants and as many inputs and
+    /// step results as are live at once, for each query replayed side by
+    /// side.  The
+    /// register file and data memory of the machine are never materialised:
+    /// where a value sits only matters while a program is lowered.
     ///
-    /// The data memory is sized to the rows the program actually uses (the
-    /// row-by-row interface and therefore the cycle counts are unchanged —
-    /// see [`DataMemory::with_rows`]): a compiled program never addresses
-    /// beyond `memory_rows_used`, and the tight sizing keeps the per-query
-    /// reset of a batched run proportional to the program instead of the
-    /// full on-chip capacity.  Oversized programs get a proportionally
-    /// larger backing memory the same way.
-    pub fn state_for(&self, program: &Program) -> SimState {
-        let rows = program.memory_rows_used.max(1);
-        SimState {
-            regfile: RegisterFile::new(&self.config),
-            datamem: DataMemory::with_rows(rows, self.config.total_banks()),
-            scratch: vec![0.0; self.config.tree_inputs_per_tree() + self.config.num_pes()],
-        }
+    /// The state does not depend on `program`; the argument stays because
+    /// the repository's benchmark crate calls this signature.
+    pub fn state_for(&self, _program: &Program) -> SimState {
+        SimState { slots: Vec::new() }
     }
 
     /// Whether `program` is legal on this processor: one walk over the
@@ -195,8 +195,8 @@ impl Processor {
     /// their read ports); finally the input slots and the output and export
     /// locations.
     ///
-    /// Against the interpreter this replaces, which enforced the rules while
-    /// it ran a query, the verdict on a program is the same and three things
+    /// Against the per-query interpreter it replaced (PR 20), which enforced
+    /// the rules while it ran a query, the verdict on a program is the same and three things
     /// differ: when a program breaks two rules, a write-port conflict is
     /// named when the second write issues rather than after the cycle it
     /// commits in, so it can be named ahead of the error the old order met
@@ -341,9 +341,9 @@ impl Processor {
     /// layout (see [`Program::input_layout`]); they are placed into the data
     /// memory before the first cycle.
     ///
-    /// Convenience wrapper that allocates fresh simulator storage; repeated
-    /// runs should reuse a [`SimState`] via [`Processor::run_with`] or go
-    /// through [`crate::MultiCoreProcessor::run_batch_sharded`].
+    /// Convenience wrapper that allocates fresh simulator storage.  Every
+    /// call checks and lowers `program` again; a batch should go through
+    /// [`crate::MultiCoreProcessor::run_batch_sharded`], which does both once.
     ///
     /// # Errors
     ///
@@ -358,10 +358,9 @@ impl Processor {
 
     /// Executes `program` on one input vector, reusing `state`'s storage.
     ///
-    /// `state` is replaced by a freshly sized one when its geometry does not
-    /// fit `program` (smaller data memory, or banks/registers from a
-    /// different configuration), so a cached state can be carried across
-    /// programs safely.
+    /// `state` grows when `program` needs more slots than it holds, so a
+    /// cached state can be carried across programs safely.  Only the slot
+    /// scratch is reused: the program is checked and lowered on every call.
     ///
     /// # Errors
     ///
@@ -380,8 +379,9 @@ impl Processor {
     /// memory activity (opcode, operands, result, instruction occupancy,
     /// memory row operations) to `hook`.
     ///
-    /// The untraced path pays nothing for the hook — the loop monomorphizes
-    /// to hook-free code for [`NoTrace`].
+    /// The untraced path pays nothing for the hook — the replay
+    /// monomorphizes to hook-free code for [`NoTrace`], and only a traced
+    /// lowering records the events.
     ///
     /// # Errors
     ///
@@ -394,168 +394,34 @@ impl Processor {
         hook: &mut H,
     ) -> Result<ExecutionResult> {
         self.check(program)?;
-        let (output, exports) = self.run_values(program, inputs, state, hook)?;
-        Ok(ExecutionResult {
-            output,
-            exports,
-            perf: program.perf(),
-        })
-    }
-
-    /// One pass of a program that passed [`Processor::check`] (the caller's
-    /// duty: an unchecked program may panic or compute garbage here) for its
-    /// values (root, exports).  No rule is tested and nothing is counted:
-    /// legality is `check`, the cost is [`Program::perf`].
-    ///
-    /// A write lands in the register file when it issues
-    /// ([`RegisterFile::write`]): `check` has established that nobody reads
-    /// a register while a write to it is in flight, so no queue is needed to
-    /// delay it.
-    pub(crate) fn run_values<H: TraceHook>(
-        &self,
-        program: &Program,
-        inputs: &[f64],
-        state: &mut SimState,
-        hook: &mut H,
-    ) -> Result<(f64, Vec<f64>)> {
         if inputs.len() != program.input_layout.len() {
             return Err(ProcessorError::InputMismatch {
                 expected: program.input_layout.len(),
                 got: inputs.len(),
             });
         }
-        let config = &self.config;
-        if state.datamem.rows() < program.memory_rows_used.max(1)
-            || state.datamem.width() != config.total_banks()
-            || state.regfile.banks() != config.total_banks()
-            || state.regfile.regs_per_bank() != config.regs_per_bank
-            || state.scratch.len() != config.tree_inputs_per_tree() + config.num_pes()
-        {
-            *state = self.state_for(program);
-        }
-        let SimState {
-            regfile,
-            datamem,
-            scratch,
-        } = state;
-        regfile.reset();
-        // Zeroing the rows the program may address re-initialises the
-        // reachable address space without touching a possibly larger reused
-        // backing memory, whose stale rows `check` keeps unobservable.
-        datamem.clear_rows(program.memory_rows_used);
-        for (value, slot) in inputs.iter().zip(&program.input_layout) {
-            datamem.row_mut(slot.row as usize)[slot.lane as usize] = *value;
-        }
-        let (crossbar, pe_outputs) = scratch.split_at_mut(config.tree_inputs_per_tree());
-
-        for (cycle, instr) in program.instructions.iter().enumerate() {
-            let cycle = cycle as u64;
-            if let MemOp::Load { row, reg } = instr.mem {
-                if H::ENABLED {
-                    hook.on_mem(cycle, false, row, reg);
-                }
-                for (bank, &value) in datamem.row(row as usize).iter().enumerate() {
-                    regfile.write(bank, reg as usize, value, cycle);
-                }
-            }
-
-            // Resolve crossbar reads and evaluate every tree; all reads of
-            // the cycle come before its write-backs.
-            let occupancy = if H::ENABLED {
-                instr
-                    .trees
-                    .iter()
-                    .flat_map(|t| t.pe_ops.iter())
-                    .filter(|&&op| op != PeOp::Nop)
-                    .count() as u32
-            } else {
-                0
-            };
-            let trees = instr
-                .trees
-                .iter()
-                .zip(pe_outputs.chunks_exact_mut(self.pes_per_tree()));
-            for (tree_idx, (tree, outputs)) in trees.enumerate() {
-                for (value, sel) in crossbar.iter_mut().zip(&tree.reads) {
-                    *value = match *sel {
-                        ReadSel::None | ReadSel::Zero => 0.0,
-                        ReadSel::One => 1.0,
-                        ReadSel::Reg { bank, reg } => regfile.get(bank as usize, reg as usize),
-                    };
-                }
-                evaluate_tree(
-                    config,
-                    &tree.pe_ops,
-                    crossbar,
-                    outputs,
-                    program.pe_precision,
-                );
-                if H::ENABLED {
-                    for level in 0..config.tree_levels {
-                        for pe in 0..config.pes_at_level(level) {
-                            let flat = TreeInstr::pe_flat_index(config, level, pe);
-                            let op = tree.pe_ops[flat];
-                            if op == PeOp::Nop {
-                                continue;
-                            }
-                            let (a, b) = pe_operands(config, crossbar, outputs, level, pe);
-                            hook.on_pe(
-                                cycle,
-                                tree_idx,
-                                level,
-                                pe,
-                                op,
-                                a,
-                                b,
-                                outputs[flat],
-                                occupancy,
-                            );
-                        }
-                    }
-                }
-            }
-
-            // PE write-backs, tagged with their pipeline latency.
-            let trees = instr
-                .trees
-                .iter()
-                .zip(pe_outputs.chunks_exact(self.pes_per_tree()));
-            for (tree, outputs) in trees {
-                for w in &tree.writes {
-                    let level = w.level as usize;
-                    let flat = TreeInstr::pe_flat_index(config, level, w.pe as usize);
-                    let commit = cycle + config.commit_latency(level);
-                    regfile.write(w.bank as usize, w.reg as usize, outputs[flat], commit);
-                }
-            }
-            for copy in &instr.copies {
-                let bank = copy.bank as usize;
-                let value = regfile.get(bank, copy.src as usize);
-                regfile.write(bank, copy.dst as usize, value, cycle);
-            }
-            if let MemOp::Store { row, reg } = instr.mem {
-                if H::ENABLED {
-                    hook.on_mem(cycle, true, row, reg);
-                }
-                for (bank, word) in datamem.row_mut(row as usize).iter_mut().enumerate() {
-                    *word = regfile.get(bank, reg as usize);
-                }
-            }
-        }
-
-        let value_at = |loc: &ValueLocation| match *loc {
-            ValueLocation::Register { bank, reg } => regfile.get(bank as usize, reg as usize),
-            ValueLocation::Memory { row, lane } => datamem.row(row as usize)[lane as usize],
-        };
-        let exports = program.exports.iter().map(value_at).collect();
-        Ok((value_at(&program.output), exports))
+        let mut output = [0.0];
+        let mut exports = vec![0.0; program.exports.len()];
+        Dataflow::lower(program, H::ENABLED).run(
+            inputs,
+            &mut output,
+            &mut exports,
+            state,
+            hook,
+            |_, _| {},
+        );
+        Ok(ExecutionResult {
+            output: output[0],
+            exports,
+            perf: program.perf(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{CopyCmd, InputSlot, Instruction, WriteCmd};
+    use crate::isa::{CopyCmd, InputSlot, Instruction, PeOp, TreeInstr, WriteCmd};
 
     fn cfg() -> ProcessorConfig {
         ProcessorConfig::ptree()
@@ -963,9 +829,9 @@ mod tests {
 
     #[test]
     fn input_and_result_locations_are_validated() {
-        // On the interpreter this replaces the first two returned bank 1
-        // register 0 and row 1 lane 0, and the third panicked inside
-        // `regfile.rs`.
+        // On the interpreter PR 20 replaced, the first two returned bank 1
+        // register 0 and row 1 lane 0, and the third panicked inside its
+        // register file.
         let bad = [
             ValueLocation::Register { bank: 0, reg: 64 },
             ValueLocation::Memory { row: 0, lane: 32 },
@@ -1075,7 +941,12 @@ mod tests {
                 got: 1
             })
         ));
-        assert_eq!(state.datamem.row(0)[0], 1.0);
+        // The rejected vector left nothing behind: the first query's inputs
+        // give the first query's results.
+        let again = proc
+            .run_with(&program, &[1.0, 2.0, 3.0], &mut state)
+            .unwrap();
+        assert_eq!((again.output, again.exports), (3.0, vec![1.0, 2.0, 0.0]));
         // The next query zeroes what it does not set.
         let run = proc
             .run_with(&program, &[0.0, 5.0, 6.0], &mut state)

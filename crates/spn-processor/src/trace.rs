@@ -4,10 +4,11 @@
 //! to end-value tests — the program still computes the right number.  The
 //! trace subsystem makes such regressions testable bit-for-bit:
 //!
-//! * [`TraceHook`] is the observation interface of the simulator loop.  The
-//!   loop is generic over the hook and [`NoTrace`] (the default) has
-//!   `ENABLED = false` with empty inline methods, so the untraced path
-//!   monomorphizes to exactly the pre-trace code — zero cost when off.
+//! * [`TraceHook`] is the observation interface of the simulator's value
+//!   replay.  The replay is generic over the hook and [`NoTrace`] (the
+//!   default) has `ENABLED = false` with empty inline methods, so the
+//!   untraced path records no events and runs eight queries side by side —
+//!   zero cost when off.
 //! * [`TraceRecorder`] implements the hook by recording one [`TraceEvent`]
 //!   per active PE and per memory operation, tagged with a core id and a
 //!   cycle offset so multi-core schedules interleave on a global timeline.
@@ -30,7 +31,7 @@
 
 use crate::isa::PeOp;
 
-/// Observation interface of the simulator loop.
+/// Observation interface of the simulator's value replay.
 ///
 /// `ENABLED` gates every observation site: when `false` (the [`NoTrace`]
 /// implementation) the compiler removes the recording code entirely, so

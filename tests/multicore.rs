@@ -9,6 +9,9 @@
 //!   interconnect-stall + idle cycles partition the makespan exactly, and
 //!   the merged batch report is the sum of the per-core reports, for both
 //!   batch-sharded and pipelined/partitioned execution.
+//! * **Lane blocks and tails** — a batch of any length, cut into blocks of
+//!   eight queries replayed side by side plus a one-by-one tail, returns
+//!   per query exactly what a single-query run returns.
 //! * **Legality once per batch** — a program that breaks a machine rule is
 //!   rejected before query 0 with the error a single-core run gives, an
 //!   empty batch included.
@@ -19,21 +22,27 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spn_accel::compiler::Compiler;
+use spn_accel::core::flatten::OpList;
 use spn_accel::core::query::{ConditionalBatch, QueryBatch, QueryMode};
 use spn_accel::core::random::{random_spn, RandomSpnConfig};
 use spn_accel::core::{Evidence, EvidenceBatch, NumericMode, Precision, Spn};
 use spn_accel::platforms::{Engine, EngineOptions, Parallelism, ProcessorBackend, QueryOutput};
 use spn_accel::processor::{
     MultiCoreConfig, MultiCoreProcessor, PerfReport, Processor, ProcessorConfig, ProcessorError,
-    Program, SharedMemoryConfig,
+    Program, SharedMemoryConfig, TraceRecorder,
 };
 
 /// A deterministic mixed evidence batch: marginal, all-true, all-false and
 /// rotating single-observation rows.  Eleven queries so shards are uneven
 /// for every tested core count.
 fn mixed_batch(num_vars: usize) -> EvidenceBatch {
+    mixed_rows(num_vars, 11)
+}
+
+/// The first `rows` rows of the mixed pattern.
+fn mixed_rows(num_vars: usize, rows: usize) -> EvidenceBatch {
     let mut batch = EvidenceBatch::new(num_vars);
-    for q in 0..11 {
+    for q in 0..rows {
         match q % 4 {
             0 => batch.push_marginal(),
             1 => batch.push_assignment(&vec![true; num_vars]).expect("arity"),
@@ -435,5 +444,111 @@ fn corrupted_programs_are_rejected_before_query_zero() {
             Some(verdict(stage)),
             "{queries} queries, pipelined"
         );
+    }
+}
+
+/// The simulator replays a batch eight queries at a time and the remainder
+/// one by one, per core: every batch length from empty to two blocks and a
+/// tail, on one core and on three (shards of uneven length), returns per
+/// query the bits a single-query `Processor::run` returns — on both machine
+/// shapes, in both numeric domains, at full and reduced precision, and for a
+/// max-product program.  A two-stage pipeline of the same op list returns
+/// them too, and so does every traced run of either.
+#[test]
+fn batch_lengths_and_lane_tails_match_per_query_runs() {
+    let spn = test_spn();
+    let rows = mixed_rows(spn.num_vars(), 17);
+    let base = OpList::from_spn(&spn);
+    let mut cases: Vec<(String, ProcessorConfig, OpList)> = Vec::new();
+    for config in [ProcessorConfig::ptree(), ProcessorConfig::pvect()] {
+        for (numeric, ops) in [("linear", base.clone()), ("log", base.to_log_domain())] {
+            for precision in [Precision::F64, Precision::E8M10] {
+                let name = format!("{}/{numeric}/{precision}", config.name);
+                cases.push((name, config.clone(), ops.with_precision(precision)));
+            }
+        }
+    }
+    let ptree = ProcessorConfig::ptree();
+    cases.push((
+        "Ptree/max-product".to_string(),
+        ptree,
+        base.to_max_product(),
+    ));
+
+    for (name, config, ops) in cases {
+        let compiler = Compiler::new(config.clone());
+        let compiled = compiler.compile_op_list(ops.clone()).expect("compile");
+        let single = Processor::new(config.clone()).expect("processor");
+        let want: Vec<u64> = (0..rows.len())
+            .map(|q| {
+                let inputs = compiled.input_values(&rows.to_evidence(q)).expect("inputs");
+                let run = single.run(&compiled.program, &inputs).expect("run");
+                run.output.to_bits()
+            })
+            .collect();
+        let bits = |outputs: &[f64]| outputs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut flat = Vec::new();
+        for cores in [1usize, 3] {
+            let processor = MultiCoreProcessor::new(MultiCoreConfig::new(cores, config.clone()))
+                .expect("processor");
+            let mut states = Vec::new();
+            for n in 0..=rows.len() {
+                compiled
+                    .fill_batch_inputs(&rows.sub_batch(0, n), &mut flat)
+                    .expect("fill");
+                let run = processor
+                    .run_batch_sharded(&compiled.program, &flat, n, &mut states)
+                    .expect("sharded run");
+                assert_eq!(
+                    bits(&run.outputs),
+                    want[..n],
+                    "{name}: {n} queries on {cores} cores"
+                );
+                // A traced batch replays the same steps one query at a time.
+                let mut recorders: Vec<TraceRecorder> =
+                    (0..cores as u32).map(TraceRecorder::new).collect();
+                let traced = processor
+                    .run_batch_sharded_traced(
+                        &compiled.program,
+                        &flat,
+                        n,
+                        &mut states,
+                        &mut recorders,
+                    )
+                    .expect("traced sharded run");
+                assert_eq!(
+                    bits(&traced.outputs),
+                    want[..n],
+                    "{name}: {n} queries on {cores} cores, traced"
+                );
+            }
+        }
+        let parted = compiler.compile_partitioned(ops, 2).expect("partition");
+        assert_eq!(parted.num_stages(), 2, "{name}");
+        let pipeline = MultiCoreProcessor::new(MultiCoreConfig::new(2, config)).expect("processor");
+        let mut states = Vec::new();
+        for n in 0..=rows.len() {
+            parted
+                .input_recipe()
+                .fill_batch(&rows.sub_batch(0, n), &mut flat)
+                .expect("fill");
+            let run = pipeline
+                .run_partitioned(&parted.parts, &flat, n, &mut states)
+                .expect("pipelined run");
+            assert_eq!(
+                bits(&run.outputs),
+                want[..n],
+                "{name}: {n} queries, 2 stages"
+            );
+            let mut recorders: Vec<TraceRecorder> = (0..2).map(TraceRecorder::new).collect();
+            let traced = pipeline
+                .run_partitioned_traced(&parted.parts, &flat, n, &mut states, &mut recorders)
+                .expect("traced pipelined run");
+            assert_eq!(
+                bits(&traced.outputs),
+                want[..n],
+                "{name}: {n} queries, 2 stages, traced"
+            );
+        }
     }
 }
