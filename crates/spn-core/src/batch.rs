@@ -8,15 +8,18 @@
 //! backend walk contiguous memory.
 //!
 //! [`InputRecipe`] is the bridge between a flattened program and a batch: it
-//! pre-resolves which input slots are constant parameters (filled once) and
-//! which are evidence-dependent indicators (filled per query), so the hot
-//! path copies a template and patches indicator slots instead of re-matching
-//! on [`LeafSource`] for every slot of every query.
+//! pre-resolves which input slots are constant parameters and which are
+//! evidence-dependent indicators, so the hot path never re-matches on
+//! [`LeafSource`] per slot.  A one-query input vector is the template copied
+//! plus one store per indicator slot; a lane-blocked tile gets its
+//! parameters once per batch and lane width ([`InputRecipe::fill_params`])
+//! and its indicators once per block ([`InputRecipe::fill_indicators`]).
 
 use crate::evidence::Evidence;
 use crate::flatten::{LeafSource, OpList};
 use crate::numeric::NumericMode;
 use crate::precision::Precision;
+use crate::vectorized::LANE_WIDTHS;
 use crate::{Result, SpnError};
 
 /// Observation state of one variable in one query.
@@ -308,11 +311,17 @@ impl EvidenceBatch {
     }
 }
 
+// The indicator table is indexed by `Obs as usize`.
+const _: () =
+    assert!(Obs::False as usize == 0 && Obs::True as usize == 1 && Obs::Marginal as usize == 2);
+
 /// Which input slots of a flattened program depend on evidence.
 ///
 /// Built once per compiled program by [`OpList::input_recipe`]; the hot path
-/// then fills input vectors with a `memcpy` of the parameter template plus
-/// one store per indicator slot — no matching, no allocation.
+/// then fills a one-query input vector with a `memcpy` of the parameter
+/// template plus one store per indicator slot, and a lane-blocked tile with
+/// the template broadcast once per batch and lane width plus one lane group
+/// per indicator slot per block — no matching, no allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InputRecipe {
     /// Parameter values with indicator slots left at an arbitrary value.
@@ -457,17 +466,19 @@ impl InputRecipe {
     ///
     /// The tile is slot-major and lane-contiguous: `out[slot * lanes + l]`
     /// is input slot `slot` of query `start + l`, so each slot's `lanes`
-    /// per-query values form one contiguous lane group.  Parameter slots are
-    /// broadcast from the (pre-quantized) template and indicator slots are
-    /// patched per lane with the mode-aware indicator value.  A one-lane
-    /// tile is a plain input vector: the template copied, one store per
-    /// indicator slot.
+    /// per-query values form one contiguous lane group.  A wider tile is
+    /// [`InputRecipe::fill_params`] followed by
+    /// [`InputRecipe::fill_indicators`]; a block loop that reuses one tile
+    /// calls the first only when the width changes and the second per
+    /// block.  A one-lane tile is a plain input vector: the template
+    /// copied, one store per indicator slot.
     ///
     /// # Panics
     ///
-    /// Panics when the query range leaves `batch`, or `out` is not exactly
+    /// Panics when the query range leaves `batch`, `out` is not exactly
     /// `num_inputs × lanes` long (callers validate the batch via
-    /// [`InputRecipe::check`] first, as for `fill_query`).
+    /// [`InputRecipe::check`] first, as for `fill_query`), or `lanes` is not
+    /// one of [`LANE_WIDTHS`].
     pub fn fill_lane_block(
         &self,
         batch: &EvidenceBatch,
@@ -475,36 +486,110 @@ impl InputRecipe {
         lanes: usize,
         out: &mut [f64],
     ) {
+        self.assert_block(batch, start, lanes, out);
+        if lanes == 1 {
+            // The plain input vector of `fill_query` and `fill_batch`: one
+            // copy and one row lookup instead of a one-element fill per slot
+            // and a row lookup per indicator (on MSNBC, 1684 slots and 798
+            // indicators, 1.1 µs against 2.2 µs).
+            let row = batch.query(start);
+            self.fill_one(|var, value| row[var].indicator(value), out);
+            return;
+        }
+        self.fill_params(lanes, out);
+        self.fill_indicators(batch, start, lanes, out);
+    }
+
+    /// Broadcasts the (pre-quantized) parameter template into the
+    /// `num_inputs × lanes` tile `out`: every slot's lane group, indicator
+    /// slots included, so the tile holds no value of an earlier program or
+    /// width.  Only [`InputRecipe::fill_indicators`] writes the tile after
+    /// this, so a block loop calls it once per batch and lane width.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lanes` is zero or `out` is not exactly
+    /// `num_inputs × lanes` long.
+    pub fn fill_params(&self, lanes: usize, out: &mut [f64]) {
+        self.assert_tile(lanes, out);
+        if lanes == 1 {
+            out.copy_from_slice(&self.template);
+            return;
+        }
+        for (group, &param) in out.chunks_exact_mut(lanes).zip(&self.template) {
+            group.fill(param);
+        }
+    }
+
+    /// Writes the indicator slots of the tile of queries
+    /// `start .. start + lanes` of `batch` and leaves every other slot
+    /// alone: the per-block half of [`InputRecipe::fill_lane_block`].
+    ///
+    /// `lanes` must be one of [`LANE_WIDTHS`]; the call dispatches to the
+    /// fixed-width gather as [`crate::vectorized::run_lane_block`] does.
+    ///
+    /// # Panics
+    ///
+    /// As for [`InputRecipe::fill_lane_block`].
+    pub fn fill_indicators(
+        &self,
+        batch: &EvidenceBatch,
+        start: usize,
+        lanes: usize,
+        out: &mut [f64],
+    ) {
+        match lanes {
+            1 => self.fill_indicator_lanes::<1>(batch, start, out),
+            2 => self.fill_indicator_lanes::<2>(batch, start, out),
+            4 => self.fill_indicator_lanes::<4>(batch, start, out),
+            8 => self.fill_indicator_lanes::<8>(batch, start, out),
+            other => panic!("unsupported lane width {other} (expected one of {LANE_WIDTHS:?})"),
+        }
+    }
+
+    /// The fixed-width form of [`InputRecipe::fill_indicators`]: the block's
+    /// `L` rows are sliced once, and each indicator's lane group is looked
+    /// up in a table of its domain values by observation, so no cell pays a
+    /// row lookup or a mode `match`.
+    fn fill_indicator_lanes<const L: usize>(
+        &self,
+        batch: &EvidenceBatch,
+        start: usize,
+        out: &mut [f64],
+    ) {
+        self.assert_block(batch, start, L, out);
+        let rows: [&[Obs]; L] = std::array::from_fn(|l| batch.query(start + l));
+        // table[obs as usize][value as usize]: the domain value of an
+        // indicator leaf `[var = value]` under observation `obs`.
+        let table = [Obs::False, Obs::True, Obs::Marginal]
+            .map(|obs| [false, true].map(|value| self.domain_value(obs.indicator(value))));
+        for &(slot, var, value) in &self.indicators {
+            let group = &mut out[slot as usize * L..][..L];
+            for (cell, row) in group.iter_mut().zip(&rows) {
+                *cell = table[row[var as usize] as usize][usize::from(value)];
+            }
+        }
+    }
+
+    /// The tile shape every fill checks.
+    fn assert_tile(&self, lanes: usize, out: &[f64]) {
         assert!(lanes > 0, "lane width must be positive");
+        assert_eq!(
+            out.len(),
+            self.num_inputs() * lanes,
+            "tile length must be num_inputs x lanes"
+        );
+    }
+
+    /// The tile shape plus the block's query range.
+    fn assert_block(&self, batch: &EvidenceBatch, start: usize, lanes: usize, out: &[f64]) {
+        self.assert_tile(lanes, out);
         assert!(
             start + lanes <= batch.len(),
             "lane block {start}..{} leaves the batch (len {})",
             start + lanes,
             batch.len()
         );
-        assert_eq!(
-            out.len(),
-            self.num_inputs() * lanes,
-            "tile length must be num_inputs x lanes"
-        );
-        if lanes == 1 {
-            // One copy and one row lookup instead of a one-element fill per
-            // slot and a row lookup per indicator: on MSNBC (1684 slots, 798
-            // indicators) 1.1 µs against 2.2 µs through the loops below.
-            let row = batch.query(start);
-            self.fill_one(|var, value| row[var].indicator(value), out);
-            return;
-        }
-        for (slot, &param) in self.template.iter().enumerate() {
-            out[slot * lanes..(slot + 1) * lanes].fill(param);
-        }
-        for &(slot, var, value) in &self.indicators {
-            let base = slot as usize * lanes;
-            for (l, cell) in out[base..base + lanes].iter_mut().enumerate() {
-                let row = batch.query(start + l);
-                *cell = self.domain_value(row[var as usize].indicator(value));
-            }
-        }
     }
 
     /// Fills `out` with the input vector of a single [`Evidence`] query,
@@ -657,6 +742,117 @@ mod tests {
         assert!(expected
             .iter()
             .all(|v| v.is_finite() || *v == f64::NEG_INFINITY));
+    }
+
+    /// A bit pattern no fill writes: a NaN with a payload of its own.
+    const SENTINEL: f64 = f64::from_bits(0x7ff4_5e47_1e1e_0001);
+
+    /// Rows cycling through marginal, `true` and `false` per variable.
+    fn mixed_batch(num_vars: usize, len: usize) -> EvidenceBatch {
+        let mut batch = EvidenceBatch::new(num_vars);
+        for q in 0..len {
+            let row = (0..num_vars)
+                .map(|v| [None, Some(true), Some(false)][(q + v) % 3])
+                .collect();
+            batch.push(&Evidence::from_options(row)).unwrap();
+        }
+        batch
+    }
+
+    /// One program per kind of value a tile holds: linear, log (`-inf`
+    /// indicators), e8m10 parameters, and a partition stage whose
+    /// `External` slots are NaN placeholders.
+    fn recipe_programs() -> Vec<(&'static str, OpList)> {
+        let mut rng = StdRng::seed_from_u64(17);
+        let spn = random_spn(&RandomSpnConfig::with_vars(9), &mut rng);
+        let ops = OpList::from_spn(&spn);
+        let stage = ops
+            .partition(3)
+            .into_iter()
+            .map(|part| part.ops)
+            .find(|stage| {
+                let has = |f: fn(&LeafSource) -> bool| stage.inputs().iter().any(f);
+                has(|l| matches!(l, LeafSource::External))
+                    && has(|l| matches!(l, LeafSource::Indicator { .. }))
+            })
+            .expect("a stage with both indicator and external slots");
+        vec![
+            ("log", ops.to_log_domain()),
+            ("e8m10", ops.with_precision(Precision::E8M10)),
+            ("stage", stage),
+            ("linear", ops),
+        ]
+    }
+
+    fn bits(tile: &[f64]) -> Vec<u64> {
+        tile.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn split_fill_matches_lane_block_and_transposed_queries() {
+        use crate::vectorized::MAX_LANES;
+        for (name, ops) in recipe_programs() {
+            let recipe = ops.input_recipe();
+            let n = recipe.num_inputs();
+            let batch = mixed_batch(ops.num_vars(), 2 * MAX_LANES + 3);
+            let mut query = vec![0.0; n];
+            for &lanes in &LANE_WIDTHS {
+                for start in [0, 3, batch.len() - lanes] {
+                    let context = format!("{name} lanes={lanes} start={start}");
+                    let mut whole = vec![SENTINEL; n * lanes];
+                    recipe.fill_lane_block(&batch, start, lanes, &mut whole);
+                    let mut split = vec![SENTINEL; n * lanes];
+                    recipe.fill_params(lanes, &mut split);
+                    recipe.fill_indicators(&batch, start, lanes, &mut split);
+                    let mut transposed = vec![SENTINEL; n * lanes];
+                    for l in 0..lanes {
+                        recipe.fill_query(&batch, start + l, &mut query);
+                        for (slot, &v) in query.iter().enumerate() {
+                            transposed[slot * lanes + l] = v;
+                        }
+                    }
+                    assert_eq!(bits(&split), bits(&whole), "{context}");
+                    assert_eq!(bits(&whole), bits(&transposed), "{context}");
+                    match name {
+                        "log" => assert!(whole.contains(&f64::NEG_INFINITY), "{context}"),
+                        "stage" => assert!(whole.iter().any(|v| v.is_nan()), "{context}"),
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_indicators_writes_only_indicator_slots() {
+        for (name, ops) in recipe_programs() {
+            let recipe = ops.input_recipe();
+            let batch = mixed_batch(ops.num_vars(), crate::vectorized::MAX_LANES);
+            for &lanes in &LANE_WIDTHS {
+                let mut tile = vec![SENTINEL; recipe.num_inputs() * lanes];
+                recipe.fill_indicators(&batch, 0, lanes, &mut tile);
+                for (slot, leaf) in ops.inputs().iter().enumerate() {
+                    let indicator = matches!(leaf, LeafSource::Indicator { .. });
+                    for (l, cell) in tile[slot * lanes..(slot + 1) * lanes].iter().enumerate() {
+                        assert_eq!(
+                            cell.to_bits() == SENTINEL.to_bits(),
+                            !indicator,
+                            "{name} lanes={lanes} slot {slot} lane {l}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported lane width")]
+    fn fill_indicators_rejects_unsupported_lane_widths() {
+        let (_, ops) = recipe_programs().pop().unwrap();
+        let recipe = ops.input_recipe();
+        let batch = EvidenceBatch::marginals(ops.num_vars(), 3);
+        let mut tile = vec![0.0; recipe.num_inputs() * 3];
+        recipe.fill_indicators(&batch, 0, 3, &mut tile);
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //!   what is left over into blocks of the next supported widths down to one,
 //! * [`crate::batch::InputRecipe::fill_lane_block`] materialises one block's
 //!   evidence as a `[inputs × lanes]` tile — slot-major, so every input
-//!   slot's `L` per-query values sit contiguously,
+//!   slot's `L` per-query values sit contiguously; a block loop that reuses
+//!   one tile writes the parameters once per batch and width
+//!   ([`crate::batch::InputRecipe::fill_params`]) and only the indicators
+//!   per block ([`crate::batch::InputRecipe::fill_indicators`]),
 //! * [`run_lane_block`] then executes the program once *per block* instead
 //!   of once per query: each operation is applied across the whole lane
 //!   block with a fixed-trip inner loop (`L` is a const generic, so the

@@ -163,9 +163,13 @@ pub struct BatchResult {
 ///
 /// `batch` is cut into lane blocks of at most `max_lanes` queries — full
 /// blocks first, what is left over in the next supported widths down to
-/// one — each filled by `recipe` and run by [`vectorized::run_lane_block`].
-/// The two tiles in `buffers` are sized by the widest block this batch
-/// uses: a one-row request must not pay for an 8-lane tile.
+/// one — each run by [`vectorized::run_lane_block`].  The input tile gets
+/// the parameter template once per call and lane width
+/// ([`InputRecipe::fill_params`]; widths only descend) and the indicators
+/// once per block ([`InputRecipe::fill_indicators`]), so no value of an
+/// earlier call, program or width survives into a block.  The two tiles in
+/// `buffers` are sized by the widest block this batch uses: a one-row
+/// request must not pay for an 8-lane tile.
 pub(crate) fn execute_lane_blocks(
     ops: &OpList,
     recipe: &InputRecipe,
@@ -177,21 +181,22 @@ pub(crate) fn execute_lane_blocks(
     recipe.check(batch)?;
     let num_inputs = recipe.num_inputs();
     let widest = vectorized::normalize_lanes(max_lanes.min(batch.len()));
-    buffers.inputs.clear();
     buffers.inputs.resize(num_inputs * widest, 0.0);
     buffers.scratch.clear();
     buffers.scratch.resize(ops.num_ops() * widest, 0.0);
 
     let mut values = vec![0.0; batch.len()];
+    // The width whose parameters the tile holds (0: none yet).
+    let mut params_lanes = 0;
     let mut start = 0;
     while start < batch.len() {
         let lanes = vectorized::normalize_lanes(widest.min(batch.len() - start));
-        recipe.fill_lane_block(
-            batch,
-            start,
-            lanes,
-            &mut buffers.inputs[..num_inputs * lanes],
-        );
+        let tile = &mut buffers.inputs[..num_inputs * lanes];
+        if lanes != params_lanes {
+            recipe.fill_params(lanes, tile);
+            params_lanes = lanes;
+        }
+        recipe.fill_indicators(batch, start, lanes, tile);
         vectorized::run_lane_block(
             ops,
             lanes,

@@ -8,6 +8,8 @@
 //! regroups independent queries; it does not change what any query
 //! computes or costs in the model).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spn_accel::core::flatten::OpList;
@@ -18,7 +20,7 @@ use spn_accel::core::{
 };
 use spn_accel::platforms::{
     Backend, BatchResult, CpuModel, Engine, EngineOptions, ExecBuffers, GpuModel, Parallelism,
-    PerfReport,
+    PerfReport, Plan,
 };
 
 const NUM_VARS: usize = 10;
@@ -190,6 +192,90 @@ fn lane_blocked_query_modes_match_scalar_bit_for_bit() {
             assert_eq!(got.assignments, want.assignments, "{mode} {}", query.mode());
             if query.mode() == QueryMode::Map {
                 assert!(got.assignments.is_some());
+            }
+        }
+    }
+}
+
+/// Batch lengths whose lane-block sequences differ: 8+8+1, 8, 4+2+1,
+/// 8+8+8+8+1, 1.
+const TILE_LENS: [usize; 5] = [17, 8, 7, 33, 1];
+
+/// The input tile carries parameters only within one call: one set of
+/// buffers alternated between two programs of the same input shape but
+/// different parameters (F64 / e8m10, linear / log) over batch lengths with
+/// different block sequences — directly through the backend, and through
+/// one engine rebound between two plans as a serving worker does — agrees
+/// with the reference interpreter bit for bit on every value.
+#[test]
+fn lane_tile_never_leaks_parameters_across_calls_widths_or_plans() {
+    let spn = test_spn();
+    let lower = |mode, precision| {
+        EngineOptions::default()
+            .mode(mode)
+            .precision(precision)
+            .lower(&spn)
+    };
+    let pairs = [
+        (
+            lower(NumericMode::Linear, Precision::F64),
+            lower(NumericMode::Linear, Precision::E8M10),
+        ),
+        (
+            lower(NumericMode::Linear, Precision::F64),
+            lower(NumericMode::Log, Precision::F64),
+        ),
+    ];
+    let reference = |ops: &OpList, batch: &EvidenceBatch| -> Vec<f64> {
+        let recipe = ops.input_recipe();
+        let mut inputs = vec![0.0; ops.num_inputs()];
+        let mut results = vec![0.0; ops.num_ops()];
+        (0..batch.len())
+            .map(|q| {
+                recipe.fill_query(batch, q, &mut inputs);
+                ops.run_into(&inputs, &mut results)
+            })
+            .collect()
+    };
+    let check = |got: &[f64], ops: &OpList, batch: &EvidenceBatch, context: &str| {
+        let want = reference(ops, batch);
+        assert_eq!(got.len(), want.len(), "{context}");
+        for (q, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{context} query {q}: {g} vs {w}");
+        }
+    };
+    for (a, b) in &pairs {
+        assert_eq!(a.num_inputs(), b.num_inputs());
+        let programs = [a, b];
+        let context = |ops: &OpList, len| format!("{}/{} len={len}", ops.mode(), ops.precision());
+
+        let backend = CpuModel::new();
+        let compiled = programs.map(|ops| backend.compile(ops).unwrap());
+        let mut buffers = ExecBuffers::new();
+        for (i, &len) in TILE_LENS.iter().chain(&TILE_LENS).enumerate() {
+            let batch = build_batch(len);
+            for k in [i % 2, 1 - i % 2] {
+                let got = backend
+                    .execute_batch(&compiled[k], &batch, &mut buffers, &mut ())
+                    .unwrap();
+                check(&got.values, programs[k], &batch, &context(programs[k], len));
+            }
+        }
+
+        let plans = programs
+            .map(|ops| Arc::new(Plan::compile(CpuModel::new(), ops.clone(), None).unwrap()));
+        let mut engine = Engine::from_plan(Arc::clone(&plans[0]));
+        for (i, &len) in TILE_LENS.iter().chain(&TILE_LENS).enumerate() {
+            let batch = build_batch(len);
+            for k in [i % 2, 1 - i % 2] {
+                engine.rebind(Arc::clone(&plans[k]));
+                let got = engine.execute_batch(&batch).unwrap();
+                check(
+                    &got.values,
+                    programs[k],
+                    &batch,
+                    &format!("rebound {}", context(programs[k], len)),
+                );
             }
         }
     }
