@@ -6,6 +6,7 @@ use spn_core::{Evidence, Spn};
 use spn_processor::config::ProcessorConfig;
 use spn_processor::isa::Program;
 use spn_processor::multicore::{CoreProgram, PartitionedProgram, TransferSource};
+use spn_processor::{CheckedProgram, Processor};
 
 use crate::report::CompileReport;
 use crate::schedule::schedule;
@@ -29,8 +30,10 @@ pub struct CompilerOptions {
 /// or allocation.
 #[derive(Debug, Clone)]
 pub struct CompiledArtifact {
-    /// The executable VLIW program.
-    pub program: Program,
+    /// The executable VLIW program, checked for the target configuration,
+    /// costed and lowered to its dataflow list once, at compile time (it
+    /// reads as a [`Program`] through `Deref`).
+    pub program: CheckedProgram,
     /// Statistics about the compilation.
     pub report: CompileReport,
     /// The flattened operation list the program was compiled from.
@@ -145,14 +148,18 @@ impl Compiler {
         self.compile_op_list(OpList::from_spn(spn))
     }
 
-    /// Compiles an already-flattened operation list.
+    /// Compiles an already-flattened operation list, then checks the
+    /// emitted program on the target ([`CheckedProgram::new`]).
     ///
     /// # Errors
     ///
     /// Returns a [`crate::CompileError`] when the target configuration is
-    /// invalid or the program cannot be made to fit it.
+    /// invalid or the program cannot be made to fit it, and
+    /// [`crate::CompileError::Processor`] when the simulator rejects what
+    /// the scheduler emitted.
     pub fn compile_op_list(&self, op_list: OpList) -> Result<CompiledArtifact> {
         let (program, report) = self.compile_part(&op_list, &[])?;
+        let program = CheckedProgram::new(&Processor::new(self.config.clone())?, program)?;
         let recipe = op_list.input_recipe();
         Ok(CompiledArtifact {
             program,
@@ -337,7 +344,7 @@ mod tests {
                     rows.push_assignment(&assignment).unwrap();
                     let e = Evidence::from_assignment(&assignment);
                     let inputs = baseline.input_values(&e).unwrap();
-                    let mut state = processor.state_for(&baseline.program);
+                    let mut state = processor.state_for();
                     expected.push(
                         processor
                             .run_with(&baseline.program, &inputs, &mut state)

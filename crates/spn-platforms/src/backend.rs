@@ -156,34 +156,33 @@ pub struct BatchResult {
     pub perf: PerfReport,
 }
 
-/// The execute-many loop of the two software models (CPU and GPU): every
-/// value comes from the one flat-program executor,
-/// [`vectorized::run_lanes`], and the models differ only in the
-/// `perf_per_query` they charge.
+/// The block loop every platform's batches run through: `batch` is cut
+/// into lane blocks of at most `max_lanes` queries — full blocks first, what
+/// is left over in the next supported widths down to one — and `kernel`
+/// computes each block's root values, `kernel(lanes, tile, out)`, from its
+/// lane-minor input tile (`tile[slot * lanes + lane]`).  The three kernels
+/// are [`vectorized::run_lane_block`] for the CPU and GPU models (through
+/// [`execute_op_list`]) and the simulator's
+/// [`spn_processor::CheckedProgram::run_block`], so all three share one fill
+/// and one block cut.
 ///
-/// `batch` is cut into lane blocks of at most `max_lanes` queries — full
-/// blocks first, what is left over in the next supported widths down to
-/// one — each run by [`vectorized::run_lane_block`].  The input tile gets
-/// the parameter template once per call and lane width
+/// The tile gets the parameter template once per call and lane width
 /// ([`InputRecipe::fill_params`]; widths only descend) and the indicators
 /// once per block ([`InputRecipe::fill_indicators`]), so no value of an
-/// earlier call, program or width survives into a block.  The two tiles in
-/// `buffers` are sized by the widest block this batch uses: a one-row
-/// request must not pay for an 8-lane tile.
+/// earlier call, program or width survives into a block.  `tile` is sized by
+/// the widest block this batch uses: a one-row request must not pay for an
+/// 8-lane tile.
 pub(crate) fn execute_lane_blocks(
-    ops: &OpList,
     recipe: &InputRecipe,
-    perf_per_query: &PerfReport,
     max_lanes: usize,
     batch: &EvidenceBatch,
-    buffers: &mut ExecBuffers,
-) -> Result<BatchResult, BackendError> {
+    tile: &mut Vec<f64>,
+    mut kernel: impl FnMut(usize, &[f64], &mut [f64]),
+) -> Result<Vec<f64>, BackendError> {
     recipe.check(batch)?;
     let num_inputs = recipe.num_inputs();
     let widest = vectorized::normalize_lanes(max_lanes.min(batch.len()));
-    buffers.inputs.resize(num_inputs * widest, 0.0);
-    buffers.scratch.clear();
-    buffers.scratch.resize(ops.num_ops() * widest, 0.0);
+    tile.resize(num_inputs * widest, 0.0);
 
     let mut values = vec![0.0; batch.len()];
     // The width whose parameters the tile holds (0: none yet).
@@ -191,21 +190,44 @@ pub(crate) fn execute_lane_blocks(
     let mut start = 0;
     while start < batch.len() {
         let lanes = vectorized::normalize_lanes(widest.min(batch.len() - start));
-        let tile = &mut buffers.inputs[..num_inputs * lanes];
+        let tile = &mut tile[..num_inputs * lanes];
         if lanes != params_lanes {
             recipe.fill_params(lanes, tile);
             params_lanes = lanes;
         }
         recipe.fill_indicators(batch, start, lanes, tile);
-        vectorized::run_lane_block(
-            ops,
-            lanes,
-            &buffers.inputs,
-            &mut buffers.scratch,
-            &mut values[start..start + lanes],
-        );
+        kernel(lanes, tile, &mut values[start..start + lanes]);
         start += lanes;
     }
+    Ok(values)
+}
+
+/// The execute-many path of the two software models (CPU and GPU): every
+/// value comes from the one flat-program executor,
+/// [`vectorized::run_lanes`], through [`execute_lane_blocks`], and the
+/// models differ only in the `perf_per_query` they charge.  The results
+/// tile in `buffers` is sized by the widest block, like the input tile.
+pub(crate) fn execute_op_list(
+    ops: &OpList,
+    recipe: &InputRecipe,
+    perf_per_query: &PerfReport,
+    max_lanes: usize,
+    batch: &EvidenceBatch,
+    buffers: &mut ExecBuffers,
+) -> Result<BatchResult, BackendError> {
+    let widest = vectorized::normalize_lanes(max_lanes.min(batch.len()));
+    let results = &mut buffers.scratch;
+    results.clear();
+    results.resize(ops.num_ops() * widest, 0.0);
+    let values = execute_lane_blocks(
+        recipe,
+        max_lanes,
+        batch,
+        &mut buffers.inputs,
+        |lanes, tile, out| {
+            vectorized::run_lane_block(ops, lanes, tile, results, out);
+        },
+    )?;
     Ok(BatchResult {
         values,
         perf: perf_per_query.times(batch.len() as u64),

@@ -25,7 +25,7 @@ use spn_core::incremental::ConeAnalysis;
 use spn_core::vectorized;
 use spn_processor::PerfReport;
 
-use crate::backend::{execute_lane_blocks, Backend, BackendError, BatchResult, ExecBuffers};
+use crate::backend::{execute_op_list, Backend, BackendError, BatchResult, ExecBuffers};
 use crate::options::EngineOptions;
 
 /// Microarchitectural parameters of the CPU model.
@@ -327,7 +327,7 @@ impl Backend for CpuModel {
         buffers: &mut ExecBuffers,
         _scratch: &mut (),
     ) -> Result<BatchResult, BackendError> {
-        execute_lane_blocks(
+        execute_op_list(
             &compiled.ops,
             &compiled.recipe,
             &compiled.perf_per_query,

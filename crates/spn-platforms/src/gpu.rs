@@ -18,7 +18,7 @@
 //! kernel computes each operation once from the same operands in whatever
 //! order its groups run — so `execute_batch` takes them from the same
 //! lane-blocked pass over [`spn_core::vectorized::run_lanes`] the CPU model
-//! runs (`backend::execute_lane_blocks`).
+//! runs (`backend::execute_op_list`).
 
 use serde::{Deserialize, Serialize};
 use spn_core::batch::{EvidenceBatch, InputRecipe};
@@ -27,7 +27,7 @@ use spn_core::levelize::Levelization;
 use spn_core::vectorized;
 use spn_processor::PerfReport;
 
-use crate::backend::{execute_lane_blocks, Backend, BackendError, BatchResult, ExecBuffers};
+use crate::backend::{execute_op_list, Backend, BackendError, BatchResult, ExecBuffers};
 
 /// Parameters of the GPU model (defaults follow the Jetson TX2 block used in
 /// the paper: 128 CUDA cores, 32 shared-memory banks).
@@ -285,7 +285,7 @@ impl Backend for GpuModel {
         buffers: &mut ExecBuffers,
         _scratch: &mut (),
     ) -> Result<BatchResult, BackendError> {
-        execute_lane_blocks(
+        execute_op_list(
             &compiled.ops,
             &compiled.recipe,
             &compiled.perf_per_query,

@@ -2,24 +2,30 @@
 //!
 //! Compilation runs the full `spn-compiler` pipeline (tiling, list
 //! scheduling, bank allocation) once and caches the resulting
-//! [`CompiledArtifact`]; execution streams evidence batches through a
-//! cycle-accurate [`MultiCoreProcessor`] via
-//! [`MultiCoreProcessor::run_batch_sharded`], so the VLIW program, schedule
-//! and input recipe are all amortised across queries — the paper's
-//! deployment model.
+//! [`CompiledArtifact`], whose program is checked, costed and lowered to its
+//! dataflow list once per plan ([`spn_processor::CheckedProgram`]), so the
+//! VLIW program, schedule, legality, cost and input recipe are all amortised
+//! across queries — the paper's deployment model.  A batch runs through the
+//! block loop the CPU and GPU models use (`backend::execute_lane_blocks`):
+//! parameters once per batch and lane width, indicators per block, and the
+//! simulator replays each lane block from that tile.
 //!
-//! The backend defaults to one core, where sharded execution is bit-for-bit
-//! (values *and* perf counters) the plain single-core batch run.  With
-//! [`ProcessorBackend::with_cores`] the same compiled program is sharded
-//! over N simulated cores behind a shared parameter memory, and the
-//! reported perf takes the makespan (the busiest core) as its cycle count.
+//! The backend defaults to one core.  With [`ProcessorBackend::with_cores`]
+//! the same compiled program is sharded over N simulated cores behind a
+//! shared parameter memory, and the reported perf takes the makespan (the
+//! busiest core) as its cycle count.  Values do not depend on the shard
+//! split, so the backend replays the whole batch in blocks and takes the
+//! per-core attribution from [`MultiCoreProcessor::sharded_perf`]: values and
+//! counters are bit for bit what [`MultiCoreProcessor::run_batch_sharded`]
+//! returns for the same batch.
 
 use spn_compiler::{CompiledArtifact, Compiler};
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
+use spn_core::vectorized::MAX_LANES;
 use spn_processor::{MultiCoreConfig, MultiCoreProcessor, ProcessorConfig, SimState};
 
-use crate::backend::{Backend, BackendError, BatchResult, ExecBuffers};
+use crate::backend::{execute_lane_blocks, Backend, BackendError, BatchResult, ExecBuffers};
 
 /// Compiler plus cycle-accurate simulator for one processor configuration
 /// (optionally replicated across N cores).
@@ -29,11 +35,12 @@ pub struct ProcessorBackend {
     processor: MultiCoreProcessor,
 }
 
-/// Reusable simulator storage of a [`ProcessorBackend`]: one [`SimState`]
-/// (the replay's slot scratch) per simulated core, grown on first use.
+/// Reusable simulator storage of a [`ProcessorBackend`]: the replay's slot
+/// scratch, grown on first use.  One serves every core count, because the
+/// batch's values do not depend on its shard split.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessorScratch {
-    states: Vec<SimState>,
+    state: SimState,
 }
 
 impl ProcessorBackend {
@@ -111,19 +118,20 @@ impl Backend for ProcessorBackend {
         buffers: &mut ExecBuffers,
         scratch: &mut ProcessorScratch,
     ) -> Result<BatchResult, BackendError> {
-        compiled.fill_batch_inputs(batch, &mut buffers.inputs)?;
-        // Reuse the simulator storage (one slot scratch per core) across
-        // batches; the replay grows it when this compiled program needs more
-        // slots than the cached states hold.
-        let run = self.processor.run_batch_sharded(
-            &compiled.program,
-            &buffers.inputs,
-            batch.len(),
-            &mut scratch.states,
+        let program = &compiled.program;
+        // The cost, and the guard that the program was checked for this
+        // machine, before any value.
+        let cores = self.processor.sharded_perf(program, batch.len())?;
+        let values = execute_lane_blocks(
+            compiled.input_recipe(),
+            MAX_LANES,
+            batch,
+            &mut buffers.inputs,
+            |lanes, tile, out| program.run_block(lanes, tile, out, &mut scratch.state),
         )?;
         Ok(BatchResult {
-            values: run.outputs,
-            perf: run.perf,
+            values,
+            perf: cores.merged(&self.name(), batch.len() as u64),
         })
     }
 }

@@ -4,11 +4,12 @@
 //! The processor has no interlocks, so once [`crate::Processor::check`] has
 //! accepted a program, which value every register read sees is fixed by the
 //! instruction stream, whatever the inputs.  [`Dataflow::lower`] finds out
-//! once per batch by walking the instructions in the order the machine
-//! executes a cycle — the load, the crossbar reads and PE levels of each
-//! tree, the write-backs (of two writes in flight to one register the later
-//! commit stays), the copies, the store — while tracking which *slot* each
-//! register and memory word holds:
+//! once per plan (a [`crate::CheckedProgram`] keeps the result) by walking
+//! the instructions in the order the machine executes a cycle — the load,
+//! the crossbar reads and PE levels of each tree, the write-backs (of two
+//! writes in flight to one register the later commit stays), the copies,
+//! the store — while tracking which *slot* each register and memory word
+//! holds:
 //!
 //! * slot 0 holds `0.0`: `Nop` outputs, `None`/`Zero` reads, unwritten
 //!   registers and words;
@@ -23,9 +24,13 @@
 //! the values live at once instead of one word per input and PE: an input
 //! is scattered just before the first step that reads it, and a slot whose
 //! value has been read for the last time takes the next value.
-//! [`Dataflow::run`] replays that list per query, `L` queries side by side,
+//! [`Dataflow::run_block`] replays that list for `L` queries side by side
+//! (`L` of 1, 2, 4 or 8), reading their inputs from a lane-minor tile
+//! (`tile[input * L + lane]`, the layout of `spn_core`'s lane-block fill),
 //! so a query costs the circuit's arithmetic rather than the machine's
-//! width.
+//! width and each input step is one `L`-wide copy.  [`Dataflow::run`]
+//! takes query-major input vectors instead and copies each block into such
+//! a tile first.
 //!
 //! Traced and untraced runs replay the same list.  A traced run goes at
 //! `L = 1`, keeps each step's result as it is computed, and after the query
@@ -34,12 +39,20 @@
 use crate::config::ProcessorConfig;
 use crate::isa::{MemOp, PeOp, Program, ReadSel, TreeInstr, ValueLocation};
 use crate::precision::Precision;
-use crate::processor::SimState;
-use crate::trace::TraceHook;
+use crate::processor::{Processor, SimState};
+use crate::trace::{NoTrace, TraceHook};
 use crate::tree::apply_pe;
+use crate::Result;
 
-/// Queries a batch replay runs side by side; shorter tails run one by one.
+/// The widest block a replay runs side by side; what is left over runs in
+/// the next narrower powers of two.
 const LANES: usize = 8;
+
+/// The widest block for `remaining` (at least one) queries: the largest
+/// power of two up to [`LANES`].
+fn block_width(remaining: usize) -> usize {
+    (1 << remaining.ilog2()).min(LANES)
+}
 
 /// The slot holding `0.0`.
 const ZERO: u32 = 0;
@@ -89,7 +102,7 @@ enum Event {
 }
 
 /// A checked program as straight-line arithmetic over value slots.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Dataflow {
     steps: Vec<Step>,
     inputs: usize,
@@ -107,11 +120,22 @@ pub(crate) struct Dataflow {
 }
 
 impl Dataflow {
-    /// The one symbolic walk over a program that passed
-    /// [`crate::Processor::check`] (the caller's duty: an unchecked program
-    /// may panic here).  `traced` also records the events a [`TraceHook`]
-    /// sees; the steps are the same either way.
-    pub(crate) fn lower(program: &Program, traced: bool) -> Dataflow {
+    /// The dataflow of `program` once `processor` has accepted it
+    /// ([`Processor::check`]): the only way to a `Dataflow`, so no lowering
+    /// meets an illegal program.  `traced` also records the events a
+    /// [`TraceHook`] sees; the steps are the same either way.
+    ///
+    /// # Errors
+    ///
+    /// The first [`crate::ProcessorError`] of the check.
+    pub(crate) fn checked(processor: &Processor, program: &Program, traced: bool) -> Result<Self> {
+        processor.check(program)?;
+        Ok(Dataflow::lower(program, traced))
+    }
+
+    /// The one symbolic walk over a checked program (see
+    /// [`Dataflow::checked`]).
+    fn lower(program: &Program, traced: bool) -> Dataflow {
         let config = &program.config;
         let banks = config.total_banks();
         let regs_per_bank = config.regs_per_bank;
@@ -377,9 +401,11 @@ impl Dataflow {
     /// Replays the queries of `inputs` (query-major, one input vector
     /// each): their root values into `outputs` (one per query) and their
     /// exports into `exports` (query-major, one row of exports each).
-    /// Full blocks of [`LANES`] queries run side by side, the tail one by
-    /// one; a traced run goes one by one throughout, calling `start` before
-    /// each query and reporting its events to `hook` after it.
+    /// Untraced, blocks of [`LANES`] queries and then of the next narrower
+    /// widths are copied into the lane-minor tile of `state` and replayed by
+    /// [`Dataflow::run_block`].  A traced run goes one query at a time (its
+    /// input vector is its own one-lane tile), calling `start` before each
+    /// query and reporting its events to `hook` after it.
     pub(crate) fn run<H: TraceHook>(
         &self,
         inputs: &[f64],
@@ -395,56 +421,88 @@ impl Dataflow {
         // inputs, then one per arithmetic step.
         let mut values = Vec::new();
         let mut q = 0;
-        if !H::ENABLED {
-            while q + LANES <= queries {
-                let inputs = &inputs[q * n..(q + LANES) * n];
-                let slots = self.replay::<LANES, H>(inputs, state, &mut values);
-                self.results(
-                    slots,
-                    &mut outputs[q..q + LANES],
-                    &mut exports[q * e..(q + LANES) * e],
-                );
-                q += LANES;
-            }
-        }
-        for q in q..queries {
-            start(hook, q);
-            let inputs = &inputs[q * n..(q + 1) * n];
+        while q < queries {
+            let lanes = if H::ENABLED {
+                1
+            } else {
+                block_width(queries - q)
+            };
+            let block = &inputs[q * n..(q + lanes) * n];
+            let outputs = &mut outputs[q..q + lanes];
+            let exports = &mut exports[q * e..(q + lanes) * e];
             if H::ENABLED {
+                start(hook, q);
                 values.clear();
                 values.extend([0.0, 1.0]);
-                values.extend_from_slice(inputs);
-            }
-            let slots = self.replay::<1, H>(inputs, state, &mut values);
-            self.results(slots, &mut outputs[q..=q], &mut exports[q * e..(q + 1) * e]);
-            if H::ENABLED {
+                values.extend_from_slice(block);
+                self.replay::<1, H>(block, outputs, exports, &mut state.slots, &mut values);
                 self.emit(&values, hook);
+            } else {
+                state.tile.resize(n * lanes, 0.0);
+                for (input, group) in state.tile.chunks_exact_mut(lanes).enumerate() {
+                    for (lane, cell) in group.iter_mut().enumerate() {
+                        *cell = block[lane * n + input];
+                    }
+                }
+                self.run_block(lanes, &state.tile, outputs, exports, &mut state.slots);
             }
+            q += lanes;
         }
     }
 
-    /// The replay proper: one pass over the steps for `L` queries, whose
-    /// input vectors `inputs` holds back to back; a traced pass appends
-    /// each arithmetic step's result to `values`.
-    fn replay<'s, const L: usize, H: TraceHook>(
+    /// Replays the `lanes` queries of the lane-minor input `tile` (input `i`
+    /// of lane `l` at `tile[i * lanes + l]`): their root values into
+    /// `outputs` and their exports into `exports` (query-major; rows past
+    /// its length are not written).  `slots` is the replay's scratch, grown
+    /// when this list needs more.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lanes` is not 1, 2, 4 or 8, `tile` is not `inputs ×
+    /// lanes` long or `outputs` is not `lanes` long.
+    pub(crate) fn run_block(
         &self,
-        inputs: &[f64],
-        state: &'s mut SimState,
-        values: &mut Vec<f64>,
-    ) -> &'s [[f64; L]] {
-        let need = self.slots * L;
-        if state.slots.len() < need {
-            state.slots.resize(need, 0.0);
+        lanes: usize,
+        tile: &[f64],
+        outputs: &mut [f64],
+        exports: &mut [f64],
+        slots: &mut Vec<f64>,
+    ) {
+        let untraced = &mut Vec::new();
+        match lanes {
+            1 => self.replay::<1, NoTrace>(tile, outputs, exports, slots, untraced),
+            2 => self.replay::<2, NoTrace>(tile, outputs, exports, slots, untraced),
+            4 => self.replay::<4, NoTrace>(tile, outputs, exports, slots, untraced),
+            8 => self.replay::<8, NoTrace>(tile, outputs, exports, slots, untraced),
+            other => panic!("unsupported lane width {other} (expected 1, 2, 4 or 8)"),
         }
-        let (slots, _) = state.slots[..need].as_chunks_mut::<L>();
+    }
+
+    /// The replay proper: one pass over the steps for the `L` queries of
+    /// `tile`, then their results; a traced pass appends each arithmetic
+    /// step's result to `values`.
+    fn replay<const L: usize, H: TraceHook>(
+        &self,
+        tile: &[f64],
+        outputs: &mut [f64],
+        exports: &mut [f64],
+        slots: &mut Vec<f64>,
+        values: &mut Vec<f64>,
+    ) {
+        assert_eq!(tile.len(), self.inputs * L, "tile must be inputs x lanes");
+        let need = self.slots * L;
+        if slots.len() < need {
+            slots.resize(need, 0.0);
+        }
+        let (slots, _) = slots[..need].as_chunks_mut::<L>();
         slots[ZERO as usize] = [0.0; L];
         slots[ONE as usize] = [1.0; L];
         if self.precision == Precision::F64 {
-            self.pass::<L, false, H>(inputs, slots, values);
+            self.pass::<L, false, H>(tile, slots, values);
         } else {
-            self.pass::<L, true, H>(inputs, slots, values);
+            self.pass::<L, true, H>(tile, slots, values);
         }
-        slots
+        self.results(slots, outputs, exports);
     }
 
     /// One pass over the steps.  Each arm hands [`apply_pe`] a constant
@@ -454,7 +512,7 @@ impl Dataflow {
     /// slower).
     fn pass<const L: usize, const ROUND: bool, H: TraceHook>(
         &self,
-        inputs: &[f64],
+        tile: &[f64],
         slots: &mut [[f64; L]],
         values: &mut Vec<f64>,
     ) {
@@ -475,14 +533,11 @@ impl Dataflow {
                 *d = apply_pe(op, x, y, precision);
             }
         }
-        let n = self.inputs;
         for step in &self.steps {
             match step.op {
                 Op::Input => {
-                    let input = step.a as usize;
-                    for (lane, value) in slots[step.dst as usize].iter_mut().enumerate() {
-                        *value = inputs[lane * n + input];
-                    }
+                    let group = &tile[step.a as usize * L..][..L];
+                    slots[step.dst as usize].copy_from_slice(group);
                     continue;
                 }
                 Op::Pe(PeOp::Add) => lanes(PeOp::Add, slots, step, precision),
@@ -559,7 +614,6 @@ mod tests {
     use crate::config::ProcessorConfig;
     use crate::isa::{InputSlot, Instruction, WriteCmd};
     use crate::trace::{TraceEvent, TraceRecorder};
-    use crate::Processor;
 
     /// `body` after a load of row 0 into register 0 of every bank, with
     /// `inputs` in the first lanes of row 0.
@@ -610,7 +664,7 @@ mod tests {
         let program = after_load(config, inputs.len(), vec![compute], r0);
         let processor = Processor::new(config.clone()).unwrap();
         let mut recorder = TraceRecorder::new(0);
-        let mut state = processor.state_for(&program);
+        let mut state = processor.state_for();
         processor
             .run_with_hook(&program, inputs, &mut state, &mut recorder)
             .unwrap();
@@ -756,7 +810,7 @@ mod tests {
         let processor = Processor::new(cfg).unwrap();
         let inputs: Vec<f64> = (0..32).map(|i| f64::from(i) + 0.5).collect();
         let mut recorder = TraceRecorder::new(0);
-        let mut state = processor.state_for(&program);
+        let mut state = processor.state_for();
         let run = processor
             .run_with_hook(&program, &inputs, &mut state, &mut recorder)
             .unwrap();

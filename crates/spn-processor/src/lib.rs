@@ -21,17 +21,21 @@
 //! ([`perf::PerfReport`]).
 //!
 //! Execution follows the compile-once / execute-many split: a program is
-//! compiled once and then streamed over evidence.
-//! [`MultiCoreProcessor::run_batch_sharded`] runs a whole batch of input
-//! vectors through one simulator instance per core (reusable [`SimState`]s,
-//! no per-query allocation); one core is the single-processor case.  The
-//! schedule is static and the hardware has no interlocks, so the simulator
-//! answers three questions from one function each, all taken once per
-//! batch: what a pass costs is [`Program::perf`], whether a program is
-//! legal is [`Processor::check`], and what it computes is one symbolic walk
-//! that lowers the checked program to a dataflow list of PE operations over
-//! value slots, which each query then replays — eight queries side by
-//! side — counting nothing and testing no rule.
+//! compiled once and then streamed over evidence.  The schedule is static
+//! and the hardware has no interlocks, so the simulator answers three
+//! questions from one function each, all taken once per plan: what a pass
+//! costs is [`Program::perf`], whether a program is legal is
+//! [`Processor::check`], and what it computes is one symbolic walk that
+//! lowers the checked program to a dataflow list of PE operations over
+//! value slots.  A [`CheckedProgram`] holds all three answers; its only
+//! constructor runs the check.  Each block of up to eight queries then
+//! replays the list side by side from a lane-minor input tile
+//! ([`CheckedProgram::run_block`]), counting nothing and testing no rule,
+//! and [`MultiCoreProcessor::sharded_perf`] costs the batch on N cores.
+//! [`MultiCoreProcessor::run_batch_sharded`] is the same from query-major
+//! input vectors and a bare [`Program`], which it checks, costs and lowers
+//! once per call (reusable [`SimState`]s, no per-query allocation); one
+//! core is the single-processor case.
 //!
 //! The two configurations evaluated in the paper are available as presets:
 //! [`ProcessorConfig::ptree`] (2 trees × 4 levels = 30 PEs) and
@@ -62,7 +66,7 @@ pub use multicore::{
 };
 pub use perf::{CorePerf, MultiCorePerf, PerfReport};
 pub use precision::Precision;
-pub use processor::{ExecutionResult, Processor, SimState};
+pub use processor::{CheckedProgram, ExecutionResult, Processor, SimState};
 pub use trace::{diff_traces, NoTrace, TraceDivergence, TraceEvent, TraceHook, TraceRecorder};
 
 /// Convenience alias for results returned by this crate.

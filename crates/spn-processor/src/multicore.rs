@@ -27,10 +27,12 @@
 //! every makespan cycle of every core to compute, memory stalls,
 //! interconnect stalls or idle time — an exact partition that
 //! [`MultiCorePerf::check_accounting`] verifies.  It is a pure function of
-//! the programs ([`Program::perf`]), the machine and the query count, and every
-//! program is checked ([`Processor::check`]) and lowered to a dataflow list
-//! once per batch, before query 0; queries replay that list for values
-//! only, eight side by side.  Both modes exist in
+//! the programs ([`Program::perf`]), the machine and the query count.  A
+//! [`CheckedProgram`] is checked ([`Processor::check`]), costed and lowered
+//! to a dataflow list once per plan, and [`MultiCoreProcessor::sharded_perf`]
+//! costs its batches without running one; the runners below take a bare
+//! program and do all three once per call, before query 0.  Queries replay
+//! the list for values only, up to eight side by side.  Both modes exist in
 //! `_traced` variants that record per-cycle golden traces on the global
 //! timeline (stage starts and steady-state offsets included), so a change
 //! to any latency model moves trace rows and is caught at the first
@@ -41,7 +43,7 @@ use crate::dataflow::Dataflow;
 use crate::error::ProcessorError;
 use crate::isa::Program;
 use crate::perf::{CorePerf, MultiCorePerf, PerfReport};
-use crate::processor::{Processor, SimState};
+use crate::processor::{CheckedProgram, Processor, SimState};
 use crate::trace::{NoTrace, TraceHook, TraceRecorder};
 use crate::Result;
 
@@ -192,11 +194,10 @@ impl MultiCoreProcessor {
         &self.core
     }
 
-    /// One reusable [`SimState`] per core for runs of `program` (see
-    /// [`Processor::state_for`]).
-    pub fn states_for(&self, program: &Program) -> Vec<SimState> {
+    /// One reusable [`SimState`] per core (see [`Processor::state_for`]).
+    pub fn states_for(&self) -> Vec<SimState> {
         (0..self.config.cores)
-            .map(|_| self.core.state_for(program))
+            .map(|_| self.core.state_for())
             .collect()
     }
 
@@ -235,7 +236,10 @@ impl MultiCoreProcessor {
     /// each one input-layout entry long) — the layout produced by
     /// `spn_core::batch::InputRecipe::fill_batch`; `states` is resized to
     /// one [`SimState`] per core when it does not fit.  Outputs are in batch
-    /// order, bit-for-bit equal to a single-core run.
+    /// order, bit-for-bit equal to a single-core run.  The program is
+    /// checked, costed and lowered on every call; each core's shard is then
+    /// copied block by block into its state's lane-minor tile and replayed
+    /// by the same pass as [`CheckedProgram::run_block`].
     ///
     /// # Errors
     ///
@@ -294,15 +298,15 @@ impl MultiCoreProcessor {
             });
         }
         if states.len() != self.config.cores {
-            *states = self.states_for(program);
+            *states = self.states_for();
         }
         let ranges = Self::shard_ranges(self.config.cores, queries);
         // Legality, cost and dataflow are properties of the program: all
-        // three are taken once per batch, before query 0; the queries are
-        // replayed for values alone.
-        self.core.check(program)?;
+        // three are taken before query 0 (once per plan for a
+        // `CheckedProgram`, once per call here); the queries are replayed
+        // for values alone.
+        let flow = Dataflow::checked(&self.core, program, H::ENABLED)?;
         let pass = program.perf();
-        let flow = Dataflow::lower(program, H::ENABLED);
         let mut outputs = vec![0.0; queries];
         let exported = program.exports.len();
         let mut exports = vec![0.0; queries * exported];
@@ -322,7 +326,7 @@ impl MultiCoreProcessor {
                 },
             );
         }
-        let cores = self.sharded_perf(&pass, queries);
+        let cores = self.shard_attribution(&pass, queries);
         let perf = cores.merged(&self.config.name(), queries as u64);
         Ok(MultiCoreBatch {
             outputs,
@@ -396,15 +400,13 @@ impl MultiCoreProcessor {
             });
         }
         if states.len() < num_stages {
-            *states = stages
-                .iter()
-                .map(|stage| self.core.state_for(&stage.program))
-                .collect();
+            *states = self.states_for();
         }
 
-        for stage in stages {
-            self.core.check(&stage.program)?;
-        }
+        let flows = stages
+            .iter()
+            .map(|stage| Dataflow::checked(&self.core, &stage.program, H::ENABLED))
+            .collect::<Result<Vec<_>>>()?;
         let (cores, starts, ii) = self.pipelined_perf(parts, queries);
 
         // Queries are independent, so the stages run one after the other
@@ -413,7 +415,7 @@ impl MultiCoreProcessor {
         let mut outputs = vec![0.0; queries];
         let mut exports: Vec<Vec<f64>> = Vec::with_capacity(num_stages);
         let mut local_inputs: Vec<f64> = Vec::new();
-        for (j, stage) in stages.iter().enumerate() {
+        for (j, (stage, flow)) in stages.iter().zip(&flows).enumerate() {
             local_inputs.clear();
             for q in 0..queries {
                 let global = &flat_inputs[q * parts.num_inputs..(q + 1) * parts.num_inputs];
@@ -428,7 +430,7 @@ impl MultiCoreProcessor {
                 }
             }
             let mut stage_exports = vec![0.0; queries * stage.program.exports.len()];
-            Dataflow::lower(&stage.program, H::ENABLED).run(
+            flow.run(
                 &local_inputs,
                 &mut outputs,
                 &mut stage_exports,
@@ -485,10 +487,32 @@ impl MultiCoreProcessor {
         }
     }
 
+    /// What [`MultiCoreProcessor::run_batch_sharded`] of `queries` queries
+    /// of `checked` attributes to the cores, computed without a query: the
+    /// shard split alone decides it, and the values of a batch do not depend
+    /// on it, so a caller can replay the batch in lane blocks
+    /// ([`CheckedProgram::run_block`]) and take its cost from here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProcessorError::InvalidConfig`] when `checked` was checked
+    /// for another core configuration than this machine's.
+    pub fn sharded_perf(&self, checked: &CheckedProgram, queries: usize) -> Result<MultiCorePerf> {
+        if checked.config != self.config.core {
+            return Err(ProcessorError::InvalidConfig {
+                reason: format!(
+                    "program checked for `{}` run on `{}`",
+                    checked.config.name, self.config.core.name
+                ),
+            });
+        }
+        Ok(self.shard_attribution(&checked.perf, queries))
+    }
+
     /// The attribution of `queries` passes costing `per_query` each, sharded
     /// over the cores: core `c` is charged its shard length × the per-query
     /// counters, and the busiest core sets the makespan.
-    fn sharded_perf(&self, per_query: &PerfReport, queries: usize) -> MultiCorePerf {
+    fn shard_attribution(&self, per_query: &PerfReport, queries: usize) -> MultiCorePerf {
         let shards = Self::shard_ranges(self.config.cores, queries);
         let work = shards.iter().map(|s| (per_query.times(s.len() as u64), 0));
         self.attribute(work, None)
@@ -657,7 +681,7 @@ mod tests {
         let program = sum_of_products_program();
         let flat: Vec<f64> = (0..20).map(|i| i as f64 + 0.5).collect(); // 5 queries
         let single = Processor::new(cfg()).unwrap();
-        let mut state = single.state_for(&program);
+        let mut state = single.state_for();
         let mut serial_outputs = Vec::new();
         let mut serial_perf = PerfReport::default();
         for inputs in flat.chunks(4) {
@@ -776,7 +800,7 @@ mod tests {
         let perf = program.perf();
         let traffic = (perf.memory_loads + perf.memory_stores) as usize;
         assert_eq!((active, traffic), (3 + 4 + 1, 3));
-        // Eleven queries: one lane block plus a tail untraced, one by one
+        // Eleven queries: blocks of eight, two and one untraced, one by one
         // traced.
         let flat: Vec<f64> = (0..11 * 32).map(|i| f64::from(i % 97) * 0.25).collect();
         for cores in [1usize, 3] {
@@ -801,6 +825,93 @@ mod tests {
                 assert!(counter.mem.iter().all(|&n| n == traffic));
             }
         }
+    }
+
+    #[test]
+    fn lane_blocks_of_every_width_replay_the_query_major_run() {
+        let mut program = load_store_program();
+        let n = program.input_layout.len();
+        let flat: Vec<f64> = (0..8 * n)
+            .map(|i| f64::from(i as u32 % 89) * 0.37 - 3.0)
+            .collect();
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mc = MultiCoreProcessor::new(MultiCoreConfig::new(1, cfg())).unwrap();
+        let custom = Precision::Custom {
+            exp_bits: 8,
+            mant_bits: 10,
+        };
+        // One state across precisions and widths: nothing leaks between them.
+        let mut state = mc.core().state_for();
+        for precision in [Precision::F64, custom] {
+            program.pe_precision = precision;
+            let want = mc
+                .run_batch_sharded(&program, &flat, 8, &mut Vec::new())
+                .unwrap()
+                .outputs;
+            for (q, inputs) in flat.chunks(n).enumerate() {
+                let single = mc.core().run(&program, inputs).unwrap().output;
+                assert_eq!(
+                    single.to_bits(),
+                    want[q].to_bits(),
+                    "{precision:?} query {q}"
+                );
+            }
+            let checked = CheckedProgram::new(mc.core(), program.clone()).unwrap();
+            for lanes in [1, 2, 4, 8] {
+                let mut got = vec![0.0; 8];
+                for (block, out) in flat.chunks(lanes * n).zip(got.chunks_mut(lanes)) {
+                    // tile[input * lanes + lane] = block[lane * n + input]
+                    let tile: Vec<f64> = (0..n * lanes)
+                        .map(|k| block[k % lanes * n + k / lanes])
+                        .collect();
+                    checked.run_block(lanes, &tile, out, &mut state);
+                }
+                assert_eq!(bits(&got), bits(&want), "{precision:?} at {lanes} lanes");
+            }
+        }
+    }
+
+    #[test]
+    fn a_checked_program_is_costed_only_on_its_own_machine() {
+        // Loads (a, b) and multiplies them on a Pvect leaf.
+        let pvect = ProcessorConfig::pvect();
+        let mut load = Instruction::nop(&pvect);
+        load.mem = MemOp::Load { row: 0, reg: 0 };
+        let mut compute = Instruction::nop(&pvect);
+        compute.trees[0].reads[0] = ReadSel::Reg { bank: 0, reg: 0 };
+        compute.trees[0].reads[1] = ReadSel::Reg { bank: 1, reg: 0 };
+        compute.trees[0].pe_ops[0] = PeOp::Mul;
+        compute.trees[0].writes.push(WriteCmd {
+            level: 0,
+            pe: 0,
+            bank: 1,
+            reg: 3,
+        });
+        let program = Program {
+            config: pvect.clone(),
+            instructions: vec![load, compute],
+            input_layout: vec![InputSlot { row: 0, lane: 0 }, InputSlot { row: 0, lane: 1 }],
+            memory_rows_used: 1,
+            output: ValueLocation::Register { bank: 1, reg: 3 },
+            exports: Vec::new(),
+            num_source_ops: 1,
+            pe_precision: Precision::F64,
+        };
+        let checked =
+            CheckedProgram::new(&Processor::new(pvect.clone()).unwrap(), program).unwrap();
+        let ptree = MultiCoreProcessor::new(MultiCoreConfig::new(2, cfg())).unwrap();
+        assert!(matches!(
+            ptree.sharded_perf(&checked, 3),
+            Err(ProcessorError::InvalidConfig { .. })
+        ));
+        // On its own machine the cost is what a run of the batch reports.
+        let own = MultiCoreProcessor::new(MultiCoreConfig::new(2, pvect)).unwrap();
+        let flat = [6.0, 7.0, 0.5, 4.0, -1.0, 3.0];
+        let run = own
+            .run_batch_sharded(&checked, &flat, 3, &mut Vec::new())
+            .unwrap();
+        assert_eq!(run.outputs, [42.0, 2.0, -3.0]);
+        assert_eq!(own.sharded_perf(&checked, 3).unwrap(), run.cores);
     }
 
     #[test]
@@ -921,7 +1032,7 @@ mod tests {
             let mc = MultiCoreProcessor::new(MultiCoreConfig::new(cores, cfg())).unwrap();
             let parts = if cores == 1 { &one_stage } else { &two_stages };
             for queries in 0..=9usize {
-                let sharded = mc.sharded_perf(&program.perf(), queries);
+                let sharded = mc.shard_attribution(&program.perf(), queries);
                 let (pipelined, starts, _) = mc.pipelined_perf(parts, queries);
                 assert_eq!(starts[0], 0);
                 // Sharded runs charge each query once, pipelined runs once

@@ -18,7 +18,8 @@
 //! producing wrong values, which turns the simulator into a verification
 //! oracle for `spn-compiler`.  [`Processor::run`] checks the program, lowers
 //! it once to a dataflow list (`crate::dataflow`) and replays that for the
-//! inputs' values alone.
+//! inputs' values alone; a [`CheckedProgram`] does the first two once per
+//! plan and keeps the list for every batch.
 
 use crate::config::{PePosition, ProcessorConfig};
 use crate::dataflow::Dataflow;
@@ -43,22 +44,79 @@ pub struct ExecutionResult {
 /// Reusable simulator storage for the execute-many half of the
 /// compile-once / execute-many split.
 ///
-/// Holds the slot scratch of the value replay: a checked program is lowered
-/// to a dataflow list over value slots — zero, one, each input, the
-/// arithmetic PE results, a slot taking the next value once its own has
-/// been read for the last time — and the replay fills them for up to eight
-/// queries side by side, one lane per query.  The scratch is reused across
-/// runs and grows when a bigger program comes along.  The lowering is not
-/// kept in it: the batch runners
-/// ([`crate::MultiCoreProcessor::run_batch_sharded`] and
-/// [`crate::MultiCoreProcessor::run_partitioned`]) lower once per batch, so
-/// their queries allocate nothing, while a single-query
-/// [`Processor::run_with`] lowers the program on every call.  Build one with
-/// [`Processor::state_for`].
-#[derive(Debug, Clone)]
+/// Holds the scratch of the value replay.  A checked program is lowered to
+/// a dataflow list over value slots — zero, one, each input, the arithmetic
+/// PE results, a slot taking the next value once its own has been read for
+/// the last time — and the replay fills them for up to eight queries side
+/// by side, one lane per query.  Beside the slots sits the lane-minor input
+/// tile that the query-major runners copy each block into.  Both are reused
+/// across runs and grow when a bigger program comes along.  The lowering is
+/// not kept here: a [`CheckedProgram`] holds it for the whole plan, the
+/// multi-core runners ([`crate::MultiCoreProcessor::run_batch_sharded`] and
+/// [`crate::MultiCoreProcessor::run_partitioned`]) lower once per call, and
+/// a single-query [`Processor::run_with`] lowers on every call.
+#[derive(Debug, Clone, Default)]
 pub struct SimState {
     /// Slot-major, one lane per query of a replayed block.
     pub(crate) slots: Vec<f64>,
+    /// Input-major, one lane per query of a block copied from query-major
+    /// input vectors.
+    pub(crate) tile: Vec<f64>,
+}
+
+/// A program [`Processor::check`] accepted, with what being legal fixes for
+/// good: its cost per pass ([`Program::perf`]) and its untraced dataflow
+/// list.  The only constructor runs the check, so a replay never meets an
+/// illegal program, and the program is read through `Deref` but cannot be
+/// changed afterwards.  Built once per plan (`spn_compiler::CompiledArtifact`
+/// holds one), it serves every batch of it: [`CheckedProgram::run_block`]
+/// replays a lane block, and [`crate::MultiCoreProcessor::sharded_perf`]
+/// costs a batch on a machine.
+#[derive(Debug, Clone)]
+pub struct CheckedProgram {
+    program: Program,
+    /// [`Program::perf`], taken when the program was checked.
+    pub(crate) perf: PerfReport,
+    flow: Dataflow,
+}
+
+impl CheckedProgram {
+    /// Checks `program` on `processor`, costs it and lowers it.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ProcessorError`] of [`Processor::check`].
+    pub fn new(processor: &Processor, program: Program) -> Result<CheckedProgram> {
+        let flow = Dataflow::checked(processor, &program, false)?;
+        Ok(CheckedProgram {
+            perf: program.perf(),
+            flow,
+            program,
+        })
+    }
+
+    /// Replays the `lanes` queries of the lane-minor input tile `tile` —
+    /// input `i` of lane `l` at `tile[i * lanes + l]`, the layout of
+    /// `spn_core`'s `InputRecipe::fill_lane_block` — and writes their root
+    /// values to `outputs`.  Values do not depend on `lanes`: each lane is
+    /// the query a single-query [`Processor::run`] computes, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lanes` is not 1, 2, 4 or 8, `tile` is not
+    /// `input_layout.len() × lanes` long or `outputs` is not `lanes` long.
+    pub fn run_block(&self, lanes: usize, tile: &[f64], outputs: &mut [f64], state: &mut SimState) {
+        self.flow
+            .run_block(lanes, tile, outputs, &mut [], &mut state.slots);
+    }
+}
+
+impl std::ops::Deref for CheckedProgram {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        &self.program
+    }
 }
 
 /// The bookkeeping of [`Processor::check`]: three flat arrays, no queue.
@@ -166,22 +224,19 @@ impl Processor {
     /// Builds reusable simulator storage.  It starts empty and takes its
     /// size from the first replay: the constants and as many inputs and
     /// step results as are live at once, for each query replayed side by
-    /// side.  The
-    /// register file and data memory of the machine are never materialised:
-    /// where a value sits only matters while a program is lowered.
-    ///
-    /// The state does not depend on `program`; the argument stays because
-    /// the repository's benchmark crate calls this signature.
-    pub fn state_for(&self, _program: &Program) -> SimState {
-        SimState { slots: Vec::new() }
+    /// side.  The register file and data memory of the machine are never
+    /// materialised: where a value sits only matters while a program is
+    /// lowered.
+    pub fn state_for(&self) -> SimState {
+        SimState::default()
     }
 
     /// Whether `program` is legal on this processor: one walk over the
     /// instruction stream that enforces every structural rule of the
     /// architecture and reads no value, so the verdict holds for every
     /// input vector.  It is the only place a hazard, port or reach rule is
-    /// raised; [`Processor::run`] and the multi-core runners call it before
-    /// they compute anything.
+    /// raised; [`CheckedProgram::new`], [`Processor::run`] and the
+    /// multi-core runners call it before they compute anything.
     ///
     /// Checked, in issue order and within a cycle in datapath order: the
     /// configuration match; per instruction the tree count, the load (row
@@ -343,7 +398,8 @@ impl Processor {
     ///
     /// Convenience wrapper that allocates fresh simulator storage.  Every
     /// call checks and lowers `program` again; a batch should go through
-    /// [`crate::MultiCoreProcessor::run_batch_sharded`], which does both once.
+    /// [`crate::MultiCoreProcessor::run_batch_sharded`], which does both once
+    /// per call, or a plan through a [`CheckedProgram`], which does them once.
     ///
     /// # Errors
     ///
@@ -352,7 +408,7 @@ impl Processor {
     /// match this processor's configuration ([`Processor::check`]), and
     /// [`ProcessorError::InputMismatch`] for a wrong input count.
     pub fn run(&self, program: &Program, inputs: &[f64]) -> Result<ExecutionResult> {
-        let mut state = self.state_for(program);
+        let mut state = self.state_for();
         self.run_with(program, inputs, &mut state)
     }
 
@@ -393,7 +449,7 @@ impl Processor {
         state: &mut SimState,
         hook: &mut H,
     ) -> Result<ExecutionResult> {
-        self.check(program)?;
+        let flow = Dataflow::checked(self, program, H::ENABLED)?;
         if inputs.len() != program.input_layout.len() {
             return Err(ProcessorError::InputMismatch {
                 expected: program.input_layout.len(),
@@ -402,14 +458,7 @@ impl Processor {
         }
         let mut output = [0.0];
         let mut exports = vec![0.0; program.exports.len()];
-        Dataflow::lower(program, H::ENABLED).run(
-            inputs,
-            &mut output,
-            &mut exports,
-            state,
-            hook,
-            |_, _| {},
-        );
+        flow.run(inputs, &mut output, &mut exports, state, hook, |_, _| {});
         Ok(ExecutionResult {
             output: output[0],
             exports,
@@ -492,7 +541,7 @@ mod tests {
             [1.0, 1.0, 1.0, 1.0],
             [0.5, 0.5, 2.0, 2.0],
         ];
-        let mut state = proc.state_for(&program);
+        let mut state = proc.state_for();
         let mut outputs = Vec::new();
         let mut perf = PerfReport::default();
         for inputs in &queries {
@@ -512,7 +561,7 @@ mod tests {
     fn state_reuse_is_equivalent_to_fresh_state() {
         let program = sum_of_products_program();
         let proc = Processor::new(cfg()).unwrap();
-        let mut state = proc.state_for(&program);
+        let mut state = proc.state_for();
         let a = proc
             .run_with(&program, &[2.0, 3.0, 4.0, 5.0], &mut state)
             .unwrap();
@@ -574,6 +623,40 @@ mod tests {
             proc.run(&program, &[1.0; 4]),
             Err(ProcessorError::ReadPortConflict { .. })
         ));
+    }
+
+    #[test]
+    fn only_a_legal_program_becomes_a_checked_program() {
+        let proc = Processor::new(cfg()).unwrap();
+        // The hazard of `detects_read_before_write_hazard` and the conflict
+        // of `detects_read_port_conflict`: the constructor's verdict is the
+        // check's.
+        let mut hazard = sum_of_products_program();
+        let compute = hazard.instructions.remove(1);
+        hazard.instructions[0].trees = compute.trees;
+        let mut conflict = sum_of_products_program();
+        conflict.instructions[1].trees[0].reads[1] = ReadSel::Reg { bank: 0, reg: 0 };
+        for program in [hazard, conflict] {
+            let verdict = proc.check(&program).expect_err("illegal");
+            assert!(matches!(
+                verdict,
+                ProcessorError::ReadBeforeWrite { .. } | ProcessorError::ReadPortConflict { .. }
+            ));
+            assert_eq!(CheckedProgram::new(&proc, program).err(), Some(verdict));
+        }
+        // A legal one keeps its program and the cost `Program::perf` gives.
+        let program = sum_of_products_program();
+        let checked = CheckedProgram::new(&proc, program.clone()).unwrap();
+        assert_eq!(*checked, program);
+        assert_eq!(checked.perf, program.perf());
+        let mut outputs = [0.0];
+        checked.run_block(
+            1,
+            &[2.0, 3.0, 4.0, 5.0],
+            &mut outputs,
+            &mut proc.state_for(),
+        );
+        assert_eq!(outputs, [45.0]);
     }
 
     #[test]
@@ -929,7 +1012,7 @@ mod tests {
         assert!(program.is_empty());
         assert_eq!(program.perf().stall_cycles, 0);
         let proc = Processor::new(cfg()).unwrap();
-        let mut state = proc.state_for(&program);
+        let mut state = proc.state_for();
         let run = proc
             .run_with(&program, &[1.0, 2.0, 3.0], &mut state)
             .unwrap();

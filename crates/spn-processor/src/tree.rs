@@ -5,7 +5,7 @@
 //! PEs directly below it.  Each PE either adds, multiplies, takes a maximum
 //! or log-sum-exp, compares, forwards one of its inputs, or idles.  Which
 //! values meet at which PE is fixed by the program and resolved once per
-//! batch when the simulator lowers it to a dataflow list; [`apply_pe`] is
+//! plan when the simulator lowers it to a dataflow list; [`apply_pe`] is
 //! the arithmetic that list replays per query.
 
 use crate::isa::PeOp;

@@ -10,14 +10,19 @@
 //!   the merged batch report is the sum of the per-core reports, for both
 //!   batch-sharded and pipelined/partitioned execution.
 //! * **Lane blocks and tails** — a batch of any length, cut into blocks of
-//!   eight queries replayed side by side plus a one-by-one tail, returns
-//!   per query exactly what a single-query run returns.
-//! * **Legality once per batch** — a program that breaks a machine rule is
+//!   eight queries replayed side by side plus tail blocks of four, two and
+//!   one, returns per query exactly what a single-query run returns; the
+//!   processor backend's lane-block path returns the query-major sharded
+//!   run's values and counters bit for bit, and one set of buffers carries
+//!   no value across plans or widths.
+//! * **Legality before query 0** — a program that breaks a machine rule is
 //!   rejected before query 0 with the error a single-core run gives, an
 //!   empty batch included.
 //! * **Validation** — structurally impossible machines (zero cores, zero PE
 //!   trees/levels/leaves, zero shared-memory ports) are rejected with a
 //!   structured configuration error instead of panicking mid-simulation.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,7 +31,10 @@ use spn_accel::core::flatten::OpList;
 use spn_accel::core::query::{ConditionalBatch, QueryBatch, QueryMode};
 use spn_accel::core::random::{random_spn, RandomSpnConfig};
 use spn_accel::core::{Evidence, EvidenceBatch, NumericMode, Precision, Spn};
-use spn_accel::platforms::{Engine, EngineOptions, Parallelism, ProcessorBackend, QueryOutput};
+use spn_accel::platforms::{
+    Backend, Engine, EngineOptions, ExecBuffers, Parallelism, Plan, ProcessorBackend,
+    ProcessorScratch, QueryOutput,
+};
 use spn_accel::processor::{
     MultiCoreConfig, MultiCoreProcessor, PerfReport, Processor, ProcessorConfig, ProcessorError,
     Program, SharedMemoryConfig, TraceRecorder,
@@ -408,8 +416,9 @@ fn corrupted_programs_are_rejected_before_query_zero() {
     let batch = mixed_batch(spn.num_vars());
     let mut flat = Vec::new();
 
-    let mut compiled = compiler.compile_op_list(ops.clone()).expect("compile");
-    retarget_first_write(&mut compiled.program);
+    let compiled = compiler.compile_op_list(ops.clone()).expect("compile");
+    let mut program = Program::clone(&compiled.program);
+    retarget_first_write(&mut program);
     let mut parted = compiler.compile_partitioned(ops, 2).expect("partition");
     retarget_first_write(&mut parted.parts.stages[1].program);
     let stage = &parted.parts.stages[1].program;
@@ -421,17 +430,16 @@ fn corrupted_programs_are_rejected_before_query_zero() {
             .expect_err("the PE cannot reach the bank")
     };
     assert!(matches!(
-        verdict(&compiled.program),
+        verdict(&program),
         ProcessorError::IllegalWriteBank { .. }
     ));
     for queries in [0usize, 1, 5] {
         let rows = batch.sub_batch(0, queries);
         compiled.fill_batch_inputs(&rows, &mut flat).expect("fill");
-        let sharded =
-            processor.run_batch_sharded(&compiled.program, &flat, queries, &mut Vec::new());
+        let sharded = processor.run_batch_sharded(&program, &flat, queries, &mut Vec::new());
         assert_eq!(
             sharded.err(),
-            Some(verdict(&compiled.program)),
+            Some(verdict(&program)),
             "{queries} queries, sharded"
         );
         parted
@@ -549,6 +557,108 @@ fn batch_lengths_and_lane_tails_match_per_query_runs() {
                 want[..n],
                 "{name}: {n} queries, 2 stages, traced"
             );
+        }
+    }
+}
+
+/// The processor backend replays a batch in the CPU model's lane blocks
+/// from its plan-time checked program, and costs it from the program's
+/// stored report: for every batch length from empty to 33 and 64, on Ptree,
+/// Pvect and four Ptree cores, in both numeric domains at full and reduced
+/// precision, values, `PerfReport` and per-core `MultiCorePerf` are bit for
+/// bit what the query-major `fill_batch_inputs` + `run_batch_sharded` gives.
+#[test]
+fn backend_lane_blocks_match_the_query_major_sharded_run() {
+    let spn = test_spn();
+    let base = OpList::from_spn(&spn);
+    let rows = mixed_rows(spn.num_vars(), 64);
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let machines = [
+        (ProcessorConfig::ptree(), 1usize),
+        (ProcessorConfig::pvect(), 1),
+        (ProcessorConfig::ptree(), 4),
+    ];
+    for (config, cores) in machines {
+        let backend = ProcessorBackend::with_cores(config.clone(), cores).expect("backend");
+        let processor =
+            MultiCoreProcessor::new(MultiCoreConfig::new(cores, config)).expect("processor");
+        for (numeric, ops) in [("linear", base.clone()), ("log", base.to_log_domain())] {
+            for precision in [Precision::F64, Precision::E8M10] {
+                let name = format!("{}/{numeric}/{precision}", Backend::name(&backend));
+                let compiled = backend
+                    .compile(&ops.with_precision(precision))
+                    .expect("compile");
+                let mut buffers = ExecBuffers::new();
+                let mut scratch = ProcessorScratch::default();
+                let (mut flat, mut states) = (Vec::new(), Vec::new());
+                for n in (0..=33).chain([64]) {
+                    let batch = rows.sub_batch(0, n);
+                    let got = backend
+                        .execute_batch(&compiled, &batch, &mut buffers, &mut scratch)
+                        .expect("backend batch");
+                    compiled.fill_batch_inputs(&batch, &mut flat).expect("fill");
+                    let want = processor
+                        .run_batch_sharded(&compiled.program, &flat, n, &mut states)
+                        .expect("sharded run");
+                    assert_eq!(bits(&got.values), bits(&want.outputs), "{name}: {n} rows");
+                    assert_eq!(got.perf, want.perf, "{name}: {n} rows");
+                    let cores = processor
+                        .sharded_perf(&compiled.program, n)
+                        .expect("same machine");
+                    assert_eq!(cores, want.cores, "{name}: {n} rows");
+                }
+            }
+        }
+    }
+}
+
+/// One set of buffers and simulator scratch serves plans of different input
+/// counts, numeric domains and precisions in turn, at lengths whose blocks
+/// take every lane width, directly and through `Engine::rebind`: every
+/// batch returns what a fresh engine returns, so no value leaks across
+/// plans or widths.
+#[test]
+fn one_set_of_buffers_serves_plans_of_every_shape() {
+    let mut rng = StdRng::seed_from_u64(908);
+    let small = random_spn(&RandomSpnConfig::with_vars(6), &mut rng);
+    let large = test_spn();
+    let backend = ProcessorBackend::ptree();
+    let plans: Vec<Arc<Plan<ProcessorBackend>>> = [
+        OpList::from_spn(&small),
+        OpList::from_spn(&large)
+            .to_log_domain()
+            .with_precision(Precision::E8M10),
+    ]
+    .into_iter()
+    .map(|ops| Arc::new(Plan::compile(backend.clone(), ops, None).expect("plan")))
+    .collect();
+    assert_ne!(plans[0].ops().num_inputs(), plans[1].ops().num_inputs());
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut buffers = ExecBuffers::new();
+    let mut scratch = ProcessorScratch::default();
+    let mut rebound = Engine::from_plan(Arc::clone(&plans[0]));
+    for n in [17usize, 8, 7, 33, 1] {
+        for (p, plan) in plans.iter().enumerate() {
+            let batch = mixed_rows(plan.ops().num_vars(), n);
+            let mut fresh = Engine::from_plan(Arc::clone(plan));
+            let want = fresh.execute_batch(&batch).expect("fresh engine");
+            let shared = backend
+                .execute_batch(fresh.compiled(), &batch, &mut buffers, &mut scratch)
+                .expect("shared buffers");
+            assert_eq!(
+                bits(&shared.values),
+                bits(&want.values),
+                "plan {p}, {n} rows"
+            );
+            assert_eq!(shared.perf, want.perf, "plan {p}, {n} rows");
+            rebound.rebind(Arc::clone(plan));
+            let got = rebound.execute_batch(&batch).expect("rebound engine");
+            assert_eq!(
+                bits(&got.values),
+                bits(&want.values),
+                "plan {p}, {n} rows, rebound"
+            );
+            assert_eq!(got.perf, want.perf, "plan {p}, {n} rows, rebound");
         }
     }
 }

@@ -21,8 +21,8 @@ use spn_core::random::{random_spn, RandomSpnConfig};
 use spn_core::Evidence;
 use spn_processor::isa::CopyCmd;
 use spn_processor::{
-    MemOp, MultiCoreConfig, MultiCoreProcessor, PeOp, Processor, ProcessorConfig, Program, ReadSel,
-    TransferSource,
+    CheckedProgram, MemOp, MultiCoreConfig, MultiCoreProcessor, PeOp, Processor, ProcessorConfig,
+    Program, ReadSel, TransferSource,
 };
 
 fn artifact(vars: usize, seed: u64) -> spn_compiler::CompiledArtifact {
@@ -69,7 +69,7 @@ fn pristine_program_verifies_clean() {
 #[test]
 fn swapped_op_is_caught() {
     let art = artifact(10, 9);
-    let mut program = art.program.clone();
+    let mut program = Program::clone(&art.program);
     let mut swapped = false;
     'outer: for instr in &mut program.instructions {
         for tree in &mut instr.trees {
@@ -98,7 +98,7 @@ fn swapped_op_is_caught() {
 #[test]
 fn dropped_write_is_caught() {
     let art = artifact(10, 9);
-    let mut program = art.program.clone();
+    let mut program = Program::clone(&art.program);
     let mut dropped = false;
     'outer: for instr in program.instructions.iter_mut().rev() {
         for tree in &mut instr.trees {
@@ -116,7 +116,7 @@ fn dropped_write_is_caught() {
 #[test]
 fn clobbered_register_is_caught() {
     let art = artifact(10, 9);
-    let mut program = art.program.clone();
+    let mut program = Program::clone(&art.program);
     let regs = program.config.regs_per_bank as u16;
     let mut clobbered = false;
     'outer: for instr in &mut program.instructions {
@@ -136,7 +136,7 @@ fn clobbered_register_is_caught() {
 #[test]
 fn out_of_range_load_is_caught() {
     let art = artifact(10, 9);
-    let mut program = art.program.clone();
+    let mut program = Program::clone(&art.program);
     let rows = program.config.data_memory_rows as u32;
     let mut skewed = false;
     for instr in &mut program.instructions {
@@ -264,7 +264,7 @@ fn randomized_mutations_never_slip_through() {
     let mut rng = StdRng::seed_from_u64(20260808);
     let mut caught = 0usize;
     for _ in 0..40 {
-        let mut program = art.program.clone();
+        let mut program = Program::clone(&art.program);
         let label = mutate(&mut program, &mut rng);
         let diagnostics = verify_program(&program, &art.op_list, &[]);
         let execution = processor.run(&program, &inputs);
@@ -337,8 +337,8 @@ fn mutate_traffic(program: &mut Program, rng: &mut StdRng) -> &'static str {
 
 /// The processor has no interlocks, so legality is a property of the
 /// program: `Processor::check` gives the verdict of every run, whatever the
-/// evidence, and a batch that is checked once returns what per-query runs
-/// return.
+/// evidence, and of `CheckedProgram::new`; a batch that is checked once and
+/// a checked program's block replay return what per-query runs return.
 #[test]
 fn legality_does_not_depend_on_data() {
     let art = artifact(10, 9);
@@ -359,10 +359,11 @@ fn legality_does_not_depend_on_data() {
     let config = art.program.config.clone();
     let processor = Processor::new(config.clone()).expect("processor");
     let multicore = MultiCoreProcessor::new(MultiCoreConfig::new(2, config)).expect("multicore");
+    let mut state = processor.state_for();
     let mut rng = StdRng::seed_from_u64(20261003);
     let (mut accepted, mut rejected) = (0usize, 0usize);
     for round in 0..120 {
-        let mut program = art.program.clone();
+        let mut program = Program::clone(&art.program);
         let label = if round % 3 == 0 {
             mutate(&mut program, &mut rng)
         } else {
@@ -381,17 +382,23 @@ fn legality_does_not_depend_on_data() {
             );
         }
         let batch = multicore.run_batch_sharded(&program, &flat, rows.len(), &mut Vec::new());
+        let checked = CheckedProgram::new(&processor, program);
         match verdict {
             Ok(()) => {
                 accepted += 1;
                 let batch = batch.expect("a legal program runs as a batch");
-                for (run, output) in runs.iter().zip(&batch.outputs) {
+                let checked = checked.expect("a legal program is a checked program");
+                let mut output = [0.0];
+                for ((run, inputs), batched) in runs.iter().zip(&rows).zip(&batch.outputs) {
                     let run = run.as_ref().expect("accepted");
-                    assert_eq!(run.output.to_bits(), output.to_bits(), "{label}");
+                    assert_eq!(run.output.to_bits(), batched.to_bits(), "{label}");
+                    checked.run_block(1, inputs, &mut output, &mut state);
+                    assert_eq!(run.output.to_bits(), output[0].to_bits(), "{label}");
                 }
             }
             Err(error) => {
                 rejected += 1;
+                assert_eq!(checked.err(), Some(error.clone()), "{label}");
                 assert_eq!(batch.err(), Some(error), "{label}");
             }
         }
