@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spn_core::{NodeId, Spn, SpnBuilder, VarId};
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, RowMask};
 
 /// Tuning knobs of the learner.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,16 +73,16 @@ fn build(
     depth: usize,
     rng: &mut StdRng,
 ) -> NodeId {
+    let mask = RowMask::new(data, rows);
     if vars.len() == 1 {
-        return bernoulli_leaf(builder, data, vars[0], rows);
+        return bernoulli_leaf(builder, data, vars[0], &mask);
     }
     if rows.len() < options.min_rows || depth >= options.max_depth {
-        return factorized_leaf(builder, data, vars, rows);
+        return factorized_leaf(builder, data, vars, &mask);
     }
 
     // Try a variable split into independent groups.
-    let slice = data.select_rows(rows);
-    let groups = independent_groups(&slice, vars, options.independence_threshold);
+    let groups = independent_groups(data, vars, &mask, options.independence_threshold);
     if groups.len() > 1 {
         let mut children = Vec::with_capacity(groups.len());
         for group in groups {
@@ -94,7 +94,7 @@ fn build(
     // Otherwise split the rows into two clusters.
     let (left, right) = cluster_rows(data, vars, rows, rng);
     if left.is_empty() || right.is_empty() {
-        return factorized_leaf(builder, data, vars, rows);
+        return factorized_leaf(builder, data, vars, &mask);
     }
     let w_left = left.len() as f64 / rows.len() as f64;
     let left_child = build(builder, data, vars, &left, options, depth + 1, rng);
@@ -105,9 +105,8 @@ fn build(
 }
 
 /// A smoothed Bernoulli over a single variable.
-fn bernoulli_leaf(builder: &mut SpnBuilder, data: &Dataset, var: usize, rows: &[usize]) -> NodeId {
-    let ones = rows.iter().filter(|&&r| data.rows()[r][var]).count();
-    let p = (ones as f64 + 1.0) / (rows.len() as f64 + 2.0);
+fn bernoulli_leaf(builder: &mut SpnBuilder, data: &Dataset, var: usize, rows: &RowMask) -> NodeId {
+    let p = rows.marginal(data, var);
     let t = builder.indicator(VarId(var as u32), true);
     let f = builder.indicator(VarId(var as u32), false);
     builder.sum(vec![(t, p), (f, 1.0 - p)]).expect("two leaves")
@@ -118,7 +117,7 @@ fn factorized_leaf(
     builder: &mut SpnBuilder,
     data: &Dataset,
     vars: &[usize],
-    rows: &[usize],
+    rows: &RowMask,
 ) -> NodeId {
     let children: Vec<NodeId> = vars
         .iter()
@@ -132,11 +131,16 @@ fn factorized_leaf(
 }
 
 /// Partitions `vars` into connected components of the "dependent" graph
-/// (edges where mutual information exceeds the threshold).  `slice` must be
-/// the dataset restricted to the rows of the current node; its columns are
-/// the full variable set.
-fn independent_groups(slice: &Dataset, vars: &[usize], threshold: f64) -> Vec<Vec<usize>> {
+/// (edges where mutual information over the node's `rows` exceeds the
+/// threshold).
+fn independent_groups(
+    data: &Dataset,
+    vars: &[usize],
+    rows: &RowMask,
+    threshold: f64,
+) -> Vec<Vec<usize>> {
     let n = vars.len();
+    let counted: Vec<(usize, usize)> = vars.iter().map(|&v| (v, rows.ones(data, v))).collect();
     let mut component: Vec<usize> = (0..n).collect();
     fn find(component: &mut Vec<usize>, i: usize) -> usize {
         if component[i] != i {
@@ -147,7 +151,10 @@ fn independent_groups(slice: &Dataset, vars: &[usize], threshold: f64) -> Vec<Ve
     }
     for i in 0..n {
         for j in (i + 1)..n {
-            if slice.mutual_information(vars[i], vars[j]) > threshold {
+            let mi = rows
+                .counts(data, counted[i], counted[j])
+                .mutual_information();
+            if mi > threshold {
                 let (a, b) = (find(&mut component, i), find(&mut component, j));
                 if a != b {
                     component[a] = b;

@@ -6,7 +6,8 @@
 //! LearnPSDD toolchain are not redistributable here, so this crate rebuilds
 //! the pipeline from scratch:
 //!
-//! * [`dataset`] — binary datasets and synthetic generators whose dimensions
+//! * [`dataset`] — binary datasets, with the bit-column store every count
+//!   the learners take comes from, and synthetic generators whose dimensions
 //!   match the published benchmarks,
 //! * [`chow_liu`] — Chow-Liu tree learning and its compilation to an SPN,
 //! * [`learnspn`] — a LearnSPN-style recursive structure learner (instance
