@@ -56,8 +56,7 @@ impl Fnv {
     }
 }
 
-/// Recorded at commit 7323a64 (PR 28), the parent of the learners' bit
-/// columns.
+/// Recorded at commit 7323a64, before the learners counted from bit columns.
 const PINNED: &[(&str, u64)] = &[
     ("Netflix", 0x1ef85bbdee6ea14a),
     ("BBC", 0xc88b7d85241fd17c),
