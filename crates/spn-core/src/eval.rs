@@ -6,15 +6,18 @@
 //! `mul` and sums fold their weighted children with its `add`.  The
 //! `Algebra` picks the meaning: `Linear` is plain sum-product, `Log` is
 //! addition and log-sum-exp (no underflow on deep circuits), and `Max` of
-//! either turns sums into maximisations (MPE).  `argmax_assignment` is the
+//! either turns sums into maximisations (MPE).  Sum weights enter already
+//! lifted into the algebra's domain, from a `LiftedWeights` table built once
+//! per graph and domain, so a pass runs no `ln`.  `argmax_assignment` is the
 //! top-down half of MPE: it re-derives each sum's winning child from the
 //! swept values.
 //!
-//! The reusable [`Evaluator`] keeps the topological order and the per-node
-//! value buffer across queries, so streaming workloads allocate nothing per
-//! query; [`Spn::evaluate`], [`Spn::mpe`] and friends build a throwaway
-//! one, and the sampling engine ([`crate::sample`]) runs the same sweep in
-//! `Log` over its own buffers.  The flattened-program executors
+//! The reusable [`Evaluator`] keeps the topological order, the lifted
+//! weights and the per-node value buffer across queries, so streaming
+//! workloads allocate nothing per query; [`Spn::evaluate`], [`Spn::mpe`] and
+//! friends build a throwaway one, and the sampling engine
+//! ([`crate::sample`]) runs the same sweep in `Log` over its own buffers,
+//! passing a sub-list of the order when only part of the graph can change.  The flattened-program executors
 //! ([`crate::vectorized::run_lanes`], [`crate::flatten::OpList::run_into`])
 //! share no code with this module: it is the oracle they are checked against.
 
@@ -32,6 +35,9 @@ use crate::{Result, SpnError};
 /// a product combines its children (`mul`, identity `ONE`) and how a sum
 /// combines its weighted children (`add`, identity `ZERO`).
 pub(crate) trait Algebra {
+    /// The domain [`Algebra::lift`] maps into: algebras sharing it share a
+    /// [`LiftedWeights`] table.
+    const DOMAIN: Domain;
     /// Identity of [`Algebra::add`]: the value of an empty sum.
     const ZERO: f64;
     /// Identity of [`Algebra::mul`]: the value of an empty product.
@@ -42,6 +48,13 @@ pub(crate) trait Algebra {
     fn mul(a: f64, b: f64) -> f64;
     /// Combines two terms of a sum.
     fn add(a: f64, b: f64) -> f64;
+}
+
+/// Where an algebra's values live: plain probabilities or their logs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Domain {
+    Linear,
+    Log,
 }
 
 /// Sum-product over plain probabilities.
@@ -57,6 +70,7 @@ pub(crate) struct Log;
 pub(crate) struct Max<D>(PhantomData<D>);
 
 impl Algebra for Linear {
+    const DOMAIN: Domain = Domain::Linear;
     const ZERO: f64 = 0.0;
     const ONE: f64 = 1.0;
     fn lift(p: f64) -> f64 {
@@ -71,12 +85,13 @@ impl Algebra for Linear {
 }
 
 impl Algebra for Log {
+    const DOMAIN: Domain = Domain::Log;
     const ZERO: f64 = f64::NEG_INFINITY;
     const ONE: f64 = 0.0;
     fn lift(p: f64) -> f64 {
-        // A branch, not `p.max(0.0).ln()` (equal for every `p`): `ln(0)`,
-        // libm's slow error path, stays off the sampler's per-draw sweeps
-        // and the 0/1 indicator values fold to constants.
+        // A branch, not `p.max(0.0).ln()` (equal for every `p`, NaN
+        // included): `ln(0)` is libm's slow error path, and the sweep's 0/1
+        // indicator values fold to constants.
         if p > 0.0 {
             p.ln()
         } else {
@@ -92,6 +107,7 @@ impl Algebra for Log {
 }
 
 impl<D: Algebra> Algebra for Max<D> {
+    const DOMAIN: Domain = D::DOMAIN;
     const ZERO: f64 = f64::NEG_INFINITY;
     const ONE: f64 = D::ONE;
     fn lift(p: f64) -> f64 {
@@ -109,17 +125,57 @@ impl<D: Algebra> Algebra for Max<D> {
     }
 }
 
+/// Every sum edge's weight of one graph lifted into one [`Domain`], in one
+/// flat edge-indexed table: node `id`'s weights are
+/// `weights[start[id]..start[id + 1]]`, an empty range for every other kind.
+#[derive(Debug, Clone)]
+pub(crate) struct LiftedWeights {
+    domain: Domain,
+    start: Vec<u32>,
+    weights: Vec<f64>,
+}
+
+impl LiftedWeights {
+    /// Lifts every sum weight of `spn` with `A::lift`, in arena order.
+    pub(crate) fn new<A: Algebra>(spn: &Spn) -> LiftedWeights {
+        let mut start = Vec::with_capacity(spn.num_nodes() + 1);
+        let mut weights = Vec::new();
+        start.push(0);
+        for (_, node) in spn.iter() {
+            if let Node::Sum { weights: w, .. } = node {
+                weights.extend(w.iter().map(|&w| A::lift(w)));
+            }
+            start.push(u32::try_from(weights.len()).expect("fewer than 2^32 sum edges"));
+        }
+        LiftedWeights {
+            domain: A::DOMAIN,
+            start,
+            weights,
+        }
+    }
+
+    /// The lifted weights of node `id`, parallel to its children.
+    pub(crate) fn of(&self, id: NodeId) -> &[f64] {
+        let i = id.index();
+        &self.weights[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
 /// One bottom-up pass of `spn` in algebra `A`: writes the value of every
-/// node of `order` (a topological order of `spn`) into the arena-indexed
-/// `values` and returns the root's.  `indicator(var, value)` supplies the
-/// linear-domain value of the leaf `[var = value]`; nodes outside `order`
-/// keep whatever `values` held.
+/// node of `order` (a topological order of `spn`, or a sub-list of one whose
+/// every other node's value is already in place) into the arena-indexed
+/// `values` and returns the root's.  `lifted` holds `spn`'s sum weights in
+/// `A`'s domain; `indicator(var, value)` supplies the linear-domain value of
+/// the leaf `[var = value]`; nodes outside `order` keep whatever `values`
+/// held.
 pub(crate) fn sweep<A: Algebra>(
     spn: &Spn,
     order: &[NodeId],
+    lifted: &LiftedWeights,
     indicator: impl Fn(usize, bool) -> f64,
     values: &mut [f64],
 ) -> f64 {
+    debug_assert_eq!(lifted.domain, A::DOMAIN);
     for &id in order {
         values[id.index()] = match spn.node(id) {
             // An indicator is exactly 0 or 1: lifting the two constants
@@ -136,27 +192,30 @@ pub(crate) fn sweep<A: Algebra>(
             Node::Product { children } => children
                 .iter()
                 .fold(A::ONE, |acc, c| A::mul(acc, values[c.index()])),
-            Node::Sum { children, weights } => {
-                children.iter().zip(weights).fold(A::ZERO, |acc, (c, w)| {
-                    A::add(acc, A::mul(A::lift(*w), values[c.index()]))
-                })
-            }
+            Node::Sum { children, .. } => children
+                .iter()
+                .zip(lifted.of(id))
+                .fold(A::ZERO, |acc, (c, &w)| {
+                    A::add(acc, A::mul(w, values[c.index()]))
+                }),
         };
     }
     values[spn.root().index()]
 }
 
 /// The top-down half of an MPE query: given the `values` a
-/// [`sweep`]`::<Max<D>>` left behind, follows from the root every child of a
+/// [`sweep`]`::<Max<D>>` over `lifted` left behind, follows from the root every child of a
 /// product and, at a sum, the first child whose weighted value attains the
 /// maximum; each indicator reached sets its variable.  Hard evidence wins
 /// over an indicator's preference, and variables the selected sub-circuit
 /// never mentions keep their observed value or `false`.
 pub(crate) fn argmax_assignment<D: Algebra>(
     spn: &Spn,
+    lifted: &LiftedWeights,
     values: &[f64],
     evidence: &Evidence,
 ) -> Vec<bool> {
+    debug_assert_eq!(lifted.domain, D::DOMAIN);
     let mut assignment: Vec<bool> = (0..spn.num_vars())
         .map(|var| evidence.value(var).unwrap_or(false))
         .collect();
@@ -170,11 +229,11 @@ pub(crate) fn argmax_assignment<D: Algebra>(
             }
             Node::Constant(_) => {}
             Node::Product { children } => stack.extend(children.iter().copied()),
-            Node::Sum { children, weights } => {
+            Node::Sum { children, .. } => {
                 let mut best = Max::<D>::ZERO;
                 let mut choice = 0;
-                for (i, (c, w)) in children.iter().zip(weights).enumerate() {
-                    let term = D::mul(D::lift(*w), values[c.index()]);
+                for (i, (c, &w)) in children.iter().zip(lifted.of(id)).enumerate() {
+                    let term = D::mul(w, values[c.index()]);
                     if term > best {
                         best = term;
                         choice = i;
@@ -191,7 +250,8 @@ pub(crate) fn argmax_assignment<D: Algebra>(
 ///
 /// Construction does the one-time work (topological order, buffer
 /// allocation); every evaluation after that is a pure bottom-up sweep over
-/// preallocated memory.  This is the compile-once / execute-many split of the
+/// preallocated memory.  The sum weights are lifted on the first pass in a
+/// domain and again only when a pass switches domain.  This is the compile-once / execute-many split of the
 /// execution backends, applied to the reference evaluator itself.
 ///
 /// ```
@@ -218,6 +278,8 @@ pub(crate) fn argmax_assignment<D: Algebra>(
 pub struct Evaluator<'a> {
     spn: &'a Spn,
     order: Vec<NodeId>,
+    /// The sum weights in the domain of the most recent pass.
+    lifted: Option<LiftedWeights>,
     /// Arena-indexed node values of the most recent pass, in its algebra.
     values: Vec<f64>,
 }
@@ -228,13 +290,19 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             spn,
             order: spn.topological_order(),
+            lifted: None,
             values: vec![0.0; spn.num_nodes()],
         }
     }
 
-    /// One [`sweep`] in algebra `A` over the retained order and buffer.
+    /// One [`sweep`] in algebra `A` over the retained order and buffer,
+    /// lifting the weights first on a change of domain.
     fn sweep<A: Algebra>(&mut self, indicator: impl Fn(usize, bool) -> f64) -> f64 {
-        sweep::<A>(self.spn, &self.order, indicator, &mut self.values)
+        let lifted = match &mut self.lifted {
+            Some(lifted) if lifted.domain == A::DOMAIN => lifted,
+            slot => slot.insert(LiftedWeights::new::<A>(self.spn)),
+        };
+        sweep::<A>(self.spn, &self.order, lifted, indicator, &mut self.values)
     }
 
     /// One pass in algebra `A` under `evidence`, after checking its arity.
@@ -266,7 +334,12 @@ impl<'a> Evaluator<'a> {
         let value = self.pass::<Max<D>>(evidence)?;
         Ok(MpeResult {
             value,
-            assignment: argmax_assignment::<D>(self.spn, &self.values, evidence),
+            assignment: argmax_assignment::<D>(
+                self.spn,
+                self.lifted.as_ref().expect("lifted by the pass"),
+                &self.values,
+                evidence,
+            ),
         })
     }
 

@@ -18,6 +18,17 @@
 //!   `sample` and `expectation` query modes of
 //!   [`QueryBatch`](crate::QueryBatch).
 //!
+//! Every pass reads one table of sum-edge log weights lifted when the
+//! sampler is built, which also feeds the alias tables and the conditional
+//! descent.  Likelihood weighting scores a draw with two passes, the joint
+//! `P(x_u, e)` and the prior `P(x_u)`, but only a row's *live order* — the
+//! nodes whose scope meets its unobserved variables — can change between
+//! its draws: the rest keep the values of one sweep under the row's
+//! evidence (numerator) and of the prior sweep kept from construction
+//! (denominator), the very values a full sweep would recompute.  So each
+//! draw re-sweeps the live order only, and the weights are bit for bit
+//! those of two full sweeps.
+//!
 //! Every estimate is paired with its standard error so callers can report
 //! a confidence interval next to the answer, and every draw comes from a
 //! per-row [`Pcg64`] stream (`stream = row index` within the originating
@@ -25,7 +36,7 @@
 //! rows are sharded across workers or coalesced across requests.
 
 use crate::batch::{EvidenceBatch, Obs};
-use crate::eval::{sweep, Log};
+use crate::eval::{sweep, LiftedWeights, Log};
 use crate::graph::{Node, NodeId, Spn};
 use crate::{Result, SpnError};
 use rand::rngs::Pcg64;
@@ -44,7 +55,10 @@ pub enum SampleMethod {
     Ancestral,
     /// Likelihood weighting: prior draws of the unobserved variables,
     /// importance-weighted by `P(x_u, e) / P(x_u)`; the mean weight is an
-    /// unbiased estimate of `P(e)`.
+    /// unbiased estimate of `P(e)`.  A draw re-sweeps only the nodes whose
+    /// scope meets the row's unobserved variables; every other node keeps
+    /// the value it has under the row's evidence (numerator) or the prior
+    /// (denominator).
     LikelihoodWeighted,
     /// Gibbs conditional resampling: a Markov chain over the unobserved
     /// variables, initialised with an exact conditional draw and updated
@@ -317,9 +331,10 @@ pub struct SampleRun {
     pub samples_drawn: u64,
 }
 
-/// A compiled sampler for one SPN: the topological order, per-sum-node
-/// alias tables over the children's *prior* mass (`weight × child
-/// partition value`), and the graph itself for per-row value passes.
+/// A compiled sampler for one SPN: the topological order, every sum edge's
+/// log weight, the prior log value of every node, per-sum-node alias tables
+/// over the children's *prior* mass (`weight × child partition value`), and
+/// the graph itself for per-row value passes.
 ///
 /// Built once per model (compile-once / sample-many, exactly like the
 /// exact engine's programs) and shared read-only across workers.
@@ -327,6 +342,11 @@ pub struct SampleRun {
 pub struct SamplerProgram {
     spn: Spn,
     order: Vec<NodeId>,
+    /// Every sum edge's weight in the log domain (`-inf` for a zero).
+    log_weights: LiftedWeights,
+    /// Prior (all-marginal) log value of every node: where a row's
+    /// likelihood-weighting denominator starts.
+    prior: Vec<f64>,
     alias: Vec<Option<AliasTable>>,
 }
 
@@ -334,20 +354,21 @@ impl SamplerProgram {
     /// Compiles the sampler for `spn`.
     pub fn new(spn: &Spn) -> SamplerProgram {
         let order = spn.topological_order();
+        let log_weights = LiftedWeights::new::<Log>(spn);
         // Prior (all-marginal) node values, log domain so deep circuits
         // don't underflow.
-        let mut lz = vec![f64::NEG_INFINITY; spn.num_nodes()];
-        sweep::<Log>(spn, &order, |_, _| 1.0, &mut lz);
+        let mut prior = vec![f64::NEG_INFINITY; spn.num_nodes()];
+        sweep::<Log>(spn, &order, &log_weights, |_, _| 1.0, &mut prior);
         let mut alias: Vec<Option<AliasTable>> = vec![None; spn.num_nodes()];
         for &id in &order {
-            if let Node::Sum { children, weights } = spn.node(id) {
+            if let Node::Sum { children, .. } = spn.node(id) {
                 // Child selection probability under the prior is
                 // proportional to weight × child mass; normalise through
                 // the max term so underflowed products still divide out.
                 let terms: Vec<f64> = children
                     .iter()
-                    .zip(weights)
-                    .map(|(c, &w)| w.max(0.0).ln() + lz[c.index()])
+                    .zip(log_weights.of(id))
+                    .map(|(c, &lw)| lw + prior[c.index()])
                     .collect();
                 let m = terms.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 if m > f64::NEG_INFINITY {
@@ -359,6 +380,8 @@ impl SamplerProgram {
         SamplerProgram {
             spn: spn.clone(),
             order,
+            log_weights,
+            prior,
             alias,
         }
     }
@@ -374,7 +397,7 @@ impl SamplerProgram {
     fn log_values(&self, row: &[Obs], out: &mut Vec<f64>) -> f64 {
         out.resize(self.spn.num_nodes(), f64::NEG_INFINITY);
         let indicator = |var: usize, value| row[var].indicator(value);
-        sweep::<Log>(&self.spn, &self.order, indicator, out)
+        sweep::<Log>(&self.spn, &self.order, &self.log_weights, indicator, out)
     }
 
     /// Fills `out[var]` with the observed value, or a fair coin for
@@ -396,9 +419,24 @@ impl SamplerProgram {
     /// Returns [`SpnError::Invalid`] when a sum node on the path has zero
     /// total mass (no alias table).
     pub fn draw_prior<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [bool]) -> Result<()> {
-        let marginal = vec![Obs::Marginal; self.spn.num_vars()];
-        self.prefill(&marginal, rng, out);
-        let mut stack = vec![self.spn.root()];
+        self.draw_prior_with(rng, out, &mut Vec::new())
+    }
+
+    /// [`SamplerProgram::draw_prior`] over a caller-owned depth-first
+    /// stack, so a run of draws allocates nothing per draw.
+    fn draw_prior_with<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        out: &mut [bool],
+        stack: &mut Vec<NodeId>,
+    ) -> Result<()> {
+        // `prefill` of an all-marginal row: a fair coin per variable, in
+        // variable order.
+        for cell in &mut out[..self.spn.num_vars()] {
+            *cell = rng.gen_bool(0.5);
+        }
+        stack.clear();
+        stack.push(self.spn.root());
         while let Some(id) = stack.pop() {
             match self.spn.node(id) {
                 Node::Indicator { var, value } => out[var.index()] = *value,
@@ -431,6 +469,7 @@ impl SamplerProgram {
         lv: &[f64],
         rng: &mut R,
         out: &mut [bool],
+        stack: &mut Vec<NodeId>,
     ) -> Result<()> {
         if lv[self.spn.root().index()] == f64::NEG_INFINITY {
             return Err(SpnError::invalid(
@@ -439,7 +478,8 @@ impl SamplerProgram {
             ));
         }
         self.prefill(row, rng, out);
-        let mut stack = vec![self.spn.root()];
+        stack.clear();
+        stack.push(self.spn.root());
         while let Some(id) = stack.pop() {
             match self.spn.node(id) {
                 Node::Indicator { var, value } => {
@@ -450,15 +490,15 @@ impl SamplerProgram {
                 }
                 Node::Constant(_) => {}
                 Node::Product { children } => stack.extend(children.iter().copied()),
-                Node::Sum { children, weights } => {
+                Node::Sum { children, .. } => {
                     // Child c with probability w_c e^{lv_c} / e^{lv_node}.
                     let node_lv = lv[id.index()];
                     let u = rng.next_f64();
                     let mut acc = 0.0;
                     let mut chosen = None;
                     let mut last_positive = None;
-                    for (c, &w) in children.iter().zip(weights) {
-                        let p = (w.max(0.0).ln() + lv[c.index()] - node_lv).exp();
+                    for (c, &lw) in children.iter().zip(self.log_weights.of(id)) {
+                        let p = (lw + lv[c.index()] - node_lv).exp();
                         if p > 0.0 {
                             last_positive = Some(*c);
                         }
@@ -500,6 +540,17 @@ impl SamplerProgram {
         spec: SampleSpec,
         stream: u64,
     ) -> Result<RowEstimate> {
+        self.expectation_row_with(row, spec, stream, &mut Scratch::default())
+    }
+
+    /// [`SamplerProgram::expectation_row`] over caller-owned buffers.
+    fn expectation_row_with(
+        &self,
+        row: &[Obs],
+        spec: SampleSpec,
+        stream: u64,
+        scratch: &mut Scratch,
+    ) -> Result<RowEstimate> {
         let mut rng = Pcg64::with_stream(spec.seed, stream);
         let n = spec.n_samples as usize;
         let mut x = vec![false; self.spn.num_vars()];
@@ -507,7 +558,7 @@ impl SamplerProgram {
             SampleMethod::Ancestral => {
                 let mut hits = 0usize;
                 for _ in 0..n {
-                    self.draw_prior(&mut rng, &mut x)?;
+                    self.draw_prior_with(&mut rng, &mut x, &mut scratch.stack)?;
                     if row_matches(row, &x) {
                         hits += 1;
                     }
@@ -520,10 +571,10 @@ impl SamplerProgram {
             }
             SampleMethod::LikelihoodWeighted => {
                 let mut weights = Vec::with_capacity(n);
-                let mut scratch = LwScratch::new(self.spn.num_vars());
+                self.prime_likelihood(row, scratch);
                 for _ in 0..n {
-                    self.draw_prior(&mut rng, &mut x)?;
-                    weights.push(self.importance_weight(row, &x, &mut scratch));
+                    self.draw_prior_with(&mut rng, &mut x, &mut scratch.stack)?;
+                    weights.push(self.likelihood_weight(&x, scratch));
                 }
                 Ok(mean_and_std_err(&weights))
             }
@@ -543,6 +594,17 @@ impl SamplerProgram {
     /// Returns [`SpnError::Invalid`] when the evidence has probability
     /// zero or a sum node on the path is degenerate.
     pub fn sample_row(&self, row: &[Obs], spec: SampleSpec, stream: u64) -> Result<RowSamples> {
+        self.sample_row_with(row, spec, stream, &mut Scratch::default())
+    }
+
+    /// [`SamplerProgram::sample_row`] over caller-owned buffers.
+    fn sample_row_with(
+        &self,
+        row: &[Obs],
+        spec: SampleSpec,
+        stream: u64,
+        scratch: &mut Scratch,
+    ) -> Result<RowSamples> {
         let mut rng = Pcg64::with_stream(spec.seed, stream);
         let n = spec.n_samples as usize;
         let observed = row.iter().any(|&o| o != Obs::Marginal);
@@ -554,12 +616,12 @@ impl SamplerProgram {
                     let mut lv = Vec::new();
                     self.log_values(row, &mut lv);
                     for _ in 0..n {
-                        self.draw_conditional(row, &lv, &mut rng, &mut x)?;
+                        self.draw_conditional(row, &lv, &mut rng, &mut x, &mut scratch.stack)?;
                         assignments.push(x.clone());
                     }
                 } else {
                     for _ in 0..n {
-                        self.draw_prior(&mut rng, &mut x)?;
+                        self.draw_prior_with(&mut rng, &mut x, &mut scratch.stack)?;
                         assignments.push(x.clone());
                     }
                 }
@@ -571,10 +633,10 @@ impl SamplerProgram {
             }
             SampleMethod::LikelihoodWeighted => {
                 let mut weights = Vec::with_capacity(n);
-                let mut scratch = LwScratch::new(self.spn.num_vars());
+                self.prime_likelihood(row, scratch);
                 for _ in 0..n {
-                    self.draw_prior(&mut rng, &mut x)?;
-                    weights.push(self.importance_weight(row, &x, &mut scratch));
+                    self.draw_prior_with(&mut rng, &mut x, &mut scratch.stack)?;
+                    weights.push(self.likelihood_weight(&x, scratch));
                     // The recorded sample keeps the evidence values and the
                     // prior draw's unobserved coordinates.
                     let mut sample = x.clone();
@@ -597,7 +659,7 @@ impl SamplerProgram {
                 self.log_values(row, &mut lv);
                 // Exact conditional initialisation keeps the chain inside
                 // the support from the first step.
-                self.draw_conditional(row, &lv, &mut rng, &mut x)?;
+                self.draw_conditional(row, &lv, &mut rng, &mut x, &mut scratch.stack)?;
                 let mut scratch_row = vec![Obs::Marginal; self.spn.num_vars()];
                 for sweep in 0..GIBBS_BURN_IN + n {
                     self.gibbs_sweep(row, &mut x, &mut rng, &mut lv, &mut scratch_row);
@@ -649,25 +711,57 @@ impl SamplerProgram {
         }
     }
 
-    /// Importance weight of prior draw `x` for evidence `row`:
-    /// `P(x_u, e) / P(x_u)` with `x_u` the unobserved coordinates of `x`.
-    fn importance_weight(&self, row: &[Obs], x: &[bool], scratch: &mut LwScratch) -> f64 {
-        for (var, o) in row.iter().enumerate() {
-            let drawn = if x[var] { Obs::True } else { Obs::False };
-            match o.to_option() {
-                // Numerator fixes the evidence, denominator marginalises it.
-                Some(_) => {
-                    scratch.joint[var] = *o;
-                    scratch.drawn[var] = Obs::Marginal;
+    /// Readies `scratch` for likelihood weighting on `row`: builds the
+    /// row's live order (the sub-list of the topological order whose
+    /// scopes meet its unobserved variables: an indicator of an unobserved
+    /// variable, or any node with a live child), primes the numerator
+    /// values with one full sweep under the row's evidence and starts the
+    /// denominator values from the prior.
+    ///
+    /// A node outside the live order reads observed variables only, so
+    /// these are the values every full pass of the row would give it: the
+    /// numerator fixes the evidence, and the denominator marginalises every
+    /// variable the node reads, which is the prior sweep's arithmetic.
+    fn prime_likelihood(&self, row: &[Obs], scratch: &mut Scratch) {
+        let Scratch {
+            num,
+            den,
+            live,
+            is_live,
+            ..
+        } = scratch;
+        // Every node of the order is written before a parent reads it.
+        is_live.resize(self.spn.num_nodes(), false);
+        live.clear();
+        for &id in &self.order {
+            let node_live = match self.spn.node(id) {
+                Node::Indicator { var, .. } => row[var.index()] == Obs::Marginal,
+                Node::Constant(_) => false,
+                Node::Sum { children, .. } | Node::Product { children } => {
+                    children.iter().any(|c| is_live[c.index()])
                 }
-                None => {
-                    scratch.joint[var] = drawn;
-                    scratch.drawn[var] = drawn;
-                }
+            };
+            is_live[id.index()] = node_live;
+            if node_live {
+                live.push(id);
             }
         }
-        let num = self.log_values(&scratch.joint, &mut scratch.lv);
-        let den = self.log_values(&scratch.drawn, &mut scratch.lv);
+        self.log_values(row, num);
+        den.clear();
+        den.extend_from_slice(&self.prior);
+    }
+
+    /// Importance weight of prior draw `x` for the row `scratch` was primed
+    /// with ([`SamplerProgram::prime_likelihood`]): `P(x_u, e) / P(x_u)`
+    /// with `x_u` the unobserved coordinates of `x`, from one sweep of the
+    /// live order per pass.
+    fn likelihood_weight(&self, x: &[bool], scratch: &mut Scratch) -> f64 {
+        // Every live leaf is an indicator of an unobserved variable, which
+        // both passes set to the draw.
+        let drawn = |var: usize, value: bool| if x[var] == value { 1.0 } else { 0.0 };
+        let (spn, weights) = (&self.spn, &self.log_weights);
+        let num = sweep::<Log>(spn, &scratch.live, weights, drawn, &mut scratch.num);
+        let den = sweep::<Log>(spn, &scratch.live, weights, drawn, &mut scratch.den);
         // A prior draw always has positive marginal mass, so `den` is
         // finite; a numerator of -inf is a genuine zero weight.
         (num - den).exp()
@@ -694,8 +788,10 @@ impl SamplerProgram {
             assignments: None,
             samples_drawn: 0,
         };
+        let mut scratch = Scratch::default();
         for q in start..start + count {
-            let est = self.expectation_row(batch.rows().query(q), spec, batch.streams()[q])?;
+            let row = batch.rows().query(q);
+            let est = self.expectation_row_with(row, spec, batch.streams()[q], &mut scratch)?;
             run.values.push(est.value);
             run.std_err.push(est.std_err);
             run.samples_drawn += u64::from(spec.n_samples);
@@ -726,8 +822,10 @@ impl SamplerProgram {
             assignments: Some(Vec::with_capacity(count * n)),
             samples_drawn: 0,
         };
+        let mut scratch = Scratch::default();
         for q in start..start + count {
-            let samples = self.sample_row(batch.rows().query(q), spec, batch.streams()[q])?;
+            let row = batch.rows().query(q);
+            let samples = self.sample_row_with(row, spec, batch.streams()[q], &mut scratch)?;
             run.values.extend_from_slice(&samples.weights);
             run.std_err.push(samples.std_err);
             run.assignments
@@ -740,21 +838,19 @@ impl SamplerProgram {
     }
 }
 
-/// Scratch rows and value buffer for the likelihood-weighting passes.
-struct LwScratch {
-    joint: Vec<Obs>,
-    drawn: Vec<Obs>,
-    lv: Vec<f64>,
-}
-
-impl LwScratch {
-    fn new(num_vars: usize) -> LwScratch {
-        LwScratch {
-            joint: vec![Obs::Marginal; num_vars],
-            drawn: vec![Obs::Marginal; num_vars],
-            lv: Vec::new(),
-        }
-    }
+/// Buffers a run of rows reuses across its rows and draws.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The depth-first stack of a top-down draw.
+    stack: Vec<NodeId>,
+    /// Likelihood weighting's numerator node values (`P(x_u, e)`).
+    num: Vec<f64>,
+    /// Likelihood weighting's denominator node values (`P(x_u)`).
+    den: Vec<f64>,
+    /// The row's live order (see [`SamplerProgram::prime_likelihood`]).
+    live: Vec<NodeId>,
+    /// Per node, whether it is in `live`.
+    is_live: Vec<bool>,
 }
 
 /// Returns `true` when the prior draw `x` agrees with every observation of
@@ -802,6 +898,153 @@ mod tests {
         let p2 = b.product(vec![x0, nx1]).unwrap();
         let root = b.sum(vec![(p0, 0.3), (p1, 0.5), (p2, 0.2)]).unwrap();
         b.finish(root).unwrap()
+    }
+
+    /// The likelihood weight of draw `x` on `row` from two full sweeps,
+    /// the joint `P(x_u, e)` and the prior `P(x_u)`: the oracle of
+    /// [`SamplerProgram::likelihood_weight`].
+    fn importance_weight(sampler: &SamplerProgram, row: &[Obs], x: &[bool]) -> f64 {
+        let drawn = |var: usize| Obs::from_option(Some(x[var]));
+        // Numerator fixes the evidence, denominator marginalises it.
+        let (joint, prior): (Vec<Obs>, Vec<Obs>) = row
+            .iter()
+            .enumerate()
+            .map(|(var, &o)| match o {
+                Obs::Marginal => (drawn(var), drawn(var)),
+                _ => (o, Obs::Marginal),
+            })
+            .unzip();
+        let mut lv = Vec::new();
+        let num = sampler.log_values(&joint, &mut lv);
+        let den = sampler.log_values(&prior, &mut lv);
+        (num - den).exp()
+    }
+
+    /// `spn` over one more variable, which no node reads.
+    fn widened(spn: &Spn) -> Spn {
+        let mut b = SpnBuilder::new(spn.num_vars() + 1);
+        for (_, node) in spn.iter() {
+            match node {
+                Node::Sum { children, weights } => {
+                    b.sum(
+                        children
+                            .iter()
+                            .copied()
+                            .zip(weights.iter().copied())
+                            .collect(),
+                    )
+                    .unwrap();
+                }
+                Node::Product { children } => {
+                    b.product(children.clone()).unwrap();
+                }
+                Node::Indicator { var, value } => {
+                    b.indicator(*var, *value);
+                }
+                Node::Constant(c) => {
+                    b.constant(*c);
+                }
+            }
+        }
+        b.finish(spn.root()).unwrap()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn live_order_weights_are_those_of_two_full_sweeps() {
+        let random = |seed| {
+            random_spn(
+                &RandomSpnConfig::with_vars(6),
+                &mut StdRng::seed_from_u64(seed),
+            )
+        };
+        let mut circuits: Vec<Spn> = [5, 9, 12].into_iter().map(random).collect();
+        // The last variable lies outside the root's scope.
+        circuits.push(widened(&circuits[0]));
+        circuits.push(mixture());
+        let spec = SampleSpec {
+            seed: 31,
+            n_samples: 48,
+            method: SampleMethod::LikelihoodWeighted,
+        };
+        for (c, spn) in circuits.iter().enumerate() {
+            let sampler = SamplerProgram::new(spn);
+            let n = spn.num_vars();
+            let pick = |keep: &dyn Fn(usize) -> bool| -> Vec<Option<bool>> {
+                (0..n).map(|v| keep(v).then_some(v % 2 == 0)).collect()
+            };
+            let mut rows = vec![
+                pick(&|_| true),
+                pick(&|_| false),
+                pick(&|v| v % 3 != 1),
+                pick(&|v| v + 1 == n),
+            ];
+            if c + 1 == circuits.len() {
+                // The mixture never puts mass on x0 = 0, x1 = 1.
+                rows.push(vec![Some(false), Some(true)]);
+                rows.push(vec![Some(false), None]);
+            }
+            let evidences: Vec<Evidence> = rows.into_iter().map(Evidence::from_options).collect();
+            let batch =
+                SampleBatch::new(EvidenceBatch::from_evidences(n, &evidences).unwrap(), spec);
+            let expectations = sampler
+                .run_expectation_range(&batch, 0, batch.len())
+                .unwrap();
+            let samples = sampler.run_sample_range(&batch, 0, batch.len()).unwrap();
+            let draws = spec.n_samples as usize;
+            for r in 0..batch.len() {
+                let row = batch.rows().query(r);
+                let mut rng = Pcg64::with_stream(spec.seed, r as u64);
+                let mut x = vec![false; n];
+                let oracle: Vec<f64> = (0..draws)
+                    .map(|_| {
+                        sampler.draw_prior(&mut rng, &mut x).unwrap();
+                        importance_weight(&sampler, row, &x)
+                    })
+                    .collect();
+                let est = mean_and_std_err(&oracle);
+                let what = format!("circuit {c} row {r}");
+                // Row by row and over a whole run, whose buffers carry over.
+                let alone = sampler.sample_row(row, spec, r as u64).unwrap();
+                assert_eq!(bits(&alone.weights), bits(&oracle), "{what}");
+                assert_eq!(alone.std_err.to_bits(), est.std_err.to_bits(), "{what}");
+                let in_run = &samples.values[r * draws..(r + 1) * draws];
+                assert_eq!(bits(in_run), bits(&oracle), "{what}");
+                let alone = sampler.expectation_row(row, spec, r as u64).unwrap();
+                assert_eq!(alone.value.to_bits(), est.value.to_bits(), "{what}");
+                assert_eq!(alone.std_err.to_bits(), est.std_err.to_bits(), "{what}");
+                assert_eq!(
+                    expectations.values[r].to_bits(),
+                    est.value.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(
+                    expectations.std_err[r].to_bits(),
+                    est.std_err.to_bits(),
+                    "{what}"
+                );
+
+                let mut scratch = Scratch::default();
+                sampler.prime_likelihood(row, &mut scratch);
+                let unobserved = row.iter().filter(|&&o| o == Obs::Marginal).count();
+                if unobserved == 0 {
+                    assert!(scratch.live.is_empty(), "{what}");
+                }
+                if unobserved == n {
+                    assert_eq!(scratch.live, sampler.order, "{what}");
+                    assert!(oracle.iter().all(|&w| w == 1.0), "{what}: {oracle:?}");
+                }
+            }
+            if c + 1 == circuits.len() {
+                let zero = &samples.values[4 * draws..5 * draws];
+                assert!(zero.iter().all(|&w| w == 0.0), "{zero:?}");
+                let some_zero = &samples.values[5 * draws..];
+                assert!(some_zero.contains(&0.0) && some_zero.iter().any(|&w| w > 0.0));
+            }
+        }
     }
 
     #[test]
