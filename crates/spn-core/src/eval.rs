@@ -17,9 +17,10 @@
 //! workloads allocate nothing per query; [`Spn::evaluate`], [`Spn::mpe`] and
 //! friends build a throwaway one, and the sampling engine
 //! ([`crate::sample`]) runs the same sweep in `Log` over its own buffers,
-//! passing a sub-list of the order when only part of the graph can change.  The flattened-program executors
-//! ([`crate::vectorized::run_lanes`], [`crate::flatten::OpList::run_into`])
-//! share no code with this module: it is the oracle they are checked against.
+//! passing a sub-list of the order when only part of the graph can change.
+//! The flattened-program executors ([`crate::vectorized::run_lanes`],
+//! [`crate::flatten::OpList::run_into`]) share no code with this module: it
+//! is the oracle they are checked against.
 
 use std::marker::PhantomData;
 
@@ -90,8 +91,9 @@ impl Algebra for Log {
     const ONE: f64 = 0.0;
     fn lift(p: f64) -> f64 {
         // A branch, not `p.max(0.0).ln()` (equal for every `p`, NaN
-        // included): `ln(0)` is libm's slow error path, and the sweep's 0/1
-        // indicator values fold to constants.
+        // included), so the sweep's lifts of the indicator values 0 and 1
+        // fold to constants.  Weights are lifted once per `LiftedWeights`
+        // table, not per pass.
         if p > 0.0 {
             p.ln()
         } else {
@@ -204,11 +206,11 @@ pub(crate) fn sweep<A: Algebra>(
 }
 
 /// The top-down half of an MPE query: given the `values` a
-/// [`sweep`]`::<Max<D>>` over `lifted` left behind, follows from the root every child of a
-/// product and, at a sum, the first child whose weighted value attains the
-/// maximum; each indicator reached sets its variable.  Hard evidence wins
-/// over an indicator's preference, and variables the selected sub-circuit
-/// never mentions keep their observed value or `false`.
+/// [`sweep`]`::<Max<D>>` over `lifted` left behind, follows from the root
+/// every child of a product and, at a sum, the first child whose weighted
+/// value attains the maximum; each indicator reached sets its variable.
+/// Hard evidence wins over an indicator's preference, and variables the
+/// selected sub-circuit never mentions keep their observed value or `false`.
 pub(crate) fn argmax_assignment<D: Algebra>(
     spn: &Spn,
     lifted: &LiftedWeights,
@@ -250,9 +252,10 @@ pub(crate) fn argmax_assignment<D: Algebra>(
 ///
 /// Construction does the one-time work (topological order, buffer
 /// allocation); every evaluation after that is a pure bottom-up sweep over
-/// preallocated memory.  The sum weights are lifted on the first pass in a
-/// domain and again only when a pass switches domain.  This is the compile-once / execute-many split of the
-/// execution backends, applied to the reference evaluator itself.
+/// preallocated memory.  The sum weights are lifted on the first pass and
+/// again only when a pass switches domain.  This is the compile-once /
+/// execute-many split of the execution backends, applied to the reference
+/// evaluator itself.
 ///
 /// ```
 /// use spn_core::{eval::Evaluator, Evidence, EvidenceBatch, SpnBuilder, VarId};
