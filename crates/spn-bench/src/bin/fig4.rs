@@ -2,6 +2,12 @@
 //! benchmark circuits, plus the paper's headline claims (Ptree >= 12x CPU/GPU
 //! and ~2x Pvect).
 //!
+//! Then, per circuit, where a 64-query batch goes on four sharded Ptree
+//! cores behind one shared-memory port: the cost-sized shard lengths, the
+//! makespan beside the even split's, each core's compute / memory-stall /
+//! idle cycles and the speedup over one core.  Exits non-zero if any
+//! cost-sized makespan is above the even split's.
+//!
 //! Pass `--json <path>` to also dump the raw results, one object per
 //! (benchmark, platform), as a JSON array.
 
@@ -9,9 +15,17 @@ use std::env;
 use std::fs;
 
 use spn_bench::{markdown_table, run_all_platforms, PlatformResult};
+use spn_compiler::Compiler;
 use spn_core::batch::EvidenceBatch;
+use spn_core::flatten::OpList;
 use spn_learn::Benchmark;
+use spn_processor::{MultiCoreConfig, MultiCoreProcessor, ProcessorConfig};
 use spn_serve::json::Value;
+
+/// Cores of the sharded multi-core split.
+const CORES: usize = 4;
+/// Batch length of the sharded multi-core split.
+const QUERIES: usize = 64;
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let args: Vec<String> = env::args().collect();
@@ -22,6 +36,10 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         .cloned();
 
     let mut all: Vec<PlatformResult> = Vec::new();
+    let compiler = Compiler::new(ProcessorConfig::ptree());
+    let sharded = MultiCoreProcessor::new(MultiCoreConfig::new(CORES, ProcessorConfig::ptree()))?;
+    let mut split_rows = Vec::new();
+    let mut above_even = Vec::new();
     println!("# Fig. 4: ops/cycle per platform and benchmark\n");
     for benchmark in Benchmark::all() {
         let spn = benchmark.spn();
@@ -34,6 +52,45 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         );
         let results = run_all_platforms(benchmark.name(), &spn, &batch)?;
         all.extend(results);
+
+        // Cost the sharded batch from the program alone: no query runs.
+        let program = compiler.compile_op_list(OpList::from_spn(&spn))?.program;
+        let pass = program.perf();
+        let split = sharded.sharded_perf(&program, QUERIES)?;
+        let costs = sharded.pass_costs(&pass);
+        let even = MultiCoreProcessor::shard_ranges(CORES, QUERIES)
+            .iter()
+            .zip(&costs)
+            .map(|(shard, cost)| shard.len() as u64 * cost)
+            .max()
+            .unwrap_or(0);
+        if split.makespan_cycles > even {
+            above_even.push(benchmark.name());
+        }
+        let lengths: Vec<String> = split
+            .per_core
+            .iter()
+            .map(|core| core.work.queries.to_string())
+            .collect();
+        let per_core: Vec<String> = split
+            .per_core
+            .iter()
+            .map(|core| {
+                format!(
+                    "{} / {} / {}",
+                    core.compute_cycles, core.memory_stall_cycles, core.idle_cycles
+                )
+            })
+            .collect();
+        split_rows.push(format!(
+            "| {} | {} | {} | {} | {} | {:.2}x |",
+            benchmark.name(),
+            lengths.join("/"),
+            split.makespan_cycles,
+            even,
+            per_core.join(" | "),
+            (pass.cycles * QUERIES as u64) as f64 / split.makespan_cycles.max(1) as f64
+        ));
     }
     println!("{}", markdown_table(&all));
 
@@ -58,6 +115,18 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     println!("Ptree vs GPU: {:.1}x (paper: >= 12x)", ptree / gpu);
     println!("Ptree vs Pvect: {:.1}x (paper: ~2x)", ptree / pvect);
 
+    println!(
+        "\n# {CORES}-core sharded Ptree, one shared-memory port, {QUERIES} queries\n\n\
+         Shards sized by each core's pass cost (compute + wave-arbitration \
+         stalls); per core: compute / memory stall / idle cycles.\n"
+    );
+    let core_headers: String = (0..CORES).map(|c| format!(" core {c} |")).collect();
+    println!("| benchmark | shards | makespan | even split |{core_headers} vs 1 core |");
+    println!("|---|---|---|---|{}---|", "---|".repeat(CORES));
+    for row in &split_rows {
+        println!("{row}");
+    }
+
     if let Some(path) = json_path {
         let text = |key: &str, v: &str| (key.to_string(), Value::Str(v.to_string()));
         let num = |key: &str, v: f64| (key.to_string(), Value::Num(v));
@@ -78,6 +147,13 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             .collect();
         fs::write(&path, Value::Arr(records).to_json() + "\n")?;
         eprintln!("raw results written to {path}");
+    }
+    if !above_even.is_empty() {
+        return Err(format!(
+            "cost-sized makespan above the even split's on {}",
+            above_even.join(", ")
+        )
+        .into());
     }
     Ok(())
 }

@@ -14,12 +14,14 @@
 //!   number of row-wide ports.  Cores arbitrate in lockstep waves of
 //!   `ports` requesters: the first `ports` cores are served immediately,
 //!   the next wave one cycle later, and so on, so core `c` pays
-//!   `c / ports` extra stall cycles per memory transaction.
+//!   `c / ports` extra stall cycles per memory transaction.  The priority
+//!   is fixed, so a later core's pass costs more, and batch-sharded
+//!   execution gives it a shorter shard in proportion.
 //!
 //! Both models are deliberately deterministic closed forms — the multi-core
-//! scheduler ([`crate::multicore`]) folds them into per-core cycle
-//! attribution, and the golden-trace tests pin the resulting schedules
-//! bit-for-bit.
+//! scheduler ([`crate::multicore`]) folds them into each core's pass cost,
+//! the shard split and per-core cycle attribution, and the golden-trace
+//! tests pin the resulting schedules bit-for-bit.
 
 use serde::{Deserialize, Serialize};
 

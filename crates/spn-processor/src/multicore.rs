@@ -8,11 +8,15 @@
 //!
 //! * **Batch-sharded** ([`MultiCoreProcessor::run_batch_sharded`]): every
 //!   core runs the *full* program on a contiguous shard of the evidence
-//!   batch (the same shard split as `spn-platforms`' host-thread
-//!   parallelism, so outputs are bit-for-bit equal to the single-core batch
-//!   order).  Cores contend for the shared parameter memory: under lockstep
+//!   batch, so outputs are bit-for-bit equal to the single-core batch
+//!   order.  Cores contend for the shared parameter memory: under lockstep
 //!   wave arbitration core `c` pays `c / ports` extra cycles per memory
-//!   transaction.  The makespan is the busiest core's cycle count.
+//!   transaction, so a later core's pass can cost more
+//!   ([`MultiCoreProcessor::pass_costs`]).  Each shard is sized by its
+//!   core's pass cost ([`MultiCoreProcessor::shard_ranges_by_cost`]) so that
+//!   the busiest core, whose cycle count is the makespan, finishes as early
+//!   as any contiguous split allows; where every core costs the same this
+//!   is the even split `spn-platforms`' host-thread parallelism uses.
 //! * **Pipelined / partitioned** ([`MultiCoreProcessor::run_partitioned`]):
 //!   the flattened op list is split into pipeline stages, one per core
 //!   ([`PartitionedProgram`], produced by
@@ -37,6 +41,8 @@
 //! timeline (stage starts and steady-state offsets included), so a change
 //! to any latency model moves trace rows and is caught at the first
 //! divergent cycle by `crate::trace::diff_traces`.
+
+use std::ops::Range;
 
 use crate::config::MultiCoreConfig;
 use crate::dataflow::Dataflow;
@@ -201,23 +207,70 @@ impl MultiCoreProcessor {
             .collect()
     }
 
-    /// The contiguous shard ranges batch-sharded execution assigns to each
-    /// core: `queries / cores` queries per core, the first `queries % cores`
-    /// cores taking one extra.  Host-thread parallelism in `spn-platforms`
-    /// calls this for its shards too, so there is one split and shard
-    /// outputs concatenate to the exact serial batch order.
-    pub fn shard_ranges(cores: usize, queries: usize) -> Vec<std::ops::Range<usize>> {
-        let cores = cores.max(1);
-        let base = queries / cores;
-        let remainder = queries % cores;
+    /// The contiguous shard ranges of `queries` queries over `cores` shards
+    /// of equal cost: `queries / cores` queries each, the first
+    /// `queries % cores` taking one extra.  This is
+    /// [`MultiCoreProcessor::shard_ranges_by_cost`] with every cost equal;
+    /// host-thread parallelism and the sampler's shards in `spn-platforms`
+    /// call it, so shard outputs concatenate to the exact serial batch order.
+    pub fn shard_ranges(cores: usize, queries: usize) -> Vec<Range<usize>> {
+        Self::shard_ranges_by_cost(&vec![1; cores.max(1)], queries)
+    }
+
+    /// The contiguous shard ranges of `queries` queries over one core per
+    /// entry of `costs`, where a query costs core `c` `costs[c]` cycles:
+    /// the lengths minimise the busiest core's `length × cost`, and when two
+    /// cores would finish an extra query on the same cycle the
+    /// lower-numbered one takes it.  Equal costs give the even split of
+    /// [`MultiCoreProcessor::shard_ranges`]; a zero cost counts as one, so
+    /// free passes split evenly too.  Integer arithmetic, `O(costs²)` steps
+    /// whatever `queries` is.
+    ///
+    /// # Panics
+    ///
+    /// When `costs` is empty: a batch needs a core to run on.
+    pub fn shard_ranges_by_cost(costs: &[u64], queries: usize) -> Vec<Range<usize>> {
+        assert!(
+            !costs.is_empty(),
+            "a batch is sharded over at least one core"
+        );
+        let costs: Vec<u128> = costs.iter().map(|&c| u128::from(c.max(1))).collect();
+        // Query `k` of core `c` finishes at `k × costs[c]`; the best split
+        // runs the `queries` earliest of those finishes, ties going to the
+        // lower core.  Every finish at or before `t ≤ queries / Σ 1/cost`
+        // is among them, so each core starts with its `⌊t / cost⌋` (the
+        // reciprocals are rounded up in 64-bit fixed point, which keeps `t`
+        // at or below the bound), and the few queries left (under
+        // `2 × cores`) go one at a time to the core that would finish one
+        // first.
+        let scale = 1u128 << 64;
+        let rate: u128 = costs.iter().map(|&c| scale.div_ceil(c)).sum();
+        let t = queries as u128 * scale / rate;
+        let mut lengths: Vec<usize> = costs.iter().map(|&c| (t / c) as usize).collect();
+        for _ in lengths.iter().sum::<usize>()..queries {
+            let next = (0..costs.len())
+                .min_by_key(|&c| (lengths[c] as u128 + 1) * costs[c])
+                .expect("at least one core");
+            lengths[next] += 1;
+        }
         let mut start = 0;
-        (0..cores)
-            .map(|i| {
-                let len = base + usize::from(i < remainder);
+        lengths
+            .into_iter()
+            .map(|len| {
                 let range = start..start + len;
                 start += len;
                 range
             })
+            .collect()
+    }
+
+    /// What one pass of `per_query` keeps each core busy: its compute cycles
+    /// plus the stalls wave arbitration adds to that core's memory
+    /// transactions.  Batch-sharded execution sizes shards by these
+    /// ([`MultiCoreProcessor::shard_ranges_by_cost`]).
+    pub fn pass_costs(&self, per_query: &PerfReport) -> Vec<u64> {
+        (0..self.config.cores)
+            .map(|c| per_query.cycles + self.memory_stall(c, per_query))
             .collect()
     }
 
@@ -300,20 +353,20 @@ impl MultiCoreProcessor {
         if states.len() != self.config.cores {
             *states = self.states_for();
         }
-        let ranges = Self::shard_ranges(self.config.cores, queries);
         // Legality, cost and dataflow are properties of the program: all
         // three are taken before query 0 (once per plan for a
         // `CheckedProgram`, once per call here); the queries are replayed
         // for values alone.
         let flow = Dataflow::checked(&self.core, program, H::ENABLED)?;
         let pass = program.perf();
+        let costs = self.pass_costs(&pass);
+        let ranges = Self::shard_ranges_by_cost(&costs, queries);
         let mut outputs = vec![0.0; queries];
         let exported = program.exports.len();
         let mut exports = vec![0.0; queries * exported];
-        for (c, range) in ranges.iter().enumerate() {
+        for (c, (range, &busy)) in ranges.iter().zip(&costs).enumerate() {
             // Traced queries sit on the core's cumulative timeline: compute
             // plus the modeled wave-arbitration stalls of the earlier ones.
-            let busy = pass.cycles + self.memory_stall(c, &pass);
             flow.run(
                 &flat_inputs[range.start * per_query..range.end * per_query],
                 &mut outputs[range.clone()],
@@ -510,10 +563,11 @@ impl MultiCoreProcessor {
     }
 
     /// The attribution of `queries` passes costing `per_query` each, sharded
-    /// over the cores: core `c` is charged its shard length × the per-query
-    /// counters, and the busiest core sets the makespan.
+    /// over the cores by their pass costs: core `c` is charged its shard
+    /// length × the per-query counters, and the busiest core sets the
+    /// makespan.
     fn shard_attribution(&self, per_query: &PerfReport, queries: usize) -> MultiCorePerf {
-        let shards = Self::shard_ranges(self.config.cores, queries);
+        let shards = Self::shard_ranges_by_cost(&self.pass_costs(per_query), queries);
         let work = shards.iter().map(|s| (per_query.times(s.len() as u64), 0));
         self.attribute(work, None)
     }
@@ -917,23 +971,115 @@ mod tests {
     #[test]
     fn sharded_memory_contention_scales_with_wave() {
         let program = sum_of_products_program();
-        let flat: Vec<f64> = vec![1.0; 16]; // 4 queries
+        let flat: Vec<f64> = vec![1.0; 32]; // 8 queries
         let mut config = MultiCoreConfig::new(4, cfg());
         config.shared_memory.ports = 1;
         let mc = MultiCoreProcessor::new(config).unwrap();
         let mut states = Vec::new();
         let batch = mc
-            .run_batch_sharded(&program, &flat, 4, &mut states)
+            .run_batch_sharded(&program, &flat, 8, &mut states)
             .unwrap();
-        // One load per query, one query per core: core c stalls c cycles.
-        for (c, core) in batch.cores.per_core.iter().enumerate() {
-            assert_eq!(core.memory_stall_cycles, c as u64);
-        }
+        // Three cycles and one load per query: core c stalls c cycles a query.
+        let costs = mc.pass_costs(&program.perf());
+        assert_eq!(costs, [3, 4, 5, 6]);
+        // Two queries per core would end at cycle 12 on core 3; core 0 takes
+        // a third and core 3 one, and core 2 ends last, at cycle 10.
+        let per_core = &batch.cores.per_core;
+        let lengths: Vec<u64> = per_core.iter().map(|c| c.work.queries).collect();
+        assert_eq!(lengths, [3, 2, 2, 1]);
+        let stalls: Vec<u64> = per_core.iter().map(|c| c.memory_stall_cycles).collect();
+        assert_eq!(stalls, [0, 2, 4, 3]);
         batch.cores.check_accounting().unwrap();
-        assert_eq!(
-            batch.cores.makespan_cycles,
-            batch.cores.per_core[3].busy_cycles()
-        );
+        assert_eq!(batch.cores.makespan_cycles, 10);
+        assert_eq!(makespan(&even_split(4, 8), &costs), 12);
+    }
+
+    /// The even split as it was written before shards were sized by cost:
+    /// the oracle for every equal-cost split.
+    fn even_split(cores: usize, queries: usize) -> Vec<Range<usize>> {
+        let (base, remainder) = (queries / cores, queries % cores);
+        let mut start = 0;
+        (0..cores)
+            .map(|i| {
+                let len = base + usize::from(i < remainder);
+                start += len;
+                start - len..start
+            })
+            .collect()
+    }
+
+    fn makespan(ranges: &[Range<usize>], costs: &[u64]) -> u64 {
+        let busy = ranges.iter().zip(costs).map(|(r, &c)| r.len() as u64 * c);
+        busy.max().unwrap_or(0)
+    }
+
+    #[test]
+    fn equal_costs_split_evenly() {
+        for cores in 1..=8 {
+            for queries in 0..=100 {
+                let want = even_split(cores, queries);
+                assert_eq!(MultiCoreProcessor::shard_ranges(cores, queries), want);
+                for cost in [0, 1, 7, 1178, 2603, u64::from(u32::MAX)] {
+                    let got = MultiCoreProcessor::shard_ranges_by_cost(&vec![cost; cores], queries);
+                    assert_eq!(got, want, "{cores} cores of cost {cost}, {queries} queries");
+                }
+            }
+        }
+    }
+
+    /// Every way to cut `queries` into `cores` contiguous shards, by length.
+    fn all_splits(
+        cores: usize,
+        queries: usize,
+        prefix: &mut Vec<usize>,
+        out: &mut Vec<Vec<usize>>,
+    ) {
+        if prefix.len() + 1 == cores {
+            out.push([prefix.as_slice(), &[queries]].concat());
+            return;
+        }
+        for len in 0..=queries {
+            prefix.push(len);
+            all_splits(cores, queries - len, prefix, out);
+            prefix.pop();
+        }
+    }
+
+    #[test]
+    fn cost_sized_shards_reach_the_brute_force_optimum() {
+        // A fixed linear congruential stream: the costs are the same every run.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next_cost = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            1 + (state >> 33) % 50
+        };
+        for cores in 1..=5 {
+            for _ in 0..12 {
+                let costs: Vec<u64> = (0..cores).map(|_| next_cost()).collect();
+                for queries in 0..=20 {
+                    let context = format!("costs {costs:?}, {queries} queries");
+                    let got = MultiCoreProcessor::shard_ranges_by_cost(&costs, queries);
+                    assert_eq!(got.len(), cores, "{context}");
+                    assert_eq!(got.first().map(|r| r.start), Some(0), "{context}");
+                    assert_eq!(got.last().map(|r| r.end), Some(queries), "{context}");
+                    assert!(got.windows(2).all(|w| w[0].end == w[1].start), "{context}");
+                    let mut splits = Vec::new();
+                    all_splits(cores, queries, &mut Vec::new(), &mut splits);
+                    let best = splits
+                        .iter()
+                        .map(|lengths| {
+                            let busy = lengths.iter().zip(&costs).map(|(&n, &c)| n as u64 * c);
+                            busy.max().unwrap_or(0)
+                        })
+                        .min();
+                    assert_eq!(Some(makespan(&got, &costs)), best, "{context}");
+                    let even = makespan(&even_split(cores, queries), &costs);
+                    assert!(makespan(&got, &costs) <= even, "{context}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //!   interconnect-stall + idle cycles partition the makespan exactly, and
 //!   the merged batch report is the sum of the per-core reports, for both
 //!   batch-sharded and pipelined/partitioned execution.
+//! * **Cost-sized shards** — each core's shard is sized by its
+//!   wave-arbitrated pass cost: exact shard lengths, makespans and speedups
+//!   on learned KDDCup2k and MSNBC, and on all nine Fig. 4 circuits a
+//!   makespan never above the even split's.
 //! * **Lane blocks and tails** — a batch of any length, cut into blocks of
 //!   eight queries replayed side by side plus tail blocks of four, two and
 //!   one, returns per query exactly what a single-query run returns; the
@@ -30,7 +34,8 @@ use spn_accel::compiler::Compiler;
 use spn_accel::core::flatten::OpList;
 use spn_accel::core::query::{ConditionalBatch, QueryBatch, QueryMode};
 use spn_accel::core::random::{random_spn, RandomSpnConfig};
-use spn_accel::core::{Evidence, EvidenceBatch, NumericMode, Precision, Spn};
+use spn_accel::core::{Evidence, EvidenceBatch, NumericMode, Precision, Spn, SpnBuilder, VarId};
+use spn_accel::learn::Benchmark;
 use spn_accel::platforms::{
     Backend, Engine, EngineOptions, ExecBuffers, Parallelism, Plan, ProcessorBackend,
     ProcessorScratch, QueryOutput,
@@ -288,9 +293,11 @@ fn per_core_cycles_partition_the_makespan_for_sharded_runs() {
             let marginals = run_on(&EvidenceBatch::marginals(spn.num_vars(), queries));
             assert_eq!(run.cores, marginals.cores, "{context}");
             assert_merged_is_sum(&run, &context);
-            let shards = MultiCoreProcessor::shard_ranges(cores, queries);
+            let pass = compiled.program.perf();
+            let costs = processor.pass_costs(&pass);
+            let shards = MultiCoreProcessor::shard_ranges_by_cost(&costs, queries);
             for (core, shard) in run.cores.per_core.iter().zip(shards) {
-                let charged = compiled.program.perf().times(shard.len() as u64);
+                let charged = pass.times(shard.len() as u64);
                 assert_eq!(core.work, charged, "{context}: core {}", core.core);
             }
         }
@@ -661,4 +668,101 @@ fn one_set_of_buffers_serves_plans_of_every_shape() {
             assert_eq!(got.perf, want.perf, "plan {p}, {n} rows, rebound");
         }
     }
+}
+
+/// The busiest core's cycles when `queries` passes of `pass` are cut evenly
+/// over `processor`'s cores, whatever each core pays per pass.
+fn even_split_makespan(processor: &MultiCoreProcessor, pass: &PerfReport, queries: usize) -> u64 {
+    let costs = processor.pass_costs(pass);
+    let shards = MultiCoreProcessor::shard_ranges(costs.len(), queries);
+    let busy = shards.iter().zip(&costs).map(|(s, c)| s.len() as u64 * c);
+    busy.max().unwrap_or(0)
+}
+
+/// Sharded over Ptree cores behind one shared-memory port, a later core pays
+/// more per pass, so it gets a shorter shard.  On four cores at 64 queries
+/// the shard lengths, makespans and speedups over one core of learned
+/// KDDCup2k and MSNBC are pinned exactly (the even split's makespan beside
+/// them); on all nine circuits, 2, 3, 4 and 8 cores and 1, 7 and 64
+/// queries, the makespan is never above the even split's and the cycle
+/// accounting is exact.
+#[test]
+fn cost_sized_shards_on_the_fig4_circuits() {
+    let ptree = ProcessorConfig::ptree();
+    let compiler = Compiler::new(ptree.clone());
+    // (circuit, shard lengths, makespan, even split's makespan, speedup)
+    let pinned = [
+        (
+            "KDDCup2k",
+            [24u64, 17, 13, 10],
+            28_272u64,
+            41_648u64,
+            "2.6667",
+        ),
+        ("MSNBC", [22, 17, 14, 11], 4_046, 5_472, "2.8947"),
+    ];
+    let machines: Vec<MultiCoreProcessor> = [2usize, 3, 4, 8]
+        .into_iter()
+        .map(|cores| {
+            MultiCoreProcessor::new(MultiCoreConfig::new(cores, ptree.clone())).expect("machine")
+        })
+        .collect();
+    let mut seen = 0;
+    for benchmark in Benchmark::all() {
+        let ops = OpList::from_spn(&benchmark.spn());
+        let compiled = compiler.compile_op_list(ops).expect("compiles");
+        let pass = compiled.program.perf();
+        for machine in &machines {
+            let cores = machine.config().cores;
+            for queries in [1usize, 7, 64] {
+                let context = format!("{}: {queries} queries on {cores} cores", benchmark.name());
+                let perf = machine
+                    .sharded_perf(&compiled.program, queries)
+                    .expect("same machine");
+                perf.check_accounting()
+                    .unwrap_or_else(|err| panic!("{context}: {err}"));
+                let even = even_split_makespan(machine, &pass, queries);
+                assert!(perf.makespan_cycles <= even, "{context}: {perf}");
+                let Some(&(_, lengths, makespan, pinned_even, speedup)) =
+                    pinned.iter().find(|p| p.0 == benchmark.name())
+                else {
+                    continue;
+                };
+                if (cores, queries) != (4, 64) {
+                    continue;
+                }
+                seen += 1;
+                let got: Vec<u64> = perf.per_core.iter().map(|c| c.work.queries).collect();
+                assert_eq!(got, lengths, "{context}");
+                assert_eq!(perf.makespan_cycles, makespan, "{context}");
+                assert_eq!(even, pinned_even, "{context}");
+                let single = pass.cycles * queries as u64;
+                let got = format!("{:.4}", single as f64 / perf.makespan_cycles as f64);
+                assert_eq!(got, speedup, "{context}");
+            }
+        }
+    }
+    assert_eq!(seen, pinned.len(), "a pinned circuit is missing");
+}
+
+/// A single-leaf SPN compiles to no instruction, so a pass costs no core
+/// anything and the batch splits evenly.
+#[test]
+fn a_free_pass_splits_evenly() {
+    let mut builder = SpnBuilder::new(1);
+    let leaf = builder.indicator(VarId(0), true);
+    let spn = builder.finish(leaf).expect("a leaf is an SPN");
+    let ptree = ProcessorConfig::ptree();
+    let compiled = Compiler::new(ptree.clone())
+        .compile_op_list(OpList::from_spn(&spn))
+        .expect("compiles");
+    assert!(compiled.program.instructions.is_empty());
+    let processor = MultiCoreProcessor::new(MultiCoreConfig::new(4, ptree)).expect("machine");
+    assert_eq!(processor.pass_costs(&compiled.program.perf()), [0; 4]);
+    let perf = processor
+        .sharded_perf(&compiled.program, 10)
+        .expect("same machine");
+    let lengths: Vec<u64> = perf.per_core.iter().map(|c| c.work.queries).collect();
+    assert_eq!(lengths, [3, 3, 2, 2]);
+    assert_eq!(perf.makespan_cycles, 0);
 }
