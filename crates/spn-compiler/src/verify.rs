@@ -778,7 +778,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spn_core::random::{random_spn, RandomSpnConfig};
-    use spn_processor::ProcessorConfig;
+    use spn_core::Evidence;
+    use spn_processor::isa::WriteCmd;
+    use spn_processor::{PePosition, Processor, ProcessorConfig, ProcessorError};
 
     #[test]
     fn compiled_programs_verify_clean() {
@@ -801,6 +803,93 @@ mod tests {
             .compile(&spn)
             .unwrap();
         assert!(verify_artifact(&compiled).is_empty());
+    }
+
+    /// A compiled program whose root write-back gets a second destination
+    /// `second(span, first_bank)` at the last register of that bank, which
+    /// the program exports; returns it with its op list.
+    fn with_second_root_write(
+        second: impl Fn(std::ops::Range<usize>, usize) -> usize,
+    ) -> (Program, OpList) {
+        let spn = random_spn(
+            &RandomSpnConfig::with_vars(6),
+            &mut StdRng::seed_from_u64(24),
+        );
+        let ops = OpList::from_spn(&spn);
+        let config = ProcessorConfig::ptree();
+        let compiled = Compiler::new(config.clone())
+            .compile_op_list(ops.clone())
+            .unwrap();
+        let mut program: Program = (*compiled.program).clone();
+        let ValueLocation::Register { bank, reg } = program.output else {
+            panic!("the root is register resident");
+        };
+        let (cycle, tree, root) = program
+            .instructions
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(cycle, instr)| {
+                instr.trees.iter().enumerate().find_map(|(t, tree)| {
+                    let w = tree
+                        .writes
+                        .iter()
+                        .find(|w| (w.bank, w.reg) == (bank, reg))?;
+                    Some((cycle, t, *w))
+                })
+            })
+            .unwrap();
+        let span = config.writable_banks(PePosition {
+            tree,
+            level: root.level.into(),
+            index: root.pe.into(),
+        });
+        let extra = WriteCmd {
+            bank: second(span, bank.into()) as u16,
+            reg: (config.regs_per_bank - 1) as u16,
+            ..root
+        };
+        program.instructions[cycle].trees[tree].writes.push(extra);
+        program.exports = vec![ValueLocation::Register {
+            bank: extra.bank,
+            reg: extra.reg,
+        }];
+        (program, ops)
+    }
+
+    #[test]
+    fn a_root_written_to_two_banks_of_its_span_verifies_clean() {
+        let (program, ops) =
+            with_second_root_write(|span, first| span.into_iter().find(|&b| b != first).unwrap());
+        assert!(verify_program(&program, &ops, &[ops.output()]).is_empty());
+        let processor = Processor::new(program.config.clone()).unwrap();
+        let inputs = ops.input_values(&Evidence::marginal(6)).unwrap();
+        let run = processor.run(&program, &inputs).unwrap();
+        assert_eq!(run.exports, [run.output], "both homes hold the root");
+    }
+
+    #[test]
+    fn a_second_root_write_outside_the_span_or_into_its_bank_is_caught() {
+        let codes = |program: &Program, ops: &OpList| -> Vec<&str> {
+            let diags = verify_program(program, ops, &[ops.output()]);
+            diags.iter().map(|d| d.code).collect()
+        };
+        let processor = Processor::new(ProcessorConfig::ptree()).unwrap();
+
+        let (outside, ops) =
+            with_second_root_write(|span, _| (0..32).find(|b| !span.contains(b)).unwrap());
+        assert!(codes(&outside, &ops).contains(&"SPN204"));
+        assert!(matches!(
+            processor.check(&outside),
+            Err(ProcessorError::IllegalWriteBank { .. })
+        ));
+
+        let (same_bank, ops) = with_second_root_write(|_, first| first);
+        assert!(codes(&same_bank, &ops).contains(&"SPN202"));
+        assert!(matches!(
+            processor.check(&same_bank),
+            Err(ProcessorError::WritePortConflict { .. })
+        ));
     }
 
     #[test]

@@ -699,6 +699,77 @@ mod tests {
         ));
     }
 
+    /// The reference program with a second write-back of the level-1 root
+    /// PE (span: banks 0..4) to `(bank, 1)`, exported, and a third cycle
+    /// that adds the two homes into bank 0, register 2, the output.
+    fn two_homes_program(bank: u16) -> Program {
+        let mut program = sum_of_products_program();
+        program.instructions[1].trees[0].writes.push(WriteCmd {
+            level: 1,
+            pe: 0,
+            bank,
+            reg: 1,
+        });
+        let mut sum = Instruction::nop(&program.config);
+        sum.trees[0].reads[0] = ReadSel::Reg { bank: 0, reg: 1 };
+        sum.trees[0].reads[1] = ReadSel::Reg { bank, reg: 1 };
+        sum.trees[0].pe_ops[0] = PeOp::Add;
+        sum.trees[0].writes.push(WriteCmd {
+            level: 0,
+            pe: 0,
+            bank: 0,
+            reg: 2,
+        });
+        // The root's writes commit at the end of cycle 2.
+        program.instructions.push(Instruction::nop(&program.config));
+        program.instructions.push(sum);
+        program.output = ValueLocation::Register { bank: 0, reg: 2 };
+        program.exports = vec![
+            ValueLocation::Register { bank: 0, reg: 1 },
+            ValueLocation::Register { bank, reg: 1 },
+        ];
+        program.num_source_ops = 4;
+        program
+    }
+
+    #[test]
+    fn one_pe_writes_two_banks_of_its_span_in_one_cycle() {
+        let program = two_homes_program(2);
+        let proc = Processor::new(cfg()).unwrap();
+        proc.check(&program)
+            .expect("two write-backs of one PE are legal");
+        let run = proc.run(&program, &[2.0, 3.0, 4.0, 5.0]).unwrap();
+        assert_eq!(run.exports, [45.0, 45.0]);
+        assert_eq!(run.output, 90.0);
+        assert_eq!(run.perf.writebacks, 3);
+    }
+
+    #[test]
+    fn a_second_write_back_outside_the_span_is_illegal() {
+        let proc = Processor::new(cfg()).unwrap();
+        assert!(matches!(
+            proc.check(&two_homes_program(12)),
+            Err(ProcessorError::IllegalWriteBank {
+                cycle: 1,
+                bank: 12,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn two_write_backs_to_one_bank_in_one_cycle_conflict() {
+        // The second write goes to another register of the first one's bank.
+        let mut program = two_homes_program(2);
+        let second = &mut program.instructions[1].trees[0].writes[1];
+        (second.bank, second.reg) = (0, 3);
+        let proc = Processor::new(cfg()).unwrap();
+        assert_eq!(
+            proc.check(&program),
+            Err(ProcessorError::WritePortConflict { cycle: 2, bank: 0 })
+        );
+    }
+
     /// `instructions` after a load of row 0 into register 0, on Ptree.
     fn after_load(instructions: Vec<Instruction>, output: ValueLocation) -> Program {
         let config = cfg();
