@@ -12,6 +12,10 @@
 //! be reused by a write that commits strictly after the last scheduled read
 //! of the previous occupant (tracked per `(offset, bank)` lane), otherwise
 //! the new value would clobber an operand that is still going to be read.
+//!
+//! A value that several tiles read may hold more than one register *home*
+//! (the [`ValueMap`] lists them), each a lane of its own with the value as
+//! tenant, so its readers need not queue on one bank's read port.
 
 use spn_core::flatten::OperandRef;
 
@@ -184,6 +188,12 @@ impl RegAllocator {
     /// `cycle`; frees the offset when it was the last one.
     pub fn value_dead(&mut self, offset: usize, bank: usize, cycle: u64) {
         self.touch(offset, bank, cycle);
+        self.release(offset, bank);
+    }
+
+    /// Releases the tenant of `(offset, bank)`, whose reads and write are
+    /// already booked; frees the offset when it was the last one.
+    pub fn release(&mut self, offset: usize, bank: usize) {
         let lane = self.lane(offset, bank);
         self.tenants[lane] = Tenant::Empty;
         if self.live(offset) == 0 {
@@ -256,20 +266,65 @@ pub enum Loc {
     ConstOne,
 }
 
-/// Tracks the location and the remaining uses of every value of the program
-/// (inputs and operation results).
+impl Loc {
+    /// The register home of a register-resident value.
+    fn home(self) -> Option<Home> {
+        match self {
+            Loc::Reg { bank, reg, ready } => Some(Home { bank, reg, ready }),
+            _ => None,
+        }
+    }
+}
+
+/// One register home of a value: the register a copy of it sits in and the
+/// cycle that copy's write commits (readable afterwards).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Home {
+    /// Global bank index.
+    pub bank: usize,
+    /// Register offset.
+    pub reg: usize,
+    /// Commit cycle of the write that put the value there.
+    pub ready: u64,
+}
+
+/// What the scheduler knows of one value.
+#[derive(Debug, Clone)]
+struct Slot {
+    loc: Loc,
+    /// Not-yet-scheduled uses.
+    uses: usize,
+    /// Distinct tiles that read the value.
+    reader_tiles: usize,
+    /// Register homes beside the [`Loc::Reg`] one (only a value that
+    /// several tiles read has any).
+    spares: Vec<Home>,
+}
+
+/// Tracks the location, the register homes and the remaining uses of every
+/// value of the program (inputs and operation results).
+///
+/// A register-resident value has its first home in [`Loc::Reg`] and any
+/// further ones beside it; every home dies with the value's last read, and
+/// a value whose homes are all evicted goes back to the data memory.
 #[derive(Debug, Clone)]
 pub struct ValueMap {
-    /// `(location, not-yet-scheduled uses)`: inputs first, then op results.
-    slots: Vec<(Loc, usize)>,
+    /// Inputs first, then op results.
+    slots: Vec<Slot>,
     num_inputs: usize,
 }
 
 impl ValueMap {
     /// Creates a map for `num_inputs` inputs and `num_ops` operation results.
     pub fn new(num_inputs: usize, num_ops: usize) -> Self {
+        let slot = Slot {
+            loc: Loc::Unready,
+            uses: 0,
+            reader_tiles: 0,
+            spares: Vec::new(),
+        };
         ValueMap {
-            slots: vec![(Loc::Unready, 0); num_inputs + num_ops],
+            slots: vec![slot; num_inputs + num_ops],
             num_inputs,
         }
     }
@@ -281,35 +336,98 @@ impl ValueMap {
         }
     }
 
-    /// Current location of `value`.
+    fn slot(&mut self, value: OperandRef) -> &mut Slot {
+        let index = self.index(value);
+        &mut self.slots[index]
+    }
+
+    /// Current location of `value` (its first home when register resident).
     pub fn loc(&self, value: OperandRef) -> Loc {
-        self.slots[self.index(value)].0
+        self.slots[self.index(value)].loc
     }
 
     /// Updates the location of `value`.
     pub fn set_loc(&mut self, value: OperandRef, loc: Loc) {
-        let index = self.index(value);
-        self.slots[index].0 = loc;
+        self.slot(value).loc = loc;
+    }
+
+    /// Every register home of `value`, the [`Loc::Reg`] one first.
+    pub fn homes(&self, value: OperandRef) -> impl Iterator<Item = Home> + '_ {
+        let slot = &self.slots[self.index(value)];
+        slot.loc
+            .home()
+            .into_iter()
+            .chain(slot.spares.iter().copied())
+    }
+
+    /// Gives the register-resident `value` one more home.
+    pub fn add_home(&mut self, value: OperandRef, home: Home) {
+        let slot = self.slot(value);
+        debug_assert!(
+            matches!(slot.loc, Loc::Reg { .. }),
+            "a first home comes first"
+        );
+        slot.spares.push(home);
+    }
+
+    /// Drops the home of `value` at `(bank, reg)`, promoting a remaining
+    /// one when it was the first.  Returns `false` when no home is left;
+    /// the caller then records where the value went.
+    pub fn drop_home(&mut self, value: OperandRef, bank: usize, reg: usize) -> bool {
+        let slot = self.slot(value);
+        if let Some(i) = slot
+            .spares
+            .iter()
+            .position(|h| (h.bank, h.reg) == (bank, reg))
+        {
+            slot.spares.remove(i);
+            return true;
+        }
+        debug_assert!(
+            matches!(slot.loc, Loc::Reg { bank: b, reg: r, .. } if (b, r) == (bank, reg)),
+            "not a home of the value"
+        );
+        if slot.spares.is_empty() {
+            return false;
+        }
+        let Home { bank, reg, ready } = slot.spares.remove(0);
+        slot.loc = Loc::Reg { bank, reg, ready };
+        true
+    }
+
+    /// Forgets every home of `value` after its last read and returns them.
+    pub fn take_homes(&mut self, value: OperandRef) -> impl Iterator<Item = Home> + '_ {
+        let slot = self.slot(value);
+        slot.loc.home().into_iter().chain(slot.spares.drain(..))
     }
 
     /// Remaining number of not-yet-scheduled uses of `value`.
     pub fn uses(&self, value: OperandRef) -> usize {
-        self.slots[self.index(value)].1
+        self.slots[self.index(value)].uses
     }
 
     /// Adds `n` expected uses of `value`.
     pub fn add_uses(&mut self, value: OperandRef, n: usize) {
-        let index = self.index(value);
-        self.slots[index].1 += n;
+        self.slot(value).uses += n;
     }
 
     /// Consumes one use of `value`; returns `true` when it was the last one.
     pub fn consume_use(&mut self, value: OperandRef) -> bool {
-        let index = self.index(value);
-        let uses = &mut self.slots[index].1;
+        let uses = &mut self.slot(value).uses;
         debug_assert!(*uses > 0, "value consumed more often than counted");
         *uses -= 1;
         *uses == 0
+    }
+
+    /// Counts one more tile that reads `value`.
+    pub fn add_reader_tile(&mut self, value: OperandRef) {
+        self.slot(value).reader_tiles += 1;
+    }
+
+    /// Whether two or more tiles read `value`, so it may hold more than one
+    /// register home.
+    pub fn is_shared(&self, value: OperandRef) -> bool {
+        self.slots[self.index(value)].reader_tiles >= 2
     }
 }
 
@@ -413,6 +531,49 @@ mod tests {
             other => panic!("unexpected location {other:?}"),
         }
         assert_eq!(vm.loc(input), Loc::Unready);
+    }
+
+    #[test]
+    fn shared_values_keep_their_homes_until_the_last_one_goes() {
+        let mut vm = ValueMap::new(1, 1);
+        let value = OperandRef::Op(0);
+        vm.add_reader_tile(value);
+        assert!(!vm.is_shared(value));
+        vm.add_reader_tile(value);
+        assert!(vm.is_shared(value));
+        let first = Home {
+            bank: 2,
+            reg: 0,
+            ready: 4,
+        };
+        let second = Home {
+            bank: 3,
+            reg: 5,
+            ready: 4,
+        };
+        let third = Home {
+            bank: 9,
+            reg: 1,
+            ready: 7,
+        };
+        vm.set_loc(
+            value,
+            Loc::Reg {
+                bank: 2,
+                reg: 0,
+                ready: 4,
+            },
+        );
+        vm.add_home(value, second);
+        vm.add_home(value, third);
+        assert_eq!(vm.homes(value).collect::<Vec<_>>(), [first, second, third]);
+        // An evicted spare goes; an evicted first home hands over.
+        assert!(vm.drop_home(value, 9, 1));
+        assert!(vm.drop_home(value, 2, 0));
+        assert_eq!(vm.homes(value).collect::<Vec<_>>(), [second]);
+        assert!(!vm.drop_home(value, 3, 5));
+        vm.add_home(value, third);
+        assert_eq!(vm.take_homes(value).collect::<Vec<_>>(), [second, third]);
     }
 
     #[test]

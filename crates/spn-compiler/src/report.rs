@@ -17,8 +17,12 @@ pub struct CompileReport {
     pub memory_loads: usize,
     /// Vector stores caused by register spilling.
     pub memory_stores: usize,
-    /// Forwarding moves inserted to resolve register-bank read conflicts.
+    /// Forwarding moves inserted to resolve register-bank read conflicts,
+    /// including those giving a value several tiles read a further home.
     pub copy_moves: usize,
+    /// Values (program inputs held in the data memory, and op results) that
+    /// two or more tiles read: each may hold more than one register home.
+    pub shared_values: usize,
     /// Completely idle instructions (could not be filled with work).
     pub nop_instructions: usize,
     /// Register offsets that were never free simultaneously (peak pressure

@@ -17,6 +17,15 @@
 //! scheduler inserts a forwarding *move* (a pass-through PE writing a copy to
 //! a different bank); when the register file runs out, resident rows are
 //! dropped or scalar offsets are spilled back to the data memory.
+//!
+//! A value that two or more tiles read may hold more than one register
+//! *home*, so its readers need not queue on one bank's read port: the root
+//! PE of such a result writes a second bank of its span in the same cycle,
+//! and a reader blocked at its earliest cycle because every home's bank is
+//! read by someone else gets a move into a free bank, kept as a further home
+//! for later readers.  Each placement gives every operand whichever of its
+//! homes is free, and every home dies at the value's last read.  A value
+//! with one reader tile has one home.
 
 use spn_core::flatten::{LeafSource, OpList, OperandRef};
 use spn_processor::config::{PePosition, ProcessorConfig};
@@ -24,7 +33,7 @@ use spn_processor::isa::{
     InputSlot, Instruction, MemOp, PeOp, Program, ReadSel, TreeInstr, ValueLocation, WriteCmd,
 };
 
-use crate::alloc::{Loc, RegAllocator, Tenant, Use, ValueMap};
+use crate::alloc::{Home, Loc, RegAllocator, Tenant, Use, ValueMap};
 use crate::error::CompileError;
 use crate::report::CompileReport;
 use crate::tile::Tile;
@@ -78,38 +87,127 @@ enum SlotSource {
     Zero(OperandRef),
     /// Constant one from the crossbar.
     One(OperandRef),
-    /// Read the operand from its canonical register location.
-    Original {
-        operand: OperandRef,
-        bank: usize,
-        reg: usize,
-    },
+    /// Read the operand from whichever of its register homes is free.
+    Value(OperandRef),
     /// Read a temporary copy created by a forwarding move.
-    Copy {
-        bank: usize,
-        reg: usize,
-        /// Cycle at which the copy commits (readable afterwards).
-        ready: u64,
-    },
+    Copy(Home),
 }
 
-impl SlotSource {
-    fn bank(&self) -> Option<usize> {
-        match self {
-            SlotSource::Original { bank, .. } | SlotSource::Copy { bank, .. } => Some(*bank),
-            _ => None,
+/// Most register reads one tile has: two per leaf PE of a tree.
+const MAX_READS: usize = 2 * MAX_LEAF_PES;
+
+/// No read, or no home.
+const NONE: u16 = u16::MAX;
+
+/// For each register read of a tile, the index in [`ReadOptions::homes`]
+/// of the home it reads, or [`NONE`].
+type Chosen = [u16; MAX_READS];
+
+/// The register homes each register read of a tile may use: read `k`
+/// chooses among `homes[starts[k]..starts[k + 1]]`.
+#[derive(Debug, Default)]
+struct ReadOptions {
+    homes: Vec<Home>,
+    starts: Vec<usize>,
+}
+
+impl ReadOptions {
+    /// Lists every home of every register read of `sources`, reusing the
+    /// buffers.
+    fn fill(&mut self, values: &ValueMap, sources: &[(usize, SlotSource)]) {
+        self.homes.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        for (_, source) in sources {
+            match *source {
+                SlotSource::Value(operand) => self.homes.extend(values.homes(operand)),
+                SlotSource::Copy(home) => self.homes.push(home),
+                SlotSource::Zero(_) | SlotSource::One(_) => continue,
+            }
+            self.starts.push(self.homes.len());
         }
     }
 
-    fn ready_cycle(&self, values: &ValueMap) -> u64 {
-        match self {
-            SlotSource::Original { operand, .. } => match values.loc(*operand) {
-                Loc::Reg { ready, .. } => ready + 1,
-                _ => 0,
-            },
-            SlotSource::Copy { ready, .. } => ready + 1,
-            _ => 0,
+    fn reads(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Banks any read could use.
+    fn banks(&self) -> u64 {
+        self.homes
+            .iter()
+            .fold(0, |banks, home| banks | 1 << home.bank)
+    }
+
+    /// The first cycle every read has a home committed by.
+    fn earliest(&self) -> u64 {
+        let first_ready = |read: &[usize]| {
+            self.homes[read[0]..read[1]]
+                .iter()
+                .map(|h| h.ready + 1)
+                .min()
+        };
+        self.starts
+            .windows(2)
+            .filter_map(first_ready)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The home each read takes when `usable` tells which homes can be read
+    /// in a cycle, or `None` when some read cannot have one in a bank of
+    /// its own.
+    fn assign(&self, usable: impl Fn(&Home) -> bool) -> Option<Chosen> {
+        let chosen = self.match_banks(usable);
+        (!chosen[..self.reads()].contains(&NONE)).then_some(chosen)
+    }
+
+    /// Gives every read a home `usable` accepts in a bank of its own, in
+    /// read order, by augmenting paths: a read whose every option is taken
+    /// tries to move the reads holding them to another of their options.  A
+    /// read that still finds none is left [`NONE`].
+    fn match_banks(&self, usable: impl Fn(&Home) -> bool) -> Chosen {
+        let mut chosen = [NONE; MAX_READS];
+        if self.homes.len() == self.reads() {
+            // One home per read: no read can move, so first come first served.
+            let mut taken = 0u64;
+            for (read, home) in self.homes.iter().enumerate() {
+                if taken & (1 << home.bank) == 0 && usable(home) {
+                    taken |= 1 << home.bank;
+                    chosen[read] = read as u16;
+                }
+            }
+            return chosen;
         }
+        let mut holder = [NONE; MAX_BANKS];
+        for read in 0..self.reads() {
+            self.augment(read, &usable, &mut 0, &mut holder, &mut chosen);
+        }
+        chosen
+    }
+
+    fn augment(
+        &self,
+        read: usize,
+        usable: &impl Fn(&Home) -> bool,
+        seen: &mut u64,
+        holder: &mut [u16; MAX_BANKS],
+        chosen: &mut Chosen,
+    ) -> bool {
+        for option in self.starts[read]..self.starts[read + 1] {
+            let home = &self.homes[option];
+            if *seen & (1 << home.bank) != 0 || !usable(home) {
+                continue;
+            }
+            *seen |= 1 << home.bank;
+            let held_by = holder[home.bank];
+            if held_by == NONE || self.augment(held_by.into(), usable, seen, holder, chosen) {
+                holder[home.bank] = read as u16;
+                chosen[read] = option as u16;
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -119,8 +217,12 @@ struct Placement {
     cycle: u64,
     tree: usize,
     block: usize,
-    dest_bank: usize,
-    dest_reg: usize,
+    /// `(bank, reg)` the root writes back to.
+    dest: (usize, usize),
+    /// The second `(bank, reg)` a result several tiles read is written to.
+    second: Option<(usize, usize)>,
+    /// The home each register read of the tile reads.
+    reads: Chosen,
 }
 
 /// Schedules `tiles` (extracted from `ops`) onto `config`, producing the VLIW
@@ -180,9 +282,15 @@ struct Scheduler<'a> {
     last_commit_booked: u64,
     /// How many values have been written to each bank (allocation heuristic).
     bank_pressure: Vec<u64>,
+    /// Per op result: the banks its reader tiles' memory inputs load into,
+    /// which the destination of a result several tiles read avoids.
+    reader_input_banks: Vec<u64>,
     input_slots: Vec<InputSlot>,
     /// Scan hint for finding a free data-memory cycle.
     mem_hint: u64,
+    /// The homes the reads of the tile being scheduled may use (a buffer
+    /// kept across tiles).
+    read_options: ReadOptions,
     report: CompileReport,
 }
 
@@ -207,8 +315,10 @@ impl<'a> Scheduler<'a> {
             row_available_from: Vec::new(),
             last_commit_booked: 0,
             bank_pressure: vec![0; config.total_banks()],
+            reader_input_banks: vec![0; ops.num_ops()],
             input_slots: Vec::new(),
             mem_hint: 0,
+            read_options: ReadOptions::default(),
             report: CompileReport {
                 source_ops: ops.num_ops(),
                 tiles: tiles.len(),
@@ -245,6 +355,40 @@ impl<'a> Scheduler<'a> {
             };
             this.values.set_loc(operand, loc);
         }
+
+        // Which values several tiles read, and where each reader tile's
+        // memory inputs load (input `i` into bank `i mod banks`).
+        let mut operands: Vec<OperandRef> = Vec::new();
+        for tile in tiles {
+            operands.clear();
+            let mut input_banks = 0u64;
+            for read in &tile.reads {
+                if !operands.contains(&read.operand) {
+                    operands.push(read.operand);
+                    this.values.add_reader_tile(read.operand);
+                }
+                if let OperandRef::Input(i) = read.operand {
+                    if matches!(this.values.loc(read.operand), Loc::Mem { .. }) {
+                        input_banks |= 1 << (i as usize % banks);
+                    }
+                }
+            }
+            for operand in &operands {
+                if let OperandRef::Op(j) = *operand {
+                    this.reader_input_banks[j as usize] |= input_banks;
+                }
+            }
+        }
+        let values = (0..ops.num_inputs())
+            .filter(|&i| {
+                matches!(
+                    this.values.loc(OperandRef::Input(i as u32)),
+                    Loc::Mem { .. }
+                )
+            })
+            .map(|i| OperandRef::Input(i as u32))
+            .chain((0..ops.num_ops()).map(|j| OperandRef::Op(j as u32)));
+        this.report.shared_values = values.filter(|&v| this.values.is_shared(v)).count();
         this
     }
 
@@ -266,9 +410,7 @@ impl<'a> Scheduler<'a> {
     fn protected_offsets(&self, tile: &Tile) -> Vec<usize> {
         let mut protected = Vec::new();
         for read in &tile.reads {
-            if let Loc::Reg { reg, .. } = self.values.loc(read.operand) {
-                protected.push(reg);
-            }
+            protected.extend(self.values.homes(read.operand).map(|home| home.reg));
         }
         protected
     }
@@ -380,7 +522,9 @@ impl<'a> Scheduler<'a> {
         };
         let evicted = self.alloc.evict(offset);
         for &(value, lane) in &evicted {
-            self.values.set_loc(value, Loc::Mem { row, lane });
+            if !self.values.drop_home(value, lane, offset) {
+                self.values.set_loc(value, Loc::Mem { row, lane });
+            }
         }
         if kind == Use::Scalar {
             self.mem_rows.push(evicted);
@@ -392,15 +536,15 @@ impl<'a> Scheduler<'a> {
     // Forwarding moves (bank-conflict resolution)
     // ------------------------------------------------------------------
 
-    /// Creates a register copy of `operand` in a bank outside `avoid_banks`,
-    /// using a pass-through PE.  Returns the copy's location and commit cycle
-    /// and consumes one use of the original.
+    /// Creates a temporary register copy of `operand`, read once, in a bank
+    /// outside `avoid_banks`, using a pass-through PE.  Returns where it sits
+    /// and when it commits, and consumes one use of the original.
     fn make_copy(
         &mut self,
         operand: OperandRef,
         avoid_banks: u64,
         protected: &[usize],
-    ) -> Result<(usize, usize, u64)> {
+    ) -> Result<Home> {
         let Loc::Reg {
             bank: src_bank,
             reg: src_reg,
@@ -446,30 +590,13 @@ impl<'a> Scheduler<'a> {
                             else {
                                 continue;
                             };
-                            self.last_commit_booked = self.last_commit_booked.max(cycle);
-                            self.alloc.touch(reg, bank, cycle);
-                            // Book the move.
-                            let info = &mut self.cycles[cycle as usize];
-                            info.read_banks |= 1 << src_bank;
-                            info.write_banks |= 1 << bank;
-                            info.leaf_used[tree] |= 1 << leaf;
-                            let tree_instr = &mut self.instructions[cycle as usize].trees[tree];
-                            tree_instr.reads[2 * leaf] = ReadSel::Reg {
-                                bank: src_bank as u16,
-                                reg: src_reg as u16,
-                            };
-                            let flat = TreeInstr::pe_flat_index(self.config, 0, leaf);
-                            tree_instr.pe_ops[flat] = PeOp::PassA;
-                            tree_instr.writes.push(WriteCmd {
-                                level: 0,
-                                pe: leaf as u8,
-                                bank: bank as u16,
-                                reg: reg as u16,
-                            });
+                            self.book_move(cycle, tree, leaf, (src_bank, src_reg), (bank, reg));
                             self.consume_read(operand, src_bank, src_reg, cycle);
-                            self.report.copy_moves += 1;
-                            self.bank_pressure[bank] += 1;
-                            return Ok((bank, reg, cycle));
+                            return Ok(Home {
+                                bank,
+                                reg,
+                                ready: cycle,
+                            });
                         }
                     }
                 }
@@ -490,13 +617,97 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Books the read of `operand` from `(bank, reg)` at `cycle` and frees
-    /// the lane when that was the operand's last use.
+    /// Gives the shared `operand` one more register home in a bank outside
+    /// `avoid_banks`, readable from cycle `by` on: a move from a home whose
+    /// bank's read port is free, issued at most [`SEARCH_WINDOW`] cycles
+    /// before `by`, the latest such cycle first.  Returns `None` when no
+    /// cycle of the window has a source port, a leaf PE, a write port and a
+    /// register lane free.
+    fn forward_home(&mut self, operand: OperandRef, by: u64, avoid_banks: u64) -> Option<Home> {
+        for cycle in (by.saturating_sub(SEARCH_WINDOW)..by).rev() {
+            let info = &self.cycles[cycle as usize];
+            let free_source =
+                |home: &Home| home.ready < cycle && info.read_banks & (1 << home.bank) == 0;
+            let Some(src) = self.values.homes(operand).find(free_source) else {
+                continue;
+            };
+            for tree in 0..self.config.num_trees {
+                for leaf in 0..self.config.leaf_pes_per_tree {
+                    let info = &self.cycles[cycle as usize];
+                    if info.leaf_used[tree] & (1 << leaf) != 0 {
+                        continue;
+                    }
+                    let position = PePosition {
+                        tree,
+                        level: 0,
+                        index: leaf,
+                    };
+                    for bank in self.config.writable_banks(position) {
+                        let busy = avoid_banks | self.cycles[cycle as usize].write_banks;
+                        if busy & (1 << bank) != 0 {
+                            continue;
+                        }
+                        let tenant = Tenant::Value(operand);
+                        let Some(reg) = self.alloc.alloc_scalar(bank, cycle, tenant) else {
+                            continue;
+                        };
+                        self.book_move(cycle, tree, leaf, (src.bank, src.reg), (bank, reg));
+                        self.alloc.touch(src.reg, src.bank, cycle);
+                        let home = Home {
+                            bank,
+                            reg,
+                            ready: cycle,
+                        };
+                        self.values.add_home(operand, home);
+                        return Some(home);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Books a move on leaf PE `leaf` of `tree` in `cycle`: a pass-through
+    /// reading `(bank, reg)` `src` and writing `dst`, committing in `cycle`.
+    fn book_move(
+        &mut self,
+        cycle: u64,
+        tree: usize,
+        leaf: usize,
+        src: (usize, usize),
+        dst: (usize, usize),
+    ) {
+        self.last_commit_booked = self.last_commit_booked.max(cycle);
+        self.alloc.touch(dst.1, dst.0, cycle);
+        let info = &mut self.cycles[cycle as usize];
+        info.read_banks |= 1 << src.0;
+        info.write_banks |= 1 << dst.0;
+        info.leaf_used[tree] |= 1 << leaf;
+        let tree_instr = &mut self.instructions[cycle as usize].trees[tree];
+        tree_instr.reads[2 * leaf] = ReadSel::Reg {
+            bank: src.0 as u16,
+            reg: src.1 as u16,
+        };
+        let flat = TreeInstr::pe_flat_index(self.config, 0, leaf);
+        tree_instr.pe_ops[flat] = PeOp::PassA;
+        tree_instr.writes.push(WriteCmd {
+            level: 0,
+            pe: leaf as u8,
+            bank: dst.0 as u16,
+            reg: dst.1 as u16,
+        });
+        self.report.copy_moves += 1;
+        self.bank_pressure[dst.0] += 1;
+    }
+
+    /// Books the read of `operand` from its home `(bank, reg)` at `cycle`
+    /// and frees every home of it when that was its last use.
     fn consume_read(&mut self, operand: OperandRef, bank: usize, reg: usize, cycle: u64) {
+        self.alloc.touch(reg, bank, cycle);
         if self.values.consume_use(operand) {
-            self.alloc.value_dead(reg, bank, cycle);
-        } else {
-            self.alloc.touch(reg, bank, cycle);
+            for home in self.values.take_homes(operand) {
+                self.alloc.release(home.reg, home.bank);
+            }
         }
     }
 
@@ -528,44 +739,15 @@ impl<'a> Scheduler<'a> {
             }
         }
 
-        // 2. Resolve operand sources and fix intra-tile bank conflicts.
+        // 2. Give every register read a bank of its own among its operand's
+        //    homes; a read left without one reads a temporary copy routed
+        //    through a bank no operand of the tile lives in.
         let mut slot_sources: Vec<(usize, SlotSource)> = Vec::with_capacity(tile.reads.len());
-        let mut used_banks: u64 = 0;
-        let mut all_original_banks: u64 = 0;
-        for read in &tile.reads {
-            if let Loc::Reg { bank, .. } = self.values.loc(read.operand) {
-                all_original_banks |= 1 << bank;
-            }
-        }
         for read in &tile.reads {
             let source = match self.values.loc(read.operand) {
                 Loc::ConstZero => SlotSource::Zero(read.operand),
                 Loc::ConstOne => SlotSource::One(read.operand),
-                Loc::Reg { bank, reg, .. } => {
-                    if used_banks & (1 << bank) != 0 {
-                        // Conflict with an earlier operand of this tile: route
-                        // a copy through a different bank.
-                        let (copy_bank, copy_reg, copy_cycle) = self.make_copy(
-                            read.operand,
-                            all_original_banks | used_banks,
-                            &protected,
-                        )?;
-                        used_banks |= 1 << copy_bank;
-                        protected.push(copy_reg);
-                        SlotSource::Copy {
-                            bank: copy_bank,
-                            reg: copy_reg,
-                            ready: copy_cycle,
-                        }
-                    } else {
-                        used_banks |= 1 << bank;
-                        SlotSource::Original {
-                            operand: read.operand,
-                            bank,
-                            reg,
-                        }
-                    }
-                }
+                Loc::Reg { .. } => SlotSource::Value(read.operand),
                 Loc::Mem { .. } | Loc::Unready => {
                     return Err(CompileError::Unschedulable {
                         op: tile.root,
@@ -575,31 +757,70 @@ impl<'a> Scheduler<'a> {
             };
             slot_sources.push((read.slot, source));
         }
+        let mut options = std::mem::take(&mut self.read_options);
+        options.fill(&self.values, &slot_sources);
+        let mut tile_banks = options.banks();
+        let matched = options.match_banks(|_| true);
+        let mut copied = false;
+        let value_reads = slot_sources
+            .iter_mut()
+            .filter(|(_, source)| matches!(source, SlotSource::Value(_)));
+        for ((_, source), chosen) in value_reads.zip(matched) {
+            if let (SlotSource::Value(operand), NONE) = (*source, chosen) {
+                let copy = self.make_copy(operand, tile_banks, &protected)?;
+                tile_banks |= 1 << copy.bank;
+                protected.push(copy.reg);
+                *source = SlotSource::Copy(copy);
+                copied = true;
+            }
+        }
+        if copied {
+            options.fill(&self.values, &slot_sources);
+        }
 
-        // 3. Earliest issue cycle: every register operand must have committed.
-        let earliest = slot_sources
-            .iter()
-            .map(|(_, s)| s.ready_cycle(&self.values))
-            .max()
-            .unwrap_or(0);
+        // 3. Earliest issue cycle: every register read must have a home
+        //    committed.
+        let earliest = options.earliest();
 
-        // 4. Find and commit a placement.
-        let placement = self.find_placement(tile, &slot_sources, earliest, &protected)?;
-        self.commit_placement(tile, &slot_sources, placement);
+        // 4. A value several tiles read, blocked at that cycle because every
+        //    home's bank is read by someone else, gets one more home in a
+        //    bank free then (kept for later readers too).
+        let read_then = self
+            .cycles
+            .get(earliest as usize)
+            .map_or(0, |info| info.read_banks);
+        for &(_, source) in &slot_sources {
+            let SlotSource::Value(operand) = source else {
+                continue;
+            };
+            let blocked = |home: Home| home.ready >= earliest || read_then & (1 << home.bank) != 0;
+            if self.values.is_shared(operand) && self.values.homes(operand).all(blocked) {
+                if let Some(home) = self.forward_home(operand, earliest, tile_banks | read_then) {
+                    tile_banks |= 1 << home.bank;
+                    protected.push(home.reg);
+                    options.fill(&self.values, &slot_sources);
+                }
+            }
+        }
+
+        // 5. Find and commit a placement.
+        let placement = self.find_placement(tile, &options, earliest, &protected)?;
+        self.commit_placement(tile, &slot_sources, &options, placement);
+        self.read_options = options;
         Ok(())
     }
 
     fn find_placement(
         &mut self,
         tile: &Tile,
-        slot_sources: &[(usize, SlotSource)],
+        options: &ReadOptions,
         earliest: u64,
         protected: &[usize],
     ) -> Result<Placement> {
         let window_end = earliest + SEARCH_WINDOW;
         let mut cycle = earliest;
         while cycle <= window_end {
-            if let Some(p) = self.try_place_at(cycle, tile, slot_sources) {
+            if let Some(p) = self.try_place_at(cycle, tile, options) {
                 return Ok(p);
             }
             cycle += 1;
@@ -608,7 +829,7 @@ impl<'a> Scheduler<'a> {
         // if the register file is the limiting factor.
         loop {
             let cycle = self.fresh_cycle().max(earliest);
-            if let Some(p) = self.try_place_at(cycle, tile, slot_sources) {
+            if let Some(p) = self.try_place_at(cycle, tile, options) {
                 return Ok(p);
             }
             if !self.spill_something(protected) {
@@ -624,7 +845,7 @@ impl<'a> Scheduler<'a> {
         &mut self,
         cycle: u64,
         tile: &Tile,
-        slot_sources: &[(usize, SlotSource)],
+        options: &ReadOptions,
     ) -> Option<Placement> {
         self.ensure_cycle(cycle);
         let root_level = tile.depth - 1;
@@ -634,22 +855,21 @@ impl<'a> Scheduler<'a> {
         let blocks = self.config.leaf_pes_per_tree / footprint;
         let footprint_mask: u16 = (((1u32 << footprint) - 1) & 0xffff) as u16;
 
-        // Reads must not clash with anything already booked this cycle.
+        // Every register read needs a committed home in a bank nobody else
+        // reads this cycle, and no two reads may share a bank.
         let info_reads = self.cycles[cycle as usize].read_banks;
-        let mut needed_reads: u64 = 0;
-        for (_, source) in slot_sources {
-            if let Some(bank) = source.bank() {
-                needed_reads |= 1 << bank;
-            }
-        }
-        if needed_reads & info_reads != 0 {
-            return None;
-        }
+        let usable = |home: &Home| home.ready < cycle && info_reads & (1 << home.bank) == 0;
+        let reads = options.assign(usable)?;
 
         // Prefer the tree with more free leaf PEs this cycle.
         let mut tree_order: Vec<usize> = (0..self.config.num_trees).collect();
         tree_order.sort_by_key(|&t| self.cycles[cycle as usize].leaf_used[t].count_ones());
 
+        // A result several tiles read goes to two banks, both away from the
+        // banks its reader tiles' memory inputs load into where it can.
+        let result = OperandRef::Op(tile.root as u32);
+        let shared = self.values.is_shared(result);
+        let avoid = self.reader_input_banks[tile.root];
         for tree in tree_order {
             let leaf_used = self.cycles[cycle as usize].leaf_used[tree];
             for block in 0..blocks {
@@ -664,25 +884,32 @@ impl<'a> Scheduler<'a> {
                     index: block,
                 };
                 let mut candidates: Vec<usize> = self.config.writable_banks(position).collect();
-                candidates.sort_by_key(|&b| self.bank_pressure[b]);
+                if shared {
+                    candidates.sort_by_key(|&b| (avoid >> b & 1, self.bank_pressure[b]));
+                } else {
+                    candidates.sort_by_key(|&b| self.bank_pressure[b]);
+                }
                 let write_banks = self.cycles[commit as usize].write_banks;
-                for bank in candidates {
-                    if write_banks & (1 << bank) != 0 {
-                        continue;
-                    }
-                    // Allocation is keyed on the issue cycle so the lane's
-                    // previous value is not even in flight while it is still
-                    // being read (keeps the processor's hazard oracle happy).
-                    let result = Tenant::Value(OperandRef::Op(tile.root as u32));
-                    if let Some(dest_reg) = self.alloc.alloc_scalar(bank, cycle, result) {
-                        return Some(Placement {
-                            cycle,
-                            tree,
-                            block,
-                            dest_bank: bank,
-                            dest_reg,
-                        });
-                    }
+                candidates.retain(|&bank| write_banks & (1 << bank) == 0);
+                // Allocation is keyed on the issue cycle so the lane's
+                // previous value is not even in flight while it is still
+                // being read (keeps the processor's hazard oracle happy).
+                let mut homes = candidates.iter().filter_map(|&bank| {
+                    let reg = self
+                        .alloc
+                        .alloc_scalar(bank, cycle, Tenant::Value(result))?;
+                    Some((bank, reg))
+                });
+                if let Some(dest) = homes.next() {
+                    let second = if shared { homes.next() } else { None };
+                    return Some(Placement {
+                        cycle,
+                        tree,
+                        block,
+                        dest,
+                        second,
+                        reads,
+                    });
                 }
             }
         }
@@ -693,14 +920,16 @@ impl<'a> Scheduler<'a> {
         &mut self,
         tile: &Tile,
         slot_sources: &[(usize, SlotSource)],
+        options: &ReadOptions,
         placement: Placement,
     ) {
         let Placement {
             cycle,
             tree,
             block,
-            dest_bank,
-            dest_reg,
+            dest,
+            second,
+            reads,
         } = placement;
         let root_level = tile.depth - 1;
         let commit = cycle + self.config.commit_latency(root_level);
@@ -708,28 +937,34 @@ impl<'a> Scheduler<'a> {
         let leaf_base = block * footprint;
 
         self.ensure_cycle(commit);
-        // Book leaf occupancy and the destination write.
+        // Book leaf occupancy and the destination writes.
         {
             let footprint_mask: u16 = (((1u32 << footprint) - 1) & 0xffff) as u16;
             let info = &mut self.cycles[cycle as usize];
             info.leaf_used[tree] |= footprint_mask << leaf_base;
         }
-        self.cycles[commit as usize].write_banks |= 1 << dest_bank;
-        self.bank_pressure[dest_bank] += 1;
         self.last_commit_booked = self.last_commit_booked.max(commit);
-        self.alloc.touch(dest_reg, dest_bank, commit);
+        for (bank, reg) in std::iter::once(dest).chain(second) {
+            self.cycles[commit as usize].write_banks |= 1 << bank;
+            self.bank_pressure[bank] += 1;
+            self.alloc.touch(reg, bank, commit);
+        }
 
         // Emit reads.
+        let mut homes = reads
+            .iter()
+            .map(|&option| options.homes[usize::from(option)]);
         for (slot, source) in slot_sources {
             let global_slot = leaf_base * 2 + slot;
             let sel = match source {
                 SlotSource::Zero(_) => ReadSel::Zero,
                 SlotSource::One(_) => ReadSel::One,
-                SlotSource::Original { bank, reg, .. } | SlotSource::Copy { bank, reg, .. } => {
-                    self.cycles[cycle as usize].read_banks |= 1 << *bank;
+                SlotSource::Value(_) | SlotSource::Copy(_) => {
+                    let home = homes.next().expect("one home per register read");
+                    self.cycles[cycle as usize].read_banks |= 1 << home.bank;
                     ReadSel::Reg {
-                        bank: *bank as u16,
-                        reg: *reg as u16,
+                        bank: home.bank as u16,
+                        reg: home.reg as u16,
                     }
                 }
             };
@@ -754,38 +989,49 @@ impl<'a> Scheduler<'a> {
             self.instructions[cycle as usize].trees[tree].pe_ops[flat] = PeOp::PassA;
         }
 
-        // Emit the root's write-back.
-        self.instructions[cycle as usize].trees[tree]
-            .writes
-            .push(WriteCmd {
-                level: root_level as u8,
-                pe: block as u8,
-                bank: dest_bank as u16,
-                reg: dest_reg as u16,
-            });
-
-        // Record the result location (`try_place_at` made it the tenant).
+        // Emit the root's write-backs and record its homes (`try_place_at`
+        // made it their tenant).
+        let result = OperandRef::Op(tile.root as u32);
+        for (bank, reg) in std::iter::once(dest).chain(second) {
+            self.instructions[cycle as usize].trees[tree]
+                .writes
+                .push(WriteCmd {
+                    level: root_level as u8,
+                    pe: block as u8,
+                    bank: bank as u16,
+                    reg: reg as u16,
+                });
+        }
         self.values.set_loc(
-            OperandRef::Op(tile.root as u32),
+            result,
             Loc::Reg {
-                bank: dest_bank,
-                reg: dest_reg,
+                bank: dest.0,
+                reg: dest.1,
                 ready: commit,
             },
         );
+        if let Some((bank, reg)) = second {
+            let ready = commit;
+            self.values.add_home(result, Home { bank, reg, ready });
+        }
 
         // Consume operand uses and free dead storage.
+        let mut homes = reads
+            .iter()
+            .map(|&option| options.homes[usize::from(option)]);
         for (_, source) in slot_sources {
-            match source {
+            match *source {
                 SlotSource::Zero(operand) | SlotSource::One(operand) => {
-                    self.values.consume_use(*operand);
+                    self.values.consume_use(operand);
                 }
-                SlotSource::Original { operand, bank, reg } => {
-                    self.consume_read(*operand, *bank, *reg, cycle);
+                SlotSource::Value(operand) => {
+                    let home = homes.next().expect("one home per register read");
+                    self.consume_read(operand, home.bank, home.reg, cycle);
                 }
-                SlotSource::Copy { bank, reg, .. } => {
+                SlotSource::Copy(copy) => {
                     // Temporary copies die immediately after their single read.
-                    self.alloc.value_dead(*reg, *bank, cycle);
+                    homes.next();
+                    self.alloc.value_dead(copy.reg, copy.bank, cycle);
                 }
             }
         }
@@ -1039,6 +1285,68 @@ mod tests {
             );
             assert_eq!(report.memory_loads as u64, run.perf.memory_loads);
             assert_eq!(report.memory_stores as u64, run.perf.memory_stores);
+        }
+    }
+
+    #[test]
+    fn a_read_holding_a_bank_moves_to_its_other_home() {
+        let home = |bank, reg| Home {
+            bank,
+            reg,
+            ready: 0,
+        };
+        // Read 0 may use bank 3 or 5, read 1 only bank 3: first come first
+        // served would leave read 1 without a bank.
+        let options = ReadOptions {
+            homes: vec![home(3, 0), home(5, 1), home(3, 2)],
+            starts: vec![0, 2, 3],
+        };
+        let chosen = options.assign(|_| true).expect("both reads fit");
+        assert_eq!(chosen[..2], [1, 2]);
+        // With bank 5 busy, read 0 cannot move and read 1 goes without.
+        assert_eq!(options.match_banks(|h| h.bank != 5)[..2], [0, NONE]);
+        assert!(options.assign(|h| h.bank != 5).is_none());
+    }
+
+    /// `x*y` feeds two sums, so the product's result has two reader tiles.
+    fn shared_product() -> spn_core::Spn {
+        let mut b = SpnBuilder::new(2);
+        let x = b.indicator(VarId(0), true);
+        let y = b.indicator(VarId(1), true);
+        let nx = b.indicator(VarId(0), false);
+        let ny = b.indicator(VarId(1), false);
+        let shared = b.product(vec![x, y]).unwrap();
+        let other = b.product(vec![nx, ny]).unwrap();
+        let s1 = b.sum(vec![(shared, 0.5), (other, 0.5)]).unwrap();
+        let s2 = b.sum(vec![(shared, 0.2), (other, 0.8)]).unwrap();
+        let root = b.product(vec![s1, s2]).unwrap();
+        b.finish(root).unwrap()
+    }
+
+    #[test]
+    fn a_result_several_tiles_read_is_written_to_two_banks() {
+        // Full-depth Ptree tiles would fold both sums into the root's tile.
+        let spn = shared_product();
+        for (config, depth) in [(ProcessorConfig::ptree(), 2), (ProcessorConfig::pvect(), 1)] {
+            let ops = OpList::from_spn(&spn);
+            let tiles = extract_tiles(&ops, depth, &[]);
+            let (program, report) = schedule(&config, &ops, &tiles, &[]).unwrap();
+            assert!(report.shared_values >= 2, "{}: {report:?}", config.name);
+            let doubled = program
+                .instructions
+                .iter()
+                .flat_map(|i| &i.trees)
+                .any(|t| t.writes.len() == 2 && t.writes[0].pe == t.writes[1].pe);
+            assert!(doubled, "{}: no PE wrote two banks", config.name);
+            for assignment in [[true, true], [true, false], [false, false]] {
+                let evidence = Evidence::from_assignment(&assignment);
+                let inputs = ops.input_values(&evidence).unwrap();
+                let run = Processor::new(config.clone())
+                    .unwrap()
+                    .run(&program, &inputs)
+                    .unwrap();
+                assert_eq!(run.output, ops.evaluate(&evidence).unwrap());
+            }
         }
     }
 
