@@ -102,7 +102,10 @@ type Counters = [u64; 8];
 /// `(workload, Ptree, Pvect)`, recorded from the interpreter's own counting
 /// at the last commit where it still counted (PR 17); `Program::perf` has
 /// been the one definition since.  A schedule or timing-model change moves
-/// these on purpose and re-records them.
+/// these on purpose and re-records them: the chain's Pvect rows moved when a
+/// value that several tiles read got a second register home (each level's
+/// result is written to both banks of its PE, so its two readers need not
+/// queue on one bank: 21 -> 15 cycles, 21 -> 27 write-backs).
 const PINNED_COUNTERS: &[(&str, Counters, Counters)] = &[
     (
         "MSNBC",
@@ -132,12 +135,12 @@ const PINNED_COUNTERS: &[(&str, Counters, Counters)] = &[
     (
         "chain_2core_pipelined",
         [21, 21, 7, 21, 34, 13, 1, 0],
-        [21, 21, 0, 21, 42, 21, 1, 0],
+        [15, 15, 0, 21, 42, 27, 1, 0],
     ),
     (
         "chain_log_3core_pipelined",
         [21, 21, 7, 21, 34, 13, 1, 0],
-        [21, 21, 0, 21, 42, 21, 1, 0],
+        [15, 15, 0, 21, 42, 27, 1, 0],
     ),
     (
         "sampler_2core_sharded",

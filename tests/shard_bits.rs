@@ -79,12 +79,15 @@ impl Fnv {
 /// Recorded at commit a56def3, before shards were sized by their cost.
 const PINNED_RANGES: u64 = 0xeee54ebacca10b8d;
 
-/// Recorded at commit a56def3, before shards were sized by their cost.
+/// Recorded at commit a56def3, before shards were sized by their cost; the
+/// Netflix, BBC, Bio response and Audio rows re-recorded when values that
+/// several tiles read got a second register home (their programs got
+/// shorter).
 const PINNED_PERF: &[(&str, u64)] = &[
-    ("Netflix", 0xf1f99536306bbabf),
-    ("BBC", 0x444039a19b356996),
-    ("Bio response", 0x96608adc666f807b),
-    ("Audio", 0xad017dfd573a0597),
+    ("Netflix", 0x6fad5df68af5ba61),
+    ("BBC", 0xd3f718547046c7ec),
+    ("Bio response", 0x1eb9ac0f82233aa2),
+    ("Audio", 0x909f981a88b455ba),
     ("CPU", 0x575438401e16e5bc),
     ("MSNBC", 0xbe35f0a3a5dd93c2),
     ("EEG-eye", 0x7760451fa6a2a477),
