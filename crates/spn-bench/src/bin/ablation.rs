@@ -4,7 +4,9 @@
 //! the PEs (Ptree vs Pvect is the paper's own ablation), the banked register
 //! file, and the conflict-aware compiler.  This binary sweeps the tree depth,
 //! the number of register banks and the register count to show where the
-//! benefit comes from.
+//! benefit comes from, on two circuits: KDDCup2k, a LearnSPN tree where
+//! every value has one reader tile, and Audio, a Chow-Liu circuit where many
+//! values have several reader tiles and so may hold several register homes.
 //!
 //! Every sweep point also answers a seeded nine-row batch (one block of
 //! eight queries the simulator replays side by side, plus a one-query tail),
@@ -44,8 +46,9 @@ fn seeded_batch(num_vars: usize, rows: usize) -> EvidenceBatch {
     batch
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
-    let benchmark = Benchmark::KddCup2k;
+/// The ten machine shapes on `benchmark`, each checked against the CPU
+/// model.
+fn sweep(benchmark: Benchmark) -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let spn = benchmark.spn();
     let ops = OpList::from_spn(&spn);
     let batch = seeded_batch(spn.num_vars(), 9);
@@ -95,8 +98,15 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         println!("| {regs} | {:.2} |", ops_per_cycle(&config)?);
     }
     println!(
-        "\nEvery sweep point agrees with the CPU model on {} seeded rows (1e-9 relative).",
+        "\nEvery sweep point agrees with the CPU model on {} seeded rows (1e-9 relative).\n",
         batch.len()
     );
+    Ok(())
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
+    for benchmark in [Benchmark::KddCup2k, Benchmark::Audio] {
+        sweep(benchmark)?;
+    }
     Ok(())
 }

@@ -8,6 +8,11 @@
 //! idle cycles and the speedup over one core.  Exits non-zero if any
 //! cost-sized makespan is above the even split's.
 //!
+//! Last, the headroom of each circuit's single-core schedule: its Ptree and
+//! Pvect cycles beside the op-DAG depth, a lower bound on both (each op
+//! level costs at least one cycle), and how many values two or more tiles
+//! read (each may hold a second register home).
+//!
 //! Pass `--json <path>` to also dump the raw results, one object per
 //! (benchmark, platform), as a JSON array.
 
@@ -18,6 +23,7 @@ use spn_bench::{markdown_table, run_all_platforms, PlatformResult};
 use spn_compiler::Compiler;
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
+use spn_core::levelize::Levelization;
 use spn_learn::Benchmark;
 use spn_processor::{MultiCoreConfig, MultiCoreProcessor, ProcessorConfig};
 use spn_serve::json::Value;
@@ -37,9 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
 
     let mut all: Vec<PlatformResult> = Vec::new();
     let compiler = Compiler::new(ProcessorConfig::ptree());
+    let vector = Compiler::new(ProcessorConfig::pvect());
     let sharded = MultiCoreProcessor::new(MultiCoreConfig::new(CORES, ProcessorConfig::ptree()))?;
     let mut split_rows = Vec::new();
     let mut above_even = Vec::new();
+    let mut headroom_rows = Vec::new();
     println!("# Fig. 4: ops/cycle per platform and benchmark\n");
     for benchmark in Benchmark::all() {
         let spn = benchmark.spn();
@@ -54,7 +62,19 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         all.extend(results);
 
         // Cost the sharded batch from the program alone: no query runs.
-        let program = compiler.compile_op_list(OpList::from_spn(&spn))?.program;
+        let ops = OpList::from_spn(&spn);
+        let tree = compiler.compile_op_list(ops.clone())?;
+        let vect = vector.compile_op_list(ops.clone())?;
+        headroom_rows.push(format!(
+            "| {} | {} | {} | {} | {} | {} |",
+            benchmark.name(),
+            Levelization::from_op_list(&ops).num_groups(),
+            tree.program.perf().cycles,
+            vect.program.perf().cycles,
+            tree.report.shared_values,
+            vect.report.shared_values,
+        ));
+        let program = tree.program;
         let pass = program.perf();
         let split = sharded.sharded_perf(&program, QUERIES)?;
         let costs = sharded.pass_costs(&pass);
@@ -124,6 +144,20 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     println!("| benchmark | shards | makespan | even split |{core_headers} vs 1 core |");
     println!("|---|---|---|---|{}---|", "---|".repeat(CORES));
     for row in &split_rows {
+        println!("{row}");
+    }
+
+    println!(
+        "\n# Single-core headroom\n\n\
+         Cycles of one pass beside the op-DAG depth (each op level costs at \
+         least one cycle), and the values two or more tiles read under each \
+         machine's tiling.\n"
+    );
+    println!(
+        "| benchmark | op levels | Ptree cycles | Pvect cycles | shared (Ptree) | shared (Pvect) |"
+    );
+    println!("|---|---|---|---|---|---|");
+    for row in &headroom_rows {
         println!("{row}");
     }
 
