@@ -162,6 +162,18 @@ impl ReadOptions {
         (!chosen[..self.reads()].contains(&NONE)).then_some(chosen)
     }
 
+    /// Whether [`ReadOptions::assign`] finds a home for every read.  With
+    /// one home per read (their banks distinct, as a tile's resolution
+    /// leaves them) that is every home being usable, which the placement
+    /// search tests on every cycle it tries.
+    fn assignable(&self, usable: impl Fn(&Home) -> bool) -> bool {
+        if self.homes.len() == self.reads() {
+            self.homes.iter().all(usable)
+        } else {
+            self.assign(usable).is_some()
+        }
+    }
+
     /// Gives every read a home `usable` accepts in a bank of its own, in
     /// read order, by augmenting paths: a read whose every option is taken
     /// tries to move the reads holding them to another of their options.  A
@@ -859,7 +871,9 @@ impl<'a> Scheduler<'a> {
         // reads this cycle, and no two reads may share a bank.
         let info_reads = self.cycles[cycle as usize].read_banks;
         let usable = |home: &Home| home.ready < cycle && info_reads & (1 << home.bank) == 0;
-        let reads = options.assign(usable)?;
+        if !options.assignable(usable) {
+            return None;
+        }
 
         // Prefer the tree with more free leaf PEs this cycle.
         let mut tree_order: Vec<usize> = (0..self.config.num_trees).collect();
@@ -902,6 +916,7 @@ impl<'a> Scheduler<'a> {
                 });
                 if let Some(dest) = homes.next() {
                     let second = if shared { homes.next() } else { None };
+                    let reads = options.assign(usable).expect("assignable this cycle");
                     return Some(Placement {
                         cycle,
                         tree,
