@@ -251,15 +251,8 @@ pub enum Loc {
         /// Lane (bank column) within the row.
         lane: usize,
     },
-    /// The value sits in the register file.
-    Reg {
-        /// Global bank index.
-        bank: usize,
-        /// Register offset.
-        reg: usize,
-        /// Cycle at which the value's write commits (readable afterwards).
-        ready: u64,
-    },
+    /// The value sits in the register file: its first home.
+    Reg(Home),
     /// The value is the constant zero (never stored anywhere).
     ConstZero,
     /// The value is the constant one (never stored anywhere).
@@ -270,7 +263,7 @@ impl Loc {
     /// The register home of a register-resident value.
     fn home(self) -> Option<Home> {
         match self {
-            Loc::Reg { bank, reg, ready } => Some(Home { bank, reg, ready }),
+            Loc::Reg(home) => Some(home),
             _ => None,
         }
     }
@@ -363,10 +356,7 @@ impl ValueMap {
     /// Gives the register-resident `value` one more home.
     pub fn add_home(&mut self, value: OperandRef, home: Home) {
         let slot = self.slot(value);
-        debug_assert!(
-            matches!(slot.loc, Loc::Reg { .. }),
-            "a first home comes first"
-        );
+        debug_assert!(matches!(slot.loc, Loc::Reg(_)), "a first home comes first");
         slot.spares.push(home);
     }
 
@@ -384,14 +374,13 @@ impl ValueMap {
             return true;
         }
         debug_assert!(
-            matches!(slot.loc, Loc::Reg { bank: b, reg: r, .. } if (b, r) == (bank, reg)),
+            matches!(slot.loc, Loc::Reg(h) if (h.bank, h.reg) == (bank, reg)),
             "not a home of the value"
         );
         if slot.spares.is_empty() {
             return false;
         }
-        let Home { bank, reg, ready } = slot.spares.remove(0);
-        slot.loc = Loc::Reg { bank, reg, ready };
+        slot.loc = Loc::Reg(slot.spares.remove(0));
         true
     }
 
@@ -516,20 +505,13 @@ mod tests {
         assert!(!vm.consume_use(input));
         assert!(vm.consume_use(input));
         assert!(vm.consume_use(op));
-        vm.set_loc(
-            op,
-            Loc::Reg {
-                bank: 3,
-                reg: 7,
-                ready: 11,
-            },
-        );
-        match vm.loc(op) {
-            Loc::Reg { bank, reg, ready } => {
-                assert_eq!((bank, reg, ready), (3, 7, 11));
-            }
-            other => panic!("unexpected location {other:?}"),
-        }
+        let home = Home {
+            bank: 3,
+            reg: 7,
+            ready: 11,
+        };
+        vm.set_loc(op, Loc::Reg(home));
+        assert_eq!(vm.loc(op), Loc::Reg(home));
         assert_eq!(vm.loc(input), Loc::Unready);
     }
 
@@ -556,14 +538,7 @@ mod tests {
             reg: 1,
             ready: 7,
         };
-        vm.set_loc(
-            value,
-            Loc::Reg {
-                bank: 2,
-                reg: 0,
-                ready: 4,
-            },
-        );
+        vm.set_loc(value, Loc::Reg(first));
         vm.add_home(value, second);
         vm.add_home(value, third);
         assert_eq!(vm.homes(value).collect::<Vec<_>>(), [first, second, third]);

@@ -180,17 +180,6 @@ impl ReadOptions {
     /// read that still finds none is left [`NONE`].
     fn match_banks(&self, usable: impl Fn(&Home) -> bool) -> Chosen {
         let mut chosen = [NONE; MAX_READS];
-        if self.homes.len() == self.reads() {
-            // One home per read: no read can move, so first come first served.
-            let mut taken = 0u64;
-            for (read, home) in self.homes.iter().enumerate() {
-                if taken & (1 << home.bank) == 0 && usable(home) {
-                    taken |= 1 << home.bank;
-                    chosen[read] = read as u16;
-                }
-            }
-            return chosen;
-        }
         let mut holder = [NONE; MAX_BANKS];
         for read in 0..self.reads() {
             self.augment(read, &usable, &mut 0, &mut holder, &mut chosen);
@@ -487,14 +476,12 @@ impl<'a> Scheduler<'a> {
             let in_row = matches!(self.values.loc(value), Loc::Mem { row: r, .. } if r == row);
             if in_row && self.values.uses(value) > 0 {
                 self.alloc.install(offset, lane, value);
-                self.values.set_loc(
-                    value,
-                    Loc::Reg {
-                        bank: lane,
-                        reg: offset,
-                        ready: cycle,
-                    },
-                );
+                let home = Home {
+                    bank: lane,
+                    reg: offset,
+                    ready: cycle,
+                };
+                self.values.set_loc(value, Loc::Reg(home));
             }
         }
         Some(offset)
@@ -557,11 +544,11 @@ impl<'a> Scheduler<'a> {
         avoid_banks: u64,
         protected: &[usize],
     ) -> Result<Home> {
-        let Loc::Reg {
+        let Loc::Reg(Home {
             bank: src_bank,
             reg: src_reg,
             ready,
-        } = self.values.loc(operand)
+        }) = self.values.loc(operand)
         else {
             return Err(CompileError::ResourceExhausted {
                 reason: "copy source is not register resident".to_string(),
@@ -759,7 +746,7 @@ impl<'a> Scheduler<'a> {
             let source = match self.values.loc(read.operand) {
                 Loc::ConstZero => SlotSource::Zero(read.operand),
                 Loc::ConstOne => SlotSource::One(read.operand),
-                Loc::Reg { .. } => SlotSource::Value(read.operand),
+                Loc::Reg(_) => SlotSource::Value(read.operand),
                 Loc::Mem { .. } | Loc::Unready => {
                     return Err(CompileError::Unschedulable {
                         op: tile.root,
@@ -1017,17 +1004,14 @@ impl<'a> Scheduler<'a> {
                     reg: reg as u16,
                 });
         }
-        self.values.set_loc(
-            result,
-            Loc::Reg {
-                bank: dest.0,
-                reg: dest.1,
-                ready: commit,
-            },
-        );
-        if let Some((bank, reg)) = second {
-            let ready = commit;
-            self.values.add_home(result, Home { bank, reg, ready });
+        let home = |(bank, reg)| Home {
+            bank,
+            reg,
+            ready: commit,
+        };
+        self.values.set_loc(result, Loc::Reg(home(dest)));
+        if let Some(second) = second {
+            self.values.add_home(result, home(second));
         }
 
         // Consume operand uses and free dead storage.
@@ -1068,9 +1052,9 @@ impl<'a> Scheduler<'a> {
                 })
             }
             OperandRef::Op(i) => match self.values.loc(operand) {
-                Loc::Reg { bank, reg, .. } => Ok(ValueLocation::Register {
-                    bank: bank as u16,
-                    reg: reg as u16,
+                Loc::Reg(home) => Ok(ValueLocation::Register {
+                    bank: home.bank as u16,
+                    reg: home.reg as u16,
                 }),
                 Loc::Mem { row, lane } => Ok(ValueLocation::Memory {
                     row: row as u32,
