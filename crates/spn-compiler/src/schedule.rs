@@ -623,7 +623,14 @@ impl<'a> Scheduler<'a> {
     /// cycle of the window has a source port, a leaf PE, a write port and a
     /// register lane free.
     fn forward_home(&mut self, operand: OperandRef, by: u64, avoid_banks: u64) -> Option<Home> {
+        // A bank with no lane free at some cycle has none at any earlier
+        // one, so the backward scan drops it for good.
+        let mut avoid_banks = avoid_banks;
+        let all_banks = bank_mask(self.config.total_banks());
         for cycle in (by.saturating_sub(SEARCH_WINDOW)..by).rev() {
+            if avoid_banks & all_banks == all_banks {
+                break;
+            }
             let info = &self.cycles[cycle as usize];
             let free_source =
                 |home: &Home| home.ready < cycle && info.read_banks & (1 << home.bank) == 0;
@@ -648,6 +655,7 @@ impl<'a> Scheduler<'a> {
                         }
                         let tenant = Tenant::Value(operand);
                         let Some(reg) = self.alloc.alloc_scalar(bank, cycle, tenant) else {
+                            avoid_banks |= 1 << bank;
                             continue;
                         };
                         self.book_move(cycle, tree, leaf, (src.bank, src.reg), (bank, reg));
