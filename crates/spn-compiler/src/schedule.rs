@@ -380,16 +380,13 @@ impl<'a> Scheduler<'a> {
                 }
             }
         }
-        let values = (0..ops.num_inputs())
-            .filter(|&i| {
-                matches!(
-                    this.values.loc(OperandRef::Input(i as u32)),
-                    Loc::Mem { .. }
-                )
-            })
-            .map(|i| OperandRef::Input(i as u32))
-            .chain((0..ops.num_ops()).map(|j| OperandRef::Op(j as u32)));
-        this.report.shared_values = values.filter(|&v| this.values.is_shared(v)).count();
+        let inputs = (0..ops.num_inputs()).map(|i| OperandRef::Input(i as u32));
+        let results = (0..ops.num_ops()).map(|j| OperandRef::Op(j as u32));
+        let constant = |v| matches!(this.values.loc(v), Loc::ConstZero | Loc::ConstOne);
+        this.report.shared_values = inputs
+            .chain(results)
+            .filter(|&v| this.values.is_shared(v) && !constant(v))
+            .count();
         this
     }
 
