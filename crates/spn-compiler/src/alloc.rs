@@ -282,16 +282,16 @@ pub struct Home {
 }
 
 /// What the scheduler knows of one value.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     loc: Loc,
     /// Not-yet-scheduled uses.
     uses: usize,
     /// Distinct tiles that read the value.
-    reader_tiles: usize,
-    /// Register homes beside the [`Loc::Reg`] one (only a value that
-    /// several tiles read has any).
-    spares: Vec<Home>,
+    reader_tiles: u32,
+    /// One past the index in [`ValueMap::spare_lists`] of the value's homes
+    /// beside the [`Loc::Reg`] one; 0 while it never had any.
+    spares: u32,
 }
 
 /// Tracks the location, the register homes and the remaining uses of every
@@ -304,6 +304,9 @@ struct Slot {
 pub struct ValueMap {
     /// Inputs first, then op results.
     slots: Vec<Slot>,
+    /// The further homes of each value that has had any (only a value that
+    /// several tiles read does), kept out of the slots so those stay small.
+    spare_lists: Vec<Vec<Home>>,
     num_inputs: usize,
 }
 
@@ -314,10 +317,11 @@ impl ValueMap {
             loc: Loc::Unready,
             uses: 0,
             reader_tiles: 0,
-            spares: Vec::new(),
+            spares: 0,
         };
         ValueMap {
             slots: vec![slot; num_inputs + num_ops],
+            spare_lists: Vec::new(),
             num_inputs,
         }
     }
@@ -334,6 +338,12 @@ impl ValueMap {
         &mut self.slots[index]
     }
 
+    /// Where in `spare_lists` the further homes of `value` are, if it ever
+    /// had any.
+    fn list(&self, value: OperandRef) -> Option<usize> {
+        (self.slots[self.index(value)].spares as usize).checked_sub(1)
+    }
+
     /// Current location of `value` (its first home when register resident).
     pub fn loc(&self, value: OperandRef) -> Loc {
         self.slots[self.index(value)].loc
@@ -346,48 +356,59 @@ impl ValueMap {
 
     /// Every register home of `value`, the [`Loc::Reg`] one first.
     pub fn homes(&self, value: OperandRef) -> impl Iterator<Item = Home> + '_ {
-        let slot = &self.slots[self.index(value)];
-        slot.loc
-            .home()
-            .into_iter()
-            .chain(slot.spares.iter().copied())
+        let spares = self
+            .list(value)
+            .map_or(&[][..], |list| &self.spare_lists[list]);
+        let first = self.loc(value).home();
+        first.into_iter().chain(spares.iter().copied())
     }
 
     /// Gives the register-resident `value` one more home.
     pub fn add_home(&mut self, value: OperandRef, home: Home) {
-        let slot = self.slot(value);
-        debug_assert!(matches!(slot.loc, Loc::Reg(_)), "a first home comes first");
-        slot.spares.push(home);
+        debug_assert!(
+            matches!(self.loc(value), Loc::Reg(_)),
+            "a first home comes first"
+        );
+        let list = self.list(value).unwrap_or_else(|| {
+            self.spare_lists.push(Vec::new());
+            self.slot(value).spares = self.spare_lists.len() as u32;
+            self.spare_lists.len() - 1
+        });
+        self.spare_lists[list].push(home);
     }
 
     /// Drops the home of `value` at `(bank, reg)`, promoting a remaining
     /// one when it was the first.  Returns `false` when no home is left;
     /// the caller then records where the value went.
     pub fn drop_home(&mut self, value: OperandRef, bank: usize, reg: usize) -> bool {
-        let slot = self.slot(value);
-        if let Some(i) = slot
-            .spares
-            .iter()
-            .position(|h| (h.bank, h.reg) == (bank, reg))
-        {
-            slot.spares.remove(i);
+        let first = self.loc(value);
+        let spares = match self.list(value) {
+            Some(list) => &mut self.spare_lists[list],
+            None => &mut Vec::new(),
+        };
+        if let Some(i) = spares.iter().position(|h| (h.bank, h.reg) == (bank, reg)) {
+            spares.remove(i);
             return true;
         }
         debug_assert!(
-            matches!(slot.loc, Loc::Reg(h) if (h.bank, h.reg) == (bank, reg)),
+            matches!(first, Loc::Reg(h) if (h.bank, h.reg) == (bank, reg)),
             "not a home of the value"
         );
-        if slot.spares.is_empty() {
+        if spares.is_empty() {
             return false;
         }
-        slot.loc = Loc::Reg(slot.spares.remove(0));
+        let promoted = spares.remove(0);
+        self.set_loc(value, Loc::Reg(promoted));
         true
     }
 
     /// Forgets every home of `value` after its last read and returns them.
     pub fn take_homes(&mut self, value: OperandRef) -> impl Iterator<Item = Home> + '_ {
-        let slot = self.slot(value);
-        slot.loc.home().into_iter().chain(slot.spares.drain(..))
+        let first = self.loc(value).home();
+        let spares = self
+            .list(value)
+            .map(|list| self.spare_lists[list].drain(..));
+        first.into_iter().chain(spares.into_iter().flatten())
     }
 
     /// Remaining number of not-yet-scheduled uses of `value`.

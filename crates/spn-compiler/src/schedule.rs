@@ -326,14 +326,6 @@ impl<'a> Scheduler<'a> {
                 ..CompileReport::default()
             },
         };
-        // The output and every exported value get a phantom use each so the
-        // scheduler never frees their storage; `finish` resolves where they
-        // ended up.
-        let reads = tiles.iter().flat_map(|t| &t.reads).map(|r| r.operand);
-        for value in reads.chain([ops.output()]).chain(exports.iter().copied()) {
-            this.values.add_uses(value, 1);
-        }
-
         // Lay out every program input in the data memory, row major.
         let banks = config.total_banks();
         for (i, leaf) in ops.inputs().iter().enumerate() {
@@ -357,13 +349,20 @@ impl<'a> Scheduler<'a> {
             this.values.set_loc(operand, loc);
         }
 
-        // Which values several tiles read, and where each reader tile's
-        // memory inputs load (input `i` into bank `i mod banks`).
+        // Every read is a use, and the output and every exported value get
+        // a phantom use each so the scheduler never frees their storage;
+        // `finish` resolves where they ended up.  Count which values several
+        // tiles read, and where each reader tile's memory inputs load (input
+        // `i` into bank `i mod banks`).
+        for value in [ops.output()].into_iter().chain(exports.iter().copied()) {
+            this.values.add_uses(value, 1);
+        }
         let mut operands: Vec<OperandRef> = Vec::new();
         for tile in tiles {
             operands.clear();
             let mut input_banks = 0u64;
             for read in &tile.reads {
+                this.values.add_uses(read.operand, 1);
                 if !operands.contains(&read.operand) {
                     operands.push(read.operand);
                     this.values.add_reader_tile(read.operand);
