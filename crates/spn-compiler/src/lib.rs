@@ -12,9 +12,10 @@
 //!    a subset of banks), crossbar **read-port conflicts are avoided**, and
 //!    read-after-write hazards from the pipelined trees are respected
 //!    (`schedule`),
-//! 4. program inputs live in the vector data memory and are loaded row by
-//!    row; when register pressure demands it, intermediate values are
-//!    **spilled** back to memory (`alloc`),
+//! 4. program inputs live in the vector data memory, where slots holding
+//!    the same indicator or parameter may **share a word** (`layout`), and
+//!    are loaded row by row; when register pressure demands it,
+//!    intermediate values are **spilled** back to memory (`alloc`),
 //! 5. the result is a [`spn_processor::Program`] of VLIW instructions plus a
 //!    [`CompileReport`] describing what the compiler did.
 //!
@@ -43,6 +44,7 @@
 
 mod alloc;
 mod error;
+mod layout;
 mod schedule;
 mod tile;
 

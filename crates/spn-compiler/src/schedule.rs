@@ -13,10 +13,12 @@
 //!   register lane the allocator can hand out safely.
 //!
 //! Program inputs live in the data memory and are loaded row by row before
-//! first use; when two operands of one tile live in the same bank, the
-//! scheduler inserts a forwarding *move* (a pass-through PE writing a copy to
-//! a different bank); when the register file runs out, resident rows are
-//! dropped or scalar offsets are spilled back to the data memory.
+//! first use.  Slots of one source may share a word (see `layout`); such a
+//! word is one value, read by every tile that reads one of its slots.  When
+//! two operands of one tile live in the same bank, the scheduler inserts a
+//! forwarding *move* (a pass-through PE writing a copy to a different bank);
+//! when the register file runs out, resident rows are dropped or scalar
+//! offsets are spilled back to the data memory.
 //!
 //! A value that two or more tiles read may hold more than one register
 //! *home*, so its readers need not queue on one bank's read port: the root
@@ -35,8 +37,9 @@ use spn_processor::isa::{
 
 use crate::alloc::{Home, Loc, RegAllocator, Tenant, Use, ValueMap};
 use crate::error::CompileError;
+use crate::layout::{lay_out, InputLayout};
 use crate::report::CompileReport;
-use crate::tile::Tile;
+use crate::tile::{LeafRead, Tile};
 use crate::Result;
 
 /// Maps a program's `spn_core` precision onto the simulator's mirrored
@@ -286,7 +289,8 @@ struct Scheduler<'a> {
     /// Per op result: the banks its reader tiles' memory inputs load into,
     /// which the destination of a result several tiles read avoids.
     reader_input_banks: Vec<u64>,
-    input_slots: Vec<InputSlot>,
+    /// Where the program inputs live in the data memory.
+    layout: InputLayout,
     /// Scan hint for finding a free data-memory cycle.
     mem_hint: u64,
     /// The homes the reads of the tile being scheduled may use (a buffer
@@ -296,14 +300,15 @@ struct Scheduler<'a> {
 }
 
 impl<'a> Scheduler<'a> {
-    /// Counts the uses of every value and lays the program inputs out in the
-    /// data memory.
+    /// Lays the program inputs out in the data memory and counts the uses
+    /// of every value.
     fn new(
         config: &'a ProcessorConfig,
         ops: &'a OpList,
         tiles: &[Tile],
         exports: &'a [OperandRef],
     ) -> Self {
+        let layout = lay_out(config, ops, tiles);
         let mut this = Scheduler {
             config,
             ops,
@@ -312,12 +317,12 @@ impl<'a> Scheduler<'a> {
             alloc: RegAllocator::new(config.regs_per_bank, config.total_banks()),
             cycles: Vec::new(),
             instructions: Vec::new(),
-            mem_rows: Vec::new(),
-            row_available_from: Vec::new(),
+            mem_rows: vec![Vec::new(); layout.rows],
+            row_available_from: vec![0; layout.rows],
             last_commit_booked: 0,
             bank_pressure: vec![0; config.total_banks()],
             reader_input_banks: vec![0; ops.num_ops()],
-            input_slots: Vec::new(),
+            layout,
             mem_hint: 0,
             read_options: ReadOptions::default(),
             report: CompileReport {
@@ -326,21 +331,15 @@ impl<'a> Scheduler<'a> {
                 ..CompileReport::default()
             },
         };
-        // Lay out every program input in the data memory, row major.
-        let banks = config.total_banks();
+        // The owner of each input word stands for every slot laid out there.
         for (i, leaf) in ops.inputs().iter().enumerate() {
-            let row = i / banks;
-            let lane = i % banks;
-            if lane == 0 {
-                this.mem_rows.push(Vec::new());
-                this.row_available_from.push(0);
-            }
             let operand = OperandRef::Input(i as u32);
+            if this.layout.canonical(operand) != operand {
+                continue;
+            }
+            let InputSlot { row, lane } = this.layout.slots[i];
+            let (row, lane) = (row as usize, lane as usize);
             this.mem_rows[row].push((operand, lane));
-            this.input_slots.push(InputSlot {
-                row: row as u32,
-                lane: lane as u16,
-            });
             let loc = match leaf {
                 LeafSource::Param(p) if *p == 0.0 => Loc::ConstZero,
                 LeafSource::Param(p) if *p == 1.0 => Loc::ConstOne,
@@ -352,25 +351,24 @@ impl<'a> Scheduler<'a> {
         // Every read is a use, and the output and every exported value get
         // a phantom use each so the scheduler never frees their storage;
         // `finish` resolves where they ended up.  Count which values several
-        // tiles read, and where each reader tile's memory inputs load (input
-        // `i` into bank `i mod banks`).
+        // tiles read, and where each reader tile's memory inputs load (into
+        // the bank of their word's lane).
         for value in [ops.output()].into_iter().chain(exports.iter().copied()) {
-            this.values.add_uses(value, 1);
+            this.values.add_uses(this.layout.canonical(value), 1);
         }
         let mut operands: Vec<OperandRef> = Vec::new();
         for tile in tiles {
             operands.clear();
             let mut input_banks = 0u64;
             for read in &tile.reads {
-                this.values.add_uses(read.operand, 1);
-                if !operands.contains(&read.operand) {
-                    operands.push(read.operand);
-                    this.values.add_reader_tile(read.operand);
+                let operand = this.operand(read);
+                this.values.add_uses(operand, 1);
+                if !operands.contains(&operand) {
+                    operands.push(operand);
+                    this.values.add_reader_tile(operand);
                 }
-                if let OperandRef::Input(i) = read.operand {
-                    if matches!(this.values.loc(read.operand), Loc::Mem { .. }) {
-                        input_banks |= 1 << (i as usize % banks);
-                    }
+                if let Loc::Mem { lane, .. } = this.values.loc(operand) {
+                    input_banks |= 1 << lane;
                 }
             }
             for operand in &operands {
@@ -399,6 +397,11 @@ impl<'a> Scheduler<'a> {
         }
     }
 
+    /// The value `read` reads: the owner of its word for a program input.
+    fn operand(&self, read: &LeafRead) -> OperandRef {
+        self.layout.canonical(read.operand)
+    }
+
     fn fresh_cycle(&self) -> u64 {
         self.cycles.len() as u64
     }
@@ -407,7 +410,7 @@ impl<'a> Scheduler<'a> {
     fn protected_offsets(&self, tile: &Tile) -> Vec<usize> {
         let mut protected = Vec::new();
         for read in &tile.reads {
-            protected.extend(self.values.homes(read.operand).map(|home| home.reg));
+            protected.extend(self.values.homes(self.operand(read)).map(|home| home.reg));
         }
         protected
     }
@@ -726,7 +729,7 @@ impl<'a> Scheduler<'a> {
             let mut needed_rows: Vec<usize> = tile
                 .reads
                 .iter()
-                .filter_map(|r| match self.values.loc(r.operand) {
+                .filter_map(|r| match self.values.loc(self.operand(r)) {
                     Loc::Mem { row, .. } => Some(row),
                     _ => None,
                 })
@@ -744,13 +747,14 @@ impl<'a> Scheduler<'a> {
 
         // 2. Give every register read a bank of its own among its operand's
         //    homes; a read left without one reads a temporary copy routed
-        //    through a bank no operand of the tile lives in.
+        //    through a bank none of the other reads was given.
         let mut slot_sources: Vec<(usize, SlotSource)> = Vec::with_capacity(tile.reads.len());
         for read in &tile.reads {
-            let source = match self.values.loc(read.operand) {
-                Loc::ConstZero => SlotSource::Zero(read.operand),
-                Loc::ConstOne => SlotSource::One(read.operand),
-                Loc::Reg(_) => SlotSource::Value(read.operand),
+            let operand = self.operand(read);
+            let source = match self.values.loc(operand) {
+                Loc::ConstZero => SlotSource::Zero(operand),
+                Loc::ConstOne => SlotSource::One(operand),
+                Loc::Reg(_) => SlotSource::Value(operand),
                 Loc::Mem { .. } | Loc::Unready => {
                     return Err(CompileError::Unschedulable {
                         op: tile.root,
@@ -764,13 +768,20 @@ impl<'a> Scheduler<'a> {
         options.fill(&self.values, &slot_sources);
         let mut tile_banks = options.banks();
         let matched = options.match_banks(|_| true);
+        let mut matched_banks = matched[..options.reads()]
+            .iter()
+            .filter(|&&option| option != NONE)
+            .fold(0u64, |banks, &option| {
+                banks | 1 << options.homes[usize::from(option)].bank
+            });
         let mut copied = false;
         let value_reads = slot_sources
             .iter_mut()
             .filter(|(_, source)| matches!(source, SlotSource::Value(_)));
         for ((_, source), chosen) in value_reads.zip(matched) {
             if let (SlotSource::Value(operand), NONE) = (*source, chosen) {
-                let copy = self.make_copy(operand, tile_banks, &protected)?;
+                let copy = self.make_copy(operand, matched_banks, &protected)?;
+                matched_banks |= 1 << copy.bank;
                 tile_banks |= 1 << copy.bank;
                 protected.push(copy.reg);
                 *source = SlotSource::Copy(copy);
@@ -1049,7 +1060,7 @@ impl<'a> Scheduler<'a> {
         match operand {
             // Inputs always keep their copy in the data memory image.
             OperandRef::Input(i) => {
-                let slot = self.input_slots[i as usize];
+                let slot = self.layout.slots[i as usize];
                 Ok(ValueLocation::Memory {
                     row: slot.row,
                     lane: slot.lane,
@@ -1083,7 +1094,7 @@ impl<'a> Scheduler<'a> {
         let program = Program {
             config: self.config.clone(),
             instructions: self.instructions,
-            input_layout: self.input_slots,
+            input_layout: self.layout.slots,
             memory_rows_used: self.mem_rows.len(),
             output,
             exports,
@@ -1309,6 +1320,26 @@ mod tests {
         // With bank 5 busy, read 0 cannot move and read 1 goes without.
         assert_eq!(options.match_banks(|h| h.bank != 5)[..2], [0, NONE]);
         assert!(options.assign(|h| h.bank != 5).is_none());
+    }
+
+    #[test]
+    fn a_forwarding_copy_avoids_only_the_banks_the_other_reads_were_given() {
+        // On eight banks per tree the homes of this circuit's shared input
+        // words cover every bank of some tile's reads: a copy that avoided
+        // them all found no bank and the compile failed.
+        let spn = crate::layout::tests::learnspn_style(16, 26);
+        let ops = OpList::from_spn(&spn);
+        let mut config = ProcessorConfig::ptree();
+        config.banks_per_tree = 8;
+        let tiles = extract_tiles(&ops, config.tree_levels, &[]);
+        let (program, report) = schedule(&config, &ops, &tiles, &[]).expect("schedule");
+        assert!(report.copy_moves > 0, "{report}");
+        let processor = Processor::new(config).unwrap();
+        for assignment in [[true; 16], [false; 16]] {
+            let evidence = Evidence::from_assignment(&assignment);
+            let run = processor.run(&program, &ops.input_values(&evidence).unwrap());
+            assert_eq!(run.unwrap().output, ops.evaluate(&evidence).unwrap());
+        }
     }
 
     /// `x*y` feeds two sums, so the product's result has two reader tiles.

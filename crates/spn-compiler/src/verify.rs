@@ -58,7 +58,9 @@ enum Sym {
     /// The literal value `1.0` (`ReadSel::One`, unit-parameter inputs).
     One,
     /// The value of program input slot `i` (canonicalised: zero/one
-    /// parameters collapse into `Zero`/`One`).
+    /// parameters collapse into `Zero`/`One`, and a slot with the source of
+    /// an earlier one — the same indicator, or a parameter with the same
+    /// bits — into that slot).
     Input(u32),
     /// The value of source op `i` (canonicalised to the first op computing
     /// the same expression, so duplicate subexpressions compare equal).
@@ -93,14 +95,22 @@ struct OpIndex {
 
 impl OpIndex {
     fn build(ops: &OpList) -> OpIndex {
+        // The first slot holding each indicator `(var, value)` or parameter
+        // bit pattern; an external slot is a value of its own.
+        let mut first: HashMap<(Option<bool>, u64), u32> = HashMap::new();
         let input_sym: Vec<Sym> = ops
             .inputs()
             .iter()
             .enumerate()
-            .map(|(i, leaf)| match leaf {
-                LeafSource::Param(p) if *p == 0.0 => Sym::Zero,
-                LeafSource::Param(p) if *p == 1.0 => Sym::One,
-                _ => Sym::Input(i as u32),
+            .map(|(i, leaf)| {
+                let key = match leaf {
+                    LeafSource::Param(p) if *p == 0.0 => return Sym::Zero,
+                    LeafSource::Param(p) if *p == 1.0 => return Sym::One,
+                    LeafSource::Param(p) => (None, p.to_bits()),
+                    LeafSource::Indicator { var, value } => (Some(*value), u64::from(var.0)),
+                    LeafSource::External => return Sym::Input(i as u32),
+                };
+                Sym::Input(*first.entry(key).or_insert(i as u32))
             })
             .collect();
         let mut rep = Vec::with_capacity(ops.num_ops());
@@ -191,15 +201,34 @@ struct Machine<'a> {
 }
 
 impl<'a> Machine<'a> {
+    /// The machine before the first cycle: the data memory holds every
+    /// input at its slot, and two slots laid out in one word must hold the
+    /// same value (SPN205 otherwise).
     fn new(program: &'a Program, index: &'a OpIndex) -> Machine<'a> {
         let config = &program.config;
         let banks = config.total_banks();
         let mut mem = vec![vec![Sym::Zero; banks]; program.memory_rows_used];
+        let mut owner: HashMap<(u32, u16), usize> = HashMap::new();
+        let mut diagnostics = Vec::new();
         for (i, slot) in program.input_layout.iter().enumerate() {
             let InputSlot { row, lane } = *slot;
             if (row as usize) < mem.len() && (lane as usize) < banks {
-                mem[row as usize][lane as usize] =
-                    index.input_sym.get(i).copied().unwrap_or(Sym::Unknown);
+                let value = index.input_sym.get(i).copied().unwrap_or(Sym::Unknown);
+                let first = *owner.entry((row, lane)).or_insert(i);
+                let word = &mut mem[row as usize][lane as usize];
+                if first != i && *word != value {
+                    diagnostics.push(Diagnostic::new(
+                        "SPN205",
+                        Severity::Error,
+                        Location::Artifact,
+                        format!(
+                            "input slots {first} and {i} share row {row} lane {lane} \
+                             but hold {} and {value}",
+                            *word
+                        ),
+                    ));
+                }
+                *word = value;
             }
         }
         Machine {
@@ -210,7 +239,7 @@ impl<'a> Machine<'a> {
             pending: Vec::new(),
             write_ports: HashMap::new(),
             read_ports: vec![false; banks],
-            diagnostics: Vec::new(),
+            diagnostics,
         }
     }
 

@@ -233,7 +233,10 @@ pub struct Program {
     /// Instruction stream, one instruction per cycle.
     pub instructions: Vec<Instruction>,
     /// Data-memory placement of each flattened-program input, indexed by the
-    /// input's position in the originating `OpList`.
+    /// input's position in the originating `OpList`.  Inputs that hold the
+    /// same value — the same indicator, or a parameter with the same bits —
+    /// may share one word: the host still writes every input to its word,
+    /// so a shared word receives the same bits from each of its inputs.
     pub input_layout: Vec<InputSlot>,
     /// Number of data-memory rows the program uses (inputs + spill space).
     pub memory_rows_used: usize,

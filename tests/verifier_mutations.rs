@@ -4,8 +4,9 @@
 //! the scheduler, so its value is exactly "a corrupted program cannot slip
 //! through".  Each test here corrupts a real compiled program in one
 //! specific way — swap an op, drop a write, clobber a register destination,
-//! point a load out of bounds, skew a partition's external input slot — and
-//! asserts the verifier rejects it with the documented diagnostic code.  A
+//! point a load out of bounds, skew a partition's external input slot, lay
+//! an input out in a word holding another value — and asserts the verifier
+//! rejects it with the documented diagnostic code.  A
 //! final randomized sweep checks the translation-validation contract
 //! directly against the simulator: any mutation that changes (or crashes)
 //! real execution must be flagged.  The same sweep, widened, pins the
@@ -16,9 +17,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spn_compiler::{verify_partitioned, verify_program, Compiler};
 use spn_core::analysis::Diagnostic;
-use spn_core::flatten::OpList;
+use spn_core::flatten::{LeafSource, OpList};
 use spn_core::random::{random_spn, RandomSpnConfig};
-use spn_core::Evidence;
+use spn_core::{Evidence, NodeId, SpnBuilder, VarId};
 use spn_processor::isa::CopyCmd;
 use spn_processor::{
     CheckedProgram, MemOp, MultiCoreConfig, MultiCoreProcessor, PeOp, Processor, ProcessorConfig,
@@ -198,6 +199,71 @@ fn skewed_partition_export_is_caught() {
         &["SPN301", "SPN207"],
         "skewed partition export reference",
     );
+}
+
+/// The weight of half the leaves of [`repeated_leaves`]; the other half
+/// weigh the next float up.
+const WEIGHT: f64 = 0.3;
+
+/// Eight products of four Bernoulli leaves each, every leaf over indicator
+/// nodes of its own and weighing [`WEIGHT`] or the float one ulp above it,
+/// so the compiler lays slots of one indicator, or of one weight, out in one
+/// data-memory word.
+fn repeated_leaves() -> OpList {
+    let up = f64::from_bits(WEIGHT.to_bits() + 1);
+    let mut b = SpnBuilder::new(4);
+    let leaves: Vec<NodeId> = (0..32u32)
+        .map(|k| {
+            let var = VarId(k % 4);
+            let x = b.indicator(var, true);
+            let nx = b.indicator(var, false);
+            let w = if k % 2 == 0 { WEIGHT } else { up };
+            b.sum(vec![(x, w), (nx, 1.0 - w)]).expect("valid sum")
+        })
+        .collect();
+    let products: Vec<(NodeId, f64)> = leaves
+        .chunks(4)
+        .map(|leaves| (b.product(leaves.to_vec()).expect("valid product"), 0.125))
+        .collect();
+    let root = b.sum(products).expect("valid sum");
+    OpList::from_spn(&b.finish(root).expect("valid circuit"))
+}
+
+#[test]
+fn input_laid_out_in_another_values_word_is_caught() {
+    let ops = repeated_leaves();
+    let art = Compiler::new(ProcessorConfig::ptree())
+        .compile_op_list(ops.clone())
+        .expect("compiles");
+    let layout = &art.program.input_layout;
+    assert!(
+        (1..layout.len()).any(|i| layout[..i].contains(&layout[i])),
+        "no two slots share a word"
+    );
+    assert_eq!(
+        codes(&verify_program(&art.program, &ops, &[])),
+        Vec::<&str>::new()
+    );
+    let slot = |leaf: LeafSource| ops.inputs().iter().position(|l| *l == leaf).unwrap();
+    let var = VarId(1);
+    let up = f64::from_bits(WEIGHT.to_bits() + 1);
+    for (from, to, what) in [
+        (
+            LeafSource::Indicator { var, value: true },
+            LeafSource::Indicator { var, value: false },
+            "indicator in its negation's word",
+        ),
+        (
+            LeafSource::Param(WEIGHT),
+            LeafSource::Param(up),
+            "parameter in the word of the float one ulp up",
+        ),
+    ] {
+        let mut program = Program::clone(&art.program);
+        program.input_layout[slot(from)] = program.input_layout[slot(to)];
+        let diagnostics = verify_program(&program, &ops, &[]);
+        assert_caught(&diagnostics, &["SPN205"], what);
+    }
 }
 
 /// Applies one random structural mutation to `program`; returns a label.
