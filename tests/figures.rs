@@ -105,12 +105,16 @@ type Counters = [u64; 8];
 /// these on purpose and re-records them: the chain's Pvect rows moved when a
 /// value that several tiles read got a second register home (each level's
 /// result is written to both banks of its PE, so its two readers need not
-/// queue on one bank: 21 -> 15 cycles, 21 -> 27 write-backs).
+/// queue on one bank: 21 -> 15 cycles, 21 -> 27 write-backs).  The MSNBC
+/// rows moved when slots holding the same indicator or parameter began to
+/// share a data-memory word: 53 -> 16 loads on Ptree and 53 -> 14 on Pvect,
+/// 183 -> 142 and 403 -> 236 cycles; the words several tiles read get
+/// second homes, so write-backs and operand reads rise.
 const PINNED_COUNTERS: &[(&str, Counters, Counters)] = &[
     (
         "MSNBC",
-        [183, 183, 30, 1683, 2124, 441, 53, 0],
-        [403, 403, 0, 1683, 3372, 1689, 53, 0],
+        [142, 142, 17, 1683, 2347, 664, 16, 0],
+        [236, 236, 0, 1683, 3555, 1872, 14, 0],
     ),
     (
         "Banknote",

@@ -116,16 +116,22 @@ const PINNED_VALUES: &[(&str, u64)] = &[
 
 /// `(circuit, Ptree cycles, Pvect cycles)`, recorded at commit d059afb; the
 /// Netflix, BBC, Bio response and Audio rows re-recorded (all lower) when
-/// values that several tiles read got a second register home.
+/// values that several tiles read got a second register home, and every row
+/// but Banknote's when slots holding the same indicator or parameter began
+/// to share a data-memory word.  No Ptree row rose (BBC stayed at 1 142).
+/// Pvect BBC rose 3 292 -> 3 354: every register offset is in use there,
+/// and the rows its shared words keep resident push others out to be
+/// reloaded (282 -> 310 loads).  Pvect Audio rose 414 -> 419 on five more
+/// forwarding moves.
 const PINNED_CYCLES: &[(&str, u64, u64)] = &[
-    ("Netflix", 136, 282),
-    ("BBC", 1142, 3292),
-    ("Bio response", 1565, 2043),
-    ("Audio", 314, 414),
-    ("CPU", 41, 62),
-    ("MSNBC", 183, 403),
-    ("EEG-eye", 315, 719),
-    ("KDDCup2k", 1178, 2279),
+    ("Netflix", 125, 273),
+    ("BBC", 1142, 3354),
+    ("Bio response", 1548, 1945),
+    ("Audio", 307, 419),
+    ("CPU", 34, 52),
+    ("MSNBC", 142, 236),
+    ("EEG-eye", 233, 381),
+    ("KDDCup2k", 1052, 2034),
     ("Banknote", 7, 7),
 ];
 

@@ -82,16 +82,18 @@ const PINNED_RANGES: u64 = 0xeee54ebacca10b8d;
 /// Recorded at commit a56def3, before shards were sized by their cost; the
 /// Netflix, BBC, Bio response and Audio rows re-recorded when values that
 /// several tiles read got a second register home (their programs got
-/// shorter).
+/// shorter), and every row but Banknote's when slots holding the same
+/// indicator or parameter began to share a data-memory word (fewer loads
+/// per pass, so fewer wave stalls; Banknote's program did not move).
 const PINNED_PERF: &[(&str, u64)] = &[
-    ("Netflix", 0x6fad5df68af5ba61),
-    ("BBC", 0xd3f718547046c7ec),
-    ("Bio response", 0x1eb9ac0f82233aa2),
-    ("Audio", 0x909f981a88b455ba),
-    ("CPU", 0x575438401e16e5bc),
-    ("MSNBC", 0xbe35f0a3a5dd93c2),
-    ("EEG-eye", 0x7760451fa6a2a477),
-    ("KDDCup2k", 0xf25af7ccc22f08f4),
+    ("Netflix", 0xe63205613d8ac82a),
+    ("BBC", 0x0aeba9c412bd494a),
+    ("Bio response", 0x886cb05dd1a1063b),
+    ("Audio", 0xd0e5d3e967200236),
+    ("CPU", 0xc704824a2569bda9),
+    ("MSNBC", 0x70886a7a69a9b0c3),
+    ("EEG-eye", 0x692527eb81b6edd4),
+    ("KDDCup2k", 0xc05a533bbb4f8b6b),
     ("Banknote", 0x55a0b5470cbb4655),
 ];
 
