@@ -5,8 +5,10 @@
 //! file, and the conflict-aware compiler.  This binary sweeps the tree depth,
 //! the number of register banks and the register count to show where the
 //! benefit comes from, on two circuits: KDDCup2k, a LearnSPN tree where
-//! every value has one reader tile, and Audio, a Chow-Liu circuit where many
-//! values have several reader tiles and so may hold several register homes.
+//! every op result has one reader tile but the input words its repeated
+//! indicators and weights share have many, and Audio, a Chow-Liu circuit
+//! where many values have several reader tiles.  Either kind of value may
+//! hold several register homes.
 //!
 //! Every sweep point also answers a seeded nine-row batch (one block of
 //! eight queries the simulator replays side by side, plus a one-query tail),

@@ -10,12 +10,16 @@
 //!
 //! Last, the headroom of each circuit's single-core schedule: its Ptree and
 //! Pvect cycles beside the op-DAG depth, a lower bound on both (each op
-//! level costs at least one cycle), and how many values two or more tiles
-//! read (each may hold a second register home).
+//! level costs at least one cycle), how many values two or more tiles read
+//! (each may hold a second register home), the rows one Ptree pass loads
+//! and the data-memory words its inputs take against their slots.  Exits
+//! non-zero if a pass loads more rows than one word per input slot would
+//! fill (`⌈slots / banks⌉`): a row reloaded after eviction.
 //!
 //! Pass `--json <path>` to also dump the raw results, one object per
 //! (benchmark, platform), as a JSON array.
 
+use std::collections::HashSet;
 use std::env;
 use std::fs;
 
@@ -48,6 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let mut split_rows = Vec::new();
     let mut above_even = Vec::new();
     let mut headroom_rows = Vec::new();
+    let mut reloading = Vec::new();
     println!("# Fig. 4: ops/cycle per platform and benchmark\n");
     for benchmark in Benchmark::all() {
         let spn = benchmark.spn();
@@ -65,14 +70,28 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         let ops = OpList::from_spn(&spn);
         let tree = compiler.compile_op_list(ops.clone())?;
         let vect = vector.compile_op_list(ops.clone())?;
+        let slots = tree.program.input_layout.len();
+        let words: HashSet<_> = tree
+            .program
+            .input_layout
+            .iter()
+            .map(|s| (s.row, s.lane))
+            .collect();
+        let loads = tree.report.memory_loads;
+        if loads > slots.div_ceil(compiler.config().total_banks()) {
+            reloading.push(benchmark.name());
+        }
         headroom_rows.push(format!(
-            "| {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} / {} |",
             benchmark.name(),
             Levelization::from_op_list(&ops).num_groups(),
             tree.program.perf().cycles,
             vect.program.perf().cycles,
             tree.report.shared_values,
             vect.report.shared_values,
+            loads,
+            words.len(),
+            slots,
         ));
         let program = tree.program;
         let pass = program.perf();
@@ -150,13 +169,15 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     println!(
         "\n# Single-core headroom\n\n\
          Cycles of one pass beside the op-DAG depth (each op level costs at \
-         least one cycle), and the values two or more tiles read under each \
-         machine's tiling.\n"
+         least one cycle), the values two or more tiles read under each \
+         machine's tiling, the rows one Ptree pass loads, and the data-memory \
+         words the inputs take against their slots.\n"
     );
     println!(
-        "| benchmark | op levels | Ptree cycles | Pvect cycles | shared (Ptree) | shared (Pvect) |"
+        "| benchmark | op levels | Ptree cycles | Pvect cycles | shared (Ptree) | shared (Pvect) \
+         | Ptree loads | input words / slots |"
     );
-    println!("|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|");
     for row in &headroom_rows {
         println!("{row}");
     }
@@ -186,6 +207,13 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         return Err(format!(
             "cost-sized makespan above the even split's on {}",
             above_even.join(", ")
+        )
+        .into());
+    }
+    if !reloading.is_empty() {
+        return Err(format!(
+            "a Ptree pass loads more rows than its input slots fill on {}",
+            reloading.join(", ")
         )
         .into());
     }
