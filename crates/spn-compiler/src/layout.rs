@@ -121,16 +121,41 @@ impl InputLayout {
     }
 }
 
-/// What the reads of a slot's tiles, other than the slot itself, already
-/// use.
-#[derive(Debug, Default)]
+/// The banks and rows of one tile's reads laid out so far.
+#[derive(Debug, Clone, Default)]
 struct Footprint {
-    /// Banks of every read laid out so far.
+    /// Banks of every read.
     lanes: u64,
     /// Banks of the reads that share a word another slot owns.
     shared_lanes: u64,
     /// Rows of those shared words.
     shared_rows: Vec<usize>,
+}
+
+impl Footprint {
+    /// Adds a read of a word in `row` and `lane`, one another slot owns
+    /// when `shared`.
+    fn add_read(&mut self, row: usize, lane: usize, shared: bool) {
+        self.lanes |= 1 << lane;
+        if shared {
+            self.shared_lanes |= 1 << lane;
+            self.add_shared_row(row);
+        }
+    }
+
+    fn add_shared_row(&mut self, row: usize) {
+        if !self.shared_rows.contains(&row) {
+            self.shared_rows.push(row);
+        }
+    }
+
+    fn add(&mut self, other: &Footprint) {
+        self.lanes |= other.lanes;
+        self.shared_lanes |= other.shared_lanes;
+        for &row in &other.shared_rows {
+            self.add_shared_row(row);
+        }
+    }
 }
 
 /// One data-memory word holding program inputs.
@@ -144,21 +169,53 @@ struct Word {
     owner: u32,
 }
 
-/// The tiles that read each input slot of `ops` from the data memory.
-fn readers(ops: &OpList, tiles: &[Tile]) -> Vec<Vec<usize>> {
-    let mut readers = vec![Vec::new(); ops.num_inputs()];
-    for (t, tile) in tiles.iter().enumerate() {
-        for read in &tile.reads {
-            let OperandRef::Input(i) = read.operand else {
-                continue;
-            };
-            let tiles: &mut Vec<usize> = &mut readers[i as usize];
-            if !is_constant(&ops.inputs()[i as usize]) && tiles.last() != Some(&t) {
-                tiles.push(t);
+/// The tiles that read each input slot from the data memory: those of slot
+/// `i` are `tiles[starts[i]..starts[i + 1]]`.
+struct Readers {
+    starts: Vec<usize>,
+    tiles: Vec<usize>,
+}
+
+impl Readers {
+    fn of(ops: &OpList, tiles: &[Tile]) -> Readers {
+        let n = ops.num_inputs();
+        // Each (slot, tile) pair once, in tile order.
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut last = vec![usize::MAX; n];
+        for (t, tile) in tiles.iter().enumerate() {
+            for read in &tile.reads {
+                let OperandRef::Input(i) = read.operand else {
+                    continue;
+                };
+                let i = i as usize;
+                if !is_constant(&ops.inputs()[i]) && last[i] != t {
+                    last[i] = t;
+                    pairs.push((i, t));
+                }
             }
         }
+        let mut starts = vec![0; n + 1];
+        for &(i, _) in &pairs {
+            starts[i + 1] += 1;
+        }
+        for i in 0..n {
+            starts[i + 1] += starts[i];
+        }
+        let mut next = starts.clone();
+        let mut readers = vec![0; pairs.len()];
+        for (i, t) in pairs {
+            readers[next[i]] = t;
+            next[i] += 1;
+        }
+        Readers {
+            starts,
+            tiles: readers,
+        }
     }
-    readers
+
+    fn of_slot(&self, input: usize) -> &[usize] {
+        &self.tiles[self.starts[input]..self.starts[input + 1]]
+    }
 }
 
 /// Lays the inputs of `ops` out for `tiles` on `config`.
@@ -166,8 +223,8 @@ pub(crate) fn lay_out(config: &ProcessorConfig, ops: &OpList, tiles: &[Tile]) ->
     let mut layout = Layout {
         banks: config.total_banks(),
         limits: Limits::of(config),
-        tiles,
-        readers: readers(ops, tiles),
+        readers: Readers::of(ops, tiles),
+        used: vec![Footprint::default(); tiles.len()],
         word_of: vec![None; ops.num_inputs()],
         words: Vec::new(),
         by_source: HashMap::new(),
@@ -176,30 +233,30 @@ pub(crate) fn lay_out(config: &ProcessorConfig, ops: &OpList, tiles: &[Tile]) ->
         shared: 0,
     };
     for (i, leaf) in ops.inputs().iter().enumerate() {
-        let word = Source::of(leaf).and_then(|source| {
+        let source = Source::of(leaf);
+        let used = layout.footprint(i);
+        let word = source.and_then(|source| {
             let words = layout.by_source.get(&source)?;
-            if layout.readers[i].is_empty() {
+            if layout.readers.of_slot(i).is_empty() {
                 // Read as a crossbar constant or not at all: any word of
                 // its source will do.
                 words.first().copied()
             } else {
-                layout.shareable(i, words)
+                layout.shareable(&used, words)
             }
         });
-        match word {
-            Some(word) => layout.share(i, word),
-            None => layout.fresh(i, Source::of(leaf)),
-        }
+        let word = word.unwrap_or_else(|| layout.fresh(i, source, &used));
+        layout.place(i, word);
     }
     layout.finish()
 }
 
-struct Layout<'a> {
+struct Layout {
     banks: usize,
     limits: Limits,
-    tiles: &'a [Tile],
-    /// The tiles that read each slot from the data memory.
-    readers: Vec<Vec<usize>>,
+    readers: Readers,
+    /// What the reads of each tile laid out so far use.
+    used: Vec<Footprint>,
     /// The word of every slot laid out so far.
     word_of: Vec<Option<usize>>,
     words: Vec<Word>,
@@ -213,37 +270,26 @@ struct Layout<'a> {
     shared: usize,
 }
 
-impl Layout<'_> {
-    /// What the other reads of `input`'s tiles use.
+impl Layout {
+    /// What the reads of `input`'s tiles laid out so far use (`input` is
+    /// not laid out yet).
     fn footprint(&self, input: usize) -> Footprint {
-        let mut used = Footprint::default();
-        for &t in &self.readers[input] {
-            for read in &self.tiles[t].reads {
-                let OperandRef::Input(j) = read.operand else {
-                    continue;
-                };
-                let Some(word) = self.word_of[j as usize].map(|w| self.words[w]) else {
-                    continue;
-                };
-                if j as usize == input {
-                    continue;
+        match self.readers.of_slot(input) {
+            [] => Footprint::default(),
+            [tile] => self.used[*tile].clone(),
+            tiles => {
+                let mut used = Footprint::default();
+                for &t in tiles {
+                    used.add(&self.used[t]);
                 }
-                used.lanes |= 1 << word.lane;
-                if word.owner != j {
-                    used.shared_lanes |= 1 << word.lane;
-                    if !used.shared_rows.contains(&word.row) {
-                        used.shared_rows.push(word.row);
-                    }
-                }
+                used
             }
         }
-        used
     }
 
-    /// The word among `words` (of `input`'s source) that `input` may share,
-    /// the newest first, if any.
-    fn shareable(&self, input: usize, words: &[usize]) -> Option<usize> {
-        let used = self.footprint(input);
+    /// The word among `words` (of one source) that a slot whose tiles use
+    /// `used` may share, the newest first, if any.
+    fn shareable(&self, used: &Footprint, words: &[usize]) -> Option<usize> {
         let row = self.next / self.banks;
         let fits = |word: &Word| {
             word.slots < self.limits.word_slots
@@ -256,18 +302,12 @@ impl Layout<'_> {
         words.iter().rev().copied().find(|&w| fits(&self.words[w]))
     }
 
-    fn share(&mut self, input: usize, word: usize) {
-        self.word_of[input] = Some(word);
-        self.words[word].slots += 1;
-        self.shared += 1;
-    }
-
-    /// Gives `input` a word of its own: the first free position whose bank
-    /// no shared read of its tiles uses.  Positions skipped and still free
+    /// A word of its own for `input`: the first free position whose bank no
+    /// shared read of its tiles uses.  Positions skipped and still free
     /// never outnumber the slots that share, so the words end within the
     /// positions one word per slot would fill.
-    fn fresh(&mut self, input: usize, source: Option<Source>) {
-        let mut avoid = self.footprint(input).shared_lanes;
+    fn fresh(&mut self, input: usize, source: Option<Source>, used: &Footprint) -> usize {
+        let mut avoid = used.shared_lanes;
         if avoid.count_ones() as usize >= self.banks {
             avoid = 0;
         }
@@ -286,16 +326,29 @@ impl Layout<'_> {
                 self.next - 1
             }
         };
-        self.word_of[input] = Some(self.words.len());
         self.words.push(Word {
             row: position / self.banks,
             lane: position % self.banks,
-            slots: 1,
+            slots: 0,
             owner: input as u32,
         });
+        let word = self.words.len() - 1;
         if let Some(source) = source {
-            let list = self.by_source.entry(source).or_default();
-            list.push(self.words.len() - 1);
+            self.by_source.entry(source).or_default().push(word);
+        }
+        word
+    }
+
+    /// Lays `input` out in `word` and adds it to its tiles' footprints.
+    fn place(&mut self, input: usize, word: usize) {
+        self.word_of[input] = Some(word);
+        let word = &mut self.words[word];
+        word.slots += 1;
+        let shared = word.owner as usize != input;
+        self.shared += usize::from(shared);
+        let (row, lane) = (word.row, word.lane);
+        for &t in self.readers.of_slot(input) {
+            self.used[t].add_read(row, lane, shared);
         }
     }
 

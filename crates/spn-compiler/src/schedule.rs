@@ -171,10 +171,12 @@ impl ReadOptions {
     /// search tests on every cycle it tries.
     fn assignable(&self, usable: impl Fn(&Home) -> bool) -> bool {
         if self.homes.len() == self.reads() {
-            self.homes.iter().all(usable)
-        } else {
-            self.assign(usable).is_some()
+            return self.homes.iter().all(usable);
         }
+        // A read with no usable home fails the matching, and is far cheaper
+        // to find first.
+        let some_home = |read: &[usize]| self.homes[read[0]..read[1]].iter().any(&usable);
+        self.starts.windows(2).all(some_home) && self.assign(usable).is_some()
     }
 
     /// Gives every read a home `usable` accepts in a bank of its own, in
@@ -626,7 +628,10 @@ impl<'a> Scheduler<'a> {
         // one, so the backward scan drops it for good.
         let mut avoid_banks = avoid_banks;
         let all_banks = bank_mask(self.config.total_banks());
-        for cycle in (by.saturating_sub(SEARCH_WINDOW)..by).rev() {
+        // No cycle up to the first home's commit has a source to read.
+        let first_ready = self.values.homes(operand).map(|h| h.ready).min()?;
+        let oldest = by.saturating_sub(SEARCH_WINDOW).max(first_ready + 1);
+        for cycle in (oldest..by).rev() {
             if avoid_banks & all_banks == all_banks {
                 break;
             }
