@@ -12,7 +12,7 @@
 //!
 //! Every sweep point also answers a seeded nine-row batch (one block of
 //! eight queries the simulator replays side by side, plus a one-query tail),
-//! and its root values must match the CPU model's within 1e-9 — the check
+//! and its root values must match the CPU model's bit for bit — the check
 //! `run_all_platforms` makes for Fig. 4.  Any disagreement exits non-zero.
 
 use spn_bench::{check_agreement, run_cpu, run_processor};
@@ -100,7 +100,7 @@ fn sweep(benchmark: Benchmark) -> Result<(), Box<dyn std::error::Error + Send + 
         println!("| {regs} | {:.2} |", ops_per_cycle(&config)?);
     }
     println!(
-        "\nEvery sweep point agrees with the CPU model on {} seeded rows (1e-9 relative).\n",
+        "\nEvery sweep point agrees with the CPU model on {} seeded rows, bit for bit.\n",
         batch.len()
     );
     Ok(())

@@ -185,7 +185,7 @@ pub fn run_all_platforms(
 }
 
 /// Checks that `run` computed the root values of `reference` (the same
-/// batch on another platform): one per query, each within 1e-9 relative.
+/// batch on another platform): one per query, each with the same bits.
 ///
 /// # Errors
 ///
@@ -203,8 +203,7 @@ pub fn check_agreement(reference: &PlatformRun, run: &PlatformRun) -> Result<(),
         .into());
     }
     for (q, (value, expected)) in run.values.iter().zip(expected).enumerate() {
-        let tolerance = 1e-9 * expected.abs().max(1e-30);
-        if (value - expected).abs() > tolerance {
+        if value.to_bits() != expected.to_bits() {
             return Err(format!(
                 "platform {} disagrees on {} query {}: {} vs {}",
                 run.result.platform, workload, q, value, expected
