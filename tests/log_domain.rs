@@ -5,10 +5,13 @@
 //! linear domain on every backend — the silent underflow this subsystem
 //! exists to fix — while the same circuit compiled in
 //! [`NumericMode::Log`](spn_accel::core::NumericMode::Log) returns a finite
-//! log-probability that matches the interpreted `Evaluator::evaluate_log`
-//! oracle within 1e-9 on CPU, GPU and both processor presets, serial and
-//! parallel, across all four query modes, and through an spn-serve TCP round
-//! trip.
+//! log-probability: the op list's bits on CPU, GPU and both processor
+//! presets, serial and parallel, across all four query modes (slices of the
+//! parity matrix, `tests/parity/mod.rs`, which also hold it to the graph
+//! sweep), and within 1e-9 of the interpreted `Evaluator::evaluate_log`
+//! oracle through an spn-serve TCP round trip.
+
+mod parity;
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -20,12 +23,9 @@ use spn_accel::core::flatten::OpList;
 use spn_accel::core::random::deep_chain_spn;
 use spn_accel::core::wire::QueryRequest;
 use spn_accel::core::{
-    reference_query_with, ConditionalBatch, Evidence, EvidenceBatch, NumericMode, QueryBatch,
-    QueryMode, Spn, SpnError,
+    ConditionalBatch, Evidence, EvidenceBatch, NumericMode, QueryBatch, QueryMode, Spn, SpnError,
 };
-use spn_accel::platforms::{
-    Backend, CpuModel, Engine, EngineOptions, GpuModel, Parallelism, ProcessorBackend,
-};
+use spn_accel::platforms::{CpuModel, Engine, EngineOptions, Parallelism};
 use spn_accel::serve::tcp::{decode_response, encode_request};
 use spn_accel::serve::{BatchPolicy, Service, ServiceConfig, TcpServer};
 
@@ -36,19 +36,6 @@ fn chain() -> Spn {
     let spn = deep_chain_spn(LEVELS, WEIGHT);
     assert!(spn.num_nodes() >= 1000, "chain must be a ≥1k-node circuit");
     spn
-}
-
-/// A mixed batch: full observations of both polarities plus a marginal row.
-fn chain_batch(queries: usize) -> EvidenceBatch {
-    let mut batch = EvidenceBatch::new(1);
-    for q in 0..queries {
-        match q % 3 {
-            0 => batch.push_assignment(&[true]).unwrap(),
-            1 => batch.push_assignment(&[false]).unwrap(),
-            _ => batch.push_marginal(),
-        }
-    }
-    batch
 }
 
 /// The interpreted log-domain oracle for every query of `batch`.
@@ -70,125 +57,29 @@ fn assert_close(got: f64, want: f64, what: &str) {
     );
 }
 
-/// Runs the underflow-parity check for one backend: linear mode flushes to
-/// exactly 0.0, log mode matches the interpreted oracle, serial and sharded.
-fn check_backend<B>(name: &str, make: impl Fn() -> B)
-where
-    B: Backend,
-{
-    let spn = chain();
-    let batch = chain_batch(96);
-    let oracle = oracle_logs(&spn, &batch);
-
-    // Linear mode: every probability in the batch underflows to exactly 0.0.
-    let mut linear = Engine::new(
-        make(),
-        &spn,
-        EngineOptions::default().mode(NumericMode::Linear),
-    )
-    .unwrap();
-    let out = linear.execute_batch(&batch).unwrap();
-    assert!(
-        out.values.iter().all(|&v| v == 0.0),
-        "{name}: linear mode must underflow to exactly zero"
-    );
-
-    // Log mode, serial: finite and within 1e-9 of the oracle.
-    let mut log = Engine::new(
-        make(),
-        &spn,
-        EngineOptions::default().mode(NumericMode::Log),
-    )
-    .unwrap();
-    assert_eq!(log.mode(), NumericMode::Log);
-    let serial = log.execute_batch(&batch).unwrap();
-    for (q, (&got, &want)) in serial.values.iter().zip(&oracle).enumerate() {
-        assert_close(got, want, &format!("{name} serial query {q}"));
-    }
-
-    // Log mode, parallel: bit-for-bit equal to serial.
-    let parallel = log
-        .execute_batch_parallel(&batch, &Parallelism::workers(4))
-        .unwrap();
-    assert_eq!(parallel.values.len(), serial.values.len());
-    for (q, (a, b)) in parallel.values.iter().zip(&serial.values).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{name} query {q}: parallel diverged from serial"
-        );
-    }
-}
-
 #[test]
 fn deep_chain_underflow_parity_on_cpu() {
-    check_backend("CPU", CpuModel::new);
+    parity::run("deep_chain_underflow_parity_on_cpu");
 }
 
 #[test]
 fn deep_chain_underflow_parity_on_gpu() {
-    check_backend("GPU", GpuModel::new);
+    parity::run("deep_chain_underflow_parity_on_gpu");
 }
 
 #[test]
 fn deep_chain_underflow_parity_on_ptree() {
-    check_backend("Ptree", ProcessorBackend::ptree);
+    parity::run("deep_chain_underflow_parity_on_ptree");
 }
 
 #[test]
 fn deep_chain_underflow_parity_on_pvect() {
-    check_backend("Pvect", ProcessorBackend::pvect);
+    parity::run("deep_chain_underflow_parity_on_pvect");
 }
 
 #[test]
 fn all_query_modes_stay_finite_in_log_mode() {
-    let spn = chain();
-    let mut engine = Engine::new(
-        CpuModel::new(),
-        &spn,
-        EngineOptions::default().mode(NumericMode::Log),
-    )
-    .unwrap();
-
-    let mut joint_rows = EvidenceBatch::new(1);
-    joint_rows.push_assignment(&[true]).unwrap();
-    joint_rows.push_assignment(&[false]).unwrap();
-    let mut partial = EvidenceBatch::new(1);
-    partial.push_marginal();
-    partial.push_assignment(&[true]).unwrap();
-    let mut cond = ConditionalBatch::new(1);
-    let mut target = Evidence::marginal(1);
-    target.observe(0, true);
-    cond.push(&target, &Evidence::marginal(1)).unwrap();
-
-    for query in [
-        QueryBatch::Joint(joint_rows),
-        QueryBatch::Marginal(partial.clone()),
-        QueryBatch::Map(partial),
-        QueryBatch::Conditional(cond),
-    ] {
-        let mode = query.mode();
-        let expected = reference_query_with(&spn, &query, NumericMode::Log).unwrap();
-        let serial = engine.execute_query(&query).unwrap();
-        let parallel = engine
-            .execute_query_parallel(&query, &Parallelism::workers(4))
-            .unwrap();
-        assert_eq!(serial.values.len(), expected.values.len());
-        for (q, (&got, &want)) in serial.values.iter().zip(&expected.values).enumerate() {
-            assert_close(got, want, &format!("{mode} query {q}"));
-            assert_eq!(
-                got.to_bits(),
-                parallel.values[q].to_bits(),
-                "{mode} query {q}: parallel diverged"
-            );
-        }
-        assert_eq!(serial.assignments, expected.assignments);
-        if mode == QueryMode::Conditional {
-            // P(X0 = 1 | marginal) = 0.5 exactly: the chain factor cancels
-            // in the log-space subtraction.
-            assert!((serial.values[0] - 0.5f64.ln()).abs() < 1e-9);
-        }
-    }
+    parity::run("all_query_modes_stay_finite_in_log_mode");
 }
 
 #[test]

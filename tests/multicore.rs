@@ -4,7 +4,9 @@
 //! * **Parity** — sharding a batch over N simulated cores returns values,
 //!   MAP assignments and work-counter totals bit-for-bit identical to the
 //!   single-core run, across all four query modes, both numeric domains and
-//!   every emulated PE precision, under serial and host-sharded dispatch.
+//!   every emulated PE precision, under serial and host-sharded dispatch;
+//!   so does a learned circuit whose input slots share data-memory words.
+//!   These are slices of the parity matrix (`tests/parity/mod.rs`).
 //! * **Cycle accounting** — every core's compute + memory-stall +
 //!   interconnect-stall + idle cycles partition the makespan exactly, and
 //!   the merged batch report is the sum of the per-core reports, for both
@@ -15,7 +17,8 @@
 //!   makespan never above the even split's.
 //! * **Lane blocks and tails** — a batch of any length, cut into blocks of
 //!   eight queries replayed side by side plus tail blocks of four, two and
-//!   one, returns per query exactly what a single-query run returns; the
+//!   one, returns per query exactly what the op list's reference
+//!   interpreter returns; the
 //!   processor backend's lane-block path returns the query-major sharded
 //!   run's values and counters bit for bit, and one set of buffers carries
 //!   no value across plans or widths.
@@ -26,166 +29,35 @@
 //!   trees/levels/leaves, zero shared-memory ports) are rejected with a
 //!   structured configuration error instead of panicking mid-simulation.
 
+mod parity;
+
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spn_accel::compiler::Compiler;
 use spn_accel::core::flatten::OpList;
-use spn_accel::core::query::{ConditionalBatch, QueryBatch, QueryMode};
 use spn_accel::core::random::{random_spn, RandomSpnConfig};
-use spn_accel::core::{Evidence, EvidenceBatch, NumericMode, Precision, Spn, SpnBuilder, VarId};
+use spn_accel::core::{EvidenceBatch, Precision, Spn, SpnBuilder, VarId};
 use spn_accel::learn::Benchmark;
 use spn_accel::platforms::{
-    Backend, Engine, EngineOptions, ExecBuffers, Parallelism, Plan, ProcessorBackend,
-    ProcessorScratch, QueryOutput,
+    Backend, Engine, ExecBuffers, Plan, ProcessorBackend, ProcessorScratch,
 };
 use spn_accel::processor::{
     MultiCoreConfig, MultiCoreProcessor, PerfReport, Processor, ProcessorConfig, ProcessorError,
     Program, SharedMemoryConfig, TraceRecorder,
 };
 
-/// A deterministic mixed evidence batch: marginal, all-true, all-false and
-/// rotating single-observation rows.  Eleven queries so shards are uneven
-/// for every tested core count.
-fn mixed_batch(num_vars: usize) -> EvidenceBatch {
-    mixed_rows(num_vars, 11)
-}
-
-/// The first `rows` rows of the mixed pattern.
-fn mixed_rows(num_vars: usize, rows: usize) -> EvidenceBatch {
-    let mut batch = EvidenceBatch::new(num_vars);
-    for q in 0..rows {
-        match q % 4 {
-            0 => batch.push_marginal(),
-            1 => batch.push_assignment(&vec![true; num_vars]).expect("arity"),
-            2 => batch
-                .push_assignment(&vec![false; num_vars])
-                .expect("arity"),
-            _ => {
-                let mut e = Evidence::marginal(num_vars);
-                e.observe(q % num_vars, q % 2 == 0);
-                batch.push(&e).expect("arity");
-            }
-        }
-    }
-    batch
-}
-
-/// The query batch of `mode` over the mixed evidence above.
-fn query_batch(mode: QueryMode, num_vars: usize) -> QueryBatch {
-    match mode {
-        QueryMode::Marginal => QueryBatch::Marginal(mixed_batch(num_vars)),
-        QueryMode::Map => QueryBatch::Map(mixed_batch(num_vars)),
-        QueryMode::Joint => {
-            let mut batch = EvidenceBatch::new(num_vars);
-            for q in 0..11 {
-                let assignment: Vec<bool> = (0..num_vars).map(|v| (q + v) % 3 == 0).collect();
-                batch.push_assignment(&assignment).expect("arity");
-            }
-            QueryBatch::Joint(batch)
-        }
-        QueryMode::Conditional => {
-            let mut cond = ConditionalBatch::new(num_vars);
-            for q in 0..11 {
-                let mut target = Evidence::marginal(num_vars);
-                target.observe(q % num_vars, q % 2 == 0);
-                let mut given = Evidence::marginal(num_vars);
-                given.observe((q + 1) % num_vars, q % 3 == 0);
-                cond.push(&target, &given).expect("arity");
-            }
-            QueryBatch::Conditional(cond)
-        }
-        QueryMode::Sample | QueryMode::Expectation => {
-            unreachable!("approximate modes bypass the simulated cores; see tests/sampling.rs")
-        }
-    }
-}
-
 fn test_spn() -> Spn {
     let mut rng = StdRng::seed_from_u64(907);
     random_spn(&RandomSpnConfig::with_vars(10), &mut rng)
 }
 
-/// Asserts the *work* counters of two reports are identical.  Cycles and
-/// stalls legitimately differ (the N-core makespan is shorter and models
-/// shared-memory contention), but the work performed must not.
-fn assert_same_work(single: &PerfReport, multi: &PerfReport, context: &str) {
-    assert_eq!(single.queries, multi.queries, "{context}: queries");
-    assert_eq!(single.source_ops, multi.source_ops, "{context}: source_ops");
-    assert_eq!(single.issued_ops, multi.issued_ops, "{context}: issued_ops");
-    assert_eq!(
-        single.instructions, multi.instructions,
-        "{context}: instructions"
-    );
-    assert_eq!(
-        single.memory_loads, multi.memory_loads,
-        "{context}: memory_loads"
-    );
-    assert_eq!(
-        single.memory_stores, multi.memory_stores,
-        "{context}: memory_stores"
-    );
-    assert_eq!(single.writebacks, multi.writebacks, "{context}: writebacks");
-    assert_eq!(
-        single.operand_reads, multi.operand_reads,
-        "{context}: operand_reads"
-    );
-}
-
-fn assert_bit_equal(single: &QueryOutput, multi: &QueryOutput, context: &str) {
-    assert_eq!(single.values.len(), multi.values.len(), "{context}: length");
-    for (q, (a, b)) in single.values.iter().zip(&multi.values).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "{context}: query {q}: {a} vs {b}");
-    }
-    assert_eq!(
-        single.assignments, multi.assignments,
-        "{context}: MAP assignments"
-    );
-}
-
+/// Sharding a batch over 2 or 3 Ptree cores, serially or host-sharded,
+/// returns what one core returns: values, MAP assignments and work.
 #[test]
 fn n_core_parity_across_modes_numerics_and_precisions() {
-    let spn = test_spn();
-    for numeric in NumericMode::ALL {
-        for precision in Precision::SWEEP {
-            let mut single = Engine::new(
-                ProcessorBackend::ptree(),
-                &spn,
-                EngineOptions::default().mode(numeric).precision(precision),
-            )
-            .expect("single-core engine");
-            for cores in [2usize, 3] {
-                let backend = ProcessorBackend::with_cores(ProcessorConfig::ptree(), cores)
-                    .expect("multi-core backend");
-                let mut multi = Engine::new(
-                    backend,
-                    &spn,
-                    EngineOptions::default().mode(numeric).precision(precision),
-                )
-                .expect("multi-core engine");
-                for mode in [
-                    QueryMode::Joint,
-                    QueryMode::Marginal,
-                    QueryMode::Map,
-                    QueryMode::Conditional,
-                ] {
-                    let query = query_batch(mode, spn.num_vars());
-                    let context = format!("{numeric:?}/{precision}/{cores} cores/{mode:?}");
-                    let want = single.execute_query(&query).expect("single-core query");
-                    let got = multi.execute_query(&query).expect("multi-core query");
-                    assert_bit_equal(&want, &got, &context);
-                    assert_same_work(&want.perf, &got.perf, &context);
-                    // Host-sharded dispatch over the same multi-core backend
-                    // must stitch to the identical batch order.
-                    let sharded = multi
-                        .execute_query_parallel(&query, &Parallelism::workers(2))
-                        .expect("host-sharded query");
-                    assert_bit_equal(&want, &sharded, &format!("{context}/host-sharded"));
-                }
-            }
-        }
-    }
+    parity::run("n_core_parity_across_modes_numerics_and_precisions");
 }
 
 /// Sums the per-core work reports and checks them against the merged batch
@@ -260,7 +132,7 @@ fn per_core_cycles_partition_the_makespan_for_sharded_runs() {
         let ops = spn_accel::core::flatten::OpList::from_spn(&spn);
         let compiler = Compiler::new(ProcessorConfig::ptree());
         let compiled = compiler.compile_op_list(ops).expect("compile");
-        let batch = mixed_batch(spn.num_vars());
+        let batch = parity::rows(spn.num_vars(), 11);
         let mut flat = Vec::new();
         compiled.fill_batch_inputs(&batch, &mut flat).expect("fill");
         for cores in [1usize, 2, 3, 5] {
@@ -311,7 +183,7 @@ fn per_core_cycles_partition_the_makespan_for_pipelined_runs() {
         let spn = random_spn(&RandomSpnConfig::with_vars(9), &mut rng);
         let ops = spn_accel::core::flatten::OpList::from_spn(&spn);
         let compiler = Compiler::new(ProcessorConfig::ptree());
-        let batch = mixed_batch(spn.num_vars());
+        let batch = parity::rows(spn.num_vars(), 11);
         for cores in [2usize, 3] {
             let parted = compiler
                 .compile_partitioned(ops.clone(), cores)
@@ -420,7 +292,7 @@ fn corrupted_programs_are_rejected_before_query_zero() {
     let single = Processor::new(ProcessorConfig::ptree()).expect("single core");
     let processor = MultiCoreProcessor::new(MultiCoreConfig::new(2, ProcessorConfig::ptree()))
         .expect("processor");
-    let batch = mixed_batch(spn.num_vars());
+    let batch = parity::rows(spn.num_vars(), 11);
     let mut flat = Vec::new();
 
     let compiled = compiler.compile_op_list(ops.clone()).expect("compile");
@@ -465,14 +337,16 @@ fn corrupted_programs_are_rejected_before_query_zero() {
 /// The simulator replays a batch eight queries at a time and the remainder
 /// one by one, per core: every batch length from empty to two blocks and a
 /// tail, on one core and on three (shards of uneven length), returns per
-/// query the bits a single-query `Processor::run` returns — on both machine
-/// shapes, in both numeric domains, at full and reduced precision, and for a
-/// max-product program.  A two-stage pipeline of the same op list returns
-/// them too, and so does every traced run of either.
+/// query the bits the op list's reference interpreter returns — on both
+/// machine shapes, in both numeric domains, at full and reduced precision,
+/// and for a max-product program.  A two-stage pipeline of the same op list
+/// returns them too, and so does every traced run of either.  No backend
+/// reaches the traced and pipelined runs, so this slice of the parity
+/// contract runs outside the matrix's driver.
 #[test]
 fn batch_lengths_and_lane_tails_match_per_query_runs() {
     let spn = test_spn();
-    let rows = mixed_rows(spn.num_vars(), 17);
+    let rows = parity::rows(spn.num_vars(), 17);
     let base = OpList::from_spn(&spn);
     let mut cases: Vec<(String, ProcessorConfig, OpList)> = Vec::new();
     for config in [ProcessorConfig::ptree(), ProcessorConfig::pvect()] {
@@ -493,14 +367,7 @@ fn batch_lengths_and_lane_tails_match_per_query_runs() {
     for (name, config, ops) in cases {
         let compiler = Compiler::new(config.clone());
         let compiled = compiler.compile_op_list(ops.clone()).expect("compile");
-        let single = Processor::new(config.clone()).expect("processor");
-        let want: Vec<u64> = (0..rows.len())
-            .map(|q| {
-                let inputs = compiled.input_values(&rows.to_evidence(q)).expect("inputs");
-                let run = single.run(&compiled.program, &inputs).expect("run");
-                run.output.to_bits()
-            })
-            .collect();
+        let want = parity::oracle_bits(&ops, &rows);
         let bits = |outputs: &[f64]| outputs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut flat = Vec::new();
         for cores in [1usize, 3] {
@@ -576,47 +443,14 @@ fn batch_lengths_and_lane_tails_match_per_query_runs() {
 /// bit what the query-major `fill_batch_inputs` + `run_batch_sharded` gives.
 #[test]
 fn backend_lane_blocks_match_the_query_major_sharded_run() {
-    let spn = test_spn();
-    let base = OpList::from_spn(&spn);
-    let rows = mixed_rows(spn.num_vars(), 64);
-    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let machines = [
-        (ProcessorConfig::ptree(), 1usize),
-        (ProcessorConfig::pvect(), 1),
-        (ProcessorConfig::ptree(), 4),
-    ];
-    for (config, cores) in machines {
-        let backend = ProcessorBackend::with_cores(config.clone(), cores).expect("backend");
-        let processor =
-            MultiCoreProcessor::new(MultiCoreConfig::new(cores, config)).expect("processor");
-        for (numeric, ops) in [("linear", base.clone()), ("log", base.to_log_domain())] {
-            for precision in [Precision::F64, Precision::E8M10] {
-                let name = format!("{}/{numeric}/{precision}", Backend::name(&backend));
-                let compiled = backend
-                    .compile(&ops.with_precision(precision))
-                    .expect("compile");
-                let mut buffers = ExecBuffers::new();
-                let mut scratch = ProcessorScratch::default();
-                let (mut flat, mut states) = (Vec::new(), Vec::new());
-                for n in (0..=33).chain([64]) {
-                    let batch = rows.sub_batch(0, n);
-                    let got = backend
-                        .execute_batch(&compiled, &batch, &mut buffers, &mut scratch)
-                        .expect("backend batch");
-                    compiled.fill_batch_inputs(&batch, &mut flat).expect("fill");
-                    let want = processor
-                        .run_batch_sharded(&compiled.program, &flat, n, &mut states)
-                        .expect("sharded run");
-                    assert_eq!(bits(&got.values), bits(&want.outputs), "{name}: {n} rows");
-                    assert_eq!(got.perf, want.perf, "{name}: {n} rows");
-                    let cores = processor
-                        .sharded_perf(&compiled.program, n)
-                        .expect("same machine");
-                    assert_eq!(cores, want.cores, "{name}: {n} rows");
-                }
-            }
-        }
-    }
+    parity::run("backend_lane_blocks_match_the_query_major_sharded_run");
+}
+
+/// MSNBC's input slots share data-memory words; every backend still
+/// returns the op list's bits on it, in every domain, precision and mode.
+#[test]
+fn learned_circuit_with_shared_input_words_matches_the_op_list() {
+    parity::run("learned_circuit_with_shared_input_words_matches_the_op_list");
 }
 
 /// One set of buffers and simulator scratch serves plans of different input
@@ -646,7 +480,7 @@ fn one_set_of_buffers_serves_plans_of_every_shape() {
     let mut rebound = Engine::from_plan(Arc::clone(&plans[0]));
     for n in [17usize, 8, 7, 33, 1] {
         for (p, plan) in plans.iter().enumerate() {
-            let batch = mixed_rows(plan.ops().num_vars(), n);
+            let batch = parity::rows(plan.ops().num_vars(), n);
             let mut fresh = Engine::from_plan(Arc::clone(plan));
             let want = fresh.execute_batch(&batch).expect("fresh engine");
             let shared = backend
