@@ -22,11 +22,11 @@
 //!    precision, mode and length), every dispatch and CPU lane width reports
 //!    the same `PerfReport`, and Ptree reports the same work on any number
 //!    of cores.
-//! 4. **Accuracy.**  Values stay within [`error_bound`] of the graph-sweep
-//!    oracle (`reference_query_with`), and a deep chain in the linear domain
-//!    underflows to exactly `0.0`.  The graph sweep folds a sum left to right
-//!    while `flatten` reduces it balanced, so this comparison alone is a
-//!    tolerance.
+//! 4. **Accuracy.**  Values stay within an analytic bound of the graph-sweep
+//!    oracle (`reference_query_with`, [`check_accuracy`]), and a deep chain
+//!    in the linear domain underflows to exactly `0.0`.  The graph sweep
+//!    folds a sum left to right while `flatten` reduces it balanced, so this
+//!    comparison alone is a tolerance.
 //!
 //! No cell is exempt from (1): none has been found to differ in bits.
 //! The approximate modes (`sample`, `expectation`) answer with Monte-Carlo
@@ -122,13 +122,9 @@ struct Slice {
 
 impl Slice {
     fn cells(&self) -> usize {
-        let axes = [
-            self.machines.len(),
-            self.numerics.len(),
-            self.precisions.len(),
-        ];
-        let more = [self.modes.len(), self.dispatches.len(), self.lens.len()];
-        axes.iter().chain(&more).product()
+        let (m, n, p) = (self.machines, self.numerics, self.precisions);
+        let axes = m.len() * n.len() * p.len();
+        axes * self.modes.len() * self.dispatches.len() * self.lens.len()
     }
 }
 

@@ -5,7 +5,7 @@
 //! Each cell asserts that `F64` is the unstamped program bit for bit, that
 //! every backend returns the quantized op list's bits serially and sharded,
 //! and that reduced precisions stay within an analytically derived bound of
-//! the exact graph-sweep oracle (`parity::error_bound`).  The last test
+//! the exact graph-sweep oracle (`parity::check_accuracy`).  The last test
 //! guards against the sweep silently testing f64 three times.
 
 mod parity;
