@@ -17,8 +17,9 @@
 //! mismatch exits non-zero.
 //!
 //! This program is a lodger: both axes move into `benchmark/` when it is
-//! re-based (ROADMAP item 1(b)), and the program goes then.  `tests/parallel.rs`
-//! and `tests/serve_scale.rs` pin the properties; this only adds the rates.
+//! re-based (ROADMAP item 1(b)), and the program goes then.  The parity
+//! matrix's sharding slices (`tests/parallel.rs`) and `tests/serve_scale.rs`
+//! pin the properties; this only adds the rates.
 //!
 //! Run with `cargo run --release -p spn-bench --bin scaling [-- --smoke]`;
 //! `--smoke` (the CI mode) keeps every check and shrinks the sizes to a

@@ -454,9 +454,9 @@ impl OpList {
     ///
     /// This loop is deliberately independent of [`OpKind::apply_lanes`] and
     /// [`crate::vectorized::run_lanes`]: it spells the five operations out
-    /// itself, so the parity suites (`tests/vectorized.rs`,
-    /// `tests/precision_parity.rs`) have an oracle that does not share the
-    /// executor's code.  Nothing outside tests calls it; to run a program,
+    /// itself, so the parity matrix (`tests/parity/mod.rs`) has an oracle
+    /// that does not share the executor's code, and every backend must
+    /// return its bits.  Nothing outside tests calls it; to run a program,
     /// use [`OpList::evaluate`] or [`crate::vectorized::run_lanes`].
     ///
     /// # Panics
