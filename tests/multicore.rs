@@ -341,8 +341,8 @@ fn corrupted_programs_are_rejected_before_query_zero() {
 /// machine shapes, in both numeric domains, at full and reduced precision,
 /// and for a max-product program.  A two-stage pipeline of the same op list
 /// returns them too, and so does every traced run of either.  No backend
-/// reaches the traced and pipelined runs, so this slice of the parity
-/// contract runs outside the matrix's driver.
+/// reaches the traced and pipelined runs, so this part of the parity
+/// contract runs outside `parity::run`.
 #[test]
 fn batch_lengths_and_lane_tails_match_per_query_runs() {
     let spn = test_spn();

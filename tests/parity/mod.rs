@@ -99,8 +99,9 @@ impl Machine {
 /// How a cell's query reaches the backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Dispatch {
-    /// Each circuit pass through `Backend::execute_batch`, with the test's
-    /// own buffers (reused across the cells of one machine).
+    /// Each circuit pass of a joint, marginal or conditional query through
+    /// `Backend::execute_batch`, with the test's own buffers (reused across
+    /// the cells of one machine).
     Direct,
     /// `Engine::execute_query`.
     Serial,
@@ -400,6 +401,7 @@ impl Group {
     fn check(&mut self, machine: Machine, dispatch: Dispatch, got: QueryOutput) {
         let context = format!("{}/{machine:?}/{dispatch:?}", self.context);
         assert_bits(&got.values, &self.values, &context);
+        // A direct pass returns values only.
         if dispatch != Dispatch::Direct {
             assert_eq!(got.assignments, self.assignments, "{context}");
         }
@@ -501,13 +503,6 @@ fn run_machine<B: DirectPass>(
 ) {
     let mut engine = Engine::new(backend.clone(), spn, options).expect("engine");
     assert_eq!(engine.precision(), options.precision);
-    let direct_map =
-        slice.modes.contains(&QueryMode::Map) && slice.dispatches.contains(&Dispatch::Direct);
-    let map_program = direct_map.then(|| {
-        backend
-            .compile(&engine.ops().to_max_product())
-            .expect("max-product compile")
-    });
     let mut buffers = ExecBuffers::new();
     let mut scratch = B::Scratch::default();
     for group in groups {
@@ -520,11 +515,8 @@ fn run_machine<B: DirectPass>(
                 Dispatch::Direct => {
                     let mut perf = PerfReport::default();
                     let values = passes(&group.query).map(|(map, rows)| {
-                        let compiled = if map {
-                            map_program.as_ref().expect("compiled for MAP")
-                        } else {
-                            engine.compiled()
-                        };
+                        assert!(!map, "direct cells run the engine's own program");
+                        let compiled = engine.compiled();
                         let got = backend
                             .execute_batch(compiled, rows, &mut buffers, &mut scratch)
                             .expect("direct pass");
