@@ -24,9 +24,10 @@
 //!    of cores.
 //! 4. **Accuracy.**  Values stay within an analytic bound of the graph-sweep
 //!    oracle (`reference_query_with`, [`check_accuracy`]), and a deep chain
-//!    in the linear domain underflows to exactly `0.0`.  The graph sweep
-//!    folds a sum left to right while `flatten` reduces it balanced, so this
-//!    comparison alone is a tolerance.
+//!    underflows to exactly `0.0` in the linear domain and stays finite in
+//!    the log domain.  The graph sweep folds a sum left to right while
+//!    `flatten` reduces it balanced, so this comparison alone is a
+//!    tolerance.
 //!
 //! No cell is exempt from (1): none has been found to differ in bits.
 //! The approximate modes (`sample`, `expectation`) answer with Monte-Carlo
@@ -83,16 +84,18 @@ enum Machine {
     Pvect,
 }
 
-impl Machine {
-    /// Machines of one key report the same counters under every dispatch:
-    /// the lane width changes no count the CPU model charges.  `None` for
-    /// Ptree on several cores, where each host shard pays its own makespan.
-    fn cost_key(self) -> Option<Machine> {
-        match self {
-            Machine::Cpu(_) => Some(Machine::Cpu(0)),
-            Machine::Ptree(cores) if cores > 1 => None,
-            other => Some(other),
+/// The counters two machines must report alike in one group, under every
+/// dispatch: all of them on any two CPU lane widths (the lane width changes
+/// no count the CPU model charges) and on one single-core machine; only the
+/// work ([`work`]) on any other two Ptree machines, where each host shard
+/// pays its own makespan; none otherwise.
+fn compared(a: Machine, b: Machine) -> Option<fn(&PerfReport) -> PerfReport> {
+    match (a, b) {
+        (Machine::Cpu(_), Machine::Cpu(_)) | (Machine::Ptree(1), Machine::Ptree(1)) => {
+            Some(PerfReport::clone)
         }
+        (Machine::Ptree(_), Machine::Ptree(_)) => Some(work),
+        _ => (a == b).then_some(PerfReport::clone),
     }
 }
 
@@ -149,12 +152,15 @@ const TEST_SPN: Circuit = Circuit::Random(2020, 10);
 const NCORE_SPN: Circuit = Circuit::Random(907, 10);
 
 /// Serial, then 1, 2, 3, 4 and 8 workers with shards of at least 1, 4 and
-/// 32 rows.
+/// `Parallelism::DEFAULT_MIN_SHARD` rows.
 const EVERY_SHARDING: [Dispatch; 16] = {
     let mut all = [Dispatch::Serial; 16];
     let mut i = 0;
     while i < 15 {
-        all[i + 1] = Dispatch::Sharded([1, 2, 3, 4, 8][i % 5], [1, 4, 32][i / 5]);
+        all[i + 1] = Dispatch::Sharded(
+            [1, 2, 3, 4, 8][i % 5],
+            [1, 4, Parallelism::DEFAULT_MIN_SHARD][i / 5],
+        );
         i += 1;
     }
     all
@@ -406,10 +412,12 @@ impl Group {
             assert_eq!(got.assignments, self.assignments, "{context}");
         }
         for (other, perf) in &self.costs {
-            if other.cost_key().is_some() && other.cost_key() == machine.cost_key() {
-                assert_eq!(&got.perf, perf, "{context} against {other:?}");
-            } else if matches!((other, machine), (Machine::Ptree(_), Machine::Ptree(_))) {
-                assert_eq!(work(&got.perf), work(perf), "{context} against {other:?}");
+            if let Some(counters) = compared(*other, machine) {
+                assert_eq!(
+                    counters(&got.perf),
+                    counters(perf),
+                    "{context} against {other:?}"
+                );
             }
         }
         self.costs.push((machine, got.perf));
@@ -447,8 +455,17 @@ fn run_programs(slice: &Slice, spn: &Spn, numeric: NumericMode, precision: Preci
         let (values, assignments) = oracle(&ops, &max, &all);
         let exact = reference_query_with(spn, &all, numeric).expect("graph sweep");
         check_accuracy(&base, &ops, &all, &values, &exact.values, &context);
-        if let (Circuit::Chain(..), NumericMode::Linear) = (slice.circuit, numeric) {
-            assert!(values.iter().all(|&v| v == 0.0), "{context}: no underflow");
+        match (slice.circuit, numeric) {
+            (Circuit::Chain(..), NumericMode::Linear) => {
+                assert!(values.iter().all(|&v| v == 0.0), "{context}: no underflow");
+            }
+            (Circuit::Chain(..), NumericMode::Log) => {
+                assert!(
+                    values.iter().all(|v| v.is_finite()),
+                    "{context}: not finite"
+                );
+            }
+            _ => {}
         }
         if let (QueryBatch::Map(rows), Some(assignments)) = (&all, &assignments) {
             if precision == Precision::F64 {
@@ -503,6 +520,7 @@ fn run_machine<B: DirectPass>(
 ) {
     let mut engine = Engine::new(backend.clone(), spn, options).expect("engine");
     assert_eq!(engine.precision(), options.precision);
+    assert_eq!(engine.mode(), options.mode);
     let mut buffers = ExecBuffers::new();
     let mut scratch = B::Scratch::default();
     for group in groups {
@@ -639,12 +657,14 @@ pub fn assert_bits(got: &[f64], want: &[f64], context: &str) {
 }
 
 /// Row `q` of the one evidence pattern: marginal, a complete assignment,
-/// then one or two observed variables, in turn.
+/// then one or two observed variables, in turn.  Successive complete
+/// assignments shift the pattern true, false, false by one variable, so
+/// both values of every variable occur within three of them.
 fn evidence(num_vars: usize, q: usize) -> Evidence {
     let mut e = Evidence::marginal(num_vars);
     match q % 3 {
         0 => {}
-        1 => (0..num_vars).for_each(|v| e.observe(v, (v + q).is_multiple_of(3))),
+        1 => (0..num_vars).for_each(|v| e.observe(v, (v + q / 3).is_multiple_of(3))),
         _ => {
             e.observe(q % num_vars, q.is_multiple_of(2));
             e.observe((q + 3) % num_vars, q.is_multiple_of(4));
