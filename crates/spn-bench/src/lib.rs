@@ -38,6 +38,7 @@ use spn_platforms::{
 };
 use spn_processor::ProcessorConfig;
 
+pub mod paper;
 pub mod stats;
 pub mod traces;
 

@@ -7,10 +7,26 @@
 
 use spn_accel::compiler::Compiler;
 use spn_accel::core::flatten::OpList;
-use spn_accel::core::Evidence;
+use spn_accel::core::{Evidence, EvidenceBatch};
 use spn_accel::learn::Benchmark;
 use spn_accel::platforms::{CpuModel, Engine, GpuConfig, GpuModel, ProcessorBackend};
 use spn_accel::processor::{PerfReport, Processor, ProcessorConfig};
+use spn_accel::serve::json::{parse, Value};
+use spn_bench::paper::{self, Row, Verdict};
+use spn_bench::{run_all_platforms, run_cpu, run_gpu};
+
+/// Asserts each row's claim, its value to 1e-9 relative (every row is a
+/// deterministic model output) and its verdict.
+fn assert_pinned(rows: &[Row], pinned: &[(&str, f64, Verdict)]) {
+    let claims: Vec<&str> = rows.iter().map(|row| row.claim.as_str()).collect();
+    let pinned_claims: Vec<&str> = pinned.iter().map(|pin| pin.0).collect();
+    assert_eq!(claims, pinned_claims);
+    for (row, &(_, ours, verdict)) in rows.iter().zip(pinned) {
+        let close = (row.ours - ours).abs() <= 1e-9 * ours.abs();
+        assert!(close, "{}: {:?}, pinned {ours:?}", row.claim, row.ours);
+        assert_eq!(row.verdict(), verdict, "{}", row.claim);
+    }
+}
 
 fn processor_throughput(config: &ProcessorConfig, ops: &OpList, evidence: &Evidence) -> f64 {
     let backend = ProcessorBackend::new(config.clone()).expect("backend");
@@ -51,6 +67,61 @@ fn fig4_shape_custom_processor_beats_both_baselines() {
         ptree > 3.0,
         "Ptree should sustain several ops/cycle, got {ptree}"
     );
+
+    let mut results = Vec::new();
+    for benchmark in Benchmark::all() {
+        let spn = benchmark.spn();
+        let batch = EvidenceBatch::marginals(spn.num_vars(), 1);
+        results.extend(run_all_platforms(benchmark.name(), &spn, &batch).expect("run"));
+    }
+    let rows = paper::fig4(&results);
+    assert_pinned(
+        &rows,
+        &[
+            ("Ptree peak ops/cycle", 14.440114068441064, Verdict::Exceeds),
+            (
+                "Ptree / CPU, geomean of nine",
+                11.207253788932357,
+                Verdict::Gap,
+            ),
+            (
+                "Ptree / GPU, geomean of nine",
+                15.434166244953929,
+                Verdict::Exceeds,
+            ),
+            (
+                "Ptree / Pvect, geomean of nine",
+                1.6453927582037386,
+                Verdict::Gap,
+            ),
+        ],
+    );
+
+    // The benchmark's `sim-fig4` rows are the same model outputs; its
+    // history line keeps six significant digits.
+    let history =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_history.jsonl"))
+            .expect("BENCH_history.jsonl");
+    let latest = parse(history.lines().last().expect("a history line")).expect("parses");
+    let median = |metric: &str| {
+        let key = format!("sim-fig4/{metric}");
+        let value = latest.get("median").and_then(|m| m.get(&key));
+        value.and_then(Value::as_f64).expect("sim-fig4 median")
+    };
+    let six = |value: f64| format!("{value:.5e}").parse::<f64>().expect("float");
+    let table = [
+        paper::geomean(&results, "Ptree"),
+        rows[1].ours,
+        rows[2].ours,
+    ];
+    let metrics = [
+        "sim_ops_per_cycle",
+        "sim_speedup_vs_cpu",
+        "sim_speedup_vs_gpu",
+    ];
+    for (ours, metric) in table.into_iter().zip(metrics) {
+        assert_eq!(six(ours), median(metric), "{metric}");
+    }
 }
 
 #[test]
@@ -80,6 +151,25 @@ fn fig2c_shape_gpu_thread_scaling_is_sublinear_and_gpu_stays_in_cpu_class() {
     );
     // The full block lands in the same class as the CPU, not the accelerator.
     assert!(gpu_256 < 8.0 * cpu);
+
+    let batch = EvidenceBatch::marginals(spn.num_vars(), 1);
+    let results = [
+        run_cpu("MSNBC", &ops, &batch).expect("CPU"),
+        run_gpu("MSNBC", &ops, &batch, 1).expect("GPU-1"),
+        run_gpu("MSNBC", &ops, &batch, 256).expect("GPU"),
+    ];
+    let results: Vec<_> = results.into_iter().map(|run| run.result).collect();
+    assert_pinned(
+        &paper::fig2c(&results),
+        &[
+            (
+                "256 / 1 GPU threads, MSNBC",
+                7.724948168624741,
+                Verdict::Gap,
+            ),
+            ("GPU(256) / CPU, MSNBC", 1.5998617829993091, Verdict::Holds),
+        ],
+    );
 }
 
 #[test]
@@ -93,6 +183,28 @@ fn table1_resources_stay_below_the_gpu_budget() {
         assert!(data_memory_bytes <= 64 * 1024, "{}", config.name);
         assert_eq!(config.total_banks(), 32, "{}", config.name);
     }
+
+    assert_pinned(
+        &paper::table1(),
+        &[
+            ("Ptree PEs vs the GPU's CUDA cores", 30.0, Verdict::Exceeds),
+            ("Ptree registers", 2048.0, Verdict::Exceeds),
+            (
+                "Ptree data memory KB vs shared memory",
+                64.0,
+                Verdict::Holds,
+            ),
+            ("Ptree memory banks", 32.0, Verdict::Holds),
+            ("Pvect PEs vs the GPU's CUDA cores", 16.0, Verdict::Exceeds),
+            ("Pvect registers", 2048.0, Verdict::Exceeds),
+            (
+                "Pvect data memory KB vs shared memory",
+                64.0,
+                Verdict::Holds,
+            ),
+            ("Pvect memory banks", 32.0, Verdict::Holds),
+        ],
+    );
 }
 
 /// Exact per-query counters of a program: instructions, cycles, stall
