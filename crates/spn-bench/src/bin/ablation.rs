@@ -15,11 +15,12 @@
 //! and its root values must match the CPU model's bit for bit — the check
 //! `run_all_platforms` makes for Fig. 4.  Any disagreement exits non-zero.
 
-use spn_bench::{check_agreement, run_cpu, run_processor};
+use spn_bench::{check_agreement, run_backend};
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
 use spn_core::Evidence;
 use spn_learn::Benchmark;
+use spn_platforms::{CpuModel, ProcessorBackend};
 use spn_processor::ProcessorConfig;
 
 /// `rows` rows of evidence, each variable observed false, observed true or
@@ -54,11 +55,12 @@ fn sweep(benchmark: Benchmark) -> Result<(), Box<dyn std::error::Error + Send + 
     let spn = benchmark.spn();
     let ops = OpList::from_spn(&spn);
     let batch = seeded_batch(spn.num_vars(), 9);
-    let cpu = run_cpu(benchmark.name(), &ops, &batch)?;
+    let cpu = run_backend(benchmark.name(), CpuModel::new(), &ops, &batch)?;
     let ops_per_cycle = |config: &ProcessorConfig| {
-        let run = run_processor(benchmark.name(), &ops, &batch, config)?;
+        let backend = ProcessorBackend::new(config.clone())?;
+        let run = run_backend(benchmark.name(), backend, &ops, &batch)?;
         check_agreement(&cpu, &run)?;
-        Ok::<_, spn_platforms::BackendError>(run.result.ops_per_cycle)
+        Ok::<_, spn_platforms::BackendError>(run.perf.ops_per_cycle())
     };
     println!(
         "# Ablation sweeps on {} ({} ops)\n",

@@ -1,6 +1,7 @@
-//! Reproduces Fig. 4: throughput of CPU, GPU, Pvect and Ptree on the nine
-//! benchmark circuits, plus the paper's headline claims (Ptree >= 12x CPU/GPU
-//! and ~2x Pvect).
+//! Reproduces the paper's figures and scores each of its claims.
+//!
+//! First Fig. 4: throughput of CPU, GPU, Pvect and Ptree on the nine
+//! benchmark circuits, every root value checked against the CPU model.
 //!
 //! Then, per circuit, where a 64-query batch goes on four sharded Ptree
 //! cores behind one shared-memory port: the cost-sized shard lengths, the
@@ -8,7 +9,7 @@
 //! idle cycles and the speedup over one core.  Exits non-zero if any
 //! cost-sized makespan is above the even split's.
 //!
-//! Last, the headroom of each circuit's single-core schedule: its Ptree and
+//! Then the headroom of each circuit's single-core schedule: its Ptree and
 //! Pvect cycles beside the op-DAG depth, a lower bound on both (each op
 //! level costs at least one cycle), how many values two or more tiles read
 //! (each may hold a second register home), the rows one Ptree pass loads
@@ -16,19 +17,25 @@
 //! non-zero if a pass loads more rows than one word per input slot would
 //! fill (`⌈slots / banks⌉`): a row reloaded after eviction.
 //!
-//! Pass `--json <path>` to also dump the raw results, one object per
+//! Last Fig. 2c (CPU vs GPU throughput as the GPU thread count grows, on
+//! MSNBC), Table I (the platforms' compute and memory resources) and the
+//! scoreboard of [`spn_bench::paper`]: each claim, ours beside the paper's,
+//! and its verdict.
+//!
+//! Pass `--json <path>` to also dump the raw Fig. 4 results, one object per
 //! (benchmark, platform), as a JSON array.
 
 use std::collections::HashSet;
 use std::env;
 use std::fs;
 
-use spn_bench::{markdown_table, run_all_platforms, PlatformResult};
+use spn_bench::{paper, run_all_platforms, run_backend};
 use spn_compiler::Compiler;
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
 use spn_core::levelize::Levelization;
 use spn_learn::Benchmark;
+use spn_platforms::{CpuModel, GpuConfig, GpuModel};
 use spn_processor::{MultiCoreConfig, MultiCoreProcessor, ProcessorConfig};
 use spn_serve::json::Value;
 
@@ -38,32 +45,32 @@ const CORES: usize = 4;
 const QUERIES: usize = 64;
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
-    let args: Vec<String> = env::args().collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let json_path = env::args().skip_while(|arg| arg != "--json").nth(1);
 
-    let mut all: Vec<PlatformResult> = Vec::new();
+    let mut all = Vec::new();
     let compiler = Compiler::new(ProcessorConfig::ptree());
     let vector = Compiler::new(ProcessorConfig::pvect());
     let sharded = MultiCoreProcessor::new(MultiCoreConfig::new(CORES, ProcessorConfig::ptree()))?;
     let mut split_rows = Vec::new();
-    let mut above_even = Vec::new();
+    // One line per failed gate; the run exits non-zero after printing all.
+    let mut failures = Vec::new();
     let mut headroom_rows = Vec::new();
-    let mut reloading = Vec::new();
+    let mut fig4_rows = Vec::new();
     println!("# Fig. 4: ops/cycle per platform and benchmark\n");
     for benchmark in Benchmark::all() {
         let spn = benchmark.spn();
         let batch = EvidenceBatch::marginals(spn.num_vars(), 1);
         eprintln!(
-            "running {} ({} vars, {} nodes)...",
+            "running {} ({} nodes)...",
             benchmark.name(),
-            spn.num_vars(),
             spn.num_nodes()
         );
         let results = run_all_platforms(benchmark.name(), &spn, &batch)?;
+        let cells: String = results
+            .iter()
+            .map(|r| format!(" {:.2} |", r.perf.ops_per_cycle()))
+            .collect();
+        fig4_rows.push(format!("| {} |{cells}", benchmark.name()));
         all.extend(results);
 
         // Cost the sharded batch from the program alone: no query runs.
@@ -79,7 +86,10 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             .collect();
         let loads = tree.report.memory_loads;
         if loads > slots.div_ceil(compiler.config().total_banks()) {
-            reloading.push(benchmark.name());
+            let name = benchmark.name();
+            failures.push(format!(
+                "{name}: a Ptree pass loads more rows than its input slots fill"
+            ));
         }
         headroom_rows.push(format!(
             "| {} | {} | {} | {} | {} | {} | {} | {} / {} |",
@@ -104,20 +114,19 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             .max()
             .unwrap_or(0);
         if split.makespan_cycles > even {
-            above_even.push(benchmark.name());
+            let name = benchmark.name();
+            failures.push(format!(
+                "{name}: cost-sized makespan above the even split's"
+            ));
         }
-        let lengths: Vec<String> = split
-            .per_core
+        let cores = &split.per_core;
+        let lengths: Vec<String> = cores.iter().map(|c| c.work.queries.to_string()).collect();
+        let per_core: Vec<String> = cores
             .iter()
-            .map(|core| core.work.queries.to_string())
-            .collect();
-        let per_core: Vec<String> = split
-            .per_core
-            .iter()
-            .map(|core| {
+            .map(|c| {
                 format!(
                     "{} / {} / {}",
-                    core.compute_cycles, core.memory_stall_cycles, core.idle_cycles
+                    c.compute_cycles, c.memory_stall_cycles, c.idle_cycles
                 )
             })
             .collect();
@@ -131,28 +140,14 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             (pass.cycles * QUERIES as u64) as f64 / split.makespan_cycles.max(1) as f64
         ));
     }
-    println!("{}", markdown_table(&all));
-
-    // Headline summary (geometric means and per-benchmark speed-ups).
-    let mean = |platform: &str| -> f64 {
-        let values: Vec<f64> = all
-            .iter()
-            .filter(|r| r.platform == platform)
-            .map(|r| r.ops_per_cycle.max(1e-12).ln())
-            .collect();
-        (values.iter().sum::<f64>() / values.len() as f64).exp()
-    };
-    let (cpu, gpu, pvect, ptree) = (mean("CPU"), mean("GPU"), mean("Pvect"), mean("Ptree"));
-    let peak = all
-        .iter()
-        .filter(|r| r.platform == "Ptree")
-        .map(|r| r.ops_per_cycle)
-        .fold(0.0f64, f64::max);
-    println!("geometric means: CPU {cpu:.2}, GPU {gpu:.2}, Pvect {pvect:.2}, Ptree {ptree:.2}");
-    println!("Ptree peak: {peak:.1} ops/cycle (paper: 11.6)");
-    println!("Ptree vs CPU: {:.1}x (paper: >= 12x)", ptree / cpu);
-    println!("Ptree vs GPU: {:.1}x (paper: >= 12x)", ptree / gpu);
-    println!("Ptree vs Pvect: {:.1}x (paper: ~2x)", ptree / pvect);
+    println!("| workload | CPU | GPU | Pvect | Ptree |\n|---|---|---|---|---|");
+    for row in &fig4_rows {
+        println!("{row}");
+    }
+    let means: String = ["CPU", "GPU", "Pvect", "Ptree"]
+        .map(|platform| format!(" {:.2} |", paper::geomean(&all, platform)))
+        .concat();
+    println!("| geometric mean |{means}");
 
     println!(
         "\n# {CORES}-core sharded Ptree, one shared-memory port, {QUERIES} queries\n\n\
@@ -182,40 +177,64 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         println!("{row}");
     }
 
+    let msnbc = Benchmark::Msnbc.name();
+    let ops = OpList::from_spn(&Benchmark::Msnbc.spn());
+    let batch = EvidenceBatch::marginals(ops.num_vars(), 1);
+    println!(
+        "\n# Fig. 2(c): CPU vs GPU thread scaling\n\nworkload: {msnbc} ({} vars, {} ops, {} inputs)\n",
+        ops.num_vars(),
+        ops.num_ops(),
+        ops.num_inputs()
+    );
+    println!("| platform | ops/cycle |\n|---|---|");
+    let mut sweep = vec![run_backend(msnbc, CpuModel::new(), &ops, &batch)?];
+    println!("| CPU | {:.3} |", sweep[0].perf.ops_per_cycle());
+    for threads in [1, 32, 64, 128, 256] {
+        let model = GpuModel::with_config(GpuConfig::with_threads(threads));
+        let gpu = run_backend(msnbc, model, &ops, &batch)?;
+        println!(
+            "| GPU {threads} thread(s) | {:.3} |",
+            gpu.perf.ops_per_cycle()
+        );
+        sweep.push(gpu);
+    }
+
+    let ptree = ProcessorConfig::ptree();
+    println!(
+        "\n# Table I: compute and memory details of the processing platforms\n\n{}\n\
+         Ptree: {} trees x {} levels; Pvect: lowest PE level only.",
+        paper::table1_markdown(),
+        ptree.num_trees,
+        ptree.tree_levels
+    );
+
+    let rows = [paper::fig2c(&sweep), paper::fig4(&all), paper::table1()].concat();
+    println!("\n# The paper's claims\n\n{}", paper::markdown(&rows));
+
     if let Some(path) = json_path {
         let text = |key: &str, v: &str| (key.to_string(), Value::Str(v.to_string()));
         let num = |key: &str, v: f64| (key.to_string(), Value::Num(v));
         let records = all
             .iter()
             .map(|r| {
+                let perf = &r.perf;
                 Value::Obj(vec![
-                    text("platform", &r.platform),
+                    text("platform", &perf.platform),
                     text("workload", &r.workload),
-                    num("ops", r.ops as f64),
-                    num("queries", r.queries as f64),
-                    num("cycles", r.cycles as f64),
-                    num("cycles_per_query", r.cycles_per_query),
-                    num("ops_per_cycle", r.ops_per_cycle),
-                    num("value", r.value),
+                    num("ops", (perf.source_ops / perf.queries) as f64),
+                    num("queries", perf.queries as f64),
+                    num("cycles", perf.cycles as f64),
+                    num("cycles_per_query", perf.cycles_per_query()),
+                    num("ops_per_cycle", perf.ops_per_cycle()),
+                    num("value", r.values[0]),
                 ])
             })
             .collect();
         fs::write(&path, Value::Arr(records).to_json() + "\n")?;
         eprintln!("raw results written to {path}");
     }
-    if !above_even.is_empty() {
-        return Err(format!(
-            "cost-sized makespan above the even split's on {}",
-            above_even.join(", ")
-        )
-        .into());
-    }
-    if !reloading.is_empty() {
-        return Err(format!(
-            "a Ptree pass loads more rows than its input slots fill on {}",
-            reloading.join(", ")
-        )
-        .into());
+    if !failures.is_empty() {
+        return Err(failures.join("; ").into());
     }
     Ok(())
 }

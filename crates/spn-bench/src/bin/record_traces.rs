@@ -15,35 +15,7 @@
 
 use std::process::ExitCode;
 
-use spn_bench::traces::{golden_dir, golden_path, render_case, trace_cases};
-use spn_processor::diff_traces;
-
-fn check() -> Result<(), String> {
-    let mut checked = 0usize;
-    for case in trace_cases() {
-        let path = golden_path(case.name);
-        let golden = std::fs::read_to_string(&path).map_err(|err| {
-            format!(
-                "{}: cannot read golden trace ({err}); run `cargo run -p spn-bench \
-                 --bin record_traces -- --bless` and commit the result",
-                path.display()
-            )
-        })?;
-        let actual =
-            render_case(&case).map_err(|err| format!("{}: render failed: {err}", case.name))?;
-        if let Some(div) = diff_traces(&golden, &actual) {
-            return Err(format!(
-                "{}: golden trace diverged\n{div}\n\
-                 If the timing change is intentional, re-bless with \
-                 `cargo run -p spn-bench --bin record_traces -- --bless`.",
-                case.name
-            ));
-        }
-        checked += 1;
-    }
-    println!("record_traces: {checked} golden traces match");
-    Ok(())
-}
+use spn_bench::traces::{check_golden_traces, golden_dir, golden_path, render_case, trace_cases};
 
 fn bless() -> Result<(), String> {
     let dir = golden_dir();
@@ -67,7 +39,8 @@ fn bless() -> Result<(), String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        [] | ["--check"] => check(),
+        [] | ["--check"] => check_golden_traces()
+            .map(|checked| println!("record_traces: {checked} golden traces match")),
         ["--bless"] => bless(),
         _ => Err("usage: record_traces [--check|--bless]".to_string()),
     };

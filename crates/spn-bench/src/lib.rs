@@ -2,10 +2,12 @@
 //!
 //! The binaries in `src/bin` regenerate the paper's evaluation artifacts:
 //!
-//! * `fig2c` — CPU vs GPU throughput while sweeping the GPU thread count,
-//! * `table1` — the compute/memory resource table of the four platforms,
-//! * `fig4`  — operations/cycle of CPU, GPU, Pvect and Ptree on the nine
-//!   benchmark circuits, plus the headline speed-up summary,
+//! * `paper_figures` — Fig. 4 (operations/cycle of CPU, GPU, Pvect and
+//!   Ptree on the nine benchmark circuits, each circuit's 4-core sharded
+//!   split and single-core headroom), Fig. 2c (CPU vs GPU throughput while
+//!   sweeping the GPU thread count), Table I (the platforms' compute and
+//!   memory resources) and the scoreboard of [`paper`]: each claim of the
+//!   paper beside ours, with its verdict,
 //! * `ablation` — sweeps over the design choices (tree depth, register
 //!   banks, bank-allocation policy),
 //! * `scaling` — the two wall-clock sweeps the repo benchmark (`benchmark/`,
@@ -24,8 +26,8 @@
 //!
 //! The library part holds the shared plumbing: running one evidence batch on
 //! every platform through the two-phase [`Engine`], checking that every
-//! platform computes the same root values, formatting result tables, and
-//! the golden-trace case definitions ([`traces`]).
+//! platform computes the same root values, the paper scoreboard ([`paper`])
+//! and the golden-trace cases and their check ([`traces`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,56 +36,22 @@ use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
 use spn_core::Spn;
 use spn_platforms::{
-    Backend, BackendError, CpuModel, Engine, GpuConfig, GpuModel, PerfReport, ProcessorBackend,
+    Backend, BackendError, CpuModel, Engine, GpuModel, PerfReport, ProcessorBackend,
 };
-use spn_processor::ProcessorConfig;
 
 pub mod paper;
 pub mod stats;
 pub mod traces;
 
-/// Throughput of one platform on one batched workload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlatformResult {
-    /// Platform name (`CPU`, `GPU`, `Pvect`, `Ptree`, ...).
-    pub platform: String,
-    /// Workload name.
-    pub workload: String,
-    /// SPN arithmetic operations per inference pass.
-    pub ops: u64,
-    /// Evidence queries executed.
-    pub queries: u64,
-    /// Total modelled cycles over the whole batch.
-    pub cycles: u64,
-    /// Amortised cycles per query.
-    pub cycles_per_query: f64,
-    /// Effective throughput in operations per cycle.
-    pub ops_per_cycle: f64,
-    /// Root value of the batch's first query (for cross-checking).
-    pub value: f64,
-}
-
-impl PlatformResult {
-    fn from_perf(workload: &str, first_value: f64, perf: &PerfReport) -> Self {
-        PlatformResult {
-            platform: perf.platform.clone(),
-            workload: workload.to_string(),
-            ops: perf.source_ops.checked_div(perf.queries).unwrap_or(0),
-            queries: perf.queries,
-            cycles: perf.cycles,
-            cycles_per_query: perf.cycles_per_query(),
-            ops_per_cycle: perf.ops_per_cycle(),
-            value: first_value,
-        }
-    }
-}
-
-/// One platform's batched run: the tabulated summary plus the per-query root
-/// values (used for cross-platform parity checks).
+/// One platform's batched run: its counters and every query's root value
+/// (for cross-platform parity checks).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlatformRun {
-    /// Tabulated summary.
-    pub result: PlatformResult,
+    /// Workload name.
+    pub workload: String,
+    /// The batch's counters; `perf.platform` names the platform (`CPU`,
+    /// `GPU`, `Pvect`, `Ptree`, ...).
+    pub perf: PerfReport,
     /// Root value of every query, in batch order.
     pub values: Vec<f64>,
 }
@@ -103,61 +71,11 @@ pub fn run_backend<B: Backend>(
 ) -> Result<PlatformRun, BackendError> {
     let mut engine = Engine::from_ops(backend, ops)?;
     let out = engine.execute_batch(batch)?;
-    let first = out.values.first().copied().unwrap_or(0.0);
     Ok(PlatformRun {
-        result: PlatformResult::from_perf(workload, first, &out.perf),
+        workload: workload.to_string(),
+        perf: out.perf,
         values: out.values,
     })
-}
-
-/// Runs the CPU baseline model over `batch`.
-///
-/// # Errors
-///
-/// Returns an error when the batch does not match the workload.
-pub fn run_cpu(
-    workload: &str,
-    ops: &OpList,
-    batch: &EvidenceBatch,
-) -> Result<PlatformRun, BackendError> {
-    run_backend(workload, CpuModel::new(), ops, batch)
-}
-
-/// Runs the GPU baseline model with `threads` threads per block.
-///
-/// # Errors
-///
-/// Returns an error when the batch does not match the workload.
-pub fn run_gpu(
-    workload: &str,
-    ops: &OpList,
-    batch: &EvidenceBatch,
-    threads: usize,
-) -> Result<PlatformRun, BackendError> {
-    let model = GpuModel::with_config(GpuConfig {
-        name: if threads == 256 {
-            "GPU".to_string()
-        } else {
-            format!("GPU-{threads}")
-        },
-        ..GpuConfig::with_threads(threads)
-    });
-    run_backend(workload, model, ops, batch)
-}
-
-/// Compiles the workload for `config` once and runs `batch` on the
-/// cycle-accurate processor simulator.
-///
-/// # Errors
-///
-/// Returns an error when compilation or simulation fails.
-pub fn run_processor(
-    workload: &str,
-    ops: &OpList,
-    batch: &EvidenceBatch,
-    config: &ProcessorConfig,
-) -> Result<PlatformRun, BackendError> {
-    run_backend(workload, ProcessorBackend::new(config.clone())?, ops, batch)
 }
 
 /// Runs one batched workload on all four platforms of Fig. 4 (CPU, GPU,
@@ -171,18 +89,18 @@ pub fn run_all_platforms(
     workload: &str,
     spn: &Spn,
     batch: &EvidenceBatch,
-) -> Result<Vec<PlatformResult>, BackendError> {
+) -> Result<Vec<PlatformRun>, BackendError> {
     let ops = OpList::from_spn(spn);
     let runs = vec![
-        run_cpu(workload, &ops, batch)?,
-        run_gpu(workload, &ops, batch, 256)?,
-        run_processor(workload, &ops, batch, &ProcessorConfig::pvect())?,
-        run_processor(workload, &ops, batch, &ProcessorConfig::ptree())?,
+        run_backend(workload, CpuModel::new(), &ops, batch)?,
+        run_backend(workload, GpuModel::new(), &ops, batch)?,
+        run_backend(workload, ProcessorBackend::pvect(), &ops, batch)?,
+        run_backend(workload, ProcessorBackend::ptree(), &ops, batch)?,
     ];
     for run in &runs[1..] {
         check_agreement(&runs[0], run)?;
     }
-    Ok(runs.into_iter().map(|r| r.result).collect())
+    Ok(runs)
 }
 
 /// Checks that `run` computed the root values of `reference` (the same
@@ -192,11 +110,11 @@ pub fn run_all_platforms(
 ///
 /// Returns an error naming the first query that disagrees.
 pub fn check_agreement(reference: &PlatformRun, run: &PlatformRun) -> Result<(), BackendError> {
-    let (workload, expected) = (&reference.result.workload, &reference.values);
+    let (workload, expected) = (&reference.workload, &reference.values);
     if run.values.len() != expected.len() {
         return Err(format!(
             "platform {} returned {} values for a {}-query batch on {}",
-            run.result.platform,
+            run.perf.platform,
             run.values.len(),
             expected.len(),
             workload
@@ -207,46 +125,12 @@ pub fn check_agreement(reference: &PlatformRun, run: &PlatformRun) -> Result<(),
         if value.to_bits() != expected.to_bits() {
             return Err(format!(
                 "platform {} disagrees on {} query {}: {} vs {}",
-                run.result.platform, workload, q, value, expected
+                run.perf.platform, workload, q, value, expected
             )
             .into());
         }
     }
     Ok(())
-}
-
-/// Formats results as a GitHub-flavoured markdown table with one row per
-/// workload and one column per platform (operations per cycle).
-pub fn markdown_table(results: &[PlatformResult]) -> String {
-    let mut workloads: Vec<String> = Vec::new();
-    let mut platforms: Vec<String> = Vec::new();
-    for r in results {
-        if !workloads.contains(&r.workload) {
-            workloads.push(r.workload.clone());
-        }
-        if !platforms.contains(&r.platform) {
-            platforms.push(r.platform.clone());
-        }
-    }
-    let mut out = String::new();
-    out.push_str("| workload | ");
-    out.push_str(&platforms.join(" | "));
-    out.push_str(" |\n|---|");
-    out.push_str(&"---|".repeat(platforms.len()));
-    out.push('\n');
-    for w in &workloads {
-        out.push_str(&format!("| {w} |"));
-        for p in &platforms {
-            let cell = results
-                .iter()
-                .find(|r| &r.workload == w && &r.platform == p)
-                .map(|r| format!(" {:.2} |", r.ops_per_cycle))
-                .unwrap_or_else(|| " - |".to_string());
-            out.push_str(&cell);
-        }
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -273,38 +157,10 @@ mod tests {
         let batch = mixed_batch(spn.num_vars());
         let results = run_all_platforms("Banknote", &spn, &batch).unwrap();
         assert_eq!(results.len(), 4);
-        let names: Vec<&str> = results.iter().map(|r| r.platform.as_str()).collect();
+        let names: Vec<&str> = results.iter().map(|r| r.perf.platform.as_str()).collect();
         assert_eq!(names, vec!["CPU", "GPU", "Pvect", "Ptree"]);
-        assert!(results.iter().all(|r| r.queries == 3));
-        assert!(results.iter().all(|r| r.cycles_per_query > 0.0));
-    }
-
-    #[test]
-    fn ptree_outperforms_the_baselines_on_a_medium_benchmark() {
-        let spn = Benchmark::EegEye.spn();
-        let batch = mixed_batch(spn.num_vars());
-        let results = run_all_platforms("EEG-eye", &spn, &batch).unwrap();
-        let get = |name: &str| {
-            results
-                .iter()
-                .find(|r| r.platform == name)
-                .unwrap()
-                .ops_per_cycle
-        };
-        assert!(get("Ptree") > get("CPU"));
-        assert!(get("Ptree") > get("GPU"));
-        assert!(get("Ptree") > get("Pvect"));
-    }
-
-    #[test]
-    fn markdown_table_mentions_every_platform() {
-        let spn = Benchmark::Banknote.spn();
-        let batch = mixed_batch(spn.num_vars());
-        let results = run_all_platforms("Banknote", &spn, &batch).unwrap();
-        let table = markdown_table(&results);
-        for p in ["CPU", "GPU", "Pvect", "Ptree", "Banknote"] {
-            assert!(table.contains(p), "missing {p} in\n{table}");
-        }
+        assert!(results.iter().all(|r| r.perf.queries == 3));
+        assert!(results.iter().all(|r| r.perf.cycles_per_query() > 0.0));
     }
 
     /// The trajectory file is read by people and scripts, not by a program

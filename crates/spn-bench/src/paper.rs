@@ -10,7 +10,7 @@
 
 use spn_processor::ProcessorConfig;
 
-use crate::PlatformResult;
+use crate::PlatformRun;
 use Direction::{About, AtLeast, AtMost};
 
 /// Relative distance from the paper's value that still counts as the
@@ -81,11 +81,11 @@ impl Row {
 }
 
 /// Geometric mean of `platform`'s ops/cycle over `results`.
-pub fn geomean(results: &[PlatformResult], platform: &str) -> f64 {
+pub fn geomean(results: &[PlatformRun], platform: &str) -> f64 {
     let logs: Vec<f64> = results
         .iter()
-        .filter(|r| r.platform == platform)
-        .map(|r| r.ops_per_cycle.max(1e-12).ln())
+        .filter(|r| r.perf.platform == platform)
+        .map(|r| r.perf.ops_per_cycle().max(1e-12).ln())
         .collect();
     (logs.iter().sum::<f64>() / logs.len() as f64).exp()
 }
@@ -105,12 +105,12 @@ fn rows<const N: usize>(
 }
 
 /// Fig. 2c's rows from the CPU model's (`CPU`) and the 1- and 256-thread
-/// GPU models' (`GPU-1`, `GPU`) results on MSNBC.  The paper's GPU runs
+/// GPU models' (`GPU-1`, `GPU-256`) results on MSNBC.  The paper's GPU runs
 /// 0.95 ops/cycle and its CPU 0.55.
-pub fn fig2c(results: &[PlatformResult]) -> Vec<Row> {
-    let [cpu, gpu_1, gpu] = ["CPU", "GPU-1", "GPU"].map(|platform| {
-        let found = results.iter().find(|r| r.platform == platform);
-        found.map_or(f64::NAN, |r| r.ops_per_cycle)
+pub fn fig2c(results: &[PlatformRun]) -> Vec<Row> {
+    let [cpu, gpu_1, gpu] = ["CPU", "GPU-1", "GPU-256"].map(|platform| {
+        let found = results.iter().find(|r| r.perf.platform == platform);
+        found.map_or(f64::NAN, |r| r.perf.ops_per_cycle())
     });
     rows(
         "Fig. 2c",
@@ -124,47 +124,48 @@ pub fn fig2c(results: &[PlatformResult]) -> Vec<Row> {
 /// Fig. 4's rows from [`crate::run_all_platforms`]' results on the nine
 /// circuits: Ptree's peak, and its geometric mean over each other
 /// platform's.
-pub fn fig4(results: &[PlatformResult]) -> Vec<Row> {
+pub fn fig4(results: &[PlatformRun]) -> Vec<Row> {
     let ptree = geomean(results, "Ptree");
     let vs = |platform| ptree / geomean(results, platform);
     let peak = results
         .iter()
-        .filter(|r| r.platform == "Ptree")
-        .fold(0.0, |peak: f64, r| peak.max(r.ops_per_cycle));
+        .filter(|r| r.perf.platform == "Ptree")
+        .fold(0.0, |peak: f64, r| peak.max(r.perf.ops_per_cycle()));
     rows(
         "Fig. 4",
         [
             ("Ptree peak ops/cycle", AtLeast, 11.6, peak),
-            ("Ptree / CPU, geomean of nine", AtLeast, 12.0, vs("CPU")),
-            ("Ptree / GPU, geomean of nine", AtLeast, 12.0, vs("GPU")),
-            ("Ptree / Pvect, geomean of nine", About, 2.0, vs("Pvect")),
+            ("Ptree / CPU, geomean", AtLeast, 12.0, vs("CPU")),
+            ("Ptree / GPU, geomean", AtLeast, 12.0, vs("GPU")),
+            ("Ptree / Pvect, geomean", About, 2.0, vs("Pvect")),
         ],
     )
 }
 
-/// Table I's rows: each of our two configurations' PEs, registers, KB of
-/// data memory and banks against the GPU block's.
+/// One configuration's PEs, registers, KB of data memory and banks.
+fn resources(config: &ProcessorConfig) -> [usize; 4] {
+    let (registers, _, data_bytes) = config.storage_summary();
+    [
+        config.num_pes(),
+        registers,
+        data_bytes / 1024,
+        config.total_banks(),
+    ]
+}
+
+/// Table I's rows: each of our two configurations' resources against the
+/// GPU block's.
 pub fn table1() -> Vec<Row> {
     let mut out = Vec::new();
     for config in [ProcessorConfig::ptree(), ProcessorConfig::pvect()] {
-        let (registers, _, data_bytes) = config.storage_summary();
-        let ours = [
-            config.num_pes(),
-            registers,
-            data_bytes / 1024,
-            config.total_banks(),
-        ];
-        out.extend(
-            GPU.iter()
-                .zip(ours)
-                .map(|(&(what, direction, gpu), ours)| Row {
-                    figure: "Table I",
-                    claim: format!("{} {what}", config.name),
-                    paper: gpu as f64,
-                    direction,
-                    ours: ours as f64,
-                }),
-        );
+        let ours = GPU.iter().zip(resources(&config));
+        out.extend(ours.map(|(&(what, direction, gpu), ours)| Row {
+            figure: "Table I",
+            claim: format!("{} {what}", config.name),
+            paper: gpu as f64,
+            direction,
+            ours: ours as f64,
+        }));
     }
     out
 }
@@ -172,28 +173,27 @@ pub fn table1() -> Vec<Row> {
 /// Table I as the paper prints it, with our two configurations' rows taken
 /// from [`ProcessorConfig`].
 pub fn table1_markdown() -> String {
-    let mut out = String::from(
-        "| Platform | Compute units | Immediate memory | Memory banks |\n\
-         |---|---|---|---|\n\
-         | CPU | 2 arith. units in a superscalar core | 168 80b registers + 32 KB L1 cache | 16 |\n",
-    );
     let [cores, registers, shared_kb, banks] = GPU.map(|(_, _, value)| value);
-    out.push_str(&format!(
-        "| GPU | {cores} CUDA cores | {}K 32b registers + {shared_kb} KB shared mem. | {banks} |\n",
+    let mut out = format!(
+        "| Platform | Compute units | Immediate memory | Memory banks |\n|---|---|---|---|\n\
+         | CPU | 2 arith. units in a superscalar core | 168 80b registers + 32 KB L1 cache | 16 |\n\
+         | GPU | {cores} CUDA cores | {}K 32b registers + {shared_kb} KB shared mem. | {banks} |\n",
         registers / 1024
-    ));
+    );
     for config in [ProcessorConfig::pvect(), ProcessorConfig::ptree()] {
-        let (registers, _, data_bytes) = config.storage_summary();
-        out.push_str(&format!(
-            "| Ours ({}) | {} PEs | {}K 32b registers + {} KB data mem. | {} |\n",
-            config.name,
-            config.num_pes(),
-            registers / 1024,
-            data_bytes / 1024,
-            config.total_banks(),
-        ));
+        let [pes, registers, data_kb, banks] = resources(&config);
+        let registers = registers / 1024;
+        out += &format!(
+            "| Ours ({}) | {pes} PEs | {registers}K 32b registers + {data_kb} KB data mem. | {banks} |\n",
+            config.name
+        );
     }
     out
+}
+
+/// A count as an integer, anything else to two decimals.
+fn decimals(value: f64) -> String {
+    format!("{value:.*}", if value.fract() == 0.0 { 0 } else { 2 })
 }
 
 /// The scoreboard as a markdown table, one line per row.
@@ -207,11 +207,11 @@ pub fn markdown(rows: &[Row]) -> String {
             AtMost => "at most",
         };
         out.push_str(&format!(
-            "| {} | {} | {:.2} | {direction} {:.2} | {} |\n",
+            "| {} | {} | {} | {direction} {} | {} |\n",
             row.figure,
             row.claim,
-            row.ours,
-            row.paper,
+            decimals(row.ours),
+            decimals(row.paper),
             format!("{:?}", row.verdict()).to_lowercase(),
         ));
     }

@@ -6,7 +6,8 @@
 //! committed under `tests/golden_traces/`.  The `record_traces` binary
 //! regenerates the artifacts (`--bless`) or diffs fresh renderings against
 //! the committed ones (`--check`, the CI gate), and the `golden_traces`
-//! integration test does the same diff on every `cargo test`.
+//! integration test runs the same [`check_golden_traces`] on every
+//! `cargo test`.
 //!
 //! Because trace lines carry exact bit patterns and global cycle numbers,
 //! any change to the timing model — instruction schedules, shared-memory
@@ -217,6 +218,36 @@ pub fn golden_dir() -> PathBuf {
 /// Path of one case's committed golden trace.
 pub fn golden_path(name: &str) -> PathBuf {
     golden_dir().join(format!("{name}.trace"))
+}
+
+/// Diffs a fresh rendering of every case against its committed golden
+/// trace, the check `record_traces --check` and the `golden_traces` test
+/// share.  Returns how many traces matched.
+///
+/// # Errors
+///
+/// Returns the first case's failure — an unreadable golden, a failed
+/// render or the first divergent cycle — with the re-bless command.
+pub fn check_golden_traces() -> Result<usize, String> {
+    let bless = "`cargo run -p spn-bench --bin record_traces -- --bless`";
+    let cases = trace_cases();
+    for case in &cases {
+        let path = golden_path(case.name);
+        let golden = std::fs::read_to_string(&path).map_err(|err| {
+            let path = path.display();
+            format!("{path}: cannot read golden trace ({err}); run {bless} and commit the result")
+        })?;
+        let actual =
+            render_case(case).map_err(|err| format!("{}: render failed: {err}", case.name))?;
+        if let Some(div) = spn_processor::diff_traces(&golden, &actual) {
+            return Err(format!(
+                "{}: golden trace diverged\n{div}\n\
+                 If the timing change is intentional, re-bless with {bless}.",
+                case.name
+            ));
+        }
+    }
+    Ok(cases.len())
 }
 
 /// Renders `case` on its default configuration.

@@ -1,8 +1,9 @@
 //! Sweeps a subset of the paper's benchmark circuits across all four
 //! platforms (CPU model, GPU model, Pvect, Ptree) and prints a Fig.-4-style
-//! table.  The full nine-benchmark sweep lives in the `fig4` binary of the
-//! `spn-bench` crate; this example keeps to the small circuits so it runs in
-//! seconds even in debug builds.
+//! table.  The full nine-benchmark sweep, with the paper's claims scored
+//! beside ours, lives in the `paper_figures` binary of the `spn-bench`
+//! crate; this example keeps to the small circuits so it runs in seconds
+//! even in debug builds.
 //!
 //! Run with `cargo run --release --example benchmark_sweep`.
 

@@ -1,73 +1,31 @@
-//! Shape assertions for the paper's evaluation figures.
-//!
-//! Absolute numbers depend on model calibration, but the qualitative findings
-//! of the paper must hold on our reproduction: the custom processor clearly
-//! beats both baselines, the tree arrangement beats the flat PE vector, and
-//! GPU thread scaling is strongly sublinear.
+//! The paper scoreboard, pinned: every row of [`spn_bench::paper`] keeps
+//! its value to 1e-9 relative (each is a deterministic model output) and
+//! its verdict.  A row that moves fails here until its pin is re-recorded,
+//! and a `gap` verdict is allowed where a silent change is not.
 
 use spn_accel::compiler::Compiler;
 use spn_accel::core::flatten::OpList;
 use spn_accel::core::{Evidence, EvidenceBatch};
 use spn_accel::learn::Benchmark;
-use spn_accel::platforms::{CpuModel, Engine, GpuConfig, GpuModel, ProcessorBackend};
+use spn_accel::platforms::{CpuModel, GpuConfig, GpuModel};
 use spn_accel::processor::{PerfReport, Processor, ProcessorConfig};
 use spn_accel::serve::json::{parse, Value};
-use spn_bench::paper::{self, Row, Verdict};
-use spn_bench::{run_all_platforms, run_cpu, run_gpu};
+use spn_bench::paper::{self, Row, Verdict, Verdict::*};
+use spn_bench::{run_all_platforms, run_backend};
 
-/// Asserts each row's claim, its value to 1e-9 relative (every row is a
-/// deterministic model output) and its verdict.
+/// Asserts each row's claim, value and verdict.
 fn assert_pinned(rows: &[Row], pinned: &[(&str, f64, Verdict)]) {
-    let claims: Vec<&str> = rows.iter().map(|row| row.claim.as_str()).collect();
-    let pinned_claims: Vec<&str> = pinned.iter().map(|pin| pin.0).collect();
-    assert_eq!(claims, pinned_claims);
-    for (row, &(_, ours, verdict)) in rows.iter().zip(pinned) {
+    assert_eq!(rows.len(), pinned.len());
+    for (row, &(claim, ours, verdict)) in rows.iter().zip(pinned) {
+        assert_eq!(row.claim, claim);
         let close = (row.ours - ours).abs() <= 1e-9 * ours.abs();
-        assert!(close, "{}: {:?}, pinned {ours:?}", row.claim, row.ours);
-        assert_eq!(row.verdict(), verdict, "{}", row.claim);
+        assert!(close, "{claim}: {:?}, pinned {ours:?}", row.ours);
+        assert_eq!(row.verdict(), verdict, "{claim}");
     }
-}
-
-fn processor_throughput(config: &ProcessorConfig, ops: &OpList, evidence: &Evidence) -> f64 {
-    let backend = ProcessorBackend::new(config.clone()).expect("backend");
-    let mut engine = Engine::from_ops(backend, ops).expect("compile");
-    let (_, perf) = engine.execute(evidence).expect("run");
-    perf.ops_per_cycle()
 }
 
 #[test]
 fn fig4_shape_custom_processor_beats_both_baselines() {
-    // A medium learned benchmark keeps the test fast while being irregular
-    // enough to be representative.
-    let spn = Benchmark::Msnbc.spn();
-    let ops = OpList::from_spn(&spn);
-    let evidence = Evidence::marginal(spn.num_vars());
-
-    let cpu = CpuModel::new().model_cycles(&ops).ops_per_cycle();
-    let gpu = GpuModel::new().model_cycles(&ops).ops_per_cycle();
-    let pvect = processor_throughput(&ProcessorConfig::pvect(), &ops, &evidence);
-    let ptree = processor_throughput(&ProcessorConfig::ptree(), &ops, &evidence);
-
-    // Baselines are in the sub-1.5 ops/cycle class.
-    assert!(cpu < 1.5, "CPU model at {cpu}");
-    assert!(gpu < 2.5, "GPU model at {gpu}");
-    // The tree arrangement helps (paper: ~2x) and the processor wins big
-    // (paper: >= 12x; we only require a conservative margin here because the
-    // circuits are not byte-identical to the paper's).
-    assert!(ptree > pvect, "Ptree {ptree} should beat Pvect {pvect}");
-    assert!(
-        ptree > 4.0 * cpu,
-        "Ptree {ptree} should be far ahead of the CPU {cpu}"
-    );
-    assert!(
-        ptree > 4.0 * gpu,
-        "Ptree {ptree} should be far ahead of the GPU {gpu}"
-    );
-    assert!(
-        ptree > 3.0,
-        "Ptree should sustain several ops/cycle, got {ptree}"
-    );
-
     let mut results = Vec::new();
     for benchmark in Benchmark::all() {
         let spn = benchmark.spn();
@@ -78,131 +36,62 @@ fn fig4_shape_custom_processor_beats_both_baselines() {
     assert_pinned(
         &rows,
         &[
-            ("Ptree peak ops/cycle", 14.440114068441064, Verdict::Exceeds),
-            (
-                "Ptree / CPU, geomean of nine",
-                11.207253788932357,
-                Verdict::Gap,
-            ),
-            (
-                "Ptree / GPU, geomean of nine",
-                15.434166244953929,
-                Verdict::Exceeds,
-            ),
-            (
-                "Ptree / Pvect, geomean of nine",
-                1.6453927582037386,
-                Verdict::Gap,
-            ),
+            ("Ptree peak ops/cycle", 14.440114068441064, Exceeds),
+            ("Ptree / CPU, geomean", 11.207253788932357, Gap),
+            ("Ptree / GPU, geomean", 15.434166244953929, Exceeds),
+            ("Ptree / Pvect, geomean", 1.6453927582037386, Gap),
         ],
     );
 
-    // The benchmark's `sim-fig4` rows are the same model outputs; its
-    // history line keeps six significant digits.
-    let history =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_history.jsonl"))
-            .expect("BENCH_history.jsonl");
-    let latest = parse(history.lines().last().expect("a history line")).expect("parses");
-    let median = |metric: &str| {
-        let key = format!("sim-fig4/{metric}");
-        let value = latest.get("median").and_then(|m| m.get(&key));
-        value.and_then(Value::as_f64).expect("sim-fig4 median")
-    };
+    // The benchmark's `sim-fig4` rows are the same model outputs, and its
+    // latest history line keeps six significant digits of their medians.
+    let history = include_str!("../BENCH_history.jsonl");
+    let latest = parse(history.lines().last().expect("a line")).expect("parses");
     let six = |value: f64| format!("{value:.5e}").parse::<f64>().expect("float");
-    let table = [
-        paper::geomean(&results, "Ptree"),
-        rows[1].ours,
-        rows[2].ours,
-    ];
-    let metrics = [
-        "sim_ops_per_cycle",
-        "sim_speedup_vs_cpu",
-        "sim_speedup_vs_gpu",
-    ];
-    for (ours, metric) in table.into_iter().zip(metrics) {
-        assert_eq!(six(ours), median(metric), "{metric}");
+    for (metric, ours) in [
+        ("sim_ops_per_cycle", paper::geomean(&results, "Ptree")),
+        ("sim_speedup_vs_cpu", rows[1].ours),
+        ("sim_speedup_vs_gpu", rows[2].ours),
+    ] {
+        let key = format!("sim-fig4/{metric}");
+        let median = latest.get("median").and_then(|m| m.get(&key));
+        assert_eq!(median.and_then(Value::as_f64), Some(six(ours)), "{key}");
     }
 }
 
 #[test]
 fn fig2c_shape_gpu_thread_scaling_is_sublinear_and_gpu_stays_in_cpu_class() {
-    let spn = Benchmark::Msnbc.spn();
-    let ops = OpList::from_spn(&spn);
-
-    let cpu = CpuModel::new().model_cycles(&ops).ops_per_cycle();
-    let gpu_1 = GpuModel::with_config(GpuConfig::with_threads(1))
-        .model_cycles(&ops)
-        .ops_per_cycle();
-    let gpu_256 = GpuModel::with_config(GpuConfig::with_threads(256))
-        .model_cycles(&ops)
-        .ops_per_cycle();
-
-    // A single GPU thread is slower than the CPU core (paper fig. 2c).
-    assert!(
-        gpu_1 < cpu,
-        "one GPU thread ({gpu_1}) should not beat the CPU ({cpu})"
-    );
-    // 256 threads scale far below 256x (paper: 4.1x).
-    let scaling = gpu_256 / gpu_1;
-    assert!(scaling > 1.5, "more threads should help, got {scaling}x");
-    assert!(
-        scaling < 64.0,
-        "scaling should be strongly sublinear, got {scaling}x"
-    );
-    // The full block lands in the same class as the CPU, not the accelerator.
-    assert!(gpu_256 < 8.0 * cpu);
-
-    let batch = EvidenceBatch::marginals(spn.num_vars(), 1);
+    let ops = OpList::from_spn(&Benchmark::Msnbc.spn());
+    let batch = EvidenceBatch::marginals(ops.num_vars(), 1);
+    let gpu = |threads| GpuModel::with_config(GpuConfig::with_threads(threads));
     let results = [
-        run_cpu("MSNBC", &ops, &batch).expect("CPU"),
-        run_gpu("MSNBC", &ops, &batch, 1).expect("GPU-1"),
-        run_gpu("MSNBC", &ops, &batch, 256).expect("GPU"),
+        run_backend("MSNBC", CpuModel::new(), &ops, &batch),
+        run_backend("MSNBC", gpu(1), &ops, &batch),
+        run_backend("MSNBC", gpu(256), &ops, &batch),
     ];
-    let results: Vec<_> = results.into_iter().map(|run| run.result).collect();
+    let results: Vec<_> = results.map(|run| run.expect("run")).into();
     assert_pinned(
         &paper::fig2c(&results),
         &[
-            (
-                "256 / 1 GPU threads, MSNBC",
-                7.724948168624741,
-                Verdict::Gap,
-            ),
-            ("GPU(256) / CPU, MSNBC", 1.5998617829993091, Verdict::Holds),
+            ("256 / 1 GPU threads, MSNBC", 7.724948168624741, Gap),
+            ("GPU(256) / CPU, MSNBC", 1.5998617829993091, Holds),
         ],
     );
 }
 
 #[test]
 fn table1_resources_stay_below_the_gpu_budget() {
-    // The fairness argument of the paper: both processor configurations use
-    // fewer compute units and less immediate storage than the GPU block.
-    for config in [ProcessorConfig::pvect(), ProcessorConfig::ptree()] {
-        let (registers, _, data_memory_bytes) = config.storage_summary();
-        assert!(config.num_pes() <= 128, "{}", config.name);
-        assert!(registers <= 64 * 1024, "{}", config.name);
-        assert!(data_memory_bytes <= 64 * 1024, "{}", config.name);
-        assert_eq!(config.total_banks(), 32, "{}", config.name);
-    }
-
     assert_pinned(
         &paper::table1(),
         &[
-            ("Ptree PEs vs the GPU's CUDA cores", 30.0, Verdict::Exceeds),
-            ("Ptree registers", 2048.0, Verdict::Exceeds),
-            (
-                "Ptree data memory KB vs shared memory",
-                64.0,
-                Verdict::Holds,
-            ),
-            ("Ptree memory banks", 32.0, Verdict::Holds),
-            ("Pvect PEs vs the GPU's CUDA cores", 16.0, Verdict::Exceeds),
-            ("Pvect registers", 2048.0, Verdict::Exceeds),
-            (
-                "Pvect data memory KB vs shared memory",
-                64.0,
-                Verdict::Holds,
-            ),
-            ("Pvect memory banks", 32.0, Verdict::Holds),
+            ("Ptree PEs vs the GPU's CUDA cores", 30.0, Exceeds),
+            ("Ptree registers", 2048.0, Exceeds),
+            ("Ptree data memory KB vs shared memory", 64.0, Holds),
+            ("Ptree memory banks", 32.0, Holds),
+            ("Pvect PEs vs the GPU's CUDA cores", 16.0, Exceeds),
+            ("Pvect registers", 2048.0, Exceeds),
+            ("Pvect data memory KB vs shared memory", 64.0, Holds),
+            ("Pvect memory banks", 32.0, Holds),
         ],
     );
 }

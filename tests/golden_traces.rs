@@ -3,17 +3,18 @@
 //! [`spn_bench::traces`] case line for line, and perturbing a latency model
 //! must be caught at the first divergent cycle.
 //!
-//! This is the same diff the `record_traces --check` binary (and CI) runs;
-//! duplicating it as an integration test means a timing-model change fails
-//! `cargo test` immediately, with [`TraceDivergence`]'s context lines
-//! pointing at the first moved cycle.  Re-bless intentional changes with
+//! This is the same check the `record_traces --check` binary (and CI)
+//! runs, [`check_golden_traces`]; running it as an integration test means a
+//! timing-model change fails `cargo test` immediately, with
+//! [`TraceDivergence`]'s context lines pointing at the first moved cycle.
+//! Re-bless intentional changes with
 //! `cargo run -p spn-bench --bin record_traces -- --bless`.
 //!
 //! [`TraceDivergence`]: spn_accel::processor::TraceDivergence
 
 use spn_accel::processor::diff_traces;
 use spn_bench::traces::{
-    golden_path, render_case, render_case_with_config, trace_cases, TraceDispatch,
+    check_golden_traces, golden_path, render_case_with_config, trace_cases, TraceDispatch,
 };
 
 #[test]
@@ -28,25 +29,7 @@ fn committed_golden_traces_match_fresh_renderings() {
             && cases.iter().any(|c| c.dispatch == TraceDispatch::Pipelined),
         "the golden suite must cover both dispatch modes"
     );
-    for case in cases {
-        let path = golden_path(case.name);
-        let golden = std::fs::read_to_string(&path).unwrap_or_else(|err| {
-            panic!(
-                "{}: cannot read committed golden trace ({err}); run \
-                 `cargo run -p spn-bench --bin record_traces -- --bless` and commit it",
-                path.display()
-            )
-        });
-        let actual = render_case(&case).expect("render");
-        if let Some(div) = diff_traces(&golden, &actual) {
-            panic!(
-                "{}: trace diverged from the committed golden\n{div}\n\
-                 Re-bless intentional timing changes with \
-                 `cargo run -p spn-bench --bin record_traces -- --bless`.",
-                case.name
-            );
-        }
-    }
+    check_golden_traces().unwrap_or_else(|message| panic!("{message}"));
 }
 
 #[test]
