@@ -58,19 +58,15 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let mut fig4_rows = Vec::new();
     println!("# Fig. 4: ops/cycle per platform and benchmark\n");
     for benchmark in Benchmark::all() {
-        let spn = benchmark.spn();
+        let (name, spn) = (benchmark.name(), benchmark.spn());
         let batch = EvidenceBatch::marginals(spn.num_vars(), 1);
-        eprintln!(
-            "running {} ({} nodes)...",
-            benchmark.name(),
-            spn.num_nodes()
-        );
-        let results = run_all_platforms(benchmark.name(), &spn, &batch)?;
+        eprintln!("running {name} ({} nodes)...", spn.num_nodes());
+        let results = run_all_platforms(name, &spn, &batch)?;
         let cells: String = results
             .iter()
             .map(|r| format!(" {:.2} |", r.perf.ops_per_cycle()))
             .collect();
-        fig4_rows.push(format!("| {} |{cells}", benchmark.name()));
+        fig4_rows.push(format!("| {name} |{cells}"));
         all.extend(results);
 
         // Cost the sharded batch from the program alone: no query runs.
@@ -86,14 +82,12 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             .collect();
         let loads = tree.report.memory_loads;
         if loads > slots.div_ceil(compiler.config().total_banks()) {
-            let name = benchmark.name();
             failures.push(format!(
                 "{name}: a Ptree pass loads more rows than its input slots fill"
             ));
         }
         headroom_rows.push(format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} / {} |",
-            benchmark.name(),
+            "| {name} | {} | {} | {} | {} | {} | {} | {} / {} |",
             Levelization::from_op_list(&ops).num_groups(),
             tree.program.perf().cycles,
             vect.program.perf().cycles,
@@ -114,7 +108,6 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             .max()
             .unwrap_or(0);
         if split.makespan_cycles > even {
-            let name = benchmark.name();
             failures.push(format!(
                 "{name}: cost-sized makespan above the even split's"
             ));
@@ -131,8 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             })
             .collect();
         split_rows.push(format!(
-            "| {} | {} | {} | {} | {} | {:.2}x |",
-            benchmark.name(),
+            "| {name} | {} | {} | {} | {} | {:.2}x |",
             lengths.join("/"),
             split.makespan_cycles,
             even,

@@ -1,9 +1,10 @@
 //! The paper scoreboard: every quantitative claim of the source paper
 //! (arXiv 2103.00266) beside our value and a verdict.
 //!
-//! This module is the one place the paper's numbers are written.  Each
-//! [`Row`] holds a claim, the paper's value, the claim's [`Direction`] and
-//! our value; [`Row::verdict`] judges it with one fixed [`TOLERANCE`].  Our
+//! This module is the one place in the code outside `benchmark/` that
+//! writes the paper's numbers, Table I's CPU line included.  Each [`Row`]
+//! holds a claim, the paper's value, the claim's [`Direction`] and our
+//! value; [`Row::verdict`] judges it with one fixed [`TOLERANCE`].  Our
 //! values are deterministic model outputs, so `tests/figures.rs` pins each
 //! row's value and verdict, and a row that changes verdict fails there
 //! until the pin says so.
