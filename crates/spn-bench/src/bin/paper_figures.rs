@@ -179,15 +179,17 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         ops.num_inputs()
     );
     println!("| platform | ops/cycle |\n|---|---|");
-    let mut sweep = vec![run_backend(msnbc, CpuModel::new(), &ops, &batch)?];
-    println!("| CPU | {:.3} |", sweep[0].perf.ops_per_cycle());
+    let cpu = run_backend(msnbc, CpuModel::new(), &ops, &batch)?
+        .perf
+        .ops_per_cycle();
+    println!("| CPU | {cpu:.3} |");
+    let mut sweep = Vec::new();
     for threads in [1, 32, 64, 128, 256] {
         let model = GpuModel::with_config(GpuConfig::with_threads(threads));
-        let gpu = run_backend(msnbc, model, &ops, &batch)?;
-        println!(
-            "| GPU {threads} thread(s) | {:.3} |",
-            gpu.perf.ops_per_cycle()
-        );
+        let gpu = run_backend(msnbc, model, &ops, &batch)?
+            .perf
+            .ops_per_cycle();
+        println!("| GPU {threads} thread(s) | {gpu:.3} |");
         sweep.push(gpu);
     }
 
@@ -200,7 +202,8 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         ptree.tree_levels
     );
 
-    let rows = [paper::fig2c(&sweep), paper::fig4(&all), paper::table1()].concat();
+    let fig2c = paper::fig2c(cpu, sweep[0], sweep[sweep.len() - 1]);
+    let rows = [fig2c, paper::fig4(&all), paper::table1()].concat();
     println!("\n# The paper's claims\n\n{}", paper::markdown(&rows));
 
     if let Some(path) = json_path {

@@ -68,9 +68,11 @@ impl Row {
     /// The one rule: "at least" is a gap below the paper's value and
     /// exceeds it above `1 + TOLERANCE` times it; "at most" is the mirror
     /// image; "about" holds within `±TOLERANCE` and is a gap elsewhere.
+    /// A value that is not finite is a gap.
     pub fn verdict(&self) -> Verdict {
         let off = (self.ours - self.paper) / self.paper;
         match self.direction {
+            _ if !off.is_finite() => Verdict::Gap,
             AtLeast if off < 0.0 => Verdict::Gap,
             AtLeast if off > TOLERANCE => Verdict::Exceeds,
             AtMost if off > 0.0 => Verdict::Gap,
@@ -105,19 +107,15 @@ fn rows<const N: usize>(
     claims.into_iter().map(row).collect()
 }
 
-/// Fig. 2c's rows from the CPU model's (`CPU`) and the 1- and 256-thread
-/// GPU models' (`GPU-1`, `GPU-256`) results on MSNBC.  The paper's GPU runs
-/// 0.95 ops/cycle and its CPU 0.55.
-pub fn fig2c(results: &[PlatformRun]) -> Vec<Row> {
-    let [cpu, gpu_1, gpu] = ["CPU", "GPU-1", "GPU-256"].map(|platform| {
-        let found = results.iter().find(|r| r.perf.platform == platform);
-        found.map_or(f64::NAN, |r| r.perf.ops_per_cycle())
-    });
+/// Fig. 2c's rows from the ops/cycle of the CPU model and of the 1- and
+/// 256-thread GPU models on MSNBC.  The paper's GPU runs 0.95 ops/cycle and
+/// its CPU 0.55.
+pub fn fig2c(cpu: f64, gpu_1: f64, gpu_256: f64) -> Vec<Row> {
     rows(
         "Fig. 2c",
         [
-            ("256 / 1 GPU threads, MSNBC", About, 4.1, gpu / gpu_1),
-            ("GPU(256) / CPU, MSNBC", About, 0.95 / 0.55, gpu / cpu),
+            ("256 / 1 GPU threads, MSNBC", About, 4.1, gpu_256 / gpu_1),
+            ("GPU(256) / CPU, MSNBC", About, 0.95 / 0.55, gpu_256 / cpu),
         ],
     )
 }
@@ -143,14 +141,15 @@ pub fn fig4(results: &[PlatformRun]) -> Vec<Row> {
     )
 }
 
-/// One configuration's PEs, registers, KB of data memory and banks.
-fn resources(config: &ProcessorConfig) -> [usize; 4] {
+/// One configuration's PEs, registers, KB of data memory (unrounded, so a
+/// byte over a ceiling shows) and banks.
+fn resources(config: &ProcessorConfig) -> [f64; 4] {
     let (registers, _, data_bytes) = config.storage_summary();
     [
-        config.num_pes(),
-        registers,
-        data_bytes / 1024,
-        config.total_banks(),
+        config.num_pes() as f64,
+        registers as f64,
+        data_bytes as f64 / 1024.0,
+        config.total_banks() as f64,
     ]
 }
 
@@ -165,7 +164,7 @@ pub fn table1() -> Vec<Row> {
             claim: format!("{} {what}", config.name),
             paper: gpu as f64,
             direction,
-            ours: ours as f64,
+            ours,
         }));
     }
     out
@@ -183,9 +182,9 @@ pub fn table1_markdown() -> String {
     );
     for config in [ProcessorConfig::pvect(), ProcessorConfig::ptree()] {
         let [pes, registers, data_kb, banks] = resources(&config);
-        let registers = registers / 1024;
+        let registers = registers / 1024.0;
         out += &format!(
-            "| Ours ({}) | {pes} PEs | {registers}K 32b registers + {data_kb} KB data mem. | {banks} |\n",
+            "| Ours ({}) | {pes} PEs | {registers}K 32b registers + {data_kb:.0} KB data mem. | {banks} |\n",
             config.name
         );
     }

@@ -11,7 +11,7 @@ use spn_accel::platforms::{CpuModel, GpuConfig, GpuModel};
 use spn_accel::processor::{PerfReport, Processor, ProcessorConfig};
 use spn_accel::serve::json::{parse, Value};
 use spn_bench::paper::{self, Row, Verdict, Verdict::*};
-use spn_bench::{run_all_platforms, run_backend};
+use spn_bench::{run_all_platforms, run_backend, PlatformRun};
 
 /// Asserts each row's claim, value and verdict.
 fn assert_pinned(rows: &[Row], pinned: &[(&str, f64, Verdict)]) {
@@ -64,14 +64,13 @@ fn fig2c_shape_gpu_thread_scaling_is_sublinear_and_gpu_stays_in_cpu_class() {
     let ops = OpList::from_spn(&Benchmark::Msnbc.spn());
     let batch = EvidenceBatch::marginals(ops.num_vars(), 1);
     let gpu = |threads| GpuModel::with_config(GpuConfig::with_threads(threads));
-    let results = [
-        run_backend("MSNBC", CpuModel::new(), &ops, &batch),
-        run_backend("MSNBC", gpu(1), &ops, &batch),
-        run_backend("MSNBC", gpu(256), &ops, &batch),
-    ];
-    let results: Vec<_> = results.map(|run| run.expect("run")).into();
+    let ops_per_cycle = |run: Result<PlatformRun, _>| run.expect("run").perf.ops_per_cycle();
     assert_pinned(
-        &paper::fig2c(&results),
+        &paper::fig2c(
+            ops_per_cycle(run_backend("MSNBC", CpuModel::new(), &ops, &batch)),
+            ops_per_cycle(run_backend("MSNBC", gpu(1), &ops, &batch)),
+            ops_per_cycle(run_backend("MSNBC", gpu(256), &ops, &batch)),
+        ),
         &[
             ("256 / 1 GPU threads, MSNBC", 7.724948168624741, Gap),
             ("GPU(256) / CPU, MSNBC", 1.5998617829993091, Holds),
@@ -94,6 +93,12 @@ fn table1_resources_stay_below_the_gpu_budget() {
             ("Pvect memory banks", 32.0, Holds),
         ],
     );
+    // A byte over the GPU's shared memory is a gap, and so is a NaN.
+    let mut row = paper::table1().swap_remove(2);
+    for ours in [64.0 + 1.0 / 1024.0, f64::NAN] {
+        row.ours = ours;
+        assert_eq!(row.verdict(), Gap, "{ours}");
+    }
 }
 
 /// Exact per-query counters of a program: instructions, cycles, stall
