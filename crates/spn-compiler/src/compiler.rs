@@ -27,7 +27,10 @@ pub struct CompilerOptions {
 /// carries the pre-resolved [`InputRecipe`], so materialising input vectors
 /// for fresh evidence (single queries or whole [`EvidenceBatch`]es) costs a
 /// template copy plus one store per indicator slot — no per-query matching
-/// or allocation.
+/// or allocation.  Beside it sits that recipe restricted to the input slots
+/// the program's replay reads ([`CompiledArtifact::lane_recipe`]), which
+/// fills a lane tile for `CheckedProgram::run_block` without writing the
+/// slots no load reaches.
 #[derive(Debug, Clone)]
 pub struct CompiledArtifact {
     /// The executable VLIW program, checked for the target configuration,
@@ -40,6 +43,8 @@ pub struct CompiledArtifact {
     pub op_list: OpList,
     /// Pre-resolved mapping from evidence to the program's input vector.
     recipe: InputRecipe,
+    /// `recipe` restricted to [`CheckedProgram::inputs_read`].
+    lane_recipe: InputRecipe,
 }
 
 impl CompiledArtifact {
@@ -58,6 +63,16 @@ impl CompiledArtifact {
     /// The pre-resolved evidence-to-input-vector mapping.
     pub fn input_recipe(&self) -> &InputRecipe {
         &self.recipe
+    }
+
+    /// [`CompiledArtifact::input_recipe`] restricted to the input slots the
+    /// program's replay reads ([`CheckedProgram::inputs_read`]): its
+    /// lane-block fills write only those slots' lane groups, which is all
+    /// [`CheckedProgram::run_block`] looks at.  The query-major vectors of
+    /// [`CompiledArtifact::input_values`] and
+    /// [`CompiledArtifact::fill_batch_inputs`] come from the full recipe.
+    pub fn lane_recipe(&self) -> &InputRecipe {
+        &self.lane_recipe
     }
 
     /// The emulated PE arithmetic format the program computes in (recorded
@@ -161,11 +176,13 @@ impl Compiler {
         let (program, report) = self.compile_part(&op_list, &[])?;
         let program = CheckedProgram::new(&Processor::new(self.config.clone())?, program)?;
         let recipe = op_list.input_recipe();
+        let lane_recipe = recipe.restricted_to(&program.inputs_read());
         Ok(CompiledArtifact {
             program,
             report,
             op_list,
             recipe,
+            lane_recipe,
         })
     }
 

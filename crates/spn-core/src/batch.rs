@@ -14,6 +14,10 @@
 //! plus one store per indicator slot; a lane-blocked tile gets its
 //! parameters once per batch and lane width ([`InputRecipe::fill_params`])
 //! and its indicators once per block ([`InputRecipe::fill_indicators`]).
+//! A recipe restricted to the slots a program reads
+//! ([`InputRecipe::restricted_to`]) writes only those slots' lane groups.
+
+use std::sync::Arc;
 
 use crate::evidence::Evidence;
 use crate::flatten::{LeafSource, OpList};
@@ -324,10 +328,16 @@ const _: () =
 /// per indicator slot per block — no matching, no allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InputRecipe {
-    /// Parameter values with indicator slots left at an arbitrary value.
-    template: Vec<f64>,
-    /// `(slot, var, value)` for every evidence-dependent input slot.
+    /// Parameter values with indicator slots left at an arbitrary value;
+    /// shared by a recipe and its restrictions.
+    template: Arc<[f64]>,
+    /// `(slot, var, value)` for every evidence-dependent input slot (of a
+    /// restricted recipe, every kept one).
     indicators: Vec<(u32, u32, bool)>,
+    /// The kept slots that are not indicators, ascending, when the recipe
+    /// is restricted ([`InputRecipe::restricted_to`]); `None` keeps every
+    /// slot.
+    params: Option<Vec<u32>>,
     num_vars: usize,
     /// The numeric domain of the program: log-domain recipes fill indicator
     /// slots with `ln(indicator)` (`0.0` / `-inf`); parameter slots are
@@ -359,11 +369,48 @@ impl InputRecipe {
             }
         }
         InputRecipe {
-            template,
+            template: template.into(),
             indicators,
+            params: None,
             num_vars: ops.num_vars(),
             mode: ops.mode(),
             precision: ops.precision(),
+        }
+    }
+
+    /// This recipe restricted to `slots` (any order; repeats allowed), for
+    /// a program that reads no other input slot: the lane-block fills
+    /// ([`InputRecipe::fill_params`] and [`InputRecipe::fill_indicators`])
+    /// then write only those slots' lane groups and leave every other
+    /// group of the tile as it was.  The tile keeps its shape, and the
+    /// one-query fills still copy the whole template, so there an indicator
+    /// slot left out holds the template's placeholder.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slot is out of range.
+    pub fn restricted_to(&self, slots: &[u32]) -> InputRecipe {
+        let mut kept = vec![false; self.num_inputs()];
+        for &slot in slots {
+            kept[slot as usize] = true;
+        }
+        let mut indicators = self.indicators.clone();
+        indicators.retain(|&(slot, _, _)| kept[slot as usize]);
+        for &(slot, _, _) in &indicators {
+            kept[slot as usize] = false;
+        }
+        InputRecipe {
+            template: Arc::clone(&self.template),
+            indicators,
+            params: Some(
+                (0..)
+                    .zip(&kept)
+                    .filter_map(|(slot, &k)| k.then_some(slot))
+                    .collect(),
+            ),
+            num_vars: self.num_vars,
+            mode: self.mode,
+            precision: self.precision,
         }
     }
 
@@ -399,6 +446,12 @@ impl InputRecipe {
     /// Number of SPN variables the program was flattened from.
     pub fn num_vars(&self) -> usize {
         self.num_vars
+    }
+
+    /// Number of indicator lane groups [`InputRecipe::fill_indicators`]
+    /// writes per block.
+    pub fn num_indicators(&self) -> usize {
+        self.indicators.len()
     }
 
     /// Fills the one-query input vector `out`: the template copied, then
@@ -503,8 +556,11 @@ impl InputRecipe {
     /// Broadcasts the (pre-quantized) parameter template into the
     /// `num_inputs × lanes` tile `out`: every slot's lane group, indicator
     /// slots included, so the tile holds no value of an earlier program or
-    /// width.  Only [`InputRecipe::fill_indicators`] writes the tile after
-    /// this, so a block loop calls it once per batch and lane width.
+    /// width.  A restricted recipe ([`InputRecipe::restricted_to`]) writes
+    /// only its kept non-indicator slots' groups, so the groups its program
+    /// reads hold no such value once [`InputRecipe::fill_indicators`] has
+    /// run.  Only that writes the tile after this, so a block loop calls
+    /// this once per batch and lane width.
     ///
     /// # Panics
     ///
@@ -512,12 +568,18 @@ impl InputRecipe {
     /// `num_inputs × lanes` long.
     pub fn fill_params(&self, lanes: usize, out: &mut [f64]) {
         self.assert_tile(lanes, out);
-        if lanes == 1 {
-            out.copy_from_slice(&self.template);
-            return;
-        }
-        for (group, &param) in out.chunks_exact_mut(lanes).zip(&self.template) {
-            group.fill(param);
+        match &self.params {
+            None if lanes == 1 => out.copy_from_slice(&self.template),
+            None => {
+                for (group, &param) in out.chunks_exact_mut(lanes).zip(self.template.iter()) {
+                    group.fill(param);
+                }
+            }
+            Some(params) => {
+                for &slot in params {
+                    out[slot as usize * lanes..][..lanes].fill(self.template[slot as usize]);
+                }
+            }
         }
     }
 
@@ -839,6 +901,48 @@ mod tests {
                             !indicator,
                             "{name} lanes={lanes} slot {slot} lane {l}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_restricted_fill_writes_the_full_fill_on_every_kept_slot_and_nothing_else() {
+        for (name, ops) in recipe_programs() {
+            let full = ops.input_recipe();
+            let n = full.num_inputs() as u32;
+            // Every third slot, so both indicators and parameters are kept
+            // and left out; listed out of order and with a repeat.
+            let mut slots: Vec<u32> = (0..n).rev().filter(|slot| slot % 3 == 1).collect();
+            slots.push(1);
+            let restricted = full.restricted_to(&slots);
+            let kept = |slot: usize| slot % 3 == 1;
+            let indicators = ops.inputs().iter().enumerate();
+            let kept_indicators = indicators
+                .filter(|&(slot, leaf)| kept(slot) && matches!(leaf, LeafSource::Indicator { .. }))
+                .count();
+            assert!(kept_indicators > 0 && kept_indicators < full.num_indicators());
+            assert_eq!(restricted.num_indicators(), kept_indicators, "{name}");
+            assert_eq!(restricted.num_inputs(), full.num_inputs());
+            let batch = mixed_batch(ops.num_vars(), 12);
+            for &lanes in &LANE_WIDTHS {
+                for start in [0, 12 - lanes] {
+                    let mut want = vec![SENTINEL; full.num_inputs() * lanes];
+                    full.fill_params(lanes, &mut want);
+                    full.fill_indicators(&batch, start, lanes, &mut want);
+                    let mut got = vec![SENTINEL; full.num_inputs() * lanes];
+                    restricted.fill_params(lanes, &mut got);
+                    restricted.fill_indicators(&batch, start, lanes, &mut got);
+                    let groups = want.chunks_exact(lanes).zip(got.chunks_exact(lanes));
+                    for (slot, (want, got)) in groups.enumerate() {
+                        let want: Vec<u64> = if kept(slot) {
+                            want.iter().map(|v| v.to_bits()).collect()
+                        } else {
+                            vec![SENTINEL.to_bits(); lanes]
+                        };
+                        let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, want, "{name} lanes={lanes} start {start} slot {slot}");
                     }
                 }
             }

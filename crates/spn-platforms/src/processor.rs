@@ -6,9 +6,11 @@
 //! dataflow list once per plan ([`spn_processor::CheckedProgram`]), so the
 //! VLIW program, schedule, legality, cost and input recipe are all amortised
 //! across queries — the paper's deployment model.  A batch runs through the
-//! block loop the CPU and GPU models use (`backend::execute_lane_blocks`):
-//! parameters once per batch and lane width, indicators per block, and the
-//! simulator replays each lane block from that tile.
+//! block loop the CPU and GPU models use (`backend::execute_lane_blocks`)
+//! with the artifact's lane recipe ([`CompiledArtifact::lane_recipe`]):
+//! parameters once per batch and lane width, indicators per block, both for
+//! the input slots the replay reads alone, and the simulator replays each
+//! lane block from that tile.
 //!
 //! The backend defaults to one core.  With [`ProcessorBackend::with_cores`]
 //! the same compiled program is sharded over N simulated cores behind a
@@ -123,7 +125,7 @@ impl Backend for ProcessorBackend {
         // machine, before any value.
         let cores = self.processor.sharded_perf(program, batch.len())?;
         let values = execute_lane_blocks(
-            compiled.input_recipe(),
+            compiled.lane_recipe(),
             MAX_LANES,
             batch,
             &mut buffers.inputs,

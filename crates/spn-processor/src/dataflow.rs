@@ -20,11 +20,17 @@
 //!
 //! What is left is a list of steps `(op, a, b, dst)` — [`apply_pe`] on two
 //! slots into a third — plus the slots of the output and the exports.
-//! [`Dataflow::recycle`] then renames the slots so that the scratch holds
-//! the values live at once instead of one word per input and PE: an input
-//! is scattered just before the first step that reads it, and a slot whose
-//! value has been read for the last time takes the next value.
-//! [`Dataflow::run_block`] replays that list for `L` queries side by side
+//! [`Dataflow::recycle`] then puts the steps in an order that keeps one
+//! opcode for as long as a step of it is ready ([`run_order`]) and cuts
+//! that order into *runs* of one opcode, so the replay matches an opcode
+//! once per run instead of once per step.  It also renames the slots so
+//! that the scratch holds the values live at once instead of one word per
+//! input and PE: the inputs a run reads are scattered together, as one
+//! input run just before it, and a slot whose value has been read for the
+//! last time takes the next value.  An input no step, output or export
+//! reads is never scattered, so [`Dataflow::inputs_read`] names every input
+//! a replay looks at, and a lane tile only needs those filled.
+//! [`Dataflow::run_block`] replays the runs for `L` queries side by side
 //! (`L` of 1, 2, 4 or 8), reading their inputs from a lane-minor tile
 //! (`tile[input * L + lane]`, the layout of `spn_core`'s lane-block fill),
 //! so a query costs the circuit's arithmetic rather than the machine's
@@ -33,8 +39,9 @@
 //! a tile first.
 //!
 //! Traced and untraced runs replay the same list.  A traced run goes at
-//! `L = 1`, keeps each step's result as it is computed, and after the query
-//! emits the events the walk recorded from those values.
+//! `L = 1`, writes each step's result at its slot of the walk as it is
+//! computed, and after the query emits the events the walk recorded from
+//! those values.
 
 use crate::config::ProcessorConfig;
 use crate::isa::{MemOp, PeOp, Program, ReadSel, TreeInstr, ValueLocation};
@@ -61,8 +68,8 @@ const ONE: u32 = 1;
 /// The slot of input 0.
 const FIRST_INPUT: usize = 2;
 
-/// What a [`Step`] writes into its slot.
-#[derive(Debug, Clone, Copy)]
+/// What the steps of a [`Run`] write into their slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     /// The query's input `a`.
     Input,
@@ -70,13 +77,37 @@ enum Op {
     Pe(PeOp),
 }
 
-/// One value of a query: `op` on `a` and `b` into slot `dst`.
+/// One value of a query: its run's [`Op`] on `a` and `b` into slot `dst`.
 #[derive(Debug, Clone, Copy)]
 struct Step {
-    op: Op,
     a: u32,
     b: u32,
     dst: u32,
+}
+
+/// Consecutive steps with one [`Op`]: those from the previous run's `end`
+/// up to this one's.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    op: Op,
+    end: u32,
+}
+
+/// An arithmetic step of the walk: `op` on the walk's slots `a` and `b`.
+/// The `k`-th writes the walk's slot `2 + inputs + k`.
+#[derive(Debug, Clone, Copy)]
+struct Walked {
+    op: PeOp,
+    a: u32,
+    b: u32,
+}
+
+/// What [`Dataflow::lower`] collects while it walks the instructions.
+struct Walk {
+    /// The walk's slot of the first arithmetic step: `2 + inputs`.
+    first: u32,
+    steps: Vec<Walked>,
+    events: Vec<Event>,
 }
 
 /// An observation a traced run reports, with slots in place of values.
@@ -104,18 +135,24 @@ enum Event {
 /// A checked program as straight-line arithmetic over value slots.
 #[derive(Debug, Clone)]
 pub(crate) struct Dataflow {
+    /// The replay's steps, run after run.
     steps: Vec<Step>,
+    /// The runs `steps` is cut into, in replay order.
+    runs: Vec<Run>,
     inputs: usize,
     output: u32,
     exports: Vec<u32>,
-    /// Slots the replay writes: the walk's constants, inputs and step
-    /// results, then (after [`Dataflow::recycle`]) the constants and the
-    /// values live at once.
+    /// Slots the replay writes: the constants and the values live at once.
     slots: usize,
+    /// Slots of the walk: the constants, the inputs and one per arithmetic
+    /// step.  The events name these.
+    walk_slots: usize,
     /// One per non-`Nop` PE and per memory operation, in issue order, with
-    /// the slots of the walk (before [`Dataflow::recycle`]); empty unless
-    /// lowered for a trace.
+    /// the slots of the walk; empty unless lowered for a trace.
     events: Vec<Event>,
+    /// Per step, the slot of the walk holding its value, where a traced
+    /// replay keeps it; empty unless lowered for a trace.
+    walk: Vec<u32>,
     precision: Precision,
 }
 
@@ -140,14 +177,10 @@ impl Dataflow {
         let banks = config.total_banks();
         let regs_per_bank = config.regs_per_bank;
         let inputs = program.input_layout.len();
-        let mut flow = Dataflow {
+        let mut walk = Walk {
+            first: (FIRST_INPUT + inputs) as u32,
             steps: Vec::with_capacity(program.num_source_ops),
-            inputs,
-            output: ZERO,
-            exports: Vec::new(),
-            slots: FIRST_INPUT + inputs,
             events: Vec::new(),
-            precision: program.pe_precision,
         };
         // Per register: its slot and the commit cycle of the write that
         // left it there.
@@ -170,7 +203,7 @@ impl Dataflow {
             let cycle = cycle as u64;
             if let MemOp::Load { row, reg } = instr.mem {
                 if traced {
-                    flow.events.push(Event::Mem {
+                    walk.events.push(Event::Mem {
                         cycle,
                         store: false,
                         row,
@@ -206,7 +239,7 @@ impl Dataflow {
                     };
                 }
                 let at = (cycle, tree_idx, occupancy);
-                flow.tree(config, &tree.pe_ops, &crossbar, out, traced.then_some(at));
+                walk.tree(config, &tree.pe_ops, &crossbar, out, traced.then_some(at));
             }
 
             let trees = instr.trees.iter().zip(outputs.chunks_exact(pes));
@@ -225,7 +258,7 @@ impl Dataflow {
             }
             if let MemOp::Store { row, reg } = instr.mem {
                 if traced {
-                    flow.events.push(Event::Mem {
+                    walk.events.push(Event::Mem {
                         cycle,
                         store: true,
                         row,
@@ -245,83 +278,32 @@ impl Dataflow {
             }
             ValueLocation::Memory { row, lane } => memory[row as usize * banks + lane as usize],
         };
-        flow.exports = program.exports.iter().map(&slot_at).collect();
-        flow.output = slot_at(&program.output);
-        flow.recycle();
+        let mut flow = Dataflow {
+            steps: Vec::new(),
+            runs: Vec::new(),
+            inputs,
+            output: slot_at(&program.output),
+            exports: program.exports.iter().map(&slot_at).collect(),
+            slots: 0,
+            walk_slots: walk.first as usize + walk.steps.len(),
+            events: walk.events,
+            walk: Vec::new(),
+            precision: program.pe_precision,
+        };
+        flow.recycle(&walk.steps, walk.first, traced);
         flow
     }
 
-    /// Lowers one tree: the slot of every PE output into `out`
-    /// (level-major, as [`TreeInstr::pe_ops`]), a step per
-    /// arithmetic PE.  A level-0 PE reads two crossbar inputs, a PE above
-    /// the outputs of the two PEs directly below it.  `trace` — the
-    /// cycle, the tree's index and the instruction's active PEs — records
-    /// an event per non-`Nop` PE.
-    fn tree(
-        &mut self,
-        config: &ProcessorConfig,
-        pe_ops: &[PeOp],
-        crossbar: &[u32],
-        out: &mut [u32],
-        trace: Option<(u64, usize, u32)>,
-    ) {
-        let (mut start, mut below) = (0, 0);
-        for level in 0..config.tree_levels {
-            let width = config.pes_at_level(level);
-            for index in 0..width {
-                let (a, b) = if level == 0 {
-                    (crossbar[2 * index], crossbar[2 * index + 1])
-                } else {
-                    (out[below + 2 * index], out[below + 2 * index + 1])
-                };
-                let op = pe_ops[start + index];
-                let result = match op {
-                    PeOp::Nop => ZERO,
-                    PeOp::PassA => a,
-                    PeOp::PassB => b,
-                    _ => {
-                        let dst = self.slots as u32;
-                        self.slots += 1;
-                        self.steps.push(Step {
-                            op: Op::Pe(op),
-                            a,
-                            b,
-                            dst,
-                        });
-                        dst
-                    }
-                };
-                out[start + index] = result;
-                if let Some((cycle, tree, occupancy)) = trace {
-                    if op != PeOp::Nop {
-                        self.events.push(Event::Pe {
-                            cycle,
-                            tree,
-                            level,
-                            index,
-                            op,
-                            a,
-                            b,
-                            result,
-                            occupancy,
-                        });
-                    }
-                }
-            }
-            below = start;
-            start += width;
-        }
-    }
-
     /// Renames the walk's slots so that the scratch holds only the values
-    /// live at once: each input is scattered just before the first step
-    /// that reads it (not at all when nothing does), and a slot whose value
-    /// has been read for the last time takes the next value.  The
-    /// constants keep their slots; the output and the exports are read
-    /// after the last step.  The arithmetic steps keep their order, so the
-    /// `k`-th computes the walk's slot `2 + inputs + k`: that is how a
-    /// traced run finds the values of its events.
-    fn recycle(&mut self) {
+    /// live at once, in the order of [`run_order`] cut into runs of one
+    /// opcode.  The inputs a run reads first are scattered together, as
+    /// one input run just before it (an input nothing reads is never
+    /// scattered), and a slot whose value has been read for the last time
+    /// takes the next value.  The constants keep their slots; the output
+    /// and the exports are read after the last step, so an input among
+    /// them is scattered in a last input run.  `traced` keeps each step's
+    /// slot of the walk.
+    fn recycle(&mut self, walk: &[Walked], first: u32, traced: bool) {
         const UNSET: u32 = u32::MAX;
         /// Per slot of the walk, its slot in the replay once it has one;
         /// the slots free for the next value; the slots handed out.
@@ -338,64 +320,136 @@ impl Dataflow {
                 })
             }
 
-            /// The replay's slot of `slot`; an input is scattered into one
-            /// at its first read.
-            fn read(&mut self, slot: u32, steps: &mut Vec<Step>) -> u32 {
-                let walk = slot as usize;
-                if self.to[walk] == UNSET {
-                    self.to[walk] = self.take();
-                    steps.push(Step {
-                        op: Op::Input,
-                        a: slot - FIRST_INPUT as u32,
-                        b: 0,
-                        dst: self.to[walk],
-                    });
+            /// Scatters `slot`, a constant or an input, into a slot of its
+            /// own unless it has one.
+            fn scatter(&mut self, slot: u32, flow: &mut Dataflow) {
+                if self.to[slot as usize] == UNSET {
+                    let dst = self.take();
+                    self.to[slot as usize] = dst;
+                    let a = slot - FIRST_INPUT as u32;
+                    flow.steps.push(Step { a, b: 0, dst });
+                    flow.walk.push(slot);
                 }
-                self.to[walk]
             }
         }
-        // Per slot of the walk: one past the step that reads it last (0:
-        // never read; `UNSET`: read after the last step).
-        let mut last = vec![0u32; self.slots];
-        for (k, step) in (1..).zip(&self.steps) {
-            last[step.a as usize] = k;
-            last[step.b as usize] = k;
+        let order = run_order(walk, first);
+        // Per slot of the walk: one past the position in `order` of the step
+        // that reads it last (0: never read; `UNSET`: read after the last
+        // step).
+        let mut last = vec![0u32; self.walk_slots];
+        for (position, &k) in (1..).zip(&order) {
+            let step = walk[k as usize];
+            last[step.a as usize] = position;
+            last[step.b as usize] = position;
         }
         for &slot in std::iter::once(&self.output).chain(&self.exports) {
             last[slot as usize] = UNSET;
         }
         let mut renamed = Renamed {
-            to: vec![UNSET; self.slots],
+            to: vec![UNSET; self.walk_slots],
             free: Vec::new(),
             slots: FIRST_INPUT as u32,
         };
         renamed.to[ZERO as usize] = ZERO;
         renamed.to[ONE as usize] = ONE;
-        let walk = std::mem::take(&mut self.steps);
-        let mut steps = Vec::with_capacity(walk.len() + self.inputs);
-        for (k, step) in (1..).zip(&walk) {
-            let a = renamed.read(step.a, &mut steps);
-            let b = renamed.read(step.b, &mut steps);
-            for (read, slot) in [(step.a as usize, a), (step.b as usize, b)] {
-                if read >= FIRST_INPUT && last[read] == k {
-                    // Once per slot, however many of the two reads it is.
-                    last[read] = 0;
-                    renamed.free.push(slot);
+        self.steps = Vec::with_capacity(walk.len() + self.inputs);
+        self.walk = Vec::with_capacity(self.steps.capacity());
+        let mut at = 0;
+        while at < order.len() {
+            let op = walk[order[at] as usize].op;
+            let len = order[at..]
+                .iter()
+                .take_while(|&&k| walk[k as usize].op == op)
+                .count();
+            let run = &order[at..at + len];
+            // A step's result has its slot by the time a later step reads
+            // it, so only the inputs are left to scatter.
+            let reads = run
+                .iter()
+                .flat_map(|&k| [walk[k as usize].a, walk[k as usize].b]);
+            for slot in reads.filter(|&slot| slot < first) {
+                renamed.scatter(slot, self);
+            }
+            self.end_run(Op::Input);
+            for (position, &k) in (at as u32 + 1..).zip(run) {
+                let step = walk[k as usize];
+                let (a, b) = (renamed.to[step.a as usize], renamed.to[step.b as usize]);
+                for (read, slot) in [(step.a as usize, a), (step.b as usize, b)] {
+                    if read >= FIRST_INPUT && last[read] == position {
+                        // Once per slot, however many of the two reads it is.
+                        last[read] = 0;
+                        renamed.free.push(slot);
+                    }
                 }
+                let walked = first + k;
+                let dst = renamed.take();
+                renamed.to[walked as usize] = dst;
+                if last[walked as usize] == 0 {
+                    renamed.free.push(dst);
+                }
+                self.steps.push(Step { a, b, dst });
+                self.walk.push(walked);
             }
-            let dst = renamed.take();
-            renamed.to[step.dst as usize] = dst;
-            if last[step.dst as usize] == 0 {
-                renamed.free.push(dst);
-            }
-            steps.push(Step { a, b, dst, ..*step });
+            self.end_run(Op::Pe(op));
+            at += len;
         }
-        self.output = renamed.read(self.output, &mut steps);
+        let results: Vec<u32> = std::iter::once(self.output)
+            .chain(self.exports.iter().copied())
+            .collect();
+        for slot in results {
+            renamed.scatter(slot, self);
+        }
+        self.end_run(Op::Input);
+        self.output = renamed.to[self.output as usize];
         for slot in &mut self.exports {
-            *slot = renamed.read(*slot, &mut steps);
+            *slot = renamed.to[*slot as usize];
         }
-        self.steps = steps;
+        // The steps stay for the plan's life: they need not hold room for
+        // the inputs left unread.
+        self.steps.shrink_to_fit();
+        if traced {
+            self.walk.shrink_to_fit();
+        } else {
+            self.walk = Vec::new();
+        }
         self.slots = renamed.slots as usize;
+    }
+
+    /// Closes the run of `op` that the steps since the last run make, if
+    /// there are any.
+    fn end_run(&mut self, op: Op) {
+        let end = self.steps.len() as u32;
+        if self.runs.last().map_or(0, |run| run.end) < end {
+            self.runs.push(Run { op, end });
+        }
+    }
+
+    /// The runs in replay order, each with its steps and (traced) their
+    /// slots of the walk.
+    fn runs(&self) -> impl Iterator<Item = (Op, &[Step], &[u32])> {
+        let starts = std::iter::once(0).chain(self.runs.iter().map(|run| run.end));
+        self.runs.iter().zip(starts).map(|(run, start)| {
+            let range = start as usize..run.end as usize;
+            let walk = self.walk.get(range.clone()).unwrap_or_default();
+            (run.op, &self.steps[range], walk)
+        })
+    }
+
+    /// The inputs a replay reads, ascending: those of its input steps.  A
+    /// lane tile needs no other filled.
+    pub(crate) fn inputs_read(&self) -> Vec<u32> {
+        let mut read: Vec<u32> = self
+            .runs()
+            .filter(|&(op, _, _)| op == Op::Input)
+            .flat_map(|(_, steps, _)| steps.iter().map(|step| step.a))
+            .collect();
+        read.sort_unstable();
+        read
+    }
+
+    /// The number of runs the replay is cut into, input runs included.
+    pub(crate) fn num_runs(&self) -> usize {
+        self.runs.len()
     }
 
     /// Replays the queries of `inputs` (query-major, one input vector
@@ -435,6 +489,7 @@ impl Dataflow {
                 values.clear();
                 values.extend([0.0, 1.0]);
                 values.extend_from_slice(block);
+                values.resize(self.walk_slots, 0.0);
                 self.replay::<1, H>(block, outputs, exports, &mut state.slots, &mut values);
                 self.emit(&values, hook);
             } else {
@@ -451,7 +506,8 @@ impl Dataflow {
     }
 
     /// Replays the `lanes` queries of the lane-minor input `tile` (input `i`
-    /// of lane `l` at `tile[i * lanes + l]`): their root values into
+    /// of lane `l` at `tile[i * lanes + l]`; only the groups of
+    /// [`Dataflow::inputs_read`] are read): their root values into
     /// `outputs` and their exports into `exports` (query-major; rows past
     /// its length are not written).  `slots` is the replay's scratch, grown
     /// when this list needs more.
@@ -468,26 +524,25 @@ impl Dataflow {
         exports: &mut [f64],
         slots: &mut Vec<f64>,
     ) {
-        let untraced = &mut Vec::new();
         match lanes {
-            1 => self.replay::<1, NoTrace>(tile, outputs, exports, slots, untraced),
-            2 => self.replay::<2, NoTrace>(tile, outputs, exports, slots, untraced),
-            4 => self.replay::<4, NoTrace>(tile, outputs, exports, slots, untraced),
-            8 => self.replay::<8, NoTrace>(tile, outputs, exports, slots, untraced),
+            1 => self.replay::<1, NoTrace>(tile, outputs, exports, slots, &mut []),
+            2 => self.replay::<2, NoTrace>(tile, outputs, exports, slots, &mut []),
+            4 => self.replay::<4, NoTrace>(tile, outputs, exports, slots, &mut []),
+            8 => self.replay::<8, NoTrace>(tile, outputs, exports, slots, &mut []),
             other => panic!("unsupported lane width {other} (expected 1, 2, 4 or 8)"),
         }
     }
 
-    /// The replay proper: one pass over the steps for the `L` queries of
-    /// `tile`, then their results; a traced pass appends each arithmetic
-    /// step's result to `values`.
+    /// The replay proper: one pass over the runs for the `L` queries of
+    /// `tile`, then their results; a traced pass writes each step's result
+    /// at its slot of the walk in `values`.
     fn replay<const L: usize, H: TraceHook>(
         &self,
         tile: &[f64],
         outputs: &mut [f64],
         exports: &mut [f64],
         slots: &mut Vec<f64>,
-        values: &mut Vec<f64>,
+        values: &mut [f64],
     ) {
         assert_eq!(tile.len(), self.inputs * L, "tile must be inputs x lanes");
         let need = self.slots * L;
@@ -505,22 +560,38 @@ impl Dataflow {
         self.results(slots, outputs, exports);
     }
 
-    /// One pass over the steps.  Each arm hands [`apply_pe`] a constant
-    /// opcode, and a full-precision program (`ROUND = false`) a constant
-    /// format, so every arm compiles to a fixed-trip lane loop with no
-    /// branch inside (a per-lane `match` on either runs several times
-    /// slower).
+    /// One pass over the runs, matching each run's opcode once.  Each arm
+    /// hands [`apply_pe`] a constant opcode, and a full-precision program
+    /// (`ROUND = false`) a constant format, so every arm compiles to a
+    /// loop over its steps of a fixed-trip lane loop with no branch inside
+    /// (a per-lane `match` on either runs several times slower).
     fn pass<const L: usize, const ROUND: bool, H: TraceHook>(
         &self,
         tile: &[f64],
         slots: &mut [[f64; L]],
-        values: &mut Vec<f64>,
+        values: &mut [f64],
     ) {
         let precision = if ROUND {
             self.precision
         } else {
             Precision::F64
         };
+        /// `write` for each step of a run; a traced pass keeps each result
+        /// at the step's slot of the walk.
+        #[inline(always)]
+        fn each<const L: usize, H: TraceHook>(
+            (steps, walk): (&[Step], &[u32]),
+            slots: &mut [[f64; L]],
+            values: &mut [f64],
+            write: impl Fn(&mut [[f64; L]], &Step),
+        ) {
+            for (k, step) in steps.iter().enumerate() {
+                write(slots, step);
+                if H::ENABLED {
+                    values[walk[k] as usize] = slots[step.dst as usize][0];
+                }
+            }
+        }
         #[inline(always)]
         fn lanes<const L: usize>(
             op: PeOp,
@@ -533,21 +604,28 @@ impl Dataflow {
                 *d = apply_pe(op, x, y, precision);
             }
         }
-        for step in &self.steps {
-            match step.op {
-                Op::Input => {
+        for (op, steps, walk) in self.runs() {
+            let steps = (steps, walk);
+            match op {
+                Op::Input => each::<L, H>(steps, slots, values, |slots, step| {
                     let group = &tile[step.a as usize * L..][..L];
                     slots[step.dst as usize].copy_from_slice(group);
-                    continue;
-                }
-                Op::Pe(PeOp::Add) => lanes(PeOp::Add, slots, step, precision),
-                Op::Pe(PeOp::Mul) => lanes(PeOp::Mul, slots, step, precision),
-                Op::Pe(PeOp::Max) => lanes(PeOp::Max, slots, step, precision),
-                Op::Pe(PeOp::Lse) => lanes(PeOp::Lse, slots, step, precision),
-                Op::Pe(op) => lanes(op, slots, step, precision),
-            }
-            if H::ENABLED {
-                values.push(slots[step.dst as usize][0]);
+                }),
+                Op::Pe(PeOp::Add) => each::<L, H>(steps, slots, values, |slots, step| {
+                    lanes(PeOp::Add, slots, step, precision);
+                }),
+                Op::Pe(PeOp::Mul) => each::<L, H>(steps, slots, values, |slots, step| {
+                    lanes(PeOp::Mul, slots, step, precision);
+                }),
+                Op::Pe(PeOp::Max) => each::<L, H>(steps, slots, values, |slots, step| {
+                    lanes(PeOp::Max, slots, step, precision);
+                }),
+                Op::Pe(PeOp::Lse) => each::<L, H>(steps, slots, values, |slots, step| {
+                    lanes(PeOp::Lse, slots, step, precision);
+                }),
+                Op::Pe(op) => each::<L, H>(steps, slots, values, |slots, step| {
+                    lanes(op, slots, step, precision);
+                }),
             }
         }
     }
@@ -606,6 +684,131 @@ impl Dataflow {
             }
         }
     }
+}
+
+impl Walk {
+    /// Lowers one tree: the slot of every PE output into `out`
+    /// (level-major, as [`TreeInstr::pe_ops`]), a step per
+    /// arithmetic PE.  A level-0 PE reads two crossbar inputs, a PE above
+    /// the outputs of the two PEs directly below it.  `trace` — the
+    /// cycle, the tree's index and the instruction's active PEs — records
+    /// an event per non-`Nop` PE.
+    fn tree(
+        &mut self,
+        config: &ProcessorConfig,
+        pe_ops: &[PeOp],
+        crossbar: &[u32],
+        out: &mut [u32],
+        trace: Option<(u64, usize, u32)>,
+    ) {
+        let (mut start, mut below) = (0, 0);
+        for level in 0..config.tree_levels {
+            let width = config.pes_at_level(level);
+            for index in 0..width {
+                let (a, b) = if level == 0 {
+                    (crossbar[2 * index], crossbar[2 * index + 1])
+                } else {
+                    (out[below + 2 * index], out[below + 2 * index + 1])
+                };
+                let op = pe_ops[start + index];
+                let result = match op {
+                    PeOp::Nop => ZERO,
+                    PeOp::PassA => a,
+                    PeOp::PassB => b,
+                    _ => {
+                        self.steps.push(Walked { op, a, b });
+                        self.first + self.steps.len() as u32 - 1
+                    }
+                };
+                out[start + index] = result;
+                if let Some((cycle, tree, occupancy)) = trace {
+                    if op != PeOp::Nop {
+                        self.events.push(Event::Pe {
+                            cycle,
+                            tree,
+                            level,
+                            index,
+                            op,
+                            a,
+                            b,
+                            result,
+                            occupancy,
+                        });
+                    }
+                }
+            }
+            below = start;
+            start += width;
+        }
+    }
+}
+
+/// The order a replay computes the walk's steps in (indices into `walk`,
+/// whose `k`-th step writes slot `first + k`): a topological order that
+/// stays on one opcode while a step of it is ready, taking the smallest
+/// index among those, and otherwise goes on with the opcode whose ready
+/// step has the smallest index.  Any topological order computes the same
+/// bits, since a step's value depends on its operands alone; this one cuts
+/// the list into few runs of one opcode.  Built from flat arrays: each
+/// step's consumers in one CSR list and, per opcode, a heap of the ready
+/// steps.
+fn run_order(walk: &[Walked], first: u32) -> Vec<u32> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let producer = |slot: u32| slot.checked_sub(first).map(|k| k as usize);
+    // Per step: its operand reads not yet computed; the CSR offsets of its
+    // consumers (one entry per read, so a step reading one value twice is
+    // listed twice).
+    let mut waiting = vec![0u8; walk.len()];
+    let mut offsets = vec![0u32; walk.len() + 1];
+    for (k, step) in walk.iter().enumerate() {
+        for j in [step.a, step.b].into_iter().filter_map(producer) {
+            waiting[k] += 1;
+            offsets[j + 1] += 1;
+        }
+    }
+    for j in 0..walk.len() {
+        offsets[j + 1] += offsets[j];
+    }
+    let mut consumers = vec![0u32; offsets[walk.len()] as usize];
+    let mut filled = offsets.clone();
+    for (k, step) in (0..).zip(walk) {
+        for j in [step.a, step.b].into_iter().filter_map(producer) {
+            consumers[filled[j] as usize] = k;
+            filled[j] += 1;
+        }
+    }
+
+    let opcode = |k: u32| walk[k as usize].op as usize;
+    let mut ready: Vec<BinaryHeap<Reverse<u32>>> =
+        vec![BinaryHeap::new(); PeOp::PassB as usize + 1];
+    for k in (0..walk.len() as u32).filter(|&k| waiting[k as usize] == 0) {
+        ready[opcode(k)].push(Reverse(k));
+    }
+    let mut order = Vec::with_capacity(walk.len());
+    let mut current = 0;
+    loop {
+        if ready[current].is_empty() {
+            // Go on with the opcode whose ready step comes first in the walk.
+            let heads = ready.iter().enumerate();
+            let first_ready = heads
+                .filter_map(|(op, heap)| heap.peek().map(|&Reverse(k)| (k, op)))
+                .min();
+            let Some((_, op)) = first_ready else { break };
+            current = op;
+        }
+        let Reverse(k) = ready[current].pop().expect("a ready step of this opcode");
+        order.push(k);
+        let span = offsets[k as usize] as usize..offsets[k as usize + 1] as usize;
+        for &consumer in &consumers[span] {
+            waiting[consumer as usize] -= 1;
+            if waiting[consumer as usize] == 0 {
+                ready[opcode(consumer)].push(Reverse(consumer));
+            }
+        }
+    }
+    debug_assert_eq!(order.len(), walk.len(), "the walk's steps form a DAG");
+    order
 }
 
 #[cfg(test)]
@@ -797,11 +1000,15 @@ mod tests {
         let program = after_load(&cfg, 32, products, out);
         let traced = Dataflow::lower(&program, true);
         let untraced = Dataflow::lower(&program, false);
-        // Beside the constants: lane 0, and one slot that the other lanes
-        // and the products take in turn.  The 21 unread lanes get none.
-        assert_eq!(untraced.slots, FIRST_INPUT + 2);
+        // The ten products are one run of `Mul`, so the eleven lanes they
+        // read are scattered together just before it: beside the constants,
+        // a slot per read lane, which the products then take in turn.  The
+        // 21 unread lanes get none.
+        assert_eq!(untraced.slots, FIRST_INPUT + 11);
+        assert_eq!(untraced.num_runs(), 2);
+        assert_eq!(untraced.inputs_read(), (0..=10).collect::<Vec<u32>>());
         // A trace adds events, not steps.
-        let steps = |flow: &Dataflow| format!("{:?}", flow.steps);
+        let steps = |flow: &Dataflow| format!("{:?} {:?}", flow.steps, flow.runs);
         assert_eq!(steps(&traced), steps(&untraced));
         assert_eq!(traced.slots, untraced.slots);
         assert_eq!(traced.events.len(), 1 + 10);

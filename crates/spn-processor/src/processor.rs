@@ -109,6 +109,21 @@ impl CheckedProgram {
         self.flow
             .run_block(lanes, tile, outputs, &mut [], &mut state.slots);
     }
+
+    /// The input slots [`CheckedProgram::run_block`] reads, ascending:
+    /// those some PE step, the output or an export reads.  A tile whose
+    /// other lane groups hold anything replays to the same bits, so a
+    /// block fill can leave them alone.
+    pub fn inputs_read(&self) -> Vec<u32> {
+        self.flow.inputs_read()
+    }
+
+    /// The runs the replay is cut into: stretches of steps with one opcode,
+    /// each input run holding the inputs the next run reads first.  The
+    /// replay matches an opcode once per run.
+    pub fn replay_runs(&self) -> usize {
+        self.flow.num_runs()
+    }
 }
 
 impl std::ops::Deref for CheckedProgram {
