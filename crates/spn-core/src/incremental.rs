@@ -128,11 +128,6 @@ impl ConeAnalysis {
         &self.cones[var]
     }
 
-    /// Size of `var`'s reachable cone (0 for out-of-range variables).
-    pub fn cone_size(&self, var: usize) -> usize {
-        self.cones.get(var).map_or(0, Vec::len)
-    }
-
     /// The largest per-variable cone, in ops.
     pub fn max_cone_size(&self) -> usize {
         self.cones.iter().map(Vec::len).max().unwrap_or(0)
