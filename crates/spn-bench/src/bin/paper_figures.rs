@@ -12,10 +12,13 @@
 //! Then the headroom of each circuit's single-core schedule: its Ptree and
 //! Pvect cycles beside the op-DAG depth, a lower bound on both (each op
 //! level costs at least one cycle), how many values two or more tiles read
-//! (each may hold a second register home), the rows one Ptree pass loads
-//! and the data-memory words its inputs take against their slots.  Exits
-//! non-zero if a pass loads more rows than one word per input slot would
-//! fill (`⌈slots / banks⌉`): a row reloaded after eviction.
+//! (each may hold a second register home), the rows one Ptree pass loads,
+//! the data-memory words its inputs take against their slots, the slots
+//! the Ptree replay reads and the indicator lane groups a block fill writes
+//! for it against the full recipe's.  Exits non-zero if a pass loads more
+//! rows than one word per input slot would fill (`⌈slots / banks⌉`): a row
+//! reloaded after eviction; or if the replay reads more input slots than
+//! the inputs take words: an input that reached the datapath unloaded.
 //!
 //! Last Fig. 2c (CPU vs GPU throughput as the GPU thread count grows, on
 //! MSNBC), Table I (the platforms' compute and memory resources) and the
@@ -86,8 +89,14 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                 "{name}: a Ptree pass loads more rows than its input slots fill"
             ));
         }
+        let read = tree.program.inputs_read().len();
+        if read > words.len() {
+            failures.push(format!(
+                "{name}: the Ptree replay reads more input slots than the inputs take words"
+            ));
+        }
         headroom_rows.push(format!(
-            "| {name} | {} | {} | {} | {} | {} | {} | {} / {} |",
+            "| {name} | {} | {} | {} | {} | {} | {} | {} / {} | {read} | {} / {} |",
             Levelization::from_op_list(&ops).num_groups(),
             tree.program.perf().cycles,
             vect.program.perf().cycles,
@@ -96,6 +105,8 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             loads,
             words.len(),
             slots,
+            tree.lane_recipe().num_indicators(),
+            tree.input_recipe().num_indicators(),
         ));
         let program = tree.program;
         let pass = program.perf();
@@ -157,14 +168,16 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         "\n# Single-core headroom\n\n\
          Cycles of one pass beside the op-DAG depth (each op level costs at \
          least one cycle), the values two or more tiles read under each \
-         machine's tiling, the rows one Ptree pass loads, and the data-memory \
-         words the inputs take against their slots.\n"
+         machine's tiling, the rows one Ptree pass loads, the data-memory \
+         words the inputs take against their slots, the input slots the \
+         Ptree replay reads (a lane tile fills only those), and the indicator \
+         lane groups a block fill writes for it against the full recipe's.\n"
     );
     println!(
         "| benchmark | op levels | Ptree cycles | Pvect cycles | shared (Ptree) | shared (Pvect) \
-         | Ptree loads | input words / slots |"
+         | Ptree loads | input words / slots | replay reads | indicator groups / block |"
     );
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|");
     for row in &headroom_rows {
         println!("{row}");
     }
