@@ -35,8 +35,8 @@
 //! (`tile[input * L + lane]`, the layout of `spn_core`'s lane-block fill),
 //! so a query costs the circuit's arithmetic rather than the machine's
 //! width and each input step is one `L`-wide copy.  [`Dataflow::run`]
-//! takes query-major input vectors instead and copies each block into such
-//! a tile first.
+//! takes query-major input vectors instead, and its input steps gather
+//! each input's `L` values from them.
 //!
 //! Traced and untraced runs replay the same list.  A traced run goes at
 //! `L = 1`, writes each step's result at its slot of the walk as it is
@@ -67,6 +67,18 @@ const ZERO: u32 = 0;
 const ONE: u32 = 1;
 /// The slot of input 0.
 const FIRST_INPUT: usize = 2;
+
+/// The inputs of the `L` queries a replay runs side by side, `inputs × L`
+/// values either way.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Inputs<'a> {
+    /// A lane-minor tile: input `i` of lane `l` at `tile[i * L + l]`, the
+    /// layout of `spn_core`'s lane-block fill.
+    Tile(&'a [f64]),
+    /// Query-major input vectors: input `i` of lane `l` at
+    /// `rows[l * inputs + i]`.
+    Rows(&'a [f64]),
+}
 
 /// What the steps of a [`Run`] write into their slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -456,10 +468,10 @@ impl Dataflow {
     /// each): their root values into `outputs` (one per query) and their
     /// exports into `exports` (query-major, one row of exports each).
     /// Untraced, blocks of [`LANES`] queries and then of the next narrower
-    /// widths are copied into the lane-minor tile of `state` and replayed by
-    /// [`Dataflow::run_block`].  A traced run goes one query at a time (its
-    /// input vector is its own one-lane tile), calling `start` before each
-    /// query and reporting its events to `hook` after it.
+    /// widths are replayed by [`Dataflow::run_block`], whose input steps
+    /// gather straight from the block's input vectors.  A traced run goes
+    /// one query at a time, calling `start` before each query and reporting
+    /// its events to `hook` after it.
     pub(crate) fn run<H: TraceHook>(
         &self,
         inputs: &[f64],
@@ -490,23 +502,18 @@ impl Dataflow {
                 values.extend([0.0, 1.0]);
                 values.extend_from_slice(block);
                 values.resize(self.walk_slots, 0.0);
-                self.replay::<1, H>(block, outputs, exports, &mut state.slots, &mut values);
+                let rows = Inputs::Rows(block);
+                self.replay::<1, H>(rows, outputs, exports, &mut state.slots, &mut values);
                 self.emit(&values, hook);
             } else {
-                state.tile.resize(n * lanes, 0.0);
-                for (input, group) in state.tile.chunks_exact_mut(lanes).enumerate() {
-                    for (lane, cell) in group.iter_mut().enumerate() {
-                        *cell = block[lane * n + input];
-                    }
-                }
-                self.run_block(lanes, &state.tile, outputs, exports, &mut state.slots);
+                let rows = Inputs::Rows(block);
+                self.run_block(lanes, rows, outputs, exports, &mut state.slots);
             }
             q += lanes;
         }
     }
 
-    /// Replays the `lanes` queries of the lane-minor input `tile` (input `i`
-    /// of lane `l` at `tile[i * lanes + l]`; only the groups of
+    /// Replays the `lanes` queries of `inputs` (only the inputs of
     /// [`Dataflow::inputs_read`] are read): their root values into
     /// `outputs` and their exports into `exports` (query-major; rows past
     /// its length are not written).  `slots` is the replay's scratch, grown
@@ -514,37 +521,38 @@ impl Dataflow {
     ///
     /// # Panics
     ///
-    /// Panics when `lanes` is not 1, 2, 4 or 8, `tile` is not `inputs ×
-    /// lanes` long or `outputs` is not `lanes` long.
+    /// Panics when `lanes` is not 1, 2, 4 or 8, `inputs` does not hold
+    /// `inputs × lanes` values or `outputs` is not `lanes` long.
     pub(crate) fn run_block(
         &self,
         lanes: usize,
-        tile: &[f64],
+        inputs: Inputs<'_>,
         outputs: &mut [f64],
         exports: &mut [f64],
         slots: &mut Vec<f64>,
     ) {
         match lanes {
-            1 => self.replay::<1, NoTrace>(tile, outputs, exports, slots, &mut []),
-            2 => self.replay::<2, NoTrace>(tile, outputs, exports, slots, &mut []),
-            4 => self.replay::<4, NoTrace>(tile, outputs, exports, slots, &mut []),
-            8 => self.replay::<8, NoTrace>(tile, outputs, exports, slots, &mut []),
+            1 => self.replay::<1, NoTrace>(inputs, outputs, exports, slots, &mut []),
+            2 => self.replay::<2, NoTrace>(inputs, outputs, exports, slots, &mut []),
+            4 => self.replay::<4, NoTrace>(inputs, outputs, exports, slots, &mut []),
+            8 => self.replay::<8, NoTrace>(inputs, outputs, exports, slots, &mut []),
             other => panic!("unsupported lane width {other} (expected 1, 2, 4 or 8)"),
         }
     }
 
     /// The replay proper: one pass over the runs for the `L` queries of
-    /// `tile`, then their results; a traced pass writes each step's result
-    /// at its slot of the walk in `values`.
+    /// `inputs`, then their results; a traced pass writes each step's
+    /// result at its slot of the walk in `values`.
     fn replay<const L: usize, H: TraceHook>(
         &self,
-        tile: &[f64],
+        inputs: Inputs<'_>,
         outputs: &mut [f64],
         exports: &mut [f64],
         slots: &mut Vec<f64>,
         values: &mut [f64],
     ) {
-        assert_eq!(tile.len(), self.inputs * L, "tile must be inputs x lanes");
+        let (Inputs::Tile(held) | Inputs::Rows(held)) = inputs;
+        assert_eq!(held.len(), self.inputs * L, "inputs must be inputs x lanes");
         let need = self.slots * L;
         if slots.len() < need {
             slots.resize(need, 0.0);
@@ -553,9 +561,9 @@ impl Dataflow {
         slots[ZERO as usize] = [0.0; L];
         slots[ONE as usize] = [1.0; L];
         if self.precision == Precision::F64 {
-            self.pass::<L, false, H>(tile, slots, values);
+            self.pass::<L, false, H>(inputs, slots, values);
         } else {
-            self.pass::<L, true, H>(tile, slots, values);
+            self.pass::<L, true, H>(inputs, slots, values);
         }
         self.results(slots, outputs, exports);
     }
@@ -567,10 +575,11 @@ impl Dataflow {
     /// (a per-lane `match` on either runs several times slower).
     fn pass<const L: usize, const ROUND: bool, H: TraceHook>(
         &self,
-        tile: &[f64],
+        inputs: Inputs<'_>,
         slots: &mut [[f64; L]],
         values: &mut [f64],
     ) {
+        let n = self.inputs;
         let precision = if ROUND {
             self.precision
         } else {
@@ -607,10 +616,17 @@ impl Dataflow {
         for (op, steps, walk) in self.runs() {
             let steps = (steps, walk);
             match op {
-                Op::Input => each::<L, H>(steps, slots, values, |slots, step| {
-                    let group = &tile[step.a as usize * L..][..L];
-                    slots[step.dst as usize].copy_from_slice(group);
-                }),
+                Op::Input => match inputs {
+                    Inputs::Tile(tile) => each::<L, H>(steps, slots, values, |slots, step| {
+                        let group = &tile[step.a as usize * L..][..L];
+                        slots[step.dst as usize].copy_from_slice(group);
+                    }),
+                    Inputs::Rows(rows) => each::<L, H>(steps, slots, values, |slots, step| {
+                        let input = step.a as usize;
+                        slots[step.dst as usize] =
+                            std::array::from_fn(|lane| rows[lane * n + input]);
+                    }),
+                },
                 Op::Pe(PeOp::Add) => each::<L, H>(steps, slots, values, |slots, step| {
                     lanes(PeOp::Add, slots, step, precision);
                 }),

@@ -291,8 +291,8 @@ impl MultiCoreProcessor {
     /// one [`SimState`] per core when it does not fit.  Outputs are in batch
     /// order, bit-for-bit equal to a single-core run.  The program is
     /// checked, costed and lowered on every call; each core's shard is then
-    /// copied block by block into its state's lane-minor tile and replayed
-    /// by the same pass as [`CheckedProgram::run_block`].
+    /// replayed block by block, straight from its input vectors, by the
+    /// same pass as [`CheckedProgram::run_block`].
     ///
     /// # Errors
     ///

@@ -22,7 +22,7 @@
 //! plan and keeps the list for every batch.
 
 use crate::config::{PePosition, ProcessorConfig};
-use crate::dataflow::Dataflow;
+use crate::dataflow::{Dataflow, Inputs};
 use crate::error::ProcessorError;
 use crate::isa::{MemOp, Program, ReadSel, ValueLocation};
 use crate::perf::PerfReport;
@@ -48,9 +48,9 @@ pub struct ExecutionResult {
 /// a dataflow list over value slots — zero, one, each input, the arithmetic
 /// PE results, a slot taking the next value once its own has been read for
 /// the last time — and the replay fills them for up to eight queries side
-/// by side, one lane per query.  Beside the slots sits the lane-minor input
-/// tile that the query-major runners copy each block into.  Both are reused
-/// across runs and grow when a bigger program comes along.  The lowering is
+/// by side, one lane per query.  They are reused across runs and grow when
+/// a bigger program comes along; the inputs stay where the caller holds
+/// them, a lane tile or query-major input vectors.  The lowering is
 /// not kept here: a [`CheckedProgram`] holds it for the whole plan, the
 /// multi-core runners ([`crate::MultiCoreProcessor::run_batch_sharded`] and
 /// [`crate::MultiCoreProcessor::run_partitioned`]) lower once per call, and
@@ -59,9 +59,6 @@ pub struct ExecutionResult {
 pub struct SimState {
     /// Slot-major, one lane per query of a replayed block.
     pub(crate) slots: Vec<f64>,
-    /// Input-major, one lane per query of a block copied from query-major
-    /// input vectors.
-    pub(crate) tile: Vec<f64>,
 }
 
 /// A program [`Processor::check`] accepted, with what being legal fixes for
@@ -106,6 +103,7 @@ impl CheckedProgram {
     /// Panics when `lanes` is not 1, 2, 4 or 8, `tile` is not
     /// `input_layout.len() × lanes` long or `outputs` is not `lanes` long.
     pub fn run_block(&self, lanes: usize, tile: &[f64], outputs: &mut [f64], state: &mut SimState) {
+        let tile = Inputs::Tile(tile);
         self.flow
             .run_block(lanes, tile, outputs, &mut [], &mut state.slots);
     }
