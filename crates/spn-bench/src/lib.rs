@@ -31,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;

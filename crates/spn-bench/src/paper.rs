@@ -4,7 +4,7 @@
 //! This module is the one place in the code outside `benchmark/` that
 //! writes the paper's numbers, Table I's CPU line included.  Each [`Row`]
 //! holds a claim, the paper's value, the claim's [`Direction`] and our
-//! value; [`Row::verdict`] judges it with one fixed [`TOLERANCE`].  Our
+//! value; [`Row::verdict`] judges it with one fixed `TOLERANCE` (10 %).  Our
 //! values are deterministic model outputs, so `tests/figures.rs` pins each
 //! row's value and verdict, and a row that changes verdict fails there
 //! until the pin says so.
@@ -16,7 +16,7 @@ use Direction::{About, AtLeast, AtMost};
 
 /// Relative distance from the paper's value that still counts as the
 /// paper's value (see [`Row::verdict`]).
-pub const TOLERANCE: f64 = 0.10;
+pub(crate) const TOLERANCE: f64 = 0.10;
 
 /// Table I: the GPU block's CUDA cores, 32-bit registers, KB of shared
 /// memory and banks, each the ceiling or the point a row of ours meets.
@@ -45,7 +45,7 @@ pub enum Verdict {
     Holds,
     /// Our value misses the claim.
     Gap,
-    /// Our value beats a floor or a ceiling by more than [`TOLERANCE`].
+    /// Our value beats a floor or a ceiling by more than `TOLERANCE`.
     Exceeds,
 }
 

@@ -5,9 +5,9 @@
 //! happen" — never "the answer looked close enough".  This module fixes the
 //! rejection thresholds once, ahead of any data:
 //!
-//! * [`CHI2_P_MIN`] = 1e-12 — a chi-square goodness-of-fit test fails only
+//! * `CHI2_P_MIN` = 1e-12 — a chi-square goodness-of-fit test fails only
 //!   when its p-value drops below one in a trillion.
-//! * [`CI_Z`] = 7.0 — an estimate fails only when it sits more than seven
+//! * `CI_Z` = 7.0 — an estimate fails only when it sits more than seven
 //!   standard errors from the exact answer (a two-sided normal tail of
 //!   ~2.6e-12).
 //!
@@ -24,19 +24,19 @@
 //! any threshold above needs.
 
 /// Pre-registered chi-square rejection threshold: fail when `p < CHI2_P_MIN`.
-pub const CHI2_P_MIN: f64 = 1e-12;
+pub(crate) const CHI2_P_MIN: f64 = 1e-12;
 
 /// Pre-registered z-score bound: fail when `|estimate - exact| > CI_Z * se`.
-pub const CI_Z: f64 = 7.0;
+pub(crate) const CI_Z: f64 = 7.0;
 
 /// Minimum expected count per chi-square cell; sparser cells are pooled into
 /// their neighbour so the asymptotic chi-square distribution applies.
-pub const MIN_EXPECTED: f64 = 5.0;
+pub(crate) const MIN_EXPECTED: f64 = 5.0;
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9).
 ///
 /// Accurate to ~1e-13 relative for `x > 0`.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // The published Lanczos coefficients, kept digit-for-digit even where
     // they exceed f64 precision so they can be diffed against the source.
     #[allow(clippy::excessive_precision)]
@@ -65,26 +65,10 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// Regularized lower incomplete gamma function `P(s, x)`.
-///
-/// Series expansion for `x < s + 1`, Lentz continued fraction otherwise
-/// (the standard split: each converges fastest on its side).
-pub fn gamma_p(s: f64, x: f64) -> f64 {
-    assert!(s > 0.0 && x >= 0.0, "gamma_p needs s > 0, x >= 0");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < s + 1.0 {
-        gamma_p_series(s, x)
-    } else {
-        1.0 - gamma_q_cf(s, x)
-    }
-}
-
 /// Regularized upper incomplete gamma function `Q(s, x)`, computed on the
 /// side of the `x = s + 1` split that keeps the *tail* accurate — deep
 /// tails stay positive instead of rounding through `1 - P` to zero.
-pub fn gamma_q(s: f64, x: f64) -> f64 {
+pub(crate) fn gamma_q(s: f64, x: f64) -> f64 {
     assert!(s > 0.0 && x >= 0.0, "gamma_q needs s > 0, x >= 0");
     if x == 0.0 {
         return 1.0;
@@ -140,7 +124,7 @@ fn gamma_q_cf(s: f64, x: f64) -> f64 {
 }
 
 /// Chi-square survival function: `P(X >= x)` for `k` degrees of freedom.
-pub fn chi2_sf(x: f64, k: usize) -> f64 {
+pub(crate) fn chi2_sf(x: f64, k: usize) -> f64 {
     assert!(k > 0, "chi-square needs at least one degree of freedom");
     if x <= 0.0 {
         return 1.0;
@@ -162,7 +146,7 @@ pub struct GofResult {
 /// Chi-square goodness-of-fit of observed counts against expected
 /// probabilities.
 ///
-/// Cells whose expected count falls below [`MIN_EXPECTED`] are pooled (in
+/// Cells whose expected count falls below `MIN_EXPECTED` are pooled (in
 /// index order) so the asymptotic distribution applies; `observed` and
 /// `expected_probs` must have equal lengths and `expected_probs` must sum
 /// to ~1.
@@ -171,7 +155,7 @@ pub struct GofResult {
 ///
 /// Returns a description of the failure when the inputs are malformed
 /// (length mismatch, non-normalised probabilities, fewer than two pooled
-/// cells) or when the p-value falls below [`CHI2_P_MIN`] — the
+/// cells) or when the p-value falls below `CHI2_P_MIN` — the
 /// pre-registered "this sampler is biased" verdict.
 pub fn check_goodness_of_fit(
     observed: &[u64],
@@ -234,7 +218,7 @@ pub fn check_goodness_of_fit(
     })
 }
 
-/// Checks that an estimate sits within [`CI_Z`] standard errors of the
+/// Checks that an estimate sits within `CI_Z` standard errors of the
 /// exact answer.
 ///
 /// A zero reported standard error asserts the estimator is exact, so the
@@ -263,7 +247,7 @@ pub fn check_within_ci(estimate: f64, exact: f64, std_err: f64) -> Result<(), St
 
 /// Checks that an empirical CI hit count is consistent with its nominal
 /// coverage: over `trials` independent intervals at `nominal` coverage,
-/// `hits` must lie within [`CI_Z`] binomial standard deviations of
+/// `hits` must lie within `CI_Z` binomial standard deviations of
 /// `nominal * trials`.
 ///
 /// # Errors

@@ -21,7 +21,7 @@ use spn_core::flatten::OperandRef;
 
 /// What a register offset is used for, across all banks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Use {
+pub(crate) enum Use {
     /// No lane of the offset has a tenant.
     Free,
     /// The offset holds what is still live of this data-memory row.
@@ -32,7 +32,7 @@ pub enum Use {
 
 /// What one `(offset, bank)` lane holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tenant {
+pub(crate) enum Tenant {
     /// Nothing that will be read again.
     Empty,
     /// A forwarding copy, dead after its single read.
@@ -47,7 +47,7 @@ pub enum Tenant {
 /// row is resident at and the value sitting in a register are all read from
 /// this one table.
 #[derive(Debug, Clone)]
-pub struct RegAllocator {
+pub(crate) struct RegAllocator {
     uses: Vec<Use>,
     /// `tenants[bank * offsets + offset]` — bank-major, like `free_after`,
     /// because the scheduler's hot loop (`alloc_scalar` under `make_copy`)
@@ -62,7 +62,7 @@ pub struct RegAllocator {
 impl RegAllocator {
     /// Creates an allocator for `regs_per_bank` offsets over `total_banks`
     /// banks.
-    pub fn new(regs_per_bank: usize, total_banks: usize) -> Self {
+    pub(crate) fn new(regs_per_bank: usize, total_banks: usize) -> Self {
         RegAllocator {
             uses: vec![Use::Free; regs_per_bank],
             tenants: vec![Tenant::Empty; regs_per_bank * total_banks],
@@ -80,17 +80,17 @@ impl RegAllocator {
     }
 
     /// Number of offsets that are not completely free.
-    pub fn offsets_in_use(&self) -> usize {
+    pub(crate) fn offsets_in_use(&self) -> usize {
         self.uses.iter().filter(|&&u| u != Use::Free).count()
     }
 
     /// What `offset` is currently used for.
-    pub fn kind(&self, offset: usize) -> Use {
+    pub(crate) fn kind(&self, offset: usize) -> Use {
         self.uses[offset]
     }
 
     /// The offset data-memory row `row` is resident at, if any.
-    pub fn offset_of_row(&self, row: usize) -> Option<usize> {
+    pub(crate) fn offset_of_row(&self, row: usize) -> Option<usize> {
         self.uses.iter().position(|&u| u == Use::Row(row))
     }
 
@@ -106,13 +106,13 @@ impl RegAllocator {
     /// whose writes are issued after that, so a new tenant can neither
     /// clobber an operand that is still going to be read nor be clobbered by
     /// a booked-but-future write.
-    pub fn touch(&mut self, offset: usize, bank: usize, cycle: u64) {
+    pub(crate) fn touch(&mut self, offset: usize, bank: usize, cycle: u64) {
         let lane = self.lane(offset, bank);
         self.free_after[lane] = self.free_after[lane].max(cycle + 1);
     }
 
     /// [`RegAllocator::touch`] for every bank: vector loads and stores.
-    pub fn touch_offset(&mut self, offset: usize, cycle: u64) {
+    pub(crate) fn touch_offset(&mut self, offset: usize, cycle: u64) {
         for bank in 0..self.total_banks {
             self.touch(offset, bank, cycle);
         }
@@ -129,7 +129,7 @@ impl RegAllocator {
     /// caller [`install`](RegAllocator::install)s the row's live values.
     ///
     /// Returns `None` when no offset can safely be reused at that cycle.
-    pub fn alloc_row(&mut self, row: usize, cycle: u64) -> Option<usize> {
+    pub(crate) fn alloc_row(&mut self, row: usize, cycle: u64) -> Option<usize> {
         let idx = (0..self.uses.len())
             .find(|&i| self.uses[i] == Use::Free && self.offset_free_after(i) <= cycle)?;
         self.uses[idx] = Use::Row(row);
@@ -138,7 +138,7 @@ impl RegAllocator {
 
     /// Earliest cycle at which some completely free offset can be re-occupied
     /// (useful when every free offset still has reads booked in the future).
-    pub fn earliest_row_reuse(&self) -> Option<u64> {
+    pub(crate) fn earliest_row_reuse(&self) -> Option<u64> {
         (0..self.uses.len())
             .filter(|&i| self.uses[i] == Use::Free)
             .map(|i| self.offset_free_after(i))
@@ -146,7 +146,7 @@ impl RegAllocator {
     }
 
     /// Makes `value` the tenant of lane `bank` of a row offset.
-    pub fn install(&mut self, offset: usize, bank: usize, value: OperandRef) {
+    pub(crate) fn install(&mut self, offset: usize, bank: usize, value: OperandRef) {
         let lane = self.lane(offset, bank);
         self.tenants[lane] = Tenant::Value(value);
     }
@@ -154,7 +154,12 @@ impl RegAllocator {
     /// Allocates a register of `bank` for a scalar write-back committing at
     /// `cycle` and makes `tenant` its occupant.  Partially used scalar
     /// offsets are preferred over opening fresh ones.
-    pub fn alloc_scalar(&mut self, bank: usize, cycle: u64, tenant: Tenant) -> Option<usize> {
+    pub(crate) fn alloc_scalar(
+        &mut self,
+        bank: usize,
+        cycle: u64,
+        tenant: Tenant,
+    ) -> Option<usize> {
         debug_assert!(bank < self.total_banks);
         // The lane is tested before the offset: in the scheduler's hottest
         // loop (`make_copy`'s probes) nearly every lane is occupied.
@@ -186,14 +191,14 @@ impl RegAllocator {
 
     /// Releases the tenant of `(offset, bank)` after its final read at
     /// `cycle`; frees the offset when it was the last one.
-    pub fn value_dead(&mut self, offset: usize, bank: usize, cycle: u64) {
+    pub(crate) fn value_dead(&mut self, offset: usize, bank: usize, cycle: u64) {
         self.touch(offset, bank, cycle);
         self.release(offset, bank);
     }
 
     /// Releases the tenant of `(offset, bank)`, whose reads and write are
     /// already booked; frees the offset when it was the last one.
-    pub fn release(&mut self, offset: usize, bank: usize) {
+    pub(crate) fn release(&mut self, offset: usize, bank: usize) {
         let lane = self.lane(offset, bank);
         self.tenants[lane] = Tenant::Empty;
         if self.live(offset) == 0 {
@@ -205,7 +210,7 @@ impl RegAllocator {
     /// row with the fewest live values (free to drop because the backing
     /// memory still holds them), otherwise the scalar offset with the most
     /// occupied lanes.
-    pub fn pick_victim(&self, protected: &[usize]) -> Option<usize> {
+    pub(crate) fn pick_victim(&self, protected: &[usize]) -> Option<usize> {
         let of_kind = |scalar: bool| {
             (0..self.uses.len()).filter(move |i| {
                 !protected.contains(i)
@@ -225,7 +230,7 @@ impl RegAllocator {
     /// bank order.  A dropped row may be overwritten as soon as its booked
     /// reads are over; the caller of a spill store
     /// [`touch_offset`](RegAllocator::touch_offset)es the store cycle first.
-    pub fn evict(&mut self, offset: usize) -> Vec<(OperandRef, usize)> {
+    pub(crate) fn evict(&mut self, offset: usize) -> Vec<(OperandRef, usize)> {
         self.uses[offset] = Use::Free;
         let mut values = Vec::new();
         for bank in 0..self.total_banks {
@@ -241,7 +246,7 @@ impl RegAllocator {
 
 /// Where a value currently lives, from the scheduler's point of view.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Loc {
+pub(crate) enum Loc {
     /// The value has not been computed yet.
     Unready,
     /// The value sits in data memory.
@@ -272,7 +277,7 @@ impl Loc {
 /// One register home of a value: the register a copy of it sits in and the
 /// cycle that copy's write commits (readable afterwards).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Home {
+pub(crate) struct Home {
     /// Global bank index.
     pub bank: usize,
     /// Register offset.
@@ -301,7 +306,7 @@ struct Slot {
 /// further ones beside it; every home dies with the value's last read, and
 /// a value whose homes are all evicted goes back to the data memory.
 #[derive(Debug, Clone)]
-pub struct ValueMap {
+pub(crate) struct ValueMap {
     /// Inputs first, then op results.
     slots: Vec<Slot>,
     /// The further homes of each value that has had any (only a value that
@@ -312,7 +317,7 @@ pub struct ValueMap {
 
 impl ValueMap {
     /// Creates a map for `num_inputs` inputs and `num_ops` operation results.
-    pub fn new(num_inputs: usize, num_ops: usize) -> Self {
+    pub(crate) fn new(num_inputs: usize, num_ops: usize) -> Self {
         let slot = Slot {
             loc: Loc::Unready,
             uses: 0,
@@ -345,17 +350,17 @@ impl ValueMap {
     }
 
     /// Current location of `value` (its first home when register resident).
-    pub fn loc(&self, value: OperandRef) -> Loc {
+    pub(crate) fn loc(&self, value: OperandRef) -> Loc {
         self.slots[self.index(value)].loc
     }
 
     /// Updates the location of `value`.
-    pub fn set_loc(&mut self, value: OperandRef, loc: Loc) {
+    pub(crate) fn set_loc(&mut self, value: OperandRef, loc: Loc) {
         self.slot(value).loc = loc;
     }
 
     /// Every register home of `value`, the [`Loc::Reg`] one first.
-    pub fn homes(&self, value: OperandRef) -> impl Iterator<Item = Home> + '_ {
+    pub(crate) fn homes(&self, value: OperandRef) -> impl Iterator<Item = Home> + '_ {
         let spares = self
             .list(value)
             .map_or(&[][..], |list| &self.spare_lists[list]);
@@ -364,7 +369,7 @@ impl ValueMap {
     }
 
     /// Gives the register-resident `value` one more home.
-    pub fn add_home(&mut self, value: OperandRef, home: Home) {
+    pub(crate) fn add_home(&mut self, value: OperandRef, home: Home) {
         debug_assert!(
             matches!(self.loc(value), Loc::Reg(_)),
             "a first home comes first"
@@ -380,7 +385,7 @@ impl ValueMap {
     /// Drops the home of `value` at `(bank, reg)`, promoting a remaining
     /// one when it was the first.  Returns `false` when no home is left;
     /// the caller then records where the value went.
-    pub fn drop_home(&mut self, value: OperandRef, bank: usize, reg: usize) -> bool {
+    pub(crate) fn drop_home(&mut self, value: OperandRef, bank: usize, reg: usize) -> bool {
         let first = self.loc(value);
         let spares = match self.list(value) {
             Some(list) => &mut self.spare_lists[list],
@@ -403,7 +408,7 @@ impl ValueMap {
     }
 
     /// Forgets every home of `value` after its last read and returns them.
-    pub fn take_homes(&mut self, value: OperandRef) -> impl Iterator<Item = Home> + '_ {
+    pub(crate) fn take_homes(&mut self, value: OperandRef) -> impl Iterator<Item = Home> + '_ {
         let first = self.loc(value).home();
         let spares = self
             .list(value)
@@ -412,17 +417,17 @@ impl ValueMap {
     }
 
     /// Remaining number of not-yet-scheduled uses of `value`.
-    pub fn uses(&self, value: OperandRef) -> usize {
+    pub(crate) fn uses(&self, value: OperandRef) -> usize {
         self.slots[self.index(value)].uses
     }
 
     /// Adds `n` expected uses of `value`.
-    pub fn add_uses(&mut self, value: OperandRef, n: usize) {
+    pub(crate) fn add_uses(&mut self, value: OperandRef, n: usize) {
         self.slot(value).uses += n;
     }
 
     /// Consumes one use of `value`; returns `true` when it was the last one.
-    pub fn consume_use(&mut self, value: OperandRef) -> bool {
+    pub(crate) fn consume_use(&mut self, value: OperandRef) -> bool {
         let uses = &mut self.slot(value).uses;
         debug_assert!(*uses > 0, "value consumed more often than counted");
         *uses -= 1;
@@ -430,13 +435,13 @@ impl ValueMap {
     }
 
     /// Counts one more tile that reads `value`.
-    pub fn add_reader_tile(&mut self, value: OperandRef) {
+    pub(crate) fn add_reader_tile(&mut self, value: OperandRef) {
         self.slot(value).reader_tiles += 1;
     }
 
     /// Whether two or more tiles read `value`, so it may hold more than one
     /// register home.
-    pub fn is_shared(&self, value: OperandRef) -> bool {
+    pub(crate) fn is_shared(&self, value: OperandRef) -> bool {
         self.slots[self.index(value)].reader_tiles >= 2
     }
 }

@@ -256,7 +256,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spn_core::random::{random_spn, RandomSpnConfig};
-    use spn_processor::Processor;
+    use spn_processor::{Processor, SimState};
 
     #[test]
     fn compile_and_execute_round_trip() {
@@ -361,7 +361,7 @@ mod tests {
                     rows.push_assignment(&assignment).unwrap();
                     let e = Evidence::from_assignment(&assignment);
                     let inputs = baseline.input_values(&e).unwrap();
-                    let mut state = processor.state_for();
+                    let mut state = SimState::default();
                     expected.push(
                         processor
                             .run_with(&baseline.program, &inputs, &mut state)

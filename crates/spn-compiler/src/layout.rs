@@ -84,7 +84,7 @@ pub(crate) struct Limits {
 
 impl Limits {
     /// The limits for `config`.
-    pub fn of(config: &ProcessorConfig) -> Limits {
+    pub(crate) fn of(config: &ProcessorConfig) -> Limits {
         let word_slots = config.tree_inputs_per_tree();
         let half = config.regs_per_bank / 2;
         let words = half * config.num_trees * word_slots;
@@ -113,7 +113,7 @@ pub(crate) struct InputLayout {
 impl InputLayout {
     /// The operand that stands for `operand`: the owner of its word for an
     /// input, `operand` itself for an op result.
-    pub fn canonical(&self, operand: OperandRef) -> OperandRef {
+    pub(crate) fn canonical(&self, operand: OperandRef) -> OperandRef {
         match operand {
             OperandRef::Input(i) => OperandRef::Input(self.owner[i as usize]),
             OperandRef::Op(_) => operand,

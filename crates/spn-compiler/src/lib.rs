@@ -41,18 +41,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod alloc;
+mod compiler;
 mod error;
 mod layout;
+mod report;
 mod schedule;
 mod tile;
 
-pub mod compiler;
-pub mod report;
 pub mod verify;
 
-pub use compiler::{CompiledArtifact, Compiler, CompilerOptions, PartitionedArtifact};
+pub use compiler::{CompiledArtifact, Compiler, CompilerOptions};
 pub use error::CompileError;
 pub use report::CompileReport;
 pub use verify::{verify_artifact, verify_partitioned, verify_program};

@@ -246,7 +246,7 @@ struct Placement {
 /// the scheduler's per-cycle masks, when the working set cannot be made to
 /// fit the register file and data memory, or when an exported value cannot
 /// be materialised.
-pub fn schedule(
+pub(crate) fn schedule(
     config: &ProcessorConfig,
     ops: &OpList,
     tiles: &[Tile],

@@ -16,7 +16,7 @@ use spn_core::flatten::{OpKind, OpList, OperandRef};
 
 /// One operation placed inside a tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlacedOp {
+pub(crate) struct PlacedOp {
     /// Index of the operation in the originating [`OpList`].
     pub op: usize,
     /// Level within the tile (0 = crossbar-fed level, `depth-1` = tile root).
@@ -29,7 +29,7 @@ pub struct PlacedOp {
 
 /// A forwarding PE inside a tile (routes an external operand upwards).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PassThrough {
+pub(crate) struct PassThrough {
     /// Level of the forwarding PE within the tile.
     pub level: usize,
     /// Position within the level, relative to the tile.
@@ -38,7 +38,7 @@ pub struct PassThrough {
 
 /// An external operand entering the tile at the leaf level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeafRead {
+pub(crate) struct LeafRead {
     /// Tree-input slot relative to the tile (0 .. 2^depth).
     pub slot: usize,
     /// The value being read.
@@ -47,7 +47,7 @@ pub struct LeafRead {
 
 /// A PE-tree shaped group of operations scheduled as one unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tile {
+pub(crate) struct Tile {
     /// Index of the root operation in the [`OpList`].
     pub root: usize,
     /// Number of PE levels the tile occupies (1 ..= tree levels).
@@ -63,7 +63,7 @@ pub struct Tile {
 impl Tile {
     /// Number of leaf-level PEs the tile occupies when placed
     /// (`2^(depth-1)`).
-    pub fn leaf_footprint(&self) -> usize {
+    pub(crate) fn leaf_footprint(&self) -> usize {
         1 << (self.depth - 1)
     }
 }
@@ -83,7 +83,7 @@ impl Tile {
 /// # Panics
 ///
 /// Panics if `max_depth` is zero.
-pub fn extract_tiles(ops: &OpList, max_depth: usize, exports: &[OperandRef]) -> Vec<Tile> {
+pub(crate) fn extract_tiles(ops: &OpList, max_depth: usize, exports: &[OperandRef]) -> Vec<Tile> {
     assert!(max_depth >= 1, "tiles need at least one level");
     let n = ops.num_ops();
 

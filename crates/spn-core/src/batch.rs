@@ -43,7 +43,7 @@ pub enum Obs {
 
 impl Obs {
     /// Converts from the `Option<bool>` representation used by [`Evidence`].
-    pub fn from_option(value: Option<bool>) -> Obs {
+    pub(crate) fn from_option(value: Option<bool>) -> Obs {
         match value {
             Some(false) => Obs::False,
             Some(true) => Obs::True,
@@ -52,7 +52,7 @@ impl Obs {
     }
 
     /// Converts to the `Option<bool>` representation used by [`Evidence`].
-    pub fn to_option(self) -> Option<bool> {
+    pub(crate) fn to_option(self) -> Option<bool> {
         match self {
             Obs::False => Some(false),
             Obs::True => Some(true),
@@ -250,7 +250,7 @@ impl EvidenceBatch {
     /// # Panics
     ///
     /// Panics when `q` is out of range.
-    pub fn is_row_complete(&self, q: usize) -> bool {
+    pub(crate) fn is_row_complete(&self, q: usize) -> bool {
         self.query(q).iter().all(|&o| o != Obs::Marginal)
     }
 
@@ -287,7 +287,7 @@ impl EvidenceBatch {
     /// # Errors
     ///
     /// Returns [`SpnError::EvidenceMismatch`] when the variable counts differ.
-    pub fn extend_from(&mut self, other: &EvidenceBatch) -> Result<()> {
+    pub(crate) fn extend_from(&mut self, other: &EvidenceBatch) -> Result<()> {
         if other.num_vars != self.num_vars {
             return Err(SpnError::EvidenceMismatch {
                 evidence_vars: other.num_vars,
@@ -531,7 +531,7 @@ impl InputRecipe {
     /// Panics when the query range leaves `batch`, `out` is not exactly
     /// `num_inputs × lanes` long (callers validate the batch via
     /// [`InputRecipe::check`] first, as for `fill_query`), or `lanes` is not
-    /// one of [`LANE_WIDTHS`].
+    /// one of `LANE_WIDTHS`.
     pub fn fill_lane_block(
         &self,
         batch: &EvidenceBatch,
@@ -587,7 +587,7 @@ impl InputRecipe {
     /// `start .. start + lanes` of `batch` and leaves every other slot
     /// alone: the per-block half of [`InputRecipe::fill_lane_block`].
     ///
-    /// `lanes` must be one of [`LANE_WIDTHS`]; the call dispatches to the
+    /// `lanes` must be one of `LANE_WIDTHS`; the call dispatches to the
     /// fixed-width gather as [`crate::vectorized::run_lane_block`] does.
     ///
     /// # Panics

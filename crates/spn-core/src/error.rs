@@ -30,23 +30,6 @@ pub enum SpnError {
         /// The offending weight value.
         weight: f64,
     },
-    /// The SPN violates completeness (a sum node's children have different scopes).
-    NotComplete {
-        /// The offending sum node.
-        node: u32,
-    },
-    /// The SPN violates decomposability (a product node's children share variables).
-    NotDecomposable {
-        /// The offending product node.
-        node: u32,
-    },
-    /// A sum node's weights do not sum to one (within tolerance).
-    NotNormalized {
-        /// The offending sum node.
-        node: u32,
-        /// The actual weight sum.
-        sum: f64,
-    },
     /// Evidence was supplied for a different number of variables than the SPN has.
     EvidenceMismatch {
         /// Variables covered by the evidence.
@@ -110,18 +93,6 @@ impl fmt::Display for SpnError {
             }
             SpnError::InvalidWeight { weight } => {
                 write!(f, "sum weight {weight} is not a finite non-negative number")
-            }
-            SpnError::NotComplete { node } => {
-                write!(f, "sum node {node} has children with differing scopes")
-            }
-            SpnError::NotDecomposable { node } => {
-                write!(
-                    f,
-                    "product node {node} has children with overlapping scopes"
-                )
-            }
-            SpnError::NotNormalized { node, sum } => {
-                write!(f, "sum node {node} weights sum to {sum}, expected 1")
             }
             SpnError::EvidenceMismatch {
                 evidence_vars,
@@ -190,9 +161,6 @@ mod tests {
                 weights: 3,
             },
             SpnError::InvalidWeight { weight: -1.0 },
-            SpnError::NotComplete { node: 1 },
-            SpnError::NotDecomposable { node: 1 },
-            SpnError::NotNormalized { node: 1, sum: 0.5 },
             SpnError::EvidenceMismatch {
                 evidence_vars: 1,
                 spn_vars: 2,

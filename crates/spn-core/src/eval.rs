@@ -18,7 +18,7 @@
 //! friends build a throwaway one, and the sampling engine
 //! ([`crate::sample`]) runs the same sweep in `Log` over its own buffers,
 //! passing a sub-list of the order when only part of the graph can change.
-//! The flattened-program executors ([`crate::vectorized::run_lanes`],
+//! The flattened-program executors (`vectorized::run_lanes`,
 //! [`crate::flatten::OpList::run_into`]) share no code with this module: it
 //! is the oracle they are checked against.
 
@@ -430,20 +430,6 @@ impl Spn {
         Evaluator::new(self).evaluate(evidence)
     }
 
-    /// Evaluates the SPN and returns the value of every node (arena-indexed).
-    ///
-    /// Unreachable nodes keep the value `0.0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
-    /// different number of variables than the SPN.
-    pub fn evaluate_all(&self, evidence: &Evidence) -> Result<Vec<f64>> {
-        let mut evaluator = Evaluator::new(self);
-        evaluator.evaluate(evidence)?;
-        Ok(evaluator.values)
-    }
-
     /// Evaluates the SPN in the log domain under `evidence`.
     ///
     /// # Errors
@@ -660,15 +646,5 @@ mod tests {
         assert!(matches!(err, SpnError::EvidenceMismatch { .. }));
         assert!(spn.evaluate_log(&Evidence::marginal(1)).is_err());
         assert!(spn.mpe(&Evidence::marginal(1)).is_err());
-    }
-
-    #[test]
-    fn evaluate_all_exposes_intermediate_values() {
-        let spn = independent_pair();
-        let values = spn
-            .evaluate_all(&Evidence::from_assignment(&[true, true]))
-            .unwrap();
-        assert_eq!(values.len(), spn.num_nodes());
-        assert!((values[spn.root().index()] - 0.18).abs() < 1e-12);
     }
 }

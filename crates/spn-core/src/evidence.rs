@@ -80,21 +80,6 @@ impl Evidence {
         }
     }
 
-    /// Returns `true` when no variable is observed.
-    pub fn is_fully_marginal(&self) -> bool {
-        self.values.iter().all(Option::is_none)
-    }
-
-    /// Returns `true` when every variable is observed.
-    pub fn is_complete(&self) -> bool {
-        self.values.iter().all(Option::is_some)
-    }
-
-    /// Number of observed variables.
-    pub fn num_observed(&self) -> usize {
-        self.values.iter().filter(|v| v.is_some()).count()
-    }
-
     /// Iterates over `(variable index, observed value)` pairs.
     pub fn iter_observed(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
         self.values
@@ -111,16 +96,13 @@ mod tests {
     #[test]
     fn marginal_evidence_has_no_observations() {
         let e = Evidence::marginal(4);
-        assert!(e.is_fully_marginal());
-        assert!(!e.is_complete());
-        assert_eq!(e.num_observed(), 0);
+        assert_eq!(e.iter_observed().count(), 0);
         assert_eq!(e.num_vars(), 4);
     }
 
     #[test]
     fn assignment_evidence_is_complete() {
         let e = Evidence::from_assignment(&[true, false, true]);
-        assert!(e.is_complete());
         assert_eq!(e.value(1), Some(false));
         assert_eq!(e.iter_observed().count(), 3);
     }

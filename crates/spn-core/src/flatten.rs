@@ -19,11 +19,11 @@
 //! i.e. no quantization): [`OpList::with_precision`] stamps a program with an
 //! emulated PE arithmetic format, quantizing its baked-in parameters, and the
 //! execution kernels then round every intermediate result through that
-//! format's [`Quantizer`] — the software model of the paper's
+//! format's `Quantizer` — the software model of the paper's
 //! reduced-precision PE datapath.
 //!
-//! What an operation computes is defined once, in [`OpKind::apply_lanes`];
-//! [`crate::vectorized::run_lanes`] is the one executor that walks a whole
+//! What an operation computes is defined once, in `OpKind::apply_lanes`;
+//! `vectorized::run_lanes` is the one executor that walks a whole
 //! program with it, and [`OpList::run_into`] is the independent reference
 //! the parity suites compare that executor against.
 
@@ -100,7 +100,12 @@ impl OpKind {
     /// into SIMD; log-domain sums go through [`log_sum_exp_lanes`].
     // Always inlined: out of line, the call costs as much as a one-lane op.
     #[inline(always)]
-    pub fn apply_lanes<const L: usize>(self, a: &[f64; L], b: &[f64; L], dst: &mut [f64; L]) {
+    pub(crate) fn apply_lanes<const L: usize>(
+        self,
+        a: &[f64; L],
+        b: &[f64; L],
+        dst: &mut [f64; L],
+    ) {
         match self {
             OpKind::Add => {
                 for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
@@ -128,7 +133,7 @@ impl OpKind {
 
     /// [`OpKind::apply_lanes`] for one lane: `a op b`.
     #[inline]
-    pub fn apply(self, a: f64, b: f64) -> f64 {
+    pub(crate) fn apply(self, a: f64, b: f64) -> f64 {
         let mut dst = [0.0];
         self.apply_lanes::<1>(&[a], &[b], &mut dst);
         dst[0]
@@ -310,7 +315,7 @@ impl OpList {
     /// The structure is unchanged; every [`LeafSource::Param`] is quantized
     /// to `precision` (the data memory of a reduced-precision processor
     /// holds reduced-precision words), and the execution kernels —
-    /// [`crate::vectorized::run_lanes`] (CPU and GPU models) and the
+    /// `vectorized::run_lanes` (CPU and GPU models) and the
     /// processor simulator's PE trees — quantize every intermediate result.
     /// [`Precision::F64`] programs execute bit-for-bit like programs that
     /// were never stamped.
@@ -452,12 +457,12 @@ impl OpList {
     /// input vector, one operation at a time, writing intermediate results
     /// into `results`, and returns the output value.
     ///
-    /// This loop is deliberately independent of [`OpKind::apply_lanes`] and
-    /// [`crate::vectorized::run_lanes`]: it spells the five operations out
+    /// This loop is deliberately independent of `OpKind::apply_lanes` and
+    /// `vectorized::run_lanes`: it spells the five operations out
     /// itself, so the parity matrix (`tests/parity/mod.rs`) has an oracle
     /// that does not share the executor's code, and every backend must
     /// return its bits.  Nothing outside tests calls it; to run a program,
-    /// use [`OpList::evaluate`] or [`crate::vectorized::run_lanes`].
+    /// use [`OpList::evaluate`] or `vectorized::run_lanes`.
     ///
     /// # Panics
     ///

@@ -181,7 +181,7 @@ impl Spn {
     /// Returns, for every node, the set of variables in its scope.
     ///
     /// Unreachable nodes get their locally-computed scope as well.
-    pub fn scopes(&self) -> Vec<BTreeSet<VarId>> {
+    pub(crate) fn scopes(&self) -> Vec<BTreeSet<VarId>> {
         let mut scopes: Vec<BTreeSet<VarId>> = vec![BTreeSet::new(); self.nodes.len()];
         // Arena order is not guaranteed topological, so walk the topological
         // order of the full graph: compute for reachable nodes first, then fill
@@ -209,7 +209,7 @@ impl Spn {
 
     /// Returns how many parents reference each node (fanout), counting only
     /// nodes reachable from the root.
-    pub fn fanout(&self) -> Vec<usize> {
+    pub(crate) fn fanout(&self) -> Vec<usize> {
         let mut fanout = vec![0usize; self.nodes.len()];
         for id in self.topological_order() {
             for c in self.node(id).children() {
@@ -294,7 +294,7 @@ impl SpnBuilder {
     /// # Panics
     ///
     /// Panics if `var` is outside the declared variable range; use
-    /// [`SpnBuilder::try_indicator`] for a fallible version.
+    /// `SpnBuilder::try_indicator` for a fallible version.
     pub fn indicator(&mut self, var: VarId, value: bool) -> NodeId {
         self.try_indicator(var, value)
             .expect("indicator variable out of range")
@@ -305,7 +305,7 @@ impl SpnBuilder {
     /// # Errors
     ///
     /// Returns [`SpnError::UnknownVariable`] when `var` is out of range.
-    pub fn try_indicator(&mut self, var: VarId, value: bool) -> Result<NodeId> {
+    pub(crate) fn try_indicator(&mut self, var: VarId, value: bool) -> Result<NodeId> {
         if var.index() >= self.num_vars {
             return Err(SpnError::UnknownVariable {
                 var: var.0,

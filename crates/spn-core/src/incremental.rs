@@ -15,11 +15,11 @@
 //!   previous pass.
 //!
 //! [`ConeAnalysis::prime`] runs one full pass
-//! ([`run_lanes::<1>`](crate::vectorized::run_lanes)) to seed the state;
+//! (`run_lanes::<1>`) to seed the state;
 //! [`ConeAnalysis::apply_flips`] then updates only the flipped indicators'
 //! input slots and re-executes the union of their cones **in op order**
-//! through the same [`OpKind::apply`](crate::flatten::OpKind::apply) and
-//! [`Quantizer`] the full pass applies.  Every untouched
+//! through the same `OpKind::apply` and
+//! `Quantizer` the full pass applies.  Every untouched
 //! operation keeps its previous value, and every recomputed operation sees
 //! operand values identical to those of a full pass — so the session value
 //! is **bit-for-bit** the value a full re-evaluation would produce, in every
@@ -126,19 +126,6 @@ impl ConeAnalysis {
     /// Panics if `var` is out of range.
     pub fn cone(&self, var: usize) -> &[u32] {
         &self.cones[var]
-    }
-
-    /// The largest per-variable cone, in ops.
-    pub fn max_cone_size(&self) -> usize {
-        self.cones.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// The mean per-variable cone, in ops (0.0 for variable-free programs).
-    pub fn mean_cone_size(&self) -> f64 {
-        if self.cones.is_empty() {
-            return 0.0;
-        }
-        self.cones.iter().map(Vec::len).sum::<usize>() as f64 / self.cones.len() as f64
     }
 
     /// Checks that `ops` has the shape this analysis was computed from.
@@ -366,11 +353,6 @@ impl IncrementalState {
     pub fn value(&self) -> f64 {
         self.value
     }
-
-    /// Whether [`ConeAnalysis::prime`] has seeded this state.
-    pub fn is_primed(&self) -> bool {
-        self.primed
-    }
 }
 
 #[cfg(test)]
@@ -392,8 +374,8 @@ mod tests {
         let cones = ConeAnalysis::from_op_list(&ops);
         assert_eq!(cones.num_vars(), 6);
         assert_eq!(cones.num_ops(), ops.num_ops());
-        assert!(cones.max_cone_size() <= ops.num_ops());
-        assert!(cones.mean_cone_size() > 0.0);
+        assert!((0..6).all(|var| cones.cone(var).len() <= ops.num_ops()));
+        assert!((0..6).any(|var| !cones.cone(var).is_empty()));
         // Flipping a variable changes the value of some op in its cone and
         // of no op outside it.
         for var in 0..6 {
@@ -495,7 +477,7 @@ mod tests {
         cones
             .prime(&ops, &Evidence::marginal(6), &mut state)
             .unwrap();
-        assert!(state.is_primed());
+        assert!(state.primed);
         // Out-of-range variable.
         assert!(matches!(
             cones.apply_flips(&ops, &[(99, None)], &mut state),

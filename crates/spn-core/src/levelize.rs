@@ -55,12 +55,12 @@ impl Levelization {
     }
 
     /// Size of the largest group (peak data parallelism).
-    pub fn max_group_size(&self) -> usize {
+    pub(crate) fn max_group_size(&self) -> usize {
         self.groups.iter().map(Vec::len).max().unwrap_or(0)
     }
 
     /// Average group size (mean parallelism); zero for empty programs.
-    pub fn mean_group_size(&self) -> f64 {
+    pub(crate) fn mean_group_size(&self) -> f64 {
         if self.groups.is_empty() {
             return 0.0;
         }

@@ -20,7 +20,7 @@
 //!   input vectors from batches without per-query matching,
 //! * flattening to the paper's scalar program form, [`flatten::OpList`]
 //!   (Algorithm 1, a list of binary operations), and the one executor that
-//!   runs it, [`vectorized::run_lanes`] (`L` queries per pass; `L = 1` is
+//!   runs it, `vectorized::run_lanes` (`L` queries per pass; `L = 1` is
 //!   the scalar pass),
 //! * incremental re-evaluation for session workloads ([`incremental`]):
 //!   per-variable reachability cones computed once per program and a
@@ -29,7 +29,7 @@
 //! * the emulated PE-precision layer ([`precision`]): a [`Precision`] names
 //!   a (possibly custom reduced-precision) floating-point format and every
 //!   execution backend quantizes each intermediate through its
-//!   [`precision::Quantizer`], reproducing the paper's accuracy-vs-bit-width
+//!   `precision::Quantizer`, reproducing the paper's accuracy-vs-bit-width
 //!   trade-off in software,
 //! * static analysis ([`analysis`]): structural lints (completeness,
 //!   decomposability, normalization, dead nodes) and interval-propagation
@@ -82,6 +82,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod error;
 mod evidence;
@@ -106,19 +107,17 @@ pub mod vectorized;
 pub mod wire;
 
 pub use analysis::{Diagnostic, Location, Severity};
-pub use batch::{EvidenceBatch, InputRecipe, Obs};
+pub use batch::{EvidenceBatch, InputRecipe};
 pub use error::SpnError;
 pub use eval::Evaluator;
 pub use evidence::Evidence;
-pub use flatten::{OpListPart, PartInput};
+pub use flatten::PartInput;
 pub use graph::{Node, NodeId, Spn, SpnBuilder, VarId};
 pub use incremental::{ConeAnalysis, DeltaOutcome, IncrementalState};
 pub use numeric::NumericMode;
 pub use precision::Precision;
-pub use query::{
-    reference_query, reference_query_with, ConditionalBatch, QueryBatch, QueryMode, QueryResult,
-};
-pub use sample::{AliasTable, SampleBatch, SampleMethod, SampleRun, SampleSpec, SamplerProgram};
+pub use query::{reference_query, reference_query_with, ConditionalBatch, QueryBatch, QueryMode};
+pub use sample::{SampleBatch, SampleMethod, SampleRun, SampleSpec, SamplerProgram};
 pub use value::LogProb;
 pub use wire::{QueryRequest, QueryResponse};
 

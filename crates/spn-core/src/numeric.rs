@@ -95,7 +95,7 @@ pub fn log_sum_exp(a: f64, b: f64) -> f64 {
 /// independent, so the core overlaps them.  Results are bit-for-bit those of
 /// the scalar [`log_sum_exp`] in every lane.
 #[inline]
-pub fn log_sum_exp_lanes<const L: usize>(a: &[f64; L], b: &[f64; L], out: &mut [f64; L]) {
+pub(crate) fn log_sum_exp_lanes<const L: usize>(a: &[f64; L], b: &[f64; L], out: &mut [f64; L]) {
     let mut hi = [0.0f64; L];
     let mut lo = [0.0f64; L];
     for l in 0..L {

@@ -6,7 +6,7 @@
 //! array and a narrower exponent the alignment shifters, at the cost of a
 //! bounded relative error per operation.  This module models that dimension
 //! in software: a [`Precision`] names a floating-point format and a
-//! [`Quantizer`] (for a single value: [`round_to`]) is what every execution
+//! `Quantizer` (for a single value: [`round_to`]) is what every execution
 //! backend applies to each intermediate value, so an `f64` simulation
 //! reproduces exactly what a reduced-precision datapath would compute.
 //!
@@ -257,7 +257,7 @@ impl std::fmt::Display for Precision {
 /// rather than per value.  [`round_to`] is `Quantizer::new(p).round(x)`:
 /// there is one quantizer implementation.
 #[derive(Debug, Clone, Copy)]
-pub struct Quantizer {
+pub(crate) struct Quantizer {
     precision: Precision,
     /// Fraction bits the mantissa rounding drops.
     shift: u32,
@@ -267,7 +267,7 @@ pub struct Quantizer {
 
 impl Quantizer {
     /// The quantizer of `precision`.
-    pub fn new(precision: Precision) -> Quantizer {
+    pub(crate) fn new(precision: Precision) -> Quantizer {
         let (_, mant_bits) = clamped(precision.exp_bits(), precision.mant_bits());
         Quantizer {
             precision,
@@ -281,7 +281,7 @@ impl Quantizer {
     /// Identity for [`Precision::F64`]; `±0`, `±inf` and NaN always pass
     /// through unchanged.
     #[inline]
-    pub fn round(&self, x: f64) -> f64 {
+    pub(crate) fn round(&self, x: f64) -> f64 {
         match self.precision {
             Precision::F64 => x,
             Precision::F32 => {
@@ -338,8 +338,8 @@ impl Quantizer {
     }
 }
 
-/// Quantizes `x` to `precision`: [`Quantizer::round`] for a single value.
-/// Loops over many values build the [`Quantizer`] once instead.
+/// Quantizes `x` to `precision`: `Quantizer::round` for a single value.
+/// Loops over many values build the `Quantizer` once instead.
 #[inline]
 pub fn round_to(precision: Precision, x: f64) -> f64 {
     Quantizer::new(precision).round(x)

@@ -117,14 +117,6 @@ impl QueryMode {
     pub fn is_approximate(self) -> bool {
         matches!(self, QueryMode::Sample | QueryMode::Expectation)
     }
-
-    /// Circuit passes one query of this mode costs.
-    pub fn passes_per_query(self) -> usize {
-        match self {
-            QueryMode::Conditional => 2,
-            _ => 1,
-        }
-    }
 }
 
 impl std::fmt::Display for QueryMode {
@@ -200,7 +192,7 @@ impl ConditionalBatch {
     /// # Errors
     ///
     /// Returns [`SpnError::EvidenceMismatch`] when the variable counts differ.
-    pub fn extend_from(&mut self, other: &ConditionalBatch) -> Result<()> {
+    pub(crate) fn extend_from(&mut self, other: &ConditionalBatch) -> Result<()> {
         self.numerator.extend_from(&other.numerator)?;
         self.denominator.extend_from(&other.denominator)
     }
@@ -627,10 +619,8 @@ mod tests {
     }
 
     #[test]
-    fn mode_names_and_passes() {
+    fn mode_names() {
         assert_eq!(QueryMode::Joint.to_string(), "joint");
-        assert_eq!(QueryMode::Conditional.passes_per_query(), 2);
-        assert_eq!(QueryMode::Map.passes_per_query(), 1);
         assert_eq!(QueryMode::ALL.len(), 6);
         assert_eq!(QueryMode::from_name("sample").unwrap(), QueryMode::Sample);
         assert_eq!(

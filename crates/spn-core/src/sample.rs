@@ -6,7 +6,7 @@
 //! multi-core RISC-V discrete-sampling pipelines).  This module is the
 //! software model of that direction:
 //!
-//! * [`AliasTable`] — O(1) discrete sampling of sum-node child
+//! * `AliasTable` — O(1) discrete sampling of sum-node child
 //!   distributions (the software stand-in for a Knuth-Yao sampler block),
 //! * [`SamplerProgram`] — a compiled sampler for one SPN: prior *ancestral*
 //!   sampling top-down through sum/product nodes, exact *conditional*
@@ -43,7 +43,7 @@ use rand::rngs::Pcg64;
 use rand::{Rng, RngCore, StreamableRng};
 
 /// Number of warm-up sweeps a Gibbs chain runs before recording samples.
-pub const GIBBS_BURN_IN: usize = 50;
+pub(crate) const GIBBS_BURN_IN: usize = 50;
 
 /// The sampling algorithm answering an approximate query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -156,7 +156,7 @@ impl SampleBatch {
     }
 
     /// The PRNG stream id of each row, parallel to the rows.
-    pub fn streams(&self) -> &[u64] {
+    pub(crate) fn streams(&self) -> &[u64] {
         &self.streams
     }
 
@@ -225,7 +225,7 @@ impl SampleBatch {
 /// An alias table (Vose's method) over a discrete distribution: O(n) build,
 /// O(1) draws — the software model of a Knuth-Yao discrete sampler block.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AliasTable {
+pub(crate) struct AliasTable {
     prob: Vec<f64>,
     alias: Vec<u32>,
 }
@@ -235,7 +235,7 @@ impl AliasTable {
     ///
     /// Returns `None` when the distribution is degenerate: no outcomes, a
     /// negative or non-finite weight, or zero total mass.
-    pub fn new(weights: &[f64]) -> Option<AliasTable> {
+    pub(crate) fn new(weights: &[f64]) -> Option<AliasTable> {
         let n = weights.len();
         if n == 0 || weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
             return None;
@@ -272,19 +272,8 @@ impl AliasTable {
         Some(AliasTable { prob, alias })
     }
 
-    /// Number of outcomes.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Returns `true` when the table has no outcomes (never constructed by
-    /// [`AliasTable::new`], which rejects empty distributions).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
     /// Draws one outcome index (two uniform draws: bucket, then coin).
-    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
         let i = rng.gen_range(0..self.prob.len());
         if rng.next_f64() < self.prob[i] {
             i
@@ -296,7 +285,7 @@ impl AliasTable {
 
 /// One row's estimate of its evidence probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RowEstimate {
+pub(crate) struct RowEstimate {
     /// The (linear-domain) estimate of `P(evidence)`.
     pub value: f64,
     /// Standard error of the estimator (linear domain).
@@ -305,7 +294,7 @@ pub struct RowEstimate {
 
 /// One row's drawn samples.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RowSamples {
+pub(crate) struct RowSamples {
     /// The sampled complete assignments, one per draw.
     pub assignments: Vec<Vec<bool>>,
     /// Per-sample weights: `1.0` for the exact-draw methods (ancestral,
@@ -412,18 +401,14 @@ impl SamplerProgram {
         }
     }
 
-    /// Draws one assignment from the prior (alias-table fast path).
+    /// Draws one assignment from the prior (alias-table fast path) over a
+    /// caller-owned depth-first stack, so a run of draws allocates nothing
+    /// per draw.
     ///
     /// # Errors
     ///
     /// Returns [`SpnError::Invalid`] when a sum node on the path has zero
     /// total mass (no alias table).
-    pub fn draw_prior<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [bool]) -> Result<()> {
-        self.draw_prior_with(rng, out, &mut Vec::new())
-    }
-
-    /// [`SamplerProgram::draw_prior`] over a caller-owned depth-first
-    /// stack, so a run of draws allocates nothing per draw.
     fn draw_prior_with<R: RngCore + ?Sized>(
         &self,
         rng: &mut R,
@@ -523,7 +508,8 @@ impl SamplerProgram {
         Ok(())
     }
 
-    /// Estimates `P(row)` with `spec.n_samples` draws from stream `stream`.
+    /// Estimates `P(row)` with `spec.n_samples` draws from stream `stream`,
+    /// over caller-owned `scratch` buffers.
     ///
     /// * Ancestral: prior draws scored by evidence agreement
     ///   (`p̂ = hits / n`, binomial standard error).
@@ -534,16 +520,6 @@ impl SamplerProgram {
     ///
     /// Returns [`SpnError::Invalid`] for [`SampleMethod::Gibbs`] (a Gibbs
     /// chain cannot estimate the normaliser) and for degenerate samplers.
-    pub fn expectation_row(
-        &self,
-        row: &[Obs],
-        spec: SampleSpec,
-        stream: u64,
-    ) -> Result<RowEstimate> {
-        self.expectation_row_with(row, spec, stream, &mut Scratch::default())
-    }
-
-    /// [`SamplerProgram::expectation_row`] over caller-owned buffers.
     fn expectation_row_with(
         &self,
         row: &[Obs],
@@ -587,17 +563,12 @@ impl SamplerProgram {
     }
 
     /// Draws `spec.n_samples` assignments conditioned on `row` from stream
-    /// `stream`.
+    /// `stream`, over caller-owned `scratch` buffers.
     ///
     /// # Errors
     ///
     /// Returns [`SpnError::Invalid`] when the evidence has probability
     /// zero or a sum node on the path is degenerate.
-    pub fn sample_row(&self, row: &[Obs], spec: SampleSpec, stream: u64) -> Result<RowSamples> {
-        self.sample_row_with(row, spec, stream, &mut Scratch::default())
-    }
-
-    /// [`SamplerProgram::sample_row`] over caller-owned buffers.
     fn sample_row_with(
         &self,
         row: &[Obs],
@@ -772,8 +743,8 @@ impl SamplerProgram {
     ///
     /// # Errors
     ///
-    /// Propagates the first per-row failure (see
-    /// [`SamplerProgram::expectation_row`]).
+    /// Propagates the first per-row failure: [`SpnError::Invalid`] for
+    /// [`SampleMethod::Gibbs`] and for degenerate samplers.
     pub fn run_expectation_range(
         &self,
         batch: &SampleBatch,
@@ -805,8 +776,9 @@ impl SamplerProgram {
     ///
     /// # Errors
     ///
-    /// Propagates the first per-row failure (see
-    /// [`SamplerProgram::sample_row`]).
+    /// Propagates the first per-row failure: [`SpnError::Invalid`] when a
+    /// row's evidence has probability zero or a sum node on the path is
+    /// degenerate.
     pub fn run_sample_range(
         &self,
         batch: &SampleBatch,
@@ -1001,19 +973,25 @@ mod tests {
                 let mut x = vec![false; n];
                 let oracle: Vec<f64> = (0..draws)
                     .map(|_| {
-                        sampler.draw_prior(&mut rng, &mut x).unwrap();
+                        sampler
+                            .draw_prior_with(&mut rng, &mut x, &mut Vec::new())
+                            .unwrap();
                         importance_weight(&sampler, row, &x)
                     })
                     .collect();
                 let est = mean_and_std_err(&oracle);
                 let what = format!("circuit {c} row {r}");
                 // Row by row and over a whole run, whose buffers carry over.
-                let alone = sampler.sample_row(row, spec, r as u64).unwrap();
+                let alone = sampler
+                    .sample_row_with(row, spec, r as u64, &mut Scratch::default())
+                    .unwrap();
                 assert_eq!(bits(&alone.weights), bits(&oracle), "{what}");
                 assert_eq!(alone.std_err.to_bits(), est.std_err.to_bits(), "{what}");
                 let in_run = &samples.values[r * draws..(r + 1) * draws];
                 assert_eq!(bits(in_run), bits(&oracle), "{what}");
-                let alone = sampler.expectation_row(row, spec, r as u64).unwrap();
+                let alone = sampler
+                    .expectation_row_with(row, spec, r as u64, &mut Scratch::default())
+                    .unwrap();
                 assert_eq!(alone.value.to_bits(), est.value.to_bits(), "{what}");
                 assert_eq!(alone.std_err.to_bits(), est.std_err.to_bits(), "{what}");
                 assert_eq!(
@@ -1051,7 +1029,7 @@ mod tests {
     fn alias_table_matches_distribution() {
         let weights = [0.2, 0.5, 0.0, 0.3];
         let table = AliasTable::new(&weights).unwrap();
-        assert_eq!(table.len(), 4);
+        assert_eq!(table.prob.len(), 4);
         let mut rng = Pcg64::seed_from_u64(7);
         let mut counts = [0usize; 4];
         let n = 200_000;
@@ -1088,7 +1066,9 @@ mod tests {
         let mut x = vec![false; 5];
         let mut ones = [0usize; 5];
         for _ in 0..spec.n_samples {
-            sampler.draw_prior(&mut prng, &mut x).unwrap();
+            sampler
+                .draw_prior_with(&mut prng, &mut x, &mut Vec::new())
+                .unwrap();
             for (v, &b) in x.iter().enumerate() {
                 ones[v] += usize::from(b);
             }
@@ -1118,7 +1098,9 @@ mod tests {
             n_samples: 30_000,
             method: SampleMethod::Ancestral,
         };
-        let samples = sampler.sample_row(&row, spec, 0).unwrap();
+        let samples = sampler
+            .sample_row_with(&row, spec, 0, &mut Scratch::default())
+            .unwrap();
         assert_eq!(samples.assignments.len(), 30_000);
         assert!(samples.assignments.iter().all(|a| a[0]));
         // P(x1 | x0) = 0.3 / 0.5.
@@ -1135,7 +1117,7 @@ mod tests {
         let sampler = SamplerProgram::new(&spn);
         let row = vec![Obs::False];
         let err = sampler
-            .sample_row(&row, SampleSpec::default(), 0)
+            .sample_row_with(&row, SampleSpec::default(), 0, &mut Scratch::default())
             .unwrap_err();
         assert!(err.to_string().contains("probability zero"), "{err}");
     }
@@ -1153,7 +1135,9 @@ mod tests {
             n_samples: 20_000,
             method: SampleMethod::LikelihoodWeighted,
         };
-        let est = sampler.expectation_row(&row, spec, 0).unwrap();
+        let est = sampler
+            .expectation_row_with(&row, spec, 0, &mut Scratch::default())
+            .unwrap();
         let mut e = Evidence::marginal(6);
         e.observe(1, true);
         e.observe(4, false);
@@ -1182,7 +1166,12 @@ mod tests {
             ..SampleSpec::default()
         };
         assert!(sampler
-            .expectation_row(&[Obs::Marginal, Obs::Marginal], spec, 0)
+            .expectation_row_with(
+                &[Obs::Marginal, Obs::Marginal],
+                spec,
+                0,
+                &mut Scratch::default()
+            )
             .is_err());
     }
 
@@ -1196,7 +1185,9 @@ mod tests {
             n_samples: 20_000,
             method: SampleMethod::Gibbs,
         };
-        let samples = sampler.sample_row(&row, spec, 0).unwrap();
+        let samples = sampler
+            .sample_row_with(&row, spec, 0, &mut Scratch::default())
+            .unwrap();
         assert!(samples.assignments.iter().all(|a| a[0]));
         let ones = samples.assignments.iter().filter(|a| a[1]).count();
         let freq = ones as f64 / 20_000.0;

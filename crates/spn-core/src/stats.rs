@@ -47,7 +47,7 @@ impl SpnStats {
     }
 
     /// Computes statistics when the flattened program is already available.
-    pub fn from_spn_and_ops(spn: &Spn, ops: &OpList) -> SpnStats {
+    pub(crate) fn from_spn_and_ops(spn: &Spn, ops: &OpList) -> SpnStats {
         let (num_sums, num_products, num_leaves) = spn.reachable_counts();
         let order = spn.topological_order();
         let mut depth_of = vec![0usize; spn.num_nodes()];

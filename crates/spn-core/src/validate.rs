@@ -25,10 +25,9 @@
 use std::collections::BTreeSet;
 
 use crate::graph::{Node, Spn, VarId};
-use crate::{Result, SpnError};
 
 /// Tolerance used when checking that sum weights add up to one.
-pub const NORMALIZATION_TOLERANCE: f64 = 1e-6;
+pub(crate) const NORMALIZATION_TOLERANCE: f64 = 1e-6;
 
 /// Outcome of validating an SPN's structural properties.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -47,31 +46,6 @@ impl ValidationReport {
         self.incomplete_sums.is_empty()
             && self.non_decomposable_products.is_empty()
             && self.unnormalized_sums.is_empty()
-    }
-
-    /// Returns `true` when the SPN is complete and decomposable (weights may
-    /// be unnormalised, i.e. the circuit computes an unnormalised measure).
-    pub fn is_structurally_valid(&self) -> bool {
-        self.incomplete_sums.is_empty() && self.non_decomposable_products.is_empty()
-    }
-
-    /// Converts the report into a `Result`, surfacing the first violation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation found, in the order completeness,
-    /// decomposability, normalisation.
-    pub fn into_result(self) -> Result<()> {
-        if let Some(&node) = self.incomplete_sums.first() {
-            return Err(SpnError::NotComplete { node });
-        }
-        if let Some(&node) = self.non_decomposable_products.first() {
-            return Err(SpnError::NotDecomposable { node });
-        }
-        if let Some(&(node, sum)) = self.unnormalized_sums.first() {
-            return Err(SpnError::NotNormalized { node, sum });
-        }
-        Ok(())
     }
 }
 
@@ -135,33 +109,6 @@ pub fn check(spn: &Spn) -> ValidationReport {
     report
 }
 
-/// Validates `spn` and returns an error on the first violation.
-///
-/// # Errors
-///
-/// See [`ValidationReport::into_result`].
-pub fn check_strict(spn: &Spn) -> Result<()> {
-    check(spn).into_result()
-}
-
-/// Normalises every sum node's weights in place so each sums to one.
-///
-/// Sum nodes whose weights are all zero are left untouched (they always
-/// evaluate to zero anyway).
-pub fn normalize_weights(spn: &mut Spn) {
-    let ids: Vec<_> = spn.topological_order();
-    for id in ids {
-        if let Node::Sum { weights, .. } = spn.node(id) {
-            let total: f64 = weights.iter().sum();
-            if total > 0.0 && (total - 1.0).abs() > f64::EPSILON {
-                let normalized: Vec<f64> = weights.iter().map(|w| w / total).collect();
-                spn.set_sum_weights(id, normalized)
-                    .expect("sum node disappeared during normalisation");
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +127,6 @@ mod tests {
         let spn = b.finish(root).unwrap();
         let report = check(&spn);
         assert!(report.is_valid());
-        assert!(check_strict(&spn).is_ok());
     }
 
     #[test]
@@ -193,10 +139,6 @@ mod tests {
         let report = check(&spn);
         assert!(!report.is_valid());
         assert_eq!(report.incomplete_sums, vec![root.0]);
-        assert!(matches!(
-            check_strict(&spn),
-            Err(SpnError::NotComplete { .. })
-        ));
     }
 
     #[test]
@@ -208,45 +150,19 @@ mod tests {
         let spn = b.finish(root).unwrap();
         let report = check(&spn);
         assert_eq!(report.non_decomposable_products, vec![root.0]);
-        assert!(matches!(
-            check_strict(&spn),
-            Err(SpnError::NotDecomposable { .. })
-        ));
     }
 
     #[test]
-    fn unnormalized_sum_is_detected_and_fixed() {
+    fn unnormalized_sum_is_detected() {
         let mut b = SpnBuilder::new(1);
         let x = b.indicator(VarId(0), true);
         let nx = b.indicator(VarId(0), false);
         let root = b.sum(vec![(x, 2.0), (nx, 6.0)]).unwrap();
-        let mut spn = b.finish(root).unwrap();
+        let spn = b.finish(root).unwrap();
         let report = check(&spn);
-        assert!(report.is_structurally_valid());
+        assert!(report.incomplete_sums.is_empty());
+        assert!(report.non_decomposable_products.is_empty());
         assert!(!report.is_valid());
-        assert_eq!(report.unnormalized_sums.len(), 1);
-
-        normalize_weights(&mut spn);
-        assert!(check(&spn).is_valid());
-        match spn.node(root) {
-            Node::Sum { weights, .. } => {
-                assert!((weights[0] - 0.25).abs() < 1e-12);
-                assert!((weights[1] - 0.75).abs() < 1e-12);
-            }
-            _ => panic!("expected sum root"),
-        }
-    }
-
-    #[test]
-    fn all_zero_weights_survive_normalization() {
-        let mut b = SpnBuilder::new(1);
-        let x = b.indicator(VarId(0), true);
-        let root = b.sum(vec![(x, 0.0)]).unwrap();
-        let mut spn = b.finish(root).unwrap();
-        normalize_weights(&mut spn);
-        match spn.node(root) {
-            Node::Sum { weights, .. } => assert_eq!(weights, &vec![0.0]),
-            _ => unreachable!(),
-        }
+        assert_eq!(report.unnormalized_sums, vec![(root.0, 8.0)]);
     }
 }

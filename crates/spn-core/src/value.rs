@@ -39,7 +39,7 @@ impl LogProb {
     }
 
     /// Creates a log probability directly from its natural logarithm.
-    pub fn from_ln(ln: f64) -> Self {
+    pub(crate) fn from_ln(ln: f64) -> Self {
         LogProb(ln)
     }
 

@@ -1,13 +1,13 @@
 //! The flat-program executor: lane-blocked (batch-major) execution of an
 //! [`OpList`].
 //!
-//! [`run_lanes`] is the one function in the workspace's software backends
+//! `run_lanes` is the one function in the workspace's software backends
 //! that walks a whole operation list: every full pass — a single query, a
 //! session's priming pass, a MAP traceback pass, a batch of thousands — is
 //! `run_lanes::<L>` for some supported width `L`, and a scalar pass is
 //! simply `L = 1`.  What each operation computes lives in
-//! [`OpKind::apply_lanes`](crate::flatten::OpKind::apply_lanes) and how a
-//! reduced-precision program rounds it in [`Quantizer`]; the one walker
+//! `OpKind::apply_lanes` and how a
+//! reduced-precision program rounds it in `Quantizer`; the one walker
 //! that visits operations in another order (the incremental dirty-cone
 //! replay) shares both.
 //!
@@ -51,7 +51,7 @@ pub const MAX_LANES: usize = 8;
 /// The supported lane-block widths, in ascending order.  Power-of-two widths
 /// keep every lane group naturally aligned within the tile and give the
 /// compiler fixed trip counts it unrolls completely.
-pub const LANE_WIDTHS: [usize; 4] = [1, 2, 4, 8];
+pub(crate) const LANE_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// The widest supported lane width that is at most `requested` (at least 1).
 ///
@@ -76,7 +76,7 @@ pub fn normalize_lanes(requested: usize) -> usize {
 ///   values, overwritten,
 /// * `out` — receives the `lanes` root values, in lane (batch) order.
 ///
-/// `lanes` must be one of [`LANE_WIDTHS`]; the call dispatches to the
+/// `lanes` must be one of `LANE_WIDTHS`; the call dispatches to the
 /// monomorphized fixed-width kernel.  Results are bit-for-bit identical to
 /// running [`OpList::run_into`] once per lane.
 ///
@@ -106,7 +106,7 @@ pub fn run_lane_block(
 /// # Panics
 ///
 /// As for [`run_lane_block`].
-pub fn run_lanes<const L: usize>(
+pub(crate) fn run_lanes<const L: usize>(
     ops: &OpList,
     inputs: &[f64],
     results: &mut [f64],

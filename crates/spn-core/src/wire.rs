@@ -7,9 +7,9 @@
 //! * **compact evidence rows** — one character per variable: `'1'` observed
 //!   true, `'0'` observed false, `'?'` unobserved ([`parse_row`] /
 //!   [`format_evidence`] / [`format_assignment`]),
-//! * [`build_query`] — assembles the rows of one request into the right
-//!   [`QueryBatch`] for its [`QueryMode`] (conditional queries pair target
-//!   rows with `given` rows),
+//! * [`build_query_with_spec`] — assembles the rows of one request into the
+//!   right [`QueryBatch`] for its [`QueryMode`] (conditional queries pair
+//!   target rows with `given` rows),
 //! * [`QueryRequest`] / [`QueryResponse`] — the framing-agnostic request and
 //!   response of one inference call.  The TCP front-end in `spn-serve` maps
 //!   these onto line-delimited JSON; in-process callers use them directly.
@@ -78,27 +78,14 @@ pub fn format_assignment(assignment: &[bool]) -> String {
 ///
 /// For [`QueryMode::Conditional`], `rows` are the target observations and
 /// `givens` (required, same length) the conditioning observations; for every
-/// other mode `givens` must be absent.
+/// other mode `givens` must be absent.  `spec` drives the approximate modes
+/// (`sample` / `expectation`) and is ignored for exact modes.
 ///
 /// # Errors
 ///
 /// Returns [`SpnError::Invalid`] when the batch is empty, when `givens` is
 /// present/absent for the wrong mode or has mismatched length, and
 /// [`SpnError::EvidenceMismatch`] when rows cover different variable counts.
-pub fn build_query(
-    mode: QueryMode,
-    rows: &[Evidence],
-    givens: Option<&[Evidence]>,
-) -> Result<QueryBatch> {
-    build_query_with_spec(mode, rows, givens, SampleSpec::default())
-}
-
-/// [`build_query`] with an explicit [`SampleSpec`] for the approximate modes
-/// (`sample` / `expectation`); the spec is ignored for exact modes.
-///
-/// # Errors
-///
-/// As for [`build_query`].
 pub fn build_query_with_spec(
     mode: QueryMode,
     rows: &[Evidence],
@@ -175,12 +162,12 @@ pub struct QueryRequest {
 
 impl QueryRequest {
     /// Builds a linear-domain request from compact evidence rows (see
-    /// [`build_query`]); chain [`QueryRequest::with_numeric`] for log-domain
-    /// execution.
+    /// [`build_query_with_spec`]); chain [`QueryRequest::with_numeric`] for
+    /// log-domain execution.
     ///
     /// # Errors
     ///
-    /// As for [`parse_row`] and [`build_query`].
+    /// As for [`parse_row`] and [`build_query_with_spec`].
     pub fn from_rows(
         id: u64,
         model: impl Into<String>,
@@ -279,23 +266,51 @@ mod tests {
     #[test]
     fn build_query_modes() {
         let rows = [parse_row("1?").unwrap(), parse_row("?0").unwrap()];
-        let marginal = build_query(QueryMode::Marginal, &rows, None).unwrap();
+        let marginal =
+            build_query_with_spec(QueryMode::Marginal, &rows, None, SampleSpec::default()).unwrap();
         assert_eq!(marginal.mode(), QueryMode::Marginal);
         assert_eq!(marginal.len(), 2);
 
         // Joint rows must be complete.
-        assert!(build_query(QueryMode::Joint, &rows, None).is_err());
+        assert!(
+            build_query_with_spec(QueryMode::Joint, &rows, None, SampleSpec::default()).is_err()
+        );
         let complete = [parse_row("10").unwrap()];
-        assert!(build_query(QueryMode::Joint, &complete, None).is_ok());
+        assert!(
+            build_query_with_spec(QueryMode::Joint, &complete, None, SampleSpec::default()).is_ok()
+        );
 
         // Conditionals need matching givens; other modes reject them.
         let givens = [parse_row("?1").unwrap(), parse_row("?1").unwrap()];
-        let cond = build_query(QueryMode::Conditional, &rows, Some(&givens)).unwrap();
+        let cond = build_query_with_spec(
+            QueryMode::Conditional,
+            &rows,
+            Some(&givens),
+            SampleSpec::default(),
+        )
+        .unwrap();
         assert_eq!(cond.mode(), QueryMode::Conditional);
-        assert!(build_query(QueryMode::Conditional, &rows, None).is_err());
-        assert!(build_query(QueryMode::Conditional, &rows, Some(&givens[..1])).is_err());
-        assert!(build_query(QueryMode::Marginal, &rows, Some(&givens)).is_err());
-        assert!(build_query(QueryMode::Marginal, &[], None).is_err());
+        assert!(
+            build_query_with_spec(QueryMode::Conditional, &rows, None, SampleSpec::default())
+                .is_err()
+        );
+        assert!(build_query_with_spec(
+            QueryMode::Conditional,
+            &rows,
+            Some(&givens[..1]),
+            SampleSpec::default()
+        )
+        .is_err());
+        assert!(build_query_with_spec(
+            QueryMode::Marginal,
+            &rows,
+            Some(&givens),
+            SampleSpec::default()
+        )
+        .is_err());
+        assert!(
+            build_query_with_spec(QueryMode::Marginal, &[], None, SampleSpec::default()).is_err()
+        );
     }
 
     #[test]
@@ -318,14 +333,22 @@ mod tests {
         }
         // The default spec rides along on the plain builder, and zero
         // samples are rejected at build time.
-        let query = build_query(QueryMode::Expectation, &rows, None).unwrap();
+        let query =
+            build_query_with_spec(QueryMode::Expectation, &rows, None, SampleSpec::default())
+                .unwrap();
         assert_eq!(query.mode(), QueryMode::Expectation);
         let zero = SampleSpec {
             n_samples: 0,
             ..SampleSpec::default()
         };
         assert!(build_query_with_spec(QueryMode::Expectation, &rows, None, zero).is_err());
-        assert!(build_query(QueryMode::Sample, &rows, Some(&rows)).is_err());
+        assert!(build_query_with_spec(
+            QueryMode::Sample,
+            &rows,
+            Some(&rows),
+            SampleSpec::default()
+        )
+        .is_err());
     }
 
     #[test]

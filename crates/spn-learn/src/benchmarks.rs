@@ -18,7 +18,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use spn_core::random::{random_spn, RandomSpnConfig};
 use spn_core::Spn;
 
 use crate::chow_liu::ChowLiuTree;
@@ -143,11 +142,6 @@ pub enum Generator {
     LearnSpn,
     /// Chow-Liu tree learning compiled to an SPN (medium variable counts).
     ChowLiu,
-    /// The structured random DAG generator (very wide benchmarks).
-    RandomDag {
-        /// Sub-circuit reuse probability (controls DAG fanout).
-        reuse: f64,
-    },
 }
 
 /// Everything needed to reproduce one benchmark circuit.
@@ -157,7 +151,7 @@ pub struct BenchmarkSpec {
     pub benchmark: Benchmark,
     /// Number of binary variables (matches the published dataset).
     pub num_vars: usize,
-    /// Synthetic training rows (0 when no learner is involved).
+    /// Synthetic training rows the learner sees.
     pub num_rows: usize,
     /// Circuit construction pipeline.
     pub generator: Generator,
@@ -194,7 +188,7 @@ impl BenchmarkSpec {
     }
 
     /// Builds the benchmark circuit.
-    pub fn build(&self) -> Spn {
+    pub(crate) fn build(&self) -> Spn {
         let mut rng = StdRng::seed_from_u64(self.seed());
         match self.generator {
             Generator::LearnSpn => {
@@ -211,14 +205,6 @@ impl BenchmarkSpec {
                 let data = synthetic(self.num_vars, self.num_rows, self.structure, &mut rng);
                 ChowLiuTree::learn(&data).to_spn()
             }
-            Generator::RandomDag { reuse } => random_spn(
-                &RandomSpnConfig {
-                    num_vars: self.num_vars,
-                    reuse_probability: reuse,
-                    ..Default::default()
-                },
-                &mut rng,
-            ),
         }
     }
 }

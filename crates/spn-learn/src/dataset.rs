@@ -8,7 +8,7 @@
 //! mask where LearnSPN works on a subset of the rows, instead of a walk over
 //! the rows.  The counts of a variable pair form one record (`n`, `ones_a`,
 //! `ones_b`, `both`), and [`Dataset::marginal`], [`Dataset::joint`],
-//! [`Dataset::mutual_information`] and LearnSPN's leaves and independence
+//! `Dataset::mutual_information` and LearnSPN's leaves and independence
 //! tests all compute from such a record through the same smoothed formulas.
 
 use rand::Rng;
@@ -86,7 +86,7 @@ impl Dataset {
     }
 
     /// Number of rows.
-    pub fn num_rows(&self) -> usize {
+    pub(crate) fn num_rows(&self) -> usize {
         self.rows.len()
     }
 
@@ -113,7 +113,7 @@ impl Dataset {
 
     /// Pairwise mutual information between two variables (in nats), computed
     /// from smoothed counts.
-    pub fn mutual_information(&self, var_a: usize, var_b: usize) -> f64 {
+    pub(crate) fn mutual_information(&self, var_a: usize, var_b: usize) -> f64 {
         if var_a == var_b {
             return f64::INFINITY;
         }
@@ -122,32 +122,13 @@ impl Dataset {
 
     /// Splits the dataset into a training and a test part (`train_fraction`
     /// of the rows go to the training set, preserving row order).
-    pub fn split(&self, train_fraction: f64) -> (Dataset, Dataset) {
+    #[cfg(test)]
+    pub(crate) fn split(&self, train_fraction: f64) -> (Dataset, Dataset) {
         let cut = ((self.num_rows() as f64) * train_fraction).round() as usize;
         let cut = cut.min(self.num_rows());
         (
             Dataset::new(self.num_vars, self.rows[..cut].to_vec()),
             Dataset::new(self.num_vars, self.rows[cut..].to_vec()),
-        )
-    }
-
-    /// Restricts the dataset to a subset of rows (by index).
-    pub fn select_rows(&self, indices: &[usize]) -> Dataset {
-        Dataset::new(
-            self.num_vars,
-            indices.iter().map(|&i| self.rows[i].clone()).collect(),
-        )
-    }
-
-    /// Projects the dataset onto a subset of variables; the result's columns
-    /// follow the order of `vars`.
-    pub fn project(&self, vars: &[usize]) -> Dataset {
-        Dataset::new(
-            vars.len(),
-            self.rows
-                .iter()
-                .map(|r| vars.iter().map(|&v| r[v]).collect())
-                .collect(),
         )
     }
 }
@@ -369,17 +350,12 @@ mod tests {
     }
 
     #[test]
-    fn split_and_project_preserve_shapes() {
+    fn split_preserves_shapes() {
         let mut rng = StdRng::seed_from_u64(2);
         let d = synthetic(5, 100, Structure::Independent, &mut rng);
         let (train, test) = d.split(0.8);
         assert_eq!(train.num_rows(), 80);
         assert_eq!(test.num_rows(), 20);
-        let p = d.project(&[0, 3]);
-        assert_eq!(p.num_vars(), 2);
-        assert_eq!(p.num_rows(), 100);
-        let s = d.select_rows(&[0, 1, 2]);
-        assert_eq!(s.num_rows(), 3);
     }
 
     #[test]
@@ -489,8 +465,9 @@ mod tests {
                 ];
                 for (name, indices) in masks {
                     let mask = RowMask::new(&data, &indices);
-                    let subset = data.select_rows(&indices);
-                    let rows = subset.rows();
+                    let subset: Vec<Vec<bool>> =
+                        indices.iter().map(|&i| data.rows()[i].clone()).collect();
+                    let rows = &subset[..];
                     let ones: Vec<(usize, usize)> =
                         (0..VARS).map(|v| (v, mask.ones(&data, v))).collect();
                     for a in 0..VARS {
@@ -534,7 +511,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(14);
         let d = synthetic(7, 130, Structure::Chain, &mut rng);
         assert_eq!(Dataset::new(7, d.rows().to_vec()), d);
-        assert_eq!(d.select_rows(&(0..130).collect::<Vec<_>>()), d);
         let mut flipped = d.rows().to_vec();
         flipped[129][6] = !flipped[129][6];
         assert_ne!(Dataset::new(7, flipped), d);

@@ -12,7 +12,7 @@
 //! * [`chow_liu`] — Chow-Liu tree learning and its compilation to an SPN,
 //! * [`learnspn`] — a LearnSPN-style recursive structure learner (instance
 //!   clustering for sums, variable-independence partitioning for products),
-//! * [`benchmarks`] — named configurations for the nine workloads of Fig. 4,
+//! * `benchmarks` — named configurations for the nine workloads of Fig. 4,
 //!   producing circuits of the same variable counts and comparable sizes.
 //!
 //! The throughput experiments only depend on the circuit's size and topology
@@ -21,11 +21,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod benchmarks;
+mod benchmarks;
 pub mod chow_liu;
 pub mod dataset;
 pub mod learnspn;
 
-pub use benchmarks::{Benchmark, BenchmarkSpec};
+pub use benchmarks::Benchmark;
 pub use dataset::Dataset;

@@ -85,7 +85,7 @@ impl Parallelism {
 
     /// Number of shards a `queries`-long batch is split into: capped by the
     /// worker count and by the minimum shard size, never zero.
-    pub fn shards_for(&self, queries: usize) -> usize {
+    pub(crate) fn shards_for(&self, queries: usize) -> usize {
         let by_size = queries / self.min_shard.max(1);
         self.workers.min(by_size).max(1)
     }
@@ -280,8 +280,7 @@ pub trait Backend: Send + Sync {
     /// [`crate::Engine`] sessions fall back to full passes.
     ///
     /// Backends that return `Some` must execute single-query batches with
-    /// arithmetic bit-for-bit identical to
-    /// [`OpKind::apply`](spn_core::flatten::OpKind::apply) in op order,
+    /// arithmetic bit-for-bit identical to one op at a time in op order,
     /// because session deltas interleave incremental cone re-execution with
     /// full passes and the two must agree exactly.
     fn cone_analysis(&self, _compiled: &Self::Compiled) -> Option<Arc<ConeAnalysis>> {
@@ -318,7 +317,7 @@ pub trait Backend: Send + Sync {
     /// Executes `batch` sharded across a fixed pool of scoped worker
     /// threads, each with its own [`WorkerState`].
     ///
-    /// The batch is split into [`Parallelism::shards_for`] contiguous
+    /// The batch is split into `Parallelism::shards_for` contiguous
     /// sub-batches; worker `i` runs shard `i` through the ordinary
     /// [`Backend::execute_batch`] hot loop, and the shard results are
     /// stitched back together in shard order.  Because every query is

@@ -86,7 +86,7 @@ impl Default for CpuConfig {
 /// The CPU execution model.
 ///
 /// Every batch runs through the one flat-program executor,
-/// [`spn_core::vectorized::run_lanes`]: the batch is cut into lane blocks of
+/// `spn_core::vectorized::run_lanes`: the batch is cut into lane blocks of
 /// the configured width ([`spn_core::vectorized::MAX_LANES`] by default —
 /// fixed-trip inner loops the autovectorizer turns into SIMD), and what is
 /// left over into blocks of the next supported widths down to one.  Lane
@@ -151,7 +151,7 @@ impl CpuModel {
     }
 
     /// Counts cycles for one inference pass over `ops`.
-    pub fn model_cycles(&self, ops: &OpList) -> PerfReport {
+    pub(crate) fn model_cycles(&self, ops: &OpList) -> PerfReport {
         let cfg = &self.config;
         let n = ops.num_ops();
         if n == 0 {

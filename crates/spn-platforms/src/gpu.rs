@@ -141,7 +141,7 @@ impl GpuModel {
     /// shared-memory serialisation, divergence and issue group by group.
     /// The SIMT schedule is evidence-independent, so [`Backend::compile`]
     /// runs this once and every query of every batch is charged the result.
-    pub fn model_cycles(&self, ops: &OpList) -> PerfReport {
+    pub(crate) fn model_cycles(&self, ops: &OpList) -> PerfReport {
         let cfg = &self.config;
         let n = ops.num_ops();
         if n == 0 {

@@ -63,18 +63,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod backend;
-pub mod cpu;
-pub mod engine;
-pub mod gpu;
-pub mod options;
-pub mod processor;
+mod backend;
+mod cpu;
+mod engine;
+mod gpu;
+mod options;
+mod processor;
 
 pub use backend::{Backend, BackendError, BatchResult, ExecBuffers, Parallelism, WorkerState};
-pub use cpu::{CpuCompiled, CpuConfig, CpuModel};
+pub use cpu::{CpuCompiled, CpuModel};
 pub use engine::{Engine, EvalSession, MapArtifact, Plan, QueryOutput};
-pub use gpu::{GpuCompiled, GpuConfig, GpuModel};
+pub use gpu::{GpuConfig, GpuModel};
 pub use options::{EngineOptions, VerifyLevel};
 pub use processor::{ProcessorBackend, ProcessorScratch};
 pub use spn_core::incremental::DeltaOutcome;

@@ -141,12 +141,12 @@ impl ProcessorConfig {
     }
 
     /// Total registers in the machine.
-    pub fn total_registers(&self) -> usize {
+    pub(crate) fn total_registers(&self) -> usize {
         self.total_banks() * self.regs_per_bank
     }
 
     /// Data-memory capacity in words.
-    pub fn data_memory_words(&self) -> usize {
+    pub(crate) fn data_memory_words(&self) -> usize {
         self.data_memory_rows * self.total_banks()
     }
 

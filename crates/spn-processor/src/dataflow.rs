@@ -883,7 +883,7 @@ mod tests {
         let program = after_load(config, inputs.len(), vec![compute], r0);
         let processor = Processor::new(config.clone()).unwrap();
         let mut recorder = TraceRecorder::new(0);
-        let mut state = processor.state_for();
+        let mut state = SimState::default();
         processor
             .run_with_hook(&program, inputs, &mut state, &mut recorder)
             .unwrap();
@@ -1033,7 +1033,7 @@ mod tests {
         let processor = Processor::new(cfg).unwrap();
         let inputs: Vec<f64> = (0..32).map(|i| f64::from(i) + 0.5).collect();
         let mut recorder = TraceRecorder::new(0);
-        let mut state = processor.state_for();
+        let mut state = SimState::default();
         let run = processor
             .run_with_hook(&program, &inputs, &mut state, &mut recorder)
             .unwrap();

@@ -51,7 +51,7 @@ impl InterconnectConfig {
     ///
     /// Zero when `from == to`; otherwise `link_setup + hops × hop_latency`
     /// with `hops = |from - to|` on the linear topology.
-    pub fn latency(&self, from: usize, to: usize) -> u64 {
+    pub(crate) fn latency(&self, from: usize, to: usize) -> u64 {
         if from == to {
             0
         } else {
@@ -82,7 +82,7 @@ impl SharedMemoryConfig {
     /// Callers must have validated `ports >= 1` (see
     /// [`crate::config::MultiCoreConfig::validate`]); this saturates instead
     /// of dividing by zero so a malformed config cannot panic.
-    pub fn wave_penalty(&self, core: usize) -> u64 {
+    pub(crate) fn wave_penalty(&self, core: usize) -> u64 {
         (core / self.ports.max(1)) as u64
     }
 }

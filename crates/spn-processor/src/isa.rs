@@ -67,7 +67,7 @@ pub enum PeOp {
 impl PeOp {
     /// Returns `true` for `Add`/`Mul`/`Max`/`Lse`/`Sam`, the operations
     /// counted as SPN work.
-    pub fn is_arithmetic(self) -> bool {
+    pub(crate) fn is_arithmetic(self) -> bool {
         matches!(
             self,
             PeOp::Add | PeOp::Mul | PeOp::Max | PeOp::Lse | PeOp::Sam
@@ -253,7 +253,7 @@ pub struct Program {
     pub num_source_ops: usize,
     /// The emulated arithmetic format of the PE datapath: every PE result is
     /// quantized to this precision before write-back (see
-    /// [`crate::tree::apply_pe`]).  [`Precision::F64`] executes bit-for-bit
+    /// `tree::apply_pe`).  [`Precision::F64`] executes bit-for-bit
     /// like the pre-existing full-precision simulator.
     pub pe_precision: Precision,
 }

@@ -43,23 +43,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod dataflow;
 mod error;
+mod interconnect;
+mod perf;
+mod processor;
+mod trace;
 
 pub mod config;
-pub mod interconnect;
 pub mod isa;
 pub mod multicore;
-pub mod perf;
 pub mod precision;
-pub mod processor;
-pub mod trace;
 pub mod tree;
 
 pub use config::{MultiCoreConfig, PePosition, ProcessorConfig};
 pub use error::ProcessorError;
-pub use interconnect::{InterconnectConfig, SharedMemoryConfig};
+pub use interconnect::SharedMemoryConfig;
 pub use isa::{Instruction, MemOp, PeOp, Program, ReadSel, TreeInstr, WriteCmd};
 pub use multicore::{
     CoreProgram, MultiCoreBatch, MultiCoreProcessor, PartitionedProgram, TransferSource,
@@ -67,7 +68,7 @@ pub use multicore::{
 pub use perf::{CorePerf, MultiCorePerf, PerfReport};
 pub use precision::Precision;
 pub use processor::{CheckedProgram, ExecutionResult, Processor, SimState};
-pub use trace::{diff_traces, NoTrace, TraceDivergence, TraceEvent, TraceHook, TraceRecorder};
+pub use trace::{diff_traces, TraceDivergence, TraceRecorder};
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T, E = ProcessorError> = std::result::Result<T, E>;

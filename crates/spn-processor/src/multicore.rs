@@ -3,7 +3,7 @@
 //! [`MultiCoreProcessor`] executes compiled programs on
 //! [`MultiCoreConfig::cores`] identical single-core datapaths behind a
 //! shared parameter memory and a linear interconnect
-//! (see [`crate::interconnect`]).  Two execution modes cover the paper's
+//! (see `interconnect`).  Two execution modes cover the paper's
 //! scaling story:
 //!
 //! * **Batch-sharded** ([`MultiCoreProcessor::run_batch_sharded`]): every
@@ -200,13 +200,6 @@ impl MultiCoreProcessor {
         &self.core
     }
 
-    /// One reusable [`SimState`] per core (see [`Processor::state_for`]).
-    pub fn states_for(&self) -> Vec<SimState> {
-        (0..self.config.cores)
-            .map(|_| self.core.state_for())
-            .collect()
-    }
-
     /// The contiguous shard ranges of `queries` queries over `cores` shards
     /// of equal cost: `queries / cores` queries each, the first
     /// `queries % cores` taking one extra.  This is
@@ -351,7 +344,7 @@ impl MultiCoreProcessor {
             });
         }
         if states.len() != self.config.cores {
-            *states = self.states_for();
+            *states = vec![SimState::default(); self.config.cores];
         }
         // Legality, cost and dataflow are properties of the program: all
         // three are taken before query 0 (once per plan for a
@@ -453,7 +446,7 @@ impl MultiCoreProcessor {
             });
         }
         if states.len() < num_stages {
-            *states = self.states_for();
+            *states = vec![SimState::default(); self.config.cores];
         }
 
         let flows = stages
@@ -735,7 +728,7 @@ mod tests {
         let program = sum_of_products_program();
         let flat: Vec<f64> = (0..20).map(|i| i as f64 + 0.5).collect(); // 5 queries
         let single = Processor::new(cfg()).unwrap();
-        let mut state = single.state_for();
+        let mut state = SimState::default();
         let mut serial_outputs = Vec::new();
         let mut serial_perf = PerfReport::default();
         for inputs in flat.chunks(4) {
@@ -895,7 +888,7 @@ mod tests {
             mant_bits: 10,
         };
         // One state across precisions and widths: nothing leaks between them.
-        let mut state = mc.core().state_for();
+        let mut state = SimState::default();
         for precision in [Precision::F64, custom] {
             program.pe_precision = precision;
             let want = mc

@@ -9,8 +9,8 @@
 //! Reports are batch-aware: a batch is charged its per-query report ×
 //! queries ([`PerfReport::times`]), shard reports add up via
 //! [`PerfReport::merge`], and the [`PerfReport::queries`] field turns the
-//! totals into amortised per-query metrics
-//! ([`PerfReport::cycles_per_query`], [`PerfReport::queries_per_second`]).
+//! totals into amortised cycles per query
+//! ([`PerfReport::cycles_per_query`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -62,33 +62,12 @@ impl PerfReport {
         }
     }
 
-    /// Speed-up of this report relative to `baseline` (ratio of ops/cycle).
-    pub fn speedup_over(&self, baseline: &PerfReport) -> f64 {
-        let base = baseline.ops_per_cycle();
-        if base == 0.0 {
-            f64::INFINITY
-        } else {
-            self.ops_per_cycle() / base
-        }
-    }
-
     /// Amortised cycles per query; zero when no queries were counted.
     pub fn cycles_per_query(&self) -> f64 {
         if self.queries == 0 {
             0.0
         } else {
             self.cycles as f64 / self.queries as f64
-        }
-    }
-
-    /// Modelled query throughput at `clock_hz` cycles per second; zero when
-    /// no cycles were counted.
-    pub fn queries_per_second(&self, clock_hz: f64) -> f64 {
-        let cpq = self.cycles_per_query();
-        if cpq == 0.0 {
-            0.0
-        } else {
-            clock_hz / cpq
         }
     }
 
@@ -162,7 +141,7 @@ impl CorePerf {
 
     /// Total cycles accounted for; equals the makespan in a consistent
     /// multi-core report.
-    pub fn accounted_cycles(&self) -> u64 {
+    pub(crate) fn accounted_cycles(&self) -> u64 {
         self.busy_cycles() + self.idle_cycles
     }
 }
@@ -294,7 +273,6 @@ mod tests {
         assert_eq!(total.cycles, 40);
         assert_eq!(total.source_ops, 200);
         assert_eq!(total.cycles_per_query(), 20.0);
-        assert_eq!(total.queries_per_second(40.0), 2.0);
         assert!(total.to_string().contains("2 queries"));
         // Charging one report n times is merging it n times.
         assert_eq!(report(100, 20).times(2), total);
@@ -306,22 +284,12 @@ mod tests {
     fn per_query_metrics_are_zero_without_queries() {
         let empty = PerfReport::default();
         assert_eq!(empty.cycles_per_query(), 0.0);
-        assert_eq!(empty.queries_per_second(1e9), 0.0);
     }
 
     #[test]
     fn ops_per_cycle_division() {
         assert_eq!(report(100, 10).ops_per_cycle(), 10.0);
         assert_eq!(report(100, 0).ops_per_cycle(), 0.0);
-    }
-
-    #[test]
-    fn speedup_is_a_ratio_of_throughputs() {
-        let fast = report(100, 10);
-        let slow = report(100, 100);
-        assert_eq!(fast.speedup_over(&slow), 10.0);
-        assert_eq!(slow.speedup_over(&fast), 0.1);
-        assert!(fast.speedup_over(&report(0, 0)).is_infinite());
     }
 
     #[test]

@@ -48,7 +48,12 @@ pub struct ExecutionResult {
 /// a dataflow list over value slots — zero, one, each input, the arithmetic
 /// PE results, a slot taking the next value once its own has been read for
 /// the last time — and the replay fills them for up to eight queries side
-/// by side, one lane per query.  They are reused across runs and grow when
+/// by side, one lane per query.  A state starts empty
+/// (`SimState::default()`) and takes its size from the first replay: the
+/// constants and as many inputs and step results as are live at once, for
+/// each query replayed side by side.  The register file and data memory of
+/// the machine are never materialised: where a value sits only matters
+/// while a program is lowered.  States are reused across runs and grow when
 /// a bigger program comes along; the inputs stay where the caller holds
 /// them, a lane tile or query-major input vectors.  The lowering is
 /// not kept here: a [`CheckedProgram`] holds it for the whole plan, the
@@ -234,16 +239,6 @@ impl Processor {
         self.config.num_pes() / self.config.num_trees
     }
 
-    /// Builds reusable simulator storage.  It starts empty and takes its
-    /// size from the first replay: the constants and as many inputs and
-    /// step results as are live at once, for each query replayed side by
-    /// side.  The register file and data memory of the machine are never
-    /// materialised: where a value sits only matters while a program is
-    /// lowered.
-    pub fn state_for(&self) -> SimState {
-        SimState::default()
-    }
-
     /// Whether `program` is legal on this processor: one walk over the
     /// instruction stream that enforces every structural rule of the
     /// architecture and reads no value, so the verdict holds for every
@@ -421,7 +416,7 @@ impl Processor {
     /// match this processor's configuration ([`Processor::check`]), and
     /// [`ProcessorError::InputMismatch`] for a wrong input count.
     pub fn run(&self, program: &Program, inputs: &[f64]) -> Result<ExecutionResult> {
-        let mut state = self.state_for();
+        let mut state = SimState::default();
         self.run_with(program, inputs, &mut state)
     }
 
@@ -455,7 +450,7 @@ impl Processor {
     /// # Errors
     ///
     /// As for [`Processor::run_with`].
-    pub fn run_with_hook<H: TraceHook>(
+    pub(crate) fn run_with_hook<H: TraceHook>(
         &self,
         program: &Program,
         inputs: &[f64],
@@ -554,7 +549,7 @@ mod tests {
             [1.0, 1.0, 1.0, 1.0],
             [0.5, 0.5, 2.0, 2.0],
         ];
-        let mut state = proc.state_for();
+        let mut state = SimState::default();
         let mut outputs = Vec::new();
         let mut perf = PerfReport::default();
         for inputs in &queries {
@@ -574,7 +569,7 @@ mod tests {
     fn state_reuse_is_equivalent_to_fresh_state() {
         let program = sum_of_products_program();
         let proc = Processor::new(cfg()).unwrap();
-        let mut state = proc.state_for();
+        let mut state = SimState::default();
         let a = proc
             .run_with(&program, &[2.0, 3.0, 4.0, 5.0], &mut state)
             .unwrap();
@@ -667,7 +662,7 @@ mod tests {
             1,
             &[2.0, 3.0, 4.0, 5.0],
             &mut outputs,
-            &mut proc.state_for(),
+            &mut SimState::default(),
         );
         assert_eq!(outputs, [45.0]);
     }
@@ -1096,7 +1091,7 @@ mod tests {
         assert!(program.is_empty());
         assert_eq!(program.perf().stall_cycles, 0);
         let proc = Processor::new(cfg()).unwrap();
-        let mut state = proc.state_for();
+        let mut state = SimState::default();
         let run = proc
             .run_with(&program, &[1.0, 2.0, 3.0], &mut state)
             .unwrap();

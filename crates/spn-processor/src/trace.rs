@@ -12,7 +12,7 @@
 //! * [`TraceRecorder`] implements the hook by recording one [`TraceEvent`]
 //!   per active PE and per memory operation, tagged with a core id and a
 //!   cycle offset so multi-core schedules interleave on a global timeline.
-//! * [`TraceRecorder::render`] serialises events into a stable line-based
+//! * [`TraceRecorder::render_into`] serialises events into a stable line-based
 //!   text format (operands and results as exact `f64` bit patterns), which
 //!   is committed under `tests/golden_traces/` and re-generated with
 //!   `cargo run -p spn-bench --bin record_traces -- --bless`.
@@ -36,7 +36,7 @@ use crate::isa::PeOp;
 /// `ENABLED` gates every observation site: when `false` (the [`NoTrace`]
 /// implementation) the compiler removes the recording code entirely, so
 /// tracing costs nothing unless a recorder is attached.
-pub trait TraceHook {
+pub(crate) trait TraceHook {
     /// Whether observation sites should record anything at all.
     const ENABLED: bool;
 
@@ -73,7 +73,7 @@ pub trait TraceHook {
 
 /// The default hook: observes nothing, costs nothing.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoTrace;
+pub(crate) struct NoTrace;
 
 impl TraceHook for NoTrace {
     const ENABLED: bool = false;
@@ -143,7 +143,7 @@ pub enum TraceEvent {
     },
 }
 
-/// Records per-cycle [`TraceEvent`]s for one core.
+/// Records per-cycle `TraceEvent`s for one core.
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder {
     core: u32,
@@ -169,13 +169,13 @@ impl TraceRecorder {
     /// Sets the offset added to simulator-local cycles, placing subsequent
     /// events on the global multi-core timeline (e.g. the scheduled start
     /// cycle of a pipeline stage).
-    pub fn set_cycle_offset(&mut self, offset: u64) {
+    pub(crate) fn set_cycle_offset(&mut self, offset: u64) {
         self.cycle_offset = offset;
     }
 
     /// Records a query marker: events that follow belong to batch query
     /// `index`.
-    pub fn mark_query(&mut self, index: u64) {
+    pub(crate) fn mark_query(&mut self, index: u64) {
         self.events.push(TraceEvent::Query { index });
     }
 
@@ -246,7 +246,8 @@ impl TraceRecorder {
     }
 
     /// Renders the recorded events as trace text.
-    pub fn render(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
         out

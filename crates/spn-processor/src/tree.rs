@@ -5,7 +5,7 @@
 //! PEs directly below it.  Each PE either adds, multiplies, takes a maximum
 //! or log-sum-exp, compares, forwards one of its inputs, or idles.  Which
 //! values meet at which PE is fixed by the program and resolved once per
-//! plan when the simulator lowers it to a dataflow list; [`apply_pe`] is
+//! plan when the simulator lowers it to a dataflow list; `apply_pe` is
 //! the arithmetic that list replays per query.
 
 use crate::isa::PeOp;
@@ -36,7 +36,7 @@ pub fn log_sum_exp(a: f64, b: f64) -> f64 {
 /// idempotent, so values circulating through passes, registers and the data
 /// memory are quantized exactly once per arithmetic operation.
 #[inline]
-pub fn apply_pe(op: PeOp, a: f64, b: f64, precision: Precision) -> f64 {
+pub(crate) fn apply_pe(op: PeOp, a: f64, b: f64, precision: Precision) -> f64 {
     match op {
         PeOp::Nop => 0.0,
         PeOp::Add => round_to(precision, a + b),

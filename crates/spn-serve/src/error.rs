@@ -32,7 +32,7 @@ pub enum ServeError {
 
 impl ServeError {
     /// Wraps a backend error (compile or execute time).
-    pub fn from_backend(err: BackendError) -> ServeError {
+    pub(crate) fn from_backend(err: BackendError) -> ServeError {
         ServeError::Backend(err.to_string())
     }
 

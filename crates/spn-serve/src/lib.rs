@@ -20,10 +20,11 @@
 //!   engine's sharded query path (one shard is the serial call); every
 //!   query mode is served, and coalescing is bit-for-bit invisible in the
 //!   answers,
-//! * [`session`] — per-connection evaluation sessions: open once under full
-//!   evidence, then send only *deltas* (flipped variables), answered through
-//!   the backend's incremental cone path where available (bit-for-bit with
-//!   a full pass) and never coalesced across sessions,
+//! * sessions ([`SessionOpen`], [`SessionHandle`]) — per-connection
+//!   evaluation sessions: open once under full evidence, then send only
+//!   *deltas* (flipped variables), answered through the backend's
+//!   incremental cone path where available (bit-for-bit with a full pass)
+//!   and never coalesced across sessions,
 //! * [`TcpServer`] — a line-delimited JSON front-end over `std::net` with
 //!   graceful shutdown and versioned wire protocol (v2 envelopes adding
 //!   session semantics; a v1 one-shot line is the `"query"` envelope with
@@ -34,7 +35,7 @@
 //!   protocol.
 //!
 //! One-shot queries and session operations are one request path, not two:
-//! one wire decoder, one [`Handle`] type (named [`ResponseHandle`] and
+//! one wire decoder, one `Handle` type (named [`ResponseHandle`] and
 //! [`SessionHandle`] per response), one enqueue onto the worker queue, and
 //! one crate-private LRU map behind the plan cache and the session table.
 //!
@@ -65,20 +66,21 @@
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod error;
+mod error;
 pub mod json;
 mod lru;
-pub mod metrics;
+mod metrics;
 pub mod poll;
 pub mod registry;
-pub mod service;
-pub mod session;
+mod service;
+mod session;
 pub mod tcp;
 
 pub use error::ServeError;
-pub use metrics::{Metrics, MetricsRecord, ModeStats, SessionStats};
+pub use metrics::{Metrics, ModeStats};
 pub use registry::{ModelRegistry, ModelVariant};
-pub use service::{BatchPolicy, Handle, ResponseHandle, Service, ServiceConfig};
-pub use session::{SessionHandle, SessionKey, SessionOpen, SessionResponse};
+pub use service::{BatchPolicy, ResponseHandle, Service, ServiceConfig};
+pub use session::{SessionHandle, SessionOpen};
 pub use tcp::TcpServer;

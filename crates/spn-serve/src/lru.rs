@@ -21,7 +21,7 @@ pub(crate) struct Lru<K, V> {
 
 impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     /// An empty map holding at most `capacity` entries (clamped to ≥ 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Lru {
             map: HashMap::new(),
             clock: 0,
@@ -30,12 +30,12 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     }
 
     /// Number of entries held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// Looks up `key` and marks it most recently used.
-    pub fn get(&mut self, key: &K) -> Option<&mut V> {
+    pub(crate) fn get(&mut self, key: &K) -> Option<&mut V> {
         self.clock += 1;
         let (used, value) = self.map.get_mut(key)?;
         *used = self.clock;
@@ -43,7 +43,7 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     }
 
     /// Looks up `key` without touching its recency.
-    pub fn peek(&mut self, key: &K) -> Option<&mut V> {
+    pub(crate) fn peek(&mut self, key: &K) -> Option<&mut V> {
         self.map.get_mut(key).map(|(_, value)| value)
     }
 
@@ -51,7 +51,7 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     /// returns whatever had to be evicted to stay within capacity, least
     /// recently used first.  The entry just inserted is never among them:
     /// it holds the newest clock reading and the capacity is at least one.
-    pub fn insert(&mut self, key: K, value: V) -> Vec<(K, V)> {
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Vec<(K, V)> {
         self.clock += 1;
         self.map.insert(key, (self.clock, value));
         let mut evicted = Vec::new();
@@ -69,12 +69,12 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     }
 
     /// Removes `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
         self.map.remove(key).map(|(_, value)| value)
     }
 
     /// Removes every entry whose key matches `pred`, returning the values.
-    pub fn remove_where(&mut self, pred: impl Fn(&K) -> bool) -> Vec<V> {
+    pub(crate) fn remove_where(&mut self, pred: impl Fn(&K) -> bool) -> Vec<V> {
         let keys: Vec<K> = self.map.keys().filter(|key| pred(key)).cloned().collect();
         keys.iter().filter_map(|key| self.remove(key)).collect()
     }

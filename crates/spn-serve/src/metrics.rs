@@ -152,7 +152,7 @@ impl Metrics {
 
     /// Records one dispatched micro-batch of `requests` requests holding
     /// `queries` queries in total.
-    pub fn record_batch(
+    pub(crate) fn record_batch(
         &self,
         model: &str,
         mode: QueryMode,
@@ -175,7 +175,7 @@ impl Metrics {
     /// samples answering it drew (zero for exact modes), submit-to-response
     /// latency, and whether it failed.
     #[allow(clippy::too_many_arguments)]
-    pub fn record_request(
+    pub(crate) fn record_request(
         &self,
         model: &str,
         mode: QueryMode,
@@ -199,13 +199,13 @@ impl Metrics {
     }
 
     /// Records one opened session.
-    pub fn record_session_open(&self) {
+    pub(crate) fn record_session_open(&self) {
         self.sessions.opens.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one answered delta: how many operations it re-executed,
     /// whether it ran a full pass, and whether it failed.
-    pub fn record_session_delta(&self, recomputed_ops: u64, full_pass: bool, ok: bool) {
+    pub(crate) fn record_session_delta(&self, recomputed_ops: u64, full_pass: bool, ok: bool) {
         self.sessions.deltas.fetch_add(1, Ordering::Relaxed);
         self.sessions
             .recomputed_ops
@@ -221,18 +221,18 @@ impl Metrics {
     }
 
     /// Records one client-closed session.
-    pub fn record_session_close(&self) {
+    pub(crate) fn record_session_close(&self) {
         self.sessions.closes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one evicted session (capacity pressure or connection drop).
-    pub fn record_session_eviction(&self) {
+    pub(crate) fn record_session_eviction(&self) {
         self.sessions.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one failed session open (counted under both opens and
     /// errors).
-    pub fn record_session_error(&self) {
+    pub(crate) fn record_session_error(&self) {
         self.sessions.errors.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -252,7 +252,7 @@ impl Metrics {
     /// A consistent copy of every `(model, query mode, numeric mode,
     /// precision)` row, sorted by model name, then mode, then numeric mode,
     /// then precision (each in declaration order).
-    pub fn snapshot(&self) -> Vec<MetricsRecord> {
+    pub(crate) fn snapshot(&self) -> Vec<MetricsRecord> {
         let inner = self.inner.lock().expect("metrics lock");
         inner
             .iter()

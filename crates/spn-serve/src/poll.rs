@@ -27,11 +27,11 @@ pub const POLLIN: i16 = 0x001;
 /// Interest/readiness flag: the socket's send buffer has room.
 pub const POLLOUT: i16 = 0x004;
 /// Readiness flag (output only): error condition on the descriptor.
-pub const POLLERR: i16 = 0x008;
+pub(crate) const POLLERR: i16 = 0x008;
 /// Readiness flag (output only): the peer hung up.
-pub const POLLHUP: i16 = 0x010;
+pub(crate) const POLLHUP: i16 = 0x010;
 /// Readiness flag (output only): the descriptor is invalid.
-pub const POLLNVAL: i16 = 0x020;
+pub(crate) const POLLNVAL: i16 = 0x020;
 
 /// One polled descriptor: layout-compatible with the C `struct pollfd`.
 #[repr(C)]
@@ -58,11 +58,6 @@ impl PollFd {
     pub fn readable(&self) -> bool {
         self.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0
     }
-
-    /// The descriptor became writable.
-    pub fn writable(&self) -> bool {
-        self.revents & (POLLOUT | POLLHUP | POLLERR | POLLNVAL) != 0
-    }
 }
 
 /// Blocks until at least one entry of `fds` is ready or `timeout` elapses,
@@ -88,7 +83,7 @@ pub fn wait(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usize> {
 
         /// Safety contract: the pointer/length pair comes from one live
         /// mutable slice, and `poll` writes only within the given entries.
-        pub fn poll_raw(fds: &mut [PollFd], timeout_ms: i32) -> i32 {
+        pub(crate) fn poll_raw(fds: &mut [PollFd], timeout_ms: i32) -> i32 {
             // SAFETY: `fds` is a valid, exclusively borrowed slice for the
             // whole call; `poll` reads/writes only `fds.len()` entries.
             unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) }
@@ -165,7 +160,10 @@ mod tests {
         let ready = wait(&mut fds, Duration::from_millis(1000)).unwrap();
         assert!(ready >= 1);
         assert!(fds[0].readable(), "pending data must mark POLLIN");
-        assert!(fds[0].writable(), "an idle socket's send buffer has room");
+        assert!(
+            fds[0].revents & POLLOUT != 0,
+            "an idle socket's send buffer has room"
+        );
         assert!(!fds[1].readable(), "no second connection is pending");
     }
 }

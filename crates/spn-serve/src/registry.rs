@@ -94,9 +94,7 @@ struct ModelEntry {
     /// own alias tables in its private log domain, so one program serves
     /// linear and log traffic at every precision (numeric / precision
     /// transforms are applied by the engine to the *reported* values only).
-    /// `None` when the model was registered from a flattened program
-    /// ([`ModelRegistry::register_ops`]).
-    sampler: Option<Arc<SamplerProgram>>,
+    sampler: Arc<SamplerProgram>,
     /// Bumped on every (re-)registration of the name, so a session can tell
     /// that the program its state was primed on has been replaced.
     version: u64,
@@ -158,7 +156,7 @@ impl<B: Backend + Clone> ModelRegistry<B> {
         self.insert(
             name.into(),
             OpList::from_spn(spn),
-            Some(Arc::new(SamplerProgram::new(spn))),
+            Arc::new(SamplerProgram::new(spn)),
         );
     }
 
@@ -184,25 +182,14 @@ impl<B: Backend + Clone> ModelRegistry<B> {
         if analysis::has_errors(&diagnostics) {
             return Err(ServeError::Verification(diagnostics));
         }
-        self.insert(name.into(), ops, Some(Arc::new(SamplerProgram::new(spn))));
+        self.insert(name.into(), ops, Arc::new(SamplerProgram::new(spn)));
         Ok(())
     }
 
-    /// Registers (or replaces) `name` with an already flattened program
-    /// (which must be in the linear domain at full precision; mode- and
-    /// precision-specific artifacts are derived per variant on first use).
-    /// Replacing a name drops every cached variant of the old registration —
-    /// a hot swap can never leave a stale precision variant behind.
-    ///
-    /// A flattened program carries no graph structure, so the model gets no
-    /// sampler: approximate (`sample` / `expectation`) queries against it
-    /// are rejected by the engine.  Register from the [`Spn`] to serve them.
-    pub fn register_ops(&self, name: impl Into<String>, ops: OpList) {
-        self.insert(name.into(), ops, None);
-    }
-
-    /// The shared insertion path behind every `register*` flavour.
-    fn insert(&self, name: String, ops: OpList, sampler: Option<Arc<SamplerProgram>>) {
+    /// The shared insertion path behind both `register` flavours.  Replacing
+    /// a name drops every cached variant of the old registration — a hot
+    /// swap can never leave a stale precision variant behind.
+    fn insert(&self, name: String, ops: OpList, sampler: Arc<SamplerProgram>) {
         assert!(
             ops.mode() == NumericMode::Linear,
             "register the linear-domain program; log artifacts are derived per mode"
@@ -221,13 +208,6 @@ impl<B: Backend + Clone> ModelRegistry<B> {
         };
         inner.plans.remove_where(|(model, _)| *model == name);
         inner.models.insert(name, entry);
-    }
-
-    /// Removes `name`; a batch already dispatched finishes on its plan.
-    pub fn unregister(&self, name: &str) -> bool {
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner.plans.remove_where(|(model, _)| model == name);
-        inner.models.remove(name).is_some()
     }
 
     /// Registered model names, sorted.
@@ -293,10 +273,10 @@ impl<B: Backend + Clone> ModelRegistry<B> {
                 .ops
                 .with_mode(variant.numeric)
                 .with_precision(variant.precision);
-            (ops, entry.sampler.clone(), entry.version)
+            (ops, Arc::clone(&entry.sampler), entry.version)
         };
 
-        let plan = Plan::compile(self.backend.clone(), ops, sampler)
+        let plan = Plan::compile(self.backend.clone(), ops, Some(sampler))
             .map(Arc::new)
             .map_err(ServeError::from_backend)?;
 
@@ -442,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_registrations_carry_a_sampler_but_ops_registrations_do_not() {
+    fn every_variant_shares_the_registered_sampler() {
         let registry = registry_with(&["a"], 4);
         // Registered from the graph: every variant's plan shares one
         // sampler program.
@@ -451,11 +431,6 @@ mod tests {
         let first = linear.sampler().expect("sampler from graph");
         let second = log.sampler().expect("sampler shared per model");
         assert!(Arc::ptr_eq(first, second));
-
-        // Registered from a flattened program: no graph, no sampler.
-        registry.register_ops("flat", linear.ops().clone());
-        let flat = plan_of(&registry, "flat", ModelVariant::default());
-        assert!(flat.sampler().is_none());
     }
 
     #[test]
@@ -692,7 +667,5 @@ mod tests {
         let (after, plan) = registry.plan("a", ModelVariant::default()).unwrap();
         assert!(after > before);
         assert_eq!(plan.ops().num_vars(), 9);
-        assert!(registry.unregister("a"));
-        assert!(!registry.unregister("a"));
     }
 }

@@ -186,7 +186,7 @@ impl<T> Handle<T> {
     }
 
     /// Non-blocking poll; `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<T, ServeError>> {
+    pub(crate) fn try_wait(&self) -> Option<Result<T, ServeError>> {
         match self.rx.try_recv() {
             Ok(result) => Some(result),
             Err(mpsc::TryRecvError::Empty) => None,
@@ -245,8 +245,7 @@ impl<B: Backend + Clone + 'static> Service<B> {
         }
     }
 
-    /// The model registry (register/unregister/introspect models through
-    /// this).
+    /// The model registry (register and introspect models through this).
     pub fn registry(&self) -> &ModelRegistry<B> {
         &self.registry
     }

@@ -45,7 +45,7 @@ use crate::service::{Handle, Responder};
 /// The table key of one session: the serving connection it belongs to and
 /// the client-chosen session id (scoped per connection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SessionKey {
+pub(crate) struct SessionKey {
     /// The owning connection (from `Service::allocate_connection`).
     pub conn: u64,
     /// The client-chosen session id.
@@ -144,14 +144,14 @@ pub(crate) struct SessionTable {
 }
 
 impl SessionTable {
-    pub fn new(capacity: usize) -> SessionTable {
+    pub(crate) fn new(capacity: usize) -> SessionTable {
         SessionTable {
             inner: Mutex::new(Lru::new(capacity)),
         }
     }
 
     /// Number of live sessions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().expect("session table lock").len()
     }
 
@@ -163,7 +163,7 @@ impl SessionTable {
     /// # Errors
     ///
     /// Returns [`ServeError::Invalid`] when `key` is already open.
-    pub fn open(
+    pub(crate) fn open(
         &self,
         key: SessionKey,
         model: String,
@@ -201,7 +201,7 @@ impl SessionTable {
     ///
     /// Returns [`ServeError::Invalid`] when the session does not exist
     /// (never opened, closed, evicted, or owned by another connection).
-    pub fn lookup(&self, key: SessionKey) -> Result<Arc<SessionEntry>, ServeError> {
+    pub(crate) fn lookup(&self, key: SessionKey) -> Result<Arc<SessionEntry>, ServeError> {
         let mut inner = self.inner.lock().expect("session table lock");
         inner
             .get(&key)
@@ -211,7 +211,7 @@ impl SessionTable {
 
     /// Removes `key` if it still maps to `entry` (a closed session frees
     /// its key without racing a same-key successor).
-    pub fn remove(&self, key: SessionKey, entry: &Arc<SessionEntry>) {
+    pub(crate) fn remove(&self, key: SessionKey, entry: &Arc<SessionEntry>) {
         let mut inner = self.inner.lock().expect("session table lock");
         if inner
             .peek(&key)
@@ -223,7 +223,7 @@ impl SessionTable {
 
     /// Removes every session of `conn`, returning the entries for the
     /// caller to error-drain outside the table lock.
-    pub fn take_connection(&self, conn: u64) -> Vec<Arc<SessionEntry>> {
+    pub(crate) fn take_connection(&self, conn: u64) -> Vec<Arc<SessionEntry>> {
         let mut inner = self.inner.lock().expect("session table lock");
         inner.remove_where(|key| key.conn == conn)
     }

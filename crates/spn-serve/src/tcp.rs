@@ -108,7 +108,7 @@
 //! reads), a write buffer flushed as the socket drains, and a FIFO of
 //! in-flight requests submitted to the shared [`Service`] — responses of
 //! queries and session operations alike are collected non-blockingly
-//! ([`Handle::try_wait`](crate::service::Handle::try_wait)) and written
+//! (`Handle::try_wait`) and written
 //! back in request order.  No thread is spawned per connection, so one process
 //! holds thousands of mostly-idle connections; the [`Service`]'s fixed
 //! worker fleet drains the micro-batcher, and concurrency across
@@ -917,7 +917,7 @@ pub fn encode_response(response: &QueryResponse) -> String {
 }
 
 /// Encodes an error response line.
-pub fn encode_error(id: u64, err: &ServeError) -> String {
+pub(crate) fn encode_error(id: u64, err: &ServeError) -> String {
     Value::Obj(vec![
         ("id".to_string(), Value::Num(id as f64)),
         ("ok".to_string(), Value::Bool(false)),
@@ -928,7 +928,7 @@ pub fn encode_error(id: u64, err: &ServeError) -> String {
 
 /// Encodes a successful session-operation response line (open, delta or
 /// close — they share one shape; see the module docs).
-pub fn encode_session_response(response: &SessionResponse) -> String {
+pub(crate) fn encode_session_response(response: &SessionResponse) -> String {
     Value::Obj(vec![
         ("id".to_string(), Value::Num(response.id as f64)),
         ("ok".to_string(), Value::Bool(true)),

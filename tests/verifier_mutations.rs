@@ -23,7 +23,7 @@ use spn_core::{Evidence, NodeId, SpnBuilder, VarId};
 use spn_processor::isa::CopyCmd;
 use spn_processor::{
     CheckedProgram, MemOp, MultiCoreConfig, MultiCoreProcessor, PeOp, Processor, ProcessorConfig,
-    Program, ReadSel, TransferSource,
+    Program, ReadSel, SimState, TransferSource,
 };
 
 fn artifact(vars: usize, seed: u64) -> spn_compiler::CompiledArtifact {
@@ -425,7 +425,7 @@ fn legality_does_not_depend_on_data() {
     let config = art.program.config.clone();
     let processor = Processor::new(config.clone()).expect("processor");
     let multicore = MultiCoreProcessor::new(MultiCoreConfig::new(2, config)).expect("multicore");
-    let mut state = processor.state_for();
+    let mut state = SimState::default();
     let mut rng = StdRng::seed_from_u64(20261003);
     let (mut accepted, mut rejected) = (0usize, 0usize);
     for round in 0..120 {
