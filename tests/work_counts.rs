@@ -1,0 +1,125 @@
+//! Exact work counts of the hot calls, starting with heap allocations.
+//!
+//! This binary installs a counting global allocator: every `alloc`,
+//! `alloc_zeroed` and `realloc` adds one to a counter of the calling
+//! thread, so tests that run side by side on the harness's threads do not
+//! see each other's allocations.  Each test warms its call up once, so
+//! buffers that grow to their working size are counted there, and then
+//! pins the allocations of each later call exactly.  A change that adds an
+//! allocation to one of these paths fails here; one that removes an
+//! allocation re-records the pin on purpose.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use spn_accel::compiler::Compiler;
+use spn_accel::core::flatten::OpList;
+use spn_accel::core::{EvidenceBatch, QueryBatch};
+use spn_accel::learn::Benchmark;
+use spn_accel::platforms::{CpuModel, Engine, EngineOptions};
+use spn_accel::processor::{ProcessorConfig, SimState};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting the allocations of each thread.
+struct Counting;
+
+fn count() {
+    // `try_with`: a thread tearing down its locals may still allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one `GlobalAlloc` asks of this type; counting touches
+// only a thread-local `Cell`, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, which is `System`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`'s.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// The replay of a checked program writes into the caller's `SimState`,
+/// sized by the first block of each width: after that a block allocates
+/// nothing, at every lane width.
+#[test]
+fn a_checked_ptree_block_replays_without_allocating() {
+    // The counter sees an allocation, so a zero below is a measured zero.
+    assert_eq!(allocations(|| drop(std::hint::black_box(vec![0u8; 1]))), 1);
+    let ops = OpList::from_spn(&Benchmark::Msnbc.spn());
+    let artifact = Compiler::new(ProcessorConfig::ptree())
+        .compile_op_list(ops.clone())
+        .expect("MSNBC compiles for Ptree");
+    let batch = EvidenceBatch::marginals(ops.num_vars(), 8);
+    let slots = artifact.program.input_layout.len();
+    let mut state = SimState::default();
+    for lanes in [1, 2, 4, 8] {
+        let mut tile = vec![0.0; slots * lanes];
+        artifact
+            .input_recipe()
+            .fill_lane_block(&batch, 0, lanes, &mut tile);
+        let mut outputs = vec![0.0; lanes];
+        artifact
+            .program
+            .run_block(lanes, &tile, &mut outputs, &mut state);
+        for _ in 0..3 {
+            let n = allocations(|| {
+                artifact
+                    .program
+                    .run_block(lanes, &tile, &mut outputs, &mut state);
+            });
+            assert_eq!(n, 0, "run_block at {lanes} lanes");
+        }
+    }
+}
+
+/// Allocations of one `Engine<CpuModel>::execute_query` call on a
+/// 256-row marginal batch after one warm-up call, recorded when this pin
+/// was added.  They are the answer the call hands back: the value vector
+/// and the report's platform name.
+const EXECUTE_QUERY_ALLOCATIONS: u64 = 2;
+
+#[test]
+fn a_marginal_query_on_the_cpu_model_allocates_only_its_answer() {
+    let spn = Benchmark::Msnbc.spn();
+    let mut engine =
+        Engine::new(CpuModel::new(), &spn, EngineOptions::default()).expect("engine builds");
+    let query = QueryBatch::Marginal(EvidenceBatch::marginals(spn.num_vars(), 256));
+    engine.execute_query(&query).expect("warm-up call");
+    for _ in 0..3 {
+        let n = allocations(|| {
+            engine.execute_query(&query).expect("marginal batch runs");
+        });
+        assert_eq!(n, EXECUTE_QUERY_ALLOCATIONS, "execute_query");
+    }
+}
