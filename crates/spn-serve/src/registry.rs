@@ -153,11 +153,7 @@ impl<B: Backend + Clone> ModelRegistry<B> {
     /// The model is **not** statically verified; use
     /// [`ModelRegistry::try_register`] on untrusted load / hot-swap paths.
     pub fn register(&self, name: impl Into<String>, spn: &Spn) {
-        self.insert(
-            name.into(),
-            OpList::from_spn(spn),
-            Arc::new(SamplerProgram::new(spn)),
-        );
+        self.insert(name.into(), OpList::from_spn(spn), spn);
     }
 
     /// Statically verifies `spn` ([`analysis::lint_spn`] plus linear-domain
@@ -182,23 +178,16 @@ impl<B: Backend + Clone> ModelRegistry<B> {
         if analysis::has_errors(&diagnostics) {
             return Err(ServeError::Verification(diagnostics));
         }
-        self.insert(name.into(), ops, Arc::new(SamplerProgram::new(spn)));
+        self.insert(name.into(), ops, spn);
         Ok(())
     }
 
-    /// The shared insertion path behind both `register` flavours.  Replacing
-    /// a name drops every cached variant of the old registration — a hot
-    /// swap can never leave a stale precision variant behind.
-    fn insert(&self, name: String, ops: OpList, sampler: Arc<SamplerProgram>) {
-        assert!(
-            ops.mode() == NumericMode::Linear,
-            "register the linear-domain program; log artifacts are derived per mode"
-        );
-        assert!(
-            ops.precision() == Precision::F64,
-            "register the full-precision program; reduced-precision artifacts \
-             are derived per variant"
-        );
+    /// The shared insertion path behind both `register` flavours: `ops` is
+    /// `spn` flattened.  Replacing a name drops every cached variant of the
+    /// old registration — a hot swap can never leave a stale precision
+    /// variant behind.
+    fn insert(&self, name: String, ops: OpList, spn: &Spn) {
+        let sampler = Arc::new(SamplerProgram::new(spn));
         let mut inner = self.inner.lock().expect("registry lock");
         inner.next_version += 1;
         let entry = ModelEntry {
