@@ -75,13 +75,6 @@ impl CompiledArtifact {
         &self.lane_recipe
     }
 
-    /// The emulated PE arithmetic format the program computes in (recorded
-    /// from the source [`OpList`]; the VLIW [`Program::pe_precision`] carries
-    /// the simulator-side mirror of the same value).
-    pub fn precision(&self) -> spn_core::precision::Precision {
-        self.op_list.precision()
-    }
-
     /// Fills `out` with the concatenated input vectors of every query in
     /// `batch` (query-major, ready for
     /// `MultiCoreProcessor::run_batch_sharded`), reusing the allocation.
@@ -318,7 +311,7 @@ mod tests {
         let compiled = Compiler::new(ProcessorConfig::ptree())
             .compile_op_list(ops)
             .unwrap();
-        assert_eq!(compiled.precision(), p);
+        assert_eq!(compiled.op_list.precision(), p);
         assert_eq!(
             compiled.program.pe_precision,
             spn_processor::precision::Precision::Custom {

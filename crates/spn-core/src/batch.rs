@@ -63,7 +63,7 @@ impl Obs {
     /// Value an indicator leaf `[var = value]` takes under this observation:
     /// `1.0` when compatible or marginalised, `0.0` otherwise.
     #[inline]
-    pub fn indicator(self, value: bool) -> f64 {
+    pub(crate) fn indicator(self, value: bool) -> f64 {
         match self {
             Obs::Marginal => 1.0,
             Obs::True => {
@@ -155,7 +155,7 @@ impl EvidenceBatch {
     }
 
     /// Number of variables every query in the batch covers.
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.num_vars
     }
 
@@ -307,12 +307,6 @@ impl EvidenceBatch {
     pub fn to_evidence(&self, q: usize) -> Evidence {
         Evidence::from_options(self.query(q).iter().map(|o| o.to_option()).collect())
     }
-
-    /// Iterates over the observation rows of all queries (empty rows for a
-    /// zero-variable batch).
-    pub fn iter(&self) -> impl Iterator<Item = &[Obs]> {
-        (0..self.queries).map(move |q| self.query(q))
-    }
 }
 
 // The indicator table is indexed by `Obs as usize`.
@@ -353,7 +347,7 @@ pub struct InputRecipe {
 
 impl InputRecipe {
     /// Builds the recipe for `ops` (inheriting its [`NumericMode`]).
-    pub fn from_op_list(ops: &OpList) -> InputRecipe {
+    pub(crate) fn from_op_list(ops: &OpList) -> InputRecipe {
         let mut template = Vec::with_capacity(ops.num_inputs());
         let mut indicators = Vec::new();
         for (slot, leaf) in ops.inputs().iter().enumerate() {
@@ -414,16 +408,6 @@ impl InputRecipe {
         }
     }
 
-    /// The numeric domain the filled input vectors belong to.
-    pub fn mode(&self) -> NumericMode {
-        self.mode
-    }
-
-    /// The emulated arithmetic format the filled input vectors belong to.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
     /// Indicator value in the recipe's numeric domain: `ln` of the linear
     /// indicator for log-domain programs.  `linear` is only ever `1.0` or
     /// `0.0`, whose logs (`0.0`, `-inf`) are exact, so they are selected
@@ -441,11 +425,6 @@ impl InputRecipe {
     /// Number of input slots the recipe fills.
     pub fn num_inputs(&self) -> usize {
         self.template.len()
-    }
-
-    /// Number of SPN variables the program was flattened from.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
     }
 
     /// Number of indicator lane groups [`InputRecipe::fill_indicators`]
@@ -728,7 +707,6 @@ mod tests {
         batch.push_assignment(&[]).unwrap();
         assert_eq!(batch.len(), 3);
         assert!(!batch.is_empty());
-        assert_eq!(batch.iter().count(), 3);
         assert!(batch.query(2).is_empty());
         batch.clear();
         assert_eq!(batch.len(), 0);
@@ -738,9 +716,7 @@ mod tests {
     fn marginals_builds_full_batch() {
         let batch = EvidenceBatch::marginals(5, 7);
         assert_eq!(batch.len(), 7);
-        assert!(batch
-            .iter()
-            .all(|row| row.iter().all(|&o| o == Obs::Marginal)));
+        assert!((0..batch.len()).all(|q| batch.query(q).iter().all(|&o| o == Obs::Marginal)));
     }
 
     #[test]
@@ -762,12 +738,9 @@ mod tests {
 
         // The recipe advertises its program's variant, so a cache holding
         // recipes can be keyed without re-deriving anything.
-        assert_eq!(recipe.precision(), ops.precision());
+        assert_eq!(recipe.precision, ops.precision());
         let quantized = ops.with_precision(crate::Precision::E8M10);
-        assert_eq!(
-            quantized.input_recipe().precision(),
-            crate::Precision::E8M10
-        );
+        assert_eq!(quantized.input_recipe().precision, crate::Precision::E8M10);
 
         let batch = EvidenceBatch::from_evidences(9, &[Evidence::marginal(9), e]).unwrap();
         let mut flat = Vec::new();
@@ -782,7 +755,7 @@ mod tests {
         let spn = random_spn(&RandomSpnConfig::with_vars(6), &mut rng);
         let log_ops = crate::flatten::OpList::from_spn(&spn).to_log_domain();
         let recipe = log_ops.input_recipe();
-        assert_eq!(recipe.mode(), crate::NumericMode::Log);
+        assert_eq!(recipe.mode, crate::NumericMode::Log);
 
         let mut e = Evidence::marginal(6);
         e.observe(1, true);

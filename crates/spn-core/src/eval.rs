@@ -352,7 +352,7 @@ impl<'a> Evaluator<'a> {
     ///
     /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
     /// different number of variables than the SPN.
-    pub fn evaluate(&mut self, evidence: &Evidence) -> Result<f64> {
+    pub(crate) fn evaluate(&mut self, evidence: &Evidence) -> Result<f64> {
         self.pass::<Linear>(evidence)
     }
 
@@ -362,7 +362,7 @@ impl<'a> Evaluator<'a> {
     ///
     /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
     /// different number of variables than the SPN.
-    pub fn evaluate_log(&mut self, evidence: &Evidence) -> Result<LogProb> {
+    pub(crate) fn evaluate_log(&mut self, evidence: &Evidence) -> Result<LogProb> {
         self.pass::<Log>(evidence).map(LogProb::from_ln)
     }
 
@@ -398,7 +398,7 @@ impl<'a> Evaluator<'a> {
     ///
     /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
     /// different number of variables than the SPN.
-    pub fn mpe(&mut self, evidence: &Evidence) -> Result<MpeResult> {
+    pub(crate) fn mpe(&mut self, evidence: &Evidence) -> Result<MpeResult> {
         self.mpe_in::<Linear>(evidence)
     }
 
@@ -408,7 +408,7 @@ impl<'a> Evaluator<'a> {
     ///
     /// Returns [`SpnError::EvidenceMismatch`] when the evidence covers a
     /// different number of variables than the SPN.
-    pub fn mpe_log(&mut self, evidence: &Evidence) -> Result<MpeResult> {
+    pub(crate) fn mpe_log(&mut self, evidence: &Evidence) -> Result<MpeResult> {
         self.mpe_in::<Log>(evidence)
     }
 }
@@ -438,31 +438,6 @@ impl Spn {
     /// different number of variables than the SPN.
     pub fn evaluate_log(&self, evidence: &Evidence) -> Result<LogProb> {
         Evaluator::new(self).evaluate_log(evidence)
-    }
-
-    /// Computes the conditional probability `P(query | evidence)`.
-    ///
-    /// `query` and `evidence` are merged (query observations take precedence);
-    /// the result is `P(query, evidence) / P(evidence)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when either evidence has the wrong variable count, or
-    /// [`SpnError::Invalid`] when `P(evidence)` is zero.
-    pub fn conditional(&self, query: &Evidence, evidence: &Evidence) -> Result<f64> {
-        self.check_vars(query.num_vars())?;
-        self.check_vars(evidence.num_vars())?;
-        let mut joint = evidence.clone();
-        for (var, value) in query.iter_observed() {
-            joint.observe(var, value);
-        }
-        let denom = self.evaluate(evidence)?;
-        if denom == 0.0 {
-            return Err(SpnError::invalid(
-                "conditional probability undefined: evidence has probability zero",
-            ));
-        }
-        Ok(self.evaluate(&joint)? / denom)
     }
 
     /// Most probable explanation: the maximising complete assignment under
@@ -580,31 +555,6 @@ mod tests {
             let log = spn.evaluate_log(&e).unwrap();
             assert!((log.to_linear() - lin).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn conditional_matches_bayes_rule() {
-        let spn = independent_pair();
-        let mut query = Evidence::marginal(2);
-        query.observe(0, true);
-        let mut evidence = Evidence::marginal(2);
-        evidence.observe(1, true);
-        // X0 and X1 independent, so P(X0 | X1) = P(X0) = 0.2.
-        let p = spn.conditional(&query, &evidence).unwrap();
-        assert!((p - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn conditional_on_zero_probability_evidence_errors() {
-        let mut b = SpnBuilder::new(1);
-        let x = b.indicator(VarId(0), true);
-        let nx = b.indicator(VarId(0), false);
-        let root = b.sum(vec![(x, 1.0), (nx, 0.0)]).unwrap();
-        let spn = b.finish(root).unwrap();
-        let mut evidence = Evidence::marginal(1);
-        evidence.observe(0, false);
-        let query = Evidence::marginal(1);
-        assert!(spn.conditional(&query, &evidence).is_err());
     }
 
     #[test]

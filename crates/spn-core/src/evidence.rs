@@ -72,7 +72,7 @@ impl Evidence {
 
     /// Returns the value an indicator leaf `[var = value]` takes under this
     /// evidence: `1.0` when compatible or marginalised, `0.0` otherwise.
-    pub fn indicator(&self, var: usize, value: bool) -> f64 {
+    pub(crate) fn indicator(&self, var: usize, value: bool) -> f64 {
         match self.value(var) {
             None => 1.0,
             Some(observed) if observed == value => 1.0,

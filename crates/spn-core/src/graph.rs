@@ -13,7 +13,7 @@ pub struct VarId(pub u32);
 
 impl VarId {
     /// Returns the variable index as a `usize`.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -26,7 +26,7 @@ pub struct NodeId(pub u32);
 
 impl NodeId {
     /// Returns the node index as a `usize`.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -59,7 +59,7 @@ pub enum Node {
 
 impl Node {
     /// Returns the children of this node (empty for leaves).
-    pub fn children(&self) -> &[NodeId] {
+    pub(crate) fn children(&self) -> &[NodeId] {
         match self {
             Node::Sum { children, .. } | Node::Product { children } => children,
             Node::Indicator { .. } | Node::Constant(_) => &[],
@@ -103,11 +103,6 @@ impl Spn {
     /// Panics if `id` is out of range.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
-    }
-
-    /// Returns the node stored at `id`, or `None` if out of range.
-    pub fn get(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get(id.index())
     }
 
     /// Iterates over `(id, node)` pairs in arena order.
@@ -263,16 +258,6 @@ impl SpnBuilder {
             nodes: Vec::new(),
             num_vars,
         }
-    }
-
-    /// Number of nodes added so far.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of variables declared for the SPN under construction.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
     }
 
     fn push(&mut self, node: Node) -> NodeId {

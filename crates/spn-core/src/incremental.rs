@@ -109,16 +109,6 @@ impl ConeAnalysis {
         }
     }
 
-    /// Number of variables analysed.
-    pub fn num_vars(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of operations of the analysed program.
-    pub fn num_ops(&self) -> usize {
-        self.num_ops
-    }
-
     /// The op indices reachable from `var`'s indicators, in execution order.
     ///
     /// # Panics
@@ -348,11 +338,6 @@ impl IncrementalState {
         self.value = out[0];
         self.value
     }
-
-    /// The value of the most recent pass (0.0 before priming).
-    pub fn value(&self) -> f64 {
-        self.value
-    }
 }
 
 #[cfg(test)]
@@ -372,8 +357,8 @@ mod tests {
     fn cones_cover_exactly_the_reachable_ops() {
         let ops = program(3);
         let cones = ConeAnalysis::from_op_list(&ops);
-        assert_eq!(cones.num_vars(), 6);
-        assert_eq!(cones.num_ops(), ops.num_ops());
+        assert_eq!(cones.cones.len(), 6);
+        assert_eq!(cones.num_ops, ops.num_ops());
         assert!((0..6).all(|var| cones.cone(var).len() <= ops.num_ops()));
         assert!((0..6).any(|var| !cones.cone(var).is_empty()));
         // Flipping a variable changes the value of some op in its cone and
@@ -438,7 +423,7 @@ mod tests {
                         expected.to_bits(),
                         "seed {seed} flips {flips:?}"
                     );
-                    assert_eq!(state.value().to_bits(), expected.to_bits());
+                    assert_eq!(state.value.to_bits(), expected.to_bits());
                 }
             }
         }
@@ -509,7 +494,7 @@ mod tests {
         cones
             .prime(&ops, &Evidence::marginal(1), &mut state)
             .unwrap();
-        assert_eq!(state.value(), 1.0);
+        assert_eq!(state.value, 1.0);
         let outcome = cones
             .apply_flips(&ops, &[(0, Some(false))], &mut state)
             .unwrap();

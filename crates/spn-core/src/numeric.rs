@@ -74,7 +74,7 @@ impl std::fmt::Display for NumericMode {
 ///
 /// This is the scalar kernel behind every log-domain sum: the flattened
 /// programs' `LogAdd`, [`crate::LogProb`]'s `+` operator and the
-/// interpreted [`crate::Evaluator::evaluate_log`] oracle all call it.
+/// interpreted `Evaluator::evaluate_log` oracle all call it.
 #[inline]
 pub fn log_sum_exp(a: f64, b: f64) -> f64 {
     let (hi, lo) = if a >= b { (a, b) } else { (b, a) };

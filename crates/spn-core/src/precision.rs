@@ -175,7 +175,7 @@ impl Precision {
     }
 
     /// Explicit mantissa bits of the format.
-    pub fn mant_bits(self) -> u8 {
+    pub(crate) fn mant_bits(self) -> u8 {
         match self {
             Precision::F64 => 52,
             Precision::F32 => 23,
@@ -184,7 +184,7 @@ impl Precision {
     }
 
     /// Exponent bits of the format.
-    pub fn exp_bits(self) -> u8 {
+    pub(crate) fn exp_bits(self) -> u8 {
         match self {
             Precision::F64 => 11,
             Precision::F32 => 8,
@@ -216,7 +216,7 @@ impl Precision {
 
     /// The format's largest finite value, `(2 - 2^-mant_bits) * 2^emax`;
     /// larger magnitudes saturate to it.
-    pub fn max_value(self) -> f64 {
+    pub(crate) fn max_value(self) -> f64 {
         match self {
             Precision::F64 => f64::MAX,
             Precision::F32 => f64::from(f32::MAX),
@@ -234,7 +234,7 @@ impl Precision {
     /// The format's smallest positive normal value, `2^(2 - 2^(exp_bits -
     /// 1))`; smaller magnitudes flush to zero ([`Precision::F64`] and
     /// [`Precision::F32`] keep their native subnormal behaviour).
-    pub fn min_positive(self) -> f64 {
+    pub(crate) fn min_positive(self) -> f64 {
         match self {
             Precision::F64 => f64::MIN_POSITIVE,
             Precision::F32 => f64::from(f32::MIN_POSITIVE),

@@ -129,7 +129,7 @@ impl std::fmt::Display for QueryMode {
 ///
 /// Stored as two parallel [`EvidenceBatch`]es of equal length: the
 /// *numerator* rows merge target and conditioning observations (target wins
-/// on overlap, mirroring [`Spn::conditional`]) and the *denominator* rows
+/// on overlap) and the *denominator* rows
 /// hold the conditioning observations alone.  Execution is two ordinary
 /// batched passes plus one division per query.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -150,7 +150,7 @@ impl ConditionalBatch {
     /// Appends one query `P(target | given)`.
     ///
     /// Target observations take precedence over conflicting conditioning
-    /// observations, exactly like [`Spn::conditional`].
+    /// observations.
     ///
     /// # Errors
     ///
@@ -172,17 +172,12 @@ impl ConditionalBatch {
     }
 
     /// Number of conditional queries in the batch.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.numerator.len()
     }
 
-    /// Returns `true` when the batch holds no queries.
-    pub fn is_empty(&self) -> bool {
-        self.numerator.is_empty()
-    }
-
     /// Number of variables every query covers.
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.numerator.num_vars()
     }
 
@@ -482,8 +477,8 @@ pub fn reference_query(spn: &Spn, query: &QueryBatch) -> Result<QueryResult> {
 /// Answers a query batch with the reference [`Evaluator`] in the requested
 /// numeric domain.
 ///
-/// In [`NumericMode::Log`] the oracle runs [`Evaluator::evaluate_log`] (and
-/// [`Evaluator::mpe_log`] for MAP queries) and every returned value is a natural
+/// In [`NumericMode::Log`] the oracle runs `Evaluator::evaluate_log` (and
+/// `Evaluator::mpe_log` for MAP queries) and every returned value is a natural
 /// log — finite where the linear value would underflow to `0.0`; conditional
 /// queries become a log-space subtraction.
 ///

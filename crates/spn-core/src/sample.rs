@@ -171,7 +171,7 @@ impl SampleBatch {
     }
 
     /// Number of variables every row covers.
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.rows.num_vars()
     }
 
@@ -180,7 +180,7 @@ impl SampleBatch {
     /// # Errors
     ///
     /// Returns [`SpnError::Invalid`] when `n_samples` is zero.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.spec.n_samples == 0 {
             return Err(SpnError::invalid(
                 "sample queries need n_samples >= 1".to_string(),
@@ -373,11 +373,6 @@ impl SamplerProgram {
             prior,
             alias,
         }
-    }
-
-    /// Number of variables sampled assignments cover.
-    pub fn num_vars(&self) -> usize {
-        self.spn.num_vars()
     }
 
     /// Bottom-up log-domain value of every node under `row` into the

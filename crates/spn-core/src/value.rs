@@ -57,15 +57,6 @@ impl LogProb {
     pub fn is_zero(self) -> bool {
         self.0 == f64::NEG_INFINITY
     }
-
-    /// Returns the larger of two log probabilities.
-    pub fn max(self, other: LogProb) -> LogProb {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl Default for LogProb {

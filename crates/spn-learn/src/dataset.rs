@@ -7,7 +7,7 @@
 //! an `AND` and a `count_ones` over a column's words, restricted to a row
 //! mask where LearnSPN works on a subset of the rows, instead of a walk over
 //! the rows.  The counts of a variable pair form one record (`n`, `ones_a`,
-//! `ones_b`, `both`), and [`Dataset::marginal`], [`Dataset::joint`],
+//! `ones_b`, `both`), and `Dataset::marginal`, `Dataset::joint`,
 //! `Dataset::mutual_information` and LearnSPN's leaves and independence
 //! tests all compute from such a record through the same smoothed formulas.
 
@@ -81,7 +81,7 @@ impl Dataset {
     }
 
     /// Number of variables (columns).
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.num_vars
     }
 
@@ -91,7 +91,7 @@ impl Dataset {
     }
 
     /// Returns `true` when the dataset has no rows.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
@@ -102,12 +102,12 @@ impl Dataset {
 
     /// The empirical probability of variable `var` being `true`, with
     /// add-one (Laplace) smoothing.
-    pub fn marginal(&self, var: usize) -> f64 {
+    pub(crate) fn marginal(&self, var: usize) -> f64 {
         self.counts(var, var).marginal_a()
     }
 
     /// The smoothed empirical joint probability `P(var_a = a, var_b = b)`.
-    pub fn joint(&self, var_a: usize, a: bool, var_b: usize, b: bool) -> f64 {
+    pub(crate) fn joint(&self, var_a: usize, a: bool, var_b: usize, b: bool) -> f64 {
         self.counts(var_a, var_b).joint(a, b)
     }
 

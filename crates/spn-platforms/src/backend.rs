@@ -75,7 +75,7 @@ impl Parallelism {
 
     /// One worker per hardware thread of the host
     /// ([`std::thread::available_parallelism`]; `1` when unknown).
-    pub fn available() -> Self {
+    pub(crate) fn available() -> Self {
         Parallelism::workers(
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -92,7 +92,7 @@ impl Parallelism {
 }
 
 impl Default for Parallelism {
-    /// Defaults to [`Parallelism::available`].
+    /// Defaults to `Parallelism::available`.
     fn default() -> Self {
         Parallelism::available()
     }

@@ -30,7 +30,7 @@ use crate::options::EngineOptions;
 
 /// Microarchitectural parameters of the CPU model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CpuConfig {
+pub(crate) struct CpuConfig {
     /// Display name.
     pub name: String,
     /// Micro-ops the front end can issue per cycle.
@@ -117,7 +117,8 @@ impl CpuModel {
     }
 
     /// Creates a model with explicit parameters (lane-blocked execution).
-    pub fn with_config(config: CpuConfig) -> Self {
+    #[cfg(test)]
+    fn with_config(config: CpuConfig) -> Self {
         CpuModel {
             config,
             lanes: vectorized::MAX_LANES,
@@ -143,11 +144,6 @@ impl CpuModel {
     /// The widest lane block the execute-many path cuts a batch into.
     pub fn lanes(&self) -> usize {
         self.lanes
-    }
-
-    /// The model parameters.
-    pub fn config(&self) -> &CpuConfig {
-        &self.config
     }
 
     /// Counts cycles for one inference pass over `ops`.
@@ -277,12 +273,6 @@ impl CpuCompiled {
     /// The modelled cost of one inference pass.
     pub fn perf_per_query(&self) -> &PerfReport {
         &self.perf_per_query
-    }
-
-    /// Per-variable reachability cones of the program (shared with every
-    /// session evaluating this artifact).
-    pub fn cone_analysis(&self) -> &ConeAnalysis {
-        &self.cones
     }
 }
 

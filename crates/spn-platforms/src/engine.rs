@@ -337,11 +337,6 @@ impl<B: Backend> Engine<B> {
         self.plan.backend.name()
     }
 
-    /// The underlying backend.
-    pub fn backend(&self) -> &B {
-        &self.plan.backend
-    }
-
     /// The compiled artifact this engine serves queries against.
     pub fn compiled(&self) -> &B::Compiled {
         &self.plan.compiled

@@ -96,11 +96,6 @@ impl GpuModel {
         GpuModel { config }
     }
 
-    /// The model parameters.
-    pub fn config(&self) -> &GpuConfig {
-        &self.config
-    }
-
     /// Assigns every working-array element (inputs then op results) to a
     /// shared-memory bank.  A greedy colouring spreads the operands of
     /// consecutive operations across banks, mimicking the paper's

@@ -230,7 +230,7 @@ impl MultiCoreConfig {
     /// Returns [`ProcessorError::InvalidConfig`] describing the first
     /// inconsistency found (zero cores, zero shared-memory ports, or an
     /// invalid per-core configuration).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.cores == 0 {
             return Err(ProcessorError::InvalidConfig {
                 reason: "at least one core is required".to_string(),

@@ -101,7 +101,7 @@ pub struct TreeInstr {
 
 impl TreeInstr {
     /// An all-idle tree instruction sized for `config`.
-    pub fn nop(config: &ProcessorConfig) -> Self {
+    pub(crate) fn nop(config: &ProcessorConfig) -> Self {
         let num_pes: usize = (0..config.tree_levels)
             .map(|l| config.pes_at_level(l))
             .sum();
@@ -113,12 +113,12 @@ impl TreeInstr {
     }
 
     /// Returns `true` when the tree does nothing this cycle.
-    pub fn is_nop(&self) -> bool {
+    pub(crate) fn is_nop(&self) -> bool {
         self.writes.is_empty() && self.pe_ops.iter().all(|&op| op == PeOp::Nop)
     }
 
     /// Number of arithmetic (add/mul) operations issued on this tree.
-    pub fn arithmetic_ops(&self) -> usize {
+    pub(crate) fn arithmetic_ops(&self) -> usize {
         self.pe_ops.iter().filter(|op| op.is_arithmetic()).count()
     }
 

@@ -99,7 +99,7 @@ impl PartitionedProgram {
     /// an export out of range or a non-earlier core, or when a non-final
     /// stage feeds no later stage (its cycles could never overlap the
     /// pipeline, breaking cycle accounting).
-    pub fn validate(&self, cores: usize) -> Result<()> {
+    pub(crate) fn validate(&self, cores: usize) -> Result<()> {
         let fail = |reason: String| Err(ProcessorError::InvalidConfig { reason });
         if self.stages.is_empty() {
             return fail("partitioned program has no stages".to_string());
@@ -193,11 +193,6 @@ impl MultiCoreProcessor {
     /// The configuration this processor simulates.
     pub fn config(&self) -> &MultiCoreConfig {
         &self.config
-    }
-
-    /// The single-core simulator each core runs.
-    pub fn core(&self) -> &Processor {
-        &self.core
     }
 
     /// The contiguous shard ranges of `queries` queries over `cores` shards
@@ -392,7 +387,7 @@ impl MultiCoreProcessor {
     ///
     /// # Errors
     ///
-    /// Any [`PartitionedProgram::validate`] error, plus the single-core
+    /// Any `PartitionedProgram::validate` error, plus the single-core
     /// errors of each stage's program.
     pub fn run_partitioned(
         &self,
@@ -896,14 +891,14 @@ mod tests {
                 .unwrap()
                 .outputs;
             for (q, inputs) in flat.chunks(n).enumerate() {
-                let single = mc.core().run(&program, inputs).unwrap().output;
+                let single = mc.core.run(&program, inputs).unwrap().output;
                 assert_eq!(
                     single.to_bits(),
                     want[q].to_bits(),
                     "{precision:?} query {q}"
                 );
             }
-            let checked = CheckedProgram::new(mc.core(), program.clone()).unwrap();
+            let checked = CheckedProgram::new(&mc.core, program.clone()).unwrap();
             for lanes in [1, 2, 4, 8] {
                 let mut got = vec![0.0; 8];
                 for (block, out) in flat.chunks(lanes * n).zip(got.chunks_mut(lanes)) {

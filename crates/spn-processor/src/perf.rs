@@ -53,15 +53,6 @@ impl PerfReport {
         }
     }
 
-    /// Fraction of issued operations that were useful SPN work.
-    pub fn issue_efficiency(&self) -> f64 {
-        if self.issued_ops == 0 {
-            0.0
-        } else {
-            self.source_ops as f64 / self.issued_ops as f64
-        }
-    }
-
     /// Amortised cycles per query; zero when no queries were counted.
     pub fn cycles_per_query(&self) -> f64 {
         if self.queries == 0 {
@@ -290,14 +281,6 @@ mod tests {
     fn ops_per_cycle_division() {
         assert_eq!(report(100, 10).ops_per_cycle(), 10.0);
         assert_eq!(report(100, 0).ops_per_cycle(), 0.0);
-    }
-
-    #[test]
-    fn issue_efficiency_accounts_for_overhead_work() {
-        let mut r = report(80, 10);
-        r.issued_ops = 100;
-        assert!((r.issue_efficiency() - 0.8).abs() < 1e-12);
-        assert_eq!(report(0, 1).issue_efficiency(), 0.0);
     }
 
     #[test]

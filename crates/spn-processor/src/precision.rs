@@ -41,7 +41,7 @@ pub enum Precision {
 
 impl Precision {
     /// The format's largest finite value.
-    pub fn max_value(self) -> f64 {
+    pub(crate) fn max_value(self) -> f64 {
         match self {
             Precision::F64 => f64::MAX,
             Precision::F32 => f64::from(f32::MAX),
@@ -57,7 +57,7 @@ impl Precision {
     }
 
     /// The format's smallest positive normal value.
-    pub fn min_positive(self) -> f64 {
+    pub(crate) fn min_positive(self) -> f64 {
         match self {
             Precision::F64 => f64::MIN_POSITIVE,
             Precision::F32 => f64::from(f32::MIN_POSITIVE),

@@ -229,11 +229,6 @@ impl Processor {
         Ok(Processor { config })
     }
 
-    /// The configuration this processor simulates.
-    pub fn config(&self) -> &ProcessorConfig {
-        &self.config
-    }
-
     /// PEs of one tree (= the length of [`crate::TreeInstr::pe_ops`]).
     fn pes_per_tree(&self) -> usize {
         self.config.num_pes() / self.config.num_trees

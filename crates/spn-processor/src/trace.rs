@@ -99,7 +99,7 @@ impl TraceHook for NoTrace {
 
 /// One recorded observation.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
+pub(crate) enum TraceEvent {
     /// Start of a new query on this recorder's core.
     Query {
         /// Batch index of the query.
@@ -180,23 +180,9 @@ impl TraceRecorder {
     }
 
     /// The recorded events in issue order.
-    pub fn events(&self) -> &[TraceEvent] {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Discards all recorded events (the core id and offset are kept).
-    pub fn clear(&mut self) {
-        self.events.clear();
     }
 
     /// Renders the recorded events into `out`, one line per event.
@@ -416,9 +402,6 @@ mod tests {
         rec.set_cycle_offset(100);
         rec.on_mem(2, true, 1, 5);
         assert_eq!(rec.render(), "C00102 core=0 mem store row=1 reg=5\n");
-        rec.clear();
-        assert!(rec.is_empty());
-        assert_eq!(rec.len(), 0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct ModeStats {
 
 impl ModeStats {
     /// Mean queries per dispatched batch (0 when nothing ran).
-    pub fn mean_batch_queries(&self) -> f64 {
+    pub(crate) fn mean_batch_queries(&self) -> f64 {
         if self.batches == 0 {
             0.0
         } else {
@@ -131,7 +131,7 @@ pub struct Metrics {
 
 impl Metrics {
     /// Creates an empty sink.
-    pub fn new() -> Metrics {
+    pub(crate) fn new() -> Metrics {
         Metrics::default()
     }
 
@@ -237,7 +237,7 @@ impl Metrics {
     }
 
     /// A copy of the global session counters.
-    pub fn session_stats(&self) -> SessionStats {
+    pub(crate) fn session_stats(&self) -> SessionStats {
         SessionStats {
             opens: self.sessions.opens.load(Ordering::Relaxed),
             deltas: self.sessions.deltas.load(Ordering::Relaxed),

@@ -55,7 +55,7 @@ impl PollFd {
 
     /// The descriptor became readable (or hung up / errored, which a read
     /// also observes and must handle anyway).
-    pub fn readable(&self) -> bool {
+    pub(crate) fn readable(&self) -> bool {
         self.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0
     }
 }
@@ -109,7 +109,7 @@ pub fn wait(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usize> {
 /// Non-blocking sockets turn the spurious readiness into `WouldBlock`, so
 /// behaviour stays correct at the cost of busy-polling.
 #[cfg(not(unix))]
-pub fn wait(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usize> {
+pub(crate) fn wait(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usize> {
     std::thread::sleep(timeout.min(Duration::from_millis(5)));
     for fd in fds.iter_mut() {
         fd.revents = fd.events | POLLIN | POLLOUT;

@@ -59,7 +59,8 @@ impl ModelVariant {
     }
 
     /// The full-precision log-domain variant.
-    pub fn log() -> ModelVariant {
+    #[cfg(test)]
+    pub(crate) fn log() -> ModelVariant {
         ModelVariant::new(NumericMode::Log, Precision::F64)
     }
 
@@ -142,23 +143,18 @@ impl<B: Backend + Clone> ModelRegistry<B> {
         }
     }
 
-    /// The backend models are compiled for.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
     /// Registers (or replaces) `name` with the flattened form of `spn`.
     /// Compilation is deferred to the first [`ModelRegistry::plan`] call.
     ///
     /// The model is **not** statically verified; use
     /// [`ModelRegistry::try_register`] on untrusted load / hot-swap paths.
-    pub fn register(&self, name: impl Into<String>, spn: &Spn) {
+    pub(crate) fn register(&self, name: impl Into<String>, spn: &Spn) {
         self.insert(name.into(), OpList::from_spn(spn), spn);
     }
 
     /// Statically verifies `spn` ([`analysis::lint_spn`] plus linear-domain
     /// [`analysis::lint_ranges`]), then registers (or replaces) `name` like
-    /// [`ModelRegistry::register`].
+    /// `ModelRegistry::register`.
     ///
     /// This is the load / hot-swap entry point of an untrusted-model fleet:
     /// a structurally broken model is rejected *before* it replaces a good
@@ -200,7 +196,7 @@ impl<B: Backend + Clone> ModelRegistry<B> {
     }
 
     /// Registered model names, sorted.
-    pub fn models(&self) -> Vec<String> {
+    pub(crate) fn models(&self) -> Vec<String> {
         let inner = self.inner.lock().expect("registry lock");
         let mut names: Vec<String> = inner.models.keys().cloned().collect();
         names.sort();
@@ -212,7 +208,7 @@ impl<B: Backend + Clone> ModelRegistry<B> {
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownModel`] when `name` is not registered.
-    pub fn num_vars(&self, name: &str) -> Result<usize, ServeError> {
+    pub(crate) fn num_vars(&self, name: &str) -> Result<usize, ServeError> {
         let inner = self.inner.lock().expect("registry lock");
         Ok(inner.entry(name)?.ops.num_vars())
     }

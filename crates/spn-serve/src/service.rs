@@ -255,18 +255,6 @@ impl<B: Backend + Clone + 'static> Service<B> {
         self.registry.register(name, spn);
     }
 
-    /// Statically verifies and then registers (or replaces) a named model —
-    /// see [`ModelRegistry::try_register`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Verification`] with the full diagnostic report
-    /// when the model has error-level findings; the existing registration
-    /// (if any) is left untouched.
-    pub fn try_register(&self, name: impl Into<String>, spn: &Spn) -> Result<(), ServeError> {
-        self.registry.try_register(name, spn)
-    }
-
     /// A snapshot of the per-model / per-mode counters.
     pub fn metrics(&self) -> Vec<MetricsRecord> {
         self.metrics.snapshot()
