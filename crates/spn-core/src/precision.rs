@@ -51,9 +51,9 @@ use serde::{Deserialize, Serialize};
 use crate::{Result, SpnError};
 
 /// Widest custom exponent width (the `f64` exponent field).
-pub const MAX_EXP_BITS: u8 = 11;
+pub(crate) const MAX_EXP_BITS: u8 = 11;
 /// Widest custom mantissa width (the `f64` fraction field).
-pub const MAX_MANT_BITS: u8 = 52;
+pub(crate) const MAX_MANT_BITS: u8 = 52;
 
 /// The floating-point format a program's arithmetic is emulated in.
 ///
@@ -83,9 +83,9 @@ pub enum Precision {
     /// `2 ..= MAX_EXP_BITS` / `1 ..= MAX_MANT_BITS` — never a panic or a
     /// garbage value.
     Custom {
-        /// Exponent field width in bits (2 ..= [`MAX_EXP_BITS`]).
+        /// Exponent field width in bits (2 ..= 11, the `f64` exponent field).
         exp_bits: u8,
-        /// Explicit mantissa field width in bits (1 ..= [`MAX_MANT_BITS`]).
+        /// Explicit mantissa field width in bits (1 ..= 52, the `f64` fraction field).
         mant_bits: u8,
     },
 }

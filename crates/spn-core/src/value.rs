@@ -24,9 +24,7 @@ pub struct LogProb(f64);
 
 impl LogProb {
     /// The log-domain representation of probability zero.
-    pub const ZERO: LogProb = LogProb(f64::NEG_INFINITY);
-    /// The log-domain representation of probability one.
-    pub const ONE: LogProb = LogProb(0.0);
+    pub(crate) const ZERO: LogProb = LogProb(f64::NEG_INFINITY);
 
     /// Creates a log probability from a linear-domain value.
     ///
@@ -98,10 +96,11 @@ mod tests {
 
     #[test]
     fn zero_and_one_behave() {
+        let one = LogProb::from_linear(1.0);
         assert!(LogProb::ZERO.is_zero());
-        assert_eq!(LogProb::ONE.to_linear(), 1.0);
-        assert_eq!((LogProb::ZERO + LogProb::ONE).to_linear(), 1.0);
-        assert!((LogProb::ZERO * LogProb::ONE).is_zero());
+        assert_eq!(one.to_linear(), 1.0);
+        assert_eq!((LogProb::ZERO + one).to_linear(), 1.0);
+        assert!((LogProb::ZERO * one).is_zero());
     }
 
     #[test]

@@ -17,9 +17,9 @@
 use serde::{Deserialize, Serialize};
 
 /// Widest custom exponent width (the `f64` exponent field).
-pub const MAX_EXP_BITS: u8 = 11;
+pub(crate) const MAX_EXP_BITS: u8 = 11;
 /// Widest custom mantissa width (the `f64` fraction field).
-pub const MAX_MANT_BITS: u8 = 52;
+pub(crate) const MAX_MANT_BITS: u8 = 52;
 
 /// The floating-point format the PE trees compute in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -32,9 +32,9 @@ pub enum Precision {
     /// A custom format with `exp_bits` exponent and `mant_bits` explicit
     /// mantissa bits; no subnormals (flush-to-zero), saturating overflow.
     Custom {
-        /// Exponent field width in bits (2 ..= [`MAX_EXP_BITS`]).
+        /// Exponent field width in bits (2 ..= 11, the `f64` exponent field).
         exp_bits: u8,
-        /// Explicit mantissa field width in bits (1 ..= [`MAX_MANT_BITS`]).
+        /// Explicit mantissa field width in bits (1 ..= 52, the `f64` fraction field).
         mant_bits: u8,
     },
 }
