@@ -59,7 +59,7 @@ fn lint_model(label: &str, spn: &Spn, reports: &mut Vec<Report>) {
             let ops = lowered.clone().with_precision(precision);
             reports.push(Report {
                 label: format!("{label} [ranges {mode} {precision}]"),
-                diagnostics: analysis::lint_ranges(&ops).diagnostics,
+                diagnostics: analysis::lint_ranges(&ops),
             });
         }
     }
@@ -114,7 +114,7 @@ fn lint_golden(reports: &mut Vec<Report>) {
         let ops = case.op_list();
         reports.push(Report {
             label: format!("{label} [ranges]"),
-            diagnostics: analysis::lint_ranges(&ops).diagnostics,
+            diagnostics: analysis::lint_ranges(&ops),
         });
         let config = case.config();
         let compiler = Compiler::new(config.core.clone());

@@ -32,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;

@@ -97,8 +97,6 @@ impl CompiledArtifact {
 pub struct PartitionedArtifact {
     /// The compiled pipeline stages (stage `j` runs on core `j`).
     pub parts: PartitionedProgram,
-    /// One compile report per stage, in stage order.
-    pub reports: Vec<CompileReport>,
     /// The unpartitioned operation list the stages were cut from.
     pub op_list: OpList,
     /// Pre-resolved mapping from evidence to the global input vector.
@@ -199,11 +197,10 @@ impl Compiler {
     ) -> Result<PartitionedArtifact> {
         let parts = op_list.partition(cores);
         let mut stages = Vec::with_capacity(parts.len());
-        let mut reports = Vec::with_capacity(parts.len());
         for part in &parts {
             let exports: Vec<OperandRef> =
                 part.exports.iter().map(|&i| OperandRef::Op(i)).collect();
-            let (program, report) = self.compile_part(&part.ops, &exports)?;
+            let (program, _) = self.compile_part(&part.ops, &exports)?;
             let inputs = part
                 .inputs
                 .iter()
@@ -213,13 +210,11 @@ impl Compiler {
                 })
                 .collect();
             stages.push(CoreProgram { program, inputs });
-            reports.push(report);
         }
         let recipe = op_list.input_recipe();
         let num_inputs = op_list.num_inputs();
         Ok(PartitionedArtifact {
             parts: PartitionedProgram { stages, num_inputs },
-            reports,
             op_list,
             recipe,
         })
@@ -342,7 +337,6 @@ mod tests {
             for cores in [2usize, 3] {
                 let parted = compiler.compile_partitioned(ops.clone(), cores).unwrap();
                 assert!(parted.num_stages() >= 2);
-                assert_eq!(parted.reports.len(), parted.num_stages());
                 let mc =
                     MultiCoreProcessor::new(MultiCoreConfig::new(cores, ProcessorConfig::ptree()))
                         .unwrap();

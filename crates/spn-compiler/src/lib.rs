@@ -42,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
 mod alloc;
 mod compiler;
@@ -53,7 +54,7 @@ mod tile;
 
 pub mod verify;
 
-pub use compiler::{CompiledArtifact, Compiler, CompilerOptions};
+pub use compiler::{CompiledArtifact, Compiler, CompilerOptions, PartitionedArtifact};
 pub use error::CompileError;
 pub use report::CompileReport;
 pub use verify::{verify_artifact, verify_partitioned, verify_program};

@@ -24,7 +24,7 @@
 //!   program the output location and every export hold exactly the value
 //!   the op list says they should,
 //! * **partition consistency**: the transfer sources of a
-//!   partitioned artifact's stages must agree with the partition
+//!   [`PartitionedArtifact`]'s stages must agree with the partition
 //!   structure recomputed from the op list, with every link pointing
 //!   backwards at a live export,
 //! * **cone soundness**: the [`ConeAnalysis`] of the artifact's op list

@@ -6,9 +6,10 @@
 //! semantics) and numeric well-behavedness at the stamped reduced precision
 //! (guaranteed underflow or saturation of the per-application datapath).
 //! Every check reports through one [`Diagnostic`] type with a stable code,
-//! so callers — [`Engine::new`](https://docs.rs/) in debug builds, the
-//! serving registry at model load/hot-swap, and the `spn_lint` CI binary —
-//! can gate on severity uniformly.
+//! so the two places a model enters from outside — the serving registry at
+//! model load/hot-swap and the `spn_lint` CI binary — gate on severity
+//! uniformly.  This is the only model checker: a model's validity is fixed
+//! by the model alone, so nothing re-checks it per engine or per query.
 //!
 //! Two analyses live here:
 //!
@@ -24,13 +25,16 @@
 //!
 //! The full diagnostic-code table is documented in `docs/ARCHITECTURE.md`.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::flatten::{LeafSource, OpKind, OpList, OperandRef};
-use crate::graph::Node;
+use crate::graph::{Node, VarId};
 use crate::numeric::NumericMode;
-use crate::validate::check_node;
 use crate::Spn;
+
+/// Tolerance used when checking that sum weights add up to one.
+const NORMALIZATION_TOLERANCE: f64 = 1e-6;
 
 /// SPN006 fires when one sum edge holds more than this share of the weight
 /// mass: the remaining branches are sampled with probability below `2^-40`,
@@ -149,6 +153,45 @@ pub fn has_errors(diagnostics: &[Diagnostic]) -> bool {
     max_severity(diagnostics) >= Some(Severity::Error)
 }
 
+/// What the three structural tests find at one node, given every node's
+/// scope ([`Spn::scopes`]); [`lint_spn`] maps them to `SPN001`–`SPN003`.
+#[derive(Debug, Default)]
+struct NodeViolations {
+    /// A sum whose children do not all have the same scope.
+    incomplete: bool,
+    /// A product whose children's scopes overlap.
+    non_decomposable: bool,
+    /// The weight total of a sum that is not within
+    /// [`NORMALIZATION_TOLERANCE`] of one.
+    unnormalized: Option<f64>,
+}
+
+/// Runs the three tests on `node`.
+fn check_node(node: &Node, scopes: &[BTreeSet<VarId>]) -> NodeViolations {
+    let mut found = NodeViolations::default();
+    match node {
+        Node::Sum { children, weights } => {
+            let mut child_scopes = children.iter().map(|c| &scopes[c.index()]);
+            if let Some(first) = child_scopes.next() {
+                found.incomplete = child_scopes.any(|scope| scope != first);
+            }
+            let total: f64 = weights.iter().sum();
+            if (total - 1.0).abs() > NORMALIZATION_TOLERANCE {
+                found.unnormalized = Some(total);
+            }
+        }
+        Node::Product { children } => {
+            let mut seen: BTreeSet<VarId> = BTreeSet::new();
+            for c in children {
+                found.non_decomposable |= !scopes[c.index()].is_disjoint(&seen);
+                seen.extend(&scopes[c.index()]);
+            }
+        }
+        Node::Indicator { .. } | Node::Constant(_) => {}
+    }
+    found
+}
+
 /// Structural lints over the SPN graph (`SPN0xx`).
 ///
 /// Checks, in node order:
@@ -157,8 +200,8 @@ pub fn has_errors(diagnostics: &[Diagnostic]) -> bool {
 ///   break marginal semantics,
 /// * **SPN002** (error) — a non-decomposable product: children with
 ///   overlapping scopes break the product-of-independents factorisation,
-/// * **SPN003** (warn) — sum weights not summing to one (within the
-///   validator's tolerance), so the partition function is not 1,
+/// * **SPN003** (warn) — sum weights not summing to one (within `1e-6`),
+///   so the partition function is not 1,
 /// * **SPN004** (warn) — a node unreachable from the root (dead weight that
 ///   backends never execute but serialisation and memory still pay for),
 /// * **SPN005** (info) — a zero-weight sum edge (the child contributes
@@ -247,30 +290,17 @@ pub fn lint_spn(spn: &Spn) -> Vec<Diagnostic> {
 /// stamped quantizer.  `lo <= hi` always; both bounds may be infinite in
 /// the log domain (`-inf` is the log of a structural zero).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ValueRange {
+struct ValueRange {
     /// Smallest possible value of the op's result.
-    pub lo: f64,
+    lo: f64,
     /// Largest possible value of the op's result.
-    pub hi: f64,
+    hi: f64,
 }
 
 impl ValueRange {
     fn point(x: f64) -> ValueRange {
         ValueRange { lo: x, hi: x }
     }
-}
-
-/// The result of [`lint_ranges`]: the diagnostics plus the per-op interval
-/// bounds the analysis derived (index-aligned with
-/// [`OpList::ops`](crate::flatten::OpList::ops), for tooling that wants to
-/// display them).
-#[derive(Debug, Clone)]
-pub struct RangeAnalysis {
-    /// The findings (`SPN1xx` codes).
-    pub diagnostics: Vec<Diagnostic>,
-    /// Static `[lo, hi]` bound of every op's result at the stamped
-    /// precision.
-    pub ranges: Vec<ValueRange>,
 }
 
 /// Numeric range analysis over a flattened program (`SPN1xx`).
@@ -300,7 +330,14 @@ pub struct RangeAnalysis {
 ///
 /// Only guaranteed misbehaviour is reported — a bound that merely *allows*
 /// underflow stays silent, so shallow models lint clean at every precision.
-pub fn lint_ranges(ops: &OpList) -> RangeAnalysis {
+pub fn lint_ranges(ops: &OpList) -> Vec<Diagnostic> {
+    range_bounds(ops).0
+}
+
+/// The analysis behind [`lint_ranges`]: its findings plus the static
+/// `[lo, hi]` bound of every op's result at the stamped precision
+/// (index-aligned with [`OpList::ops`]).
+fn range_bounds(ops: &OpList) -> (Vec<Diagnostic>, Vec<ValueRange>) {
     let mode = ops.mode();
     let precision = ops.precision();
     let u = precision.unit_roundoff();
@@ -469,10 +506,7 @@ pub fn lint_ranges(ops: &OpList) -> RangeAnalysis {
         }
     }
 
-    RangeAnalysis {
-        diagnostics,
-        ranges: results,
-    }
+    (diagnostics, results)
 }
 
 #[cfg(test)]
@@ -508,6 +542,7 @@ mod tests {
         let spn = b.finish(root).unwrap();
         let diags = lint_spn(&spn);
         assert!(codes(&diags).contains(&"SPN001"), "{diags:?}");
+        assert!(diags.iter().all(|d| d.location == Location::Node(root.0)));
         assert!(has_errors(&diags));
     }
 
@@ -518,7 +553,23 @@ mod tests {
         let nx = b.indicator(VarId(0), false);
         let root = b.product(vec![x, nx]).unwrap();
         let spn = b.finish(root).unwrap();
-        assert!(codes(&lint_spn(&spn)).contains(&"SPN002"));
+        let diags = lint_spn(&spn);
+        assert!(codes(&diags).contains(&"SPN002"), "{diags:?}");
+        assert!(diags.iter().all(|d| d.location == Location::Node(root.0)));
+
+        // A product over disjoint scopes of complete, normalised sums is
+        // clean.
+        let mut b = SpnBuilder::new(2);
+        let x0 = b.indicator(VarId(0), true);
+        let nx0 = b.indicator(VarId(0), false);
+        let x1 = b.indicator(VarId(1), true);
+        let nx1 = b.indicator(VarId(1), false);
+        let s0 = b.sum(vec![(x0, 0.2), (nx0, 0.8)]).unwrap();
+        let s1 = b.sum(vec![(x1, 0.9), (nx1, 0.1)]).unwrap();
+        let root = b.product(vec![s0, s1]).unwrap();
+        let spn = b.finish(root).unwrap();
+        let diags = lint_spn(&spn);
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
@@ -531,7 +582,25 @@ mod tests {
         let diags = lint_spn(&spn);
         assert!(codes(&diags).contains(&"SPN003"), "{diags:?}");
         assert!(codes(&diags).contains(&"SPN005"), "{diags:?}");
+        assert!(diags.iter().all(|d| d.location == Location::Node(root.0)));
         assert_eq!(max_severity(&diags), Some(Severity::Warn));
+
+        // The message carries the actual weight total.
+        let mut b = SpnBuilder::new(1);
+        let x = b.indicator(VarId(0), true);
+        let nx = b.indicator(VarId(0), false);
+        let root = b.sum(vec![(x, 2.0), (nx, 6.0)]).unwrap();
+        let spn = b.finish(root).unwrap();
+        let diags = lint_spn(&spn);
+        assert_eq!(
+            diags,
+            [Diagnostic::new(
+                "SPN003",
+                Severity::Warn,
+                Location::Node(root.0),
+                "sum weights sum to 8, expected 1"
+            )]
+        );
     }
 
     #[test]
@@ -579,21 +648,20 @@ mod tests {
     fn deep_chain_linear_is_flagged_but_log_is_clean() {
         let spn = deep_chain_spn(1200, 1e-3);
         let linear = OpList::from_spn(&spn).with_precision(Precision::F32);
-        let analysis = lint_ranges(&linear);
+        let diags = lint_ranges(&linear);
         assert!(
-            codes(&analysis.diagnostics).contains(&"SPN101"),
+            codes(&diags).contains(&"SPN101"),
             "deep chain must be flagged for guaranteed flush-to-zero"
         );
-        assert!(codes(&analysis.diagnostics).contains(&"SPN103"));
+        assert!(codes(&diags).contains(&"SPN103"));
 
         let log = OpList::from_spn(&spn)
             .to_log_domain()
             .with_precision(Precision::F32);
-        let log_analysis = lint_ranges(&log);
+        let log_diags = lint_ranges(&log);
         assert!(
-            log_analysis.diagnostics.is_empty(),
-            "log domain must lint clean: {:?}",
-            log_analysis.diagnostics
+            log_diags.is_empty(),
+            "log domain must lint clean: {log_diags:?}"
         );
     }
 
@@ -608,11 +676,10 @@ mod tests {
                     ops = ops.to_log_domain();
                 }
                 let ops = ops.with_precision(precision);
-                let analysis = lint_ranges(&ops);
+                let diags = lint_ranges(&ops);
                 assert!(
-                    analysis.diagnostics.is_empty(),
-                    "shallow model flagged at {precision} log={log}: {:?}",
-                    analysis.diagnostics
+                    diags.is_empty(),
+                    "shallow model flagged at {precision} log={log}: {diags:?}"
                 );
             }
         }
@@ -623,7 +690,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let spn = random_spn(&RandomSpnConfig::with_vars(6), &mut rng);
         let ops = OpList::from_spn(&spn);
-        let analysis = lint_ranges(&ops);
+        let (_, ranges) = range_bounds(&ops);
         // Evaluate under full marginals; every op result must fall inside
         // its static bound.
         let inputs = ops.input_values(&crate::Evidence::marginal(6)).unwrap();
@@ -641,7 +708,7 @@ mod tests {
                 OpKind::LogAdd => (a.exp() + b.exp()).ln(),
                 OpKind::Sam => f64::from(u8::from(a < b)),
             };
-            let bound = analysis.ranges[i];
+            let bound = ranges[i];
             assert!(
                 results[i] >= bound.lo - 1e-12 && results[i] <= bound.hi + 1e-12,
                 "op {i} value {} outside bound [{}, {}]",

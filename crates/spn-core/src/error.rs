@@ -69,15 +69,6 @@ pub enum SpnError {
         /// Human readable description.
         message: String,
     },
-    /// Static verification rejected the artifact: at least one
-    /// [`Severity::Error`](crate::analysis::Severity)-level finding.
-    ///
-    /// Carries every diagnostic of the failed pass (warnings included) so
-    /// callers can render the full report or match on stable codes.
-    Verification {
-        /// All findings of the verification pass, in analysis order.
-        diagnostics: Vec<crate::analysis::Diagnostic>,
-    },
 }
 
 impl fmt::Display for SpnError {
@@ -113,21 +104,6 @@ impl fmt::Display for SpnError {
             ),
             SpnError::Parse { line, message } => write!(f, "parse error on line {line}: {message}"),
             SpnError::Invalid { message } => write!(f, "{message}"),
-            SpnError::Verification { diagnostics } => {
-                let errors = diagnostics
-                    .iter()
-                    .filter(|d| d.severity == crate::analysis::Severity::Error)
-                    .count();
-                write!(f, "verification failed with {errors} error diagnostic(s)")?;
-                if let Some(first) = diagnostics
-                    .iter()
-                    .find(|d| d.severity == crate::analysis::Severity::Error)
-                    .or(diagnostics.first())
-                {
-                    write!(f, ": {first}")?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -176,14 +152,6 @@ mod tests {
                 message: "bad token".into(),
             },
             SpnError::invalid("custom"),
-            SpnError::Verification {
-                diagnostics: vec![crate::analysis::Diagnostic::new(
-                    "SPN001",
-                    crate::analysis::Severity::Error,
-                    crate::analysis::Location::Node(1),
-                    "incomplete sum",
-                )],
-            },
         ];
         for e in errors {
             let s = e.to_string();

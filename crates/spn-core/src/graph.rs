@@ -72,7 +72,7 @@ impl Node {
 /// Construct with [`SpnBuilder`]; the builder checks child references and
 /// weight sanity, and [`SpnBuilder::finish`] verifies the root exists.  Deeper
 /// structural properties (completeness, decomposability, normalisation) are
-/// checked by [`crate::validate`].
+/// checked by [`crate::analysis::lint_spn`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Spn {
     nodes: Vec<Node>,

@@ -10,7 +10,6 @@
 //! This crate provides:
 //!
 //! * [`Spn`] — an arena-based DAG representation with a safe [`SpnBuilder`],
-//! * structural validation (completeness, smoothness, decomposability),
 //! * exact inference in the linear and log domains ([`Spn::evaluate`],
 //!   [`Spn::evaluate_log`]), evidence handling and MPE queries,
 //! * the compile-once / execute-many primitives shared by every execution
@@ -31,11 +30,12 @@
 //!   execution backend quantizes each intermediate through its
 //!   `precision::Quantizer`, reproducing the paper's accuracy-vs-bit-width
 //!   trade-off in software,
-//! * static analysis ([`analysis`]): structural lints (completeness,
-//!   decomposability, normalization, dead nodes) and interval-propagation
-//!   numeric range analysis per `(NumericMode, Precision)`, both reporting
-//!   stable-coded [`Diagnostic`]s shared by the compiler's schedule
-//!   verifier, the engine's verify pass and the `spn_lint` CI binary,
+//! * static analysis ([`analysis`]), the one model checker: structural
+//!   lints (completeness, decomposability, normalization, dead nodes) and
+//!   interval-propagation numeric range analysis per
+//!   `(NumericMode, Precision)`, both reporting stable-coded
+//!   [`Diagnostic`]s shared by the compiler's schedule verifier, the
+//!   serving registry's load path and the `spn_lint` CI binary,
 //! * the query-mode layer ([`query`]): joint, marginal, MAP and conditional
 //!   queries ([`QueryBatch`]) lowered onto the same batched execution
 //!   primitive, including the max-product program rewrite with argmax
@@ -83,6 +83,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
 mod error;
 mod evidence;
@@ -102,7 +103,6 @@ pub mod query;
 pub mod random;
 pub mod sample;
 pub mod stats;
-pub mod validate;
 pub mod vectorized;
 pub mod wire;
 

@@ -11,12 +11,13 @@
 //! ```
 //! use rand::{rngs::StdRng, SeedableRng};
 //! use spn_core::random::{random_spn, RandomSpnConfig};
-//! use spn_core::{validate, Evidence};
+//! use spn_core::analysis::{lint_spn, max_severity};
+//! use spn_core::{Evidence, Severity};
 //!
 //! # fn main() -> Result<(), spn_core::SpnError> {
 //! let mut rng = StdRng::seed_from_u64(42);
 //! let spn = random_spn(&RandomSpnConfig { num_vars: 10, ..Default::default() }, &mut rng);
-//! assert!(validate::check(&spn).is_valid());
+//! assert!(max_severity(&lint_spn(&spn)) < Some(Severity::Warn));
 //! let z = spn.evaluate(&Evidence::marginal(10))?;
 //! assert!((z - 1.0).abs() < 1e-9);
 //! # Ok(())
@@ -240,7 +241,7 @@ fn random_weights<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate;
+    use crate::analysis::{lint_spn, max_severity, Severity};
     use crate::Evidence;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -251,8 +252,11 @@ mod tests {
         for num_vars in [1, 2, 5, 12, 24] {
             let cfg = RandomSpnConfig::with_vars(num_vars);
             let spn = random_spn(&cfg, &mut rng);
-            let report = validate::check(&spn);
-            assert!(report.is_valid(), "vars={num_vars}: {report:?}");
+            let diags = lint_spn(&spn);
+            assert!(
+                max_severity(&diags) < Some(Severity::Warn),
+                "vars={num_vars}: {diags:?}"
+            );
             let z = spn.evaluate(&Evidence::marginal(num_vars)).unwrap();
             assert!((z - 1.0).abs() < 1e-9, "vars={num_vars}, z={z}");
         }

@@ -215,8 +215,9 @@ impl BenchmarkSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spn_core::analysis::{lint_spn, max_severity};
     use spn_core::stats::SpnStats;
-    use spn_core::{validate, Evidence};
+    use spn_core::{Evidence, Severity};
 
     #[test]
     fn all_benchmarks_are_listed_in_paper_order() {
@@ -238,7 +239,12 @@ mod tests {
     fn small_benchmarks_build_valid_circuits() {
         for b in [Benchmark::Banknote, Benchmark::Cpu, Benchmark::EegEye] {
             let spn = b.spn();
-            assert!(validate::check(&spn).is_valid(), "{}", b.name());
+            let diags = lint_spn(&spn);
+            assert!(
+                max_severity(&diags) < Some(Severity::Warn),
+                "{}: {diags:?}",
+                b.name()
+            );
             let z = spn.evaluate(&Evidence::marginal(spn.num_vars())).unwrap();
             assert!((z - 1.0).abs() < 1e-6, "{}: z = {z}", b.name());
             assert_eq!(spn.num_vars(), b.spec().num_vars);

@@ -22,11 +22,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
 mod benchmarks;
 pub mod chow_liu;
 pub mod dataset;
 pub mod learnspn;
 
-pub use benchmarks::Benchmark;
+pub use benchmarks::{Benchmark, BenchmarkSpec, Generator};
 pub use dataset::Dataset;

@@ -36,7 +36,7 @@ use spn_core::{Evidence, NumericMode, Precision, Spn, SpnError};
 use spn_processor::{MultiCoreProcessor, PerfReport};
 
 use crate::backend::{Backend, BackendError, BatchResult, Parallelism, WorkerState};
-use crate::options::{EngineOptions, VerifyLevel};
+use crate::options::EngineOptions;
 
 /// The MAP half of a [`Plan`]: the max-product program plus the backend's
 /// compiled artifact for it.  Compiled at most once per plan, by the first
@@ -255,38 +255,18 @@ impl<B: Backend> Engine<B> {
     /// selects; an already-lowered [`OpList`] compiles through
     /// [`Engine::from_ops`] instead.
     ///
-    /// Per [`EngineOptions::verify`], the static analyses of
-    /// [`spn_core::analysis`] run over `spn` and the lowered program first:
-    /// [`VerifyLevel::Errors`] (the debug-build default) rejects structural
-    /// violations, [`VerifyLevel::Strict`] also rejects numeric-range
-    /// warnings such as guaranteed linear-domain underflow at the stamped
-    /// precision.
+    /// `spn` is compiled as given: checking a model's structure and numeric
+    /// ranges is [`spn_core::analysis`]'s job where the model enters (the
+    /// serving registry's `try_register`, the `spn_lint` gate), not every
+    /// engine's.
     ///
     /// # Errors
     ///
-    /// Returns [`SpnError::Verification`] (boxed) when verification is
-    /// enabled and finds a fatal diagnostic, or an error when an option
-    /// value is invalid for the backend or the backend cannot compile the
-    /// program.
+    /// Returns an error when an option value is invalid for the backend or
+    /// the backend cannot compile the program.
     pub fn new(mut backend: B, spn: &Spn, options: EngineOptions) -> Result<Self, BackendError> {
         backend.configure(&options)?;
         let ops = options.lower(spn);
-        if options.verify != VerifyLevel::Off {
-            let mut diagnostics = spn_core::analysis::lint_spn(spn);
-            diagnostics.extend(spn_core::analysis::lint_ranges(&ops).diagnostics);
-            let fatal = match options.verify {
-                VerifyLevel::Off => None,
-                VerifyLevel::Errors => Some(spn_core::Severity::Error),
-                VerifyLevel::Strict => Some(spn_core::Severity::Warn),
-            };
-            if let (Some(threshold), Some(worst)) =
-                (fatal, spn_core::analysis::max_severity(&diagnostics))
-            {
-                if worst >= threshold {
-                    return Err(Box::new(SpnError::Verification { diagnostics }));
-                }
-            }
-        }
         let sampler = Arc::new(SamplerProgram::new(spn));
         let plan = Plan::compile(backend, ops, Some(sampler))?;
         Ok(Engine::from_plan(Arc::new(plan)))

@@ -236,8 +236,8 @@ impl GpuModel {
 }
 
 /// The GPU model's compiled artifact: the program, its input recipe and
-/// the modelled per-query cost ([`GpuModel::model_cycles`], run once at
-/// compile time).
+/// the modelled per-query cost (the SIMT schedule is evidence-independent,
+/// so it is counted once at compile time).
 #[derive(Debug, Clone)]
 pub struct GpuCompiled {
     ops: OpList,

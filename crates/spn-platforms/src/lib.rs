@@ -64,6 +64,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
 mod backend;
 mod cpu;
@@ -75,8 +76,8 @@ mod processor;
 pub use backend::{Backend, BackendError, BatchResult, ExecBuffers, Parallelism, WorkerState};
 pub use cpu::{CpuCompiled, CpuModel};
 pub use engine::{Engine, EvalSession, MapArtifact, Plan, QueryOutput};
-pub use gpu::{GpuConfig, GpuModel};
-pub use options::{EngineOptions, VerifyLevel};
+pub use gpu::{GpuCompiled, GpuConfig, GpuModel};
+pub use options::EngineOptions;
 pub use processor::{ProcessorBackend, ProcessorScratch};
 pub use spn_core::incremental::DeltaOutcome;
 pub use spn_processor::PerfReport;

@@ -7,47 +7,15 @@
 //! simulator is built with `ProcessorBackend::with_cores`).  Backends
 //! receive the options through
 //! [`Backend::configure`](crate::Backend::configure) before compilation and
-//! apply whichever fields concern them.
+//! apply whichever fields concern them.  Model checking is not an option:
+//! [`spn_core::analysis`] runs where a model enters from outside (the
+//! serving registry's load path, the `spn_lint` gate), not per engine.
 
 use spn_core::flatten::OpList;
 use spn_core::{NumericMode, Precision, Spn};
 
-/// How much static analysis [`Engine::new`](crate::Engine::new) runs before
-/// compiling (see [`spn_core::analysis`]).
-///
-/// The default is build-dependent: [`VerifyLevel::Errors`] in debug builds,
-/// [`VerifyLevel::Off`] in release builds — debug and test runs catch broken
-/// structures at construction for free, while release serving paths that
-/// validated their models at load time pay nothing per engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum VerifyLevel {
-    /// Skip verification entirely.
-    Off,
-    /// Run the structural lints and fail construction with
-    /// [`SpnError::Verification`](spn_core::SpnError::Verification) when any
-    /// [`Severity::Error`](spn_core::Severity::Error) diagnostic is found.
-    /// Warnings (unnormalized weights, predicted underflow) are tolerated.
-    Errors,
-    /// Like [`VerifyLevel::Errors`], but additionally treat every `Warn`
-    /// diagnostic — including numeric range findings such as guaranteed
-    /// linear-domain underflow — as fatal.
-    Strict,
-}
-
-impl Default for VerifyLevel {
-    /// [`VerifyLevel::Errors`] in debug builds, [`VerifyLevel::Off`] in
-    /// release builds.
-    fn default() -> Self {
-        if cfg!(debug_assertions) {
-            VerifyLevel::Errors
-        } else {
-            VerifyLevel::Off
-        }
-    }
-}
-
 /// How to lower and execute a circuit: numeric domain, emulated PE
-/// precision, and backend tuning knobs.
+/// precision, and the CPU model's lane width.
 ///
 /// Build with the fluent setters from [`EngineOptions::default`] (linear
 /// domain, [`Precision::F64`], backend defaults untouched):
@@ -81,10 +49,6 @@ pub struct EngineOptions {
     /// [`CpuModel::with_lanes`](crate::CpuModel::with_lanes) for the
     /// normalisation rules).  Ignored by other backends.
     pub lanes: Option<usize>,
-    /// Static-analysis level run by [`Engine::new`](crate::Engine::new)
-    /// before compilation.  Defaults to [`VerifyLevel::Errors`] in debug
-    /// builds and [`VerifyLevel::Off`] in release builds.
-    pub verify: VerifyLevel,
 }
 
 impl Default for EngineOptions {
@@ -94,7 +58,6 @@ impl Default for EngineOptions {
             mode: NumericMode::Linear,
             precision: Precision::F64,
             lanes: None,
-            verify: VerifyLevel::default(),
         }
     }
 }
@@ -120,13 +83,6 @@ impl EngineOptions {
     /// Sets the CPU model's lane-block width.
     pub fn lanes(mut self, lanes: usize) -> EngineOptions {
         self.lanes = Some(lanes);
-        self
-    }
-
-    /// Selects how much static analysis [`Engine::new`](crate::Engine::new)
-    /// runs before compiling.
-    pub fn verify(mut self, verify: VerifyLevel) -> EngineOptions {
-        self.verify = verify;
         self
     }
 

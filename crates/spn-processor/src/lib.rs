@@ -44,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
 mod dataflow;
 mod error;
@@ -60,7 +61,7 @@ pub mod tree;
 
 pub use config::{MultiCoreConfig, PePosition, ProcessorConfig};
 pub use error::ProcessorError;
-pub use interconnect::SharedMemoryConfig;
+pub use interconnect::{InterconnectConfig, SharedMemoryConfig};
 pub use isa::{Instruction, MemOp, PeOp, Program, ReadSel, TreeInstr, WriteCmd};
 pub use multicore::{
     CoreProgram, MultiCoreBatch, MultiCoreProcessor, PartitionedProgram, TransferSource,

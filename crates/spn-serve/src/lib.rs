@@ -35,7 +35,7 @@
 //!   protocol.
 //!
 //! One-shot queries and session operations are one request path, not two:
-//! one wire decoder, one `Handle` type (named [`ResponseHandle`] and
+//! one wire decoder, one [`Handle`] type (named [`ResponseHandle`] and
 //! [`SessionHandle`] per response), one enqueue onto the worker queue, and
 //! one crate-private LRU map behind the plan cache and the session table.
 //!
@@ -67,6 +67,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
 mod error;
 pub mod json;
@@ -79,8 +80,8 @@ mod session;
 pub mod tcp;
 
 pub use error::ServeError;
-pub use metrics::{Metrics, ModeStats};
+pub use metrics::{Metrics, MetricsRecord, ModeStats, SessionStats};
 pub use registry::{ModelRegistry, ModelVariant};
-pub use service::{BatchPolicy, ResponseHandle, Service, ServiceConfig};
-pub use session::{SessionHandle, SessionOpen};
+pub use service::{BatchPolicy, Handle, ResponseHandle, Service, ServiceConfig};
+pub use session::{SessionHandle, SessionOpen, SessionResponse};
 pub use tcp::TcpServer;

@@ -170,7 +170,7 @@ impl<B: Backend + Clone> ModelRegistry<B> {
     pub fn try_register(&self, name: impl Into<String>, spn: &Spn) -> Result<(), ServeError> {
         let ops = OpList::from_spn(spn);
         let mut diagnostics = analysis::lint_spn(spn);
-        diagnostics.extend(analysis::lint_ranges(&ops).diagnostics);
+        diagnostics.extend(analysis::lint_ranges(&ops));
         if analysis::has_errors(&diagnostics) {
             return Err(ServeError::Verification(diagnostics));
         }

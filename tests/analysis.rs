@@ -13,18 +13,18 @@
 //!   flush-to-zero at reduced precision, and real execution then indeed
 //!   returns exactly `0.0` — while the log-domain lowering of the same
 //!   circuit lints clean and executes finitely,
-//! * `Engine::new` enforces the pass per [`VerifyLevel`], and the serving
-//!   registry rejects broken models at load/hot-swap time with a structured
-//!   [`ServeError::Verification`] without disturbing the live registration.
+//! * the serving registry, where models enter, rejects broken ones at
+//!   load/hot-swap time with a structured [`ServeError::Verification`]
+//!   without disturbing the live registration.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spn_accel::core::analysis::{self, Diagnostic, Severity};
 use spn_accel::core::flatten::OpList;
 use spn_accel::core::random::{deep_chain_spn, random_spn, RandomSpnConfig};
-use spn_accel::core::{Evidence, NumericMode, Precision, SpnBuilder, SpnError, VarId};
+use spn_accel::core::{Evidence, NumericMode, Precision, SpnBuilder, VarId};
 use spn_accel::learn::Benchmark;
-use spn_accel::platforms::{CpuModel, Engine, EngineOptions, VerifyLevel};
+use spn_accel::platforms::{CpuModel, Engine, EngineOptions};
 use spn_accel::serve::registry::ModelRegistry;
 use spn_accel::serve::ServeError;
 
@@ -56,9 +56,8 @@ fn random_valid_spns_never_produce_errors() {
             for precision in Precision::SWEEP {
                 let report = analysis::lint_ranges(&lowered(&spn, mode, precision));
                 assert!(
-                    !analysis::has_errors(&report.diagnostics),
-                    "valid random SPN produced range errors at {mode} {precision}: {:?}",
-                    report.diagnostics
+                    !analysis::has_errors(&report),
+                    "valid random SPN produced range errors at {mode} {precision}: {report:?}"
                 );
             }
         }
@@ -79,10 +78,9 @@ fn shipped_benchmarks_lint_clean_at_every_combination() {
             for precision in Precision::SWEEP {
                 let report = analysis::lint_ranges(&lowered(&spn, mode, precision));
                 assert!(
-                    report.diagnostics.is_empty(),
-                    "benchmark {} flagged at {mode} {precision}: {:?}",
-                    benchmark.name(),
-                    report.diagnostics
+                    report.is_empty(),
+                    "benchmark {} flagged at {mode} {precision}: {report:?}",
+                    benchmark.name()
                 );
             }
         }
@@ -127,16 +125,14 @@ fn deep_chain_static_flag_matches_the_empirical_underflow() {
 
     // Statically: guaranteed flush-to-zero at f32, output guaranteed zero.
     let report = analysis::lint_ranges(&lowered(&spn, NumericMode::Linear, Precision::F32));
-    let found = codes(&report.diagnostics);
+    let found = codes(&report);
     assert!(found.contains(&"SPN101"), "{found:?}");
     assert!(found.contains(&"SPN103"), "{found:?}");
 
     // Empirically: the engine indeed computes exactly 0.0 (the PR 4 result
     // the analysis exists to predict)...
-    let options = EngineOptions::default()
-        .precision(Precision::F32)
-        .verify(VerifyLevel::Errors);
-    let mut engine = Engine::new(CpuModel::new(), &spn, options).expect("warnings don't block");
+    let options = EngineOptions::default().precision(Precision::F32);
+    let mut engine = Engine::new(CpuModel::new(), &spn, options).expect("compiles");
     let (value, _) = engine.execute(&Evidence::marginal(1)).expect("executes");
     assert_eq!(
         value, 0.0,
@@ -145,74 +141,16 @@ fn deep_chain_static_flag_matches_the_empirical_underflow() {
 
     // ...while the log-domain lowering lints clean and executes finitely.
     let log_report = analysis::lint_ranges(&lowered(&spn, NumericMode::Log, Precision::F32));
-    assert!(
-        log_report.diagnostics.is_empty(),
-        "{:?}",
-        log_report.diagnostics
-    );
-    // (`Errors`, not `Strict`: the chain's sum weights are deliberately
-    // unnormalized, so structural SPN003 warnings remain — the point here is
-    // that no *range* finding exists in the log domain.)
+    assert!(log_report.is_empty(), "{log_report:?}");
     let log_options = EngineOptions::default()
         .mode(NumericMode::Log)
-        .precision(Precision::F32)
-        .verify(VerifyLevel::Errors);
-    let mut engine = Engine::new(CpuModel::new(), &spn, log_options).expect("log lints clean");
+        .precision(Precision::F32);
+    let mut engine = Engine::new(CpuModel::new(), &spn, log_options).expect("compiles");
     let (value, _) = engine.execute(&Evidence::marginal(1)).expect("executes");
     assert!(
         value.is_finite(),
         "log-domain output must stay finite, got {value}"
     );
-}
-
-#[test]
-fn engine_new_enforces_the_verify_level() {
-    let mut b = SpnBuilder::new(2);
-    let x0 = b.indicator(VarId(0), true);
-    let x1 = b.indicator(VarId(1), true);
-    let root = b.sum(vec![(x0, 0.5), (x1, 0.5)]).unwrap();
-    let incomplete = b.finish(root).unwrap();
-
-    let err = Engine::new(
-        CpuModel::new(),
-        &incomplete,
-        EngineOptions::default().verify(VerifyLevel::Errors),
-    )
-    .err()
-    .expect("incomplete sum must fail verification");
-    let spn_err = err
-        .downcast_ref::<SpnError>()
-        .expect("verification failures surface as SpnError");
-    match spn_err {
-        SpnError::Verification { diagnostics } => {
-            assert!(codes(diagnostics).contains(&"SPN001"), "{diagnostics:?}");
-        }
-        other => panic!("expected SpnError::Verification, got {other}"),
-    }
-    assert!(err.to_string().contains("SPN001"));
-
-    // Off skips the pass entirely: the same circuit still compiles (its
-    // arithmetic is perfectly executable; it just isn't a complete SPN).
-    Engine::new(
-        CpuModel::new(),
-        &incomplete,
-        EngineOptions::default().verify(VerifyLevel::Off),
-    )
-    .expect("VerifyLevel::Off must not run the lints");
-
-    // Strict escalates warnings: the deep chain's predicted linear-f32
-    // underflow becomes a construction failure.
-    let chain = deep_chain_spn(1200, 1e-3);
-    let err = Engine::new(
-        CpuModel::new(),
-        &chain,
-        EngineOptions::default()
-            .precision(Precision::F32)
-            .verify(VerifyLevel::Strict),
-    )
-    .err()
-    .expect("strict verification must reject predicted underflow");
-    assert!(err.to_string().contains("verification failed"), "{err}");
 }
 
 #[test]
@@ -225,27 +163,35 @@ fn registry_rejects_broken_models_and_keeps_the_live_one() {
         .expect("valid model registers");
     let version = registry.version("model").expect("registered");
 
-    // A hot swap with a structurally broken replacement must fail with the
+    // A hot swap with a structurally broken replacement (an incomplete sum,
+    // SPN001; a non-decomposable product, SPN002) must fail with the
     // structured error and leave the good registration untouched.
+    let mut b = SpnBuilder::new(2);
+    let x0 = b.indicator(VarId(0), true);
+    let x1 = b.indicator(VarId(1), true);
+    let root = b.sum(vec![(x0, 0.5), (x1, 0.5)]).unwrap();
+    let incomplete = b.finish(root).unwrap();
     let mut b = SpnBuilder::new(1);
     let x = b.indicator(VarId(0), true);
     let nx = b.indicator(VarId(0), false);
     let root = b.product(vec![x, nx]).unwrap();
-    let broken = b.finish(root).unwrap();
-    let err = registry
-        .try_register("model", &broken)
-        .expect_err("broken model must be rejected");
-    match &err {
-        ServeError::Verification(diagnostics) => {
-            assert!(codes(diagnostics).contains(&"SPN002"), "{diagnostics:?}");
+    let overlapping = b.finish(root).unwrap();
+    for (broken, code) in [(&incomplete, "SPN001"), (&overlapping, "SPN002")] {
+        let err = registry
+            .try_register("model", broken)
+            .expect_err("broken model must be rejected");
+        match &err {
+            ServeError::Verification(diagnostics) => {
+                assert!(codes(diagnostics).contains(&code), "{diagnostics:?}");
+            }
+            other => panic!("expected ServeError::Verification, got {other}"),
         }
-        other => panic!("expected ServeError::Verification, got {other}"),
+        // The stable code travels in the wire message.
+        assert!(err.message().contains(code), "{}", err.message());
+        assert_eq!(
+            registry.version("model").expect("still registered"),
+            version,
+            "failed hot swap must not disturb the live model"
+        );
     }
-    // The stable code travels in the wire message.
-    assert!(err.message().contains("SPN002"), "{}", err.message());
-    assert_eq!(
-        registry.version("model").expect("still registered"),
-        version,
-        "failed hot swap must not disturb the live model"
-    );
 }

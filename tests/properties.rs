@@ -12,10 +12,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use spn_accel::core::analysis::{lint_spn, max_severity};
 use spn_accel::core::eval::Evaluator;
 use spn_accel::core::flatten::OpList;
 use spn_accel::core::random::{random_spn, RandomSpnConfig};
-use spn_accel::core::{io, validate, Evidence, EvidenceBatch, Spn};
+use spn_accel::core::{io, Evidence, EvidenceBatch, Severity, Spn};
 use spn_accel::platforms::{Engine, EngineOptions, ProcessorBackend};
 use spn_accel::processor::ProcessorConfig;
 
@@ -45,7 +46,8 @@ fn generated_spns_are_valid() {
     let mut rng = StdRng::seed_from_u64(0xA11CE);
     for _ in 0..48 {
         let (spn, _) = case(&mut rng);
-        assert!(validate::check(&spn).is_valid());
+        let diags = lint_spn(&spn);
+        assert!(max_severity(&diags) < Some(Severity::Warn), "{diags:?}");
         let z = spn.evaluate(&Evidence::marginal(spn.num_vars())).unwrap();
         assert!((z - 1.0).abs() < 1e-6);
     }
