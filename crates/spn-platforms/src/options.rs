@@ -7,9 +7,7 @@
 //! simulator is built with `ProcessorBackend::with_cores`).  Backends
 //! receive the options through
 //! [`Backend::configure`](crate::Backend::configure) before compilation and
-//! apply whichever fields concern them.  Model checking is not an option:
-//! [`spn_core::analysis`] runs where a model enters from outside (the
-//! serving registry's load path, the `spn_lint` gate), not per engine.
+//! apply whichever fields concern them.
 
 use spn_core::flatten::OpList;
 use spn_core::{NumericMode, Precision, Spn};
