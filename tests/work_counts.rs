@@ -14,7 +14,7 @@ use std::cell::Cell;
 
 use spn_accel::compiler::Compiler;
 use spn_accel::core::flatten::OpList;
-use spn_accel::core::{EvidenceBatch, QueryBatch};
+use spn_accel::core::{ConditionalBatch, Evidence, EvidenceBatch, QueryBatch, QueryMode};
 use spn_accel::learn::Benchmark;
 use spn_accel::platforms::{CpuModel, Engine, EngineOptions};
 use spn_accel::processor::{ProcessorConfig, SimState};
@@ -121,5 +121,89 @@ fn a_marginal_query_on_the_cpu_model_allocates_only_its_answer() {
             engine.execute_query(&query).expect("marginal batch runs");
         });
         assert_eq!(n, EXECUTE_QUERY_ALLOCATIONS, "execute_query");
+    }
+}
+
+/// A 256-row batch of `mode` over MSNBC: fully observed rows for joint
+/// queries, rows observing every third variable for MAP, and for
+/// conditionals a target on one variable given every fifth.
+fn msnbc_query(num_vars: usize, mode: QueryMode) -> QueryBatch {
+    let row = |q: usize, every: usize| {
+        let mut e = Evidence::marginal(num_vars);
+        for var in (0..num_vars).filter(|var| (var + q) % every == 0) {
+            e.observe(var, (var * 7 + q) % 3 == 0);
+        }
+        e
+    };
+    let rows = 0..256;
+    match mode {
+        QueryMode::Joint => {
+            let rows: Vec<Evidence> = rows.map(|q| row(q, 1)).collect();
+            QueryBatch::Joint(EvidenceBatch::from_evidences(num_vars, &rows).expect("rows"))
+        }
+        QueryMode::Map => {
+            let rows: Vec<Evidence> = rows.map(|q| row(q, 3)).collect();
+            QueryBatch::Map(EvidenceBatch::from_evidences(num_vars, &rows).expect("rows"))
+        }
+        QueryMode::Conditional => {
+            let mut batch = ConditionalBatch::new(num_vars);
+            for q in rows {
+                let mut target = Evidence::marginal(num_vars);
+                target.observe(q % num_vars, q % 2 == 0);
+                batch.push(&target, &row(q, 5)).expect("rows");
+            }
+            QueryBatch::Conditional(batch)
+        }
+        other => unreachable!("{other} is not pinned here"),
+    }
+}
+
+/// Allocations of one 8-lane `Engine<CpuModel>::execute_query` call per
+/// mode after one warm-up call, recorded when these pins were added.  A
+/// joint batch hands back what a marginal one does; a conditional runs two
+/// passes and divides; a MAP batch adds the host traceback, whose work
+/// lists and answer cost six allocations a row on MSNBC.
+const JOINT_ALLOCATIONS: u64 = 2;
+const CONDITIONAL_ALLOCATIONS: u64 = 4;
+const MAP_ALLOCATIONS: u64 = 1541;
+
+#[test]
+fn joint_conditional_and_map_queries_on_the_cpu_model_allocate_a_pinned_count() {
+    let spn = Benchmark::Msnbc.spn();
+    let mut engine =
+        Engine::new(CpuModel::new(), &spn, EngineOptions::default()).expect("engine builds");
+    for (mode, pinned) in [
+        (QueryMode::Joint, JOINT_ALLOCATIONS),
+        (QueryMode::Conditional, CONDITIONAL_ALLOCATIONS),
+        (QueryMode::Map, MAP_ALLOCATIONS),
+    ] {
+        let query = msnbc_query(spn.num_vars(), mode);
+        engine.execute_query(&query).expect("warm-up call");
+        for _ in 0..3 {
+            let n = allocations(|| {
+                engine.execute_query(&query).expect("batch runs");
+            });
+            assert_eq!(n, pinned, "execute_query {mode}");
+        }
+    }
+}
+
+/// Allocations of one `Engine::execute` call on a one-lane CPU engine
+/// after one warm-up call, recorded when this pin was added.
+const EXECUTE_SINGLE_ALLOCATIONS: u64 = 2;
+
+#[test]
+fn a_single_query_on_a_one_lane_engine_allocates_a_pinned_count() {
+    let spn = Benchmark::Msnbc.spn();
+    let options = EngineOptions::default().lanes(1);
+    let mut engine = Engine::new(CpuModel::new(), &spn, options).expect("engine builds");
+    let mut evidence = Evidence::marginal(spn.num_vars());
+    evidence.observe(0, true);
+    engine.execute(&evidence).expect("warm-up call");
+    for _ in 0..3 {
+        let n = allocations(|| {
+            engine.execute(&evidence).expect("single query runs");
+        });
+        assert_eq!(n, EXECUTE_SINGLE_ALLOCATIONS, "execute");
     }
 }
