@@ -147,42 +147,52 @@ impl Spn {
     /// Returns the node ids reachable from the root in topological order
     /// (children before parents).
     pub fn topological_order(&self) -> Vec<NodeId> {
-        // Iterative post-order DFS to avoid recursion on deep circuits.
+        self.post_order(std::iter::once(self.root))
+    }
+
+    /// The nodes reachable from `starts`, children before parents, each
+    /// once: an iterative post-order DFS from each start not yet visited,
+    /// so deep circuits do not recurse.
+    fn post_order(&self, starts: impl IntoIterator<Item = NodeId>) -> Vec<NodeId> {
         let mut visited = vec![false; self.nodes.len()];
         let mut order = Vec::with_capacity(self.nodes.len());
-        let mut stack: Vec<(NodeId, usize)> = vec![(self.root, 0)];
-        while let Some(top) = stack.last_mut() {
-            let id = top.0;
-            if visited[id.index()] {
-                stack.pop();
-                continue;
+        let mut stack: Vec<(NodeId, usize)> = Vec::new();
+        for start in starts {
+            if !visited[start.index()] {
+                stack.push((start, 0));
             }
-            let children = self.node(id).children();
-            if top.1 < children.len() {
-                let child = children[top.1];
-                top.1 += 1;
-                if !visited[child.index()] {
-                    stack.push((child, 0));
+            while let Some(top) = stack.last_mut() {
+                let id = top.0;
+                if visited[id.index()] {
+                    stack.pop();
+                    continue;
                 }
-            } else {
-                visited[id.index()] = true;
-                order.push(id);
-                stack.pop();
+                let children = self.node(id).children();
+                if top.1 < children.len() {
+                    let child = children[top.1];
+                    top.1 += 1;
+                    if !visited[child.index()] {
+                        stack.push((child, 0));
+                    }
+                } else {
+                    visited[id.index()] = true;
+                    order.push(id);
+                    stack.pop();
+                }
             }
         }
         order
     }
 
-    /// Returns, for every node, the set of variables in its scope.
-    ///
-    /// Unreachable nodes get their locally-computed scope as well.
+    /// Returns, for every node, the set of variables in its scope —
+    /// unreachable nodes included, so a lint sees their scopes too.
     pub(crate) fn scopes(&self) -> Vec<BTreeSet<VarId>> {
         let mut scopes: Vec<BTreeSet<VarId>> = vec![BTreeSet::new(); self.nodes.len()];
-        // Arena order is not guaranteed topological, so walk the topological
-        // order of the full graph: compute for reachable nodes first, then fill
-        // any stragglers with a second pass (leaves only need themselves).
-        let order = self.topological_order();
-        let compute = |id: NodeId, scopes: &mut Vec<BTreeSet<VarId>>| {
+        // Arena order is not guaranteed topological: walk every node in a
+        // post-order of the whole graph, so each child's scope is ready
+        // before its parents read it.
+        let all = (0..self.nodes.len() as u32).map(NodeId);
+        for id in self.post_order(all) {
             let scope = match self.node(id) {
                 Node::Indicator { var, .. } => std::iter::once(*var).collect(),
                 Node::Constant(_) => BTreeSet::new(),
@@ -195,9 +205,6 @@ impl Spn {
                 }
             };
             scopes[id.index()] = scope;
-        };
-        for id in order {
-            compute(id, &mut scopes);
         }
         scopes
     }

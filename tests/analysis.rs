@@ -19,7 +19,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spn_accel::core::analysis::{self, Diagnostic, Severity};
+use spn_accel::core::analysis::{self, Diagnostic, Location, Severity};
 use spn_accel::core::flatten::OpList;
 use spn_accel::core::random::{deep_chain_spn, random_spn, RandomSpnConfig};
 use spn_accel::core::{Evidence, NumericMode, Precision, SpnBuilder, VarId};
@@ -117,6 +117,51 @@ fn seeded_invalid_spns_produce_the_documented_codes() {
     assert!(codes(&diags).contains(&"SPN003"), "{diags:?}");
     assert!(codes(&diags).contains(&"SPN005"), "{diags:?}");
     assert!(!analysis::has_errors(&diags));
+}
+
+/// A clean root beside an unreachable incomplete sum and an unreachable
+/// product of one indicator twice: the lint checks every node, reachable
+/// or not, so both errors are found where they are, and the registry
+/// turns the model away.
+#[test]
+fn unreachable_broken_nodes_are_still_errors() {
+    let mut b = SpnBuilder::new(2);
+    let x0 = b.indicator(VarId(0), true);
+    let nx0 = b.indicator(VarId(0), false);
+    let x1 = b.indicator(VarId(1), true);
+    let nx1 = b.indicator(VarId(1), false);
+    let s0 = b.sum(vec![(x0, 0.5), (nx0, 0.5)]).unwrap();
+    let s1 = b.sum(vec![(x1, 0.5), (nx1, 0.5)]).unwrap();
+    let incomplete = b.sum(vec![(x0, 0.5), (x1, 0.5)]).unwrap();
+    let twice = b.product(vec![x0, x0]).unwrap();
+    let root = b.product(vec![s0, s1]).unwrap();
+    let spn = b.finish(root).unwrap();
+
+    let diags = analysis::lint_spn(&spn);
+    let at = |code: &str| -> Vec<Location> {
+        diags
+            .iter()
+            .filter(|d| d.code == code)
+            .map(|d| d.location)
+            .collect()
+    };
+    assert_eq!(at("SPN001"), [Location::Node(incomplete.0)], "{diags:?}");
+    assert_eq!(at("SPN002"), [Location::Node(twice.0)], "{diags:?}");
+    assert_eq!(
+        at("SPN004"),
+        [Location::Node(incomplete.0), Location::Node(twice.0)],
+        "{diags:?}"
+    );
+    assert!(analysis::has_errors(&diags));
+
+    let registry: ModelRegistry<CpuModel> = ModelRegistry::new(CpuModel::new(), 4);
+    match registry.try_register("model", &spn) {
+        Err(ServeError::Verification(found)) => {
+            assert_eq!(codes(&found), codes(&diags));
+        }
+        other => panic!("expected ServeError::Verification, got {other:?}"),
+    }
+    assert!(registry.version("model").is_err(), "nothing registered");
 }
 
 #[test]
