@@ -14,11 +14,15 @@
 //! level costs at least one cycle), how many values two or more tiles read
 //! (each may hold a second register home), the rows one Ptree pass loads,
 //! the data-memory words its inputs take against their slots, the slots
-//! the Ptree replay reads and the indicator lane groups a block fill writes
-//! for it against the full recipe's.  Exits non-zero if a pass loads more
-//! rows than one word per input slot would fill (`⌈slots / banks⌉`): a row
-//! reloaded after eviction; or if the replay reads more input slots than
-//! the inputs take words: an input that reached the datapath unloaded.
+//! the Ptree replay reads, the indicator lane groups a block fill writes
+//! for it against the full recipe's, and the lane groups the CPU and GPU
+//! models' register-allocated lane program holds against the full tiles'
+//! `inputs + ops`.  Exits non-zero if a pass loads more rows than one word
+//! per input slot would fill (`⌈slots / banks⌉`): a row reloaded after
+//! eviction; if the replay reads more input slots than the inputs take
+//! words: an input that reached the datapath unloaded; or if a lane
+//! program holds more groups than the full tiles: a register file that
+//! grew past what it replaces.
 //!
 //! Last Fig. 2c (CPU vs GPU throughput as the GPU thread count grows, on
 //! MSNBC), Table I (the platforms' compute and memory resources) and the
@@ -37,6 +41,7 @@ use spn_compiler::Compiler;
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
 use spn_core::levelize::Levelization;
+use spn_core::vectorized::LaneProgram;
 use spn_learn::Benchmark;
 use spn_platforms::{CpuModel, GpuConfig, GpuModel};
 use spn_processor::{MultiCoreConfig, MultiCoreProcessor, ProcessorConfig};
@@ -95,8 +100,15 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                 "{name}: the Ptree replay reads more input slots than the inputs take words"
             ));
         }
+        let registers = LaneProgram::from_op_list(&ops).slots();
+        let tiles = ops.num_inputs() + ops.num_ops();
+        if registers > tiles {
+            failures.push(format!(
+                "{name}: the lane program holds more lane groups than the full tiles"
+            ));
+        }
         headroom_rows.push(format!(
-            "| {name} | {} | {} | {} | {} | {} | {} | {} / {} | {read} | {} / {} |",
+            "| {name} | {} | {} | {} | {} | {} | {} | {} / {} | {read} | {} / {} | {registers} / {tiles} |",
             Levelization::from_op_list(&ops).num_groups(),
             tree.program.perf().cycles,
             vect.program.perf().cycles,
@@ -170,14 +182,17 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
          least one cycle), the values two or more tiles read under each \
          machine's tiling, the rows one Ptree pass loads, the data-memory \
          words the inputs take against their slots, the input slots the \
-         Ptree replay reads (a lane tile fills only those), and the indicator \
-         lane groups a block fill writes for it against the full recipe's.\n"
+         Ptree replay reads (a lane tile fills only those), the indicator \
+         lane groups a block fill writes for it against the full recipe's, \
+         and the lane groups of the CPU model's register file against its \
+         full tiles' inputs + ops.\n"
     );
     println!(
         "| benchmark | op levels | Ptree cycles | Pvect cycles | shared (Ptree) | shared (Pvect) \
-         | Ptree loads | input words / slots | replay reads | indicator groups / block |"
+         | Ptree loads | input words / slots | replay reads | indicator groups / block \
+         | lane registers / tiles |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|");
     for row in &headroom_rows {
         println!("{row}");
     }

@@ -18,8 +18,8 @@
 //! friends build a throwaway one, and the sampling engine
 //! ([`crate::sample`]) runs the same sweep in `Log` over its own buffers,
 //! passing a sub-list of the order when only part of the graph can change.
-//! The flattened-program executors (`vectorized::run_lanes`,
-//! [`crate::flatten::OpList::run_into`]) share no code with this module: it
+//! The flattened-program executors (`vectorized::LaneProgram`,
+//! `vectorized::run_lanes`, [`crate::flatten::OpList::run_into`]) share no code with this module: it
 //! is the oracle they are checked against.
 
 use std::marker::PhantomData;

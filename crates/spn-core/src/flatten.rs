@@ -23,9 +23,9 @@
 //! reduced-precision PE datapath.
 //!
 //! What an operation computes is defined once, in `OpKind::apply_lanes`;
-//! `vectorized::run_lanes` is the one executor that walks a whole
-//! program with it, and [`OpList::run_into`] is the independent reference
-//! the parity suites compare that executor against.
+//! the two executors in [`crate::vectorized`] walk a whole program with
+//! it, and [`OpList::run_into`] is the independent reference the parity
+//! suites compare them against.
 
 use serde::{Deserialize, Serialize};
 
@@ -315,7 +315,7 @@ impl OpList {
     /// The structure is unchanged; every [`LeafSource::Param`] is quantized
     /// to `precision` (the data memory of a reduced-precision processor
     /// holds reduced-precision words), and the execution kernels —
-    /// `vectorized::run_lanes` (CPU and GPU models) and the
+    /// [`crate::vectorized`]'s executors (CPU and GPU models) and the
     /// processor simulator's PE trees — quantize every intermediate result.
     /// [`Precision::F64`] programs execute bit-for-bit like programs that
     /// were never stamped.
@@ -410,6 +410,26 @@ impl OpList {
         }
     }
 
+    /// A program from its parts, unchecked: test programs with shapes
+    /// flattening never emits (dead results, one operand read twice).
+    #[cfg(test)]
+    pub(crate) fn from_parts(
+        inputs: Vec<LeafSource>,
+        ops: Vec<Op>,
+        output: OperandRef,
+        num_vars: usize,
+        mode: NumericMode,
+    ) -> OpList {
+        OpList {
+            inputs,
+            ops,
+            output,
+            num_vars,
+            mode,
+            precision: Precision::F64,
+        }
+    }
+
     /// The input slot descriptors (indicators and parameters).
     pub fn inputs(&self) -> &[LeafSource] {
         &self.inputs
@@ -458,11 +478,11 @@ impl OpList {
     /// into `results`, and returns the output value.
     ///
     /// This loop is deliberately independent of `OpKind::apply_lanes` and
-    /// `vectorized::run_lanes`: it spells the five operations out
+    /// [`crate::vectorized`]'s executors: it spells the five operations out
     /// itself, so the parity matrix (`tests/parity/mod.rs`) has an oracle
     /// that does not share the executor's code, and every backend must
     /// return its bits.  Nothing outside tests calls it; to run a program,
-    /// use [`OpList::evaluate`] or `vectorized::run_lanes`.
+    /// use [`OpList::evaluate`] or a [`crate::vectorized::LaneProgram`].
     ///
     /// # Panics
     ///

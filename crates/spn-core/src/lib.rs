@@ -18,9 +18,10 @@
 //!   over queries) and the [`batch::InputRecipe`] that materialises program
 //!   input vectors from batches without per-query matching,
 //! * flattening to the paper's scalar program form, [`flatten::OpList`]
-//!   (Algorithm 1, a list of binary operations), and the one executor that
-//!   runs it, `vectorized::run_lanes` (`L` queries per pass; `L = 1` is
-//!   the scalar pass),
+//!   (Algorithm 1, a list of binary operations), and the executors that
+//!   run it `L` queries per pass ([`vectorized`]; `L = 1` is the scalar
+//!   pass): the register-allocated [`vectorized::LaneProgram`] batches run
+//!   on, and the full-tile walker for passes that read every op's value,
 //! * incremental re-evaluation for session workloads ([`incremental`]):
 //!   per-variable reachability cones computed once per program and a
 //!   retained-state delta path that re-executes only the flipped evidence

@@ -25,10 +25,10 @@
 
 use std::sync::Arc;
 
-use spn_core::batch::{EvidenceBatch, InputRecipe};
+use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
 use spn_core::incremental::ConeAnalysis;
-use spn_core::vectorized;
+use spn_core::vectorized::{self, LaneProgram};
 use spn_processor::{MultiCoreProcessor, PerfReport};
 
 use crate::options::EngineOptions;
@@ -131,12 +131,11 @@ impl<B: Backend + ?Sized> Default for WorkerState<B> {
 /// statically-typed [`Backend::Scratch`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct ExecBuffers {
-    /// Input-vector arena: one input vector per query for platforms that
-    /// materialise the whole batch (query-major), or one input tile reused
-    /// across lane blocks.
+    /// Input-tile arena of the processor backend: one lane-blocked input
+    /// tile reused across blocks.  The software models leave it empty.
     pub inputs: Vec<f64>,
-    /// Intermediate-result arena (one slot per flattened operation and
-    /// lane).
+    /// Register-file arena of the software models: one [`LaneProgram`]
+    /// register file (`slots × lanes` values) reused across blocks.
     pub scratch: Vec<f64>,
 }
 
@@ -156,78 +155,57 @@ pub struct BatchResult {
     pub perf: PerfReport,
 }
 
-/// The block loop every platform's batches run through: `batch` is cut
-/// into lane blocks of at most `max_lanes` queries — full blocks first, what
-/// is left over in the next supported widths down to one — and `kernel`
-/// computes each block's root values, `kernel(lanes, tile, out)`, from its
-/// lane-minor input tile (`tile[slot * lanes + lane]`).  The three kernels
-/// are [`vectorized::run_lane_block`] for the CPU and GPU models (through
-/// [`execute_op_list`]) and the simulator's
-/// [`spn_processor::CheckedProgram::run_block`], so all three share one fill
-/// and one block cut.
-///
-/// The tile gets the parameter template once per call and lane width
-/// ([`InputRecipe::fill_params`]; widths only descend) and the indicators
-/// once per block ([`InputRecipe::fill_indicators`]), so no value of an
-/// earlier call, program or width survives into a block.  `tile` is sized by
-/// the widest block this batch uses: a one-row request must not pay for an
-/// 8-lane tile.
+/// The widest lane block a `queries`-long batch uses on a platform whose
+/// blocks hold at most `max_lanes` queries: buffers are sized by it, so a
+/// one-row request does not pay for an 8-lane block.
+pub(crate) fn widest_block(max_lanes: usize, queries: usize) -> usize {
+    vectorized::normalize_lanes(max_lanes.min(queries))
+}
+
+/// The block cut every platform's batches run through: `batch` is cut into
+/// lane blocks of at most `max_lanes` queries — full blocks first, what is
+/// left over in the next supported widths down to one, so widths only
+/// descend — and `block(start, lanes, out)` computes the root values of
+/// queries `start .. start + lanes` into `out`.  The three kernels are the
+/// CPU and GPU models' [`LaneProgram::run_block`] (through
+/// [`execute_op_list`]), which fills its register file from the batch
+/// itself, and the simulator's [`spn_processor::CheckedProgram::run_block`],
+/// whose caller fills an input tile per block.
 pub(crate) fn execute_lane_blocks(
-    recipe: &InputRecipe,
     max_lanes: usize,
     batch: &EvidenceBatch,
-    tile: &mut Vec<f64>,
-    mut kernel: impl FnMut(usize, &[f64], &mut [f64]),
-) -> Result<Vec<f64>, BackendError> {
-    recipe.check(batch)?;
-    let num_inputs = recipe.num_inputs();
-    let widest = vectorized::normalize_lanes(max_lanes.min(batch.len()));
-    tile.resize(num_inputs * widest, 0.0);
-
+    mut block: impl FnMut(usize, usize, &mut [f64]),
+) -> Vec<f64> {
+    let widest = widest_block(max_lanes, batch.len());
     let mut values = vec![0.0; batch.len()];
-    // The width whose parameters the tile holds (0: none yet).
-    let mut params_lanes = 0;
     let mut start = 0;
     while start < batch.len() {
         let lanes = vectorized::normalize_lanes(widest.min(batch.len() - start));
-        let tile = &mut tile[..num_inputs * lanes];
-        if lanes != params_lanes {
-            recipe.fill_params(lanes, tile);
-            params_lanes = lanes;
-        }
-        recipe.fill_indicators(batch, start, lanes, tile);
-        kernel(lanes, tile, &mut values[start..start + lanes]);
+        block(start, lanes, &mut values[start..start + lanes]);
         start += lanes;
     }
-    Ok(values)
+    values
 }
 
 /// The execute-many path of the two software models (CPU and GPU): every
-/// value comes from the one flat-program executor,
-/// [`vectorized::run_lanes`], through [`execute_lane_blocks`], and the
-/// models differ only in the `perf_per_query` they charge.  The results
-/// tile in `buffers` is sized by the widest block, like the input tile.
+/// value comes from the program's [`LaneProgram`], block by block through
+/// [`execute_lane_blocks`], and the models differ only in the
+/// `perf_per_query` they charge.  The register file is
+/// [`ExecBuffers::scratch`], sized by the widest block of this batch;
+/// [`ExecBuffers::inputs`] is not touched.
 pub(crate) fn execute_op_list(
-    ops: &OpList,
-    recipe: &InputRecipe,
+    program: &LaneProgram,
     perf_per_query: &PerfReport,
     max_lanes: usize,
     batch: &EvidenceBatch,
     buffers: &mut ExecBuffers,
 ) -> Result<BatchResult, BackendError> {
-    let widest = vectorized::normalize_lanes(max_lanes.min(batch.len()));
-    let results = &mut buffers.scratch;
-    results.clear();
-    results.resize(ops.num_ops() * widest, 0.0);
-    let values = execute_lane_blocks(
-        recipe,
-        max_lanes,
-        batch,
-        &mut buffers.inputs,
-        |lanes, tile, out| {
-            vectorized::run_lane_block(ops, lanes, tile, results, out);
-        },
-    )?;
+    program.check(batch)?;
+    let registers = &mut buffers.scratch;
+    registers.resize(program.slots() * widest_block(max_lanes, batch.len()), 0.0);
+    let values = execute_lane_blocks(max_lanes, batch, |start, lanes, out| {
+        program.run_block(batch, start, lanes, registers, out);
+    });
     Ok(BatchResult {
         values,
         perf: perf_per_query.times(batch.len() as u64),

@@ -19,10 +19,10 @@
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use spn_core::batch::{EvidenceBatch, InputRecipe};
+use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::{OpList, OperandRef};
 use spn_core::incremental::ConeAnalysis;
-use spn_core::vectorized;
+use spn_core::vectorized::{self, LaneProgram};
 use spn_processor::PerfReport;
 
 use crate::backend::{execute_op_list, Backend, BackendError, BatchResult, ExecBuffers};
@@ -85,14 +85,14 @@ impl Default for CpuConfig {
 
 /// The CPU execution model.
 ///
-/// Every batch runs through the one flat-program executor,
-/// `spn_core::vectorized::run_lanes`: the batch is cut into lane blocks of
-/// the configured width ([`spn_core::vectorized::MAX_LANES`] by default —
-/// fixed-trip inner loops the autovectorizer turns into SIMD), and what is
-/// left over into blocks of the next supported widths down to one.  Lane
-/// blocking only regroups independent queries, so results do not depend on
-/// the width; [`CpuModel::scalar`] runs one query per pass (the benchmark
-/// baseline).
+/// Every batch runs the program's register-allocated
+/// [`LaneProgram`] (see [`CpuCompiled::lane_program`]): the batch is cut
+/// into lane blocks of the configured width
+/// ([`spn_core::vectorized::MAX_LANES`] by default — fixed-trip inner loops
+/// the autovectorizer turns into SIMD), and what is left over into blocks
+/// of the next supported widths down to one.  Lane blocking only regroups
+/// independent queries, so results do not depend on the width;
+/// [`CpuModel::scalar`] runs one query per pass (the benchmark baseline).
 #[derive(Debug, Clone)]
 pub struct CpuModel {
     config: CpuConfig,
@@ -252,14 +252,15 @@ impl CpuModel {
 }
 
 /// The CPU model's compiled artifact: the program itself plus everything
-/// evidence-independent — the input recipe, the modelled per-query cost
-/// (straight-line code has the same cycle count for every query, so the
-/// whole microarchitectural model runs once at compile time), and the
-/// per-variable reachability cones backing incremental session evaluation.
+/// evidence-independent — its register-allocated [`LaneProgram`], which
+/// every batch runs, the modelled per-query cost (straight-line code has
+/// the same cycle count for every query, so the whole microarchitectural
+/// model runs once at compile time), and the per-variable reachability
+/// cones backing incremental session evaluation.
 #[derive(Debug, Clone)]
 pub struct CpuCompiled {
     ops: OpList,
-    recipe: InputRecipe,
+    program: LaneProgram,
     perf_per_query: PerfReport,
     cones: Arc<ConeAnalysis>,
 }
@@ -268,6 +269,11 @@ impl CpuCompiled {
     /// The flattened program this artifact executes.
     pub fn ops(&self) -> &OpList {
         &self.ops
+    }
+
+    /// The register-allocated form of [`CpuCompiled::ops`] batches run.
+    pub fn lane_program(&self) -> &LaneProgram {
+        &self.program
     }
 
     /// The modelled cost of one inference pass.
@@ -295,7 +301,7 @@ impl Backend for CpuModel {
 
     fn compile(&self, ops: &OpList) -> Result<CpuCompiled, BackendError> {
         Ok(CpuCompiled {
-            recipe: ops.input_recipe(),
+            program: LaneProgram::from_op_list(ops),
             perf_per_query: self.model_cycles(ops),
             cones: Arc::new(ConeAnalysis::from_op_list(ops)),
             ops: ops.clone(),
@@ -318,8 +324,7 @@ impl Backend for CpuModel {
         _scratch: &mut (),
     ) -> Result<BatchResult, BackendError> {
         execute_op_list(
-            &compiled.ops,
-            &compiled.recipe,
+            &compiled.program,
             &compiled.perf_per_query,
             self.lanes,
             batch,

@@ -17,14 +17,14 @@
 //! The *values* of a batch are by construction those of the CPU model — a
 //! kernel computes each operation once from the same operands in whatever
 //! order its groups run — so `execute_batch` takes them from the same
-//! lane-blocked pass over [`spn_core::vectorized::run_lanes`] the CPU model
+//! register-allocated [`spn_core::vectorized::LaneProgram`] the CPU model
 //! runs (`backend::execute_op_list`).
 
 use serde::{Deserialize, Serialize};
-use spn_core::batch::{EvidenceBatch, InputRecipe};
+use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::{OpKind, OpList, OperandRef};
 use spn_core::levelize::Levelization;
-use spn_core::vectorized;
+use spn_core::vectorized::{self, LaneProgram};
 use spn_processor::PerfReport;
 
 use crate::backend::{execute_op_list, Backend, BackendError, BatchResult, ExecBuffers};
@@ -235,13 +235,14 @@ impl GpuModel {
     }
 }
 
-/// The GPU model's compiled artifact: the program, its input recipe and
-/// the modelled per-query cost (the SIMT schedule is evidence-independent,
-/// so it is counted once at compile time).
+/// The GPU model's compiled artifact: the program, its register-allocated
+/// [`LaneProgram`] (which batches run, as on the CPU model) and the
+/// modelled per-query cost (the SIMT schedule is evidence-independent, so
+/// it is counted once at compile time).
 #[derive(Debug, Clone)]
 pub struct GpuCompiled {
     ops: OpList,
-    recipe: InputRecipe,
+    program: LaneProgram,
     perf_per_query: PerfReport,
 }
 
@@ -249,6 +250,11 @@ impl GpuCompiled {
     /// The flattened program this artifact executes.
     pub fn ops(&self) -> &OpList {
         &self.ops
+    }
+
+    /// The register-allocated form of [`GpuCompiled::ops`] batches run.
+    pub fn lane_program(&self) -> &LaneProgram {
+        &self.program
     }
 
     /// The modelled cost of one inference pass.
@@ -267,7 +273,7 @@ impl Backend for GpuModel {
 
     fn compile(&self, ops: &OpList) -> Result<GpuCompiled, BackendError> {
         Ok(GpuCompiled {
-            recipe: ops.input_recipe(),
+            program: LaneProgram::from_op_list(ops),
             perf_per_query: self.model_cycles(ops),
             ops: ops.clone(),
         })
@@ -281,8 +287,7 @@ impl Backend for GpuModel {
         _scratch: &mut (),
     ) -> Result<BatchResult, BackendError> {
         execute_op_list(
-            &compiled.ops,
-            &compiled.recipe,
+            &compiled.program,
             &compiled.perf_per_query,
             vectorized::MAX_LANES,
             batch,

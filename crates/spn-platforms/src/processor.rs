@@ -27,7 +27,9 @@ use spn_core::flatten::OpList;
 use spn_core::vectorized::MAX_LANES;
 use spn_processor::{MultiCoreConfig, MultiCoreProcessor, ProcessorConfig, SimState};
 
-use crate::backend::{execute_lane_blocks, Backend, BackendError, BatchResult, ExecBuffers};
+use crate::backend::{
+    execute_lane_blocks, widest_block, Backend, BackendError, BatchResult, ExecBuffers,
+};
 
 /// Compiler plus cycle-accurate simulator for one processor configuration
 /// (optionally replicated across N cores).
@@ -124,13 +126,25 @@ impl Backend for ProcessorBackend {
         // The cost, and the guard that the program was checked for this
         // machine, before any value.
         let cores = self.processor.sharded_perf(program, batch.len())?;
-        let values = execute_lane_blocks(
-            compiled.lane_recipe(),
-            MAX_LANES,
-            batch,
-            &mut buffers.inputs,
-            |lanes, tile, out| program.run_block(lanes, tile, out, &mut scratch.state),
-        )?;
+        let recipe = compiled.lane_recipe();
+        recipe.check(batch)?;
+        let num_inputs = recipe.num_inputs();
+        let tile = &mut buffers.inputs;
+        tile.resize(num_inputs * widest_block(MAX_LANES, batch.len()), 0.0);
+        // The width whose parameters the tile holds (0: none yet).  Widths
+        // only descend, so parameters are written once per batch and width,
+        // and indicators once per block: no value of an earlier call,
+        // program or width survives into a block.
+        let mut params_lanes = 0;
+        let values = execute_lane_blocks(MAX_LANES, batch, |start, lanes, out| {
+            let tile = &mut tile[..num_inputs * lanes];
+            if lanes != params_lanes {
+                recipe.fill_params(lanes, tile);
+                params_lanes = lanes;
+            }
+            recipe.fill_indicators(batch, start, lanes, tile);
+            program.run_block(lanes, tile, out, &mut scratch.state);
+        });
         Ok(BatchResult {
             values,
             perf: cores.merged(&self.name(), batch.len() as u64),

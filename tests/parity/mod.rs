@@ -38,7 +38,7 @@ use rand::SeedableRng;
 use spn_accel::core::flatten::OpList;
 use spn_accel::core::query::{conditional_values, reference_query_with, MaxProductProgram};
 use spn_accel::core::random::{deep_chain_spn, random_spn, RandomSpnConfig};
-use spn_accel::core::vectorized::{normalize_lanes, MAX_LANES};
+use spn_accel::core::vectorized::{normalize_lanes, LaneProgram, MAX_LANES};
 use spn_accel::core::{
     ConditionalBatch, Evidence, EvidenceBatch, NumericMode, Precision, QueryBatch, QueryMode, Spn,
 };
@@ -571,12 +571,13 @@ trait DirectPass: Backend + Clone {
     );
 }
 
-/// The software models charge every row their per-query report, and size
-/// both tiles by the widest lane block of *this* batch: a one-row request on
-/// an 8-lane model allocates one lane.
+/// The software models charge every row their per-query report, size the
+/// lane program's register file by the widest lane block of *this* batch (a
+/// one-row request on an 8-lane model allocates one lane), and leave the
+/// input arena untouched: the register file takes the indicators itself.
 fn check_model_pass(
     max_lanes: usize,
-    ops: &OpList,
+    program: &LaneProgram,
     perf_per_query: &PerfReport,
     rows: &EvidenceBatch,
     got: &BatchResult,
@@ -590,8 +591,8 @@ fn check_model_pass(
     (0..rows.len()).for_each(|_| want.merge(perf_per_query));
     assert_eq!(got.perf, want, "{context}");
     let widest = normalize_lanes(max_lanes.min(rows.len()));
-    assert_eq!(buffers.inputs.len(), ops.num_inputs() * widest, "{context}");
-    assert_eq!(buffers.scratch.len(), ops.num_ops() * widest, "{context}");
+    assert!(buffers.inputs.is_empty(), "{context}");
+    assert_eq!(buffers.scratch.len(), program.slots() * widest, "{context}");
 }
 
 impl DirectPass for CpuModel {
@@ -603,8 +604,8 @@ impl DirectPass for CpuModel {
         buffers: &ExecBuffers,
         context: &str,
     ) {
-        let (ops, perf) = (compiled.ops(), compiled.perf_per_query());
-        check_model_pass(self.lanes(), ops, perf, rows, got, buffers, context);
+        let (program, perf) = (compiled.lane_program(), compiled.perf_per_query());
+        check_model_pass(self.lanes(), program, perf, rows, got, buffers, context);
     }
 }
 
@@ -617,8 +618,8 @@ impl DirectPass for GpuModel {
         buffers: &ExecBuffers,
         context: &str,
     ) {
-        let (ops, perf) = (compiled.ops(), compiled.perf_per_query());
-        check_model_pass(MAX_LANES, ops, perf, rows, got, buffers, context);
+        let (program, perf) = (compiled.lane_program(), compiled.perf_per_query());
+        check_model_pass(MAX_LANES, program, perf, rows, got, buffers, context);
     }
 }
 

@@ -130,8 +130,8 @@ fn a_marginal_query_on_the_cpu_model_allocates_only_its_answer() {
 fn msnbc_query(num_vars: usize, mode: QueryMode) -> QueryBatch {
     let row = |q: usize, every: usize| {
         let mut e = Evidence::marginal(num_vars);
-        for var in (0..num_vars).filter(|var| (var + q) % every == 0) {
-            e.observe(var, (var * 7 + q) % 3 == 0);
+        for var in (0..num_vars).filter(|var| (var + q).is_multiple_of(every)) {
+            e.observe(var, (var * 7 + q).is_multiple_of(3));
         }
         e
     };
