@@ -281,9 +281,9 @@ impl LaneProgram {
             })
             .collect();
 
-        const UNREAD: usize = usize::MAX;
+        const UNREAD: u32 = u32::MAX;
         let mut last_reader = vec![UNREAD; ops.num_ops()];
-        for (i, op) in ops.ops().iter().enumerate() {
+        for (i, op) in (0..).zip(ops.ops()) {
             for operand in [op.lhs, op.rhs] {
                 if let OperandRef::Op(j) = operand {
                     last_reader[j as usize] = i;
@@ -291,7 +291,7 @@ impl LaneProgram {
             }
         }
         let root_op = match ops.output() {
-            OperandRef::Op(j) => Some(j as usize),
+            OperandRef::Op(j) => Some(j),
             OperandRef::Input(_) => None,
         };
 
@@ -304,14 +304,13 @@ impl LaneProgram {
             OperandRef::Input(k) => inputs[k as usize],
             OperandRef::Op(j) => Source::Lane(slot_of[j as usize]),
         };
-        for (i, op) in ops.ops().iter().enumerate() {
+        for (i, op) in (0..).zip(ops.ops()) {
             let (a, b) = (source(op.lhs, &slot_of), source(op.rhs, &slot_of));
             for (n, operand) in [op.lhs, op.rhs].into_iter().enumerate() {
                 let repeat = n == 1 && op.rhs == op.lhs;
                 if let OperandRef::Op(j) = operand {
-                    let j = j as usize;
-                    if last_reader[j] == i && root_op != Some(j) && !repeat {
-                        free.push(slot_of[j]);
+                    if last_reader[j as usize] == i && root_op != Some(j) && !repeat {
+                        free.push(slot_of[j as usize]);
                     }
                 }
             }
@@ -319,8 +318,8 @@ impl LaneProgram {
                 slots += 1;
                 slots - 1
             });
-            slot_of[i] = dst;
-            if last_reader[i] == UNREAD && root_op != Some(i) {
+            slot_of[i as usize] = dst;
+            if last_reader[i as usize] == UNREAD && root_op != Some(i) {
                 free.push(dst);
             }
             let (form, a, b) = match (a, b) {

@@ -251,27 +251,21 @@ impl CpuModel {
     }
 }
 
-/// The CPU model's compiled artifact: the program itself plus everything
-/// evidence-independent — its register-allocated [`LaneProgram`], which
-/// every batch runs, the modelled per-query cost (straight-line code has
+/// The CPU model's compiled artifact: everything evidence-independent
+/// about a program — its register-allocated [`LaneProgram`], which every
+/// batch runs, the modelled per-query cost (straight-line code has
 /// the same cycle count for every query, so the whole microarchitectural
 /// model runs once at compile time), and the per-variable reachability
 /// cones backing incremental session evaluation.
 #[derive(Debug, Clone)]
 pub struct CpuCompiled {
-    ops: OpList,
     program: LaneProgram,
     perf_per_query: PerfReport,
     cones: Arc<ConeAnalysis>,
 }
 
 impl CpuCompiled {
-    /// The flattened program this artifact executes.
-    pub fn ops(&self) -> &OpList {
-        &self.ops
-    }
-
-    /// The register-allocated form of [`CpuCompiled::ops`] batches run.
+    /// The register-allocated program batches run.
     pub fn lane_program(&self) -> &LaneProgram {
         &self.program
     }
@@ -304,7 +298,6 @@ impl Backend for CpuModel {
             program: LaneProgram::from_op_list(ops),
             perf_per_query: self.model_cycles(ops),
             cones: Arc::new(ConeAnalysis::from_op_list(ops)),
-            ops: ops.clone(),
         })
     }
 

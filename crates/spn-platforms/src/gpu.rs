@@ -235,24 +235,18 @@ impl GpuModel {
     }
 }
 
-/// The GPU model's compiled artifact: the program, its register-allocated
+/// The GPU model's compiled artifact: the program's register-allocated
 /// [`LaneProgram`] (which batches run, as on the CPU model) and the
 /// modelled per-query cost (the SIMT schedule is evidence-independent, so
 /// it is counted once at compile time).
 #[derive(Debug, Clone)]
 pub struct GpuCompiled {
-    ops: OpList,
     program: LaneProgram,
     perf_per_query: PerfReport,
 }
 
 impl GpuCompiled {
-    /// The flattened program this artifact executes.
-    pub fn ops(&self) -> &OpList {
-        &self.ops
-    }
-
-    /// The register-allocated form of [`GpuCompiled::ops`] batches run.
+    /// The register-allocated program batches run.
     pub fn lane_program(&self) -> &LaneProgram {
         &self.program
     }
@@ -275,7 +269,6 @@ impl Backend for GpuModel {
         Ok(GpuCompiled {
             program: LaneProgram::from_op_list(ops),
             perf_per_query: self.model_cycles(ops),
-            ops: ops.clone(),
         })
     }
 

@@ -5,12 +5,12 @@
 //! [`CompiledArtifact`], whose program is checked, costed and lowered to its
 //! dataflow list once per plan ([`spn_processor::CheckedProgram`]), so the
 //! VLIW program, schedule, legality, cost and input recipe are all amortised
-//! across queries — the paper's deployment model.  A batch runs through the
-//! block loop the CPU and GPU models use (`backend::execute_lane_blocks`)
-//! with the artifact's lane recipe ([`CompiledArtifact::lane_recipe`]):
-//! parameters once per batch and lane width, indicators per block, both for
-//! the input slots the replay reads alone, and the simulator replays each
-//! lane block from that tile.
+//! across queries — the paper's deployment model.  A batch is cut into lane
+//! blocks as the CPU and GPU models' are (`backend::execute_lane_blocks`),
+//! and each block's input tile is filled from the artifact's lane recipe
+//! ([`CompiledArtifact::lane_recipe`]): parameters once per batch and lane
+//! width, indicators per block, both for the input slots the replay reads
+//! alone, and the simulator replays each lane block from that tile.
 //!
 //! The backend defaults to one core.  With [`ProcessorBackend::with_cores`]
 //! the same compiled program is sharded over N simulated cores behind a
