@@ -295,8 +295,8 @@ impl LaneProgram {
             OperandRef::Input(_) => None,
         };
 
-        let first_result = 2 * ops.num_vars() as u32;
-        let mut slots = first_result;
+        // Result slots start above the indicator groups.
+        let mut slots = 2 * ops.num_vars() as u32;
         let mut free: Vec<u32> = Vec::new();
         let mut slot_of = vec![0u32; ops.num_ops()];
         let mut steps = Vec::with_capacity(ops.num_ops());
