@@ -1,7 +1,7 @@
 //! The parity matrix every backend is held to.
 //!
 //! One table, [`SLICES`], names the cells: circuit × machine (the CPU model
-//! at 1/2/4/8 lanes, the GPU model, Ptree on 1-4 cores, Pvect) × numeric
+//! at 1-32 lanes, the GPU model, Ptree on 1-4 cores, Pvect) × numeric
 //! domain × precision × exact query mode × dispatch × batch length.  Each
 //! `#[test]` of `tests/{parallel,vectorized,multicore,precision_parity,
 //! log_domain}.rs` that checks values is a one-line entry running its slice
@@ -166,14 +166,14 @@ const EVERY_SHARDING: [Dispatch; 16] = {
     all
 };
 
-/// Lengths `0..N - 1`, then `last`: empty, sub-block, exact-block and every
-/// ragged tail (`len % 8` from 1 to 7) of the lane widths.
-const fn lens<const N: usize>(last: usize) -> [usize; N] {
-    let mut lens = [last; N];
-    let mut len = 0;
-    while len + 1 < N {
-        lens[len] = len;
-        len += 1;
+/// Lengths `0..N - T`, then `tail`: empty, sub-block, exact-block and every
+/// ragged tail of the lane widths below the longest short length.
+const fn lens<const N: usize, const T: usize>(tail: [usize; T]) -> [usize; N] {
+    let mut lens = [0; N];
+    let mut i = 0;
+    while i < N {
+        lens[i] = if i + T < N { i } else { tail[i + T - N] };
+        i += 1;
     }
     lens
 }
@@ -264,12 +264,16 @@ const SLICES: &[Slice] = &[
             Machine::Cpu(2),
             Machine::Cpu(4),
             Machine::Cpu(8),
+            Machine::Cpu(16),
+            Machine::Cpu(32),
             Machine::Gpu,
         ],
         numerics: BOTH,
         precisions: SWEEP,
         dispatches: &[Dispatch::Direct],
-        lens: &lens::<19>(33),
+        // Every ragged tail below 32 lanes, then tails past one, two and
+        // three 32-lane blocks.
+        lens: &lens::<37, 3>([63, 65, 97]),
         ..ONE
     },
     Slice {
@@ -310,7 +314,7 @@ const SLICES: &[Slice] = &[
         numerics: BOTH,
         precisions: &[Precision::F64, Precision::E8M10],
         dispatches: &[Dispatch::Direct],
-        lens: &lens::<35>(64),
+        lens: &lens::<35, 1>([64]),
         ..ONE
     },
     // MSNBC, learned by LearnSPN: 1 684 input slots share 16 Ptree rows of

@@ -124,17 +124,45 @@ fn a_marginal_query_on_the_cpu_model_allocates_only_its_answer() {
     }
 }
 
+/// Allocations of one `Engine<CpuModel>::execute_query` call at the
+/// default lane width on a 1024-row KDDCup2k marginal batch after one
+/// warm-up call, recorded when this pin was added: the answer alone, as on
+/// MSNBC, however many lane blocks the batch is cut into.
+const WIDE_BATCH_ALLOCATIONS: u64 = 2;
+
+#[test]
+fn a_1024_row_kddcup2k_batch_at_the_default_width_allocates_only_its_answer() {
+    let spn = Benchmark::KddCup2k.spn();
+    let num_vars = spn.num_vars();
+    let mut engine =
+        Engine::new(CpuModel::new(), &spn, EngineOptions::default()).expect("engine builds");
+    let rows: Vec<Evidence> = (0..1024).map(|q| row(num_vars, q, 3)).collect();
+    let batch = EvidenceBatch::from_evidences(num_vars, &rows).expect("rows");
+    let query = QueryBatch::Marginal(batch);
+    engine.execute_query(&query).expect("warm-up call");
+    for _ in 0..3 {
+        let n = allocations(|| {
+            engine.execute_query(&query).expect("marginal batch runs");
+        });
+        assert_eq!(n, WIDE_BATCH_ALLOCATIONS, "execute_query");
+    }
+}
+
+/// Query `q`'s row over `num_vars` variables observing every `every`-th
+/// variable, the first one shifted by `q`.
+fn row(num_vars: usize, q: usize, every: usize) -> Evidence {
+    let mut e = Evidence::marginal(num_vars);
+    for var in (0..num_vars).filter(|var| (var + q).is_multiple_of(every)) {
+        e.observe(var, (var * 7 + q).is_multiple_of(3));
+    }
+    e
+}
+
 /// A 256-row batch of `mode` over MSNBC: fully observed rows for joint
 /// queries, rows observing every third variable for MAP, and for
 /// conditionals a target on one variable given every fifth.
 fn msnbc_query(num_vars: usize, mode: QueryMode) -> QueryBatch {
-    let row = |q: usize, every: usize| {
-        let mut e = Evidence::marginal(num_vars);
-        for var in (0..num_vars).filter(|var| (var + q).is_multiple_of(every)) {
-            e.observe(var, (var * 7 + q).is_multiple_of(3));
-        }
-        e
-    };
+    let row = |q: usize, every: usize| row(num_vars, q, every);
     let rows = 0..256;
     match mode {
         QueryMode::Joint => {
@@ -158,7 +186,7 @@ fn msnbc_query(num_vars: usize, mode: QueryMode) -> QueryBatch {
     }
 }
 
-/// Allocations of one 8-lane `Engine<CpuModel>::execute_query` call per
+/// Allocations of one default-width `Engine<CpuModel>::execute_query` call per
 /// mode after one warm-up call, recorded when these pins were added.  A
 /// joint batch hands back what a marginal one does; a conditional runs two
 /// passes and divides; a MAP batch adds the host traceback, whose work
