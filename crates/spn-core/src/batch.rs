@@ -584,6 +584,8 @@ impl InputRecipe {
             2 => self.fill_indicator_lanes::<2>(batch, start, out),
             4 => self.fill_indicator_lanes::<4>(batch, start, out),
             8 => self.fill_indicator_lanes::<8>(batch, start, out),
+            16 => self.fill_indicator_lanes::<16>(batch, start, out),
+            32 => self.fill_indicator_lanes::<32>(batch, start, out),
             other => panic!("unsupported lane width {other} (expected one of {LANE_WIDTHS:?})"),
         }
     }
@@ -898,9 +900,10 @@ mod tests {
             assert!(kept_indicators > 0 && kept_indicators < full.num_indicators());
             assert_eq!(restricted.num_indicators(), kept_indicators, "{name}");
             assert_eq!(restricted.num_inputs(), full.num_inputs());
-            let batch = mixed_batch(ops.num_vars(), 12);
+            let len = crate::vectorized::MAX_LANES + 4;
+            let batch = mixed_batch(ops.num_vars(), len);
             for &lanes in &LANE_WIDTHS {
-                for start in [0, 12 - lanes] {
+                for start in [0, len - lanes] {
                     let mut want = vec![SENTINEL; full.num_inputs() * lanes];
                     full.fill_params(lanes, &mut want);
                     full.fill_indicators(&batch, start, lanes, &mut want);

@@ -8,11 +8,15 @@
 //! is embarrassingly data-parallel — the same straight-line program runs on
 //! every query — which is exactly the shape a wide arithmetic datapath (or a
 //! CPU's SIMD units) wants.  A batch is cut into **lane blocks** of
-//! [`MAX_LANES`] queries, and what is left over into blocks of the next
-//! supported widths down to one; each operation is applied across the
+//! [`MAX_LANES`] (32) queries, and what is left over into blocks of the
+//! next supported widths down to one; each operation is applied across the
 //! whole block with a fixed-trip inner loop (`L` is a const generic, so the
 //! trip count is a compile-time constant the autovectorizer turns into
-//! SIMD) over contiguous `[f64; L]` lane groups.
+//! SIMD) over contiguous `[f64; L]` lane groups.  What a step costs beyond
+//! its arithmetic — choosing its operand form and kind, checking its
+//! indices, copying its operands — is paid once per block, so the width
+//! is the number of queries that cost is spread over, the way the paper's
+//! processor spreads one instruction's control over many operations.
 //!
 //! Two walkers share that arithmetic — `OpKind::apply_lanes`, then the
 //! program's `Quantizer` on store — and differ in where values live:
@@ -24,8 +28,8 @@
 //!   indicator, filled per block straight from the batch's observations,
 //!   then result slots a linear scan in op order reuses once their last
 //!   reader has run.  Parameters stay a scalar table, broadcast at use.
-//!   On KDDCup2k that is 196 lane groups against the 15 192 inputs and
-//!   15 191 ops of the full tiles below.
+//!   On KDDCup2k that is 196 lane groups (49 KiB at 32 lanes) against the
+//!   15 192 inputs and 15 191 ops of the full tiles below.
 //! * `run_lanes` (public as [`run_lane_block`]) keeps every value: a
 //!   `[inputs × L]` input tile
 //!   ([`crate::batch::InputRecipe::fill_lane_block`]) and an `[ops × L]`
@@ -49,14 +53,20 @@ use crate::numeric::NumericMode;
 use crate::precision::{Precision, Quantizer};
 use crate::{Result, SpnError};
 
-/// Widest supported lane block (8 × f64 = 64 bytes, one cache line — two
-/// 256-bit AVX registers or one 512-bit register per operand group).
-pub const MAX_LANES: usize = 8;
+/// Widest supported lane block: 32 queries, so a lane group is 32 × f64 =
+/// 256 bytes, four cache lines.  Each step of a [`LaneProgram`] pays its
+/// dispatch (form × kind, index checks, operand copies) once per block, so
+/// a wider block spreads that fixed cost over more queries; the register
+/// file grows with it (KDDCup2k: 196 lane groups, 49 KiB at 32 lanes; the
+/// largest of the nine Fig. 4 circuits, BBC, 568 KiB).  `spn-bench`'s
+/// `host_kernel` bin times every width from 8 up per circuit; 64 lanes,
+/// tried with the same step, was slower than 32 on every circuit tried.
+pub const MAX_LANES: usize = 32;
 
 /// The supported lane-block widths, in ascending order.  Power-of-two widths
 /// keep every lane group naturally aligned within the tile and give the
 /// compiler fixed trip counts it unrolls completely.
-pub(crate) const LANE_WIDTHS: [usize; 4] = [1, 2, 4, 8];
+pub(crate) const LANE_WIDTHS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
 /// The widest supported lane width that is at most `requested` (at least 1).
 ///
@@ -100,6 +110,8 @@ pub fn run_lane_block(
         2 => run_lanes::<2>(ops, inputs, results, out),
         4 => run_lanes::<4>(ops, inputs, results, out),
         8 => run_lanes::<8>(ops, inputs, results, out),
+        16 => run_lanes::<16>(ops, inputs, results, out),
+        32 => run_lanes::<32>(ops, inputs, results, out),
         other => panic!("unsupported lane width {other} (expected one of {LANE_WIDTHS:?})"),
     }
 }
@@ -399,6 +411,8 @@ impl LaneProgram {
             2 => self.run::<2>(batch, start, registers, out),
             4 => self.run::<4>(batch, start, registers, out),
             8 => self.run::<8>(batch, start, registers, out),
+            16 => self.run::<16>(batch, start, registers, out),
+            32 => self.run::<32>(batch, start, registers, out),
             other => panic!("unsupported lane width {other} (expected one of {LANE_WIDTHS:?})"),
         }
     }
@@ -498,6 +512,9 @@ mod tests {
     fn normalize_lanes_rounds_down_to_supported_widths() {
         let expected = [1, 1, 2, 2, 4, 4, 4, 4, 8, 8];
         for (requested, &want) in (0..10).zip(&expected) {
+            assert_eq!(normalize_lanes(requested), want, "requested {requested}");
+        }
+        for (requested, want) in [(15, 8), (16, 16), (31, 16), (32, 32), (33, 32), (1000, 32)] {
             assert_eq!(normalize_lanes(requested), want, "requested {requested}");
         }
         assert_eq!(normalize_lanes(1000), MAX_LANES);

@@ -157,7 +157,7 @@ pub struct BatchResult {
 
 /// The widest lane block a `queries`-long batch uses on a platform whose
 /// blocks hold at most `max_lanes` queries: buffers are sized by it, so a
-/// one-row request does not pay for an 8-lane block.
+/// one-row request does not pay for a 32-lane block.
 pub(crate) fn widest_block(max_lanes: usize, queries: usize) -> usize {
     vectorized::normalize_lanes(max_lanes.min(queries))
 }

@@ -88,9 +88,10 @@ impl Default for CpuConfig {
 /// Every batch runs the program's register-allocated
 /// [`LaneProgram`] (see [`CpuCompiled::lane_program`]): the batch is cut
 /// into lane blocks of the configured width
-/// ([`spn_core::vectorized::MAX_LANES`] by default — fixed-trip inner loops
-/// the autovectorizer turns into SIMD), and what is left over into blocks
-/// of the next supported widths down to one.  Lane blocking only regroups
+/// ([`spn_core::vectorized::MAX_LANES`], 32 queries, by default — each step
+/// pays its dispatch once per block, and its fixed-trip inner loops are
+/// what the autovectorizer turns into SIMD), and what is left over into
+/// blocks of the next supported widths down to one.  Lane blocking only regroups
 /// independent queries, so results do not depend on the width;
 /// [`CpuModel::scalar`] runs one query per pass (the benchmark baseline).
 #[derive(Debug, Clone)]
@@ -135,7 +136,8 @@ impl CpuModel {
     ///
     /// `lanes` is normalised onto the supported widths
     /// ([`spn_core::vectorized::normalize_lanes`]): `0`/`1` select one
-    /// query per pass, larger values round down to `2`, `4` or `8`.
+    /// query per pass, larger values round down to `2`, `4`, `8`, `16` or
+    /// `32`.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = vectorized::normalize_lanes(lanes);
         self
@@ -398,7 +400,7 @@ mod tests {
         let ops = OpList::from_spn(&spn).to_log_domain();
         let scalar = CpuModel::scalar();
         let scalar_compiled = scalar.compile(&ops).unwrap();
-        for len in [0usize, 1, 7, 8, 9, 16, 23] {
+        for len in [0usize, 1, 7, 8, 9, 16, 23, 31, 32, 33, 65] {
             let mut batch = EvidenceBatch::new(11);
             for q in 0..len {
                 let mut e = spn_core::Evidence::marginal(11);
@@ -408,7 +410,7 @@ mod tests {
             let want = scalar
                 .execute_batch(&scalar_compiled, &batch, &mut ExecBuffers::new(), &mut ())
                 .unwrap();
-            for lanes in [2usize, 4, 8] {
+            for lanes in [2usize, 4, 8, 16, 32] {
                 let cpu = CpuModel::new().with_lanes(lanes);
                 assert_eq!(cpu.lanes(), lanes);
                 let compiled = cpu.compile(&ops).unwrap();

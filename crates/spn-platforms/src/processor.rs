@@ -7,7 +7,8 @@
 //! VLIW program, schedule, legality, cost and input recipe are all amortised
 //! across queries — the paper's deployment model.  A batch is cut into lane
 //! blocks as the CPU and GPU models' are (`backend::execute_lane_blocks`),
-//! and each block's input tile is filled from the artifact's lane recipe
+//! but of at most eight queries (`PROCESSOR_LANES`), and each block's input
+//! tile is filled from the artifact's lane recipe
 //! ([`CompiledArtifact::lane_recipe`]): parameters once per batch and lane
 //! width, indicators per block, both for the input slots the replay reads
 //! alone, and the simulator replays each lane block from that tile.
@@ -24,12 +25,16 @@
 use spn_compiler::{CompiledArtifact, Compiler};
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
-use spn_core::vectorized::MAX_LANES;
 use spn_processor::{MultiCoreConfig, MultiCoreProcessor, ProcessorConfig, SimState};
 
 use crate::backend::{
     execute_lane_blocks, widest_block, Backend, BackendError, BatchResult, ExecBuffers,
 };
+
+/// Widest lane block the simulator replays: its dataflow replay is
+/// monomorphized for 1-8 lanes, and its tile is `inputs × lanes`, so it
+/// keeps 8 while the CPU and GPU models' register files go wider.
+const PROCESSOR_LANES: usize = 8;
 
 /// Compiler plus cycle-accurate simulator for one processor configuration
 /// (optionally replicated across N cores).
@@ -130,13 +135,13 @@ impl Backend for ProcessorBackend {
         recipe.check(batch)?;
         let num_inputs = recipe.num_inputs();
         let tile = &mut buffers.inputs;
-        tile.resize(num_inputs * widest_block(MAX_LANES, batch.len()), 0.0);
+        tile.resize(num_inputs * widest_block(PROCESSOR_LANES, batch.len()), 0.0);
         // The width whose parameters the tile holds (0: none yet).  Widths
         // only descend, so parameters are written once per batch and width,
         // and indicators once per block: no value of an earlier call,
         // program or width survives into a block.
         let mut params_lanes = 0;
-        let values = execute_lane_blocks(MAX_LANES, batch, |start, lanes, out| {
+        let values = execute_lane_blocks(PROCESSOR_LANES, batch, |start, lanes, out| {
             let tile = &mut tile[..num_inputs * lanes];
             if lanes != params_lanes {
                 recipe.fill_params(lanes, tile);

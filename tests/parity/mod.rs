@@ -577,7 +577,7 @@ trait DirectPass: Backend + Clone {
 
 /// The software models charge every row their per-query report, size the
 /// lane program's register file by the widest lane block of *this* batch (a
-/// one-row request on an 8-lane model allocates one lane), and leave the
+/// one-row request on a 32-lane model allocates one lane), and leave the
 /// input arena untouched: the register file takes the indicators itself.
 fn check_model_pass(
     max_lanes: usize,
