@@ -59,8 +59,8 @@ use crate::{Result, SpnError};
 /// a wider block spreads that fixed cost over more queries; the register
 /// file grows with it (KDDCup2k: 196 lane groups, 49 KiB at 32 lanes; the
 /// largest of the nine Fig. 4 circuits, BBC, 568 KiB).  `spn-bench`'s
-/// `host_kernel` bin times every width from 8 up per circuit; 64 lanes,
-/// tried with the same step, was slower than 32 on every circuit tried.
+/// `host_kernel` bin times every width from 8 up per circuit; built with a
+/// 64-lane arm, it ran 64 lanes slower than 32 on all nine circuits.
 pub const MAX_LANES: usize = 32;
 
 /// The supported lane-block widths, in ascending order.  Power-of-two widths
