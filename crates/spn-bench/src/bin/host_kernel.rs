@@ -8,9 +8,10 @@
 //! circuit's lane program on 1 thread and on 2 (each thread takes half the
 //! batch and has its own register file).  A repetition runs the batch
 //! enough times to do at least `ops_per_repeat` operations, at each width
-//! in turn; a row prints each width's best of `repeats` as ops per ns (circuit ops × rows ÷ wall ns, all
-//! threads together), beside the register file one block takes at the
-//! widest width and the CPU model's modelled ops per cycle.  Ops per
+//! in turn; a row prints each width's best of `repeats` as ops per ns
+//! (circuit ops × rows ÷ wall ns, all threads together), beside the
+//! register file one block takes at the widest width and the CPU model's
+//! modelled ops per cycle.  Ops per
 //! nominal cycle divide by the clock `/proc/cpuinfo` gives: the `@ … GHz`
 //! of the model name, or else its first `cpu MHz` line.  Under turbo or a
 //! shared host the true ops per cycle is lower.
@@ -102,9 +103,9 @@ fn run_range(
     std::hint::black_box(out);
 }
 
-/// One repetition: `passes` runs of `batch` at `lanes` on `threads`
-/// threads (thread `t` takes the `t`-th share of the rows, with its own
-/// register file from `registers`), in ns of wall time.
+/// One repetition: `passes` runs of `batch` at `lanes` on one thread per
+/// register file in `registers` (thread `t` takes the `t`-th share of the
+/// rows into the `t`-th share of `values`), in ns of wall time.
 fn time_once(
     program: &LaneProgram,
     batch: &EvidenceBatch,
@@ -167,8 +168,10 @@ struct Circuit {
 }
 
 fn measure(benchmark: Benchmark, sizes: &Sizes) -> Result<Circuit, BackendError> {
-    // Every thread's share is whole blocks of every width.
-    assert!(sizes.rows.is_multiple_of(THREADS[1] * MAX_LANES));
+    // At the most threads, every thread's share is whole blocks of every
+    // width.
+    let most_threads = THREADS[THREADS.len() - 1];
+    assert!(sizes.rows.is_multiple_of(most_threads * MAX_LANES));
     let ops = OpList::from_spn(&benchmark.spn());
     let program = LaneProgram::from_op_list(&ops);
     let batch = mixed_batch(ops.num_vars(), sizes.rows)?;
