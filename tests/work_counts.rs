@@ -16,7 +16,7 @@ use spn_accel::compiler::Compiler;
 use spn_accel::core::flatten::OpList;
 use spn_accel::core::{ConditionalBatch, Evidence, EvidenceBatch, QueryBatch, QueryMode};
 use spn_accel::learn::Benchmark;
-use spn_accel::platforms::{CpuModel, Engine, EngineOptions};
+use spn_accel::platforms::{CpuModel, Engine, EngineOptions, ProcessorBackend};
 use spn_accel::processor::{ProcessorConfig, SimState};
 
 thread_local! {
@@ -233,5 +233,36 @@ fn a_single_query_on_a_one_lane_engine_allocates_a_pinned_count() {
             engine.execute(&evidence).expect("single query runs");
         });
         assert_eq!(n, EXECUTE_SINGLE_ALLOCATIONS, "execute");
+    }
+}
+
+/// Allocations of one `Engine<ProcessorBackend>::execute_query` call on a
+/// 256-row MSNBC marginal batch after one warm-up call, on Ptree at one and
+/// at four cores, recorded when these pins were added.  Besides the answer,
+/// each call costs its shard split (`MultiCoreProcessor::sharded_perf`: the
+/// pass costs, the ranges and the per-core attribution), which is why four
+/// cores allocate more than one.
+const PROCESSOR_QUERY_ALLOCATIONS_1_CORE: u64 = 9;
+const PROCESSOR_QUERY_ALLOCATIONS_4_CORES: u64 = 12;
+
+#[test]
+fn a_marginal_query_on_the_simulated_processor_allocates_a_pinned_count() {
+    let spn = Benchmark::Msnbc.spn();
+    let query = QueryBatch::Marginal(EvidenceBatch::marginals(spn.num_vars(), 256));
+    for (cores, pinned) in [
+        (1, PROCESSOR_QUERY_ALLOCATIONS_1_CORE),
+        (4, PROCESSOR_QUERY_ALLOCATIONS_4_CORES),
+    ] {
+        let backend =
+            ProcessorBackend::with_cores(ProcessorConfig::ptree(), cores).expect("Ptree is valid");
+        let mut engine =
+            Engine::new(backend, &spn, EngineOptions::default()).expect("engine builds");
+        engine.execute_query(&query).expect("warm-up call");
+        for _ in 0..3 {
+            let n = allocations(|| {
+                engine.execute_query(&query).expect("marginal batch runs");
+            });
+            assert_eq!(n, pinned, "execute_query on {cores} core(s)");
+        }
     }
 }
