@@ -1,14 +1,15 @@
 //! Regenerates or verifies the committed golden per-cycle traces.
 //!
 //! The multi-core simulator's timing model — instruction schedules,
-//! shared-memory wave arbitration, interconnect hop latency, pipeline stage
-//! starts — is pinned bit-for-bit by the trace artifacts under
+//! shared-memory wave arbitration, each query's start on its core's shard
+//! timeline — is pinned bit-for-bit by the trace artifacts under
 //! `tests/golden_traces/`.  This binary is the only writer of those files:
 //!
 //! * `cargo run -p spn-bench --bin record_traces -- --check` (the default,
 //!   run by CI on every build) re-renders every [`spn_bench::traces`] case
 //!   and diffs it against the committed artifact, failing with the first
-//!   divergent cycle when the timing model drifted;
+//!   divergent cycle when the timing model drifted, and fails on a
+//!   `.trace` file there that no case renders;
 //! * `cargo run -p spn-bench --bin record_traces -- --bless` rewrites the
 //!   artifacts after an *intentional* timing change — commit the diff and
 //!   explain the cycle shift in the PR.

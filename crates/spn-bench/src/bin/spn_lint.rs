@@ -8,13 +8,12 @@
 //! * `--benchmarks` — the nine shipped benchmark circuits
 //!   ([`spn_learn::Benchmark`]): structural lints once per model, numeric
 //!   range analysis at every `NumericMode` × `Precision::SWEEP` combination,
-//!   and schedule verification of the Ptree, Pvect and 4-stage partitioned
-//!   Ptree compilations in both numeric domains,
+//!   and schedule verification of the Ptree and Pvect compilations in both
+//!   numeric domains,
 //! * `--golden` — every committed golden-trace workload
 //!   ([`spn_bench::traces::trace_cases`]): range analysis of the lowered
 //!   program plus schedule verification of exactly the artifact the trace
-//!   renders (single-core compilation for sharded cases, the partitioned
-//!   pipeline for pipelined cases),
+//!   renders,
 //! * `FILE...` — SPN text files ([`spn_core::io::parse_text`]): structural
 //!   lints plus range analysis in both numeric domains at full precision.
 //!
@@ -30,8 +29,8 @@
 //! cargo run --release -p spn-bench --bin spn_lint -- model.spn
 //! ```
 
-use spn_bench::traces::{trace_cases, TraceDispatch};
-use spn_compiler::{verify_artifact, verify_partitioned, Compiler};
+use spn_bench::traces::trace_cases;
+use spn_compiler::{verify_artifact, Compiler};
 use spn_core::analysis::{self, Diagnostic, Severity};
 use spn_core::flatten::OpList;
 use spn_core::{io, NumericMode, Precision, Spn};
@@ -74,23 +73,14 @@ fn verify_model_schedules(label: &str, spn: &Spn, reports: &mut Vec<Report>) {
             NumericMode::Linear => linear.clone(),
             NumericMode::Log => linear.to_log_domain(),
         };
-        // Every program shape the scheduler emits: deep tiles, single-level
-        // tiles, and pipeline stages with exports.
-        let single = |compiler: &Compiler| {
-            let artifact = compiler.compile_op_list(ops.clone())?;
-            Ok(verify_artifact(&artifact))
-        };
-        let staged = ptree.compile_partitioned(ops.clone(), 4);
-        let shapes = [
-            ("Ptree", single(&ptree)),
-            ("Pvect", single(&pvect)),
-            ("Ptree 4-stage", staged.map(|p| verify_partitioned(&p))),
-        ];
-        for (shape, verified) in shapes {
-            let diagnostics = verified.unwrap_or_else(|err| {
+        // Every program shape the scheduler emits: deep tiles and
+        // single-level tiles.
+        for (shape, compiler) in [("Ptree", &ptree), ("Pvect", &pvect)] {
+            let artifact = compiler.compile_op_list(ops.clone()).unwrap_or_else(|err| {
                 eprintln!("{label}: {shape} compilation failed: {err}");
                 std::process::exit(2);
             });
+            let diagnostics = verify_artifact(&artifact);
             reports.push(Report {
                 label: format!("{label} [schedule {mode} {shape}]"),
                 diagnostics,
@@ -116,23 +106,13 @@ fn lint_golden(reports: &mut Vec<Report>) {
             label: format!("{label} [ranges]"),
             diagnostics: analysis::lint_ranges(&ops),
         });
-        let config = case.config();
-        let compiler = Compiler::new(config.core.clone());
-        let diagnostics = match case.dispatch {
-            TraceDispatch::Sharded => match compiler.compile_op_list(ops) {
-                Ok(artifact) => verify_artifact(&artifact),
-                Err(err) => {
-                    eprintln!("{label}: compilation failed: {err}");
-                    std::process::exit(2);
-                }
-            },
-            TraceDispatch::Pipelined => match compiler.compile_partitioned(ops, config.cores) {
-                Ok(parted) => verify_partitioned(&parted),
-                Err(err) => {
-                    eprintln!("{label}: compilation failed: {err}");
-                    std::process::exit(2);
-                }
-            },
+        let compiler = Compiler::new(case.config().core);
+        let diagnostics = match compiler.compile_op_list(ops) {
+            Ok(artifact) => verify_artifact(&artifact),
+            Err(err) => {
+                eprintln!("{label}: compilation failed: {err}");
+                std::process::exit(2);
+            }
         };
         reports.push(Report {
             label: format!("{label} [schedule]"),

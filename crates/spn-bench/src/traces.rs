@@ -1,57 +1,37 @@
 //! Golden per-cycle trace cases for the multi-core simulator.
 //!
 //! Each [`TraceCase`] pins one small deterministic workload — an SPN, a
-//! numeric mode, a core count and a dispatch mode — and renders the full
-//! cycle-accurate execution trace of every core into one text artifact
+//! numeric mode and a core count — and renders the full cycle-accurate
+//! execution trace of every core of a sharded batch into one text artifact
 //! committed under `tests/golden_traces/`.  The `record_traces` binary
 //! regenerates the artifacts (`--bless`) or diffs fresh renderings against
 //! the committed ones (`--check`, the CI gate), and the `golden_traces`
 //! integration test runs the same [`check_golden_traces`] on every
-//! `cargo test`.
+//! `cargo test`.  The check also fails on a `.trace` file no case renders,
+//! so a deleted case cannot leave its artifact behind.
 //!
 //! Because trace lines carry exact bit patterns and global cycle numbers,
 //! any change to the timing model — instruction schedules, shared-memory
-//! wave arbitration, interconnect hop latency, pipeline stage starts — moves
-//! at least one line, and [`spn_processor::diff_traces`] pinpoints the first
-//! divergent cycle.
+//! wave arbitration, each query's start on its core's shard timeline —
+//! moves at least one line, and [`spn_processor::diff_traces`] pinpoints
+//! the first divergent cycle.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use spn_compiler::Compiler;
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
 use spn_core::numeric::NumericMode;
-use spn_core::random::deep_chain_spn;
 use spn_core::{Evidence, Spn, SpnBuilder, VarId};
 use spn_platforms::BackendError;
 use spn_processor::{MultiCoreConfig, MultiCoreProcessor, ProcessorConfig, TraceRecorder};
-
-/// How a trace case distributes work over the cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceDispatch {
-    /// Every core runs the full program on a shard of the batch.
-    Sharded,
-    /// The program is partitioned into pipeline stages, one per core.
-    Pipelined,
-}
-
-impl TraceDispatch {
-    fn label(self) -> &'static str {
-        match self {
-            TraceDispatch::Sharded => "sharded",
-            TraceDispatch::Pipelined => "pipelined",
-        }
-    }
-}
 
 /// The deterministic circuit a trace case executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TraceCircuit {
     /// A 2-variable, 3-component mixture (8 ops).
     Mixture,
-    /// A weighted sum/product chain of the given depth over one variable.
-    Chain(usize),
     /// The diagnostic sampler kernel ([`OpList::sampler_kernel`]): uniform
     /// draws compared against CDF thresholds on the sampler comparator PE
     /// op, acceptances summed — the processor's sampling datapath in
@@ -81,16 +61,15 @@ pub struct TraceCase {
     pub name: &'static str,
     /// Numeric domain the program computes in.
     pub mode: NumericMode,
-    /// Number of simulated cores.
+    /// Number of simulated cores, each running the whole program on a
+    /// shard of the batch.
     pub cores: usize,
-    /// Dispatch mode.
-    pub dispatch: TraceDispatch,
     circuit: TraceCircuit,
 }
 
 impl TraceCase {
     /// The multi-core configuration the case runs on (Ptree cores behind
-    /// the default shared memory and interconnect).
+    /// the default shared memory).
     pub fn config(&self) -> MultiCoreConfig {
         MultiCoreConfig::new(self.cores, ProcessorConfig::ptree())
     }
@@ -102,7 +81,6 @@ impl TraceCase {
     pub fn op_list(&self) -> OpList {
         let ops = match self.circuit {
             TraceCircuit::Mixture => OpList::from_spn(&mixture_spn()),
-            TraceCircuit::Chain(levels) => OpList::from_spn(&deep_chain_spn(levels, 0.8)),
             // Sampler kernels are linear-domain by construction: the
             // comparator's 0/1 indicators have no log-domain reading.
             TraceCircuit::Sampler => return OpList::sampler_kernel(SAMPLER_DRAWS),
@@ -155,51 +133,32 @@ fn mixture_spn() -> Spn {
     b.finish(root).expect("spn")
 }
 
-/// The committed golden-trace workloads: linear and log domain, one, two
-/// and three cores, sharded and pipelined dispatch, plus the sampler-kernel
-/// datapath.
+/// The committed golden-trace workloads: linear and log domain, one and two
+/// cores, plus the sampler-kernel datapath.
 pub fn trace_cases() -> Vec<TraceCase> {
     vec![
         TraceCase {
             name: "mixture_1core_sharded",
             mode: NumericMode::Linear,
             cores: 1,
-            dispatch: TraceDispatch::Sharded,
             circuit: TraceCircuit::Mixture,
         },
         TraceCase {
             name: "mixture_2core_sharded",
             mode: NumericMode::Linear,
             cores: 2,
-            dispatch: TraceDispatch::Sharded,
             circuit: TraceCircuit::Mixture,
         },
         TraceCase {
             name: "mixture_log_2core_sharded",
             mode: NumericMode::Log,
             cores: 2,
-            dispatch: TraceDispatch::Sharded,
             circuit: TraceCircuit::Mixture,
-        },
-        TraceCase {
-            name: "chain_2core_pipelined",
-            mode: NumericMode::Linear,
-            cores: 2,
-            dispatch: TraceDispatch::Pipelined,
-            circuit: TraceCircuit::Chain(6),
-        },
-        TraceCase {
-            name: "chain_log_3core_pipelined",
-            mode: NumericMode::Log,
-            cores: 3,
-            dispatch: TraceDispatch::Pipelined,
-            circuit: TraceCircuit::Chain(6),
         },
         TraceCase {
             name: "sampler_2core_sharded",
             mode: NumericMode::Linear,
             cores: 2,
-            dispatch: TraceDispatch::Sharded,
             circuit: TraceCircuit::Sampler,
         },
     ]
@@ -221,18 +180,44 @@ pub fn golden_path(name: &str) -> PathBuf {
 }
 
 /// Diffs a fresh rendering of every case against its committed golden
-/// trace, the check `record_traces --check` and the `golden_traces` test
-/// share.  Returns how many traces matched.
+/// trace in [`golden_dir`], the check `record_traces --check` and the
+/// `golden_traces` test share.  Returns how many traces matched.
 ///
 /// # Errors
 ///
-/// Returns the first case's failure — an unreadable golden, a failed
-/// render or the first divergent cycle — with the re-bless command.
+/// As for [`check_golden_traces_in`].
 pub fn check_golden_traces() -> Result<usize, String> {
+    check_golden_traces_in(&golden_dir())
+}
+
+/// [`check_golden_traces`] against the traces in `dir`.
+///
+/// # Errors
+///
+/// Returns the first failure — a `.trace` file in `dir` that no case
+/// renders, an unreadable golden, a failed render or the first divergent
+/// cycle — with what to do about it.
+pub fn check_golden_traces_in(dir: &Path) -> Result<usize, String> {
     let bless = "`cargo run -p spn-bench --bin record_traces -- --bless`";
     let cases = trace_cases();
+    let entries = std::fs::read_dir(dir)
+        .map_err(|err| format!("{}: cannot list golden traces ({err})", dir.display()))?;
+    for entry in entries {
+        let path = entry
+            .map_err(|err| format!("{}: cannot list golden traces ({err})", dir.display()))?
+            .path();
+        let is_trace = path.extension().is_some_and(|ext| ext == "trace");
+        let stem = path.file_stem().and_then(|stem| stem.to_str());
+        if is_trace && !cases.iter().any(|case| Some(case.name) == stem) {
+            return Err(format!(
+                "{}: no trace case renders this file; delete it, or add its case to \
+                 `spn_bench::traces::trace_cases`",
+                path.display()
+            ));
+        }
+    }
     for case in &cases {
-        let path = golden_path(case.name);
+        let path = dir.join(format!("{}.trace", case.name));
         let golden = std::fs::read_to_string(&path).map_err(|err| {
             let path = path.display();
             format!("{path}: cannot read golden trace ({err}); run {bless} and commit the result")
@@ -260,8 +245,8 @@ pub fn render_case(case: &TraceCase) -> Result<String, BackendError> {
 }
 
 /// Renders `case` on an explicit configuration (used by the perturbation
-/// tests: the same case on a config with a different interconnect or
-/// shared-memory model must diverge from the golden trace).
+/// tests: the same case on a config with a different shared-memory model
+/// must diverge from the golden trace).
 ///
 /// # Errors
 ///
@@ -280,38 +265,22 @@ pub fn render_case_with_config(
     let mut states = Vec::new();
     let mut flat = Vec::new();
 
-    let run = match case.dispatch {
-        TraceDispatch::Sharded => {
-            let compiled = compiler.compile_op_list(ops)?;
-            compiled.fill_batch_inputs(&batch, &mut flat)?;
-            processor.run_batch_sharded_traced(
-                &compiled.program,
-                &flat,
-                batch.len(),
-                &mut states,
-                &mut recorders,
-            )?
-        }
-        TraceDispatch::Pipelined => {
-            let parted = compiler.compile_partitioned(ops, config.cores)?;
-            parted.input_recipe().fill_batch(&batch, &mut flat)?;
-            processor.run_partitioned_traced(
-                &parted.parts,
-                &flat,
-                batch.len(),
-                &mut states,
-                &mut recorders,
-            )?
-        }
-    };
+    let compiled = compiler.compile_op_list(ops)?;
+    compiled.fill_batch_inputs(&batch, &mut flat)?;
+    let run = processor.run_batch_sharded_traced(
+        &compiled.program,
+        &flat,
+        batch.len(),
+        &mut states,
+        &mut recorders,
+    )?;
 
     let mut out = String::new();
     let _ = writeln!(out, "# golden trace: {}", case.name);
     let _ = writeln!(
         out,
-        "# cores={} dispatch={} mode={:?} queries={}",
+        "# cores={} dispatch=sharded mode={:?} queries={}",
         config.cores,
-        case.dispatch.label(),
         case.mode,
         batch.len()
     );
@@ -323,9 +292,10 @@ pub fn render_case_with_config(
         recorder.render_into(&mut out);
     }
     // Cycle-attribution footer: pins the makespan and every core's bulk
-    // compute / memory-stall / interconnect-stall / idle split, so even
-    // timing-model changes that only move shard-level accounting (not
-    // individual event cycles) fail the diff.
+    // compute / memory-stall / idle split (and the interconnect stall, 0
+    // since no value crosses between cores), so even timing-model changes
+    // that only move shard-level accounting (not individual event cycles)
+    // fail the diff.
     let _ = writeln!(out, "# makespan={}", run.cores.makespan_cycles);
     for core in &run.cores.per_core {
         let _ = writeln!(
@@ -344,7 +314,6 @@ pub fn render_case_with_config(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spn_processor::diff_traces;
 
     #[test]
     fn cases_are_deterministic_and_distinct() {
@@ -361,16 +330,24 @@ mod tests {
     }
 
     #[test]
-    fn hop_latency_perturbation_diverges_in_pipelined_traces() {
-        let case = trace_cases()
-            .into_iter()
-            .find(|c| c.dispatch == TraceDispatch::Pipelined)
-            .unwrap();
-        let golden = render_case(&case).unwrap();
-        let mut config = case.config();
-        config.interconnect.hop_latency += 3;
-        let perturbed = render_case_with_config(&case, &config).unwrap();
-        let div = diff_traces(&golden, &perturbed).expect("must diverge");
-        assert!(div.cycle.is_some(), "divergence should carry a cycle");
+    fn a_trace_file_no_case_renders_fails_the_check() {
+        let dir = std::env::temp_dir().join(format!("spn_golden_orphan_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for case in trace_cases() {
+            let path = dir.join(format!("{}.trace", case.name));
+            std::fs::write(path, render_case(&case).unwrap()).unwrap();
+        }
+        std::fs::write(dir.join("notes.txt"), "not a trace").unwrap();
+        let clean = check_golden_traces_in(&dir);
+        std::fs::write(
+            dir.join("deleted_case.trace"),
+            "# golden trace: deleted_case\n",
+        )
+        .unwrap();
+        let orphaned = check_golden_traces_in(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(clean, Ok(trace_cases().len()));
+        let message = orphaned.expect_err("an orphaned trace fails the check");
+        assert!(message.contains("deleted_case.trace"), "{message}");
     }
 }

@@ -1,11 +1,9 @@
 //! Public compiler driver.
 
 use spn_core::batch::{EvidenceBatch, InputRecipe};
-use spn_core::flatten::{OpList, OperandRef, PartInput};
+use spn_core::flatten::OpList;
 use spn_core::{Evidence, Spn};
 use spn_processor::config::ProcessorConfig;
-use spn_processor::isa::Program;
-use spn_processor::multicore::{CoreProgram, PartitionedProgram, TransferSource};
 use spn_processor::{CheckedProgram, Processor};
 
 use crate::report::CompileReport;
@@ -35,7 +33,7 @@ pub struct CompilerOptions {
 pub struct CompiledArtifact {
     /// The executable VLIW program, checked for the target configuration,
     /// costed and lowered to its dataflow list once, at compile time (it
-    /// reads as a [`Program`] through `Deref`).
+    /// reads as a [`spn_processor::Program`] through `Deref`).
     pub program: CheckedProgram,
     /// Statistics about the compilation.
     pub report: CompileReport,
@@ -88,34 +86,6 @@ impl CompiledArtifact {
     }
 }
 
-/// The cacheable result of partitioning one program across pipeline stages:
-/// a [`PartitionedProgram`] ready for
-/// `spn_processor::MultiCoreProcessor::run_partitioned`, plus the recipe
-/// filling the *global* (unpartitioned) input vector — stage-to-stage
-/// operands travel over the modelled interconnect, not through evidence.
-#[derive(Debug, Clone)]
-pub struct PartitionedArtifact {
-    /// The compiled pipeline stages (stage `j` runs on core `j`).
-    pub parts: PartitionedProgram,
-    /// The unpartitioned operation list the stages were cut from.
-    pub op_list: OpList,
-    /// Pre-resolved mapping from evidence to the global input vector.
-    recipe: InputRecipe,
-}
-
-impl PartitionedArtifact {
-    /// Number of pipeline stages (≤ the core count requested).
-    pub fn num_stages(&self) -> usize {
-        self.parts.stages.len()
-    }
-
-    /// The pre-resolved evidence-to-global-input-vector mapping; its
-    /// `fill_batch` output is query-major, ready for `run_partitioned`.
-    pub fn input_recipe(&self) -> &InputRecipe {
-        &self.recipe
-    }
-}
-
 /// Compiler from SPNs to processor programs.
 ///
 /// See the crate-level documentation for an end-to-end example.
@@ -164,7 +134,14 @@ impl Compiler {
     /// [`crate::CompileError::Processor`] when the simulator rejects what
     /// the scheduler emitted.
     pub fn compile_op_list(&self, op_list: OpList) -> Result<CompiledArtifact> {
-        let (program, report) = self.compile_part(&op_list, &[])?;
+        let tile_depth = self
+            .options
+            .max_tile_depth
+            .unwrap_or(self.config.tree_levels)
+            .min(self.config.tree_levels)
+            .max(1);
+        let tiles = extract_tiles(&op_list, tile_depth);
+        let (program, report) = schedule(&self.config, &op_list, &tiles)?;
         let program = CheckedProgram::new(&Processor::new(self.config.clone())?, program)?;
         let recipe = op_list.input_recipe();
         let lane_recipe = recipe.restricted_to(&program.inputs_read());
@@ -176,66 +153,6 @@ impl Compiler {
             lane_recipe,
         })
     }
-
-    /// Partitions an already-flattened operation list into at most `cores`
-    /// pipeline stages ([`OpList::partition`]) and compiles each stage for
-    /// this compiler's core configuration, wiring the stages' imports to
-    /// their producers' exported locations.
-    ///
-    /// The result executes on an N-core machine via
-    /// `spn_processor::MultiCoreProcessor::run_partitioned` and computes
-    /// bit-for-bit what the unpartitioned program computes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::CompileError`] when the target configuration is
-    /// invalid or any stage cannot be made to fit it.
-    pub fn compile_partitioned(
-        &self,
-        op_list: OpList,
-        cores: usize,
-    ) -> Result<PartitionedArtifact> {
-        let parts = op_list.partition(cores);
-        let mut stages = Vec::with_capacity(parts.len());
-        for part in &parts {
-            let exports: Vec<OperandRef> =
-                part.exports.iter().map(|&i| OperandRef::Op(i)).collect();
-            let (program, _) = self.compile_part(&part.ops, &exports)?;
-            let inputs = part
-                .inputs
-                .iter()
-                .map(|src| match *src {
-                    PartInput::Global(i) => TransferSource::Input(i),
-                    PartInput::Link { part, export } => TransferSource::Core { core: part, export },
-                })
-                .collect();
-            stages.push(CoreProgram { program, inputs });
-        }
-        let recipe = op_list.input_recipe();
-        let num_inputs = op_list.num_inputs();
-        Ok(PartitionedArtifact {
-            parts: PartitionedProgram { stages, num_inputs },
-            op_list,
-            recipe,
-        })
-    }
-
-    /// Tiles and schedules one op list — a whole program, or one pipeline
-    /// stage keeping `exports` live to its end.
-    fn compile_part(
-        &self,
-        ops: &OpList,
-        exports: &[OperandRef],
-    ) -> Result<(Program, CompileReport)> {
-        let tile_depth = self
-            .options
-            .max_tile_depth
-            .unwrap_or(self.config.tree_levels)
-            .min(self.config.tree_levels)
-            .max(1);
-        let tiles = extract_tiles(ops, tile_depth, exports);
-        schedule(&self.config, ops, &tiles, exports)
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +161,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spn_core::random::{random_spn, RandomSpnConfig};
-    use spn_processor::{Processor, SimState};
+    use spn_processor::Processor;
 
     #[test]
     fn compile_and_execute_round_trip() {
@@ -314,60 +231,6 @@ mod tests {
                 mant_bits: 10
             }
         );
-    }
-
-    #[test]
-    fn partitioned_pipeline_matches_single_core_bit_for_bit() {
-        use spn_processor::{MultiCoreConfig, MultiCoreProcessor, Processor};
-
-        let mut rng = StdRng::seed_from_u64(21);
-        let spn = random_spn(&RandomSpnConfig::with_vars(12), &mut rng);
-        let compiler = Compiler::new(ProcessorConfig::ptree());
-        let single = compiler.compile(&spn).unwrap();
-        let processor = Processor::new(ProcessorConfig::ptree()).unwrap();
-
-        for ops in [
-            single.op_list.clone(),
-            single.op_list.to_log_domain(),
-            single
-                .op_list
-                .with_precision(spn_core::precision::Precision::E8M10),
-        ] {
-            let baseline = compiler.compile_op_list(ops.clone()).unwrap();
-            for cores in [2usize, 3] {
-                let parted = compiler.compile_partitioned(ops.clone(), cores).unwrap();
-                assert!(parted.num_stages() >= 2);
-                let mc =
-                    MultiCoreProcessor::new(MultiCoreConfig::new(cores, ProcessorConfig::ptree()))
-                        .unwrap();
-                let mut states = Vec::new();
-                let mut flat = Vec::new();
-                let mut rows = EvidenceBatch::new(12);
-                let mut expected = Vec::new();
-                for assignment in [[false; 12], [true; 12]] {
-                    rows.push_assignment(&assignment).unwrap();
-                    let e = Evidence::from_assignment(&assignment);
-                    let inputs = baseline.input_values(&e).unwrap();
-                    let mut state = SimState::default();
-                    expected.push(
-                        processor
-                            .run_with(&baseline.program, &inputs, &mut state)
-                            .unwrap()
-                            .output,
-                    );
-                }
-                parted.input_recipe().fill_batch(&rows, &mut flat).unwrap();
-                let batch = mc
-                    .run_partitioned(&parted.parts, &flat, 2, &mut states)
-                    .unwrap();
-                let got: Vec<f64> = batch.outputs.clone();
-                assert_eq!(got.len(), expected.len());
-                for (g, e) in got.iter().zip(&expected) {
-                    assert_eq!(g.to_bits(), e.to_bits(), "cores={cores}");
-                }
-                batch.cores.check_accounting().unwrap();
-            }
-        }
     }
 
     /// The `spn_core` and `spn_processor` quantizers are independent

@@ -7,8 +7,7 @@
 //! may share that slot's data-memory word instead of getting a word of its
 //! own.  A shared word holds the bits every slot laid out there would hold,
 //! so the values computed are those of one word per slot; what changes is
-//! the number of rows a pass loads.  `External` slots, filled from another
-//! core at run time, never share.
+//! the number of rows a pass loads.
 //!
 //! Sharing has a price in the register file and at the read ports: a row
 //! stays resident until the last reader of each of its words has run, and
@@ -49,12 +48,11 @@ enum Source {
 }
 
 impl Source {
-    /// The source of `leaf`; `None` for a slot that never shares.
-    fn of(leaf: &LeafSource) -> Option<Source> {
+    /// The source of `leaf`.
+    fn of(leaf: &LeafSource) -> Source {
         match *leaf {
-            LeafSource::Indicator { var, value } => Some(Source::Indicator { var: var.0, value }),
-            LeafSource::Param(p) => Some(Source::Param(p.to_bits())),
-            LeafSource::External => None,
+            LeafSource::Indicator { var, value } => Source::Indicator { var: var.0, value },
+            LeafSource::Param(p) => Source::Param(p.to_bits()),
         }
     }
 }
@@ -235,8 +233,7 @@ pub(crate) fn lay_out(config: &ProcessorConfig, ops: &OpList, tiles: &[Tile]) ->
     for (i, leaf) in ops.inputs().iter().enumerate() {
         let source = Source::of(leaf);
         let used = layout.footprint(i);
-        let word = source.and_then(|source| {
-            let words = layout.by_source.get(&source)?;
+        let word = layout.by_source.get(&source).and_then(|words| {
             if layout.readers.of_slot(i).is_empty() {
                 // Read as a crossbar constant or not at all: any word of
                 // its source will do.
@@ -306,7 +303,7 @@ impl Layout {
     /// shared read of its tiles uses.  Positions skipped and still free
     /// never outnumber the slots that share, so the words end within the
     /// positions one word per slot would fill.
-    fn fresh(&mut self, input: usize, source: Option<Source>, used: &Footprint) -> usize {
+    fn fresh(&mut self, input: usize, source: Source, used: &Footprint) -> usize {
         let mut avoid = used.shared_lanes;
         if avoid.count_ones() as usize >= self.banks {
             avoid = 0;
@@ -333,9 +330,7 @@ impl Layout {
             owner: input as u32,
         });
         let word = self.words.len() - 1;
-        if let Some(source) = source {
-            self.by_source.entry(source).or_default().push(word);
-        }
+        self.by_source.entry(source).or_default().push(word);
         word
     }
 
@@ -436,10 +431,6 @@ pub(crate) mod tests {
                 sources.iter().all(|s| *s == sources[0]),
                 "slots {slots:?} share a word but hold {sources:?}"
             );
-            assert!(
-                sources[0].is_some() || slots.len() == 1,
-                "external slots {slots:?} share"
-            );
         }
     }
 
@@ -487,7 +478,7 @@ pub(crate) mod tests {
         let ops = OpList::from_spn(&b.finish(root).unwrap());
         let config = ProcessorConfig::ptree();
         let banks = config.total_banks();
-        let layout = lay_out(&config, &ops, &extract_tiles(&ops, 4, &[]));
+        let layout = lay_out(&config, &ops, &extract_tiles(&ops, 4));
         for (i, slot) in layout.slots.iter().enumerate() {
             assert_eq!(
                 (slot.row as usize, usize::from(slot.lane)),
@@ -508,7 +499,7 @@ pub(crate) mod tests {
         let shared: Vec<Source> = words(&program.input_layout)
             .values()
             .filter(|slots| slots.len() > 1)
-            .filter_map(|slots| Source::of(&ops.inputs()[slots[0]]))
+            .map(|slots| Source::of(&ops.inputs()[slots[0]]))
             .collect();
         assert!(shared.iter().any(|s| matches!(s, Source::Indicator { .. })));
         assert!(shared.iter().any(|s| matches!(s, Source::Param(_))));
@@ -517,7 +508,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn parameters_an_ulp_apart_and_external_slots_never_share() {
+    fn parameters_an_ulp_apart_never_share() {
         // Leaves alternate between a weight and the next float up.
         let w = 0.3f64;
         let up = f64::from_bits(w.to_bits() + 1);
@@ -551,19 +542,6 @@ pub(crate) mod tests {
             let holding = words.values().filter(|s| bits(s) == Some(target));
             assert!(holding.clone().any(|slots| slots.len() > 1));
         }
-
-        // The later stages of a partitioned circuit read external slots.
-        let parted = compiler
-            .compile_partitioned(OpList::from_spn(&learnspn_style(12, 2)), 3)
-            .unwrap();
-        let parts = parted.op_list.partition(3);
-        let mut externals = 0;
-        for (stage, part) in parted.parts.stages.iter().zip(&parts) {
-            assert_one_value_per_word(&part.ops, &stage.program.input_layout);
-            let external = |leaf: &&LeafSource| matches!(leaf, LeafSource::External);
-            externals += part.ops.inputs().iter().filter(external).count();
-        }
-        assert!(externals > 0);
     }
 
     /// The layouts of LearnSPN-style circuits on Ptree with 8, 32 and 64
@@ -576,7 +554,7 @@ pub(crate) mod tests {
             for regs in [8, 32, 64] {
                 for depth in 1..=4 {
                     let config = ptree(regs);
-                    let tiles = extract_tiles(&ops, depth, &[]);
+                    let tiles = extract_tiles(&ops, depth);
                     let layout = lay_out(&config, &ops, &tiles);
                     cases.push((config, ops.clone(), tiles, layout));
                 }

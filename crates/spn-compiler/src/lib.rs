@@ -54,10 +54,10 @@ mod tile;
 
 pub mod verify;
 
-pub use compiler::{CompiledArtifact, Compiler, CompilerOptions, PartitionedArtifact};
+pub use compiler::{CompiledArtifact, Compiler, CompilerOptions};
 pub use error::CompileError;
 pub use report::CompileReport;
-pub use verify::{verify_artifact, verify_partitioned, verify_program};
+pub use verify::{verify_artifact, verify_program};
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T, E = CompileError> = std::result::Result<T, E>;

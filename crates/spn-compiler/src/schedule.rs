@@ -234,23 +234,16 @@ struct Placement {
 /// Schedules `tiles` (extracted from `ops`) onto `config`, producing the VLIW
 /// program and a compilation report.
 ///
-/// Every operand in `exports` is kept live to the end of the program and its
-/// final location is recorded in [`Program::exports`] (same order), so a
-/// runtime can peek the values after execution — the compiler-side half of
-/// pipelined multi-core execution, where a stage's exports feed later cores.
-/// A whole program has none.
-///
 /// # Errors
 ///
 /// Returns [`CompileError`] when the configuration is invalid or wider than
 /// the scheduler's per-cycle masks, when the working set cannot be made to
-/// fit the register file and data memory, or when an exported value cannot
-/// be materialised.
+/// fit the register file and data memory, or when the output cannot be
+/// materialised.
 pub(crate) fn schedule(
     config: &ProcessorConfig,
     ops: &OpList,
     tiles: &[Tile],
-    exports: &[OperandRef],
 ) -> Result<(Program, CompileReport)> {
     config.validate()?;
     if config.total_banks() > MAX_BANKS || config.leaf_pes_per_tree > MAX_LEAF_PES {
@@ -263,7 +256,7 @@ pub(crate) fn schedule(
             ),
         });
     }
-    let mut scheduler = Scheduler::new(config, ops, tiles, exports);
+    let mut scheduler = Scheduler::new(config, ops, tiles);
     for tile in tiles {
         scheduler.schedule_tile(tile)?;
     }
@@ -273,8 +266,6 @@ pub(crate) fn schedule(
 struct Scheduler<'a> {
     config: &'a ProcessorConfig,
     ops: &'a OpList,
-    /// Operands whose final locations the program must expose.
-    exports: &'a [OperandRef],
     values: ValueMap,
     alloc: RegAllocator,
     cycles: Vec<CycleInfo>,
@@ -304,17 +295,11 @@ struct Scheduler<'a> {
 impl<'a> Scheduler<'a> {
     /// Lays the program inputs out in the data memory and counts the uses
     /// of every value.
-    fn new(
-        config: &'a ProcessorConfig,
-        ops: &'a OpList,
-        tiles: &[Tile],
-        exports: &'a [OperandRef],
-    ) -> Self {
+    fn new(config: &'a ProcessorConfig, ops: &'a OpList, tiles: &[Tile]) -> Self {
         let layout = lay_out(config, ops, tiles);
         let mut this = Scheduler {
             config,
             ops,
-            exports,
             values: ValueMap::new(ops.num_inputs(), ops.num_ops()),
             alloc: RegAllocator::new(config.regs_per_bank, config.total_banks()),
             cycles: Vec::new(),
@@ -350,14 +335,12 @@ impl<'a> Scheduler<'a> {
             this.values.set_loc(operand, loc);
         }
 
-        // Every read is a use, and the output and every exported value get
-        // a phantom use each so the scheduler never frees their storage;
-        // `finish` resolves where they ended up.  Count which values several
-        // tiles read, and where each reader tile's memory inputs load (into
-        // the bank of their word's lane).
-        for value in [ops.output()].into_iter().chain(exports.iter().copied()) {
-            this.values.add_uses(this.layout.canonical(value), 1);
-        }
+        // Every read is a use, and the output gets a phantom use so the
+        // scheduler never frees its storage; `finish` resolves where it
+        // ended up.  Count which values several tiles read, and where each
+        // reader tile's memory inputs load (into the bank of their word's
+        // lane).
+        this.values.add_uses(this.layout.canonical(ops.output()), 1);
         let mut operands: Vec<OperandRef> = Vec::new();
         for tile in tiles {
             operands.clear();
@@ -1059,9 +1042,9 @@ impl<'a> Scheduler<'a> {
         self.report.peak_live_offsets = self.report.peak_live_offsets.max(live);
     }
 
-    /// Where `operand` lives after the program has run (for the output and
-    /// export peeks).
-    fn final_location(&self, operand: OperandRef, role: &str) -> Result<ValueLocation> {
+    /// Where `operand` lives after the program has run (for the output
+    /// peek).
+    fn final_location(&self, operand: OperandRef) -> Result<ValueLocation> {
         match operand {
             // Inputs always keep their copy in the data memory image.
             OperandRef::Input(i) => {
@@ -1082,19 +1065,14 @@ impl<'a> Scheduler<'a> {
                 }),
                 Loc::Unready | Loc::ConstZero | Loc::ConstOne => Err(CompileError::Unschedulable {
                     op: i as usize,
-                    reason: format!("{role} was never materialised"),
+                    reason: "program output was never materialised".to_string(),
                 }),
             },
         }
     }
 
     fn finish(self) -> Result<(Program, CompileReport)> {
-        let output = self.final_location(self.ops.output(), "program output")?;
-        let exports = self
-            .exports
-            .iter()
-            .map(|&e| self.final_location(e, "exported value"))
-            .collect::<Result<Vec<_>>>()?;
+        let output = self.final_location(self.ops.output())?;
 
         let program = Program {
             config: self.config.clone(),
@@ -1102,7 +1080,6 @@ impl<'a> Scheduler<'a> {
             input_layout: self.layout.slots,
             memory_rows_used: self.mem_rows.len(),
             output,
-            exports,
             num_source_ops: self.ops.num_ops(),
             pe_precision: pe_precision(self.ops.precision()),
         };
@@ -1143,8 +1120,8 @@ mod tests {
         evidence: &Evidence,
     ) -> (f64, f64, CompileReport) {
         let ops = OpList::from_spn(spn);
-        let tiles = extract_tiles(&ops, config.tree_levels, &[]);
-        let (program, report) = schedule(config, &ops, &tiles, &[]).expect("schedule");
+        let tiles = extract_tiles(&ops, config.tree_levels);
+        let (program, report) = schedule(config, &ops, &tiles).expect("schedule");
         let inputs = ops.input_values(evidence).expect("inputs");
         let processor = Processor::new(config.clone()).expect("processor");
         let run = processor.run(&program, &inputs).expect("run");
@@ -1230,8 +1207,8 @@ mod tests {
         // Shallow tiles keep the per-tile operand footprint within the tiny
         // register file; the working set still does not fit as a whole.
         let ops = OpList::from_spn(&spn);
-        let tiles = extract_tiles(&ops, 2, &[]);
-        let (program, report) = schedule(&config, &ops, &tiles, &[]).expect("schedule");
+        let tiles = extract_tiles(&ops, 2);
+        let (program, report) = schedule(&config, &ops, &tiles).expect("schedule");
         let inputs = ops.input_values(&evidence).expect("inputs");
         let processor = Processor::new(config).expect("processor");
         let run = processor.run(&program, &inputs).expect("run");
@@ -1264,8 +1241,8 @@ mod tests {
             (tiny, spilling, 2),
         ] {
             let ops = OpList::from_spn(&spn);
-            let tiles = extract_tiles(&ops, tile_depth, &[]);
-            let (program, report) = schedule(&config, &ops, &tiles, &[]).expect("schedule");
+            let tiles = extract_tiles(&ops, tile_depth);
+            let (program, report) = schedule(&config, &ops, &tiles).expect("schedule");
             let inputs = ops
                 .input_values(&Evidence::marginal(spn.num_vars()))
                 .expect("inputs");
@@ -1336,8 +1313,8 @@ mod tests {
         let ops = OpList::from_spn(&spn);
         let mut config = ProcessorConfig::ptree();
         config.banks_per_tree = 8;
-        let tiles = extract_tiles(&ops, config.tree_levels, &[]);
-        let (program, report) = schedule(&config, &ops, &tiles, &[]).expect("schedule");
+        let tiles = extract_tiles(&ops, config.tree_levels);
+        let (program, report) = schedule(&config, &ops, &tiles).expect("schedule");
         assert!(report.copy_moves > 0, "{report}");
         let processor = Processor::new(config).unwrap();
         for assignment in [[true; 16], [false; 16]] {
@@ -1368,8 +1345,8 @@ mod tests {
         let spn = shared_product();
         for (config, depth) in [(ProcessorConfig::ptree(), 2), (ProcessorConfig::pvect(), 1)] {
             let ops = OpList::from_spn(&spn);
-            let tiles = extract_tiles(&ops, depth, &[]);
-            let (program, report) = schedule(&config, &ops, &tiles, &[]).unwrap();
+            let tiles = extract_tiles(&ops, depth);
+            let (program, report) = schedule(&config, &ops, &tiles).unwrap();
             assert!(report.shared_values >= 2, "{}: {report:?}", config.name);
             let doubled = program
                 .instructions
@@ -1395,10 +1372,10 @@ mod tests {
         let x = b.indicator(VarId(0), true);
         let spn = b.finish(x).unwrap();
         let ops = OpList::from_spn(&spn);
-        let tiles = extract_tiles(&ops, 4, &[]);
+        let tiles = extract_tiles(&ops, 4);
         assert!(tiles.is_empty());
         let config = ProcessorConfig::ptree();
-        let (program, report) = schedule(&config, &ops, &tiles, &[]).unwrap();
+        let (program, report) = schedule(&config, &ops, &tiles).unwrap();
         assert!(program.is_empty());
         assert_eq!(report.source_ops, 0);
         let processor = Processor::new(config).unwrap();
@@ -1415,8 +1392,8 @@ mod tests {
     fn invalid_target_reason(config: &ProcessorConfig) -> String {
         config.validate().expect("the processor model accepts it");
         let ops = OpList::from_spn(&small_mixture());
-        let tiles = extract_tiles(&ops, config.tree_levels, &[]);
-        match schedule(config, &ops, &tiles, &[]) {
+        let tiles = extract_tiles(&ops, config.tree_levels);
+        match schedule(config, &ops, &tiles) {
             Err(CompileError::InvalidTarget { reason }) => reason,
             other => panic!("expected InvalidTarget, got {other:?}"),
         }
@@ -1430,8 +1407,8 @@ mod tests {
         // 64 banks in total is the widest machine the masks book.
         config.banks_per_tree = 32;
         let ops = OpList::from_spn(&small_mixture());
-        let tiles = extract_tiles(&ops, config.tree_levels, &[]);
-        assert!(schedule(&config, &ops, &tiles, &[]).is_ok());
+        let tiles = extract_tiles(&ops, config.tree_levels);
+        assert!(schedule(&config, &ops, &tiles).is_ok());
     }
 
     #[test]
@@ -1453,8 +1430,8 @@ mod tests {
         let spn = random_spn(&RandomSpnConfig::with_vars(16), &mut rng);
         let ops = OpList::from_spn(&spn);
         let config = ProcessorConfig::ptree();
-        let tiles = extract_tiles(&ops, config.tree_levels, &[]);
-        let (program, report) = schedule(&config, &ops, &tiles, &[]).unwrap();
+        let tiles = extract_tiles(&ops, config.tree_levels);
+        let (program, report) = schedule(&config, &ops, &tiles).unwrap();
         assert_eq!(report.tiles, tiles.len());
         assert_eq!(report.instructions, program.instructions.len());
         assert!(report.memory_loads >= ops.num_inputs().div_ceil(config.total_banks()) / 2);

@@ -74,21 +74,15 @@ impl Tile {
 /// ascending root-operation order, which is a valid topological order of the
 /// tile dependency graph.
 ///
-/// Every operand in `exports` (none for a whole program) gets an extra
-/// phantom use, so an exported operation is never absorbed into its
-/// consumer's tile — it becomes a tile root, and its result is committed to
-/// the register file where a multi-core runtime can peek it (tile-internal
-/// values only ever exist inside the PE datapath).
-///
 /// # Panics
 ///
 /// Panics if `max_depth` is zero.
-pub(crate) fn extract_tiles(ops: &OpList, max_depth: usize, exports: &[OperandRef]) -> Vec<Tile> {
+pub(crate) fn extract_tiles(ops: &OpList, max_depth: usize) -> Vec<Tile> {
     assert!(max_depth >= 1, "tiles need at least one level");
     let n = ops.num_ops();
 
     // Fanout of each op result: uses by later ops plus one if it is the
-    // output or an exported value.
+    // output.
     let mut fanout = vec![0usize; n];
     for op in ops.ops() {
         for operand in [op.lhs, op.rhs] {
@@ -99,11 +93,6 @@ pub(crate) fn extract_tiles(ops: &OpList, max_depth: usize, exports: &[OperandRe
     }
     if let OperandRef::Op(i) = ops.output() {
         fanout[i as usize] += 1;
-    }
-    for &export in exports {
-        if let OperandRef::Op(i) = export {
-            fanout[i as usize] += 1;
-        }
     }
 
     let mut owner: Vec<Option<usize>> = vec![None; n]; // op -> tile root
@@ -283,7 +272,7 @@ mod tests {
     #[test]
     fn depth_one_tiles_are_single_ops() {
         let ops = small_ops();
-        let tiles = extract_tiles(&ops, 1, &[]);
+        let tiles = extract_tiles(&ops, 1);
         assert_eq!(tiles.len(), ops.num_ops());
         check_partition(&ops, &tiles);
         for tile in &tiles {
@@ -298,7 +287,7 @@ mod tests {
     #[test]
     fn deep_tiles_absorb_single_use_chains() {
         let ops = small_ops();
-        let tiles = extract_tiles(&ops, 4, &[]);
+        let tiles = extract_tiles(&ops, 4);
         check_partition(&ops, &tiles);
         // The whole 5-op expression fits one tile of depth 3.
         assert!(tiles.len() < ops.num_ops());
@@ -326,7 +315,7 @@ mod tests {
         // Root is not decomposable but flattening does not care; this is a
         // stress test for sharing.
         let ops = OpList::from_spn(&b.finish(root).unwrap());
-        let tiles = extract_tiles(&ops, 4, &[]);
+        let tiles = extract_tiles(&ops, 4);
         check_partition(&ops, &tiles);
         for tile in &tiles {
             check_tile_wiring(&ops, tile);
@@ -350,7 +339,7 @@ mod tests {
         let spn = random_spn(&RandomSpnConfig::with_vars(12), &mut rng);
         let ops = OpList::from_spn(&spn);
         for depth in [1, 2, 4] {
-            let tiles = extract_tiles(&ops, depth, &[]);
+            let tiles = extract_tiles(&ops, depth);
             check_partition(&ops, &tiles);
             for tile in &tiles {
                 assert!(tile.depth <= depth);
@@ -365,7 +354,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(18);
         let spn = random_spn(&RandomSpnConfig::with_vars(10), &mut rng);
         let ops = OpList::from_spn(&spn);
-        let tiles = extract_tiles(&ops, 4, &[]);
+        let tiles = extract_tiles(&ops, 4);
         use std::collections::HashMap;
         let root_of: HashMap<usize, usize> = tiles
             .iter()
@@ -386,6 +375,6 @@ mod tests {
     #[should_panic(expected = "at least one level")]
     fn zero_depth_panics() {
         let ops = small_ops();
-        let _ = extract_tiles(&ops, 0, &[]);
+        let _ = extract_tiles(&ops, 0);
     }
 }

@@ -1,8 +1,8 @@
 //! Static translation validation of emitted VLIW schedules.
 //!
 //! The scheduler is the most intricate part of the compiler: it interleaves
-//! tile placement, bank allocation, pipelined write-back latencies, spills
-//! and cross-partition exports.  This module re-checks its *output*
+//! tile placement, bank allocation, pipelined write-back latencies and
+//! spills.  This module re-checks its *output*
 //! independently of how it was produced — a symbolic re-execution of the
 //! instruction stream against the machine rules of
 //! `spn_processor::processor`, with registers and memory holding *which
@@ -21,17 +21,13 @@
 //!   to an operation of the source [`OpList`] (matched structurally up to
 //!   operand order for the commutative PE kernels; the sampler comparator
 //!   [`PeOp::Sam`] is order-sensitive and matched exactly), and at the end of the
-//!   program the output location and every export hold exactly the value
-//!   the op list says they should,
-//! * **partition consistency**: the transfer sources of a
-//!   [`PartitionedArtifact`]'s stages must agree with the partition
-//!   structure recomputed from the op list, with every link pointing
-//!   backwards at a live export,
+//!   program the output location holds exactly the value the op list says
+//!   it should,
 //! * **cone soundness**: the [`ConeAnalysis`] of the artifact's op list
 //!   must equal an independently recomputed forward reachability sweep.
 //!
 //! Findings report through [`spn_core::analysis::Diagnostic`] with the
-//! `SPN2xx` (single program) and `SPN3xx` (partitioned/cones) codes
+//! `SPN2xx` (single program) and `SPN303` (cones) codes
 //! documented in `docs/ARCHITECTURE.md`.
 
 use std::collections::HashMap;
@@ -40,9 +36,9 @@ use spn_core::analysis::{Diagnostic, Location, Severity};
 use spn_core::flatten::{LeafSource, OpKind, OpList, OperandRef};
 use spn_core::incremental::ConeAnalysis;
 use spn_processor::isa::{CopyCmd, InputSlot, ValueLocation};
-use spn_processor::{MemOp, PeOp, PePosition, Program, ReadSel, TransferSource, TreeInstr};
+use spn_processor::{MemOp, PeOp, PePosition, Program, ReadSel, TreeInstr};
 
-use crate::compiler::{CompiledArtifact, PartitionedArtifact};
+use crate::compiler::CompiledArtifact;
 
 /// Maximum diagnostics collected before the verifier gives up on an
 /// artifact (a corrupt program tends to cascade; the first few findings
@@ -96,7 +92,7 @@ struct OpIndex {
 impl OpIndex {
     fn build(ops: &OpList) -> OpIndex {
         // The first slot holding each indicator `(var, value)` or parameter
-        // bit pattern; an external slot is a value of its own.
+        // bit pattern.
         let mut first: HashMap<(Option<bool>, u64), u32> = HashMap::new();
         let input_sym: Vec<Sym> = ops
             .inputs()
@@ -108,7 +104,6 @@ impl OpIndex {
                     LeafSource::Param(p) if *p == 1.0 => return Sym::One,
                     LeafSource::Param(p) => (None, p.to_bits()),
                     LeafSource::Indicator { var, value } => (Some(*value), u64::from(var.0)),
-                    LeafSource::External => return Sym::Input(i as u32),
                 };
                 Sym::Input(*first.entry(key).or_insert(i as u32))
             })
@@ -576,12 +571,10 @@ impl<'a> Machine<'a> {
 /// Translation-validates one emitted program against its source op list:
 /// symbolic re-execution under the processor's hazard, port and
 /// connectivity rules, then an end-state check that the output location
-/// holds the op list's output value and every operand of `exports` is live
-/// at its recorded location (the partitioned-compilation contract; a whole
-/// program promises none).
+/// holds the op list's output value.
 ///
 /// Returns every finding; an empty vector means the schedule is verified.
-pub fn verify_program(program: &Program, ops: &OpList, exports: &[OperandRef]) -> Vec<Diagnostic> {
+pub fn verify_program(program: &Program, ops: &OpList) -> Vec<Diagnostic> {
     let index = OpIndex::build(ops);
     let mut machine = Machine::new(program, &index);
 
@@ -620,32 +613,6 @@ pub fn verify_program(program: &Program, ops: &OpList, exports: &[OperandRef]) -
             ),
         ));
     }
-
-    if program.exports.len() != exports.len() {
-        machine.diagnostics.push(Diagnostic::new(
-            "SPN207",
-            Severity::Error,
-            Location::Artifact,
-            format!(
-                "program records {} exports, {} expected",
-                program.exports.len(),
-                exports.len()
-            ),
-        ));
-    } else {
-        for (i, (&location, &operand)) in program.exports.iter().zip(exports).enumerate() {
-            let expected = index.sym(operand);
-            let actual = machine.location_value(location);
-            if actual != expected || expected == Sym::Unknown {
-                machine.diagnostics.push(Diagnostic::new(
-                    "SPN207",
-                    Severity::Error,
-                    Location::Artifact,
-                    format!("export {i} holds {actual}, expected {expected}"),
-                ));
-            }
-        }
-    }
     machine.diagnostics
 }
 
@@ -654,7 +621,7 @@ pub fn verify_program(program: &Program, ops: &OpList, exports: &[OperandRef]) -
 /// over this program would replay from — against an independently
 /// recomputed forward reachability sweep (`SPN303`).
 pub fn verify_artifact(artifact: &CompiledArtifact) -> Vec<Diagnostic> {
-    let mut diagnostics = verify_program(&artifact.program, &artifact.op_list, &[]);
+    let mut diagnostics = verify_program(&artifact.program, &artifact.op_list);
     diagnostics.extend(verify_cones(artifact));
     diagnostics
 }
@@ -703,103 +670,6 @@ fn verify_cones(artifact: &CompiledArtifact) -> Vec<Diagnostic> {
     diagnostics
 }
 
-/// Verifies a partitioned artifact: every stage's program against its
-/// recomputed [`OpList::partition`] slice (schedule + exports), plus
-/// cross-partition consistency of the transfer sources (`SPN301`) and the
-/// overall pipeline structure (`SPN302`).
-pub fn verify_partitioned(artifact: &PartitionedArtifact) -> Vec<Diagnostic> {
-    let mut diagnostics = Vec::new();
-    let stages = &artifact.parts.stages;
-    let parts = artifact.op_list.partition(stages.len().max(1));
-
-    if parts.len() != stages.len() {
-        diagnostics.push(Diagnostic::new(
-            "SPN302",
-            Severity::Error,
-            Location::Artifact,
-            format!(
-                "partitioned program has {} stages, op list partitions into {}",
-                stages.len(),
-                parts.len()
-            ),
-        ));
-        return diagnostics;
-    }
-    if artifact.parts.num_inputs != artifact.op_list.num_inputs() {
-        diagnostics.push(Diagnostic::new(
-            "SPN302",
-            Severity::Error,
-            Location::Artifact,
-            format!(
-                "pipeline records {} global inputs, op list has {}",
-                artifact.parts.num_inputs,
-                artifact.op_list.num_inputs()
-            ),
-        ));
-    }
-
-    for (stage_idx, (stage, part)) in stages.iter().zip(&parts).enumerate() {
-        // Transfer sources must mirror the partition's import structure.
-        if stage.inputs.len() != part.inputs.len() {
-            diagnostics.push(Diagnostic::new(
-                "SPN301",
-                Severity::Error,
-                Location::Stage(stage_idx as u32),
-                format!(
-                    "stage {stage_idx} wires {} transfer sources, partition expects {}",
-                    stage.inputs.len(),
-                    part.inputs.len()
-                ),
-            ));
-        } else {
-            for (slot, (source, expected)) in stage.inputs.iter().zip(&part.inputs).enumerate() {
-                let consistent = match (*source, *expected) {
-                    (TransferSource::Input(i), spn_core::PartInput::Global(g)) => i == g,
-                    (
-                        TransferSource::Core { core, export },
-                        spn_core::PartInput::Link { part: p, export: e },
-                    ) => {
-                        core == p
-                            && export == e
-                            && (core as usize) < stage_idx
-                            && parts
-                                .get(core as usize)
-                                .map(|src| (export as usize) < src.exports.len())
-                                .unwrap_or(false)
-                    }
-                    _ => false,
-                };
-                if !consistent {
-                    diagnostics.push(Diagnostic::new(
-                        "SPN301",
-                        Severity::Error,
-                        Location::Stage(stage_idx as u32),
-                        format!(
-                            "stage {stage_idx} external-input slot {slot} ({source:?}) is \
-                             inconsistent with the partition structure ({expected:?})"
-                        ),
-                    ));
-                }
-            }
-        }
-
-        // Each stage must be a verified schedule for its op slice, with the
-        // partition's exports live at the end.
-        let exports: Vec<OperandRef> = part.exports.iter().map(|&i| OperandRef::Op(i)).collect();
-        for mut d in verify_program(&stage.program, &part.ops, &exports) {
-            d.message = format!("stage {stage_idx}: {}", d.message);
-            if d.location == Location::Artifact {
-                d.location = Location::Stage(stage_idx as u32);
-            }
-            diagnostics.push(d);
-        }
-        if diagnostics.len() >= MAX_DIAGNOSTICS {
-            break;
-        }
-    }
-    diagnostics
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -835,11 +705,11 @@ mod tests {
     }
 
     /// A compiled program whose root write-back gets a second destination
-    /// `second(span, first_bank)` at the last register of that bank, which
-    /// the program exports; returns it with its op list.
+    /// `second(span, first_bank)` at the last register of that bank; returns
+    /// it with its op list and that second home.
     fn with_second_root_write(
         second: impl Fn(std::ops::Range<usize>, usize) -> usize,
-    ) -> (Program, OpList) {
+    ) -> (Program, OpList, ValueLocation) {
         let spn = random_spn(
             &RandomSpnConfig::with_vars(6),
             &mut StdRng::seed_from_u64(24),
@@ -879,33 +749,38 @@ mod tests {
             ..root
         };
         program.instructions[cycle].trees[tree].writes.push(extra);
-        program.exports = vec![ValueLocation::Register {
+        let home = ValueLocation::Register {
             bank: extra.bank,
             reg: extra.reg,
-        }];
-        (program, ops)
+        };
+        (program, ops, home)
     }
 
     #[test]
     fn a_root_written_to_two_banks_of_its_span_verifies_clean() {
-        let (program, ops) =
+        let (mut program, ops, second) =
             with_second_root_write(|span, first| span.into_iter().find(|&b| b != first).unwrap());
-        assert!(verify_program(&program, &ops, &[ops.output()]).is_empty());
         let processor = Processor::new(program.config.clone()).unwrap();
         let inputs = ops.input_values(&Evidence::marginal(6)).unwrap();
-        let run = processor.run(&program, &inputs).unwrap();
-        assert_eq!(run.exports, [run.output], "both homes hold the root");
+        // Each home in turn as the output: both verify and both hold the root.
+        let mut outputs = Vec::new();
+        for home in [program.output, second] {
+            program.output = home;
+            assert!(verify_program(&program, &ops).is_empty(), "{home:?}");
+            outputs.push(processor.run(&program, &inputs).unwrap().output.to_bits());
+        }
+        assert_eq!(outputs[0], outputs[1], "both homes hold the root");
     }
 
     #[test]
     fn a_second_root_write_outside_the_span_or_into_its_bank_is_caught() {
         let codes = |program: &Program, ops: &OpList| -> Vec<&str> {
-            let diags = verify_program(program, ops, &[ops.output()]);
+            let diags = verify_program(program, ops);
             diags.iter().map(|d| d.code).collect()
         };
         let processor = Processor::new(ProcessorConfig::ptree()).unwrap();
 
-        let (outside, ops) =
+        let (outside, ops, _) =
             with_second_root_write(|span, _| (0..32).find(|b| !span.contains(b)).unwrap());
         assert!(codes(&outside, &ops).contains(&"SPN204"));
         assert!(matches!(
@@ -913,25 +788,11 @@ mod tests {
             Err(ProcessorError::IllegalWriteBank { .. })
         ));
 
-        let (same_bank, ops) = with_second_root_write(|_, first| first);
+        let (same_bank, ops, _) = with_second_root_write(|_, first| first);
         assert!(codes(&same_bank, &ops).contains(&"SPN202"));
         assert!(matches!(
             processor.check(&same_bank),
             Err(ProcessorError::WritePortConflict { .. })
         ));
-    }
-
-    #[test]
-    fn partitioned_programs_verify_clean() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let spn = random_spn(&RandomSpnConfig::with_vars(12), &mut rng);
-        let ops = spn_core::flatten::OpList::from_spn(&spn);
-        for cores in [2, 3] {
-            let parted = Compiler::new(ProcessorConfig::ptree())
-                .compile_partitioned(ops.clone(), cores)
-                .unwrap();
-            let diags = verify_partitioned(&parted);
-            assert!(diags.is_empty(), "cores={cores}: {diags:?}");
-        }
     }
 }

@@ -82,8 +82,6 @@ pub enum Location {
     Input(u32),
     /// An instruction cycle of a compiled VLIW program.
     Cycle(u64),
-    /// A pipeline stage of a partitioned program.
-    Stage(u32),
     /// The artifact as a whole.
     Artifact,
 }
@@ -95,7 +93,6 @@ impl fmt::Display for Location {
             Location::Op(i) => write!(f, "op {i}"),
             Location::Input(i) => write!(f, "input {i}"),
             Location::Cycle(c) => write!(f, "cycle {c}"),
-            Location::Stage(s) => write!(f, "stage {s}"),
             Location::Artifact => write!(f, "artifact"),
         }
     }
@@ -359,14 +356,6 @@ fn range_bounds(ops: &OpList) -> (Vec<Diagnostic>, Vec<ValueRange>) {
                 },
             },
             LeafSource::Param(p) => ValueRange::point(*p),
-            // Partition imports: unknown until link-time; assume anything
-            // the producing stage could have computed.  Partition stages
-            // are analysed through the unpartitioned program instead, so
-            // this stays maximally permissive.
-            LeafSource::External => ValueRange {
-                lo: f64::NEG_INFINITY,
-                hi: f64::INFINITY,
-            },
         })
         .collect();
 
@@ -445,8 +434,9 @@ fn range_bounds(ops: &OpList) -> (Vec<Diagnostic>, Vec<ValueRange>) {
                 hi: a.hi + b.hi,
             },
             // Linear-domain products are non-negative (probabilities and
-            // non-negative weights); handle a possibly-unbounded External
-            // operand by falling back to the full product-corner interval.
+            // non-negative weights); the product-corner interval also covers
+            // a negative parameter, and a corner that is `0 × ∞` widens the
+            // bound to the whole line.
             OpKind::Mul => {
                 let corners = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi];
                 let lo = corners.iter().copied().fold(f64::INFINITY, f64::min);

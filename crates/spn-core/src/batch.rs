@@ -357,9 +357,6 @@ impl InputRecipe {
                     indicators.push((slot as u32, var.0, value));
                     template.push(1.0); // overwritten per query
                 }
-                // Bound by the partitioned runtime after the recipe fills the
-                // vector; NaN makes a slot the runtime missed loudly visible.
-                LeafSource::External => template.push(f64::NAN),
             }
         }
         InputRecipe {
@@ -797,26 +794,14 @@ mod tests {
     }
 
     /// One program per kind of value a tile holds: linear, log (`-inf`
-    /// indicators), e8m10 parameters, and a partition stage whose
-    /// `External` slots are NaN placeholders.
+    /// indicators) and e8m10 parameters.
     fn recipe_programs() -> Vec<(&'static str, OpList)> {
         let mut rng = StdRng::seed_from_u64(17);
         let spn = random_spn(&RandomSpnConfig::with_vars(9), &mut rng);
         let ops = OpList::from_spn(&spn);
-        let stage = ops
-            .partition(3)
-            .into_iter()
-            .map(|part| part.ops)
-            .find(|stage| {
-                let has = |f: fn(&LeafSource) -> bool| stage.inputs().iter().any(f);
-                has(|l| matches!(l, LeafSource::External))
-                    && has(|l| matches!(l, LeafSource::Indicator { .. }))
-            })
-            .expect("a stage with both indicator and external slots");
         vec![
             ("log", ops.to_log_domain()),
             ("e8m10", ops.with_precision(Precision::E8M10)),
-            ("stage", stage),
             ("linear", ops),
         ]
     }
@@ -850,10 +835,8 @@ mod tests {
                     }
                     assert_eq!(bits(&split), bits(&whole), "{context}");
                     assert_eq!(bits(&whole), bits(&transposed), "{context}");
-                    match name {
-                        "log" => assert!(whole.contains(&f64::NEG_INFINITY), "{context}"),
-                        "stage" => assert!(whole.iter().any(|v| v.is_nan()), "{context}"),
-                        _ => {}
+                    if name == "log" {
+                        assert!(whole.contains(&f64::NEG_INFINITY), "{context}");
                     }
                 }
             }

@@ -47,12 +47,6 @@ pub enum LeafSource {
     },
     /// A numeric parameter baked into the program (sum weight or constant).
     Param(f64),
-    /// A value imported from another partition at run time (see
-    /// [`OpList::partition`]).  External slots are never filled from
-    /// evidence — [`OpList::input_values`] and [`crate::InputRecipe`] leave
-    /// `NaN` placeholders that the partitioned runtime overwrites with the
-    /// producer partition's exported result before execution.
-    External,
 }
 
 /// Reference to an operand of a flattened operation.
@@ -564,151 +558,6 @@ impl OpList {
             precision: self.precision,
         }
     }
-
-    /// Splits this program into `parts` contiguous stages for pipelined
-    /// multi-core execution.
-    ///
-    /// Each stage is a standalone [`OpList`] over its own input slots:
-    /// original inputs it touches become [`PartInput::Global`] slots (same
-    /// [`LeafSource`], so evidence fills them identically), and results
-    /// produced by an earlier stage become [`LeafSource::External`] slots
-    /// tagged [`PartInput::Link`].  A stage's [`OpListPart::exports`] lists
-    /// the local ops whose results later stages consume — the values a core
-    /// must push over the interconnect.
-    ///
-    /// Because the op list is in dependency order, contiguous chunks always
-    /// yield a feed-forward pipeline (links only point to earlier stages),
-    /// and chaining the stages — binding each `Link` slot to the producer's
-    /// exported result — reproduces the unpartitioned program bit-for-bit,
-    /// intermediate quantization included (each stage inherits the mode and
-    /// precision stamps).
-    ///
-    /// `parts` is clamped to `1..=num_ops` (a program cannot be cut finer
-    /// than one op per stage); chunk sizes differ by at most one op.
-    pub fn partition(&self, parts: usize) -> Vec<OpListPart> {
-        use std::collections::HashMap;
-
-        let parts = parts.clamp(1, self.ops.len().max(1));
-        let base = self.ops.len() / parts;
-        let rem = self.ops.len() % parts;
-        // bounds[j]..bounds[j+1] is stage j's slice of the op list.
-        let mut bounds = Vec::with_capacity(parts + 1);
-        bounds.push(0usize);
-        for j in 0..parts {
-            bounds.push(bounds[j] + base + usize::from(j < rem));
-        }
-        let owner = |k: usize| -> usize { bounds.partition_point(|&b| b <= k) - 1 };
-
-        let mut result: Vec<OpListPart> = Vec::with_capacity(parts);
-        for j in 0..parts {
-            let (lo, hi) = (bounds[j], bounds[j + 1]);
-            let mut chunk_inputs: Vec<LeafSource> = Vec::new();
-            let mut chunk_sources: Vec<PartInput> = Vec::new();
-            let mut chunk_ops: Vec<Op> = Vec::with_capacity(hi - lo);
-            let chunk_output;
-            {
-                let mut global_map: HashMap<u32, u32> = HashMap::new();
-                let mut link_map: HashMap<(u32, u32), u32> = HashMap::new();
-                let mut resolve = |r: OperandRef| -> OperandRef {
-                    match r {
-                        OperandRef::Input(i) => {
-                            let slot = *global_map.entry(i).or_insert_with(|| {
-                                chunk_inputs.push(self.inputs[i as usize]);
-                                chunk_sources.push(PartInput::Global(i));
-                                (chunk_inputs.len() - 1) as u32
-                            });
-                            OperandRef::Input(slot)
-                        }
-                        OperandRef::Op(k) if (k as usize) >= lo => OperandRef::Op(k - lo as u32),
-                        OperandRef::Op(k) => {
-                            // Produced by an earlier stage: register it as an
-                            // export there (first consumer wins the slot) and
-                            // import it through an External input here.
-                            let p = owner(k as usize);
-                            let local = (k as usize - bounds[p]) as u32;
-                            let exports = &mut result[p].exports;
-                            let export = match exports.iter().position(|&e| e == local) {
-                                Some(e) => e as u32,
-                                None => {
-                                    exports.push(local);
-                                    (exports.len() - 1) as u32
-                                }
-                            };
-                            let slot = *link_map.entry((p as u32, export)).or_insert_with(|| {
-                                chunk_inputs.push(LeafSource::External);
-                                chunk_sources.push(PartInput::Link {
-                                    part: p as u32,
-                                    export,
-                                });
-                                (chunk_inputs.len() - 1) as u32
-                            });
-                            OperandRef::Input(slot)
-                        }
-                    }
-                };
-                for op in &self.ops[lo..hi] {
-                    let lhs = resolve(op.lhs);
-                    let rhs = resolve(op.rhs);
-                    chunk_ops.push(Op {
-                        kind: op.kind,
-                        lhs,
-                        rhs,
-                    });
-                }
-                // The last stage computes the program output; earlier stages
-                // nominate their final op (their value lives in `exports`).
-                chunk_output = if j + 1 == parts {
-                    resolve(self.output)
-                } else {
-                    OperandRef::Op((hi - lo - 1) as u32)
-                };
-            }
-            result.push(OpListPart {
-                ops: OpList {
-                    inputs: chunk_inputs,
-                    ops: chunk_ops,
-                    output: chunk_output,
-                    num_vars: self.num_vars,
-                    mode: self.mode,
-                    precision: self.precision,
-                },
-                inputs: chunk_sources,
-                exports: Vec::new(),
-            });
-        }
-        result
-    }
-}
-
-/// The source feeding one input slot of an [`OpListPart`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PartInput {
-    /// Input slot `i` of the original (unpartitioned) program: filled from
-    /// evidence or baked parameters exactly like the original slot.
-    Global(u32),
-    /// Export `export` of earlier partition `part`: the value crosses the
-    /// inter-core interconnect at run time.
-    Link {
-        /// Index of the producing partition.
-        part: u32,
-        /// Index into the producer's [`OpListPart::exports`].
-        export: u32,
-    },
-}
-
-/// One stage of a partitioned [`OpList`] (see [`OpList::partition`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OpListPart {
-    /// The stage as a standalone program; imported values appear as
-    /// [`LeafSource::External`] input slots.
-    pub ops: OpList,
-    /// Where each input slot of `ops` comes from, in slot order (parallel to
-    /// `ops.inputs()`).
-    pub inputs: Vec<PartInput>,
-    /// Local op indices whose results later stages consume, in first-use
-    /// order; entry `e` is what a [`PartInput::Link`] with `export == e`
-    /// refers to.
-    pub exports: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -717,7 +566,7 @@ mod tests {
     use crate::random::{random_spn, RandomSpnConfig};
     use crate::SpnBuilder;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     fn mixture() -> Spn {
         let mut b = SpnBuilder::new(2);
@@ -952,134 +801,5 @@ mod tests {
         let spn = mixture();
         let ops = OpList::from_spn(&spn);
         assert!(ops.evaluate(&Evidence::marginal(5)).is_err());
-    }
-
-    /// Evaluates partitioned stages in order, binding `Link` slots to the
-    /// producers' exported results — the software model of the inter-core
-    /// transfers the multi-core simulator performs.
-    fn run_partitioned(ops: &OpList, stages: &[OpListPart], evidence: &Evidence) -> f64 {
-        let global = ops.input_values(evidence).unwrap();
-        let mut exported: Vec<Vec<f64>> = Vec::with_capacity(stages.len());
-        let mut value = f64::NAN;
-        for stage in stages {
-            let local: Vec<f64> = stage
-                .inputs
-                .iter()
-                .map(|src| match *src {
-                    PartInput::Global(i) => global[i as usize],
-                    PartInput::Link { part, export } => exported[part as usize][export as usize],
-                })
-                .collect();
-            let mut results = vec![0.0; stage.ops.num_ops()];
-            value = stage.ops.run_into(&local, &mut results);
-            exported.push(
-                stage
-                    .exports
-                    .iter()
-                    .map(|&op| results[op as usize])
-                    .collect(),
-            );
-        }
-        value
-    }
-
-    #[test]
-    fn partitioned_stages_reproduce_the_program_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let spn = random_spn(&RandomSpnConfig::default(), &mut rng);
-        let base = OpList::from_spn(&spn);
-        for ops in [
-            base.clone(),
-            base.to_log_domain(),
-            base.with_precision(Precision::custom(8, 10).unwrap()),
-            base.to_max_product(),
-        ] {
-            for parts in [1, 2, 3, 7] {
-                let stages = ops.partition(parts);
-                assert_eq!(stages.len(), parts.min(ops.num_ops().max(1)));
-                // Ops are conserved and links only point backwards.
-                assert_eq!(
-                    stages.iter().map(|s| s.ops.num_ops()).sum::<usize>(),
-                    ops.num_ops()
-                );
-                for (j, stage) in stages.iter().enumerate() {
-                    assert_eq!(stage.inputs.len(), stage.ops.num_inputs());
-                    for src in &stage.inputs {
-                        if let PartInput::Link { part, .. } = src {
-                            assert!((*part as usize) < j, "links must point to earlier stages");
-                        }
-                    }
-                    if j + 1 < stages.len() {
-                        assert!(!stage.exports.is_empty(), "interior stage exports nothing");
-                    }
-                }
-                for seed in 0..4u64 {
-                    let mut erng = StdRng::seed_from_u64(seed);
-                    let e = Evidence::from_options(
-                        (0..spn.num_vars())
-                            .map(|_| erng.gen_bool(0.6).then(|| erng.gen_bool(0.5)))
-                            .collect(),
-                    );
-                    let expected = ops.evaluate(&e).unwrap();
-                    let actual = run_partitioned(&ops, &stages, &e);
-                    assert_eq!(
-                        actual.to_bits(),
-                        expected.to_bits(),
-                        "parts={parts} seed={seed}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partition_clamps_to_one_op_per_stage() {
-        let spn = mixture();
-        let ops = OpList::from_spn(&spn);
-        let stages = ops.partition(1000);
-        assert_eq!(stages.len(), ops.num_ops());
-        assert!(stages.iter().all(|s| s.ops.num_ops() == 1));
-        let e = Evidence::marginal(2);
-        let expected = ops.evaluate(&e).unwrap();
-        assert_eq!(
-            run_partitioned(&ops, &stages, &e).to_bits(),
-            expected.to_bits()
-        );
-    }
-
-    #[test]
-    fn partitioning_a_zero_op_program_yields_one_global_stage() {
-        let mut b = SpnBuilder::new(1);
-        let x = b.indicator(VarId(0), true);
-        let spn = b.finish(x).unwrap();
-        let ops = OpList::from_spn(&spn);
-        let stages = ops.partition(3);
-        assert_eq!(stages.len(), 1);
-        assert_eq!(stages[0].inputs, vec![PartInput::Global(0)]);
-        let e = Evidence::from_assignment(&[true]);
-        assert_eq!(
-            run_partitioned(&ops, &stages, &e).to_bits(),
-            ops.evaluate(&e).unwrap().to_bits()
-        );
-    }
-
-    #[test]
-    fn external_slots_fill_as_nan_placeholders() {
-        let spn = mixture();
-        let stages = OpList::from_spn(&spn).partition(2);
-        let last = &stages[1];
-        assert!(last
-            .ops
-            .inputs()
-            .iter()
-            .any(|l| matches!(l, LeafSource::External)));
-        let filled = last.ops.input_values(&Evidence::marginal(2)).unwrap();
-        for (slot, leaf) in last.ops.inputs().iter().enumerate() {
-            assert_eq!(
-                matches!(leaf, LeafSource::External),
-                filled[slot].is_nan(),
-                "slot {slot}"
-            );
-        }
     }
 }

@@ -112,7 +112,6 @@ pub use batch::{EvidenceBatch, InputRecipe};
 pub use error::SpnError;
 pub use eval::Evaluator;
 pub use evidence::Evidence;
-pub use flatten::PartInput;
 pub use graph::{Node, NodeId, Spn, SpnBuilder, VarId};
 pub use incremental::{ConeAnalysis, DeltaOutcome, IncrementalState};
 pub use numeric::NumericMode;

@@ -228,8 +228,7 @@ struct Step {
 /// that operation takes its slot, so a result may land in its own
 /// operand's slot; a result nobody reads is freed at once, and the root's
 /// slot never is.  So `slots` is `2·vars` plus the most results live at any
-/// one operation.  Parameters (and the `NaN` placeholder of an
-/// [`LeafSource::External`] slot) are a scalar table, broadcast to a lane
+/// one operation.  Parameters are a scalar table, broadcast to a lane
 /// group where an operation reads one.
 ///
 /// Every operation applies `OpKind::apply_lanes` and rounds through the
@@ -282,12 +281,6 @@ impl LaneProgram {
                 LeafSource::Indicator { var, value } => Source::Lane(2 * var.0 + u32::from(value)),
                 LeafSource::Param(p) => {
                     params.push(p);
-                    Source::Param(params.len() as u32 - 1)
-                }
-                // Bound by the partitioned runtime, never by a batch: NaN
-                // makes a read of one loudly visible, as in the recipe.
-                LeafSource::External => {
-                    params.push(f64::NAN);
                     Source::Param(params.len() as u32 - 1)
                 }
             })

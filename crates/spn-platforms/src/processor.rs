@@ -63,7 +63,7 @@ impl ProcessorBackend {
     }
 
     /// Creates a backend simulating `cores` copies of `config` behind a
-    /// default shared memory and interconnect.
+    /// default shared memory.
     ///
     /// # Errors
     ///

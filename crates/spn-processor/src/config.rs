@@ -8,11 +8,13 @@
 //! |---|---|---|
 //! | `Ptree` | 30 | 2 trees × 4 levels (8+4+2+1 per tree) |
 //! | `Pvect` | 16 | lowest PE level only (2 × 8) |
+//!
+//! [`MultiCoreConfig`] replicates one datapath over N cores behind a shared
+//! parameter memory ([`SharedMemoryConfig`]).
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::ProcessorError;
-use crate::interconnect::{InterconnectConfig, SharedMemoryConfig};
 use crate::Result;
 
 /// Position of a processing element inside the datapath.
@@ -190,35 +192,29 @@ impl Default for ProcessorConfig {
 }
 
 /// Geometry of an N-core SPN processor: `cores` identical single-core
-/// datapaths ([`MultiCoreConfig::core`]) behind a shared parameter memory
-/// and a linear inter-core interconnect.
+/// datapaths ([`MultiCoreConfig::core`]) behind a shared parameter memory.
 ///
 /// The multi-core simulator ([`crate::multicore::MultiCoreProcessor`])
-/// executes compiled programs in two modes — batch-sharded (every core runs
-/// the full program on a slice of the evidence batch) and partitioned
-/// (the flattened op list is split across cores and intermediate operands
-/// travel over the interconnect) — and attributes cycles per core to
-/// compute, memory stalls and interconnect stalls.
+/// shards a batch over the cores (every core runs the full program on a
+/// slice of the evidence batch) and attributes cycles per core to compute,
+/// memory stalls and idle time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MultiCoreConfig {
     /// Number of cores (must be at least 1).
     pub cores: usize,
     /// The per-core datapath, shared by all cores.
     pub core: ProcessorConfig,
-    /// Latency model of the inter-core interconnect.
-    pub interconnect: InterconnectConfig,
     /// Port model of the shared parameter memory.
     pub shared_memory: SharedMemoryConfig,
 }
 
 impl MultiCoreConfig {
     /// A multi-core configuration with `cores` copies of `core` and the
-    /// default interconnect / shared-memory models.
+    /// default shared-memory model.
     pub fn new(cores: usize, core: ProcessorConfig) -> Self {
         MultiCoreConfig {
             cores,
             core,
-            interconnect: InterconnectConfig::default(),
             shared_memory: SharedMemoryConfig::default(),
         }
     }
@@ -252,6 +248,44 @@ impl MultiCoreConfig {
         } else {
             format!("{}x{}", self.core.name, self.cores)
         }
+    }
+}
+
+/// Port model of the shared parameter memory.
+///
+/// All cores load their data-memory images from one shared parameter store
+/// with a fixed number of row-wide ports.  Cores arbitrate in lockstep
+/// waves of `ports` requesters: the first `ports` cores are served
+/// immediately, the next wave one cycle later, and so on, so core `c` pays
+/// `c / ports` extra stall cycles per memory transaction.  The priority is
+/// fixed, so a later core's pass costs more, and batch-sharded execution
+/// gives it a shorter shard in proportion.  The model is a deterministic
+/// closed form: the multi-core simulator folds it into each core's pass
+/// cost, the shard split and the per-core cycle attribution, and the
+/// golden-trace tests pin the resulting schedules bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SharedMemoryConfig {
+    /// Row-wide ports available per cycle (must be at least 1).
+    pub ports: usize,
+}
+
+impl Default for SharedMemoryConfig {
+    /// A single shared port: contention grows linearly with the core count,
+    /// which is the pessimistic end of the design space.
+    fn default() -> Self {
+        SharedMemoryConfig { ports: 1 }
+    }
+}
+
+impl SharedMemoryConfig {
+    /// Extra stall cycles core `core` pays per memory transaction under
+    /// lockstep wave arbitration (`core / ports`, integer division).
+    ///
+    /// Callers must have validated `ports >= 1` (see
+    /// [`MultiCoreConfig::validate`]); this saturates instead of dividing
+    /// by zero so a malformed config cannot panic.
+    pub(crate) fn wave_penalty(&self, core: usize) -> u64 {
+        (core / self.ports.max(1)) as u64
     }
 }
 
@@ -422,5 +456,23 @@ mod tests {
         assert_eq!(cfg.name(), "Ptree");
         let cfg = MultiCoreConfig::new(4, ProcessorConfig::ptree());
         assert_eq!(cfg.name(), "Ptreex4");
+    }
+
+    #[test]
+    fn wave_penalty_follows_port_count() {
+        let one = SharedMemoryConfig { ports: 1 };
+        assert_eq!(one.wave_penalty(0), 0);
+        assert_eq!(one.wave_penalty(3), 3);
+        let two = SharedMemoryConfig { ports: 2 };
+        assert_eq!(two.wave_penalty(0), 0);
+        assert_eq!(two.wave_penalty(1), 0);
+        assert_eq!(two.wave_penalty(2), 1);
+        assert_eq!(two.wave_penalty(5), 2);
+    }
+
+    #[test]
+    fn zero_ports_saturates_instead_of_panicking() {
+        let bad = SharedMemoryConfig { ports: 0 };
+        assert_eq!(bad.wave_penalty(7), 7);
     }
 }

@@ -19,7 +19,7 @@
 //!   operand's (forwarding is exact in every format).
 //!
 //! What is left is a list of steps `(op, a, b, dst)` — [`apply_pe`] on two
-//! slots into a third — plus the slots of the output and the exports.
+//! slots into a third — plus the slot of the output.
 //! [`Dataflow::recycle`] then puts the steps in an order that keeps one
 //! opcode for as long as a step of it is ready ([`run_order`]) and cuts
 //! that order into *runs* of one opcode, so the replay matches an opcode
@@ -27,7 +27,7 @@
 //! that the scratch holds the values live at once instead of one word per
 //! input and PE: the inputs a run reads are scattered together, as one
 //! input run just before it, and a slot whose value has been read for the
-//! last time takes the next value.  An input no step, output or export
+//! last time takes the next value.  An input neither a step nor the output
 //! reads is never scattered, so [`Dataflow::inputs_read`] names every input
 //! a replay looks at, and a lane tile only needs those filled.
 //! [`Dataflow::run_block`] replays the runs for `L` queries side by side
@@ -153,7 +153,6 @@ pub(crate) struct Dataflow {
     runs: Vec<Run>,
     inputs: usize,
     output: u32,
-    exports: Vec<u32>,
     /// Slots the replay writes: the constants and the values live at once.
     slots: usize,
     /// Slots of the walk: the constants, the inputs and one per arithmetic
@@ -295,7 +294,6 @@ impl Dataflow {
             runs: Vec::new(),
             inputs,
             output: slot_at(&program.output),
-            exports: program.exports.iter().map(&slot_at).collect(),
             slots: 0,
             walk_slots: walk.first as usize + walk.steps.len(),
             events: walk.events,
@@ -312,8 +310,8 @@ impl Dataflow {
     /// one input run just before it (an input nothing reads is never
     /// scattered), and a slot whose value has been read for the last time
     /// takes the next value.  The constants keep their slots; the output
-    /// and the exports are read after the last step, so an input among
-    /// them is scattered in a last input run.  `traced` keeps each step's
+    /// is read after the last step, so an output that is an input is
+    /// scattered in a last input run.  `traced` keeps each step's
     /// slot of the walk.
     fn recycle(&mut self, walk: &[Walked], first: u32, traced: bool) {
         const UNSET: u32 = u32::MAX;
@@ -354,9 +352,7 @@ impl Dataflow {
             last[step.a as usize] = position;
             last[step.b as usize] = position;
         }
-        for &slot in std::iter::once(&self.output).chain(&self.exports) {
-            last[slot as usize] = UNSET;
-        }
+        last[self.output as usize] = UNSET;
         let mut renamed = Renamed {
             to: vec![UNSET; self.walk_slots],
             free: Vec::new(),
@@ -405,17 +401,9 @@ impl Dataflow {
             self.end_run(Op::Pe(op));
             at += len;
         }
-        let results: Vec<u32> = std::iter::once(self.output)
-            .chain(self.exports.iter().copied())
-            .collect();
-        for slot in results {
-            renamed.scatter(slot, self);
-        }
+        renamed.scatter(self.output, self);
         self.end_run(Op::Input);
         self.output = renamed.to[self.output as usize];
-        for slot in &mut self.exports {
-            *slot = renamed.to[*slot as usize];
-        }
         // The steps stay for the plan's life: they need not hold room for
         // the inputs left unread.
         self.steps.shrink_to_fit();
@@ -465,8 +453,7 @@ impl Dataflow {
     }
 
     /// Replays the queries of `inputs` (query-major, one input vector
-    /// each): their root values into `outputs` (one per query) and their
-    /// exports into `exports` (query-major, one row of exports each).
+    /// each): their root values into `outputs` (one per query).
     /// Untraced, blocks of [`LANES`] queries and then of the next narrower
     /// widths are replayed by [`Dataflow::run_block`], whose input steps
     /// gather straight from the block's input vectors.  A traced run goes
@@ -476,12 +463,11 @@ impl Dataflow {
         &self,
         inputs: &[f64],
         outputs: &mut [f64],
-        exports: &mut [f64],
         state: &mut SimState,
         hook: &mut H,
         mut start: impl FnMut(&mut H, usize),
     ) {
-        let (n, e) = (self.inputs, self.exports.len());
+        let n = self.inputs;
         let queries = outputs.len();
         // A traced query's values in the walk's slots: the constants, the
         // inputs, then one per arithmetic step.
@@ -495,7 +481,6 @@ impl Dataflow {
             };
             let block = &inputs[q * n..(q + lanes) * n];
             let outputs = &mut outputs[q..q + lanes];
-            let exports = &mut exports[q * e..(q + lanes) * e];
             if H::ENABLED {
                 start(hook, q);
                 values.clear();
@@ -503,11 +488,11 @@ impl Dataflow {
                 values.extend_from_slice(block);
                 values.resize(self.walk_slots, 0.0);
                 let rows = Inputs::Rows(block);
-                self.replay::<1, H>(rows, outputs, exports, &mut state.slots, &mut values);
+                self.replay::<1, H>(rows, outputs, &mut state.slots, &mut values);
                 self.emit(&values, hook);
             } else {
                 let rows = Inputs::Rows(block);
-                self.run_block(lanes, rows, outputs, exports, &mut state.slots);
+                self.run_block(lanes, rows, outputs, &mut state.slots);
             }
             q += lanes;
         }
@@ -515,9 +500,8 @@ impl Dataflow {
 
     /// Replays the `lanes` queries of `inputs` (only the inputs of
     /// [`Dataflow::inputs_read`] are read): their root values into
-    /// `outputs` and their exports into `exports` (query-major; rows past
-    /// its length are not written).  `slots` is the replay's scratch, grown
-    /// when this list needs more.
+    /// `outputs`.  `slots` is the replay's scratch, grown when this list
+    /// needs more.
     ///
     /// # Panics
     ///
@@ -528,26 +512,24 @@ impl Dataflow {
         lanes: usize,
         inputs: Inputs<'_>,
         outputs: &mut [f64],
-        exports: &mut [f64],
         slots: &mut Vec<f64>,
     ) {
         match lanes {
-            1 => self.replay::<1, NoTrace>(inputs, outputs, exports, slots, &mut []),
-            2 => self.replay::<2, NoTrace>(inputs, outputs, exports, slots, &mut []),
-            4 => self.replay::<4, NoTrace>(inputs, outputs, exports, slots, &mut []),
-            8 => self.replay::<8, NoTrace>(inputs, outputs, exports, slots, &mut []),
+            1 => self.replay::<1, NoTrace>(inputs, outputs, slots, &mut []),
+            2 => self.replay::<2, NoTrace>(inputs, outputs, slots, &mut []),
+            4 => self.replay::<4, NoTrace>(inputs, outputs, slots, &mut []),
+            8 => self.replay::<8, NoTrace>(inputs, outputs, slots, &mut []),
             other => panic!("unsupported lane width {other} (expected 1, 2, 4 or 8)"),
         }
     }
 
     /// The replay proper: one pass over the runs for the `L` queries of
-    /// `inputs`, then their results; a traced pass writes each step's
+    /// `inputs`, then their root values; a traced pass writes each step's
     /// result at its slot of the walk in `values`.
     fn replay<const L: usize, H: TraceHook>(
         &self,
         inputs: Inputs<'_>,
         outputs: &mut [f64],
-        exports: &mut [f64],
         slots: &mut Vec<f64>,
         values: &mut [f64],
     ) {
@@ -565,7 +547,7 @@ impl Dataflow {
         } else {
             self.pass::<L, true, H>(inputs, slots, values);
         }
-        self.results(slots, outputs, exports);
+        outputs.copy_from_slice(&slots[self.output as usize]);
     }
 
     /// One pass over the runs, matching each run's opcode once.  Each arm
@@ -642,24 +624,6 @@ impl Dataflow {
                 Op::Pe(op) => each::<L, H>(steps, slots, values, |slots, step| {
                     lanes(op, slots, step, precision);
                 }),
-            }
-        }
-    }
-
-    /// The root values and exports of the `L` queries just replayed.
-    fn results<const L: usize>(
-        &self,
-        slots: &[[f64; L]],
-        outputs: &mut [f64],
-        exports: &mut [f64],
-    ) {
-        outputs.copy_from_slice(&slots[self.output as usize]);
-        if self.exports.is_empty() {
-            return;
-        }
-        for (lane, row) in exports.chunks_exact_mut(self.exports.len()).enumerate() {
-            for (value, &slot) in row.iter_mut().zip(&self.exports) {
-                *value = slots[slot as usize][lane];
             }
         }
     }
@@ -852,7 +816,6 @@ mod tests {
                 .collect(),
             memory_rows_used: 2,
             output,
-            exports: Vec::new(),
             num_source_ops: 0,
             pe_precision: Precision::F64,
         }

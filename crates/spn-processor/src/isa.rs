@@ -242,12 +242,6 @@ pub struct Program {
     pub memory_rows_used: usize,
     /// Where the SPN root value can be read after the last cycle.
     pub output: ValueLocation,
-    /// Additional values readable after the last cycle, in a fixed order
-    /// chosen at compile time.  Partitioned multi-core programs use these as
-    /// the operands a core exports to later pipeline stages (see
-    /// `spn_compiler::Compiler::compile_partitioned`); single-program
-    /// compilation leaves the list empty.
-    pub exports: Vec<ValueLocation>,
     /// Number of SPN arithmetic operations the program computes (for
     /// throughput reporting; equals the flattened op count).
     pub num_source_ops: usize,
@@ -410,7 +404,6 @@ mod tests {
             input_layout: Vec::new(),
             memory_rows_used: 2,
             output: ValueLocation::Register { bank: 16, reg: 2 },
-            exports: Vec::new(),
             num_source_ops: 3,
             pe_precision: Precision::F64,
             config,

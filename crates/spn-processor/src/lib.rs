@@ -48,7 +48,6 @@
 
 mod dataflow;
 mod error;
-mod interconnect;
 mod perf;
 mod processor;
 mod trace;
@@ -59,13 +58,10 @@ pub mod multicore;
 pub mod precision;
 pub mod tree;
 
-pub use config::{MultiCoreConfig, PePosition, ProcessorConfig};
+pub use config::{MultiCoreConfig, PePosition, ProcessorConfig, SharedMemoryConfig};
 pub use error::ProcessorError;
-pub use interconnect::{InterconnectConfig, SharedMemoryConfig};
 pub use isa::{Instruction, MemOp, PeOp, Program, ReadSel, TreeInstr, WriteCmd};
-pub use multicore::{
-    CoreProgram, MultiCoreBatch, MultiCoreProcessor, PartitionedProgram, TransferSource,
-};
+pub use multicore::{MultiCoreBatch, MultiCoreProcessor};
 pub use perf::{CorePerf, MultiCorePerf, PerfReport};
 pub use precision::Precision;
 pub use processor::{CheckedProgram, ExecutionResult, Processor, SimState};

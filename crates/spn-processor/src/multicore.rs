@@ -1,45 +1,32 @@
 //! The N-core processor simulator.
 //!
-//! [`MultiCoreProcessor`] executes compiled programs on
+//! [`MultiCoreProcessor`] executes a compiled program on
 //! [`MultiCoreConfig::cores`] identical single-core datapaths behind a
-//! shared parameter memory and a linear interconnect
-//! (see `interconnect`).  Two execution modes cover the paper's
-//! scaling story:
+//! shared parameter memory ([`crate::SharedMemoryConfig`]), sharding the
+//! batch ([`MultiCoreProcessor::run_batch_sharded`]): every core runs the
+//! *full* program on a contiguous shard of the evidence batch, so outputs
+//! are bit-for-bit equal to the single-core batch order.  Cores contend for
+//! the shared parameter memory: under lockstep wave arbitration core `c`
+//! pays `c / ports` extra cycles per memory transaction, so a later core's
+//! pass can cost more ([`MultiCoreProcessor::pass_costs`]).  Each shard is
+//! sized by its core's pass cost
+//! ([`MultiCoreProcessor::shard_ranges_by_cost`]) so that the busiest core,
+//! whose cycle count is the makespan, finishes as early as any contiguous
+//! split allows; where every core costs the same this is the even split
+//! `spn-platforms`' host-thread parallelism uses.
 //!
-//! * **Batch-sharded** ([`MultiCoreProcessor::run_batch_sharded`]): every
-//!   core runs the *full* program on a contiguous shard of the evidence
-//!   batch, so outputs are bit-for-bit equal to the single-core batch
-//!   order.  Cores contend for the shared parameter memory: under lockstep
-//!   wave arbitration core `c` pays `c / ports` extra cycles per memory
-//!   transaction, so a later core's pass can cost more
-//!   ([`MultiCoreProcessor::pass_costs`]).  Each shard is sized by its
-//!   core's pass cost ([`MultiCoreProcessor::shard_ranges_by_cost`]) so that
-//!   the busiest core, whose cycle count is the makespan, finishes as early
-//!   as any contiguous split allows; where every core costs the same this
-//!   is the even split `spn-platforms`' host-thread parallelism uses.
-//! * **Pipelined / partitioned** ([`MultiCoreProcessor::run_partitioned`]):
-//!   the flattened op list is split into pipeline stages, one per core
-//!   ([`PartitionedProgram`], produced by
-//!   `spn_compiler::Compiler::compile_partitioned`), and intermediate
-//!   operands travel over the interconnect.  Stage `j` starts once the
-//!   last imported operand has arrived (`start_j = max_k(start_k +
-//!   cycles_k + latency(k→j))`); queries then stream at an initiation
-//!   interval of `max_j cycles_j`, so the batch makespan is
-//!   `finish(first query) + (Q-1) × II`.
-//!
-//! Both modes return a [`MultiCoreBatch`] whose [`MultiCorePerf`] attributes
-//! every makespan cycle of every core to compute, memory stalls,
-//! interconnect stalls or idle time — an exact partition that
-//! [`MultiCorePerf::check_accounting`] verifies.  It is a pure function of
-//! the programs ([`Program::perf`]), the machine and the query count.  A
-//! [`CheckedProgram`] is checked ([`Processor::check`]), costed and lowered
-//! to a dataflow list once per plan, and [`MultiCoreProcessor::sharded_perf`]
-//! costs its batches without running one; the runners below take a bare
-//! program and do all three once per call, before query 0.  Queries replay
-//! the list for values only, up to eight side by side.  Both modes exist in
-//! `_traced` variants that record per-cycle golden traces on the global
-//! timeline (stage starts and steady-state offsets included), so a change
-//! to any latency model moves trace rows and is caught at the first
+//! A run returns a [`MultiCoreBatch`] whose [`MultiCorePerf`] attributes
+//! every makespan cycle of every core to compute, memory stalls or idle
+//! time — an exact partition that [`MultiCorePerf::check_accounting`]
+//! verifies.  It is a pure function of the program ([`Program::perf`]), the
+//! machine and the query count.  A [`CheckedProgram`] is checked
+//! ([`Processor::check`]), costed and lowered to a dataflow list once per
+//! plan, and [`MultiCoreProcessor::sharded_perf`] costs its batches without
+//! running one; the runners below take a bare program and do all three once
+//! per call, before query 0.  Queries replay the list for values only, up
+//! to eight side by side.  [`MultiCoreProcessor::run_batch_sharded_traced`]
+//! records per-cycle golden traces on each core's shard timeline, so a
+//! change to any latency model moves trace rows and is caught at the first
 //! divergent cycle by `crate::trace::diff_traces`.
 
 use std::ops::Range;
@@ -52,110 +39,6 @@ use crate::perf::{CorePerf, MultiCorePerf, PerfReport};
 use crate::processor::{CheckedProgram, Processor, SimState};
 use crate::trace::{NoTrace, TraceHook, TraceRecorder};
 use crate::Result;
-
-/// Where one input slot of a pipeline stage's program gets its value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferSource {
-    /// Global program input `index` (filled from the evidence batch).
-    Input(u32),
-    /// Export `export` of the stage running on `core` (an earlier stage),
-    /// delivered over the interconnect.
-    Core {
-        /// Producing core (must be an earlier stage).
-        core: u32,
-        /// Index into that stage's [`Program::exports`].
-        export: u32,
-    },
-}
-
-/// One pipeline stage of a partitioned program: the compiled sub-program a
-/// core runs plus the source of each of its input slots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoreProgram {
-    /// The stage's compiled program (its [`Program::exports`] are the
-    /// operands later stages import).
-    pub program: Program,
-    /// One entry per input slot of `program`, in input-layout order.
-    pub inputs: Vec<TransferSource>,
-}
-
-/// A program partitioned into pipeline stages, one per core.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionedProgram {
-    /// The stages in pipeline order; stage `j` runs on core `j`.
-    pub stages: Vec<CoreProgram>,
-    /// Number of global program inputs ([`TransferSource::Input`] indices
-    /// range over `0..num_inputs`).
-    pub num_inputs: usize,
-}
-
-impl PartitionedProgram {
-    /// Validates the stage graph against a machine with `cores` cores.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProcessorError::InvalidConfig`] when there are no stages or
-    /// more stages than cores, when a transfer references a global input or
-    /// an export out of range or a non-earlier core, or when a non-final
-    /// stage feeds no later stage (its cycles could never overlap the
-    /// pipeline, breaking cycle accounting).
-    pub(crate) fn validate(&self, cores: usize) -> Result<()> {
-        let fail = |reason: String| Err(ProcessorError::InvalidConfig { reason });
-        if self.stages.is_empty() {
-            return fail("partitioned program has no stages".to_string());
-        }
-        if self.stages.len() > cores {
-            return fail(format!(
-                "partitioned program has {} stages but the machine has {} cores",
-                self.stages.len(),
-                cores
-            ));
-        }
-        let mut feeds_later = vec![false; self.stages.len()];
-        for (j, stage) in self.stages.iter().enumerate() {
-            if stage.inputs.len() != stage.program.input_layout.len() {
-                return fail(format!(
-                    "stage {j} declares {} transfer sources for {} program inputs",
-                    stage.inputs.len(),
-                    stage.program.input_layout.len()
-                ));
-            }
-            for src in &stage.inputs {
-                match *src {
-                    TransferSource::Input(i) => {
-                        if i as usize >= self.num_inputs {
-                            return fail(format!(
-                                "stage {j} reads global input {i} of {}",
-                                self.num_inputs
-                            ));
-                        }
-                    }
-                    TransferSource::Core { core, export } => {
-                        let k = core as usize;
-                        if k >= j {
-                            return fail(format!(
-                                "stage {j} imports from core {k}, which is not an earlier stage"
-                            ));
-                        }
-                        if export as usize >= self.stages[k].program.exports.len() {
-                            return fail(format!(
-                                "stage {j} imports export {export} of stage {k}, which has {}",
-                                self.stages[k].program.exports.len()
-                            ));
-                        }
-                        feeds_later[k] = true;
-                    }
-                }
-            }
-        }
-        for (j, feeds) in feeds_later.iter().enumerate().take(self.stages.len() - 1) {
-            if !feeds {
-                return fail(format!("stage {j} feeds no later stage"));
-            }
-        }
-        Ok(())
-    }
-}
 
 /// The outcome of a multi-core batch execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -262,15 +145,6 @@ impl MultiCoreProcessor {
             .collect()
     }
 
-    fn check_hooks(&self, hooks: usize, needed: usize) -> Result<()> {
-        if hooks < needed {
-            return Err(ProcessorError::InvalidConfig {
-                reason: format!("{hooks} trace recorders for {needed} cores"),
-            });
-        }
-        Ok(())
-    }
-
     /// Executes `program` over a batch, sharding the queries across cores.
     ///
     /// `flat_inputs` holds `queries` consecutive input vectors (query-major,
@@ -319,7 +193,12 @@ impl MultiCoreProcessor {
         states: &mut Vec<SimState>,
         recorders: &mut [TraceRecorder],
     ) -> Result<MultiCoreBatch> {
-        self.check_hooks(recorders.len(), self.config.cores)?;
+        let (hooks, cores) = (recorders.len(), self.config.cores);
+        if hooks < cores {
+            return Err(ProcessorError::InvalidConfig {
+                reason: format!("{hooks} trace recorders for {cores} cores"),
+            });
+        }
         self.run_batch_sharded_with_hooks(program, flat_inputs, queries, states, recorders)
     }
 
@@ -350,15 +229,12 @@ impl MultiCoreProcessor {
         let costs = self.pass_costs(&pass);
         let ranges = Self::shard_ranges_by_cost(&costs, queries);
         let mut outputs = vec![0.0; queries];
-        let exported = program.exports.len();
-        let mut exports = vec![0.0; queries * exported];
         for (c, (range, &busy)) in ranges.iter().zip(&costs).enumerate() {
             // Traced queries sit on the core's cumulative timeline: compute
             // plus the modeled wave-arbitration stalls of the earlier ones.
             flow.run(
                 &flat_inputs[range.start * per_query..range.end * per_query],
                 &mut outputs[range.clone()],
-                &mut exports[range.start * exported..range.end * exported],
                 &mut states[c],
                 &mut hooks[c],
                 |hook, q| {
@@ -376,149 +252,30 @@ impl MultiCoreProcessor {
         })
     }
 
-    /// Executes a partitioned program over a batch, pipelining the stages
-    /// across cores.
-    ///
-    /// `flat_inputs` holds `queries` consecutive *global* input vectors
-    /// ([`PartitionedProgram::num_inputs`] values each); stage-to-stage
-    /// operands are forwarded in-process and their interconnect latency is
-    /// folded into the timing model.  Outputs are the final stage's root
-    /// values, bit-for-bit equal to running the unpartitioned program.
-    ///
-    /// # Errors
-    ///
-    /// Any `PartitionedProgram::validate` error, plus the single-core
-    /// errors of each stage's program.
-    pub fn run_partitioned(
-        &self,
-        parts: &PartitionedProgram,
-        flat_inputs: &[f64],
-        queries: usize,
-        states: &mut Vec<SimState>,
-    ) -> Result<MultiCoreBatch> {
-        let mut hooks = vec![NoTrace; self.config.cores];
-        self.run_partitioned_with_hooks(parts, flat_inputs, queries, states, &mut hooks)
-    }
-
-    /// [`MultiCoreProcessor::run_partitioned`] with one trace recorder per
-    /// core.  Each stage's events are rebased onto the global pipeline
-    /// timeline (`start_j + q × II`), so any change to stage cycles or
-    /// interconnect latency shifts the recorded cycles and is caught by the
-    /// trace differ.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MultiCoreProcessor::run_partitioned`], plus
-    /// [`ProcessorError::InvalidConfig`] when fewer recorders than stages
-    /// are supplied.
-    pub fn run_partitioned_traced(
-        &self,
-        parts: &PartitionedProgram,
-        flat_inputs: &[f64],
-        queries: usize,
-        states: &mut Vec<SimState>,
-        recorders: &mut [TraceRecorder],
-    ) -> Result<MultiCoreBatch> {
-        self.check_hooks(recorders.len(), parts.stages.len())?;
-        self.run_partitioned_with_hooks(parts, flat_inputs, queries, states, recorders)
-    }
-
-    fn run_partitioned_with_hooks<H: TraceHook>(
-        &self,
-        parts: &PartitionedProgram,
-        flat_inputs: &[f64],
-        queries: usize,
-        states: &mut Vec<SimState>,
-        hooks: &mut [H],
-    ) -> Result<MultiCoreBatch> {
-        parts.validate(self.config.cores)?;
-        let stages = &parts.stages;
-        let num_stages = stages.len();
-        if flat_inputs.len() != queries * parts.num_inputs {
-            return Err(ProcessorError::InputMismatch {
-                expected: queries * parts.num_inputs,
-                got: flat_inputs.len(),
-            });
-        }
-        if states.len() < num_stages {
-            *states = vec![SimState::default(); self.config.cores];
-        }
-
-        let flows = stages
-            .iter()
-            .map(|stage| Dataflow::checked(&self.core, &stage.program, H::ENABLED))
-            .collect::<Result<Vec<_>>>()?;
-        let (cores, starts, ii) = self.pipelined_perf(parts, queries);
-
-        // Queries are independent, so the stages run one after the other
-        // over the whole batch; each leaves its exports (query-major) for
-        // the later stages, and the last one's outputs are the batch's.
-        let mut outputs = vec![0.0; queries];
-        let mut exports: Vec<Vec<f64>> = Vec::with_capacity(num_stages);
-        let mut local_inputs: Vec<f64> = Vec::new();
-        for (j, (stage, flow)) in stages.iter().zip(&flows).enumerate() {
-            local_inputs.clear();
-            for q in 0..queries {
-                let global = &flat_inputs[q * parts.num_inputs..(q + 1) * parts.num_inputs];
-                for src in &stage.inputs {
-                    local_inputs.push(match *src {
-                        TransferSource::Input(i) => global[i as usize],
-                        TransferSource::Core { core, export } => {
-                            let k = core as usize;
-                            exports[k][q * stages[k].program.exports.len() + export as usize]
-                        }
-                    });
-                }
-            }
-            let mut stage_exports = vec![0.0; queries * stage.program.exports.len()];
-            flow.run(
-                &local_inputs,
-                &mut outputs,
-                &mut stage_exports,
-                &mut states[j],
-                &mut hooks[j],
-                |hook, q| {
-                    hook.on_query(q as u64);
-                    hook.rebase(starts[j] + q as u64 * ii);
-                },
-            );
-            exports.push(stage_exports);
-        }
-        let perf = cores.merged(&self.config.name(), queries as u64);
-        Ok(MultiCoreBatch {
-            outputs,
-            perf,
-            cores,
-        })
-    }
-
     /// Cycles core `core` loses to wave arbitration over `work`'s transactions.
     fn memory_stall(&self, core: usize, work: &PerfReport) -> u64 {
         self.config.shared_memory.wave_penalty(core) * (work.memory_loads + work.memory_stores)
     }
 
-    /// Closes an attribution: core `c` did `work[c].0` and waited `work[c].1`
-    /// cycles on the interconnect, the other cores ran nothing, and each idles
-    /// for the rest of `makespan` (the busiest core when `None`).
-    fn attribute(
-        &self,
-        work: impl IntoIterator<Item = (PerfReport, u64)>,
-        makespan: Option<u64>,
-    ) -> MultiCorePerf {
+    /// Closes an attribution: core `c` did `work[c]`, the other cores ran
+    /// nothing, and each idles until the busiest core is done.
+    fn attribute(&self, work: impl IntoIterator<Item = PerfReport>) -> MultiCorePerf {
         let mut per_core: Vec<CorePerf> = (0..self.config.cores)
             .map(|core| CorePerf {
                 core,
                 ..CorePerf::default()
             })
             .collect();
-        for (core, (work, interconnect_stall)) in per_core.iter_mut().zip(work) {
+        for (core, work) in per_core.iter_mut().zip(work) {
             core.compute_cycles = work.cycles;
             core.memory_stall_cycles = self.memory_stall(core.core, &work);
-            core.interconnect_stall_cycles = interconnect_stall;
             core.work = work;
         }
-        let busiest = per_core.iter().map(CorePerf::busy_cycles).max();
-        let makespan_cycles = makespan.or(busiest).unwrap_or(0);
+        let makespan_cycles = per_core
+            .iter()
+            .map(CorePerf::busy_cycles)
+            .max()
+            .unwrap_or(0);
         for core in &mut per_core {
             core.idle_cycles = makespan_cycles - core.busy_cycles();
         }
@@ -556,53 +313,8 @@ impl MultiCoreProcessor {
     /// makespan.
     fn shard_attribution(&self, per_query: &PerfReport, queries: usize) -> MultiCorePerf {
         let shards = Self::shard_ranges_by_cost(&self.pass_costs(per_query), queries);
-        let work = shards.iter().map(|s| (per_query.times(s.len() as u64), 0));
-        self.attribute(work, None)
-    }
-
-    /// The attribution of `queries` passes through the pipeline `parts`, the
-    /// start cycle of every stage and the initiation interval (stage `j`
-    /// begins query `q` at `starts[j] + q × II` on the global timeline).
-    fn pipelined_perf(
-        &self,
-        parts: &PartitionedProgram,
-        queries: usize,
-    ) -> (MultiCorePerf, Vec<u64>, u64) {
-        let stages = &parts.stages;
-        let per_query: Vec<PerfReport> = stages.iter().map(|s| s.program.perf()).collect();
-        let mut stage_cycles = vec![0u64; stages.len()];
-        let mut starts = vec![0u64; stages.len()];
-        let mut exposed_transfer = vec![0u64; stages.len()];
-        for j in 0..stages.len() {
-            stage_cycles[j] = per_query[j].cycles + self.memory_stall(j, &per_query[j]);
-            let mut start = 0u64;
-            let mut producers_done = 0u64;
-            for src in &stages[j].inputs {
-                if let TransferSource::Core { core, .. } = *src {
-                    let k = core as usize;
-                    let finish = starts[k] + stage_cycles[k];
-                    start = start.max(finish + self.config.interconnect.latency(k, j));
-                    producers_done = producers_done.max(finish);
-                }
-            }
-            starts[j] = start;
-            // The wait beyond "all producers finished" is transfer latency
-            // exposed once at pipeline fill; steady-state transfers overlap
-            // with the previous query's compute.
-            exposed_transfer[j] = start - producers_done;
-        }
-        let ii = stage_cycles.iter().copied().max().unwrap_or(0);
-        let last = stages.len() - 1;
-        let makespan = if queries == 0 {
-            // An empty batch never fills the pipeline.
-            exposed_transfer.fill(0);
-            0
-        } else {
-            starts[last] + stage_cycles[last] + (queries as u64 - 1) * ii
-        };
-        let work = per_query.iter().map(|perf| perf.times(queries as u64));
-        let cores = self.attribute(work.zip(exposed_transfer), Some(makespan));
-        (cores, starts, ii)
+        let work = shards.iter().map(|s| per_query.times(s.len() as u64));
+        self.attribute(work)
     }
 }
 
@@ -649,72 +361,8 @@ mod tests {
             input_layout: (0..4).map(|lane| InputSlot { row: 0, lane }).collect(),
             memory_rows_used: 1,
             output: ValueLocation::Register { bank: 0, reg: 1 },
-            exports: Vec::new(),
             num_source_ops: 3,
             pe_precision: Precision::F64,
-        }
-    }
-
-    /// Two-stage pipeline computing (a + b) × c: stage 0 exports a + b,
-    /// stage 1 multiplies the import by global input c.
-    fn two_stage_pipeline() -> PartitionedProgram {
-        let config = cfg();
-        // Stage 0: load (a, b), add, export the sum.
-        let mut load = Instruction::nop(&config);
-        load.mem = MemOp::Load { row: 0, reg: 0 };
-        let mut compute = Instruction::nop(&config);
-        compute.trees[0].reads[0] = ReadSel::Reg { bank: 0, reg: 0 };
-        compute.trees[0].reads[1] = ReadSel::Reg { bank: 1, reg: 0 };
-        compute.trees[0].pe_ops[TreeInstr::pe_flat_index(&config, 0, 0)] = PeOp::Add;
-        compute.trees[0].writes.push(WriteCmd {
-            level: 0,
-            pe: 0,
-            bank: 0,
-            reg: 1,
-        });
-        let stage0 = CoreProgram {
-            program: Program {
-                config: config.clone(),
-                instructions: vec![load.clone(), compute],
-                input_layout: vec![InputSlot { row: 0, lane: 0 }, InputSlot { row: 0, lane: 1 }],
-                memory_rows_used: 1,
-                output: ValueLocation::Register { bank: 0, reg: 1 },
-                exports: vec![ValueLocation::Register { bank: 0, reg: 1 }],
-                num_source_ops: 1,
-                pe_precision: Precision::F64,
-            },
-            inputs: vec![TransferSource::Input(0), TransferSource::Input(1)],
-        };
-        // Stage 1: load (sum, c), multiply.
-        let mut compute = Instruction::nop(&config);
-        compute.trees[0].reads[0] = ReadSel::Reg { bank: 0, reg: 0 };
-        compute.trees[0].reads[1] = ReadSel::Reg { bank: 1, reg: 0 };
-        compute.trees[0].pe_ops[TreeInstr::pe_flat_index(&config, 0, 0)] = PeOp::Mul;
-        compute.trees[0].writes.push(WriteCmd {
-            level: 0,
-            pe: 0,
-            bank: 1,
-            reg: 1,
-        });
-        let stage1 = CoreProgram {
-            program: Program {
-                config: config.clone(),
-                instructions: vec![load, compute],
-                input_layout: vec![InputSlot { row: 0, lane: 0 }, InputSlot { row: 0, lane: 1 }],
-                memory_rows_used: 1,
-                output: ValueLocation::Register { bank: 1, reg: 1 },
-                exports: Vec::new(),
-                num_source_ops: 1,
-                pe_precision: Precision::F64,
-            },
-            inputs: vec![
-                TransferSource::Core { core: 0, export: 0 },
-                TransferSource::Input(2),
-            ],
-        };
-        PartitionedProgram {
-            stages: vec![stage0, stage1],
-            num_inputs: 3,
         }
     }
 
@@ -935,7 +583,6 @@ mod tests {
             input_layout: vec![InputSlot { row: 0, lane: 0 }, InputSlot { row: 0, lane: 1 }],
             memory_rows_used: 1,
             output: ValueLocation::Register { bank: 1, reg: 3 },
-            exports: Vec::new(),
             num_source_ops: 1,
             pe_precision: Precision::F64,
         };
@@ -1071,130 +718,35 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_pipeline_computes_and_accounts() {
-        let parts = two_stage_pipeline();
-        let mc = MultiCoreProcessor::new(MultiCoreConfig::new(2, cfg())).unwrap();
-        let mut states = Vec::new();
-        let flat: Vec<f64> = [[1.0, 2.0, 3.0], [0.5, 0.25, 4.0], [10.0, -1.0, 2.0]].concat();
-        let batch = mc.run_partitioned(&parts, &flat, 3, &mut states).unwrap();
-        assert_eq!(batch.outputs, vec![9.0, 3.0, 18.0]);
-        batch.cores.check_accounting().unwrap();
-        // Stage 0 takes 2 cycles (load, compute; leaf commits same cycle);
-        // stage 1 takes 3 (plus one shared-memory wave cycle on its load)
-        // and starts after stage 0 finishes plus the 0→1 transfer
-        // (2 setup + 1 hop).  The slowest stage sets the initiation
-        // interval.
-        let ii = 3;
-        let start1 = 2 + 3;
-        assert_eq!(batch.cores.makespan_cycles, start1 + 3 + (3 - 1) * ii);
-        assert_eq!(batch.cores.per_core[0].interconnect_stall_cycles, 0);
-        assert_eq!(batch.cores.per_core[1].interconnect_stall_cycles, 3);
-        assert_eq!(batch.perf.queries, 3);
-        assert_eq!(batch.perf.source_ops, 2 * 3);
-    }
-
-    #[test]
-    fn partitioned_traces_sit_on_the_global_timeline() {
-        let parts = two_stage_pipeline();
-        let mc = MultiCoreProcessor::new(MultiCoreConfig::new(2, cfg())).unwrap();
-        let mut states = Vec::new();
-        let mut recorders = vec![TraceRecorder::new(0), TraceRecorder::new(1)];
-        let flat = vec![1.0, 2.0, 3.0];
-        mc.run_partitioned_traced(&parts, &flat, 1, &mut states, &mut recorders)
-            .unwrap();
-        let stage1 = recorders[1].render();
-        // Stage 1 starts at global cycle 5 (stage 0 cycles + transfer).
-        assert!(stage1.contains("C00005 core=1 mem load"), "{stage1}");
-        // A slower interconnect shifts stage 1's rows — the divergence the
-        // golden-trace suite pins.
-        let mut config = MultiCoreConfig::new(2, cfg());
-        config.interconnect.hop_latency += 2;
-        let slow = MultiCoreProcessor::new(config).unwrap();
-        let mut slow_recorders = vec![TraceRecorder::new(0), TraceRecorder::new(1)];
-        slow.run_partitioned_traced(&parts, &flat, 1, &mut Vec::new(), &mut slow_recorders)
-            .unwrap();
-        let divergence = crate::trace::diff_traces(&stage1, &slow_recorders[1].render()).unwrap();
-        assert_eq!(divergence.line, 2); // query marker matches, first row moves
-        assert_eq!(divergence.cycle, Some(5));
-    }
-
-    #[test]
-    fn malformed_partitions_are_rejected() {
-        let mc = MultiCoreProcessor::new(MultiCoreConfig::new(2, cfg())).unwrap();
-        let parts = two_stage_pipeline();
-        // More stages than cores.
-        let single = MultiCoreProcessor::new(MultiCoreConfig::new(1, cfg())).unwrap();
-        assert!(matches!(
-            single.run_partitioned(&parts, &[0.0; 3], 1, &mut Vec::new()),
-            Err(ProcessorError::InvalidConfig { .. })
-        ));
-        // Import from a non-earlier core.
-        let mut bad = two_stage_pipeline();
-        bad.stages[1].inputs[0] = TransferSource::Core { core: 1, export: 0 };
-        assert!(bad.validate(2).is_err());
-        // Export index out of range.
-        let mut bad = two_stage_pipeline();
-        bad.stages[1].inputs[0] = TransferSource::Core { core: 0, export: 9 };
-        assert!(bad.validate(2).is_err());
-        // Global input out of range.
-        let mut bad = two_stage_pipeline();
-        bad.stages[0].inputs[0] = TransferSource::Input(7);
-        assert!(bad.validate(2).is_err());
-        // A dangling non-final stage breaks pipeline accounting.
-        let mut bad = two_stage_pipeline();
-        bad.stages[1].inputs[0] = TransferSource::Input(0);
-        assert!(bad.validate(2).is_err());
-        // The good pipeline passes on the 2-core machine.
-        let flat = vec![1.0, 2.0, 3.0];
-        assert!(mc
-            .run_partitioned(&parts, &flat, 1, &mut Vec::new())
-            .is_ok());
-    }
-
-    #[test]
     fn attribution_accounts_for_every_shape_without_simulating() {
         let program = sum_of_products_program();
-        let one_stage = PartitionedProgram {
-            stages: vec![CoreProgram {
-                inputs: (0..4).map(TransferSource::Input).collect(),
-                program: program.clone(),
-            }],
-            num_inputs: 4,
-        };
-        let two_stages = two_stage_pipeline();
         for cores in 1..=4usize {
             let mc = MultiCoreProcessor::new(MultiCoreConfig::new(cores, cfg())).unwrap();
-            let parts = if cores == 1 { &one_stage } else { &two_stages };
             for queries in 0..=9usize {
-                let sharded = mc.shard_attribution(&program.perf(), queries);
-                let (pipelined, starts, _) = mc.pipelined_perf(parts, queries);
-                assert_eq!(starts[0], 0);
-                // Sharded runs charge each query once, pipelined runs once
-                // per stage.
-                let passes = [queries, queries * parts.stages.len()];
-                for (perf, passes) in [sharded, pipelined].iter().zip(passes) {
-                    let context = format!("{cores} cores, {queries} queries: {perf}");
-                    perf.check_accounting().expect(&context);
-                    assert_eq!(perf.per_core.len(), cores, "{context}");
-                    let mut work = PerfReport::default();
-                    let mut modeled_stalls = 0;
-                    for core in &perf.per_core {
-                        assert_eq!(core.work.cycles, core.compute_cycles, "{context}");
-                        work.merge(&core.work);
-                        modeled_stalls += core.memory_stall_cycles + core.interconnect_stall_cycles;
-                    }
-                    assert_eq!(work.queries as usize, passes, "{context}");
-                    if queries == 0 {
-                        assert_eq!(perf.makespan_cycles, 0, "{context}");
-                        assert_eq!(modeled_stalls, 0, "{context}");
-                    }
-                    let merged = perf.merged("mc", queries as u64);
-                    work.platform = "mc".to_string();
-                    work.queries = queries as u64;
-                    work.cycles = perf.makespan_cycles;
-                    work.stall_cycles += modeled_stalls;
-                    assert_eq!(merged, work, "{context}");
+                let perf = mc.shard_attribution(&program.perf(), queries);
+                let context = format!("{cores} cores, {queries} queries: {perf}");
+                perf.check_accounting().expect(&context);
+                assert_eq!(perf.per_core.len(), cores, "{context}");
+                let mut work = PerfReport::default();
+                let mut modeled_stalls = 0;
+                for core in &perf.per_core {
+                    assert_eq!(core.work.cycles, core.compute_cycles, "{context}");
+                    assert_eq!(core.interconnect_stall_cycles, 0, "{context}");
+                    work.merge(&core.work);
+                    modeled_stalls += core.memory_stall_cycles;
                 }
+                // Each query is charged once, to the core whose shard holds it.
+                assert_eq!(work.queries as usize, queries, "{context}");
+                if queries == 0 {
+                    assert_eq!(perf.makespan_cycles, 0, "{context}");
+                    assert_eq!(modeled_stalls, 0, "{context}");
+                }
+                let merged = perf.merged("mc", queries as u64);
+                work.platform = "mc".to_string();
+                work.queries = queries as u64;
+                work.cycles = perf.makespan_cycles;
+                work.stall_cycles += modeled_stalls;
+                assert_eq!(merged, work, "{context}");
             }
         }
     }

@@ -99,8 +99,8 @@ impl PerfReport {
 
 /// Cycle attribution of one core of a multi-core run.
 ///
-/// The four cycle classes partition the makespan exactly:
-/// `compute + memory stall + interconnect stall + idle = makespan`
+/// The three cycle classes partition the makespan exactly:
+/// `compute + memory stall + idle = makespan`
 /// ([`MultiCorePerf::check_accounting`] verifies this, and a property test
 /// pins it for random workloads).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -112,11 +112,13 @@ pub struct CorePerf {
     pub compute_cycles: u64,
     /// Cycles lost to shared-parameter-memory port contention.
     pub memory_stall_cycles: u64,
-    /// Cycles exposed waiting on in-flight inter-core transfers (pipeline
-    /// fill; steady-state transfers overlap with compute).
+    /// Always 0: no value crosses between cores, because every core runs the
+    /// whole program on its own shard.  The field stays because readers of
+    /// the attribution still name it: the repository benchmark reports it
+    /// as `processor.mc4_interconnect_stall_cycles`, and the golden traces'
+    /// footer prints it as `icstall=`.
     pub interconnect_stall_cycles: u64,
-    /// Cycles the core sat idle (no shard left, or waiting for an upstream
-    /// pipeline stage beyond the exposed transfer latency).
+    /// Cycles the core sat idle (its shard done before the busiest core's).
     pub idle_cycles: u64,
     /// The core's ordinary work counters (its queries, issued ops, memory
     /// traffic, ...); `work.cycles` equals `compute_cycles`.
@@ -125,9 +127,9 @@ pub struct CorePerf {
 
 impl CorePerf {
     /// Cycles the core was doing or waiting on something attributable:
-    /// compute + memory stalls + interconnect stalls.
+    /// compute + memory stalls.
     pub fn busy_cycles(&self) -> u64 {
-        self.compute_cycles + self.memory_stall_cycles + self.interconnect_stall_cycles
+        self.compute_cycles + self.memory_stall_cycles
     }
 
     /// Total cycles accounted for; equals the makespan in a consistent
@@ -149,12 +151,9 @@ pub struct MultiCorePerf {
 impl MultiCorePerf {
     /// Folds the per-core attribution into one batch-level [`PerfReport`]:
     /// work counters are summed across cores, `cycles` is the makespan (so
-    /// `cycles_per_query` reflects the parallel speedup), and modeled
-    /// memory/interconnect stalls are added to the summed stall count.
-    ///
-    /// `queries` is passed explicitly because the two execution modes count
-    /// differently: sharded runs spread the batch over cores (the sum of
-    /// per-core queries), pipelined runs push every query through every core.
+    /// `cycles_per_query` reflects the parallel speedup), modeled memory
+    /// stalls are added to the summed stall count, and `queries` is the
+    /// batch's length.
     pub fn merged(&self, platform: &str, queries: u64) -> PerfReport {
         let mut merged = PerfReport {
             platform: platform.to_string(),
@@ -162,7 +161,7 @@ impl MultiCorePerf {
         };
         for core in &self.per_core {
             merged.merge(&core.work);
-            merged.stall_cycles += core.memory_stall_cycles + core.interconnect_stall_cycles;
+            merged.stall_cycles += core.memory_stall_cycles;
         }
         merged.queries = queries;
         merged.cycles = self.makespan_cycles;
@@ -170,8 +169,7 @@ impl MultiCorePerf {
     }
 
     /// Verifies the cycle-accounting invariant: every core's
-    /// compute + memory stall + interconnect stall + idle cycles equal the
-    /// makespan.
+    /// compute + memory stall + idle cycles equal the makespan.
     ///
     /// # Errors
     ///
@@ -181,11 +179,10 @@ impl MultiCorePerf {
         for core in &self.per_core {
             if core.accounted_cycles() != self.makespan_cycles {
                 return Err(format!(
-                    "core {}: compute {} + mem {} + interconnect {} + idle {} = {} != makespan {}",
+                    "core {}: compute {} + mem {} + idle {} = {} != makespan {}",
                     core.core,
                     core.compute_cycles,
                     core.memory_stall_cycles,
-                    core.interconnect_stall_cycles,
                     core.idle_cycles,
                     core.accounted_cycles(),
                     self.makespan_cycles
@@ -202,12 +199,8 @@ impl std::fmt::Display for MultiCorePerf {
         for core in &self.per_core {
             write!(
                 f,
-                "; core {}: {}c/{}m/{}i/{}idle",
-                core.core,
-                core.compute_cycles,
-                core.memory_stall_cycles,
-                core.interconnect_stall_cycles,
-                core.idle_cycles
+                "; core {}: {}c/{}m/{}idle",
+                core.core, core.compute_cycles, core.memory_stall_cycles, core.idle_cycles
             )?;
         }
         Ok(())

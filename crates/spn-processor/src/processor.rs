@@ -34,9 +34,6 @@ use crate::Result;
 pub struct ExecutionResult {
     /// The SPN root value computed by the program.
     pub output: f64,
-    /// The values of the program's export locations ([`Program::exports`]),
-    /// in declaration order; empty for ordinary single-output programs.
-    pub exports: Vec<f64>,
     /// Performance counters of the run ([`Program::perf`]).
     pub perf: PerfReport,
 }
@@ -57,9 +54,9 @@ pub struct ExecutionResult {
 /// a bigger program comes along; the inputs stay where the caller holds
 /// them, a lane tile or query-major input vectors.  The lowering is
 /// not kept here: a [`CheckedProgram`] holds it for the whole plan, the
-/// multi-core runners ([`crate::MultiCoreProcessor::run_batch_sharded`] and
-/// [`crate::MultiCoreProcessor::run_partitioned`]) lower once per call, and
-/// a single-query [`Processor::run_with`] lowers on every call.
+/// multi-core runner ([`crate::MultiCoreProcessor::run_batch_sharded`])
+/// lowers once per call, and a single-query [`Processor::run_with`] lowers
+/// on every call.
 #[derive(Debug, Clone, Default)]
 pub struct SimState {
     /// Slot-major, one lane per query of a replayed block.
@@ -109,12 +106,11 @@ impl CheckedProgram {
     /// `input_layout.len() × lanes` long or `outputs` is not `lanes` long.
     pub fn run_block(&self, lanes: usize, tile: &[f64], outputs: &mut [f64], state: &mut SimState) {
         let tile = Inputs::Tile(tile);
-        self.flow
-            .run_block(lanes, tile, outputs, &mut [], &mut state.slots);
+        self.flow.run_block(lanes, tile, outputs, &mut state.slots);
     }
 
     /// The input slots [`CheckedProgram::run_block`] reads, ascending:
-    /// those some PE step, the output or an export reads.  A tile whose
+    /// those some PE step or the output reads.  A tile whose
     /// other lane groups hold anything replays to the same bits, so a
     /// block fill can leave them alone.
     pub fn inputs_read(&self) -> Vec<u32> {
@@ -250,8 +246,7 @@ impl Processor {
     /// count, every PE write-back (PE exists, bank reachable, register in
     /// range, one committing write per bank per cycle), the copies, and the
     /// store (row; every bank free of in-flight writes before it takes
-    /// their read ports); finally the input slots and the output and export
-    /// locations.
+    /// their read ports); finally the input slots and the output location.
     ///
     /// Against the per-query interpreter it replaced (PR 20), which enforced
     /// the rules while it ran a query, the verdict on a program is the same and three things
@@ -382,13 +377,11 @@ impl Processor {
             word(slot.row, slot.lane, 0)?;
         }
         let end = program.len() as u64;
-        for loc in std::iter::once(&program.output).chain(&program.exports) {
-            match *loc {
-                ValueLocation::Register { bank, reg } => {
-                    hazards.address(bank as usize, reg as usize, end)?;
-                }
-                ValueLocation::Memory { row, lane } => word(row, lane, end)?,
+        match program.output {
+            ValueLocation::Register { bank, reg } => {
+                hazards.address(bank as usize, reg as usize, end)?;
             }
+            ValueLocation::Memory { row, lane } => word(row, lane, end)?,
         }
         Ok(())
     }
@@ -460,11 +453,9 @@ impl Processor {
             });
         }
         let mut output = [0.0];
-        let mut exports = vec![0.0; program.exports.len()];
-        flow.run(inputs, &mut output, &mut exports, state, hook, |_, _| {});
+        flow.run(inputs, &mut output, state, hook, |_, _| {});
         Ok(ExecutionResult {
             output: output[0],
-            exports,
             perf: program.perf(),
         })
     }
@@ -514,7 +505,6 @@ mod tests {
             input_layout: (0..4).map(|lane| InputSlot { row: 0, lane }).collect(),
             memory_rows_used: 1,
             output: ValueLocation::Register { bank: 0, reg: 1 },
-            exports: Vec::new(),
             num_source_ops: 3,
             pe_precision: crate::precision::Precision::F64,
         }
@@ -703,8 +693,8 @@ mod tests {
     }
 
     /// The reference program with a second write-back of the level-1 root
-    /// PE (span: banks 0..4) to `(bank, 1)`, exported, and a third cycle
-    /// that adds the two homes into bank 0, register 2, the output.
+    /// PE (span: banks 0..4) to `(bank, 1)`, and a third cycle that adds
+    /// the two homes into bank 0, register 2, the output.
     fn two_homes_program(bank: u16) -> Program {
         let mut program = sum_of_products_program();
         program.instructions[1].trees[0].writes.push(WriteCmd {
@@ -727,24 +717,25 @@ mod tests {
         program.instructions.push(Instruction::nop(&program.config));
         program.instructions.push(sum);
         program.output = ValueLocation::Register { bank: 0, reg: 2 };
-        program.exports = vec![
-            ValueLocation::Register { bank: 0, reg: 1 },
-            ValueLocation::Register { bank, reg: 1 },
-        ];
         program.num_source_ops = 4;
         program
     }
 
     #[test]
     fn one_pe_writes_two_banks_of_its_span_in_one_cycle() {
-        let program = two_homes_program(2);
+        let mut program = two_homes_program(2);
         let proc = Processor::new(cfg()).unwrap();
         proc.check(&program)
             .expect("two write-backs of one PE are legal");
         let run = proc.run(&program, &[2.0, 3.0, 4.0, 5.0]).unwrap();
-        assert_eq!(run.exports, [45.0, 45.0]);
         assert_eq!(run.output, 90.0);
         assert_eq!(run.perf.writebacks, 3);
+        // Each home in turn as the output: both hold the root.
+        for bank in [0, 2] {
+            program.output = ValueLocation::Register { bank, reg: 1 };
+            let run = proc.run(&program, &[2.0, 3.0, 4.0, 5.0]).unwrap();
+            assert_eq!(run.output, 45.0, "bank {bank}");
+        }
     }
 
     #[test]
@@ -783,7 +774,6 @@ mod tests {
             input_layout: (0..32).map(|lane| InputSlot { row: 0, lane }).collect(),
             memory_rows_used: 2,
             output,
-            exports: Vec::new(),
             num_source_ops: 0,
             pe_precision: crate::precision::Precision::F64,
             config,
@@ -1003,9 +993,6 @@ mod tests {
                 ),
                 "{loc:?}: {verdict:?}"
             );
-            let mut exported = after_load(Vec::new(), R0);
-            exported.exports = vec![R0, loc];
-            assert!(check(&exported).is_err(), "export {loc:?}");
         }
         let row = ValueLocation::Memory { row: 2, lane: 0 };
         assert_eq!(
@@ -1065,7 +1052,7 @@ mod tests {
     #[test]
     fn inputs_land_in_their_slots_and_a_short_vector_writes_nothing() {
         let config = cfg();
-        let program = Program {
+        let mut program = Program {
             instructions: Vec::new(),
             input_layout: vec![
                 InputSlot { row: 0, lane: 0 },
@@ -1074,11 +1061,6 @@ mod tests {
             ],
             memory_rows_used: 3,
             output: ValueLocation::Memory { row: 2, lane: 5 },
-            exports: vec![
-                ValueLocation::Memory { row: 0, lane: 0 },
-                ValueLocation::Memory { row: 0, lane: 31 },
-                ValueLocation::Memory { row: 1, lane: 5 },
-            ],
             num_source_ops: 0,
             pe_precision: crate::precision::Precision::F64,
             config,
@@ -1086,29 +1068,32 @@ mod tests {
         assert!(program.is_empty());
         assert_eq!(program.perf().stall_cycles, 0);
         let proc = Processor::new(cfg()).unwrap();
-        let mut state = SimState::default();
-        let run = proc
-            .run_with(&program, &[1.0, 2.0, 3.0], &mut state)
-            .unwrap();
-        assert_eq!((run.output, run.exports), (3.0, vec![1.0, 2.0, 0.0]));
-        assert!(matches!(
-            proc.run_with(&program, &[9.0], &mut state),
-            Err(ProcessorError::InputMismatch {
-                expected: 3,
-                got: 1
-            })
-        ));
-        // The rejected vector left nothing behind: the first query's inputs
-        // give the first query's results.
-        let again = proc
-            .run_with(&program, &[1.0, 2.0, 3.0], &mut state)
-            .unwrap();
-        assert_eq!((again.output, again.exports), (3.0, vec![1.0, 2.0, 0.0]));
-        // The next query zeroes what it does not set.
-        let run = proc
-            .run_with(&program, &[0.0, 5.0, 6.0], &mut state)
-            .unwrap();
-        assert_eq!((run.output, run.exports), (6.0, vec![0.0, 5.0, 0.0]));
+        // Each word in turn as the output, with what it holds after the
+        // first query, after the same query again and after a third one.
+        let words = [
+            ((2, 5), [3.0, 3.0, 6.0]),
+            ((0, 0), [1.0, 1.0, 0.0]),
+            ((0, 31), [2.0, 2.0, 5.0]),
+            ((1, 5), [0.0, 0.0, 0.0]),
+        ];
+        for ((row, lane), want) in words {
+            program.output = ValueLocation::Memory { row, lane };
+            let mut state = SimState::default();
+            let mut run = |inputs: &[f64]| proc.run_with(&program, inputs, &mut state);
+            assert_eq!(run(&[1.0, 2.0, 3.0]).unwrap().output, want[0]);
+            assert!(matches!(
+                run(&[9.0]),
+                Err(ProcessorError::InputMismatch {
+                    expected: 3,
+                    got: 1
+                })
+            ));
+            // The rejected vector left nothing behind: the first query's
+            // inputs give the first query's results.
+            assert_eq!(run(&[1.0, 2.0, 3.0]).unwrap().output, want[1]);
+            // The next query zeroes what it does not set.
+            assert_eq!(run(&[0.0, 5.0, 6.0]).unwrap().output, want[2]);
+        }
     }
 
     #[test]
@@ -1128,7 +1113,6 @@ mod tests {
             input_layout: vec![InputSlot { row: 0, lane: 2 }],
             memory_rows_used: 1,
             output: ValueLocation::Register { bank: 2, reg: 7 },
-            exports: Vec::new(),
             num_source_ops: 0,
             pe_precision: crate::precision::Precision::F64,
         };
@@ -1150,7 +1134,6 @@ mod tests {
             input_layout: vec![InputSlot { row: 0, lane: 9 }],
             memory_rows_used: 2,
             output: ValueLocation::Memory { row: 1, lane: 9 },
-            exports: Vec::new(),
             num_source_ops: 0,
             pe_precision: crate::precision::Precision::F64,
         };
@@ -1181,7 +1164,6 @@ mod tests {
             input_layout: vec![InputSlot { row: 0, lane: 0 }, InputSlot { row: 0, lane: 1 }],
             memory_rows_used: 1,
             output: ValueLocation::Register { bank: 1, reg: 3 },
-            exports: Vec::new(),
             num_source_ops: 1,
             pe_precision: crate::precision::Precision::F64,
         };

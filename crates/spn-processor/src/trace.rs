@@ -66,8 +66,8 @@ pub(crate) trait TraceHook {
     fn on_query(&mut self, _index: u64) {}
 
     /// The simulator's local cycle 0 now corresponds to global cycle `cycle`
-    /// (multi-core runners call this to place pipeline stages on the global
-    /// timeline; the default does nothing).
+    /// (the multi-core runner calls this to place each query on its core's
+    /// shard timeline; the default does nothing).
     fn rebase(&mut self, _cycle: u64) {}
 }
 
@@ -167,8 +167,8 @@ impl TraceRecorder {
     }
 
     /// Sets the offset added to simulator-local cycles, placing subsequent
-    /// events on the global multi-core timeline (e.g. the scheduled start
-    /// cycle of a pipeline stage).
+    /// events on the global multi-core timeline (the start cycle of a query
+    /// on its core's shard).
     pub(crate) fn set_cycle_offset(&mut self, offset: u64) {
         self.cycle_offset = offset;
     }

@@ -143,16 +143,6 @@ const PINNED_COUNTERS: &[(&str, Counters, Counters)] = &[
         [6, 6, 0, 8, 16, 8, 1, 0],
     ),
     (
-        "chain_2core_pipelined",
-        [21, 21, 7, 21, 34, 13, 1, 0],
-        [15, 15, 0, 21, 42, 27, 1, 0],
-    ),
-    (
-        "chain_log_3core_pipelined",
-        [21, 21, 7, 21, 34, 13, 1, 0],
-        [15, 15, 0, 21, 42, 27, 1, 0],
-    ),
-    (
         "sampler_2core_sharded",
         [5, 5, 3, 15, 16, 1, 1, 0],
         [5, 5, 0, 15, 30, 15, 1, 0],

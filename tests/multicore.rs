@@ -7,10 +7,9 @@
 //!   every emulated PE precision, under serial and host-sharded dispatch;
 //!   so does a learned circuit whose input slots share data-memory words.
 //!   These are slices of the parity matrix (`tests/parity/mod.rs`).
-//! * **Cycle accounting** — every core's compute + memory-stall +
-//!   interconnect-stall + idle cycles partition the makespan exactly, and
-//!   the merged batch report is the sum of the per-core reports, for both
-//!   batch-sharded and pipelined/partitioned execution.
+//! * **Cycle accounting** — every core's compute + memory-stall + idle
+//!   cycles partition the makespan exactly, and the merged batch report is
+//!   the sum of the per-core reports.
 //! * **Cost-sized shards** — each core's shard is sized by its
 //!   wave-arbitrated pass cost: exact shard lengths, makespans and speedups
 //!   on learned KDDCup2k and MSNBC, and on all nine Fig. 4 circuits a
@@ -62,7 +61,7 @@ fn n_core_parity_across_modes_numerics_and_precisions() {
 
 /// Sums the per-core work reports and checks them against the merged batch
 /// report (whose `cycles` is the makespan and whose `stall_cycles` add the
-/// modeled memory/interconnect stalls on top of the in-program stalls).
+/// modeled memory stalls on top of the in-program stalls).
 fn assert_merged_is_sum(run: &spn_accel::processor::MultiCoreBatch, context: &str) {
     let cores = &run.cores;
     cores
@@ -83,7 +82,7 @@ fn assert_merged_is_sum(run: &spn_accel::processor::MultiCoreBatch, context: &st
             core.core
         );
         work.merge(&core.work);
-        modeled_stalls += core.memory_stall_cycles + core.interconnect_stall_cycles;
+        modeled_stalls += core.memory_stall_cycles;
     }
     assert_eq!(
         run.perf.cycles, cores.makespan_cycles,
@@ -177,62 +176,6 @@ fn per_core_cycles_partition_the_makespan_for_sharded_runs() {
 }
 
 #[test]
-fn per_core_cycles_partition_the_makespan_for_pipelined_runs() {
-    for seed in [21u64, 22] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let spn = random_spn(&RandomSpnConfig::with_vars(9), &mut rng);
-        let ops = spn_accel::core::flatten::OpList::from_spn(&spn);
-        let compiler = Compiler::new(ProcessorConfig::ptree());
-        let batch = parity::rows(spn.num_vars(), 11);
-        for cores in [2usize, 3] {
-            let parted = compiler
-                .compile_partitioned(ops.clone(), cores)
-                .expect("partition");
-            let mut flat = Vec::new();
-            parted
-                .input_recipe()
-                .fill_batch(&batch, &mut flat)
-                .expect("fill");
-            let processor =
-                MultiCoreProcessor::new(MultiCoreConfig::new(cores, ProcessorConfig::ptree()))
-                    .expect("processor");
-            let mut states = Vec::new();
-            let run = processor
-                .run_partitioned(&parted.parts, &flat, batch.len(), &mut states)
-                .expect("pipelined run");
-            assert_merged_is_sum(&run, &format!("seed {seed}, {cores} cores, pipelined"));
-            // The same for a pipeline: every stage is charged the batch
-            // length × its own program's `perf()`, and an empty batch costs
-            // nothing.
-            for queries in [0usize, 1, 4] {
-                let context = format!("seed {seed}, {queries} queries on {cores} cores, pipelined");
-                let mut run_on = |rows: &EvidenceBatch| {
-                    parted
-                        .input_recipe()
-                        .fill_batch(rows, &mut flat)
-                        .expect("fill");
-                    processor
-                        .run_partitioned(&parted.parts, &flat, queries, &mut states)
-                        .expect("pipelined run")
-                };
-                let run = run_on(&batch.sub_batch(0, queries));
-                let marginals = run_on(&EvidenceBatch::marginals(spn.num_vars(), queries));
-                assert_eq!(run.cores, marginals.cores, "{context}");
-                assert_merged_is_sum(&run, &context);
-                for (core, stage) in run.cores.per_core.iter().zip(&parted.parts.stages) {
-                    let charged = stage.program.perf().times(queries as u64);
-                    assert_eq!(core.work, charged, "{context}: core {}", core.core);
-                }
-                if queries == 0 {
-                    assert_eq!(run.perf.cycles, 0, "{context}");
-                    assert_eq!(run.perf.stall_cycles, 0, "{context}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn impossible_machine_shapes_are_rejected() {
     // Zero cores, at both API levels.
     assert!(MultiCoreProcessor::new(MultiCoreConfig::new(0, ProcessorConfig::ptree())).is_err());
@@ -298,9 +241,6 @@ fn corrupted_programs_are_rejected_before_query_zero() {
     let compiled = compiler.compile_op_list(ops.clone()).expect("compile");
     let mut program = Program::clone(&compiled.program);
     retarget_first_write(&mut program);
-    let mut parted = compiler.compile_partitioned(ops, 2).expect("partition");
-    retarget_first_write(&mut parted.parts.stages[1].program);
-    let stage = &parted.parts.stages[1].program;
 
     // What a single-core run says, on any inputs of the right length.
     let verdict = |program: &Program| {
@@ -321,16 +261,6 @@ fn corrupted_programs_are_rejected_before_query_zero() {
             Some(verdict(&program)),
             "{queries} queries, sharded"
         );
-        parted
-            .input_recipe()
-            .fill_batch(&rows, &mut flat)
-            .expect("fill");
-        let pipelined = processor.run_partitioned(&parted.parts, &flat, queries, &mut Vec::new());
-        assert_eq!(
-            pipelined.err(),
-            Some(verdict(stage)),
-            "{queries} queries, pipelined"
-        );
     }
 }
 
@@ -339,10 +269,9 @@ fn corrupted_programs_are_rejected_before_query_zero() {
 /// tail, on one core and on three (shards of uneven length), returns per
 /// query the bits the op list's reference interpreter returns — on both
 /// machine shapes, in both numeric domains, at full and reduced precision,
-/// and for a max-product program.  A two-stage pipeline of the same op list
-/// returns them too, and so does every traced run of either.  No backend
-/// reaches the traced and pipelined runs, so this part of the parity
-/// contract runs outside `parity::run`.
+/// and for a max-product program.  So does every traced run.  No backend
+/// reaches the traced runs, so this part of the parity contract runs
+/// outside `parity::run`.
 #[test]
 fn batch_lengths_and_lane_tails_match_per_query_runs() {
     let spn = test_spn();
@@ -404,33 +333,6 @@ fn batch_lengths_and_lane_tails_match_per_query_runs() {
                     "{name}: {n} queries on {cores} cores, traced"
                 );
             }
-        }
-        let parted = compiler.compile_partitioned(ops, 2).expect("partition");
-        assert_eq!(parted.num_stages(), 2, "{name}");
-        let pipeline = MultiCoreProcessor::new(MultiCoreConfig::new(2, config)).expect("processor");
-        let mut states = Vec::new();
-        for n in 0..=rows.len() {
-            parted
-                .input_recipe()
-                .fill_batch(&rows.sub_batch(0, n), &mut flat)
-                .expect("fill");
-            let run = pipeline
-                .run_partitioned(&parted.parts, &flat, n, &mut states)
-                .expect("pipelined run");
-            assert_eq!(
-                bits(&run.outputs),
-                want[..n],
-                "{name}: {n} queries, 2 stages"
-            );
-            let mut recorders: Vec<TraceRecorder> = (0..2).map(TraceRecorder::new).collect();
-            let traced = pipeline
-                .run_partitioned_traced(&parted.parts, &flat, n, &mut states, &mut recorders)
-                .expect("traced pipelined run");
-            assert_eq!(
-                bits(&traced.outputs),
-                want[..n],
-                "{name}: {n} queries, 2 stages, traced"
-            );
         }
     }
 }

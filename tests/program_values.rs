@@ -106,10 +106,6 @@ const PINNED_VALUES: &[(&str, u64)] = &[
     ("mixture_2core_sharded/Pvect", 0xbdd720460c61f196),
     ("mixture_log_2core_sharded/Ptree", 0x5c26c4b6505da741),
     ("mixture_log_2core_sharded/Pvect", 0x5c26c4b6505da741),
-    ("chain_2core_pipelined/Ptree", 0xb4ce03bcb41cc985),
-    ("chain_2core_pipelined/Pvect", 0xb4ce03bcb41cc985),
-    ("chain_log_3core_pipelined/Ptree", 0x2d46f7a15a902305),
-    ("chain_log_3core_pipelined/Pvect", 0x2d46f7a15a902305),
     ("sampler_2core_sharded/Ptree", 0xf26f4ec21b30aa05),
     ("sampler_2core_sharded/Pvect", 0xf26f4ec21b30aa05),
 ];

@@ -4,8 +4,8 @@
 //! the scheduler, so its value is exactly "a corrupted program cannot slip
 //! through".  Each test here corrupts a real compiled program in one
 //! specific way — swap an op, drop a write, clobber a register destination,
-//! point a load out of bounds, skew a partition's external input slot, lay
-//! an input out in a word holding another value — and asserts the verifier
+//! point a load out of bounds, lay an input out in a word holding another
+//! value — and asserts the verifier
 //! rejects it with the documented diagnostic code.  A
 //! final randomized sweep checks the translation-validation contract
 //! directly against the simulator: any mutation that changes (or crashes)
@@ -15,7 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spn_compiler::{verify_partitioned, verify_program, Compiler};
+use spn_compiler::{verify_program, Compiler};
 use spn_core::analysis::Diagnostic;
 use spn_core::flatten::{LeafSource, OpList};
 use spn_core::random::{random_spn, RandomSpnConfig};
@@ -23,7 +23,7 @@ use spn_core::{Evidence, NodeId, SpnBuilder, VarId};
 use spn_processor::isa::CopyCmd;
 use spn_processor::{
     CheckedProgram, MemOp, MultiCoreConfig, MultiCoreProcessor, PeOp, Processor, ProcessorConfig,
-    Program, ReadSel, SimState, TransferSource,
+    Program, ReadSel, SimState,
 };
 
 fn artifact(vars: usize, seed: u64) -> spn_compiler::CompiledArtifact {
@@ -62,7 +62,7 @@ fn assert_caught(diagnostics: &[Diagnostic], expected: &[&str], what: &str) {
 fn pristine_program_verifies_clean() {
     let art = artifact(10, 9);
     assert_eq!(
-        codes(&verify_program(&art.program, &art.op_list, &[])),
+        codes(&verify_program(&art.program, &art.op_list)),
         Vec::<&str>::new()
     );
 }
@@ -92,7 +92,7 @@ fn swapped_op_is_caught() {
         }
     }
     assert!(swapped, "program contains no arithmetic op to swap");
-    let diagnostics = verify_program(&program, &art.op_list, &[]);
+    let diagnostics = verify_program(&program, &art.op_list);
     assert_caught(&diagnostics, &DATA_CORRUPTION_CODES, "swapped op");
 }
 
@@ -110,7 +110,7 @@ fn dropped_write_is_caught() {
         }
     }
     assert!(dropped, "program contains no write to drop");
-    let diagnostics = verify_program(&program, &art.op_list, &[]);
+    let diagnostics = verify_program(&program, &art.op_list);
     assert_caught(&diagnostics, &DATA_CORRUPTION_CODES, "dropped write");
 }
 
@@ -130,7 +130,7 @@ fn clobbered_register_is_caught() {
         }
     }
     assert!(clobbered, "program contains no write to redirect");
-    let diagnostics = verify_program(&program, &art.op_list, &[]);
+    let diagnostics = verify_program(&program, &art.op_list);
     assert_caught(&diagnostics, &DATA_CORRUPTION_CODES, "clobbered register");
 }
 
@@ -148,57 +148,8 @@ fn out_of_range_load_is_caught() {
         }
     }
     assert!(skewed, "program contains no load to skew");
-    let diagnostics = verify_program(&program, &art.op_list, &[]);
+    let diagnostics = verify_program(&program, &art.op_list);
     assert_caught(&diagnostics, &["SPN206"], "out-of-range load");
-}
-
-#[test]
-fn skewed_partition_slot_is_caught() {
-    let spn = random_spn(
-        &RandomSpnConfig::with_vars(12),
-        &mut StdRng::seed_from_u64(11),
-    );
-    let ops = OpList::from_spn(&spn);
-    let mut parted = Compiler::new(ProcessorConfig::ptree())
-        .compile_partitioned(ops, 2)
-        .expect("partitions");
-    assert_eq!(codes(&verify_partitioned(&parted)), Vec::<&str>::new());
-    let slot = parted.parts.stages[1]
-        .inputs
-        .iter_mut()
-        .find(|s| matches!(s, TransferSource::Input(_)))
-        .expect("stage 1 imports a global input");
-    if let TransferSource::Input(i) = slot {
-        *i += 1;
-    }
-    let diagnostics = verify_partitioned(&parted);
-    assert_caught(&diagnostics, &["SPN301"], "skewed partition input slot");
-}
-
-#[test]
-fn skewed_partition_export_is_caught() {
-    let spn = random_spn(
-        &RandomSpnConfig::with_vars(12),
-        &mut StdRng::seed_from_u64(11),
-    );
-    let ops = OpList::from_spn(&spn);
-    let mut parted = Compiler::new(ProcessorConfig::ptree())
-        .compile_partitioned(ops, 2)
-        .expect("partitions");
-    let slot = parted.parts.stages[1]
-        .inputs
-        .iter_mut()
-        .find(|s| matches!(s, TransferSource::Core { .. }))
-        .expect("stage 1 imports an earlier stage's export");
-    if let TransferSource::Core { export, .. } = slot {
-        *export = export.wrapping_add(1);
-    }
-    let diagnostics = verify_partitioned(&parted);
-    assert_caught(
-        &diagnostics,
-        &["SPN301", "SPN207"],
-        "skewed partition export reference",
-    );
 }
 
 /// The weight of half the leaves of [`repeated_leaves`]; the other half
@@ -241,7 +192,7 @@ fn input_laid_out_in_another_values_word_is_caught() {
         "no two slots share a word"
     );
     assert_eq!(
-        codes(&verify_program(&art.program, &ops, &[])),
+        codes(&verify_program(&art.program, &ops)),
         Vec::<&str>::new()
     );
     let slot = |leaf: LeafSource| ops.inputs().iter().position(|l| *l == leaf).unwrap();
@@ -261,7 +212,7 @@ fn input_laid_out_in_another_values_word_is_caught() {
     ] {
         let mut program = Program::clone(&art.program);
         program.input_layout[slot(from)] = program.input_layout[slot(to)];
-        let diagnostics = verify_program(&program, &ops, &[]);
+        let diagnostics = verify_program(&program, &ops);
         assert_caught(&diagnostics, &["SPN205"], what);
     }
 }
@@ -332,7 +283,7 @@ fn randomized_mutations_never_slip_through() {
     for _ in 0..40 {
         let mut program = Program::clone(&art.program);
         let label = mutate(&mut program, &mut rng);
-        let diagnostics = verify_program(&program, &art.op_list, &[]);
+        let diagnostics = verify_program(&program, &art.op_list);
         let execution = processor.run(&program, &inputs);
         let harmless = matches!(&execution, Ok(run) if run.output.to_bits() == baseline.to_bits());
         if !harmless {
