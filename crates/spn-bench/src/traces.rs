@@ -185,19 +185,15 @@ pub fn golden_path(name: &str) -> PathBuf {
 ///
 /// # Errors
 ///
-/// As for [`check_golden_traces_in`].
+/// Returns the first failure — a `.trace` file there that no case renders,
+/// an unreadable golden, a failed render or the first divergent cycle —
+/// with what to do about it.
 pub fn check_golden_traces() -> Result<usize, String> {
     check_golden_traces_in(&golden_dir())
 }
 
 /// [`check_golden_traces`] against the traces in `dir`.
-///
-/// # Errors
-///
-/// Returns the first failure — a `.trace` file in `dir` that no case
-/// renders, an unreadable golden, a failed render or the first divergent
-/// cycle — with what to do about it.
-pub fn check_golden_traces_in(dir: &Path) -> Result<usize, String> {
+fn check_golden_traces_in(dir: &Path) -> Result<usize, String> {
     let bless = "`cargo run -p spn-bench --bin record_traces -- --bless`";
     let cases = trace_cases();
     let entries = std::fs::read_dir(dir)

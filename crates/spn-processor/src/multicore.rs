@@ -257,34 +257,6 @@ impl MultiCoreProcessor {
         self.config.shared_memory.wave_penalty(core) * (work.memory_loads + work.memory_stores)
     }
 
-    /// Closes an attribution: core `c` did `work[c]`, the other cores ran
-    /// nothing, and each idles until the busiest core is done.
-    fn attribute(&self, work: impl IntoIterator<Item = PerfReport>) -> MultiCorePerf {
-        let mut per_core: Vec<CorePerf> = (0..self.config.cores)
-            .map(|core| CorePerf {
-                core,
-                ..CorePerf::default()
-            })
-            .collect();
-        for (core, work) in per_core.iter_mut().zip(work) {
-            core.compute_cycles = work.cycles;
-            core.memory_stall_cycles = self.memory_stall(core.core, &work);
-            core.work = work;
-        }
-        let makespan_cycles = per_core
-            .iter()
-            .map(CorePerf::busy_cycles)
-            .max()
-            .unwrap_or(0);
-        for core in &mut per_core {
-            core.idle_cycles = makespan_cycles - core.busy_cycles();
-        }
-        MultiCorePerf {
-            makespan_cycles,
-            per_core,
-        }
-    }
-
     /// What [`MultiCoreProcessor::run_batch_sharded`] of `queries` queries
     /// of `checked` attributes to the cores, computed without a query: the
     /// shard split alone decides it, and the values of a batch do not depend
@@ -310,11 +282,35 @@ impl MultiCoreProcessor {
     /// The attribution of `queries` passes costing `per_query` each, sharded
     /// over the cores by their pass costs: core `c` is charged its shard
     /// length × the per-query counters, and the busiest core sets the
-    /// makespan.
+    /// makespan; each core idles for the rest of it.
     fn shard_attribution(&self, per_query: &PerfReport, queries: usize) -> MultiCorePerf {
         let shards = Self::shard_ranges_by_cost(&self.pass_costs(per_query), queries);
-        let work = shards.iter().map(|s| per_query.times(s.len() as u64));
-        self.attribute(work)
+        let mut per_core: Vec<CorePerf> = shards
+            .iter()
+            .enumerate()
+            .map(|(core, shard)| {
+                let work = per_query.times(shard.len() as u64);
+                CorePerf {
+                    core,
+                    compute_cycles: work.cycles,
+                    memory_stall_cycles: self.memory_stall(core, &work),
+                    work,
+                    ..CorePerf::default()
+                }
+            })
+            .collect();
+        let makespan_cycles = per_core
+            .iter()
+            .map(CorePerf::busy_cycles)
+            .max()
+            .unwrap_or(0);
+        for core in &mut per_core {
+            core.idle_cycles = makespan_cycles - core.busy_cycles();
+        }
+        MultiCorePerf {
+            makespan_cycles,
+            per_core,
+        }
     }
 }
 
