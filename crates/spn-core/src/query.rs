@@ -16,8 +16,9 @@
 //! * **Map** — the most probable completion of a partial observation
 //!   (MPE/MAP).  The program is rewritten into its max-product variant
 //!   ([`OpList::to_max_product`]: sums become maximisations), one pass
-//!   computes the maximal value, and [`MaxProductProgram::trace_assignment`]
-//!   backtracks the argmax branches to recover the maximising assignment.
+//!   computes the maximal value, and [`MaxProductProgram::trace_batch`]
+//!   backtracks the argmax branches, from one bit per maximisation and
+//!   query, to recover the maximising assignment.
 //!   Exact for selective/deterministic SPNs; the circuit MPE in general.
 //! * **Conditional** — `P(target | given)` as the ratio of two joint/marginal
 //!   passes: `P(target, given) / P(given)`.  Two circuit passes per query.
@@ -29,22 +30,22 @@
 //!   is what the statistical cross-checks exploit.
 //!
 //! Every exact mode lowers to [`EvidenceBatch`]es executed through the
-//! existing [`InputRecipe`] machinery, so the platform backends (and their
-//! parallel sharded execution path) serve all four exact modes unchanged;
-//! the approximate modes run the model's [`crate::SamplerProgram`] over the
-//! same evidence rows.
+//! existing [`crate::batch::InputRecipe`] machinery, so the platform
+//! backends (and their parallel sharded execution path) serve all four
+//! exact modes unchanged; the approximate modes run the model's
+//! [`crate::SamplerProgram`] over the same evidence rows.
 //! `spn_platforms::Engine::execute_query` is the high-level entry point;
 //! [`reference_query`] is the evaluator-backed oracle used by tests and the
 //! benchmark checksums.
 
-use crate::batch::{EvidenceBatch, InputRecipe, Obs};
+use crate::batch::{EvidenceBatch, Obs};
 use crate::eval::Evaluator;
 use crate::evidence::Evidence;
 use crate::flatten::{LeafSource, OpKind, OpList, OperandRef};
 use crate::graph::Spn;
 use crate::numeric::NumericMode;
 use crate::sample::SampleBatch;
-use crate::vectorized::run_lanes;
+use crate::vectorized::{normalize_lanes, LaneProgram, MAX_LANES};
 use crate::{Result, SpnError};
 
 /// The inference workload a batch of queries asks for.
@@ -338,25 +339,117 @@ pub struct QueryResult {
 /// The max-product form of a flattened program, with argmax traceback.
 ///
 /// Built once per compiled circuit (the MAP half of a query plan): holds the
-/// rewritten [`OpList`] (sums → maximisations) and the [`InputRecipe`] that
-/// fills its inputs from evidence batches.  The program can be executed by
-/// any backend — it is an ordinary op list — and
-/// [`MaxProductProgram::trace_assignment`] turns one executed query's
-/// intermediate results into the maximising assignment.
+/// rewritten [`OpList`] (sums → maximisations) and its register-allocated
+/// [`LaneProgram`].  The op list can be executed by any backend — it is an
+/// ordinary op list — for the values; the assignments come from one
+/// traceback walk down the argmax branches, which needs to know at every
+/// [`OpKind::Max`] whether its left operand won:
+///
+/// * [`MaxProductProgram::trace_batch`] runs the lane program over a whole
+///   batch once, recording one bit per `Max` step and query, and walks each
+///   block of queries from those bits;
+/// * [`MaxProductProgram::trace_assignment`] compares one executed query's
+///   intermediate values instead, so an interpreter's pass can be traced
+///   independently of the lane program.
+///
+/// Both apply the same test (`lhs >= rhs`: ties keep the left operand, a
+/// NaN goes right) to the same bits, so they return the same assignments.
+///
+/// ```
+/// use spn_core::flatten::OpList;
+/// use spn_core::query::{MaxProductProgram, TraceScratch};
+/// use spn_core::random::{random_spn, RandomSpnConfig};
+/// use spn_core::{Evidence, EvidenceBatch};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let spn = random_spn(&RandomSpnConfig::with_vars(6), &mut StdRng::seed_from_u64(5));
+/// let program = MaxProductProgram::from_op_list(&OpList::from_spn(&spn));
+/// let mut e = Evidence::marginal(6);
+/// e.observe(2, true);
+/// let batch = EvidenceBatch::from_evidences(6, &[Evidence::marginal(6), e.clone()]).unwrap();
+/// let assignments = program.trace_batch(&batch, &mut TraceScratch::default()).unwrap();
+/// assert_eq!(assignments[1], spn.mpe(&e).unwrap().assignment);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaxProductProgram {
     ops: OpList,
-    recipe: InputRecipe,
+    lanes: LaneProgram,
+    /// One entry per op, what the traceback walk reads of it.
+    links: Vec<TraceOp>,
+    /// Where the walk starts.
+    root: Link,
+}
+
+/// Where the traceback goes from an operand: on to an op, to the indicator
+/// `[var = value]` (as its index `2·var + value`), or nowhere (a
+/// parameter).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Link {
+    Op(u32),
+    Indicator(u32),
+    Param,
+}
+
+impl Link {
+    /// The link of `operand` in `ops`.
+    fn of(ops: &OpList, operand: OperandRef) -> Link {
+        match operand {
+            OperandRef::Op(k) => Link::Op(k),
+            OperandRef::Input(k) => match ops.inputs()[k as usize] {
+                LeafSource::Indicator { var, value } => {
+                    Link::Indicator(2 * var.0 + u32::from(value))
+                }
+                LeafSource::Param(_) => Link::Param,
+            },
+        }
+    }
+}
+
+/// An op as the traceback walk sees it: its two operands' links and, for a
+/// `Max` op, which of a block's winner masks is its (the `Max` ops before
+/// it); every other op's operands are both followed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TraceOp {
+    lhs: Link,
+    rhs: Link,
+    winner_word: Option<u32>,
+}
+
+/// Reusable storage of [`MaxProductProgram::trace_batch`]: the lane
+/// program's register file, one block's winner masks, and the traceback's
+/// lane masks of the ops and indicators each query reaches.  Grown on first
+/// use, then reused by every later batch of any program.
+#[derive(Debug, Clone, Default)]
+pub struct TraceScratch {
+    registers: Vec<f64>,
+    winners: Vec<u32>,
+    reached: Vec<u32>,
+    indicators: Vec<u32>,
 }
 
 impl MaxProductProgram {
-    /// Builds the max-product variant of `ops` plus its input recipe.
+    /// Builds the max-product variant of `ops` plus its lane program.
     pub fn from_op_list(ops: &OpList) -> MaxProductProgram {
         let max_ops = ops.to_max_product();
-        let recipe = max_ops.input_recipe();
+        let lanes = LaneProgram::from_op_list(&max_ops);
+        let mut maxes = 0;
+        let links = max_ops
+            .ops()
+            .iter()
+            .map(|op| TraceOp {
+                lhs: Link::of(&max_ops, op.lhs),
+                rhs: Link::of(&max_ops, op.rhs),
+                winner_word: (op.kind == OpKind::Max).then(|| {
+                    maxes += 1;
+                    maxes - 1
+                }),
+            })
+            .collect();
         MaxProductProgram {
+            root: Link::of(&max_ops, max_ops.output()),
             ops: max_ops,
-            recipe,
+            lanes,
+            links,
         }
     }
 
@@ -365,45 +458,59 @@ impl MaxProductProgram {
         &self.ops
     }
 
-    /// The recipe filling the program's inputs from evidence batches.
-    pub fn recipe(&self) -> &InputRecipe {
-        &self.recipe
-    }
-
-    /// Runs the max-product program for query `q` of `batch`, reusing the
-    /// caller's buffers, and returns the maximal circuit value (intermediate
-    /// results stay readable in `results` for
-    /// [`MaxProductProgram::trace_assignment`]).
+    /// The maximising complete assignment of every query of `batch`, in
+    /// batch order.
     ///
-    /// `inputs` and `results` are resized as needed and may be reused across
-    /// queries; the caller must have validated `batch` via
-    /// [`InputRecipe::check`] first.
-    pub fn run_query(
+    /// The batch runs through the lane program in blocks of up to
+    /// [`MAX_LANES`] queries, and each block's pass records which operand
+    /// won each `Max` step per query (one `u32` per step); the block's
+    /// queries are then traced together from those bits.  The storage is
+    /// `scratch`'s, so a call allocates only the assignments it returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpnError::EvidenceMismatch`] on a variable-count mismatch.
+    pub fn trace_batch(
         &self,
         batch: &EvidenceBatch,
-        q: usize,
-        inputs: &mut Vec<f64>,
-        results: &mut Vec<f64>,
-    ) -> f64 {
-        inputs.resize(self.recipe.num_inputs(), 0.0);
-        results.resize(self.ops.num_ops(), 0.0);
-        self.recipe.fill_query(batch, q, inputs);
-        let mut out = [0.0];
-        run_lanes::<1>(&self.ops, inputs, results, &mut out);
-        out[0]
+        scratch: &mut TraceScratch,
+    ) -> Result<Vec<Vec<bool>>> {
+        self.lanes.check(batch)?;
+        let TraceScratch {
+            registers,
+            winners,
+            reached,
+            indicators,
+        } = scratch;
+        // The first block is the widest: the register file grows there and
+        // is only re-sliced after.
+        registers.resize(self.lanes.slots() * normalize_lanes(batch.len()), 0.0);
+        winners.resize(self.lanes.max_steps(), 0);
+        let mut roots = [0.0; MAX_LANES];
+        let mut assignments = Vec::with_capacity(batch.len());
+        let mut start = 0;
+        while start < batch.len() {
+            let lanes = normalize_lanes(batch.len() - start);
+            self.lanes
+                .run_block_recording(batch, start, lanes, registers, winners, &mut roots);
+            let lhs_wins = |_: usize, word: u32| winners[word as usize];
+            self.walk(lanes, lhs_wins, reached, indicators);
+            for lane in 0..lanes {
+                assignments.push(complete(batch.query(start + lane), indicators, lane));
+            }
+            start += lanes;
+        }
+        Ok(assignments)
     }
 
     /// Backtracks the argmax branches of one executed query and returns the
     /// maximising complete assignment.
     ///
-    /// `inputs` and `results` must come from executing this program on `row`
-    /// (e.g. via [`MaxProductProgram::run_query`]): at every [`OpKind::Max`]
-    /// the larger operand is followed (the left one on ties, matching
-    /// [`Spn::mpe`]'s first-wins rule), at every product both operands are.
-    /// Indicator leaves record their variable's value; hard evidence in `row`
-    /// overrides an indicator's preference, and variables the selected
-    /// sub-circuit never mentions fall back to their observed value or
-    /// `false` — the same completion rule as [`Spn::mpe`].
+    /// `inputs` and `results` must come from executing this program's
+    /// [`MaxProductProgram::ops`] on `row` (e.g. through
+    /// [`OpList::run_into`]): at every [`OpKind::Max`] the operand with the
+    /// larger value is followed, where [`MaxProductProgram::trace_batch`]
+    /// follows its recorded bits.
     ///
     /// # Panics
     ///
@@ -417,44 +524,71 @@ impl MaxProductProgram {
             OperandRef::Input(k) => inputs[k as usize],
             OperandRef::Op(k) => results[k as usize],
         };
-        let mut assignment: Vec<Option<bool>> = vec![None; self.ops.num_vars()];
-        let mut stack: Vec<OperandRef> = vec![self.ops.output()];
-        while let Some(r) = stack.pop() {
-            match r {
-                OperandRef::Input(k) => {
-                    if let LeafSource::Indicator { var, value } = self.ops.inputs()[k as usize] {
-                        // Hard evidence overrides the indicator's preference.
-                        let v = row[var.index()].to_option().unwrap_or(value);
-                        assignment[var.index()] = Some(v);
-                    }
-                }
-                OperandRef::Op(k) => {
-                    let op = self.ops.ops()[k as usize];
-                    match op.kind {
-                        OpKind::Max => {
-                            // Ties keep the left operand: with the balanced
-                            // reduction tree that is the earliest child,
-                            // matching Spn::mpe's first-wins argmax.
-                            if value(op.lhs) >= value(op.rhs) {
-                                stack.push(op.lhs);
-                            } else {
-                                stack.push(op.rhs);
-                            }
-                        }
-                        OpKind::Mul | OpKind::Add | OpKind::LogAdd | OpKind::Sam => {
-                            stack.push(op.lhs);
-                            stack.push(op.rhs);
-                        }
-                    }
-                }
-            }
-        }
-        assignment
-            .iter()
-            .enumerate()
-            .map(|(var, v)| v.or(row[var].to_option()).unwrap_or(false))
-            .collect()
+        let lhs_wins = |k: usize, _: u32| {
+            let op = self.ops.ops()[k];
+            u32::from(value(op.lhs) >= value(op.rhs))
+        };
+        let mut indicators = Vec::new();
+        self.walk(1, lhs_wins, &mut Vec::new(), &mut indicators);
+        complete(row, &indicators, 0)
     }
+
+    /// The one traceback walk, over `lanes` queries at once: from the root,
+    /// every product's operands are followed and, at a `Max` op `k`, the
+    /// left operand by the lanes `lhs_wins(k, m)` sets for its `m`-th winner
+    /// mask (ties keep the left one: with the balanced reduction tree that
+    /// is the earliest child, matching [`Spn::mpe`]'s first-wins argmax),
+    /// the right operand by the others.  Operands come before their op, so
+    /// one pass over the ops from the last down carries each op's mask of
+    /// reaching lanes to its operands, and `indicators[2·var + value]` ends
+    /// up holding the lanes that reach the indicator `[var = value]`.
+    fn walk(
+        &self,
+        lanes: usize,
+        lhs_wins: impl Fn(usize, u32) -> u32,
+        reached: &mut Vec<u32>,
+        indicators: &mut Vec<u32>,
+    ) {
+        reached.clear();
+        reached.resize(self.links.len(), 0);
+        indicators.clear();
+        indicators.resize(2 * self.ops.num_vars(), 0);
+        let reach = |reached: &mut [u32], indicators: &mut [u32], link, mask| match link {
+            Link::Op(k) => reached[k as usize] |= mask,
+            Link::Indicator(i) => indicators[i as usize] |= mask,
+            Link::Param => {}
+        };
+        let all = u32::MAX >> (u32::BITS as usize - lanes);
+        reach(reached, indicators, self.root, all);
+        for (k, op) in self.links.iter().enumerate().rev() {
+            let mask = reached[k];
+            if mask == 0 {
+                continue;
+            }
+            let lhs = op.winner_word.map_or(mask, |word| mask & lhs_wins(k, word));
+            let rhs = op.winner_word.map_or(mask, |_| mask & !lhs);
+            reach(reached, indicators, op.lhs, lhs);
+            reach(reached, indicators, op.rhs, rhs);
+        }
+    }
+}
+
+/// Lane `lane`'s answer after a [`MaxProductProgram::walk`]: the row's
+/// observations, and for an unobserved variable `true` exactly when its
+/// selected sub-circuit reaches the indicator `[var = true]`.  Hard evidence
+/// overrides an indicator's preference, and a variable the sub-circuit never
+/// mentions is `false` — the same completion rule as [`Spn::mpe`].  (Only a
+/// non-decomposable circuit reaches both indicators of a variable; `true`
+/// wins there.)
+fn complete(row: &[Obs], indicators: &[u32], lane: usize) -> Vec<bool> {
+    row.iter()
+        .zip(indicators.chunks_exact(2))
+        .map(|(&obs, pair)| match obs {
+            Obs::True => true,
+            Obs::False => false,
+            Obs::Marginal => pair[1] >> lane & 1 != 0,
+        })
+        .collect()
 }
 
 /// Answers a query batch with the reference [`Evaluator`] (its max-product
@@ -753,6 +887,7 @@ mod tests {
     #[test]
     fn max_product_trace_matches_spn_mpe() {
         let mut rng = StdRng::seed_from_u64(77);
+        let mut scratch = TraceScratch::default();
         for vars in [4usize, 9, 14] {
             let spn = random_spn(&RandomSpnConfig::with_vars(vars), &mut rng);
             let ops = OpList::from_spn(&spn);
@@ -765,12 +900,12 @@ mod tests {
             e.observe(vars / 2, false);
             batch.push(&e).unwrap();
 
-            let mut inputs = Vec::new();
-            let mut results = Vec::new();
-            for q in 0..batch.len() {
-                let value = program.run_query(&batch, q, &mut inputs, &mut results);
-                let traced = program.trace_assignment(&inputs, &results, batch.query(q));
-                let mpe = spn.mpe(&batch.to_evidence(q)).unwrap();
+            let traced = program.trace_batch(&batch, &mut scratch).unwrap();
+            assert_eq!(traced.len(), batch.len());
+            for (q, traced) in traced.iter().enumerate() {
+                let evidence = batch.to_evidence(q);
+                let value = program.ops().evaluate(&evidence).unwrap();
+                let mpe = spn.mpe(&evidence).unwrap();
                 let tolerance = 1e-9 * mpe.value.abs().max(1e-12);
                 assert!(
                     (value - mpe.value).abs() <= tolerance,
@@ -779,7 +914,7 @@ mod tests {
                 );
                 // The traced assignment achieves the maximal value (it may
                 // differ from mpe's pick only on exact ties).
-                let achieved = spn.evaluate(&Evidence::from_assignment(&traced)).unwrap();
+                let achieved = spn.evaluate(&Evidence::from_assignment(traced)).unwrap();
                 let mpe_achieved = spn
                     .evaluate(&Evidence::from_assignment(&mpe.assignment))
                     .unwrap();
@@ -788,10 +923,89 @@ mod tests {
                     "vars {vars} query {q}: traced {achieved} vs mpe {mpe_achieved}"
                 );
                 // Hard evidence is respected.
-                for (var, value) in batch.to_evidence(q).iter_observed() {
+                for (var, value) in evidence.iter_observed() {
                     assert_eq!(traced[var], value, "vars {vars} query {q} var {var}");
                 }
             }
+        }
+    }
+
+    /// Rows cycling every variable through marginal, `true` and `false`,
+    /// enough of them for a full block and every narrower width after it.
+    fn mixed_rows(num_vars: usize) -> EvidenceBatch {
+        let mut batch = EvidenceBatch::new(num_vars);
+        for q in 0..MAX_LANES + 31 {
+            let row = (0..num_vars)
+                .map(|v| [None, Some(true), Some(false)][(q * 7 + v) % 3])
+                .collect();
+            batch.push(&Evidence::from_options(row)).unwrap();
+        }
+        batch
+    }
+
+    #[test]
+    fn winner_bits_trace_the_interpreters_assignments_in_every_mode_and_precision() {
+        let mut rng = StdRng::seed_from_u64(78);
+        let spn = random_spn(&RandomSpnConfig::with_vars(9), &mut rng);
+        let batch = mixed_rows(9);
+        let mut scratch = TraceScratch::default();
+        for mode in NumericMode::ALL {
+            for precision in crate::Precision::SWEEP {
+                let ops = OpList::from_spn(&spn)
+                    .with_mode(mode)
+                    .with_precision(precision);
+                let program = MaxProductProgram::from_op_list(&ops);
+                let traced = program.trace_batch(&batch, &mut scratch).unwrap();
+                let recipe = program.ops().input_recipe();
+                let mut inputs = vec![0.0; recipe.num_inputs()];
+                let mut results = vec![0.0; program.ops().num_ops()];
+                for (q, traced) in traced.iter().enumerate() {
+                    recipe.fill_query(&batch, q, &mut inputs);
+                    program.ops().run_into(&inputs, &mut results);
+                    let want = program.trace_assignment(&inputs, &results, batch.query(q));
+                    assert_eq!(traced, &want, "{mode}/{precision} query {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_goes_right_and_a_tie_goes_left() {
+        use crate::flatten::Op;
+        use OperandRef::{Input, Op as R};
+        let indicator = |var, value| LeafSource::Indicator {
+            var: VarId(var),
+            value,
+        };
+        // max(x0 · NaN, ¬x0 · 1) then max(x1 · ½, ¬x1 · ½): the first Max
+        // sees a NaN on its left, the second a tie.
+        let inputs = vec![
+            indicator(0, true),
+            indicator(0, false),
+            indicator(1, true),
+            indicator(1, false),
+            LeafSource::Param(f64::NAN),
+            LeafSource::Param(1.0),
+            LeafSource::Param(0.5),
+        ];
+        let op = |kind, lhs, rhs| Op { kind, lhs, rhs };
+        let ops = vec![
+            op(OpKind::Mul, Input(0), Input(4)),
+            op(OpKind::Mul, Input(1), Input(5)),
+            op(OpKind::Add, R(0), R(1)),
+            op(OpKind::Mul, Input(2), Input(6)),
+            op(OpKind::Mul, Input(3), Input(6)),
+            op(OpKind::Add, R(3), R(4)),
+            op(OpKind::Mul, R(2), R(5)),
+        ];
+        let ops = OpList::from_parts(inputs, ops, R(6), 2, NumericMode::Linear);
+        let program = MaxProductProgram::from_op_list(&ops);
+        let batch = EvidenceBatch::marginals(2, 3);
+        let traced = program
+            .trace_batch(&batch, &mut TraceScratch::default())
+            .unwrap();
+        for assignment in traced {
+            assert_eq!(assignment, [false, true]);
         }
     }
 
@@ -802,8 +1016,13 @@ mod tests {
         let program = MaxProductProgram::from_op_list(&ops);
         assert_eq!(program.ops().num_inputs(), ops.num_inputs());
         assert_eq!(program.ops().num_ops(), ops.num_ops());
-        assert_eq!(program.recipe().num_inputs(), ops.num_inputs());
         assert!(program.ops().ops().iter().all(|op| op.kind != OpKind::Add));
+        let maxes = program
+            .ops()
+            .ops()
+            .iter()
+            .filter(|op| op.kind == OpKind::Max);
+        assert_eq!(program.lanes.max_steps(), maxes.count());
     }
 
     #[test]

@@ -29,15 +29,18 @@
 //!   then result slots a linear scan in op order reuses once their last
 //!   reader has run.  Parameters stay a scalar table, broadcast at use.
 //!   On KDDCup2k that is 196 lane groups (49 KiB at 32 lanes) against the
-//!   15 192 inputs and 15 191 ops of the full tiles below.
+//!   15 192 inputs and 15 191 ops of the full tiles below.  A recording
+//!   form of the same pass also writes, per [`OpKind::Max`] step, a `u32`
+//!   mask of the lanes whose left operand won: all a MAP traceback
+//!   ([`crate::query::MaxProductProgram::trace_batch`]) reads of the pass.
 //! * `run_lanes` (public as [`run_lane_block`]) keeps every value: a
 //!   `[inputs × L]` input tile
 //!   ([`crate::batch::InputRecipe::fill_lane_block`]) and an `[ops × L]`
 //!   results tile, one slot per operation.  It serves the callers that read
-//!   every op's value after the pass — a session's priming pass, the MAP
-//!   traceback, [`OpList::evaluate`] — and outside callers that stage the
-//!   fill and the kernel themselves.  The incremental dirty-cone replay
-//!   visits operations in another order but applies the same arithmetic.
+//!   every op's value after the pass — a session's priming pass,
+//!   [`OpList::evaluate`] — and outside callers that stage the fill and the
+//!   kernel themselves.  The incremental dirty-cone replay visits
+//!   operations in another order but applies the same arithmetic.
 //!
 //! Because every query runs the identical per-op arithmetic in the identical
 //! order — lane blocking only regroups *independent* queries, and register
@@ -62,6 +65,9 @@ use crate::{Result, SpnError};
 /// `host_kernel` bin times every width from 8 up per circuit; built with a
 /// 64-lane arm, it ran 64 lanes slower than 32 on all nine circuits.
 pub const MAX_LANES: usize = 32;
+
+// A recording pass keeps one bit per lane of a `Max` step in a `u32`.
+const _: () = assert!(MAX_LANES <= u32::BITS as usize);
 
 /// The supported lane-block widths, in ascending order.  Power-of-two widths
 /// keep every lane group naturally aligned within the tile and give the
@@ -261,6 +267,8 @@ pub struct LaneProgram {
     params: Vec<f64>,
     root: Source,
     slots: usize,
+    /// The [`OpKind::Max`] steps among `steps`.
+    max_steps: usize,
     num_vars: usize,
     /// `indicators[obs as usize][value as usize]`: the domain value of the
     /// indicator `[var = value]` under observation `obs`.
@@ -351,6 +359,7 @@ impl LaneProgram {
             params,
             root: source(ops.output(), &slot_of),
             slots: slots as usize,
+            max_steps: ops.ops().iter().filter(|op| op.kind == OpKind::Max).count(),
             num_vars: ops.num_vars(),
             indicators: [Obs::False, Obs::True, Obs::Marginal]
                 .map(|obs| [false, true].map(|value| domain(obs.indicator(value)))),
@@ -400,22 +409,60 @@ impl LaneProgram {
         out: &mut [f64],
     ) {
         match lanes {
-            1 => self.run::<1>(batch, start, registers, out),
-            2 => self.run::<2>(batch, start, registers, out),
-            4 => self.run::<4>(batch, start, registers, out),
-            8 => self.run::<8>(batch, start, registers, out),
-            16 => self.run::<16>(batch, start, registers, out),
-            32 => self.run::<32>(batch, start, registers, out),
+            1 => self.run::<1, false>(batch, start, registers, &mut [], out),
+            2 => self.run::<2, false>(batch, start, registers, &mut [], out),
+            4 => self.run::<4, false>(batch, start, registers, &mut [], out),
+            8 => self.run::<8, false>(batch, start, registers, &mut [], out),
+            16 => self.run::<16, false>(batch, start, registers, &mut [], out),
+            32 => self.run::<32, false>(batch, start, registers, &mut [], out),
             other => panic!("unsupported lane width {other} (expected one of {LANE_WIDTHS:?})"),
         }
     }
 
-    /// The fixed-width form of [`LaneProgram::run_block`].
-    fn run<const L: usize>(
+    /// The [`OpKind::Max`] steps of the program: the winner masks one
+    /// recording pass writes.
+    pub(crate) fn max_steps(&self) -> usize {
+        self.max_steps
+    }
+
+    /// [`LaneProgram::run_block`] recording which operand won each
+    /// [`OpKind::Max`] step: `winners[m]` gets one bit per lane for the
+    /// program's `m`-th `Max` step, set where the left operand is at least
+    /// the right one (`lhs >= rhs`, so ties go left and a NaN goes right).
+    /// The values are those of [`LaneProgram::run_block`].
+    ///
+    /// # Panics
+    ///
+    /// As for [`LaneProgram::run_block`], and when `winners` is shorter
+    /// than [`LaneProgram::max_steps`].
+    pub(crate) fn run_block_recording(
+        &self,
+        batch: &EvidenceBatch,
+        start: usize,
+        lanes: usize,
+        registers: &mut [f64],
+        winners: &mut [u32],
+        out: &mut [f64],
+    ) {
+        match lanes {
+            1 => self.run::<1, true>(batch, start, registers, winners, out),
+            2 => self.run::<2, true>(batch, start, registers, winners, out),
+            4 => self.run::<4, true>(batch, start, registers, winners, out),
+            8 => self.run::<8, true>(batch, start, registers, winners, out),
+            16 => self.run::<16, true>(batch, start, registers, winners, out),
+            32 => self.run::<32, true>(batch, start, registers, winners, out),
+            other => panic!("unsupported lane width {other} (expected one of {LANE_WIDTHS:?})"),
+        }
+    }
+
+    /// The fixed-width form of [`LaneProgram::run_block`], recording the
+    /// `Max` steps' winners into `winners` when `RECORD` is set.
+    fn run<const L: usize, const RECORD: bool>(
         &self,
         batch: &EvidenceBatch,
         start: usize,
         registers: &mut [f64],
+        winners: &mut [u32],
         out: &mut [f64],
     ) {
         assert!(
@@ -423,6 +470,10 @@ impl LaneProgram {
             "register file too short for {L} lanes"
         );
         assert!(out.len() >= L, "output slice too short for {L} lanes");
+        assert!(
+            !RECORD || winners.len() >= self.max_steps,
+            "winner masks too short"
+        );
         assert_eq!(batch.num_vars(), self.num_vars, "batch variable count");
         assert!(
             start + L <= batch.len(),
@@ -446,9 +497,9 @@ impl LaneProgram {
         // quantization code at all.
         let quantizer = Quantizer::new(self.precision);
         if self.precision == Precision::F64 {
-            self.run_steps::<L, false>(registers, &quantizer);
+            self.run_steps::<L, false, RECORD>(registers, &quantizer, winners);
         } else {
-            self.run_steps::<L, true>(registers, &quantizer);
+            self.run_steps::<L, true, RECORD>(registers, &quantizer, winners);
         }
         out[..L].copy_from_slice(&match self.root {
             Source::Lane(slot) => registers[slot as usize],
@@ -457,14 +508,17 @@ impl LaneProgram {
     }
 
     /// One pass over the steps, `L` lanes at a time, quantizing on store
-    /// when `QUANTIZE` is set.  Both operands are copied out before the
-    /// store, so `dst` may be an operand's own slot.
-    fn run_steps<const L: usize, const QUANTIZE: bool>(
+    /// when `QUANTIZE` is set and writing each `Max` step's winner mask to
+    /// the next word of `winners` when `RECORD` is.  Both operands are
+    /// copied out before the store, so `dst` may be an operand's own slot.
+    fn run_steps<const L: usize, const QUANTIZE: bool, const RECORD: bool>(
         &self,
         registers: &mut [[f64; L]],
         quantizer: &Quantizer,
+        winners: &mut [u32],
     ) {
         let params = &self.params[..];
+        let mut next_winner = 0;
         for step in &self.steps {
             let (a, b) = (step.a as usize, step.b as usize);
             let (a, b) = match step.form {
@@ -473,6 +527,14 @@ impl LaneProgram {
                 Form::LaneParam => (registers[a], [params[b]; L]),
                 Form::ParamParam => ([params[a]; L], [params[b]; L]),
             };
+            if RECORD && step.kind == OpKind::Max {
+                let mut mask = 0u32;
+                for (l, (x, y)) in a.iter().zip(&b).enumerate() {
+                    mask |= u32::from(x >= y) << l;
+                }
+                winners[next_winner] = mask;
+                next_winner += 1;
+            }
             let dst = &mut registers[step.dst as usize];
             step.kind.apply_lanes(&a, &b, dst);
             if QUANTIZE {
@@ -688,6 +750,60 @@ mod tests {
                 for precision in Precision::SWEEP {
                     let ops = ops.with_precision(precision);
                     lane_program_matching_run_lanes(&ops, &format!("{name} {mode}/{precision}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_recording_pass_writes_each_max_steps_winners_and_the_same_values() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let spn = random_spn(&RandomSpnConfig::with_vars(9), &mut rng);
+        for mode in NumericMode::ALL {
+            for precision in Precision::SWEEP {
+                let ops = OpList::from_spn(&spn)
+                    .with_mode(mode)
+                    .with_precision(precision)
+                    .to_max_product();
+                let program = LaneProgram::from_op_list(&ops);
+                let batch = mixed_rows(ops.num_vars(), MAX_LANES + 3);
+                let recipe = ops.input_recipe();
+                for &lanes in &LANE_WIDTHS {
+                    let start = batch.len() - lanes;
+                    let mut tile = vec![0.0; recipe.num_inputs() * lanes];
+                    recipe.fill_lane_block(&batch, start, lanes, &mut tile);
+                    let mut results = vec![0.0; ops.num_ops() * lanes];
+                    let mut want = vec![0.0; lanes];
+                    run_lane_block(&ops, lanes, &tile, &mut results, &mut want);
+                    let value = |operand, lane| match operand {
+                        OperandRef::Input(k) => tile[k as usize * lanes + lane],
+                        OperandRef::Op(k) => results[k as usize * lanes + lane],
+                    };
+                    let want_winners: Vec<u32> = ops
+                        .ops()
+                        .iter()
+                        .filter(|op| op.kind == OpKind::Max)
+                        .map(|op| {
+                            (0..lanes)
+                                .map(|l| u32::from(value(op.lhs, l) >= value(op.rhs, l)) << l)
+                                .sum()
+                        })
+                        .collect();
+                    let mut registers = vec![f64::NAN; program.slots() * lanes];
+                    let mut winners = vec![0; program.max_steps()];
+                    let mut got = vec![0.0; lanes];
+                    program.run_block_recording(
+                        &batch,
+                        start,
+                        lanes,
+                        &mut registers,
+                        &mut winners,
+                        &mut got,
+                    );
+                    let context = format!("{mode}/{precision} lanes={lanes}");
+                    assert_eq!(winners, want_winners, "{context}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "{context}");
                 }
             }
         }

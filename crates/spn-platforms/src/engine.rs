@@ -30,7 +30,7 @@ use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
 use spn_core::incremental::{ConeAnalysis, DeltaOutcome, IncrementalState};
 use spn_core::precision::round_to;
-use spn_core::query::{conditional_values, MaxProductProgram, QueryBatch};
+use spn_core::query::{conditional_values, MaxProductProgram, QueryBatch, TraceScratch};
 use spn_core::sample::{SampleBatch, SampleRun, SamplerProgram};
 use spn_core::{Evidence, NumericMode, Precision, Spn, SpnError};
 use spn_processor::{MultiCoreProcessor, PerfReport};
@@ -242,6 +242,9 @@ pub struct Engine<B: Backend> {
     workers: Vec<WorkerState<B>>,
     /// Scratch one-query batch backing [`Engine::execute`].
     single: EvidenceBatch,
+    /// The MAP traceback's register file, winner masks and work list,
+    /// reused by every MAP batch of any plan.
+    trace: TraceScratch,
 }
 
 impl<B: Backend> Engine<B> {
@@ -291,6 +294,7 @@ impl<B: Backend> Engine<B> {
             single: EvidenceBatch::new(plan.ops.num_vars()),
             plan,
             workers: Vec::new(),
+            trace: TraceScratch::default(),
         }
     }
 
@@ -299,7 +303,8 @@ impl<B: Backend> Engine<B> {
     /// plan again is a pointer compare; a different one is swapped in (the
     /// engine's reference to the old plan is dropped) and the one-query
     /// scratch batch takes the new plan's arity.  The worker states need no
-    /// reset: every backend re-sizes them to the program of each batch.
+    /// reset: every backend re-sizes them to the program of each batch, as
+    /// the MAP traceback does its scratch.
     pub fn rebind(&mut self, plan: Arc<Plan<B>>) {
         if !Arc::ptr_eq(&self.plan, &plan) {
             self.single = EvidenceBatch::new(plan.ops.num_vars());
@@ -495,25 +500,21 @@ impl<B: Backend> Engine<B> {
         Ok(outcome)
     }
 
-    /// Recovers the maximising assignment of every query of a MAP batch by
-    /// re-running the max-product program per query on the host and
-    /// backtracking the argmax branches.
+    /// Recovers the maximising assignment of every query of a MAP batch on
+    /// the host, whatever the backend: one lane pass of the plan's
+    /// max-product program over the batch, in blocks of up to
+    /// [`spn_core::vectorized::MAX_LANES`] queries, records which operand
+    /// won each maximisation per query, and each block's argmax branches
+    /// are backtracked from those bits ([`MaxProductProgram::trace_batch`]).
+    /// The register file, winner masks and reach masks are the engine's,
+    /// reused across calls and plans, so the call allocates only its
+    /// answer.
     fn trace_map_assignments(
-        map: &MapArtifact<B>,
+        &mut self,
         batch: &EvidenceBatch,
     ) -> Result<Vec<Vec<bool>>, BackendError> {
-        map.program.recipe().check(batch)?;
-        let mut inputs = Vec::new();
-        let mut results = Vec::new();
-        let mut assignments = Vec::with_capacity(batch.len());
-        for q in 0..batch.len() {
-            map.program.run_query(batch, q, &mut inputs, &mut results);
-            assignments.push(
-                map.program
-                    .trace_assignment(&inputs, &results, batch.query(q)),
-            );
-        }
-        Ok(assignments)
+        let map = self.plan.ensure_map()?;
+        Ok(map.program.trace_batch(batch, &mut self.trace)?)
     }
 
     /// The one execution path behind every `execute*` entry point: `batch`
@@ -561,7 +562,7 @@ impl<B: Backend> Engine<B> {
             }
             QueryBatch::Map(batch) => {
                 let result = self.run(true, batch, parallelism)?;
-                let assignments = Self::trace_map_assignments(self.plan.ensure_map()?, batch)?;
+                let assignments = self.trace_map_assignments(batch)?;
                 Ok(QueryOutput {
                     values: result.values,
                     assignments: Some(assignments),
@@ -683,8 +684,10 @@ impl<B: Backend> Engine<B> {
     ///   plus one division per query,
     /// * **Map** — one pass over the lazily compiled max-product artifact for
     ///   the values, plus a host-side argmax traceback recovering the
-    ///   maximising assignments (the traceback is not part of the modelled
-    ///   platform cost).
+    ///   maximising assignments: one lane pass over the batch recording each
+    ///   maximisation's winner per query, then one walk per lane block from
+    ///   those bits (the traceback is not part of the modelled platform
+    ///   cost).
     ///
     /// ```
     /// use spn_core::{ConditionalBatch, Evidence, EvidenceBatch, QueryBatch};
