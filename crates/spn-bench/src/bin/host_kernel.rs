@@ -16,8 +16,17 @@
 //! of the model name, or else its first `cpu MHz` line.  Under turbo or a
 //! shared host the true ops per cycle is lower.
 //!
+//! A last table sets a MAP batch beside the marginal pass, on 1 thread:
+//! `MaxProductProgram::trace_batch` over the same rows — the max-product
+//! lane pass at `MAX_LANES` that records each maximisation's winner, plus
+//! the traceback of every row from those bits, which is what
+//! `Engine::execute_query` adds to a MAP batch's value pass — in ns per
+//! row against the marginal pass's, best of the same repetitions.
+//!
 //! Every width's values, on both thread counts, are checked bit for bit
-//! against the scalar reference `OpList::run_into`; any mismatch exits 1.
+//! against the scalar reference `OpList::run_into`, and every MAP
+//! assignment against the one `Engine<CpuModel>` returns; any mismatch
+//! exits 1.
 //! The output is markdown on stdout.  It is not pinned: a number worth
 //! quoting is committed with the host it was measured on (`docs/`).
 //!
@@ -29,10 +38,11 @@ use std::time::Instant;
 
 use spn_core::batch::EvidenceBatch;
 use spn_core::flatten::OpList;
+use spn_core::query::{MaxProductProgram, TraceScratch};
 use spn_core::vectorized::{LaneProgram, MAX_LANES};
-use spn_core::Evidence;
+use spn_core::{Evidence, QueryBatch};
 use spn_learn::Benchmark;
-use spn_platforms::{Backend, BackendError, CpuModel};
+use spn_platforms::{Backend, BackendError, CpuModel, Engine, EngineOptions};
 
 /// What `--smoke` shrinks; the circuits, widths and checks are the same.
 struct Sizes {
@@ -135,6 +145,22 @@ fn time_once(
     start.elapsed().as_secs_f64() * 1e9
 }
 
+/// One repetition of the MAP column: `passes` traces of `batch` on one
+/// thread, in ns of wall time, and the last pass's assignments.
+fn time_map(
+    program: &MaxProductProgram,
+    batch: &EvidenceBatch,
+    passes: usize,
+    scratch: &mut TraceScratch,
+) -> Result<(f64, Vec<Vec<bool>>), BackendError> {
+    let start = Instant::now();
+    let mut assignments = Vec::new();
+    for _ in 0..passes {
+        assignments = std::hint::black_box(program.trace_batch(batch, scratch)?);
+    }
+    Ok((start.elapsed().as_secs_f64() * 1e9, assignments))
+}
+
 /// The host's CPU model string and nominal clock in GHz, with where the
 /// clock came from, read from `/proc/cpuinfo`.
 fn host_cpu() -> (String, Option<(f64, &'static str)>) {
@@ -165,6 +191,8 @@ struct Circuit {
     slots: usize,
     model_ops_per_cycle: f64,
     ops_per_ns: Vec<Vec<f64>>,
+    /// `MaxProductProgram::trace_batch`'s ns per row on 1 thread.
+    map_ns_per_row: f64,
 }
 
 fn measure(benchmark: Benchmark, sizes: &Sizes) -> Result<Circuit, BackendError> {
@@ -172,7 +200,8 @@ fn measure(benchmark: Benchmark, sizes: &Sizes) -> Result<Circuit, BackendError>
     // width.
     let most_threads = THREADS[THREADS.len() - 1];
     assert!(sizes.rows.is_multiple_of(most_threads * MAX_LANES));
-    let ops = OpList::from_spn(&benchmark.spn());
+    let spn = benchmark.spn();
+    let ops = OpList::from_spn(&spn);
     let program = LaneProgram::from_op_list(&ops);
     let batch = mixed_batch(ops.num_vars(), sizes.rows)?;
     let recipe = ops.input_recipe();
@@ -210,6 +239,27 @@ fn measure(benchmark: Benchmark, sizes: &Sizes) -> Result<Circuit, BackendError>
         }
         ops_per_ns.push(best.iter().map(|ns| (work * passes) as f64 / ns).collect());
     }
+    let max_product = MaxProductProgram::from_op_list(&ops);
+    let mut engine = Engine::new(CpuModel::new(), &spn, EngineOptions::default())?;
+    let want = engine
+        .execute_query(&QueryBatch::Map(batch.clone()))?
+        .assignments
+        .ok_or("a MAP batch answers with assignments")?;
+    let mut scratch = TraceScratch::default();
+    let mut map_ns = f64::INFINITY;
+    for repeat in 0..=sizes.repeats {
+        let (ns, assignments) = time_map(&max_product, &batch, passes, &mut scratch)?;
+        if assignments != want {
+            return Err(format!(
+                "{}: MAP assignments differ from Engine::execute_query's",
+                benchmark.name()
+            )
+            .into());
+        }
+        if repeat > 0 {
+            map_ns = map_ns.min(ns);
+        }
+    }
     let cpu = CpuModel::new();
     Ok(Circuit {
         name: benchmark.name(),
@@ -217,6 +267,7 @@ fn measure(benchmark: Benchmark, sizes: &Sizes) -> Result<Circuit, BackendError>
         slots: program.slots(),
         model_ops_per_cycle: cpu.compile(&ops)?.perf_per_query().ops_per_cycle(),
         ops_per_ns,
+        map_ns_per_row: map_ns / (passes * batch.len()) as f64,
     })
 }
 
@@ -271,6 +322,29 @@ fn print_tables(circuits: &[Circuit], clock: Option<(f64, &'static str)>) {
     }
 }
 
+fn print_map_table(circuits: &[Circuit]) {
+    println!("\n## MAP beside marginal: 1 thread, {MAX_LANES} lanes, ns per row\n");
+    println!("| circuit | marginal pass | MAP bit pass + traceback | MAP / marginal |");
+    println!("|---|---|---|---|");
+    // The marginal pass's ns per row at the widest width on 1 thread.
+    let marginal = |c: &Circuit| c.ops as f64 / c.ops_per_ns[0][c.ops_per_ns[0].len() - 1];
+    for c in circuits {
+        println!(
+            "| {} | {:.1} | {:.1} | {:.2}x |",
+            c.name,
+            marginal(c),
+            c.map_ns_per_row,
+            c.map_ns_per_row / marginal(c)
+        );
+    }
+    println!(
+        "| geomean | {:.1} | {:.1} | {:.2}x |",
+        geomean(circuits.iter().map(marginal)),
+        geomean(circuits.iter().map(|c| c.map_ns_per_row)),
+        geomean(circuits.iter().map(|c| c.map_ns_per_row / marginal(c)))
+    );
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let sizes = match args.as_slice() {
@@ -298,7 +372,10 @@ fn main() {
         .map(|benchmark| measure(benchmark, sizes))
         .collect();
     match circuits {
-        Ok(circuits) => print_tables(&circuits, clock),
+        Ok(circuits) => {
+            print_tables(&circuits, clock);
+            print_map_table(&circuits);
+        }
         Err(err) => {
             eprintln!("host_kernel failed: {err}");
             std::process::exit(1);
