@@ -189,11 +189,13 @@ fn msnbc_query(num_vars: usize, mode: QueryMode) -> QueryBatch {
 /// Allocations of one default-width `Engine<CpuModel>::execute_query` call per
 /// mode after one warm-up call, recorded when these pins were added.  A
 /// joint batch hands back what a marginal one does; a conditional runs two
-/// passes and divides; a MAP batch adds the host traceback, whose work
-/// lists and answer cost six allocations a row on MSNBC.
+/// passes and divides; a MAP batch adds the host traceback's answer, the
+/// list of 256 assignments and each row's own (1 541 while the traceback
+/// re-ran the program per row, six allocations a row; 259 since one
+/// winner-bit lane pass per batch feeds it from the engine's scratch).
 const JOINT_ALLOCATIONS: u64 = 2;
 const CONDITIONAL_ALLOCATIONS: u64 = 4;
-const MAP_ALLOCATIONS: u64 = 1541;
+const MAP_ALLOCATIONS: u64 = 259;
 
 #[test]
 fn joint_conditional_and_map_queries_on_the_cpu_model_allocate_a_pinned_count() {
@@ -233,6 +235,28 @@ fn a_single_query_on_a_one_lane_engine_allocates_a_pinned_count() {
             engine.execute(&evidence).expect("single query runs");
         });
         assert_eq!(n, EXECUTE_SINGLE_ALLOCATIONS, "execute");
+    }
+}
+
+/// Allocations of one `Engine<ProcessorBackend>::execute_query` call on the
+/// 256-row MSNBC MAP batch above, on Ptree at one core, after one warm-up
+/// call, recorded when this pin was added: the marginal call's below plus
+/// the traceback's answer, as on the CPU model — the traceback runs on the
+/// host whatever the backend.
+const PROCESSOR_MAP_ALLOCATIONS: u64 = 266;
+
+#[test]
+fn a_map_query_on_the_simulated_processor_allocates_a_pinned_count() {
+    let spn = Benchmark::Msnbc.spn();
+    let query = msnbc_query(spn.num_vars(), QueryMode::Map);
+    let backend = ProcessorBackend::new(ProcessorConfig::ptree()).expect("Ptree is valid");
+    let mut engine = Engine::new(backend, &spn, EngineOptions::default()).expect("engine builds");
+    engine.execute_query(&query).expect("warm-up call");
+    for _ in 0..3 {
+        let n = allocations(|| {
+            engine.execute_query(&query).expect("MAP batch runs");
+        });
+        assert_eq!(n, PROCESSOR_MAP_ALLOCATIONS, "execute_query map on Ptree");
     }
 }
 
