@@ -42,6 +42,9 @@ const PROCESSOR_LANES: usize = 8;
 pub struct ProcessorBackend {
     compiler: Compiler,
     processor: MultiCoreProcessor,
+    /// The platform name every batch's report carries
+    /// ([`MultiCoreConfig::name`]), formatted once.
+    name: String,
 }
 
 /// Reusable simulator storage of a [`ProcessorBackend`]: the replay's slot
@@ -73,6 +76,7 @@ impl ProcessorBackend {
         let config = MultiCoreConfig::new(cores, config);
         let processor = MultiCoreProcessor::new(config.clone())?;
         Ok(ProcessorBackend {
+            name: config.name(),
             compiler: Compiler::new(config.core),
             processor,
         })
@@ -113,7 +117,7 @@ impl Backend for ProcessorBackend {
     type Scratch = ProcessorScratch;
 
     fn name(&self) -> String {
-        self.processor.config().name()
+        self.name.clone()
     }
 
     fn compile(&self, ops: &OpList) -> Result<CompiledArtifact, BackendError> {
@@ -152,7 +156,7 @@ impl Backend for ProcessorBackend {
         });
         Ok(BatchResult {
             values,
-            perf: cores.merged(&self.name(), batch.len() as u64),
+            perf: cores.merged(&self.name, batch.len() as u64),
         })
     }
 }

@@ -105,34 +105,35 @@ impl MultiCoreProcessor {
             !costs.is_empty(),
             "a batch is sharded over at least one core"
         );
-        let costs: Vec<u128> = costs.iter().map(|&c| u128::from(c.max(1))).collect();
-        // Query `k` of core `c` finishes at `k × costs[c]`; the best split
+        let cost = |c: usize| u128::from(costs[c].max(1));
+        // Query `k` of core `c` finishes at `k × cost(c)`; the best split
         // runs the `queries` earliest of those finishes, ties going to the
         // lower core.  Every finish at or before `t ≤ queries / Σ 1/cost`
         // is among them, so each core starts with its `⌊t / cost⌋` (the
         // reciprocals are rounded up in 64-bit fixed point, which keeps `t`
         // at or below the bound), and the few queries left (under
         // `2 × cores`) go one at a time to the core that would finish one
-        // first.
+        // first.  Each range holds its shard's length in `end` until the
+        // starts are laid out, so the split allocates its answer alone.
         let scale = 1u128 << 64;
-        let rate: u128 = costs.iter().map(|&c| scale.div_ceil(c)).sum();
+        let rate: u128 = (0..costs.len()).map(|c| scale.div_ceil(cost(c))).sum();
         let t = queries as u128 * scale / rate;
-        let mut lengths: Vec<usize> = costs.iter().map(|&c| (t / c) as usize).collect();
-        for _ in lengths.iter().sum::<usize>()..queries {
+        let mut ranges: Vec<Range<usize>> = (0..costs.len())
+            .map(|c| 0..(t / cost(c)) as usize)
+            .collect();
+        for _ in ranges.iter().map(|range| range.end).sum::<usize>()..queries {
             let next = (0..costs.len())
-                .min_by_key(|&c| (lengths[c] as u128 + 1) * costs[c])
+                .min_by_key(|&c| (ranges[c].end as u128 + 1) * cost(c))
                 .expect("at least one core");
-            lengths[next] += 1;
+            ranges[next].end += 1;
         }
         let mut start = 0;
-        lengths
-            .into_iter()
-            .map(|len| {
-                let range = start..start + len;
-                start += len;
-                range
-            })
-            .collect()
+        for range in &mut ranges {
+            let len = range.end;
+            *range = start..start + len;
+            start += len;
+        }
+        ranges
     }
 
     /// What one pass of `per_query` keeps each core busy: its compute cycles
