@@ -242,7 +242,7 @@ pub struct Engine<B: Backend> {
     workers: Vec<WorkerState<B>>,
     /// Scratch one-query batch backing [`Engine::execute`].
     single: EvidenceBatch,
-    /// The MAP traceback's register file, winner masks and work list,
+    /// The MAP traceback's register file, winner masks and reach masks,
     /// reused by every MAP batch of any plan.
     trace: TraceScratch,
 }
